@@ -490,11 +490,15 @@ mod tests {
             })
         };
         let (h0, h1) = (spawn(c0), spawn(c1));
+        // Which variant the root sees depends on whether rank 1's READY
+        // lands before the first dead-peer scan (then tensor 0 completes
+        // and the BEGIN relay to rank 2 fails as SendFailed); either way
+        // the error must implicate rank 2.
         let root_err = h0.join().expect("join").expect("root must error");
-        match root_err {
-            CommError::PeerDead { rank: 0, src: 2 } => {}
-            other => panic!("root expected PeerDead on rank 2, got {other}"),
-        }
+        assert!(
+            root_err.is_peer_failure() && root_err.peer() == Some(2),
+            "root must implicate dead rank 2, got {root_err}"
+        );
         let child_err = h1.join().expect("join").expect("rank 1 must error");
         assert!(child_err.is_peer_failure(), "rank 1 sees its dead parent edge: {child_err}");
     }

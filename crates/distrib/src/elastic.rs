@@ -23,10 +23,10 @@
 //! * **State follows the view.** On every transition the learning rate is
 //!   rescaled linearly with the world size (the paper's Figure-6 rule),
 //!   the staging plan re-shards ownership so only orphaned samples are
-//!   re-read, the overlap engine's fusion buckets are rebuilt for the new
-//!   world, and joiners receive the parameters *and optimizer state* by
-//!   broadcast from a live survivor — a checkpoint is touched only in the
-//!   survivor-less handoff case.
+//!   re-read, the replica is re-wired to the new world (topology, overlap
+//!   engine, ready hooks), and joiners receive the parameters *and
+//!   optimizer state* by broadcast from a live survivor — a checkpoint is
+//!   touched only in the survivor-less handoff case.
 //! * **Crash recovery without restart.** A member that vanishes surfaces
 //!   as a typed [`CommError`] on the survivors, who meet in a keyed
 //!   recovery round, agree on the surviving set, and continue in a fresh
@@ -34,26 +34,23 @@
 //!   where checkpoint-restart would replay everything past the last
 //!   snapshot.
 //!
+//! Members run the same `Replica::step` as the plain and checkpoint-restart
+//! drivers; this module owns only what is elastic — the hub, the
+//! membership rounds, `enter`/`recover` and the LR rescale.
+//!
 //! Fault schedules come from [`FaultPlan`] (`with_leave_at_step` /
 //! `with_join_at_step` plus crashes), so any churn scenario — flapping
 //! ranks, join-during-leave cascades, full founder turnover — replays
 //! bit-identically.
 
-use crate::control::{Coordinator, MemberMsg, ViewMsg, TAG_MS_CTRL, TAG_MS_UP};
-use crate::fusion::{fuse, FusionBucket};
-use crate::overlap::{reduce_bucket, CommEngine, HookClearGuard, ReduceSettings};
-use crate::trainer::{build_optimizer, BatchSource, OptimizerKind, StepRecord, TrainerConfig};
+use crate::control::{MemberMsg, ViewMsg, TAG_MS_CTRL, TAG_MS_UP};
+use crate::step::{Replica, Trained};
+use crate::trainer::{BatchSource, OptimizerKind, StepRecord, TrainerConfig};
 use exaclim_comm::{CommError, CommWorld, Communicator, Rendezvous};
 use exaclim_faults::FaultPlan;
-use exaclim_nn::checkpoint;
-use exaclim_nn::loss::WeightedCrossEntropy;
-use exaclim_nn::optim::{scale_lr_for_batch, OptState, Optimizer};
-use exaclim_nn::{Ctx, Layer, Param, ParamSet};
+use exaclim_nn::optim::scale_lr_for_batch;
+use exaclim_nn::Layer;
 use exaclim_staging::StagingPlan;
-use exaclim_tensor::init::seeded_rng;
-use exaclim_tensor::profile;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -517,7 +514,7 @@ impl ElasticHub {
 
 /// How one member thread's participation ended.
 enum MemberOutcome {
-    Finished { me: usize, final_hash: u64, hashes_ok: bool, model: Box<dyn Layer> },
+    Finished { me: usize, done: Trained },
     Left { me: usize },
     Crashed { me: usize },
     NeverAdmitted { me: usize },
@@ -553,29 +550,13 @@ struct Member<B: BatchSource> {
     rv: Arc<Rendezvous>,
     cfg: ElasticConfig,
     faults: FaultPlan,
-    model: Box<dyn Layer>,
-    /// Full checkpointable state (superset of the trainable set) — what
-    /// handoffs persist and broadcasts ship.
-    state: ParamSet,
-    params: ParamSet,
-    params_vec: Vec<Param>,
-    sizes: Vec<usize>,
-    canonical: Vec<u32>,
-    coordinator: Coordinator,
-    loss_fn: WeightedCrossEntropy,
-    optimizer: Box<dyn Optimizer + Send>,
-    ctx: Ctx,
-    shuffle_rng: rand::rngs::StdRng,
+    /// Streams are keyed by the member's id, so they stay stable across
+    /// generations.
+    replica: Replica,
     source: B,
     view: WorldView,
-    comm: Option<Communicator>,
-    buckets: Vec<FusionBucket>,
-    settings: ReduceSettings,
-    engine: Option<CommEngine>,
-    hooks: Option<HookClearGuard>,
     synced: bool,
     handoff: Option<PathBuf>,
-    hashes_ok: bool,
     /// Step this incarnation entered the world (−1 for founders). A
     /// scheduled leave fires only if it post-dates the entry — a member
     /// that leaves and rejoins at one boundary must not leave again.
@@ -584,126 +565,15 @@ struct Member<B: BatchSource> {
 }
 
 impl<B: BatchSource> Member<B> {
-    /// Builds the per-member training state shared by founders and
-    /// joiners: an identically-seeded replica plus streams keyed by the
-    /// member's id (stable across generations).
-    #[allow(clippy::too_many_arguments)]
-    fn build<MB>(
-        me: usize,
-        hub: Arc<ElasticHub>,
-        rv: Arc<Rendezvous>,
-        cfg: ElasticConfig,
-        faults: FaultPlan,
-        model_builder: &MB,
-        source: B,
-        guard: HubGuard,
-    ) -> Member<B>
-    where
-        MB: Fn(&mut rand::rngs::StdRng) -> Box<dyn Layer>,
-    {
-        let mut init_rng = seeded_rng(cfg.base.seed);
-        let model = model_builder(&mut init_rng);
-        let state = checkpoint::full_state(model.as_ref());
-        let params = model.params();
-        let params_vec: Vec<Param> = params.iter().cloned().collect();
-        let sizes: Vec<usize> = params_vec.iter().map(|p| p.numel()).collect();
-        let n_tensors = sizes.len();
-        let canonical: Vec<u32> = (0..n_tensors as u32).collect();
-        let coordinator = Coordinator::new(cfg.base.control, n_tensors);
-        let loss_fn = WeightedCrossEntropy::with_scale(cfg.base.loss_scale);
-        let lag = cfg.base.gradient_lag.then_some(cfg.base.lag_depth.max(1));
-        let optimizer = build_optimizer(cfg.base.optimizer, lag, cfg.base.loss_scale);
-        let ctx = Ctx::train(cfg.base.seed ^ (me as u64 + 1) << 17);
-        let shuffle_rng = rand::rngs::StdRng::seed_from_u64(cfg.base.seed ^ 0xABCD ^ me as u64);
-        let settings = ReduceSettings {
-            ranks: cfg.base.ranks,
-            node_size: cfg.base.node_size,
-            shard_leaders: cfg.base.shard_leaders,
-            compress: cfg.base.compress_gradients,
-        };
-        Member {
-            me,
-            hub,
-            rv,
-            faults,
-            model,
-            state,
-            params,
-            params_vec,
-            sizes,
-            canonical,
-            coordinator,
-            loss_fn,
-            optimizer,
-            ctx,
-            shuffle_rng,
-            source,
-            view: WorldView { generation: 0, members: Vec::new() },
-            comm: None,
-            buckets: Vec::new(),
-            settings,
-            engine: None,
-            hooks: None,
-            synced: false,
-            handoff: None,
-            hashes_ok: true,
-            joined_at: -1,
-            _guard: guard,
-            cfg,
-        }
-    }
-
-    fn idx(&self) -> usize {
-        self.view
-            .members
-            .iter()
-            .position(|&m| m == self.me)
-            .expect("member appears in its own view")
-    }
-
     fn is_leader(&self) -> bool {
         self.view.members.first() == Some(&self.me)
     }
 
-    /// Drops the per-generation machinery in dependency order: ready
-    /// hooks first (they feed the engine), then the engine (joins its
-    /// progress thread), then the communicator (signals peers).
-    fn release_world(&mut self) {
-        self.hooks = None;
-        self.engine = None;
-        self.comm = None;
-    }
-
-    /// Per-generation wiring: world-size-scaled learning rate, node
-    /// topology that still tiles the member count, rebuilt fusion buckets
-    /// and (in overlap mode) a fresh comm engine.
+    /// Per-generation wiring: the replica joins `comm`'s world and the
+    /// learning rate follows the world size.
     fn configure(&mut self, comm: Communicator) {
-        let n = self.view.members.len();
-        let node_size = if n.is_multiple_of(self.cfg.base.node_size) {
-            self.cfg.base.node_size
-        } else {
-            1
-        };
-        self.settings = ReduceSettings {
-            ranks: n,
-            node_size,
-            shard_leaders: self.cfg.base.shard_leaders.min(node_size),
-            compress: self.cfg.base.compress_gradients,
-        };
-        self.buckets = fuse(&self.canonical, &self.sizes, self.cfg.base.fusion_threshold_bytes);
-        self.optimizer.set_lr(self.hub.lr_for(n));
-        let idx = self.idx();
-        self.engine = self.cfg.base.overlap_comm.then(|| {
-            CommEngine::new(idx, self.params_vec.clone(), self.buckets.clone(), self.settings.clone())
-        });
-        self.hooks = self.engine.as_ref().map(|e| {
-            for (i, p) in self.params_vec.iter().enumerate() {
-                let t = e.tracker().clone();
-                p.set_ready_hook(Arc::new(move || t.notify(i)));
-            }
-            HookClearGuard(self.params_vec.clone())
-        });
-        self.comm = Some(comm);
+        self.replica.wire(comm);
+        self.replica.set_lr(self.hub.lr_for(self.view.members.len()));
         if self.is_leader() {
             self.rv.forget_before(self.view.generation);
         }
@@ -712,8 +582,8 @@ impl<B: BatchSource> Member<B> {
     /// Enters a committed view: rendezvous the new communicator, run the
     /// sync plan, rewire. On error the member's view is already the new
     /// generation, so recovery is keyed correctly.
-    fn enter(&mut self, view: WorldView, sync: SyncPlan, _step: usize) -> Result<(), CommError> {
-        self.release_world();
+    fn enter(&mut self, view: WorldView, sync: SyncPlan) -> Result<(), CommError> {
+        self.replica.unwire();
         self.view = view;
         let mut comm = self.rv.join(
             self.view.generation,
@@ -730,54 +600,18 @@ impl<B: BatchSource> Member<B> {
                     .iter()
                     .position(|&m| m == root)
                     .expect("broadcast root is a member of the new view");
-                // The full checkpointable state travels, not just the
-                // trainable set, so joiners match survivors exactly.
-                let total: usize = self.state.iter().map(|p| p.numel()).sum();
-                let mut flat = vec![0.0f32; total];
-                if self.me == root {
-                    let mut off = 0;
-                    for p in self.state.iter() {
-                        let v = p.value();
-                        flat[off..off + v.numel()].copy_from_slice(v.as_slice());
-                        off += v.numel();
-                    }
-                }
-                comm.try_broadcast(root_idx, &mut flat)?;
-                let mut opt_bytes = if self.me == root {
-                    self.optimizer.export_state().to_bytes()
-                } else {
-                    Vec::new()
-                };
-                comm.try_broadcast_bytes(root_idx, &mut opt_bytes)?;
-                if !self.synced {
-                    let mut off = 0;
-                    for p in self.state.iter() {
-                        let n = p.numel();
-                        let src = &flat[off..off + n];
-                        p.apply_update(|v, _| v.copy_from_slice(src));
-                        off += n;
-                    }
-                    let state = OptState::from_bytes(&opt_bytes)
-                        .unwrap_or_else(|e| panic!("member {}: optimizer broadcast: {e}", self.me));
-                    self.optimizer
-                        .import_state(&state, &self.params)
-                        .unwrap_or_else(|e| panic!("member {}: import optimizer state: {e}", self.me));
-                    self.synced = true;
-                }
+                self.replica.sync_from(&mut comm, root_idx, !self.synced)?;
+                self.synced = true;
             }
             SyncPlan::Handoff => {
                 if !self.synced {
                     let path = self
                         .handoff
-                        .clone()
+                        .as_deref()
                         .expect("survivor-less admission carries a handoff checkpoint");
-                    checkpoint::load_into(&self.state, &path)
+                    self.replica
+                        .restore(path)
                         .unwrap_or_else(|e| panic!("member {}: load handoff: {e}", self.me));
-                    let state = checkpoint::load_optimizer_state(&path)
-                        .unwrap_or_else(|e| panic!("member {}: handoff optimizer state: {e}", self.me));
-                    self.optimizer
-                        .import_state(&state, &self.params)
-                        .unwrap_or_else(|e| panic!("member {}: import optimizer state: {e}", self.me));
                     self.synced = true;
                 }
             }
@@ -794,7 +628,7 @@ impl<B: BatchSource> Member<B> {
     /// crashing during the recovery rendezvous) chain cleanly.
     fn recover(&mut self, step: usize) {
         loop {
-            self.release_world();
+            self.replica.unwire();
             let (view, root, any_unsynced) = self.hub.recover(
                 self.view.generation,
                 &self.view.members.clone(),
@@ -810,7 +644,7 @@ impl<B: BatchSource> Member<B> {
                     None => SyncPlan::Handoff,
                 }
             };
-            if self.enter(view, sync, step).is_ok() {
+            if self.enter(view, sync).is_ok() {
                 return;
             }
         }
@@ -833,7 +667,7 @@ impl<B: BatchSource> Member<B> {
                 leavers.push(self.me);
             }
             for i in 1..n {
-                let bytes = match self.comm.as_mut().unwrap().try_recv_bytes(i, TAG_MS_UP) {
+                let bytes = match self.replica.comm().try_recv_bytes(i, TAG_MS_UP) {
                     Ok(b) => b,
                     Err(e) => {
                         self.abort_round(n);
@@ -849,10 +683,7 @@ impl<B: BatchSource> Member<B> {
             let joiners = self.hub.pending_joins(step, &members);
             if leavers.is_empty() && joiners.is_empty() {
                 for i in 1..n {
-                    self.comm
-                        .as_mut()
-                        .unwrap()
-                        .try_send_bytes(i, TAG_MS_CTRL, ViewMsg::NoChange.encode())?;
+                    self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, ViewMsg::NoChange.encode())?;
                 }
                 return Ok(Round::Proceed);
             }
@@ -875,13 +706,7 @@ impl<B: BatchSource> Member<B> {
             let handoff = if survivors.is_empty() {
                 let path = self.cfg.checkpoint_dir.join(format!("handoff-gen{new_gen:08}.exck"));
                 std::fs::create_dir_all(&self.cfg.checkpoint_dir)
-                    .and_then(|()| {
-                        checkpoint::save_with_optimizer(
-                            &self.state,
-                            &self.optimizer.export_state(),
-                            &path,
-                        )
-                    })
+                    .and_then(|()| self.replica.save_to(&path))
                     .unwrap_or_else(|e| panic!("write handoff for generation {new_gen}: {e}"));
                 Some(path)
             } else {
@@ -890,14 +715,14 @@ impl<B: BatchSource> Member<B> {
             let propose = ViewMsg::Propose { generation: new_gen, members: new_members.clone() };
             for i in 1..n {
                 if let Err(e) =
-                    self.comm.as_mut().unwrap().try_send_bytes(i, TAG_MS_CTRL, propose.encode())
+                    self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, propose.encode())
                 {
                     self.abort_round(n);
                     return Err(e);
                 }
             }
             for i in 1..n {
-                let ack = match self.comm.as_mut().unwrap().try_recv_bytes(i, TAG_MS_UP) {
+                let ack = match self.replica.comm().try_recv_bytes(i, TAG_MS_UP) {
                     Ok(b) => b,
                     Err(e) => {
                         self.abort_round(n);
@@ -910,11 +735,8 @@ impl<B: BatchSource> Member<B> {
                 }
             }
             for i in 1..n {
-                if let Err(e) = self
-                    .comm
-                    .as_mut()
-                    .unwrap()
-                    .try_send_bytes(i, TAG_MS_CTRL, ViewMsg::Commit.encode())
+                if let Err(e) =
+                    self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, ViewMsg::Commit.encode())
                 {
                     self.abort_round(n);
                     return Err(e);
@@ -943,7 +765,7 @@ impl<B: BatchSource> Member<B> {
                 sync,
             })
         } else {
-            let comm = self.comm.as_mut().unwrap();
+            let comm = self.replica.comm();
             comm.try_send_bytes(0, TAG_MS_UP, MemberMsg::Status { wants_leave }.encode())?;
             let ctrl = ViewMsg::decode(&comm.try_recv_bytes(0, TAG_MS_CTRL)?)
                 .unwrap_or_else(|e| panic!("member {}: bad control message: {e}", self.me));
@@ -991,94 +813,8 @@ impl<B: BatchSource> Member<B> {
     /// dead; that is exactly why we are aborting).
     fn abort_round(&mut self, n: usize) {
         for i in 1..n {
-            let _ = self
-                .comm
-                .as_mut()
-                .unwrap()
-                .try_send_bytes(i, TAG_MS_CTRL, ViewMsg::Abort.encode());
+            let _ = self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, ViewMsg::Abort.encode());
         }
-    }
-
-    /// One synchronous training step against the current view.
-    fn train_step(&mut self, step: usize) -> Result<f32, CommError> {
-        let n = self.view.members.len();
-        let idx = self.idx();
-        let t0 = Instant::now();
-        let ti = Instant::now();
-        let batch = self.source.next_batch();
-        let ingest_wait = ti.elapsed();
-        profile::record_span(
-            idx,
-            step,
-            profile::SpanKind::Ingest,
-            ti,
-            ingest_wait.as_secs_f64(),
-        );
-        let input = if batch.input.dtype() == self.cfg.base.precision {
-            batch.input
-        } else {
-            batch.input.cast(self.cfg.base.precision)
-        };
-
-        let mut ready: Vec<u32> = self.canonical.clone();
-        if self.cfg.base.shuffle_ready_order {
-            ready.shuffle(&mut self.shuffle_rng);
-        }
-        if let Some(engine) = self.engine.as_mut() {
-            let c = self.comm.as_mut().expect("communicator on member thread");
-            let mut order = self.coordinator.try_coordinate(c, &ready)?;
-            order.sort_unstable();
-            debug_assert_eq!(order, self.canonical, "coordination must cover every tensor");
-            engine.tracker().reset();
-            // The elastic trainer never lends the optimizer to the engine:
-            // a failed step is retried from live parameters after
-            // `recover`, and members may have applied *different* bucket
-            // subsets before the failure — unrecoverable divergence. FT
-            // can lend because restarts restore from a checkpoint; here
-            // fused mode gets its speedup from `par_step` below instead.
-            engine.begin_step(self.comm.take().expect("communicator on member thread"), step, None);
-        }
-
-        let logits = self.model.forward(&input, &mut self.ctx);
-        profile::set_phase(profile::Phase::Backward);
-        let out = self.loss_fn.forward(&logits, &batch.labels, &batch.weights);
-        self.model.backward(&out.grad_logits);
-        profile::set_phase(profile::Phase::Forward);
-
-        if let Some(engine) = self.engine.as_mut() {
-            let out = engine.finish_step();
-            self.comm = Some(out.comm);
-            out.result?;
-        } else {
-            let c = self.comm.as_mut().expect("communicator on member thread");
-            let mut order = self.coordinator.try_coordinate(c, &ready)?;
-            order.sort_unstable();
-            debug_assert_eq!(order, self.canonical, "coordination must cover every tensor");
-            for bucket in &self.buckets {
-                reduce_bucket(&self.params_vec, bucket, c, &self.settings, idx, step)?;
-            }
-        }
-
-        if self.cfg.base.fused_optim {
-            self.optimizer.par_step(&self.params);
-        } else {
-            self.optimizer.step(&self.params);
-        }
-
-        let c = self.comm.as_mut().expect("communicator on member thread");
-        let mut lbuf = vec![out.loss];
-        c.try_allreduce_tree(&mut lbuf)?;
-        let mean_loss = lbuf[0] / n as f32;
-
-        let h = self.params.state_hash();
-        let mut hbuf: Vec<f32> = (0..4).map(|i| ((h >> (16 * i)) & 0xffff) as f32).collect();
-        let mine = hbuf.clone();
-        c.try_broadcast(0, &mut hbuf)?;
-        if hbuf != mine {
-            self.hashes_ok = false;
-        }
-        self.source.on_step_timing(ingest_wait, t0.elapsed());
-        Ok(mean_loss)
     }
 
     /// Runs the member until the step budget completes, it leaves, or it
@@ -1098,27 +834,25 @@ impl<B: BatchSource> Member<B> {
                     Ok(Round::Proceed) => break,
                     Ok(Round::Left) => return MemberOutcome::Left { me: self.me },
                     Ok(Round::Transition { view, sync }) => {
-                        if self.enter(view, sync, step).is_err() {
+                        if self.enter(view, sync).is_err() {
                             self.recover(step);
                         }
                     }
                     Ok(Round::Recover) | Err(_) => self.recover(step),
                 }
             }
-            let t0 = Instant::now();
-            match self.train_step(step) {
-                Ok(mean_loss) => {
+            // Never lend the optimizer: a failed step is retried from live
+            // parameters after `recover`, and members may have applied
+            // *different* bucket subsets before the failure.
+            match self.replica.step(step, &mut self.source, false) {
+                Ok(s) => {
                     if self.is_leader() {
-                        self.hub.record_step(step, mean_loss, t0.elapsed().as_secs_f64());
+                        self.hub.record_step(step, s.mean_loss, s.wall_s);
                         let completed = step + 1;
                         if completed.is_multiple_of(self.cfg.checkpoint_every) {
-                            checkpoint::save_auto_with_optimizer(
-                                &self.state,
-                                &self.optimizer.export_state(),
-                                &self.cfg.checkpoint_dir,
-                                completed,
-                            )
-                            .unwrap_or_else(|e| panic!("auto-checkpoint at step {completed}: {e}"));
+                            self.replica
+                                .save_checkpoint(&self.cfg.checkpoint_dir, completed)
+                                .unwrap_or_else(|e| panic!("auto-checkpoint at step {completed}: {e}"));
                             self.hub.note_checkpoint();
                         }
                     }
@@ -1128,19 +862,14 @@ impl<B: BatchSource> Member<B> {
                     // A mid-step failure abandons the attempt: reset the
                     // gradients, recover a smaller world, and re-run the
                     // same global step there.
-                    self.params.zero_grads();
+                    self.replica.zero_grads();
                     self.hub.note_retry();
                     self.recover(step);
                 }
             }
         }
         self.hub.close();
-        MemberOutcome::Finished {
-            me: self.me,
-            final_hash: self.params.state_hash(),
-            hashes_ok: self.hashes_ok,
-            model: self.model,
-        }
+        MemberOutcome::Finished { me: self.me, done: self.replica.finish() }
     }
 }
 
@@ -1184,10 +913,20 @@ where
             let founding = founding.clone();
             handles.push(scope.spawn(move || {
                 let guard = hub.adopt(me);
-                let mut member =
-                    Member::build(me, hub, rv, cfg, faults, &mb, source, guard);
-                member.view = WorldView { generation: 0, members: founding };
-                member.synced = true;
+                let mut member = Member {
+                    me,
+                    replica: Replica::build(&cfg.base, me, &mb),
+                    source,
+                    view: WorldView { generation: 0, members: founding },
+                    synced: true,
+                    handoff: None,
+                    joined_at: -1,
+                    _guard: guard,
+                    hub,
+                    rv,
+                    cfg,
+                    faults,
+                };
                 member.configure(comm);
                 member.run(0)
             }));
@@ -1204,28 +943,34 @@ where
                     return MemberOutcome::NeverAdmitted { me };
                 };
                 let guard = hub.register(me);
-                let source = sb(me);
-                let mut member =
-                    Member::build(me, hub, rv, cfg, faults, &mb, source, guard);
+                let mut source = sb(me);
+                let mut replica = Replica::build(&cfg.base, me, &mb);
                 // Fast-forward the per-member streams so the joiner's
                 // step `s` draws are what they would have been had it
                 // trained from the start — the replay-determinism
                 // anchor.
-                for _ in 0..adm.start_step {
-                    let _ = member.source.next_batch();
-                    if member.cfg.base.shuffle_ready_order {
-                        let mut ready = member.canonical.clone();
-                        ready.shuffle(&mut member.shuffle_rng);
-                    }
-                }
-                member.handoff = adm.handoff.clone();
-                member.joined_at = adm.start_step as i64;
+                let start = adm.start_step;
+                replica.fast_forward(&mut source, start);
+                let mut member = Member {
+                    me,
+                    replica,
+                    source,
+                    // Placeholder until `enter` installs the admitted view.
+                    view: WorldView { generation: 0, members: Vec::new() },
+                    synced: false,
+                    handoff: adm.handoff,
+                    joined_at: start as i64,
+                    _guard: guard,
+                    hub,
+                    rv,
+                    cfg,
+                    faults,
+                };
                 let sync = match adm.root {
                     Some(root) => SyncPlan::Broadcast { root },
                     None => SyncPlan::Handoff,
                 };
-                let start = adm.start_step;
-                if member.enter(adm.view, sync, start).is_err() {
+                if member.enter(adm.view, sync).is_err() {
                     member.recover(start);
                 }
                 member.run(start)
@@ -1248,11 +993,11 @@ where
     let mut model_out: Option<Box<dyn Layer>> = None;
     for o in outcomes.drain(..) {
         match o {
-            MemberOutcome::Finished { final_hash, hashes_ok: ok, model, .. } => {
-                final_hashes.push(final_hash);
-                hashes_ok &= ok;
+            MemberOutcome::Finished { done, .. } => {
+                final_hashes.push(done.final_hash);
+                hashes_ok &= done.hashes_ok;
                 if model_out.is_none() {
-                    model_out = Some(model);
+                    model_out = Some(done.model);
                 }
             }
             MemberOutcome::NeverAdmitted { me } => never_admitted.push(me),
@@ -1293,6 +1038,7 @@ mod tests {
     use super::*;
     use crate::trainer::test_support::{toy_config, toy_model, toy_source};
     use crate::trainer::train_data_parallel;
+    use exaclim_tensor::ComputePrecision;
 
     fn elastic_config(ranks: usize, steps: usize, dir: &str) -> ElasticConfig {
         let d = std::env::temp_dir()
@@ -1319,17 +1065,34 @@ mod tests {
     fn healthy_elastic_run_matches_plain_trainer_bitwise() {
         // With no churn the elastic path must follow the plain trainer's
         // exact arithmetic: the membership rounds and the ×1.0 LR rescale
-        // are bit-neutral.
-        let (plain, _m) = train_data_parallel(&toy_config(2, 6), toy_model, toy_source);
-        let cfg = elastic_config(2, 6, "healthy");
-        let (r, _m2) = run(&cfg, &FaultPlan::none());
-        assert!(r.consistent);
-        assert_eq!(r.final_hashes[0], plain.final_hashes[0], "identical parameter bits");
-        assert_eq!(r.generations.len(), 1, "no transitions");
-        assert!(r.ranks_left.is_empty() && r.ranks_joined.is_empty() && r.ranks_lost.is_empty());
-        assert_eq!(r.steps_retried, 0);
-        assert_eq!(r.checkpoints_saved, 3, "steps 2, 4, 6");
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+        // are bit-neutral. Returns the hash both trainers landed on.
+        let both = |overlap: bool, fused: bool, compute: ComputePrecision| {
+            let mut cfg = elastic_config(2, 6, &format!("healthy_{overlap}_{fused}_{compute:?}"));
+            cfg.base.overlap_comm = overlap;
+            cfg.base.fused_optim = fused;
+            cfg.base.compute = compute;
+            let (plain, _m) = train_data_parallel(&cfg.base, toy_model, toy_source);
+            let (r, _m2) = run(&cfg, &FaultPlan::none());
+            assert!(r.consistent);
+            assert_eq!(
+                r.final_hashes[0], plain.final_hashes[0],
+                "overlap={overlap} fused={fused} {compute:?}: identical parameter bits"
+            );
+            assert_eq!(r.generations.len(), 1, "no transitions");
+            assert!(r.ranks_left.is_empty() && r.ranks_joined.is_empty() && r.ranks_lost.is_empty());
+            assert_eq!(r.steps_retried, 0);
+            assert_eq!(r.checkpoints_saved, 3, "steps 2, 4, 6");
+            std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+            plain.final_hashes[0]
+        };
+        // One hash across drivers × planes.
+        let f32_hash = both(false, false, ComputePrecision::F32);
+        for (overlap, fused) in [(false, true), (true, false), (true, true)] {
+            assert_eq!(both(overlap, fused, ComputePrecision::F32), f32_hash);
+        }
+        // `compute` must reach the elastic replica too: bf16 panels agree
+        // across drivers and differ from the FP32 bits.
+        assert_ne!(both(true, true, ComputePrecision::Bf16), f32_hash);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * [`trainer`] — synchronous data-parallel SGD over real model replicas:
 //!   identical initialization, per-step gradient averaging through the
 //!   hybrid hierarchical all-reduce, LARC / Adam / gradient-lag options,
-//!   and bitwise replica-consistency verification.
+//!   and bitwise replica-consistency verification. One step
+//!   (`step.rs`), three drivers: plain, checkpoint-restart, [`elastic`].
 //! * [`modelpar`] — the §VIII-B outlook made concrete: spatial domain
 //!   decomposition with halo exchange, bitwise-equal to single-rank
 //!   convolution.
@@ -30,6 +31,7 @@ pub mod elastic;
 pub mod fusion;
 pub mod modelpar;
 mod overlap;
+mod step;
 pub mod trainer;
 
 pub use control::{ControlPlane, Coordinator};

@@ -37,24 +37,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// True when `EXACLIM_OVERLAP` asks for backward-overlapped reduction.
-pub(crate) fn overlap_env_default() -> bool {
-    matches!(
-        std::env::var("EXACLIM_OVERLAP").ok().as_deref(),
-        Some("1") | Some("true") | Some("on")
-    )
-}
-
-/// True when `EXACLIM_FUSED_OPTIM` asks for the fused optimizer plane
-/// (single-pass SIMD updates, bucket-applied on the progress thread when
-/// overlap is on, spread over the kernel pool otherwise).
-pub(crate) fn fused_optim_env_default() -> bool {
-    matches!(
-        std::env::var("EXACLIM_FUSED_OPTIM").ok().as_deref(),
-        Some("1") | Some("true") | Some("on")
-    )
-}
-
 /// Everything [`reduce_bucket`] needs besides the bucket itself.
 #[derive(Debug, Clone)]
 pub(crate) struct ReduceSettings {

@@ -1,0 +1,485 @@
+//! The one synchronous training step, and the replica it runs on.
+//!
+//! A [`Replica`] is everything one rank needs to train: the model, its
+//! parameter handles, the loss, the optimizer, the per-rank random streams
+//! and — once [`wire`](Replica::wire)d to a world — the communicator, the
+//! comm progress thread and its ready hooks. [`Replica::step`] is the
+//! paper's Horovod step (§V-A3, §V-B): ingest → cast → agree on a reduce
+//! order → forward → loss → backward with fused buckets all-reduced behind
+//! it → optimizer → loss mean → replica-consistency audit.
+//!
+//! The three drivers ([`train_data_parallel`](crate::train_data_parallel),
+//! [`train_data_parallel_ft`](crate::train_data_parallel_ft),
+//! [`train_data_parallel_elastic`](crate::train_data_parallel_elastic))
+//! differ only in what happens *around* a step — report aggregation,
+//! checkpoint cadence and restarts, membership rounds — so the step, the
+//! checkpoint restore, the stream fast-forward and the per-world wiring
+//! live here once.
+//!
+//! **Determinism.** Fusion buckets are fixed at build time from the
+//! canonical tensor order, so bucket membership — and therefore summation
+//! order and parameter bits — cannot depend on readiness timing, on
+//! whether reduction overlaps backward, or on which thread applies the
+//! optimizer. The serial-reduce + main-thread-apply combination
+//! (`overlap_comm = false`, `fused_optim = false`) is the reference the
+//! determinism suites compare every other combination against.
+
+use crate::control::Coordinator;
+use crate::fusion::{fuse, FusionBucket};
+use crate::overlap::{reduce_bucket, CommEngine, HookClearGuard, ReduceSettings};
+use crate::trainer::{BatchSource, OptimizerKind, TrainerConfig};
+use exaclim_comm::{CommError, Communicator};
+use exaclim_nn::checkpoint;
+use exaclim_nn::loss::WeightedCrossEntropy;
+use exaclim_nn::optim::{Adam, Lagged, LarcSgd, OptState, Optimizer, Sgd};
+use exaclim_nn::{Ctx, Layer, Param, ParamSet};
+use exaclim_tensor::init::seeded_rng;
+use exaclim_tensor::profile::{self, SpanKind};
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use std::io;
+use std::path::Path;
+use std::sync::Arc;
+use std::time::Instant;
+
+fn build_optimizer(
+    kind: OptimizerKind,
+    lag: Option<usize>,
+    grad_scale: f32,
+) -> Box<dyn Optimizer + Send> {
+    fn wrap<O: Optimizer + Send + 'static>(opt: O, lag: Option<usize>) -> Box<dyn Optimizer + Send> {
+        match lag {
+            Some(depth) => Box::new(Lagged::with_depth(opt, depth)),
+            None => Box::new(opt),
+        }
+    }
+    match kind {
+        OptimizerKind::Sgd { lr, momentum } => {
+            let mut o = Sgd::new(lr);
+            o.momentum = momentum;
+            o.grad_scale = grad_scale;
+            wrap(o, lag)
+        }
+        OptimizerKind::Adam { lr } => {
+            let mut o = Adam::new(lr);
+            o.grad_scale = grad_scale;
+            wrap(o, lag)
+        }
+        OptimizerKind::Larc { lr, trust } => {
+            let mut o = LarcSgd::new(lr, trust);
+            o.sgd_mut().grad_scale = grad_scale;
+            wrap(o, lag)
+        }
+    }
+}
+
+/// What one completed step measured on this rank.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepStats {
+    /// Loss averaged over the world.
+    pub mean_loss: f32,
+    /// Post-step parameter hash.
+    pub hash: u64,
+    /// Wall-clock seconds of the whole step.
+    pub wall_s: f64,
+    /// Logical gradient bytes this rank put on the wire.
+    pub wire_bytes: u64,
+    /// Seconds the critical path blocked on `next_batch`.
+    pub ingest_wait_s: f64,
+    /// Seconds the critical path waited on gradient communication (the
+    /// whole reduce loop when serial, the join when overlapped).
+    pub exposed_comm_s: f64,
+    /// Seconds some thread spent packing / all-reducing / scattering.
+    pub comm_busy_s: f64,
+    /// Seconds the critical path spent in the optimizer (~0 when the
+    /// progress thread retired the updates behind backward).
+    pub optim_s: f64,
+    /// Seconds some thread spent applying optimizer updates.
+    pub optim_busy_s: f64,
+}
+
+/// What a finished replica hands its driver.
+pub(crate) struct Trained {
+    pub model: Box<dyn Layer>,
+    pub final_hash: u64,
+    /// False if any step's audit saw this replica's bits differ from
+    /// rank 0's.
+    pub hashes_ok: bool,
+    /// Fused all-reduce launches per step.
+    pub allreduce_launches: usize,
+}
+
+/// Per-world wiring. Fields drop in declaration order, which is the
+/// dependency order: ready hooks feed the engine, the engine's progress
+/// thread borrows the communicator, and dropping the communicator is what
+/// tells peers this rank is gone.
+struct World {
+    _hooks: Option<HookClearGuard>,
+    engine: Option<CommEngine>,
+    /// `None` only while lent to the engine inside a step.
+    comm: Option<Communicator>,
+    settings: ReduceSettings,
+}
+
+/// One rank's training state.
+pub(crate) struct Replica {
+    world: Option<World>,
+    cfg: TrainerConfig,
+    model: Box<dyn Layer>,
+    /// Full checkpointable state (superset of the trainable set) — what
+    /// checkpoints persist and elastic broadcasts ship.
+    state: ParamSet,
+    params: ParamSet,
+    /// Tensor-id-indexed handles.
+    params_vec: Vec<Param>,
+    canonical: Vec<u32>,
+    buckets: Vec<FusionBucket>,
+    coordinator: Coordinator,
+    loss_fn: WeightedCrossEntropy,
+    /// `None` only while lent to the engine inside a step.
+    optimizer: Option<Box<dyn Optimizer + Send>>,
+    ctx: Ctx,
+    shuffle_rng: rand::rngs::StdRng,
+    hashes_ok: bool,
+}
+
+impl Replica {
+    /// Builds an identically-initialized replica ("assuming consistent
+    /// initialization", §V-A3). `stream_id` keys the dropout and
+    /// ready-shuffle streams: the rank's *original* id, so a survivor keeps
+    /// its streams across generations. Dropout decorrelates across ranks;
+    /// model init does not.
+    pub(crate) fn build<MB>(cfg: &TrainerConfig, stream_id: usize, model_builder: &MB) -> Replica
+    where
+        MB: Fn(&mut rand::rngs::StdRng) -> Box<dyn Layer>,
+    {
+        let model = model_builder(&mut seeded_rng(cfg.seed));
+        let state = checkpoint::full_state(model.as_ref());
+        let params = model.params();
+        let params_vec: Vec<Param> = params.iter().cloned().collect();
+        let sizes: Vec<usize> = params_vec.iter().map(|p| p.numel()).collect();
+        let canonical: Vec<u32> = (0..sizes.len() as u32).collect();
+        let lag = cfg.gradient_lag.then_some(cfg.lag_depth.max(1));
+        Replica {
+            world: None,
+            buckets: fuse(&canonical, &sizes, cfg.fusion_threshold_bytes),
+            coordinator: Coordinator::new(cfg.control, sizes.len()),
+            loss_fn: WeightedCrossEntropy::with_scale(cfg.loss_scale),
+            optimizer: Some(build_optimizer(cfg.optimizer, lag, cfg.loss_scale)),
+            ctx: Ctx::train(cfg.seed ^ (stream_id as u64 + 1) << 17).with_compute(cfg.compute),
+            shuffle_rng: rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xABCD ^ stream_id as u64),
+            hashes_ok: true,
+            cfg: cfg.clone(),
+            model,
+            state,
+            params,
+            params_vec,
+            canonical,
+        }
+    }
+
+    /// Loads an EXCK checkpoint: the full state, then the optimizer
+    /// trailer so the exact momentum/moment trajectory resumes (a v1 file
+    /// yields an empty state — a cold start). The trailer layout does not
+    /// depend on which plane exported it.
+    pub(crate) fn restore(&mut self, path: &Path) -> io::Result<()> {
+        checkpoint::load_into(&self.state, path)?;
+        let opt_state = checkpoint::load_optimizer_state(path)?;
+        self.import_optimizer(&opt_state).map_err(io::Error::other)
+    }
+
+    /// Writes what [`restore`](Replica::restore) reads.
+    pub(crate) fn save_to(&self, path: &Path) -> io::Result<()> {
+        checkpoint::save_with_optimizer(&self.state, &self.optimizer().export_state(), path)
+    }
+
+    /// [`save_to`](Replica::save_to) under `dir`'s step-numbered name.
+    pub(crate) fn save_checkpoint(&self, dir: &Path, completed: usize) -> io::Result<()> {
+        let opt_state = self.optimizer().export_state();
+        checkpoint::save_auto_with_optimizer(&self.state, &opt_state, dir, completed).map(drop)
+    }
+
+    /// The in-memory twin of [`restore`](Replica::restore): `root_idx`'s
+    /// full checkpointable state (not just the trainable set, so joiners
+    /// match survivors exactly) and optimizer state are broadcast over
+    /// `comm`. Every rank relays; only ranks passing `adopt` overwrite
+    /// their own.
+    pub(crate) fn sync_from(
+        &mut self,
+        comm: &mut Communicator,
+        root_idx: usize,
+        adopt: bool,
+    ) -> Result<(), CommError> {
+        let is_root = comm.rank() == root_idx;
+        let total: usize = self.state.iter().map(|p| p.numel()).sum();
+        let mut flat = vec![0.0f32; total];
+        if is_root {
+            let mut off = 0;
+            for p in self.state.iter() {
+                let v = p.value();
+                flat[off..off + v.numel()].copy_from_slice(v.as_slice());
+                off += v.numel();
+            }
+        }
+        comm.try_broadcast(root_idx, &mut flat)?;
+        let mut opt_bytes =
+            if is_root { self.optimizer().export_state().to_bytes() } else { Vec::new() };
+        comm.try_broadcast_bytes(root_idx, &mut opt_bytes)?;
+        if adopt {
+            let mut off = 0;
+            for p in self.state.iter() {
+                let n = p.numel();
+                let src = &flat[off..off + n];
+                p.apply_update(|v, _| v.copy_from_slice(src));
+                off += n;
+            }
+            let opt_state = OptState::from_bytes(&opt_bytes)
+                .unwrap_or_else(|e| panic!("rank {}: optimizer broadcast: {e}", comm.rank()));
+            self.import_optimizer(&opt_state)
+                .unwrap_or_else(|e| panic!("rank {}: import optimizer state: {e}", comm.rank()));
+        }
+        Ok(())
+    }
+
+    /// Replays `steps` steps' worth of per-rank stream draws (one batch,
+    /// one ready shuffle) so a replica entering at step `s` sees what it
+    /// would have seen had it trained from the start.
+    pub(crate) fn fast_forward(&mut self, source: &mut dyn BatchSource, steps: usize) {
+        for _ in 0..steps {
+            let _ = source.next_batch();
+            if self.cfg.shuffle_ready_order {
+                self.canonical.clone().shuffle(&mut self.shuffle_rng);
+            }
+        }
+    }
+
+    /// Wires the replica to `comm`'s world, replacing any previous wiring.
+    /// A world that no longer tiles into full nodes falls back to a flat
+    /// topology.
+    pub(crate) fn wire(&mut self, comm: Communicator) {
+        self.unwire();
+        let (idx, world_size) = (comm.rank(), comm.size());
+        let node_size =
+            if world_size.is_multiple_of(self.cfg.node_size) { self.cfg.node_size } else { 1 };
+        let settings = ReduceSettings {
+            ranks: world_size,
+            node_size,
+            shard_leaders: self.cfg.shard_leaders.min(node_size),
+            compress: self.cfg.compress_gradients,
+        };
+        let engine = self.cfg.overlap_comm.then(|| {
+            CommEngine::new(idx, self.params_vec.clone(), self.buckets.clone(), settings.clone())
+        });
+        let hooks = engine.as_ref().map(|e| {
+            for (i, p) in self.params_vec.iter().enumerate() {
+                let t = e.tracker().clone();
+                p.set_ready_hook(Arc::new(move || t.notify(i)));
+            }
+            HookClearGuard(self.params_vec.clone())
+        });
+        self.world = Some(World { _hooks: hooks, engine, comm: Some(comm), settings });
+    }
+
+    /// Drops the per-world machinery (see [`World`] for the order).
+    /// [`wire`](Replica::wire) does this itself; the only outside caller is
+    /// the elastic driver, which must drop the old communicator *before*
+    /// the rendezvous that builds the next one so peers see this rank
+    /// leave the old world.
+    pub(crate) fn unwire(&mut self) {
+        self.world = None;
+    }
+
+    /// One synchronous training step against the wired world.
+    ///
+    /// `lend_optimizer` is fixed by the driver's recovery story, not by
+    /// configuration: with overlap and the fused plane on, a lent
+    /// optimizer is applied bucket by bucket on the progress thread, so a
+    /// step that fails mid-flight may leave ranks with *different* buckets
+    /// applied. A driver that restores parameters and optimizer from a
+    /// checkpoint wipes that; one that retries from live parameters must
+    /// not lend.
+    pub(crate) fn step(
+        &mut self,
+        step: usize,
+        source: &mut dyn BatchSource,
+        lend_optimizer: bool,
+    ) -> Result<StepStats, CommError> {
+        let World { engine, comm, settings, .. } =
+            self.world.as_mut().expect("replica is wired to a world");
+        let rank = comm.as_ref().expect("communicator on rank thread").rank();
+        let t0 = Instant::now();
+        let batch = source.next_batch();
+        let ingest_wait = t0.elapsed();
+        profile::record_span(rank, step, SpanKind::Ingest, t0, ingest_wait.as_secs_f64());
+        let input = if batch.input.dtype() == self.cfg.precision {
+            batch.input
+        } else {
+            batch.input.cast(self.cfg.precision)
+        };
+
+        // Agree on an all-reduce order despite per-rank scheduling skew.
+        // The round proves agreement and liveness (and its traffic is what
+        // the control-plane comparisons measure), but the batch boundaries
+        // it emits depend on message arrival timing — execution uses the
+        // canonical buckets. `shuffle_rng` is consumed once per step
+        // whichever side of backward the round runs on.
+        let mut ready = self.canonical.clone();
+        if self.cfg.shuffle_ready_order {
+            ready.shuffle(&mut self.shuffle_rng);
+        }
+        let (coordinator, canonical) = (&self.coordinator, &self.canonical);
+        let coordinate = |c: &mut Communicator| -> Result<(), CommError> {
+            let mut order = coordinator.try_coordinate(c, &ready)?;
+            order.sort_unstable();
+            debug_assert_eq!(&order, canonical, "coordination must cover every tensor");
+            Ok(())
+        };
+
+        let worker_applies = engine.is_some() && lend_optimizer && self.cfg.fused_optim;
+        if let Some(engine) = engine.as_mut() {
+            // Overlap coordinates *before* forward so the progress thread
+            // can start the moment the first bucket is ready.
+            coordinate(comm.as_mut().expect("communicator on rank thread"))?;
+            engine.tracker().reset();
+            // A lent optimizer has its step begun here (state bound,
+            // per-step scalars advanced — grads untouched); the worker
+            // only ever calls `apply`.
+            let lent = worker_applies.then(|| {
+                let mut o = self.optimizer.take().expect("optimizer on rank thread");
+                o.begin_step(&self.params);
+                o
+            });
+            engine.begin_step(comm.take().expect("communicator on rank thread"), step, lent);
+        }
+
+        let tf = Instant::now();
+        let logits = self.model.forward(&input, &mut self.ctx);
+        profile::record_span(rank, step, SpanKind::Forward, tf, tf.elapsed().as_secs_f64());
+        profile::set_phase(profile::Phase::Backward);
+        let tb = Instant::now();
+        let out = self.loss_fn.forward(&logits, &batch.labels, &batch.weights);
+        // With the engine armed, ready hooks fire as layer backward paths
+        // finish and the progress thread reduces buckets concurrently.
+        self.model.backward(&out.grad_logits);
+        profile::record_span(rank, step, SpanKind::Backward, tb, tb.elapsed().as_secs_f64());
+        profile::set_phase(profile::Phase::Forward);
+
+        let (wire_bytes, exposed_comm_s, comm_busy_s, mut optim_busy_s);
+        if let Some(engine) = engine.as_mut() {
+            // Join the progress thread; time blocked here is the step's
+            // exposed communication (plus whatever bucket applies
+            // outlasted backward). A peer death comes back as the worker's
+            // typed error — never a hang.
+            let te = Instant::now();
+            let done = engine.finish_step();
+            exposed_comm_s = te.elapsed().as_secs_f64();
+            profile::record_span(rank, step, SpanKind::CommExposed, te, exposed_comm_s);
+            *comm = Some(done.comm);
+            if let Some(o) = done.opt {
+                self.optimizer = Some(o);
+            }
+            if done.result.is_ok() && worker_applies {
+                assert_eq!(
+                    done.applied_buckets,
+                    self.buckets.len(),
+                    "fused step must retire every bucket on the worker"
+                );
+            }
+            done.result?;
+            (wire_bytes, comm_busy_s, optim_busy_s) =
+                (done.wire_bytes, done.busy_s, done.optim_busy_s);
+        } else {
+            let c = comm.as_mut().expect("communicator on rank thread");
+            coordinate(c)?;
+            // Fused gradient all-reduces, serial on the critical path.
+            let te = Instant::now();
+            let mut wire = 0u64;
+            for bucket in &self.buckets {
+                wire += reduce_bucket(&self.params_vec, bucket, c, settings, rank, step)?;
+            }
+            exposed_comm_s = te.elapsed().as_secs_f64();
+            profile::record_span(rank, step, SpanKind::CommExposed, te, exposed_comm_s);
+            (wire_bytes, comm_busy_s, optim_busy_s) = (wire, exposed_comm_s, 0.0);
+        }
+
+        let topt = Instant::now();
+        if !worker_applies {
+            let o = self.optimizer.as_mut().expect("optimizer on rank thread");
+            if self.cfg.fused_optim {
+                // Spread the independent per-parameter updates over the
+                // kernel thread pool.
+                o.par_step(&self.params);
+            } else {
+                o.step(&self.params);
+            }
+            let dur = topt.elapsed().as_secs_f64();
+            profile::record_span(rank, step, SpanKind::Optimizer, topt, dur);
+            optim_busy_s += dur;
+        }
+        let optim_s = topt.elapsed().as_secs_f64();
+
+        // Cross-rank loss mean (a tiny collective, as in real logging).
+        let c = comm.as_mut().expect("communicator on rank thread");
+        let mut lbuf = vec![out.loss];
+        c.try_allreduce_tree(&mut lbuf)?;
+        let mean_loss = lbuf[0] / settings.ranks as f32;
+
+        // Replica-consistency audit: all ranks must agree bit-for-bit.
+        // The hash travels as four 16-bit limbs, each exact in f32.
+        let hash = self.params.state_hash();
+        let mut hbuf: Vec<f32> = (0..4).map(|i| ((hash >> (16 * i)) & 0xffff) as f32).collect();
+        let mine = hbuf.clone();
+        c.try_broadcast(0, &mut hbuf)?;
+        if hbuf != mine {
+            self.hashes_ok = false;
+        }
+        source.on_step_timing(ingest_wait, t0.elapsed());
+        Ok(StepStats {
+            mean_loss,
+            hash,
+            wall_s: t0.elapsed().as_secs_f64(),
+            wire_bytes,
+            ingest_wait_s: ingest_wait.as_secs_f64(),
+            exposed_comm_s,
+            comm_busy_s,
+            optim_s,
+            optim_busy_s,
+        })
+    }
+
+    /// The wired world's communicator, for driver-level protocol rounds
+    /// between steps.
+    pub(crate) fn comm(&mut self) -> &mut Communicator {
+        let world = self.world.as_mut().expect("replica is wired to a world");
+        world.comm.as_mut().expect("communicator on rank thread")
+    }
+
+    pub(crate) fn set_lr(&mut self, lr: f32) {
+        self.optimizer.as_mut().expect("optimizer on rank thread").set_lr(lr);
+    }
+
+    /// Clears the partial gradients a failed step leaves behind, so the
+    /// step can be retried from the live parameters.
+    pub(crate) fn zero_grads(&self) {
+        self.params.zero_grads();
+    }
+
+    /// Unwires and hands back the trained model with its audit.
+    pub(crate) fn finish(self) -> Trained {
+        Trained {
+            final_hash: self.params.state_hash(),
+            hashes_ok: self.hashes_ok,
+            allreduce_launches: self.buckets.len(),
+            model: self.model,
+        }
+    }
+
+    fn optimizer(&self) -> &(dyn Optimizer + Send) {
+        self.optimizer.as_deref().expect("optimizer on rank thread")
+    }
+
+    fn import_optimizer(&mut self, state: &OptState) -> Result<(), String> {
+        let o = self.optimizer.as_mut().expect("optimizer on rank thread");
+        o.import_state(state, &self.params)
+    }
+}

@@ -6,27 +6,23 @@
 //! hybrid hierarchical all-reduce. Because the collectives are bitwise
 //! deterministic, every replica applies *identical* updates — which the
 //! trainer verifies by hashing parameters.
+//!
+//! The step itself lives in `step.rs` (`Replica::step`). This module holds
+//! the configuration and two of its three drivers: [`train_data_parallel`]
+//! (a healthy world; aggregates the report) and
+//! [`train_data_parallel_ft`] (crash-at-step, checkpoint cadence,
+//! generation restarts). The third, elastic membership, is
+//! [`crate::elastic`].
 
-use crate::control::{ControlPlane, Coordinator};
-use crate::fusion::fuse;
-use crate::overlap::{
-    fused_optim_env_default, overlap_env_default, reduce_bucket, CommEngine, HookClearGuard,
-    ReduceSettings,
-};
+use crate::control::ControlPlane;
+use crate::step::{Replica, StepStats, Trained};
 use exaclim_comm::{CommError, CommWorld, Communicator};
 use exaclim_faults::FaultPlan;
-use exaclim_nn::checkpoint;
-use exaclim_nn::loss::{Labels, WeightedCrossEntropy};
-use exaclim_nn::optim::{Adam, Lagged, LarcSgd, Optimizer, Sgd};
-use exaclim_nn::{Ctx, Layer, Param, ParamSet};
-use exaclim_tensor::init::seeded_rng;
-use exaclim_tensor::profile::{self, SpanKind};
+use exaclim_nn::loss::Labels;
+use exaclim_nn::Layer;
 use exaclim_tensor::{ComputePrecision, DType, Tensor};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One local batch: input `[N, C, H, W]`, labels, per-pixel loss weights.
 pub struct Batch {
@@ -80,37 +76,6 @@ pub enum OptimizerKind {
     },
 }
 
-pub(crate) fn build_optimizer(
-    kind: OptimizerKind,
-    lag: Option<usize>,
-    grad_scale: f32,
-) -> Box<dyn Optimizer + Send> {
-    fn wrap<O: Optimizer + Send + 'static>(opt: O, lag: Option<usize>) -> Box<dyn Optimizer + Send> {
-        match lag {
-            Some(depth) => Box::new(Lagged::with_depth(opt, depth)),
-            None => Box::new(opt),
-        }
-    }
-    match kind {
-        OptimizerKind::Sgd { lr, momentum } => {
-            let mut o = Sgd::new(lr);
-            o.momentum = momentum;
-            o.grad_scale = grad_scale;
-            wrap(o, lag)
-        }
-        OptimizerKind::Adam { lr } => {
-            let mut o = Adam::new(lr);
-            o.grad_scale = grad_scale;
-            wrap(o, lag)
-        }
-        OptimizerKind::Larc { lr, trust } => {
-            let mut o = LarcSgd::new(lr, trust);
-            o.sgd_mut().grad_scale = grad_scale;
-            wrap(o, lag)
-        }
-    }
-}
-
 /// Distributed-training configuration.
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
@@ -134,7 +99,7 @@ pub struct TrainerConfig {
     /// GEMM operand precision inside conv/deconv kernels (FP32, or
     /// f16/bf16 panels with FP32 accumulation). Orthogonal to
     /// `precision`: activations can stay FP32 storage while the GEMM
-    /// computes through half operands. Defaults from `EXACLIM_COMPUTE`.
+    /// computes through half operands. Defaults to FP32.
     pub compute: ComputePrecision,
     /// FP16 loss scale (1.0 for FP32).
     pub loss_scale: f32,
@@ -157,16 +122,17 @@ pub struct TrainerConfig {
     /// per-rank comm progress thread all-reduces fusion buckets as layer
     /// backward paths mark their parameters ready, and the optimizer step
     /// joins on the queue. Bit-identical to serial reduction — buckets are
-    /// assigned before the step from the canonical order. Defaults from
-    /// the `EXACLIM_OVERLAP` env var (`1`/`true`/`on`).
+    /// assigned before the step from the canonical order. On by default;
+    /// `false` is the serial reference the determinism suites compare
+    /// against.
     pub overlap_comm: bool,
     /// Fused optimizer plane: single-pass SIMD updates, applied per
     /// fusion bucket on the comm progress thread the moment the bucket's
     /// all-reduce lands (overlap mode), or spread over the kernel thread
     /// pool (serial mode). Bit-identical to the legacy serial step —
     /// per-parameter updates are independent and LARC norms use the
-    /// canonical lane-split reduction. Defaults from the
-    /// `EXACLIM_FUSED_OPTIM` env var (`1`/`true`/`on`).
+    /// canonical lane-split reduction. On by default; `false` is the
+    /// reference the determinism suites compare against.
     pub fused_optim: bool,
 }
 
@@ -182,15 +148,15 @@ impl TrainerConfig {
             gradient_lag: false,
             lag_depth: 1,
             precision: DType::F32,
-            compute: ComputePrecision::from_env(),
+            compute: ComputePrecision::F32,
             loss_scale: 1.0,
             steps: 4,
             seed: 1234,
             fusion_threshold_bytes: 1 << 20,
             shuffle_ready_order: true,
             compress_gradients: false,
-            overlap_comm: overlap_env_default(),
-            fused_optim: fused_optim_env_default(),
+            overlap_comm: true,
+            fused_optim: true,
         }
     }
 }
@@ -284,12 +250,11 @@ where
     let mut results: Vec<RankResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .into_iter()
-            .enumerate()
-            .map(|(rank, comm)| {
+            .map(|comm| {
                 let cfg = cfg.clone();
                 let mb = model_builder.clone();
-                let source = source_builder(rank);
-                scope.spawn(move || rank_main(rank, comm, cfg, mb, source))
+                let source = source_builder(comm.rank());
+                scope.spawn(move || rank_main(comm, cfg, mb, source))
             })
             .collect();
         handles
@@ -306,67 +271,52 @@ where
             .collect()
     });
 
-    let n_steps = results[0].losses.len();
-    let mut steps = Vec::with_capacity(n_steps);
-    let mut diverged = false;
-    for s in 0..n_steps {
-        let mean_loss: f32 = results.iter().map(|r| r.losses[s]).sum::<f32>() / results.len() as f32;
-        if !mean_loss.is_finite() {
-            diverged = true;
-        }
-        steps.push(StepRecord {
+    // Rank 0 is the source of every timing column.
+    let r0 = &results[0].stats;
+    let n_steps = r0.len();
+    let steps: Vec<StepRecord> = (0..n_steps)
+        .map(|s| StepRecord {
             step: s,
-            mean_loss,
-            wall_time_s: results[0].wall_times[s],
-        });
-    }
-    let final_hashes: Vec<u64> = results.iter().map(|r| r.final_hash).collect();
+            mean_loss: results.iter().map(|r| r.stats[s].mean_loss).sum::<f32>() / results.len() as f32,
+            wall_time_s: r0[s].wall_s,
+        })
+        .collect();
+    let final_hashes: Vec<u64> = results.iter().map(|r| r.done.final_hash).collect();
     let consistent = final_hashes.windows(2).all(|w| w[0] == w[1])
-        && results.iter().all(|r| r.per_step_hashes_consistent);
-    let per_step = |total: f64| if n_steps > 0 { total / n_steps as f64 } else { 0.0 };
+        && results.iter().all(|r| r.done.hashes_ok);
+    let per_step = |f: fn(&StepStats) -> f64| {
+        if n_steps > 0 { r0.iter().map(f).sum::<f64>() / n_steps as f64 } else { 0.0 }
+    };
     let report = TrainingReport {
+        diverged: steps.iter().any(|s| !s.mean_loss.is_finite()),
         steps,
         consistent,
         final_hashes,
         rank0_control_messages: stats.messages_sent(0) + stats.messages_received(0),
-        allreduce_launches_per_step: results[0].allreduce_launches_per_step,
-        wire_bytes_per_step: results[0].wire_bytes_per_step,
-        diverged,
+        allreduce_launches_per_step: results[0].done.allreduce_launches,
+        wire_bytes_per_step: r0.last().map_or(0, |s| s.wire_bytes),
         overlap_comm: cfg.overlap_comm,
-        step_hashes: std::mem::take(&mut results[0].step_hashes),
-        exposed_comm_s_per_step: per_step(results[0].exposed_comm_s),
-        comm_busy_s_per_step: per_step(results[0].comm_busy_s),
-        ingest_wait_s_per_step: per_step(results[0].ingest_wait_s),
+        step_hashes: r0.iter().map(|s| s.hash).collect(),
+        exposed_comm_s_per_step: per_step(|s| s.exposed_comm_s),
+        comm_busy_s_per_step: per_step(|s| s.comm_busy_s),
+        ingest_wait_s_per_step: per_step(|s| s.ingest_wait_s),
         fused_optim: cfg.fused_optim,
-        optim_s_per_step: per_step(results[0].optim_s),
-        optim_busy_s_per_step: per_step(results[0].optim_busy_s),
-        optim_s_steps: std::mem::take(&mut results[0].optim_s_steps),
-        exposed_comm_s_steps: std::mem::take(&mut results[0].exposed_comm_s_steps),
+        optim_s_per_step: per_step(|s| s.optim_s),
+        optim_busy_s_per_step: per_step(|s| s.optim_busy_s),
+        optim_s_steps: r0.iter().map(|s| s.optim_s).collect(),
+        exposed_comm_s_steps: r0.iter().map(|s| s.exposed_comm_s).collect(),
     };
-    let model = results.swap_remove(0).model;
+    let model = results.swap_remove(0).done.model;
     (report, model)
 }
 
 struct RankResult {
-    losses: Vec<f32>,
-    wall_times: Vec<f64>,
-    final_hash: u64,
-    per_step_hashes_consistent: bool,
-    allreduce_launches_per_step: usize,
-    wire_bytes_per_step: u64,
-    step_hashes: Vec<u64>,
-    exposed_comm_s: f64,
-    comm_busy_s: f64,
-    ingest_wait_s: f64,
-    optim_s: f64,
-    optim_busy_s: f64,
-    optim_s_steps: Vec<f64>,
-    exposed_comm_s_steps: Vec<f64>,
-    model: Box<dyn Layer>,
+    /// One entry per completed step.
+    stats: Vec<StepStats>,
+    done: Trained,
 }
 
 fn rank_main<B, MB>(
-    rank: usize,
     comm: Communicator,
     cfg: TrainerConfig,
     model_builder: MB,
@@ -376,229 +326,14 @@ where
     B: BatchSource,
     MB: Fn(&mut rand::rngs::StdRng) -> Box<dyn Layer>,
 {
-    // Identical replica on every rank.
-    let mut init_rng = seeded_rng(cfg.seed);
-    let mut model = model_builder(&mut init_rng);
-    let params = model.params();
-    let sizes: Vec<usize> = params.iter().map(|p| p.numel()).collect();
-    let n_tensors = sizes.len();
-    let coordinator = Coordinator::new(cfg.control, n_tensors);
-    let loss_fn = WeightedCrossEntropy::with_scale(cfg.loss_scale);
-    let lag = cfg.gradient_lag.then_some(cfg.lag_depth.max(1));
-    // Boxed in an Option because fused-overlap steps lend the optimizer
-    // to the comm progress thread for the duration of backward.
-    let mut optimizer: Option<Box<dyn Optimizer + Send>> =
-        Some(build_optimizer(cfg.optimizer, lag, cfg.loss_scale));
-    // Dropout decorrelates across ranks; model init does not.
-    let mut ctx = Ctx::train(cfg.seed ^ (rank as u64 + 1) << 17).with_compute(cfg.compute);
-    let mut shuffle_rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xABCD ^ rank as u64);
-
-    // Tensor-id-indexed handles and step-invariant fusion buckets, fixed
-    // *before* any step runs from the canonical sorted order: bucket
-    // membership — and therefore summation order and parameter bits —
-    // cannot depend on readiness timing or on whether reduction overlaps
-    // backward.
-    let params_vec: Vec<Param> = params.iter().cloned().collect();
-    let canonical: Vec<u32> = (0..n_tensors as u32).collect();
-    let buckets = fuse(&canonical, &sizes, cfg.fusion_threshold_bytes);
-    let settings = ReduceSettings {
-        ranks: cfg.ranks,
-        node_size: cfg.node_size,
-        shard_leaders: cfg.shard_leaders,
-        compress: cfg.compress_gradients,
-    };
-    let mut engine = cfg
-        .overlap_comm
-        .then(|| CommEngine::new(rank, params_vec.clone(), buckets.clone(), settings.clone()));
-    let _hooks = engine.as_ref().map(|e| {
-        for (i, p) in params_vec.iter().enumerate() {
-            let t = e.tracker().clone();
-            p.set_ready_hook(Arc::new(move || t.notify(i)));
-        }
-        HookClearGuard(params_vec.clone())
-    });
-
-    let mut comm = Some(comm);
-    let mut losses = Vec::with_capacity(cfg.steps);
-    let mut wall_times = Vec::with_capacity(cfg.steps);
-    let mut step_hashes = Vec::with_capacity(cfg.steps);
-    let mut hashes_ok = true;
-    let launches = buckets.len();
-    let mut wire_bytes = 0u64;
-    let mut exposed_comm_s = 0.0f64;
-    let mut comm_busy_s = 0.0f64;
-    let mut ingest_wait_s = 0.0f64;
-    let mut optim_s = 0.0f64;
-    let mut optim_busy_s = 0.0f64;
-    let mut optim_s_steps = Vec::with_capacity(cfg.steps);
-    let mut exposed_comm_s_steps = Vec::with_capacity(cfg.steps);
-
-    // Agree on an all-reduce order despite per-rank scheduling skew. The
-    // coordination round proves agreement and liveness (and its message
-    // traffic is what the control-plane comparisons measure), but the
-    // *batch boundaries* it emits depend on message arrival timing.
-    // Execution uses the step-invariant canonical buckets above, so
-    // fusion replays identically across runs and modes.
-    let coordinate =
-        |comm: &mut Communicator, rng: &mut rand::rngs::StdRng| -> Result<(), CommError> {
-            let mut ready: Vec<u32> = (0..n_tensors as u32).collect();
-            if cfg.shuffle_ready_order {
-                ready.shuffle(rng);
-            }
-            let mut order = coordinator.try_coordinate(comm, &ready)?;
-            order.sort_unstable();
-            debug_assert_eq!(order, canonical, "coordination must cover every tensor");
-            Ok(())
-        };
-
+    let mut replica = Replica::build(&cfg, comm.rank(), &model_builder);
+    replica.wire(comm);
+    let mut stats = Vec::with_capacity(cfg.steps);
     for step in 0..cfg.steps {
-        let t0 = Instant::now();
-        let ti = Instant::now();
-        let batch = source.next_batch();
-        let ingest_wait = ti.elapsed();
-        profile::record_span(rank, step, SpanKind::Ingest, ti, ingest_wait.as_secs_f64());
-        ingest_wait_s += ingest_wait.as_secs_f64();
-        let input = if batch.input.dtype() == cfg.precision {
-            batch.input
-        } else {
-            batch.input.cast(cfg.precision)
-        };
-
-        if let Some(engine) = engine.as_mut() {
-            // Overlap mode coordinates *before* forward so the progress
-            // thread can start the moment the first bucket is ready.
-            // Bit-neutral: the round uses fixed control tags and consumes
-            // `shuffle_rng` exactly once per step either way.
-            let c = comm.as_mut().expect("communicator on rank thread");
-            coordinate(c, &mut shuffle_rng)?;
-            engine.tracker().reset();
-            // Fused mode lends the optimizer too: its step is begun here
-            // (state bound, per-step scalars advanced — grads untouched),
-            // then the worker applies each bucket's params the moment that
-            // bucket's all-reduce lands.
-            let lent = cfg.fused_optim.then(|| {
-                let mut o = optimizer.take().expect("optimizer on rank thread");
-                o.begin_step(&params);
-                o
-            });
-            engine.begin_step(comm.take().expect("communicator on rank thread"), step, lent);
-        }
-
-        let tf = Instant::now();
-        let logits = model.forward(&input, &mut ctx);
-        profile::record_span(rank, step, SpanKind::Forward, tf, tf.elapsed().as_secs_f64());
-        profile::set_phase(profile::Phase::Backward);
-        let tb = Instant::now();
-        let out = loss_fn.forward(&logits, &batch.labels, &batch.weights);
-        // With the engine armed, ready hooks fire as layer backward paths
-        // finish and the progress thread reduces buckets concurrently.
-        model.backward(&out.grad_logits);
-        profile::record_span(rank, step, SpanKind::Backward, tb, tb.elapsed().as_secs_f64());
-        profile::set_phase(profile::Phase::Forward);
-
-        let worker_stepped = engine.is_some() && cfg.fused_optim;
-        let exposed_this_step;
-        if let Some(engine) = engine.as_mut() {
-            // Join the progress thread; time blocked here is the step's
-            // exposed communication (plus, in fused mode, whatever bucket
-            // applies outlasted backward).
-            let te = Instant::now();
-            let out = engine.finish_step();
-            let exposed = te.elapsed().as_secs_f64();
-            profile::record_span(rank, step, SpanKind::CommExposed, te, exposed);
-            comm = Some(out.comm);
-            if let Some(o) = out.opt {
-                optimizer = Some(o);
-            }
-            if out.result.is_ok() && worker_stepped {
-                assert_eq!(
-                    out.applied_buckets,
-                    buckets.len(),
-                    "fused step must retire every bucket on the worker"
-                );
-            }
-            out.result?;
-            wire_bytes = out.wire_bytes;
-            exposed_comm_s += exposed;
-            exposed_this_step = exposed;
-            comm_busy_s += out.busy_s;
-            optim_busy_s += out.optim_busy_s;
-        } else {
-            let c = comm.as_mut().expect("communicator on rank thread");
-            coordinate(c, &mut shuffle_rng)?;
-            // Fused gradient all-reduces, serial on the critical path.
-            let te = Instant::now();
-            wire_bytes = 0;
-            for bucket in &buckets {
-                wire_bytes += reduce_bucket(&params_vec, bucket, c, &settings, rank, step)?;
-            }
-            let exposed = te.elapsed().as_secs_f64();
-            profile::record_span(rank, step, SpanKind::CommExposed, te, exposed);
-            exposed_comm_s += exposed;
-            exposed_this_step = exposed;
-            comm_busy_s += exposed;
-        }
-        exposed_comm_s_steps.push(exposed_this_step);
-
-        let c = comm.as_mut().expect("communicator on rank thread");
-        let topt = Instant::now();
-        if !worker_stepped {
-            let o = optimizer.as_mut().expect("optimizer on rank thread");
-            if cfg.fused_optim {
-                // Fused without overlap: spread the independent
-                // per-parameter updates over the kernel thread pool.
-                o.par_step(&params);
-            } else {
-                o.step(&params);
-            }
-            let dur = topt.elapsed().as_secs_f64();
-            profile::record_span(rank, step, SpanKind::Optimizer, topt, dur);
-            optim_busy_s += dur;
-        }
-        let optim_this_step = topt.elapsed().as_secs_f64();
-        optim_s += optim_this_step;
-        optim_s_steps.push(optim_this_step);
-
-        // Cross-rank loss mean (a tiny collective, as in real logging).
-        let mut lbuf = vec![out.loss];
-        c.try_allreduce_tree(&mut lbuf)?;
-        losses.push(lbuf[0] / cfg.ranks as f32);
-
-        // Replica-consistency audit: all ranks must agree bit-for-bit.
-        // The hash travels as four 16-bit limbs, each exact in f32.
-        let h = params.state_hash();
-        step_hashes.push(h);
-        let mut hbuf: Vec<f32> = (0..4).map(|i| ((h >> (16 * i)) & 0xffff) as f32).collect();
-        let mine = hbuf.clone();
-        c.try_broadcast(0, &mut hbuf)?;
-        if hbuf != mine {
-            hashes_ok = false;
-        }
-        source.on_step_timing(ingest_wait, t0.elapsed());
-        wall_times.push(t0.elapsed().as_secs_f64());
+        // Lending is safe: a failure here ends the run.
+        stats.push(replica.step(step, &mut source, true)?);
     }
-
-    Ok(RankResult {
-        losses,
-        wall_times,
-        final_hash: param_hash(&params),
-        per_step_hashes_consistent: hashes_ok,
-        allreduce_launches_per_step: launches,
-        wire_bytes_per_step: wire_bytes,
-        step_hashes,
-        exposed_comm_s,
-        comm_busy_s,
-        ingest_wait_s,
-        optim_s,
-        optim_busy_s,
-        optim_s_steps,
-        exposed_comm_s_steps,
-        model,
-    })
-}
-
-fn param_hash(params: &ParamSet) -> u64 {
-    params.state_hash()
+    Ok(RankResult { stats, done: replica.finish() })
 }
 
 // ---------------------------------------------------------------------------
@@ -663,26 +398,25 @@ pub struct FtReport {
 }
 
 /// How one rank's participation in a generation ended.
-enum FtOutcome {
+enum FtEnd {
     /// Ran every remaining step.
-    Finished(FtRankRun),
+    Finished,
     /// The injected fault fired: the rank exited at this step, dropping
     /// its communicator without a word — a real node death's signature.
-    Crashed { at_step: usize, run: FtRankRun },
+    Crashed { at_step: usize },
     /// A collective failed (a peer died or went silent); the rank backed
     /// out cleanly so the driver can restart the survivors.
-    Aborted { error: CommError, run: FtRankRun },
+    Aborted { error: CommError },
 }
 
-/// What a rank accumulated before its generation ended.
+/// One rank's generation: how it ended and what it accumulated first.
 struct FtRankRun {
-    /// `(global step, mean loss, wall seconds)` per completed step.
-    records: Vec<(usize, f32, f64)>,
+    end: FtEnd,
+    /// One record per completed global step.
+    records: Vec<StepRecord>,
     /// Completed-step counts at which this rank saved an auto-checkpoint.
     saved: Vec<usize>,
-    per_step_hashes_consistent: bool,
-    final_hash: u64,
-    model: Box<dyn Layer>,
+    done: Trained,
 }
 
 /// Runs synchronous data-parallel training that survives rank deaths.
@@ -731,30 +465,18 @@ where
     loop {
         let n = members.len();
         assert!(n >= 1, "every rank died; nothing left to restart");
-        let mut cfg = ft.base.clone();
-        cfg.ranks = n;
-        if !n.is_multiple_of(cfg.node_size) {
-            // The surviving world no longer tiles into full nodes; fall
-            // back to a flat topology.
-            cfg.node_size = 1;
-        }
-        cfg.shard_leaders = cfg.shard_leaders.min(cfg.node_size);
         let start_step = resume.as_ref().map_or(0, |(s, _)| *s);
 
         let comms = CommWorld::with_deadline(n, ft.recv_deadline);
-        let outcomes: Vec<FtOutcome> = std::thread::scope(|scope| {
+        let runs: Vec<FtRankRun> = std::thread::scope(|scope| {
             let handles: Vec<_> = comms
                 .into_iter()
-                .enumerate()
-                .map(|(idx, comm)| {
-                    let original = members[idx];
-                    let cfg = cfg.clone();
+                .zip(&members)
+                .map(|(comm, &original)| {
                     let mb = model_builder.clone();
                     let source = source_builder(original);
-                    let resume = resume.clone();
-                    scope.spawn(move || {
-                        rank_main_ft(idx, original, comm, cfg, ft, start_step, resume, faults, mb, source)
-                    })
+                    let resume = resume.as_ref();
+                    scope.spawn(move || rank_main_ft(original, comm, ft, resume, faults, mb, source))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("rank thread")).collect()
@@ -767,31 +489,28 @@ where
         let mut hashes_ok = true;
         let mut model_out: Option<Box<dyn Layer>> = None;
         let mut gen_end = start_step;
-        for (idx, outcome) in outcomes.into_iter().enumerate() {
-            let run = match outcome {
-                FtOutcome::Finished(run) => {
-                    final_hashes.push(run.final_hash);
-                    hashes_ok &= run.per_step_hashes_consistent;
-                    run
+        for (idx, run) in runs.into_iter().enumerate() {
+            match &run.end {
+                FtEnd::Finished => {
+                    final_hashes.push(run.done.final_hash);
+                    hashes_ok &= run.done.hashes_ok;
                 }
-                FtOutcome::Crashed { at_step, run } => {
+                FtEnd::Crashed { at_step } => {
                     all_finished = false;
                     newly_dead.push(members[idx]);
                     why.push(format!("rank {} crashed at step {at_step}", members[idx]));
-                    run
                 }
-                FtOutcome::Aborted { error, run } => {
+                FtEnd::Aborted { error } => {
                     all_finished = false;
                     why.push(format!("rank {} aborted: {error}", members[idx]));
-                    run
                 }
-            };
+            }
             // Rank 0 of the generation is the checkpoint writer and the
             // source of step aggregates (even from a partial generation).
             if idx == 0 {
-                gen_end = run.records.last().map_or(start_step, |r| r.0 + 1);
-                for &(step, loss, wall) in &run.records {
-                    step_records[step] = Some(StepRecord { step, mean_loss: loss, wall_time_s: wall });
+                gen_end = run.records.last().map_or(start_step, |r| r.step + 1);
+                for r in &run.records {
+                    step_records[r.step] = Some(*r);
                 }
                 checkpoints_saved += run.saved.len();
                 if let Some(&s) = run.saved.iter().max() {
@@ -801,7 +520,7 @@ where
                     }
                 }
                 if all_finished {
-                    model_out = Some(run.model);
+                    model_out = Some(run.done.model);
                 }
             }
         }
@@ -841,226 +560,69 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn rank_main_ft<B, MB>(
-    idx: usize,
     original: usize,
     comm: Communicator,
-    cfg: TrainerConfig,
     ft: &FtConfig,
-    start_step: usize,
-    resume: Option<(usize, PathBuf)>,
+    resume: Option<&(usize, PathBuf)>,
     faults: &FaultPlan,
     model_builder: MB,
     mut source: B,
-) -> FtOutcome
+) -> FtRankRun
 where
     B: BatchSource,
     MB: Fn(&mut rand::rngs::StdRng) -> Box<dyn Layer>,
 {
-    // Identical replica on every rank, then an identical restore on top.
-    let mut init_rng = seeded_rng(cfg.seed);
-    let mut model = model_builder(&mut init_rng);
-    let state = checkpoint::full_state(model.as_ref());
-    if let Some((step, path)) = &resume {
-        checkpoint::load_into(&state, path)
+    let cfg = &ft.base;
+    let writes_checkpoints = comm.rank() == 0;
+    // Streams are keyed by the rank's *original* id so a survivor keeps
+    // its data shard across generations; an identical restore lands on
+    // top of the identical replica, and the streams fast-forward so
+    // replayed global steps see the batches they would have seen.
+    let mut replica = Replica::build(cfg, original, &model_builder);
+    let mut start_step = 0;
+    if let Some((step, path)) = resume {
+        replica
+            .restore(path)
             .unwrap_or_else(|e| panic!("rank {original}: restore step-{step} checkpoint: {e}"));
+        start_step = *step;
     }
-    let params = model.params();
-    let sizes: Vec<usize> = params.iter().map(|p| p.numel()).collect();
-    let n_tensors = sizes.len();
-    let coordinator = Coordinator::new(cfg.control, n_tensors);
-    let loss_fn = WeightedCrossEntropy::with_scale(cfg.loss_scale);
-    let lag = cfg.gradient_lag.then_some(cfg.lag_depth.max(1));
-    let mut optimizer: Option<Box<dyn Optimizer + Send>> =
-        Some(build_optimizer(cfg.optimizer, lag, cfg.loss_scale));
-    if let Some((step, path)) = &resume {
-        // EXCK v2 checkpoints carry the optimizer trailer; importing it
-        // resumes the exact momentum/moment trajectory (v1 files simply
-        // yield an empty state — a cold start, as before). The trailer
-        // layout is the same whether it was exported by a fused or a
-        // legacy run, so restarts freely cross the two modes.
-        let opt_state = checkpoint::load_optimizer_state(path)
-            .unwrap_or_else(|e| panic!("rank {original}: read step-{step} optimizer state: {e}"));
-        optimizer
-            .as_mut()
-            .expect("optimizer on rank thread")
-            .import_state(&opt_state, &params)
-            .unwrap_or_else(|e| panic!("rank {original}: restore optimizer state: {e}"));
-    }
-    // Streams are keyed by the rank's *original* id so they stay stable
-    // across generations (a survivor keeps its data shard).
-    let mut ctx = Ctx::train(cfg.seed ^ (original as u64 + 1) << 17).with_compute(cfg.compute);
-    let mut shuffle_rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xABCD ^ original as u64);
-    // Fast-forward the per-rank streams to the resume point so replayed
-    // global steps see the batches they would have seen.
-    for _ in 0..start_step {
-        let _ = source.next_batch();
-        if cfg.shuffle_ready_order {
-            let mut ready: Vec<u32> = (0..n_tensors as u32).collect();
-            ready.shuffle(&mut shuffle_rng);
-        }
-    }
-
-    // Same step-invariant canonical buckets as the plain trainer — a
-    // checkpoint-restart replay must be bit-identical, so arrival timing
-    // (and the overlap mode switch) must not leak into the arithmetic.
-    let params_vec: Vec<Param> = params.iter().cloned().collect();
-    let canonical: Vec<u32> = (0..n_tensors as u32).collect();
-    let buckets = fuse(&canonical, &sizes, cfg.fusion_threshold_bytes);
-    let settings = ReduceSettings {
-        ranks: cfg.ranks,
-        node_size: cfg.node_size,
-        shard_leaders: cfg.shard_leaders,
-        compress: cfg.compress_gradients,
-    };
-    let mut engine = cfg
-        .overlap_comm
-        .then(|| CommEngine::new(idx, params_vec.clone(), buckets.clone(), settings.clone()));
-    let _hooks = engine.as_ref().map(|e| {
-        for (i, p) in params_vec.iter().enumerate() {
-            let t = e.tracker().clone();
-            p.set_ready_hook(Arc::new(move || t.notify(i)));
-        }
-        HookClearGuard(params_vec.clone())
-    });
-    let mut comm = Some(comm);
+    replica.fast_forward(&mut source, start_step);
+    replica.wire(comm);
 
     let crash_at = faults.crash_step(original);
-    let mut records: Vec<(usize, f32, f64)> = Vec::new();
-    let mut saved: Vec<usize> = Vec::new();
-    let mut hashes_ok = true;
-    let mk_run = |records: Vec<(usize, f32, f64)>, saved: Vec<usize>, hashes_ok: bool, hash: u64, model: Box<dyn Layer>| FtRankRun {
-        records,
-        saved,
-        per_step_hashes_consistent: hashes_ok,
-        final_hash: hash,
-        model,
-    };
-
+    let mut records = Vec::new();
+    let mut saved = Vec::new();
+    let mut end = FtEnd::Finished;
     for step in start_step..cfg.steps {
         if crash_at == Some(step) {
-            // Fault injection: die here. Dropping the communicator is the
-            // whole signal — peers find out through their own receives.
-            let hash = param_hash(&params);
-            return FtOutcome::Crashed {
-                at_step: step,
-                run: mk_run(records, saved, hashes_ok, hash, model),
-            };
+            // Fault injection: die here. Dropping the communicator (on
+            // return) is the whole signal — peers find out through their
+            // own receives.
+            end = FtEnd::Crashed { at_step: step };
+            break;
         }
-        let t0 = Instant::now();
-        let step_result: Result<f32, CommError> = (|| {
-            let batch = source.next_batch();
-            let input = if batch.input.dtype() == cfg.precision {
-                batch.input
-            } else {
-                batch.input.cast(cfg.precision)
-            };
-
-            let try_coordinate =
-                |comm: &mut Communicator, rng: &mut rand::rngs::StdRng| -> Result<(), CommError> {
-                    let mut ready: Vec<u32> = (0..n_tensors as u32).collect();
-                    if cfg.shuffle_ready_order {
-                        ready.shuffle(rng);
-                    }
-                    let mut order = coordinator.try_coordinate(comm, &ready)?;
-                    order.sort_unstable();
-                    debug_assert_eq!(order, canonical, "coordination must cover every tensor");
-                    Ok(())
-                };
-            if let Some(engine) = engine.as_mut() {
-                let c = comm.as_mut().expect("communicator on rank thread");
-                try_coordinate(c, &mut shuffle_rng)?;
-                engine.tracker().reset();
-                // Bucket-apply is safe under checkpoint-restart: if the
-                // step aborts with some buckets already applied, the
-                // restart restores full model *and* optimizer state from
-                // the last checkpoint, wiping the partial update.
-                let lent = cfg.fused_optim.then(|| {
-                    let mut o = optimizer.take().expect("optimizer on rank thread");
-                    o.begin_step(&params);
-                    o
-                });
-                engine.begin_step(comm.take().expect("communicator on rank thread"), step, lent);
-            }
-
-            let logits = model.forward(&input, &mut ctx);
-            profile::set_phase(profile::Phase::Backward);
-            let out = loss_fn.forward(&logits, &batch.labels, &batch.weights);
-            model.backward(&out.grad_logits);
-            profile::set_phase(profile::Phase::Forward);
-
-            let worker_stepped = engine.is_some() && cfg.fused_optim;
-            if let Some(engine) = engine.as_mut() {
-                // Join the progress thread. On a peer death the worker's
-                // collective fails with a typed CommError after draining
-                // its remaining bucket notifications, so the error comes
-                // back here — never a hang — and aborts the step cleanly.
-                let out = engine.finish_step();
-                comm = Some(out.comm);
-                if let Some(o) = out.opt {
-                    optimizer = Some(o);
-                }
-                out.result?;
-            } else {
-                let c = comm.as_mut().expect("communicator on rank thread");
-                try_coordinate(c, &mut shuffle_rng)?;
-                for bucket in &buckets {
-                    reduce_bucket(&params_vec, bucket, c, &settings, idx, step)?;
-                }
-            }
-
-            if !worker_stepped {
-                let o = optimizer.as_mut().expect("optimizer on rank thread");
-                if cfg.fused_optim {
-                    o.par_step(&params);
-                } else {
-                    o.step(&params);
-                }
-            }
-
-            let c = comm.as_mut().expect("communicator on rank thread");
-            let mut lbuf = vec![out.loss];
-            c.try_allreduce_tree(&mut lbuf)?;
-            let mean_loss = lbuf[0] / cfg.ranks as f32;
-
-            let h = params.state_hash();
-            let mut hbuf: Vec<f32> = (0..4).map(|i| ((h >> (16 * i)) & 0xffff) as f32).collect();
-            let mine = hbuf.clone();
-            c.try_broadcast(0, &mut hbuf)?;
-            if hbuf != mine {
-                hashes_ok = false;
-            }
-            Ok(mean_loss)
-        })();
-
-        match step_result {
-            Ok(mean_loss) => {
-                records.push((step, mean_loss, t0.elapsed().as_secs_f64()));
+        // Lending is safe under checkpoint-restart: if the step aborts
+        // with some buckets already applied, the restart restores model
+        // *and* optimizer state, wiping the partial update.
+        match replica.step(step, &mut source, true) {
+            Ok(s) => {
+                records.push(StepRecord { step, mean_loss: s.mean_loss, wall_time_s: s.wall_s });
                 let completed = step + 1;
-                if idx == 0 && completed % ft.checkpoint_every == 0 {
-                    checkpoint::save_auto_with_optimizer(
-                        &state,
-                        &optimizer.as_ref().expect("optimizer on rank thread").export_state(),
-                        &ft.checkpoint_dir,
-                        completed,
-                    )
-                    .unwrap_or_else(|e| panic!("auto-checkpoint at step {completed}: {e}"));
+                if writes_checkpoints && completed.is_multiple_of(ft.checkpoint_every) {
+                    replica
+                        .save_checkpoint(&ft.checkpoint_dir, completed)
+                        .unwrap_or_else(|e| panic!("auto-checkpoint at step {completed}: {e}"));
                     saved.push(completed);
                 }
             }
             Err(error) => {
-                let hash = param_hash(&params);
-                return FtOutcome::Aborted {
-                    error,
-                    run: mk_run(records, saved, hashes_ok, hash, model),
-                };
+                end = FtEnd::Aborted { error };
+                break;
             }
         }
     }
-
-    let hash = param_hash(&params);
-    FtOutcome::Finished(mk_run(records, saved, hashes_ok, hash, model))
+    FtRankRun { end, records, saved, done: replica.finish() }
 }
 
 /// Shared toy training fixtures for the trainer / elastic test suites.
@@ -1070,7 +632,7 @@ pub(crate) mod test_support {
     use exaclim_nn::layers::Conv2d;
     use exaclim_nn::loss::{class_weights, pixel_weight_map, ClassWeighting};
     use exaclim_nn::Sequential;
-    use exaclim_tensor::init::randn;
+    use exaclim_tensor::init::{randn, seeded_rng};
     use exaclim_tensor::ops::Conv2dParams;
 
     /// A toy per-rank source: random 2-channel fields whose label is 1
@@ -1122,8 +684,11 @@ mod tests {
     use super::*;
     use exaclim_nn::layers::Conv2d;
     use exaclim_nn::Sequential;
+    use exaclim_tensor::init::seeded_rng;
     use exaclim_tensor::ops::Conv2dParams;
     use rand::Rng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn replicas_stay_bitwise_identical() {
@@ -1247,20 +812,49 @@ mod tests {
         ft
     }
 
+    /// Counts `on_step_timing` calls across every rank's source.
+    struct TimedSource(test_support::ToySource, Arc<AtomicUsize>);
+
+    impl BatchSource for TimedSource {
+        fn next_batch(&mut self) -> Batch {
+            self.0.next_batch()
+        }
+        fn on_step_timing(&mut self, _ingest_wait: Duration, _step_wall: Duration) {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn healthy_ft_run_matches_plain_trainer_bitwise() {
         // With no faults injected, the fault-tolerant path must follow
-        // the exact arithmetic of the plain trainer.
-        let (plain, _m) = train_data_parallel(&toy_config(2, 6), toy_model, toy_source);
-        let ft = ft_config(2, 6, "healthy");
-        let (r, _m2) = train_data_parallel_ft(&ft, &FaultPlan::none(), toy_model, toy_source);
-        assert_eq!(r.restarts, 0);
-        assert!(r.ranks_lost.is_empty());
-        assert_eq!(r.steps_replayed, 0);
-        assert!(r.consistent);
-        assert_eq!(r.final_hashes[0], plain.final_hashes[0], "identical parameter bits");
-        assert_eq!(r.checkpoints_saved, 3, "steps 2, 4, 6");
-        std::fs::remove_dir_all(&ft.checkpoint_dir).ok();
+        // the exact arithmetic of the plain trainer — one hash across
+        // drivers × planes.
+        let mut hashes = Vec::new();
+        for overlap in [false, true] {
+            for fused in [false, true] {
+                let mut ft = ft_config(2, 6, &format!("healthy_{overlap}_{fused}"));
+                ft.base.overlap_comm = overlap;
+                ft.base.fused_optim = fused;
+                let (plain, _m) = train_data_parallel(&ft.base, toy_model, toy_source);
+                let timings = Arc::new(AtomicUsize::new(0));
+                let source = |rank| TimedSource(toy_source(rank), timings.clone());
+                let (r, _m2) = train_data_parallel_ft(&ft, &FaultPlan::none(), toy_model, source);
+                assert_eq!(r.restarts, 0);
+                assert!(r.ranks_lost.is_empty());
+                assert_eq!(r.steps_replayed, 0);
+                assert!(r.consistent);
+                assert_eq!(
+                    r.final_hashes[0], plain.final_hashes[0],
+                    "overlap={overlap} fused={fused}: identical parameter bits"
+                );
+                assert_eq!(r.checkpoints_saved, 3, "steps 2, 4, 6");
+                // Reader autoscaling feedback must flow under FT too.
+                assert_eq!(timings.load(Ordering::SeqCst), 2 * 6, "one per rank per step");
+                std::fs::remove_dir_all(&ft.checkpoint_dir).ok();
+                hashes.push(plain.final_hashes[0]);
+            }
+        }
+        assert!(hashes.windows(2).all(|w| w[0] == w[1]), "planes diverged: {hashes:?}");
     }
 
     #[test]

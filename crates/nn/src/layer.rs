@@ -32,7 +32,7 @@ impl Ctx {
             training: true,
             rng: StdRng::seed_from_u64(seed),
             algo: ConvAlgo::Auto,
-            compute: ComputePrecision::from_env(),
+            compute: ComputePrecision::F32,
             workspace: Workspace::new(),
         }
     }
@@ -43,7 +43,7 @@ impl Ctx {
             training: false,
             rng: StdRng::seed_from_u64(0),
             algo: ConvAlgo::Auto,
-            compute: ComputePrecision::from_env(),
+            compute: ComputePrecision::F32,
             workspace: Workspace::new(),
         }
     }

@@ -7,7 +7,7 @@
 //! critical path; the paper's fixes — reproduced here — are:
 //!
 //! * a **prefetch queue** deep enough to absorb input-rate variability
-//!   ([`prefetch::PrefetchQueue`]),
+//!   ([`prefetch::PrefetchConfig::depth`]),
 //! * **parallel worker processes** instead of threads, because the HDF5
 //!   library serializes all reads behind one global lock. The
 //!   [`prefetch::ReaderMode`] knob reproduces both worlds: `SharedLocked`
@@ -35,6 +35,6 @@ pub mod stream;
 
 pub use augment::Augmentation;
 pub use decode::{ChannelStats, DecodedSample};
-pub use prefetch::{PipelineStats, PrefetchConfig, PrefetchQueue, ReaderMode};
+pub use prefetch::{PipelineStats, PrefetchConfig, ReaderMode};
 pub use sampler::{epoch_permutation, sequence_hash, SampleSampler};
 pub use stream::{IngestStream, StreamConfig, StreamingIngest};

@@ -11,20 +11,13 @@
 //!   worker owns an independent reader (the Python `multiprocessing`
 //!   workaround), so reads genuinely overlap.
 //!
-//! [`PrefetchQueue`] is now a thin façade over the streaming engine in
-//! [`crate::stream`]: same constructor and `next()` shape as the old
-//! pull-per-sample queue, but fed by sharded readers with a
-//! bit-reproducible order and pool-recycled buffers.
+//! This module holds the configuration and the live counters; the engine
+//! that consumes them is [`crate::stream::StreamingIngest`].
 
-use crate::decode::{ChannelStats, DecodedSample};
-use crate::sampler::SampleSampler;
-use crate::stream::{IngestStream, StreamConfig, StreamingIngest};
-use exaclim_climsim::ClimateDataset;
 use exaclim_perfmodel::LatencyHistogram;
 use exaclim_tensor::DType;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Reader-concurrency mode.
@@ -184,66 +177,15 @@ impl std::fmt::Debug for PipelineStats {
     }
 }
 
-/// A background-filled sample queue (façade over [`StreamingIngest`]).
-pub struct PrefetchQueue {
-    inner: Mutex<StreamingIngest>,
-    stats: Arc<PipelineStats>,
-}
-
-impl PrefetchQueue {
-    /// Starts `config.workers` background readers over `sampler`'s shard,
-    /// with the sampler's seed and chunking driving the reproducible
-    /// hierarchical shuffle.
-    pub fn start(
-        dataset: Arc<ClimateDataset>,
-        sampler: SampleSampler,
-        stats_src: ChannelStats,
-        config: PrefetchConfig,
-    ) -> PrefetchQueue {
-        assert!(config.workers >= 1, "need at least one worker");
-        let stream = StreamingIngest::start(
-            dataset,
-            sampler.shard().to_vec(),
-            stats_src,
-            StreamConfig {
-                prefetch: config,
-                seed: sampler.seed(),
-                chunk_size: sampler.chunk_size(),
-                augment: false,
-                meridional: Vec::new(),
-            },
-        );
-        let stats = stream.stats();
-        PrefetchQueue { inner: Mutex::new(stream), stats }
-    }
-
-    /// Takes the next prefetched sample (blocks if the queue is empty,
-    /// accumulating consumer-wait time — the "GPU idle" signal).
-    pub fn next(&self) -> DecodedSample {
-        self.inner.lock().next_sample()
-    }
-
-    /// Changes the reader-worker count in place (autoscaling); the sample
-    /// sequence is unaffected.
-    pub fn set_workers(&self, workers: usize) {
-        self.inner.lock().set_workers(workers);
-    }
-
-    /// Current reader-worker count.
-    pub fn workers(&self) -> usize {
-        self.inner.lock().workers()
-    }
-
-    /// Live counters.
-    pub fn stats(&self) -> Arc<PipelineStats> {
-        self.stats.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::ChannelStats;
+    use crate::sampler::SampleSampler;
+    use crate::stream::{IngestStream, StreamConfig, StreamingIngest};
     use exaclim_climsim::dataset::DatasetConfig;
+    use exaclim_climsim::ClimateDataset;
+    use std::sync::Arc;
     use std::time::Instant;
 
     fn tiny_dataset() -> Arc<ClimateDataset> {
@@ -263,6 +205,17 @@ mod tests {
             class_weights: vec![1.0, 10.0, 5.0],
             dtype: DType::F32,
         }
+    }
+
+    /// Streams `sampler`'s shard under its seed and chunking.
+    fn start(
+        ds: &Arc<ClimateDataset>,
+        sampler: SampleSampler,
+        stats: ChannelStats,
+        prefetch: PrefetchConfig,
+    ) -> StreamingIngest {
+        let cfg = StreamConfig::for_sampler(&sampler, prefetch);
+        StreamingIngest::start(ds.clone(), sampler.shard().to_vec(), stats, cfg)
     }
 
     #[test]
@@ -293,9 +246,9 @@ mod tests {
         let ds = tiny_dataset();
         let stats = ChannelStats::estimate(&ds, 2).expect("stats");
         let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 1);
-        let q = PrefetchQueue::start(ds.clone(), sampler, stats, config(ReaderMode::PerWorker, 2));
+        let mut q = start(&ds, sampler, stats, config(ReaderMode::PerWorker, 2));
         for _ in 0..10 {
-            let s = q.next();
+            let s = q.next_sample();
             assert_eq!(s.input.shape().dims(), &[1, 16, 12, 18]);
             assert_eq!(s.labels.len(), 12 * 18);
         }
@@ -308,9 +261,9 @@ mod tests {
         for mode in [ReaderMode::SharedLocked, ReaderMode::PerWorker] {
             let stats = ChannelStats::estimate(&ds, 2).expect("stats");
             let sampler = SampleSampler::for_rank(ds.len(), 0, 6, 2);
-            let q = PrefetchQueue::start(ds.clone(), sampler, stats, config(mode, 3));
+            let mut q = start(&ds, sampler, stats, config(mode, 3));
             for _ in 0..6 {
-                let s = q.next();
+                let s = q.next_sample();
                 assert!(!s.input.has_non_finite(), "{mode:?} produced garbage");
             }
         }
@@ -329,10 +282,10 @@ mod tests {
             let sampler = SampleSampler::for_rank(ds.len(), 0, 6, 3);
             let mut cfg = config(mode, 4);
             cfg.read_cost = Duration::from_millis(3);
-            let q = PrefetchQueue::start(ds.clone(), sampler, stats, cfg);
+            let mut q = start(&ds, sampler, stats, cfg);
             let t0 = Instant::now();
             for _ in 0..n {
-                let _ = q.next();
+                let _ = q.next_sample();
             }
             elapsed.push(t0.elapsed().as_secs_f64());
         }
@@ -351,8 +304,8 @@ mod tests {
         let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 4);
         let mut cfg = config(ReaderMode::PerWorker, 1);
         cfg.channels = vec![0, 1, 2, 7]; // TMQ, U850, V850, PSL
-        let q = PrefetchQueue::start(ds.clone(), sampler, stats, cfg);
-        let s = q.next();
+        let mut q = start(&ds, sampler, stats, cfg);
+        let s = q.next_sample();
         assert_eq!(s.input.shape().dims(), &[1, 4, 12, 18]);
     }
 
@@ -361,8 +314,8 @@ mod tests {
         let ds = tiny_dataset();
         let stats = ChannelStats::estimate(&ds, 1).expect("stats");
         let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 5);
-        let q = PrefetchQueue::start(ds.clone(), sampler, stats, config(ReaderMode::PerWorker, 2));
-        let _ = q.next();
+        let mut q = start(&ds, sampler, stats, config(ReaderMode::PerWorker, 2));
+        let _ = q.next_sample();
         drop(q); // must not hang
     }
 
@@ -371,9 +324,9 @@ mod tests {
         let ds = tiny_dataset();
         let stats = ChannelStats::estimate(&ds, 1).expect("stats");
         let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 6);
-        let q = PrefetchQueue::start(ds.clone(), sampler, stats, config(ReaderMode::PerWorker, 1));
+        let mut q = start(&ds, sampler, stats, config(ReaderMode::PerWorker, 1));
         for _ in 0..8 {
-            let _ = q.next();
+            let _ = q.next_sample();
         }
         let st = q.stats();
         assert_eq!(st.wait_histogram().count(), 8, "one wait sample per pull");

@@ -1,9 +1,8 @@
 //! The streaming, backpressured, bit-reproducible ingest engine.
 //!
-//! The original `PrefetchQueue` pulled one sample index at a time from a
-//! locked sampler and allocated fresh buffers for every decoded sample.
-//! This module replaces that pull-per-sample model with *sharded reader
-//! tasks*:
+//! A pull-per-sample queue takes one sample index at a time from a
+//! locked sampler and allocates fresh buffers for every decoded sample.
+//! This module instead runs *sharded reader tasks*:
 //!
 //! * The epoch order comes from the pure hierarchical shuffle
 //!   ([`crate::sampler::epoch_permutation`]) and is split into **runs** of
@@ -30,7 +29,7 @@
 use crate::augment::Augmentation;
 use crate::decode::{decode, ChannelStats, DecodedSample};
 use crate::prefetch::{PipelineStats, PrefetchConfig, ReaderMode};
-use crate::sampler::epoch_permutation;
+use crate::sampler::{epoch_permutation, SampleSampler};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use exaclim_climsim::ClimateDataset;
 use parking_lot::Mutex;
@@ -70,7 +69,7 @@ pub trait IngestStream: Send {
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Worker count, queue depth, reader mode, read cost, channel
-    /// selection, class weights and dtype (shared with the legacy queue).
+    /// selection, class weights and dtype.
     pub prefetch: PrefetchConfig,
     /// Shuffle seed; with the shard it fully determines the order.
     pub seed: u64,
@@ -81,6 +80,20 @@ pub struct StreamConfig {
     pub augment: bool,
     /// Raw channel indices whose sign flips under a latitude mirror.
     pub meridional: Vec<usize>,
+}
+
+impl StreamConfig {
+    /// `sampler`'s seed and chunking drive the shuffle; no augmentation.
+    /// Pair with `sampler.shard()` when starting the stream.
+    pub fn for_sampler(sampler: &SampleSampler, prefetch: PrefetchConfig) -> StreamConfig {
+        StreamConfig {
+            prefetch,
+            seed: sampler.seed(),
+            chunk_size: sampler.chunk_size(),
+            augment: false,
+            meridional: Vec::new(),
+        }
+    }
 }
 
 struct WorkerSet {

@@ -51,8 +51,8 @@ const PAR_MIN_VOLUME: usize = 128 * 128 * 128;
 
 /// Operand element type for GEMM compute (the paper's fp16 tensor-core
 /// path and its bf16 cousin). Selected per thread via
-/// [`set_compute_precision`] or process-wide via `EXACLIM_COMPUTE=f16|bf16`;
-/// read once at each GEMM entry on the caller thread.
+/// [`set_compute_precision`]; read once at each GEMM entry on the caller
+/// thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ComputePrecision {
     /// Full-precision operands (the default).
@@ -73,20 +73,10 @@ impl ComputePrecision {
             ComputePrecision::Bf16 => "bf16",
         }
     }
-
-    /// Reads `EXACLIM_COMPUTE` (`f16`/`fp16`/`bf16`; anything else —
-    /// including unset — means FP32).
-    pub fn from_env() -> Self {
-        match std::env::var("EXACLIM_COMPUTE").as_deref().map(str::trim) {
-            Ok("f16") | Ok("fp16") => ComputePrecision::F16,
-            Ok("bf16") => ComputePrecision::Bf16,
-            _ => ComputePrecision::F32,
-        }
-    }
 }
 
 thread_local! {
-    static COMPUTE: Cell<ComputePrecision> = Cell::new(ComputePrecision::from_env());
+    static COMPUTE: Cell<ComputePrecision> = const { Cell::new(ComputePrecision::F32) };
 }
 
 /// The calling thread's GEMM operand precision.

@@ -56,8 +56,10 @@ fn conv2d_forward_bit_identical_across_widths() {
 fn conv2d_backward_bit_identical_across_widths() {
     let (x, w) = conv_case();
     let mut rng = seeded_rng(7);
-    let y = conv2d_forward(&x, &w, Conv2dParams::padded(1), ConvAlgo::Direct);
-    let go = randn(y.shape().clone(), DType::F32, 1.0, &mut rng);
+    // The output shape, spelled out: a forward run out here (outside
+    // `at_widths`' guard) would record a kernel into whatever census
+    // `census_totals_identical_across_widths` is capturing in parallel.
+    let go = randn([2, 8, 32, 32], DType::F32, 1.0, &mut rng);
     let (a, b) = at_widths(|| conv2d_backward(&x, &w, &go, Conv2dParams::padded(1)));
     assert_eq!(a.grad_input.as_slice(), b.grad_input.as_slice(), "grad_input differs");
     assert_eq!(a.grad_weight.as_slice(), b.grad_weight.as_slice(), "grad_weight differs");

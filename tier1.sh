@@ -21,14 +21,6 @@ EXACLIM_POOL=0 cargo test -q -p exaclim-tensor -p exaclim-nn
 # stay green on its own.
 EXACLIM_SIMD=0 cargo test -q -p exaclim-tensor -p exaclim-nn
 
-# Backward-overlapped gradient all-reduce is opt-in via EXACLIM_OVERLAP;
-# the distrib suites must hold bit-for-bit under both settings. The
-# elastic chaos scenarios (seeded join/leave/crash plans, replayed and
-# bit-compared) ride in the distrib suite and must hold in both modes too.
-EXACLIM_OVERLAP=0 cargo test -q -p exaclim-distrib
-EXACLIM_OVERLAP=1 cargo test -q -p exaclim-distrib
-EXACLIM_OVERLAP=1 cargo test -q -p exaclim-core --test overlap_determinism
-
 # The overlap microbenchmark asserts its own acceptance criteria
 # (exposed-comm strictly reduced, overlap fraction > 0, bit-identical
 # parameters) and writes BENCH_overlap.json.
@@ -68,8 +60,3 @@ cargo run --release -q -p exaclim-bench --bin ingest_microbench -- --smoke
 # retries so scheduler noise on oversubscribed hosts cannot fail a
 # structurally sound build). Writes BENCH_optim.json.
 cargo run --release -q -p exaclim-bench --bin optim_microbench -- --smoke
-
-# The fused-optimizer determinism matrix adds the SIMD and kernel-pool
-# axes on top, plus the EXCK v2 optimizer-trailer crossing between the
-# fused and legacy planes.
-cargo test -q -p exaclim-core --test fused_optim_determinism
