@@ -84,6 +84,19 @@ pub enum CommError {
         /// Members the generation needed.
         expected: usize,
     },
+    /// A payload arrived intact from a live peer but its contents do not
+    /// decode: the bytes a broadcast root shipped (serialized optimizer
+    /// state, say) are truncated or describe a different model. Not a
+    /// peer failure — retrying in a smaller world would ship the same
+    /// bytes again.
+    MalformedPayload {
+        /// The rank that could not decode it.
+        rank: usize,
+        /// The rank the payload originated from.
+        root: usize,
+        /// Which payload, and what was wrong with it.
+        what: String,
+    },
 }
 
 impl CommError {
@@ -96,6 +109,7 @@ impl CommError {
             | CommError::TypeMismatch { src, .. }
             | CommError::TagMismatch { src, .. } => Some(src),
             CommError::SendFailed { dst, .. } => Some(dst),
+            CommError::MalformedPayload { root, .. } => Some(root),
             // No single peer: some unknown subset of members never arrived.
             CommError::RendezvousFailed { .. } => None,
         }
@@ -140,6 +154,9 @@ impl fmt::Display for CommError {
                 "member {member} abandoned rendezvous for generation {generation}: \
                  {arrived}/{expected} members arrived before the deadline"
             ),
+            CommError::MalformedPayload { rank, root, ref what } => {
+                write!(f, "rank {rank} could not decode the payload from rank {root}: {what}")
+            }
         }
     }
 }
@@ -171,6 +188,15 @@ mod tests {
         let e = CommError::TagMismatch { rank: 0, src: 1, expected: 2, got: 3 };
         assert!(!e.is_peer_failure());
         assert_eq!(e.peer(), Some(1));
+    }
+
+    #[test]
+    fn malformed_payload_blames_the_root_but_is_not_a_peer_failure() {
+        let e = CommError::MalformedPayload { rank: 2, root: 0, what: "optimizer state: truncated".into() };
+        assert!(!e.is_peer_failure());
+        assert_eq!(e.peer(), Some(0));
+        let s = e.to_string();
+        assert!(s.contains("rank 2") && s.contains("rank 0") && s.contains("truncated"), "{s}");
     }
 
     #[test]

@@ -153,6 +153,12 @@ pub struct ElasticReport {
     pub staging_moved_samples: usize,
     /// Scheduled joiners the run ended without ever admitting.
     pub never_admitted: Vec<usize>,
+    /// Members that stopped on an error no smaller world can cure — a
+    /// state broadcast that did not decode
+    /// ([`CommError::MalformedPayload`]) — with the error, in member-id
+    /// order. Their peers recover as from a crash, so each id is also in
+    /// `ranks_lost`.
+    pub ranks_failed: Vec<(usize, CommError)>,
     /// Non-finite loss detected.
     pub diverged: bool,
 }
@@ -518,6 +524,7 @@ enum MemberOutcome {
     Left { me: usize },
     Crashed { me: usize },
     NeverAdmitted { me: usize },
+    Failed { me: usize, error: CommError },
 }
 
 /// Outcome of one membership round at a step boundary.
@@ -623,10 +630,24 @@ impl<B: BatchSource> Member<B> {
         Ok(())
     }
 
+    /// [`enter`](Member::enter), recovering from a peer failure.
+    fn enter_or_recover(
+        &mut self,
+        view: WorldView,
+        sync: SyncPlan,
+        step: usize,
+    ) -> Result<(), CommError> {
+        match self.enter(view, sync) {
+            Err(e) if !incurable(&e) => self.recover(step),
+            done => done,
+        }
+    }
+
     /// Keeps recovering until a world assembles. Each attempt is keyed by
     /// the generation that just failed, so repeated failures (e.g. a rank
-    /// crashing during the recovery rendezvous) chain cleanly.
-    fn recover(&mut self, step: usize) {
+    /// crashing during the recovery rendezvous) chain cleanly. `Err` only
+    /// for an [`incurable`] error: this member must stop.
+    fn recover(&mut self, step: usize) -> Result<(), CommError> {
         loop {
             self.replica.unwire();
             let (view, root, any_unsynced) = self.hub.recover(
@@ -644,8 +665,9 @@ impl<B: BatchSource> Member<B> {
                     None => SyncPlan::Handoff,
                 }
             };
-            if self.enter(view, sync).is_ok() {
-                return;
+            match self.enter(view, sync) {
+                Err(e) if !incurable(&e) => {}
+                done => return done,
             }
         }
     }
@@ -820,25 +842,25 @@ impl<B: BatchSource> Member<B> {
     /// Runs the member until the step budget completes, it leaves, or it
     /// crashes. Every step boundary runs membership rounds to a fixpoint
     /// (a committed transition re-runs the round in the new world, which
-    /// is what lets a leave and a join cascade at one boundary).
-    fn run(mut self, start_step: usize) -> MemberOutcome {
+    /// is what lets a leave and a join cascade at one boundary). `Err` is
+    /// an [`incurable`] error; dropping the member is then the same signal
+    /// to its peers as a crash.
+    fn run(mut self, start_step: usize) -> Result<MemberOutcome, CommError> {
         let mut step = start_step;
         while step < self.cfg.base.steps {
             if self.faults.crash_step(self.me) == Some(step) {
                 // Fault injection: vanish. Dropping the communicator and
                 // the hub guard is the whole signal.
-                return MemberOutcome::Crashed { me: self.me };
+                return Ok(MemberOutcome::Crashed { me: self.me });
             }
             loop {
                 match self.boundary_round(step) {
                     Ok(Round::Proceed) => break,
-                    Ok(Round::Left) => return MemberOutcome::Left { me: self.me },
+                    Ok(Round::Left) => return Ok(MemberOutcome::Left { me: self.me }),
                     Ok(Round::Transition { view, sync }) => {
-                        if self.enter(view, sync).is_err() {
-                            self.recover(step);
-                        }
+                        self.enter_or_recover(view, sync, step)?
                     }
-                    Ok(Round::Recover) | Err(_) => self.recover(step),
+                    Ok(Round::Recover) | Err(_) => self.recover(step)?,
                 }
             }
             // Never lend the optimizer: a failed step is retried from live
@@ -864,13 +886,19 @@ impl<B: BatchSource> Member<B> {
                     // same global step there.
                     self.replica.zero_grads();
                     self.hub.note_retry();
-                    self.recover(step);
+                    self.recover(step)?;
                 }
             }
         }
         self.hub.close();
-        MemberOutcome::Finished { me: self.me, done: self.replica.finish() }
+        Ok(MemberOutcome::Finished { me: self.me, done: self.replica.finish() })
     }
+}
+
+/// True for an error that recovering into a smaller world cannot cure:
+/// the root would broadcast the same undecodable state again.
+fn incurable(e: &CommError) -> bool {
+    matches!(e, CommError::MalformedPayload { .. })
 }
 
 // ---------------------------------------------------------------------------
@@ -928,7 +956,7 @@ where
                     faults,
                 };
                 member.configure(comm);
-                member.run(0)
+                member.run(0).unwrap_or_else(|error| MemberOutcome::Failed { me, error })
             }));
         }
         for me in faults.joining_nodes() {
@@ -970,10 +998,10 @@ where
                     Some(root) => SyncPlan::Broadcast { root },
                     None => SyncPlan::Handoff,
                 };
-                if member.enter(adm.view, sync).is_err() {
-                    member.recover(start);
-                }
-                member.run(start)
+                member
+                    .enter_or_recover(adm.view, sync, start)
+                    .and_then(|()| member.run(start))
+                    .unwrap_or_else(|error| MemberOutcome::Failed { me, error })
             }));
         }
         handles.into_iter().map(|h| h.join().expect("member thread")).collect()
@@ -985,11 +1013,13 @@ where
         MemberOutcome::Finished { me, .. }
         | MemberOutcome::Left { me }
         | MemberOutcome::Crashed { me }
-        | MemberOutcome::NeverAdmitted { me } => *me,
+        | MemberOutcome::NeverAdmitted { me }
+        | MemberOutcome::Failed { me, .. } => *me,
     });
     let mut final_hashes = Vec::new();
     let mut hashes_ok = true;
     let mut never_admitted = Vec::new();
+    let mut ranks_failed = Vec::new();
     let mut model_out: Option<Box<dyn Layer>> = None;
     for o in outcomes.drain(..) {
         match o {
@@ -1001,6 +1031,7 @@ where
                 }
             }
             MemberOutcome::NeverAdmitted { me } => never_admitted.push(me),
+            MemberOutcome::Failed { me, error } => ranks_failed.push((me, error)),
             MemberOutcome::Left { .. } | MemberOutcome::Crashed { .. } => {}
         }
     }
@@ -1027,6 +1058,7 @@ where
         checkpoints_saved: s.counters.checkpoints_saved,
         staging_moved_samples: s.staging_moved,
         never_admitted,
+        ranks_failed,
         diverged,
     };
     drop(s);
@@ -1185,6 +1217,45 @@ mod tests {
         let last = r.generations.last().unwrap();
         assert!(last.cause.contains("crash recovery"), "{}", last.cause);
         assert_eq!(last.members, vec![0, 1, 3]);
+        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+    }
+
+    #[test]
+    fn joiner_that_cannot_decode_the_state_broadcast_is_reported_not_unwound() {
+        // Member 2 joins at step 3 with a model whose parameters are named
+        // differently (a node launched from another job config): rank 0's
+        // optimizer broadcast names velocities it does not have. It must
+        // stop with the typed error in the report — no panic on its
+        // thread — and the founders carry on as after a crash.
+        use exaclim_nn::layers::Conv2d;
+        use exaclim_tensor::ops::Conv2dParams;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cfg = elastic_config(2, 6, "malformed_sync");
+        let faults = FaultPlan::seeded(3).with_join_at_step(2, 3);
+        let built = std::sync::Arc::new(AtomicUsize::new(0));
+        let model = move |rng: &mut rand::rngs::StdRng| -> Box<dyn exaclim_nn::Layer> {
+            // The joiner builds only once admitted, after both founders.
+            if built.fetch_add(1, Ordering::SeqCst) < 2 {
+                return toy_model(rng);
+            }
+            Box::new(
+                exaclim_nn::Sequential::new("toy")
+                    .push(Conv2d::new("x1", 2, 8, 3, Conv2dParams::padded(1), true, rng))
+                    .push(exaclim_nn::layers::ReLU::new())
+                    .push(Conv2d::new("x2", 8, 2, 1, Conv2dParams::default(), true, rng)),
+            )
+        };
+        let (r, _m) = train_data_parallel_elastic(&cfg, &faults, model, toy_source);
+        match r.ranks_failed.as_slice() {
+            [(2, e @ CommError::MalformedPayload { rank: 2, root: 0, .. })] => {
+                assert!(e.to_string().contains("unknown parameter"), "{e}");
+            }
+            other => panic!("expected member 2 to fail on a malformed payload, got {other:?}"),
+        }
+        assert_eq!(r.ranks_lost, vec![2], "peers recover as from a crash");
+        assert_eq!(r.steps.len(), 6);
+        assert_eq!(r.final_hashes.len(), 2, "the founders finish");
+        assert!(r.consistent);
         std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 

@@ -233,10 +233,16 @@ impl Replica {
                 p.apply_update(|v, _| v.copy_from_slice(src));
                 off += n;
             }
-            let opt_state = OptState::from_bytes(&opt_bytes)
-                .unwrap_or_else(|e| panic!("rank {}: optimizer broadcast: {e}", comm.rank()));
-            self.import_optimizer(&opt_state)
-                .unwrap_or_else(|e| panic!("rank {}: import optimizer state: {e}", comm.rank()));
+            // These bytes came from a peer: a payload that does not decode
+            // is the root's to answer for, not a reason to unwind here.
+            let rank = comm.rank();
+            let malformed = |what: String| CommError::MalformedPayload {
+                rank,
+                root: root_idx,
+                what: format!("optimizer broadcast: {what}"),
+            };
+            let opt_state = OptState::from_bytes(&opt_bytes).map_err(malformed)?;
+            self.import_optimizer(&opt_state).map_err(malformed)?;
         }
         Ok(())
     }
@@ -481,5 +487,45 @@ impl Replica {
     fn import_optimizer(&mut self, state: &OptState) -> Result<(), String> {
         let o = self.optimizer.as_mut().expect("optimizer on rank thread");
         o.import_state(state, &self.params)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trainer::test_support::{toy_config, toy_model};
+    use exaclim_comm::CommWorld;
+    use std::time::Duration;
+
+    /// Rank 1 adopts rank 0's state through `sync_from` while rank 0
+    /// plays a root that ships `opt_bytes` as its optimizer payload.
+    fn adopt_from_root_shipping(opt_bytes: Vec<u8>) -> Result<(), CommError> {
+        let cfg = toy_config(2, 1);
+        let mut comms = CommWorld::with_deadline(2, Duration::from_secs(5));
+        let (mut c1, mut c0) = (comms.pop().unwrap(), comms.pop().unwrap());
+        let mut replica = Replica::build(&cfg, 1, &toy_model);
+        let total: usize = replica.state.iter().map(|p| p.numel()).sum();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut bytes = opt_bytes;
+                c0.try_broadcast(0, &mut vec![0.0f32; total]).unwrap();
+                c0.try_broadcast_bytes(0, &mut bytes).unwrap();
+            });
+            replica.sync_from(&mut c1, 0, true)
+        })
+    }
+
+    #[test]
+    fn sync_from_reports_a_malformed_optimizer_payload_as_a_typed_error() {
+        let good = Replica::build(&toy_config(2, 1), 0, &toy_model).optimizer().export_state().to_bytes();
+        assert_eq!(adopt_from_root_shipping(good.clone()), Ok(()));
+
+        // Truncated in flight. (A well-formed state for some other model
+        // takes the same exit; `elastic::tests` drives that one end to end.)
+        let e = adopt_from_root_shipping(good[..good.len() - 1].to_vec()).expect_err("truncated payload");
+        assert!(matches!(e, CommError::MalformedPayload { rank: 1, root: 0, .. }), "{e:?}");
+        assert!(!e.is_peer_failure());
+        assert_eq!(e.peer(), Some(0));
+        assert!(e.to_string().contains("truncated"), "{e}");
     }
 }

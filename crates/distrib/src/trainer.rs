@@ -181,7 +181,12 @@ pub struct TrainingReport {
     pub final_hashes: Vec<u64>,
     /// True if every rank ended with bitwise-identical parameters.
     pub consistent: bool,
-    /// Control messages sent+received by rank 0 over the whole run.
+    /// *Every* message rank 0 sent or received over the whole run — not
+    /// only the control plane its name suggests: the coordination round,
+    /// but also the gradient all-reduce's chunks, the loss all-reduce and
+    /// the audit broadcast (on a 2-rank, 7-bucket run about 28 of the
+    /// ≈ 46 per step are data plane). Comparable between runs that differ
+    /// only in the control plane, which is how the tests use it.
     pub rank0_control_messages: u64,
     /// Fused all-reduce launches per rank per step.
     pub allreduce_launches_per_step: usize,

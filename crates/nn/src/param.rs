@@ -248,7 +248,12 @@ impl ParamSet {
         }
     }
 
-    /// Combined bitwise hash of all values (replica-consistency checks).
+    /// Combined bitwise hash of all values (replica-consistency checks):
+    /// an FNV-1a fold over the per-tensor [`Param::value_hash`]es in set
+    /// order — `h = (h ^ value_hash) * 0x100_0000_01b3` from the offset
+    /// basis `0xcbf2_9ce4_8422_2325` — so it is sensitive to the order of
+    /// the parameters as well as to every bit of every value. The
+    /// per-element work is all in [`Tensor::bit_hash`].
     pub fn state_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for p in &self.params {
@@ -311,6 +316,30 @@ mod tests {
         let h0 = set.state_hash();
         set.get("b").unwrap().apply_update(|v, _| v[3] = 1.0);
         assert_ne!(h0, set.state_hash());
+    }
+
+    #[test]
+    fn state_hash_is_the_ordered_fold_of_value_hashes() {
+        let a = Param::new("a", Tensor::from_vec([3], DType::F32, vec![1.0, 2.0, 3.0]));
+        let b = Param::new("b", Tensor::from_vec([2], DType::F32, vec![-4.0, 0.5]));
+        let set_of = |ps: &[&Param]| {
+            let mut set = ParamSet::new();
+            ps.iter().for_each(|p| set.push((*p).clone()));
+            set
+        };
+        let fold = |ps: &[&Param]| {
+            ps.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, p| {
+                (h ^ p.value_hash()).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        assert_eq!(a.value_hash(), a.value().bit_hash());
+        assert_eq!(set_of(&[&a, &b]).state_hash(), fold(&[&a, &b]));
+        assert_eq!(set_of(&[]).state_hash(), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(
+            set_of(&[&a, &b]).state_hash(),
+            set_of(&[&b, &a]).state_hash(),
+            "same tensors, different order"
+        );
     }
 
     #[test]

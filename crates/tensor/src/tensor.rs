@@ -302,19 +302,63 @@ impl Tensor {
         self.requantize();
     }
 
-    /// An FNV-1a hash of the raw bits, used by the distributed trainer to
-    /// assert that all data-parallel replicas hold identical parameters
-    /// after synchronous updates.
+    /// A 64-bit hash of the raw bits — the one definition behind the
+    /// distributed trainer's per-step replica audit
+    /// (`ParamSet::state_hash`) and every bit-identity check in the tests.
+    ///
+    /// **Definition.** Elements are taken in blocks of `2 * HASH_LANES`.
+    /// Lane `l` of a block folds the word `bits[2l] | bits[2l + 1] << 32`
+    /// with `hash_step`; the lanes never read each other, so the CPU
+    /// overlaps their multiply chains instead of waiting out one dependent
+    /// chain (the audit runs over every parameter on every step, after the
+    /// optimizer, where nothing hides it). After the last full block the
+    /// element count, the lanes in index order and the tail elements (fewer
+    /// than a block, one per step) are folded the same way into one state,
+    /// which a final bijective mix spreads over all 64 bits. Plain `u64`
+    /// arithmetic on `f32::to_bits`: the value does not depend on the host,
+    /// the SIMD switch or the kernel-pool width.
+    ///
+    /// **Guarantee.** `hash_step` is a bijection of the state for a fixed
+    /// word and of the word for a fixed state, and so is everything
+    /// downstream of it. Two tensors of equal length that differ in exactly
+    /// one element — any bit, `0.0` vs `-0.0`, two NaN payloads, head, body
+    /// or tail — therefore *always* hash differently. Any other difference
+    /// (several elements, a permutation, a zero-extension) is missed only
+    /// if its parts cancel exactly: about 2⁻⁶⁴ for differences not chosen
+    /// against the hash, which is all arithmetic drift can produce.
     pub fn bit_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for x in self.as_slice() {
-            for b in x.to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
+        let xs = self.as_slice();
+        let mut lanes: [u64; HASH_LANES] =
+            std::array::from_fn(|l| (l as u64 + 1).wrapping_mul(HASH_MUL));
+        let mut blocks = xs.chunks_exact(2 * HASH_LANES);
+        for block in &mut blocks {
+            for (lane, pair) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+                let word = pair[0].to_bits() as u64 | ((pair[1].to_bits() as u64) << 32);
+                *lane = hash_step(*lane, word);
             }
         }
-        h
+        let mut h = lanes.iter().fold(xs.len() as u64, |h, &lane| hash_step(h, lane));
+        for x in blocks.remainder() {
+            h = hash_step(h, x.to_bits() as u64);
+        }
+        h ^= h >> 32;
+        h = h.wrapping_mul(HASH_MUL);
+        h ^ (h >> 29)
     }
+}
+
+/// Independent multiply chains in [`Tensor::bit_hash`]: enough to cover the
+/// latency of a 64-bit multiply at one issue per cycle.
+const HASH_LANES: usize = 8;
+/// Odd, so multiplying by it is a bijection of `u64` (2⁶⁴ / golden ratio).
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One fold of [`Tensor::bit_hash`]: xor, odd multiply, rotate — each a
+/// bijection of `u64`. The rotate brings the well-mixed high bits down
+/// where the next multiply spreads them again.
+#[inline(always)]
+fn hash_step(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(HASH_MUL).rotate_left(29)
 }
 
 #[cfg(test)]
@@ -376,6 +420,73 @@ mod tests {
         assert_eq!(a.bit_hash(), b.bit_hash());
         b.set(&[2], 3.0000002);
         assert_ne!(a.bit_hash(), b.bit_hash());
+    }
+
+    fn hash_of(bits: &[u32]) -> u64 {
+        let data = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        Tensor::from_vec([bits.len()], DType::F32, data).bit_hash()
+    }
+
+    /// Seeded arbitrary bit patterns (NaNs, infinities and subnormals
+    /// included — the hash reads bits, not values).
+    fn pattern(len: usize, seed: u32) -> Vec<u32> {
+        (0..len as u32).map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9).rotate_left(13) ^ seed).collect()
+    }
+
+    #[test]
+    fn bit_hash_changes_on_any_single_bit_flip() {
+        // Below one block, exactly one and two blocks, and one element
+        // either side of each boundary: every lane half and tail position.
+        for len in [0usize, 1, 15, 16, 17, 31, 32, 33] {
+            let base = pattern(len, 0xC0FF_EE00 + len as u32);
+            let h = hash_of(&base);
+            assert_eq!(h, hash_of(&base), "len {len}: not a function of the bits");
+            for idx in 0..len {
+                for bit in 0..32 {
+                    let mut flipped = base.clone();
+                    flipped[idx] ^= 1 << bit;
+                    assert_ne!(h, hash_of(&flipped), "len {len}: missed bit {bit} of element {idx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bit_hash_reads_bits_not_values() {
+        // 0.0 == -0.0 and NaN != NaN as values; the audit wants bits.
+        let around = |bits: u32| {
+            let mut v = pattern(40, 7);
+            v[21] = bits;
+            hash_of(&v)
+        };
+        assert_ne!(around(0.0f32.to_bits()), around((-0.0f32).to_bits()));
+        assert_ne!(around(0x7FC0_0000), around(0x7FC0_0001), "NaN payloads");
+    }
+
+    #[test]
+    fn bit_hash_mixes_length_and_position() {
+        // Zero-extension, in the tail and across a block boundary.
+        let x = 1.5f32.to_bits();
+        assert_ne!(hash_of(&[x]), hash_of(&[x, 0]));
+        assert_ne!(hash_of(&[]), hash_of(&[0]));
+        let mut block = pattern(16, 3);
+        let h16 = hash_of(&block);
+        block.push(0);
+        assert_ne!(h16, hash_of(&block));
+
+        let base = pattern(50, 11);
+        let swapped = |i: usize, j: usize| {
+            let mut v = base.clone();
+            v.swap(i, j);
+            hash_of(&v)
+        };
+        let h = hash_of(&base);
+        assert_ne!(h, swapped(2, 9), "different lanes of one block");
+        assert_ne!(h, swapped(4, 5), "the two halves of one word");
+        assert_ne!(h, swapped(4, 20), "same lane, consecutive blocks");
+        assert_ne!(h, swapped(3, 35), "same lane, blocks 0 and 2");
+        assert_ne!(h, swapped(48, 49), "inside the tail");
+        assert_ne!(h, swapped(0, 49), "body against tail");
     }
 
     #[test]

@@ -141,6 +141,19 @@ fn misc_kernels_bit_identical_across_widths() {
 }
 
 #[test]
+fn bit_hash_identical_across_widths() {
+    // The hash every equality above could be (and the trainer's audit is)
+    // phrased in: single-threaded `u64` arithmetic, so the pool width
+    // cannot reach it. Lengths straddle its 16-element block.
+    for len in [0usize, 15, 16, 33, 70_001] {
+        let data: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+        let t = Tensor::from_vec([len], DType::F32, data);
+        let (one, four) = at_widths(|| t.bit_hash());
+        assert_eq!(one, four, "len {len}");
+    }
+}
+
+#[test]
 fn census_totals_identical_across_widths() {
     let (x, w) = conv_case();
     let (p1, p4) = at_widths(|| {

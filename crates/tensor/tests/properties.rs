@@ -177,6 +177,24 @@ proptest! {
         prop_assert_eq!(h1, z.bit_hash());
     }
 
+    /// Any single flipped bit, at any index of a long tensor of arbitrary
+    /// length, changes the hash — the guarantee the per-step replica audit
+    /// rests on — and the value does not depend on the SIMD switch.
+    #[test]
+    fn bit_hash_catches_one_flipped_bit_anywhere(
+        seed in 0u64..1000, len in 34usize..6000, at in 0usize..6000, bit in 0u32..32,
+    ) {
+        let mut rng = exaclim_tensor::init::seeded_rng(seed);
+        let x = exaclim_tensor::init::randn([len], DType::F32, 1.0, &mut rng);
+        let idx = at % len;
+        let mut y = x.clone();
+        let old = y.as_slice()[idx];
+        y.as_mut_slice()[idx] = f32::from_bits(old.to_bits() ^ (1 << bit));
+        prop_assert_ne!(x.bit_hash(), y.bit_hash(), "len {} idx {} bit {}", len, idx, bit);
+        let (scalar, vector) = scalar_and_simd(|| x.bit_hash());
+        prop_assert_eq!(scalar, vector);
+    }
+
     /// The small-GEMM path produces the same bits with and without SIMD,
     /// including remainder rows/columns against the MR×NR register tile.
     #[test]
