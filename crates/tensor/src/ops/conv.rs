@@ -20,13 +20,27 @@
 //! Backward runs through the same machinery: the data gradient is
 //! `Wᵀ·∂y` per pixel strip followed by a col2im scatter, the weight
 //! gradient is `∂y·colᵀ` with the patch matrix again packed on the fly.
+//!
+//! The packers and the scatter walk output rows, not elements: a panel's
+//! pixels (or a patch row's tap) are decomposed once, bounds are resolved
+//! per row stretch, and the inner loops are contiguous copies and adds —
+//! no division and no branch per element. With that the GEMM route costs
+//! what its GEMM costs (forward within 1.0–1.8× of the dense product of
+//! the same shape, best of 30 on a 2-vCPU host) and the direct route is
+//! the slower one at every shape measured: 17–18× at 32→32 and 64→32
+//! channels on 48×72, 8–13× for the 6- to 16-wide 3×3 and 7×7 layers of
+//! the tiny networks, and still 3–8× for the `c < 16` shapes
+//! [`ConvAlgo::Auto`] sends to it (1→4 and 4→4 on 8×8, 3→16 and 12→6 on
+//! 48×72). Routing those through the GEMM changes their summation order
+//! and is ROADMAP item 2c.
 
 use crate::ops::gemm::{
-    compute_precision, gemm_a_bt, gemm_noprofile, gemm_panels, Layout, PanelSource, SliceB,
+    compute_precision, gemm_noprofile, gemm_panels, Layout, PanelSource, SliceB,
 };
 use crate::pool;
 use crate::profile::{self, KernelKind};
 use crate::shape::conv_out_dim;
+use crate::simd::NR;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -67,12 +81,19 @@ impl Default for Conv2dParams {
 /// Convolution algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvAlgo {
-    /// Pick per-shape: GEMM for 1×1 and large-channel kernels, direct
-    /// otherwise (a crude stand-in for cuDNN's autotuner).
+    /// Pick per-shape: GEMM for 1×1 kernels and for `c ≥ 16` input
+    /// channels, direct otherwise (a crude stand-in for cuDNN's autotuner).
+    /// The `c < 16` rule predates the row-wise packer and is now wrong on
+    /// speed — direct measured 3–8× slower than the GEMM route on every
+    /// narrow shape tried (see the module doc) — but the two routes sum in
+    /// different orders, so moving it re-pins every parameter hash: ROADMAP
+    /// item 2c.
     Auto,
     /// Seven-loop direct convolution.
     Direct,
-    /// Explicit im2col followed by a GEMM.
+    /// Implicit GEMM: the blocked GEMM with im2col patches packed straight
+    /// into its `B` micro-panels (`Im2colB`); the patch matrix is never
+    /// materialized.
     Im2colGemm,
 }
 
@@ -177,6 +198,7 @@ fn forward_direct(x: &Tensor, w: &Tensor, p: Conv2dParams, y: &mut Tensor) {
 }
 
 /// Scatters the receptive field of image `ni` into `col[C·R·S, Ho·Wo]`.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn im2col(
     xs: &[f32],
@@ -230,9 +252,13 @@ const COL_STRIP: usize = 8192;
 /// Two orientations cover both convolution GEMMs:
 /// * forward / data-gradient shape (`by_pixel_depth = false`): logical
 ///   `B = col` — depth index is the patch row `(ci, ri, si)`, columns are
-///   output pixels (offset by `pix0` for strip-wise callers);
+///   output pixels;
 /// * weight-gradient shape (`by_pixel_depth = true`): logical `B = colᵀ` —
 ///   depth index is the output pixel, columns are patch rows.
+///
+/// `h`/`wd` and `wo` are independent: transposed-convolution backward reads
+/// an `h×wd` map through an output grid that no forward convolution of it
+/// would produce, so every bound is tested against the map itself.
 pub(crate) struct Im2colB<'a> {
     /// Backing tensor data (whole batch).
     pub(crate) xs: &'a [f32],
@@ -246,16 +272,67 @@ pub(crate) struct Im2colB<'a> {
     pub(crate) wo: usize,
     /// Logical column count (pixels, or `C·R·S` when `by_pixel_depth`).
     pub(crate) ncols: usize,
-    /// First pixel of the strip this source covers.
-    pub(crate) pix0: usize,
     pub(crate) p: Conv2dParams,
     pub(crate) by_pixel_depth: bool,
 }
 
+/// One kernel tap `(ri, si)` seen from the output grid: output pixel
+/// `(hoi, woi)` reads (im2col) or scatters to (col2im) the map position
+/// `(hoi·stride + dh, woi·stride + dw)`, which lies inside the `h×wd` map
+/// for `woi` in `[t_lo, t_hi)` on the output rows whose `hi` is in range.
+/// Resolving the column bounds here, once per tap, is what lets both the
+/// weight-gradient pack and the col2im scatter run branch-free inner loops.
+struct Tap {
+    h: usize,
+    wd: usize,
+    wo: usize,
+    stride: usize,
+    dh: isize,
+    dw: isize,
+    t_lo: usize,
+    t_hi: usize,
+}
+
+impl Tap {
+    fn new(h: usize, wd: usize, wo: usize, p: Conv2dParams, ri: usize, si: usize) -> Tap {
+        let dh = (ri * p.dilation) as isize - p.pad as isize;
+        let dw = (si * p.dilation) as isize - p.pad as isize;
+        // 0 ≤ t·stride + dw < wd, clamped to the output row.
+        let t_lo = ((-dw).max(0) as usize).div_ceil(p.stride).min(wo);
+        let t_hi = ((wd as isize - dw).max(0) as usize).div_ceil(p.stride).min(wo);
+        Tap { h, wd, wo, stride: p.stride, dh, dw, t_lo, t_hi }
+    }
+
+    /// Walks the `len` consecutive output pixels starting at `(hoi, woi)`
+    /// one output row at a time and calls `f(off, at, run)` for each
+    /// stretch whose tap is inside the map: `off` is the stretch's first
+    /// pixel counted from the start of the walk, `at` the plane offset
+    /// `hi·wd + wi` it maps to, `run` its length; successive pixels of a
+    /// stretch are `stride` apart in the plane. Pixels not visited have
+    /// their tap in the padding.
+    #[inline]
+    fn for_each_run(&self, mut hoi: usize, mut woi: usize, len: usize, mut f: impl FnMut(usize, usize, usize)) {
+        let mut off = 0;
+        while off < len {
+            let seg = (self.wo - woi).min(len - off);
+            let hi = (hoi * self.stride) as isize + self.dh;
+            let (t0, t1) = (self.t_lo.max(woi), self.t_hi.min(woi + seg));
+            if hi >= 0 && hi < self.h as isize && t0 < t1 {
+                let wi = (t0 * self.stride) as isize + self.dw;
+                f(off + (t0 - woi), hi as usize * self.wd + wi as usize, t1 - t0);
+            }
+            off += seg;
+            woi = 0;
+            hoi += 1;
+        }
+    }
+}
+
 impl Im2colB<'_> {
     /// The im2col element at (patch row `crow`, output pixel `pixel`),
-    /// zero for receptive-field positions that fall in the padding.
-    #[inline]
+    /// zero for receptive-field positions that fall in the padding. The
+    /// definition the row-wise packers below are tested against.
+    #[cfg(test)]
     fn patch(&self, crow: usize, pixel: usize) -> f32 {
         let si = crow % self.s;
         let ri = (crow / self.s) % self.r;
@@ -270,38 +347,100 @@ impl Im2colB<'_> {
             0.0
         }
     }
+
+    /// Patch row `crow` as its `(ci, ri, si)`.
+    fn tap_of(&self, crow: usize) -> (usize, usize, usize) {
+        (crow / (self.r * self.s), crow / self.s % self.r, crow % self.s)
+    }
+
+    /// Depth = patch rows `[pc, pc+kc)`, columns = the `NR` pixels from
+    /// `j0` (logical `col`). The pixels are decomposed once per panel and
+    /// `(ci, ri, si)` advances incrementally down the depth rows, so no
+    /// element costs a division; a panel of eight live pixels on one
+    /// output row at unit stride takes each tap row as one contiguous copy.
+    fn pack_pixels(&self, j0: usize, pc: usize, kc: usize, panel: &mut [f32]) {
+        let (st, dil) = (self.p.stride, self.p.dilation);
+        let pad = self.p.pad as isize;
+        let live = NR.min(self.ncols.saturating_sub(j0));
+        // Map position of each live pixel's (ri, si) = (0, 0) tap.
+        let (mut hoi, mut woi) = (j0 / self.wo, j0 % self.wo);
+        let one_row = live == NR && st == 1 && woi + NR <= self.wo;
+        let (mut h0, mut w0) = ([0isize; NR], [0isize; NR]);
+        for j in 0..live {
+            h0[j] = (hoi * st) as isize - pad;
+            w0[j] = (woi * st) as isize - pad;
+            woi += 1;
+            if woi == self.wo {
+                woi = 0;
+                hoi += 1;
+            }
+        }
+        let (h, wd) = (self.h as isize, self.wd as isize);
+        let (mut ci, mut ri, mut si) = self.tap_of(pc);
+        for row in panel[..kc * NR].chunks_exact_mut(NR) {
+            let plane = &self.xs[self.xbase + ci * self.h * self.wd..][..self.h * self.wd];
+            let (dh, dw) = ((ri * dil) as isize, (si * dil) as isize);
+            let (hi, wi) = (h0[0] + dh, w0[0] + dw);
+            if one_row && (hi < 0 || hi >= h) {
+                row.fill(0.0);
+            } else if one_row && wi >= 0 && wi + NR as isize <= wd {
+                let at = (hi * wd + wi) as usize;
+                row.copy_from_slice(&plane[at..at + NR]);
+            } else {
+                for j in 0..NR {
+                    let (hi, wi) = (h0[j] + dh, w0[j] + dw);
+                    let inside = j < live && hi >= 0 && hi < h && wi >= 0 && wi < wd;
+                    row[j] = if inside { plane[(hi * wd + wi) as usize] } else { 0.0 };
+                }
+            }
+            si += 1;
+            if si == self.s {
+                si = 0;
+                ri += 1;
+                if ri == self.r {
+                    ri = 0;
+                    ci += 1;
+                }
+            }
+        }
+    }
+
+    /// Depth = output pixels `[pc, pc+kc)`, columns = the `NR` patch rows
+    /// from `j0` (logical `colᵀ`). Each patch row is decomposed once and
+    /// its pixels are walked by output-row stretches ([`Tap::for_each_run`]).
+    fn pack_patch_rows(&self, j0: usize, pc: usize, kc: usize, panel: &mut [f32]) {
+        let panel = &mut panel[..kc * NR];
+        // Padding taps and columns past `ncols` are never visited below.
+        panel.fill(0.0);
+        let (hoi, woi) = (pc / self.wo, pc % self.wo);
+        let st = self.p.stride;
+        for j in 0..NR.min(self.ncols.saturating_sub(j0)) {
+            let (ci, ri, si) = self.tap_of(j0 + j);
+            let plane = &self.xs[self.xbase + ci * self.h * self.wd..][..self.h * self.wd];
+            let tap = Tap::new(self.h, self.wd, self.wo, self.p, ri, si);
+            tap.for_each_run(hoi, woi, kc, |off, at, run| {
+                let rows = panel[off * NR..(off + run) * NR].chunks_exact_mut(NR);
+                if st == 1 {
+                    for (row, &v) in rows.zip(&plane[at..at + run]) {
+                        row[j] = v;
+                    }
+                } else {
+                    for (row, &v) in rows.zip(plane[at..].iter().step_by(st)) {
+                        row[j] = v;
+                    }
+                }
+            });
+        }
+    }
 }
 
 impl PanelSource for Im2colB<'_> {
     fn pack_panel(&self, j0: usize, pc: usize, kc: usize, panel: &mut [f32]) {
-        let nr = crate::simd::NR;
-        debug_assert!(panel.len() >= kc * nr);
+        debug_assert!(panel.len() >= kc * NR);
         if self.by_pixel_depth {
-            // Depth = pixels, columns = patch rows (colᵀ).
-            for j in 0..nr {
-                let crow = j0 + j;
-                if crow >= self.ncols {
-                    for pi in 0..kc {
-                        panel[pi * nr + j] = 0.0;
-                    }
-                    continue;
-                }
-                for pi in 0..kc {
-                    panel[pi * nr + j] = self.patch(crow, self.pix0 + pc + pi);
-                }
-            }
+            self.pack_patch_rows(j0, pc, kc, panel);
         } else {
-            // Depth = patch rows, columns = pixels (col).
-            for pi in 0..kc {
-                let crow = pc + pi;
-                for j in 0..nr {
-                    panel[pi * nr + j] = if j0 + j < self.ncols {
-                        self.patch(crow, self.pix0 + j0 + j)
-                    } else {
-                        0.0
-                    };
-                }
-            }
+            self.pack_pixels(j0, pc, kc, panel);
         }
     }
 }
@@ -329,7 +468,6 @@ fn forward_im2col(x: &Tensor, w: &Tensor, p: Conv2dParams, y: &mut Tensor) {
             s,
             wo,
             ncols: hw,
-            pix0: 0,
             p,
             by_pixel_depth: false,
         };
@@ -337,6 +475,49 @@ fn forward_im2col(x: &Tensor, w: &Tensor, p: Conv2dParams, y: &mut Tensor) {
         // y_n[K, Ho·Wo] += W[K, C·R·S] · col[C·R·S, Ho·Wo]
         gemm_panels(k, hw, crs, ws, Layout::Normal, &src, yn, hw, prec);
     }
+}
+
+/// col2im: scatter-adds the column-gradient strip `strip[C·R·S, sw]`
+/// (output pixels `[p0, p0+sw)`) into the image gradient `gxn[C, h·wd]`.
+///
+/// One task per input channel — each owns patch rows `(ci·r+ri)·s+si` and
+/// the `ci` plane, so writes are disjoint and the per-element order (strips
+/// ascending, then `ri`, `si`, pixel) is thread-independent. Within one
+/// patch row every pixel lands on a different element, so a stretch of an
+/// output row is a plain `dst += src` over a contiguous (unit stride) or
+/// strided destination.
+#[allow(clippy::too_many_arguments)]
+fn col2im_add(
+    strip: &[f32],
+    p0: usize,
+    sw: usize,
+    gxn: &mut [f32],
+    (h, wd): (usize, usize),
+    (r, s): (usize, usize),
+    wo: usize,
+    p: Conv2dParams,
+) {
+    let (hoi, woi) = (p0 / wo, p0 % wo);
+    gxn.par_chunks_mut(h * wd).enumerate().for_each(|(ci, gxp)| {
+        for ri in 0..r {
+            for si in 0..s {
+                let rowbase = ((ci * r + ri) * s + si) * sw;
+                let src = &strip[rowbase..rowbase + sw];
+                Tap::new(h, wd, wo, p, ri, si).for_each_run(hoi, woi, sw, |off, at, run| {
+                    let src = &src[off..off + run];
+                    if p.stride == 1 {
+                        for (d, &g) in gxp[at..at + run].iter_mut().zip(src) {
+                            *d += g;
+                        }
+                    } else {
+                        for (d, &g) in gxp[at..].iter_mut().step_by(p.stride).zip(src) {
+                            *d += g;
+                        }
+                    }
+                });
+            }
+        }
+    });
 }
 
 /// Gradients of a convolution.
@@ -387,34 +568,7 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Conv2dParam
                     ld: hw,
                 };
                 gemm_panels(crs, sw, k, ws, Layout::Transposed, &go_src, strip, sw, prec);
-                // col2im: one task per input channel — each owns patch rows
-                // (ci·r+ri)·s+si and the (ni, ci) plane, so writes are
-                // disjoint and the per-element order (strips ascending,
-                // then ri, si, pixel) is thread-independent.
-                let strip = &gcol[..crs * sw];
-                gxn.par_chunks_mut(h * wd).enumerate().for_each(|(ci, gxp)| {
-                    for ri in 0..r {
-                        for si in 0..s {
-                            let rowbase = ((ci * r + ri) * s + si) * sw;
-                            for (j, &g) in strip[rowbase..rowbase + sw].iter().enumerate() {
-                                let pixel = p0 + j;
-                                let hoi = pixel / wo;
-                                let woi = pixel % wo;
-                                let hi = (hoi * p.stride + ri * p.dilation) as isize
-                                    - p.pad as isize;
-                                if hi < 0 || hi >= h as isize {
-                                    continue;
-                                }
-                                let wi = (woi * p.stride + si * p.dilation) as isize
-                                    - p.pad as isize;
-                                if wi < 0 || wi >= wd as isize {
-                                    continue;
-                                }
-                                gxp[hi as usize * wd + wi as usize] += g;
-                            }
-                        }
-                    }
-                });
+                col2im_add(&gcol[..crs * sw], p0, sw, gxn, (h, wd), (r, s), wo, p);
             }
         }
         pool::recycle(gcol);
@@ -443,7 +597,6 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Conv2dParam
                 s,
                 wo,
                 ncols: crs,
-                pix0: 0,
                 p,
                 by_pixel_depth: true,
             };
@@ -481,10 +634,11 @@ pub fn conv1x1_as_gemm(x: &Tensor, w: &Tensor) -> Tensor {
     y
 }
 
-/// Reference transposed-free weight-gradient via GEMM (`gemm_a_bt`), used
-/// in tests to validate the direct accumulation path.
-#[doc(hidden)]
-pub fn conv2d_weight_grad_gemm(x: &Tensor, grad_out: &Tensor, kshape: (usize, usize, usize, usize), p: Conv2dParams) -> Tensor {
+/// Weight gradient through the materialized patch matrix and a dense
+/// `gemm_a_bt`: the oracle the implicit (packed on the fly) route is tested
+/// against.
+#[cfg(test)]
+fn conv2d_weight_grad_gemm(x: &Tensor, grad_out: &Tensor, kshape: (usize, usize, usize, usize), p: Conv2dParams) -> Tensor {
     let (n, c, h, wd) = x.shape().nchw();
     let (k, ck, r, s) = kshape;
     assert_eq!(c, ck);
@@ -497,7 +651,7 @@ pub fn conv2d_weight_grad_gemm(x: &Tensor, grad_out: &Tensor, kshape: (usize, us
     for ni in 0..n {
         im2col(xs, ni, c, h, wd, r, s, ho, wo, p, &mut col);
         // gw[k, crs] += gout_n[k, howo] · col[crs, howo]ᵀ
-        gemm_a_bt(k, crs, ho * wo, &gos[ni * k * ho * wo..(ni + 1) * k * ho * wo], &col, &mut gw);
+        crate::ops::gemm::gemm_a_bt(k, crs, ho * wo, &gos[ni * k * ho * wo..(ni + 1) * k * ho * wo], &col, &mut gw);
     }
     pool::recycle(col);
     Tensor::from_pool([k, c, r, s], crate::tensor::DType::F32, gw)
@@ -645,25 +799,237 @@ mod tests {
         assert!((flops as f64 / 1e9 - 48.9).abs() < 0.05);
     }
 
+    // --- oracles for the row-wise packers and the col2im scatter -------------
+
+    /// The col2im scatter as it was written before the row-wise walk: one
+    /// `pixel / wo`, `pixel % wo` and two bounds tests per element.
+    #[allow(clippy::too_many_arguments)]
+    fn col2im_add_reference(
+        strip: &[f32],
+        p0: usize,
+        sw: usize,
+        gxn: &mut [f32],
+        (h, wd): (usize, usize),
+        (r, s): (usize, usize),
+        wo: usize,
+        p: Conv2dParams,
+    ) {
+        for (ci, gxp) in gxn.chunks_mut(h * wd).enumerate() {
+            for ri in 0..r {
+                for si in 0..s {
+                    let rowbase = ((ci * r + ri) * s + si) * sw;
+                    for (j, &g) in strip[rowbase..rowbase + sw].iter().enumerate() {
+                        let pixel = p0 + j;
+                        let hoi = pixel / wo;
+                        let woi = pixel % wo;
+                        let hi = (hoi * p.stride + ri * p.dilation) as isize - p.pad as isize;
+                        if hi < 0 || hi >= h as isize {
+                            continue;
+                        }
+                        let wi = (woi * p.stride + si * p.dilation) as isize - p.pad as isize;
+                        if wi < 0 || wi >= wd as isize {
+                            continue;
+                        }
+                        gxp[hi as usize * wd + wi as usize] += g;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Packs depths `[pc, pc+kc)` of every panel of `src` into a
+    /// NaN-poisoned buffer and compares each slot with [`Im2colB::patch`]
+    /// bit for bit (padding and columns past `ncols` must be `+0.0`).
+    fn assert_panels_match_patch(src: &Im2colB, pc: usize, kc: usize) {
+        let mut panel = vec![f32::NAN; kc * NR];
+        for j0 in (0..src.ncols).step_by(NR) {
+            panel.fill(f32::NAN);
+            src.pack_panel(j0, pc, kc, &mut panel);
+            for (i, got) in panel.iter().enumerate() {
+                let (depth, col) = (pc + i / NR, j0 + i % NR);
+                let want = match (col < src.ncols, src.by_pixel_depth) {
+                    (false, _) => 0.0,
+                    (true, false) => src.patch(depth, col),
+                    (true, true) => src.patch(col, depth),
+                };
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "depth {depth} col {col} (by_pixel_depth {}): {got} vs {want}; \
+                     map {}x{} kernel {}x{} wo {} {:?} j0 {j0} pc {pc} kc {kc}",
+                    src.by_pixel_depth, src.h, src.wd, src.r, src.s, src.wo, src.p,
+                );
+            }
+        }
+    }
+
+    /// Test data as a plain vector: the sweeps below slice one of these
+    /// instead of allocating a tensor per geometry, so they put no traffic
+    /// on the process-global pool whose counters `pool::tests` assert on.
+    fn noise(len: usize, seed: u64) -> Vec<f32> {
+        randn([len], DType::F32, 1.0, &mut seeded_rng(seed)).as_slice().to_vec()
+    }
+
+    /// Both orientations of the packer over the second of two `c`-channel
+    /// `h×wd` maps at the head of `xs` (so `xbase` is not zero), read through
+    /// an `ho×wo` output grid, on whole-depth, mid-channel and single-row
+    /// depth slices.
+    fn check_packers(xs: &[f32], c: usize, (h, wd): (usize, usize), k: usize, (ho, wo): (usize, usize), p: Conv2dParams) {
+        let (crs, npix) = (c * k * k, ho * wo);
+        for by_pixel_depth in [false, true] {
+            let (ncols, depth) = if by_pixel_depth { (crs, npix) } else { (npix, crs) };
+            let src = Im2colB {
+                xs: &xs[..2 * c * h * wd],
+                xbase: c * h * wd,
+                h,
+                wd,
+                r: k,
+                s: k,
+                wo,
+                ncols,
+                p,
+                by_pixel_depth,
+            };
+            // A slice start that is neither a channel nor an output-row
+            // boundary whenever the depth allows one.
+            let mid = ((depth / 2) | 1).min(depth - 1);
+            for (pc, kc) in [(0, depth), (mid, depth - mid), (depth - 1, 1)] {
+                assert_panels_match_patch(&src, pc, kc);
+            }
+        }
+    }
+
+    /// Kernel 1/3/5/7 × stride 1–3 × dilation 1/2/4/6 × every pad up to one
+    /// past "same" × output widths around the panel width: `(k, wo, p)`.
+    fn geometry_sweep() -> Vec<(usize, usize, Conv2dParams)> {
+        let mut out = Vec::new();
+        for k in [1usize, 3, 5, 7] {
+            for stride in 1..=3 {
+                for dilation in [1usize, 2, 4, 6] {
+                    for pad in 0..=dilation * (k / 2) + 1 {
+                        for wo in [1usize, 3, 7, 8, 9, 17] {
+                            out.push((k, wo, Conv2dParams { stride, pad, dilation }));
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The input extent a convolution needs to produce `out` outputs (at
+    /// least 1: the packer takes any map, however far the taps overhang).
+    fn in_dim(out: usize, k: usize, p: Conv2dParams) -> usize {
+        ((out - 1) * p.stride + p.dilation * (k - 1) + 1).saturating_sub(2 * p.pad).max(1)
+    }
+
     #[test]
-    fn census_records_forward_and_backward() {
-        let _g = crate::profile::census_test_guard();
-        let (x, w) = small_case();
-        crate::profile::set_phase(crate::profile::Phase::Forward);
-        let (y, prof) = crate::profile::capture(|| {
-            let y = conv2d_forward(&x, &w, Conv2dParams::padded(1), ConvAlgo::Auto);
-            crate::profile::set_phase(crate::profile::Phase::Backward);
-            let _ = conv2d_backward(&x, &w, &y, Conv2dParams::padded(1));
-            crate::profile::set_phase(crate::profile::Phase::Forward);
-            y
-        });
-        let expected = conv_flops(2, 4, 3, 3, 3, 6, 5);
-        let cats = prof.by_category();
-        let fwd = cats.iter().find(|(c, _)| *c == crate::profile::Category::ForwardConv).unwrap().1;
-        let bwd = cats.iter().find(|(c, _)| *c == crate::profile::Category::BackwardConv).unwrap().1;
-        assert_eq!(fwd.flops, expected);
-        assert_eq!(bwd.flops, 2 * expected, "data + weight passes");
-        assert_eq!(y.shape().dims(), &[2, 4, 6, 5]);
+    fn packers_match_patch_over_the_geometry_sweep() {
+        let xs = noise(1 << 14, 1);
+        for (k, wo, p) in geometry_sweep() {
+            // Three output rows: panels span rows for wo < 8 and wo = 9, 17,
+            // and 3·wo is a multiple of 8 only at wo = 8.
+            check_packers(&xs, 2, (in_dim(3, k, p), in_dim(wo, k, p)), k, (3, wo), p);
+        }
+    }
+
+    #[test]
+    fn packers_match_patch_on_deep_slices_and_empty_taps() {
+        let xs = noise(64 * 6 * 9, 2);
+        // 64·9 = 576 patch rows: a full KC slice that starts mid-channel
+        // (256 mod 9 ≠ 0) and the ragged one after it.
+        let mut src = Im2colB {
+            xs: &xs,
+            xbase: 0,
+            h: 6,
+            wd: 9,
+            r: 3,
+            s: 3,
+            wo: 9,
+            ncols: 54,
+            p: Conv2dParams::padded(1),
+            by_pixel_depth: false,
+        };
+        for (pc, kc) in [(0, 256), (256, 256), (512, 64), (575, 1)] {
+            assert_panels_match_patch(&src, pc, kc);
+        }
+        // 17×17 outputs: pixel-depth slices of 256 starting on and off an
+        // output-row boundary.
+        src = Im2colB { h: 17, wd: 17, wo: 17, ncols: 27, by_pixel_depth: true, ..src };
+        for (pc, kc) in [(0, 256), (33, 256), (256, 33)] {
+            assert_panels_match_patch(&src, pc, kc);
+        }
+        // Dilation 6 on a 6×9 map: the outer tap rows never touch the image.
+        check_packers(&xs, 3, (6, 9), 3, (6, 9), Conv2dParams::atrous(6));
+        // A transposed convolution's backward view: the 8×10 gradient read
+        // through the 4×5 grid of the deconv's input, stride 2.
+        check_packers(&xs, 3, (8, 10), 3, (4, 5), Conv2dParams::strided(2, 1));
+    }
+
+    #[test]
+    fn col2im_matches_the_per_element_scatter() {
+        let (strips, before) = (noise(1 << 13, 3), noise(1 << 13, 4));
+        for (k, wo, p) in geometry_sweep() {
+            let (c, h, wd) = (2, in_dim(3, k, p), in_dim(wo, k, p));
+            // Strips that start on a row boundary, mid-row, and on the last
+            // pixel of a row; lengths that end mid-row.
+            for (p0, sw) in [(0, 3 * wo), (wo / 2, 2 * wo), (wo - 1, wo + 1)] {
+                let strip = &strips[..c * k * k * sw];
+                let mut fast = before[..c * h * wd].to_vec();
+                let mut slow = fast.clone();
+                col2im_add(strip, p0, sw, &mut fast, (h, wd), (k, k), wo, p);
+                col2im_add_reference(strip, p0, sw, &mut slow, (h, wd), (k, k), wo, p);
+                assert_eq!(
+                    fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "map {h}x{wd} kernel {k} wo {wo} {p:?} p0 {p0} sw {sw}"
+                );
+            }
+        }
+    }
+
+    /// `conv2d_backward`'s data gradient against the same strip GEMM
+    /// followed by the per-element scatter, bit for bit — including a map
+    /// of more than `COL_STRIP` pixels whose strip boundary falls mid-row.
+    #[test]
+    fn grad_input_matches_the_per_element_scatter() {
+        let mut rng = seeded_rng(78);
+        for ((n, c, h, wd), k_out, kernel, p) in [
+            ((2, 3, 9, 11), 4, 3, Conv2dParams::padded(1)),
+            ((1, 2, 9, 11), 3, 3, Conv2dParams::strided(2, 1)),
+            ((1, 2, 11, 13), 3, 3, Conv2dParams::atrous(2)),
+            ((1, 2, 10, 7), 2, 5, Conv2dParams { stride: 3, pad: 2, dilation: 1 }),
+            ((1, 1, 96, 97), 2, 3, Conv2dParams::padded(1)),
+        ] {
+            let x = randn([n, c, h, wd], DType::F32, 1.0, &mut rng);
+            let w = randn([k_out, c, kernel, kernel], DType::F32, 0.5, &mut rng);
+            let ho = conv_out_dim(h, kernel, p.stride, p.pad, p.dilation);
+            let wo = conv_out_dim(wd, kernel, p.stride, p.pad, p.dilation);
+            let go = randn([n, k_out, ho, wo], DType::F32, 1.0, &mut rng);
+            let got = conv2d_backward(&x, &w, &go, p).grad_input;
+
+            let (crs, hw) = (c * kernel * kernel, ho * wo);
+            let mut want = vec![0.0f32; n * c * h * wd];
+            for (ni, gxn) in want.chunks_mut(c * h * wd).enumerate() {
+                for p0 in (0..hw).step_by(COL_STRIP) {
+                    let sw = COL_STRIP.min(hw - p0);
+                    let mut strip = vec![0.0f32; crs * sw];
+                    let go_src = SliceB {
+                        b: &go.as_slice()[ni * k_out * hw + p0..],
+                        layout: Layout::Normal,
+                        n: sw,
+                        ld: hw,
+                    };
+                    gemm_panels(crs, sw, k_out, w.as_slice(), Layout::Transposed, &go_src, &mut strip, sw, compute_precision());
+                    col2im_add_reference(&strip, p0, sw, gxn, (h, wd), (kernel, kernel), wo, p);
+                }
+            }
+            assert_eq!(
+                got.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "x {n}x{c}x{h}x{wd} kernel {kernel} {p:?}"
+            );
+        }
     }
 
     #[test]

@@ -147,7 +147,6 @@ pub fn deconv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Deconv2dP
                 s,
                 wo: wd,
                 ncols: hw,
-                pix0: 0,
                 p: conv_p,
                 by_pixel_depth: false,
             };
@@ -181,7 +180,6 @@ pub fn deconv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Deconv2dP
                 s,
                 wo: wd,
                 ncols: krs,
-                pix0: 0,
                 p: conv_p,
                 by_pixel_depth: true,
             };

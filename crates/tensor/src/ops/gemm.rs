@@ -238,9 +238,9 @@ pub fn gemm_a_bt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f3
 /// a copy.
 ///
 /// `c` must start at the sub-matrix origin and cover its last element.
-/// (Conv backward now reaches the same blocked path through
-/// [`gemm_panels`]; this entry remains for dense strided callers.)
-#[cfg_attr(not(test), allow(dead_code))]
+/// Test-only: production strided output goes through [`gemm_panels`]; this
+/// is the dense entry its strided accumulation is checked with.
+#[cfg(test)]
 pub(crate) fn gemm_strided(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
     assert!(ldc >= n, "leading dimension must cover the row width");
     assert_eq!(a.len(), m * k, "A must be m×k");

@@ -190,23 +190,4 @@ mod tests {
     fn crop_out_of_bounds_panics() {
         crop_spatial(&Tensor::zeros([1, 1, 4, 4], DType::F32), 2, 0, 3, 4);
     }
-
-    #[test]
-    fn census_counts_transposes() {
-        let _g = crate::profile::census_test_guard();
-        let x = Tensor::zeros([1, 4, 3, 3], DType::F32);
-        crate::profile::set_phase(crate::profile::Phase::Forward);
-        let ((), prof) = crate::profile::capture(|| {
-            let nhwc = nchw_to_nhwc(&x);
-            let _ = nhwc_to_nchw(&nhwc, 1, 4, 3, 3, DType::F32);
-        });
-        let cats = prof.by_category();
-        let copies = cats
-            .iter()
-            .find(|(c, _)| *c == crate::profile::Category::CopiesTransposes)
-            .expect("category")
-            .1;
-        assert_eq!(copies.kernels, 2, "each layout change is a copy kernel");
-        assert_eq!(copies.bytes, 4 * x.storage_bytes() as u64);
-    }
 }

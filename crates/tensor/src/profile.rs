@@ -441,91 +441,3 @@ pub fn census_test_guard() -> parking_lot::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock()
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn capture_collects_records() {
-        let _g = census_test_guard();
-        set_phase(Phase::Forward);
-        let ((), prof) = capture(|| {
-            record(KernelKind::Conv, "k1", 100, 10, 20);
-            set_phase(Phase::Backward);
-            record(KernelKind::Conv, "k2", 200, 30, 40);
-            record(KernelKind::Pointwise, "k3", 5, 1, 1);
-        });
-        assert_eq!(prof.total_kernels(), 3);
-        assert_eq!(prof.total_flops(), 305);
-        assert_eq!(prof.total_bytes(), 102);
-        let cats = prof.by_category();
-        let get = |c: Category| cats.iter().find(|(cc, _)| *cc == c).unwrap().1;
-        assert_eq!(get(Category::ForwardConv).flops, 100);
-        assert_eq!(get(Category::BackwardConv).flops, 200);
-        assert_eq!(get(Category::BackwardPointwise).kernels, 1);
-        set_phase(Phase::Forward);
-    }
-
-    #[test]
-    fn disabled_recording_is_dropped() {
-        let _g = census_test_guard();
-        let before = enabled();
-        assert!(!before, "no census should be active between tests");
-        record(KernelKind::Conv, "ignored", 1, 1, 1);
-        let ((), prof) = capture(|| {});
-        assert_eq!(prof.total_kernels(), 0);
-    }
-
-    #[test]
-    fn optimizer_phase_maps_pointwise_to_optimizer() {
-        let _g = census_test_guard();
-        set_phase(Phase::Optimizer);
-        let ((), prof) = capture(|| {
-            record(KernelKind::Pointwise, "sgd", 10, 4, 4);
-        });
-        assert_eq!(prof.records[0].category, Category::Optimizer);
-        set_phase(Phase::Forward);
-    }
-
-    #[test]
-    fn alloc_traffic_covers_the_captured_region_only() {
-        let _g = census_test_guard();
-        // Traffic outside the capture must not leak into the column.
-        let _warmup = crate::tensor::Tensor::zeros([64], crate::tensor::DType::F32);
-        let ((), prof) = capture(|| {
-            let a = crate::tensor::Tensor::zeros([32, 32], crate::tensor::DType::F32);
-            drop(a);
-            let _b = crate::tensor::Tensor::zeros([32, 32], crate::tensor::DType::F32);
-        });
-        assert_eq!(prof.alloc.total_allocs(), 2, "two tensor allocations in region");
-        assert!(
-            prof.alloc.bytes_fresh + prof.alloc.bytes_reused >= 2 * 32 * 32 * 4,
-            "both requests accounted by bytes"
-        );
-        let ((), empty) = capture(|| {});
-        assert_eq!(empty.alloc.total_allocs(), 0);
-    }
-
-    #[test]
-    fn concurrent_records_all_land_in_the_census() {
-        let _g = census_test_guard();
-        set_phase(Phase::Forward);
-        let ((), prof) = capture(|| {
-            let threads: Vec<_> = (0..4)
-                .map(|_| {
-                    std::thread::spawn(|| {
-                        for _ in 0..50 {
-                            record(KernelKind::Pointwise, "worker", 2, 1, 1);
-                        }
-                    })
-                })
-                .collect();
-            for t in threads {
-                t.join().unwrap();
-            }
-        });
-        assert_eq!(prof.total_kernels(), 200);
-        assert_eq!(prof.total_flops(), 400);
-    }
-}

@@ -268,6 +268,32 @@ proptest! {
         prop_assert_eq!(s, v);
     }
 
+    /// The GEMM route forward and backward under stride, dilation, a 5×5
+    /// kernel and odd widths (8-pixel panels straddling output rows, taps
+    /// wholly in the padding): bit-identical across SIMD levels.
+    #[test]
+    fn conv_geometries_bit_identical_across_simd(
+        seed in 0u64..150,
+        stride in 1usize..4,
+        dilation in 1usize..4,
+        pad in 0usize..4,
+        kernel in prop::sample::select(vec![1usize, 3, 5]),
+        wd in prop::sample::select(vec![9usize, 11, 17]),
+    ) {
+        let eff = dilation * (kernel - 1) + 1;
+        prop_assume!(7 + 2 * pad >= eff);
+        let p = Conv2dParams { stride, pad, dilation };
+        let mut rng = exaclim_tensor::init::seeded_rng(seed);
+        let x = exaclim_tensor::init::randn([2, 3, 7, wd], DType::F32, 1.0, &mut rng);
+        let w = exaclim_tensor::init::randn([4, 3, kernel, kernel], DType::F32, 0.5, &mut rng);
+        let (s, v) = scalar_and_simd(|| {
+            let y = ops::conv2d_forward(&x, &w, p, ConvAlgo::Im2colGemm);
+            let g = ops::conv2d_backward(&x, &w, &y, p);
+            (bits(&y), bits(&g.grad_input), bits(&g.grad_weight))
+        });
+        prop_assert_eq!(s, v);
+    }
+
     /// Batch norm forward and backward (vectorized statistics, apply and
     /// gradient kernels) are bit-identical across SIMD levels.
     #[test]

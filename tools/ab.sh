@@ -2,7 +2,7 @@
 # Interleaved A/B of the end-to-end benchmark: a parent commit against this
 # tree, by the rule in choosing-metrics §8.
 #
-#   tools/ab.sh <parent-ref> <workload>[,<workload>...] [pairs=10] [seed=1]
+#   tools/ab.sh <parent-ref> <workload>[,<workload>...] [pairs=10] [seed=1] [layer-metric,...]
 #
 # Both sides are checked out with `git archive` into a throw-away directory
 # (under $TMPDIR), each with its own cargo target dir, so what runs is what
@@ -17,13 +17,24 @@
 # the parent's own inter-quartile distance. A row reads `gain` only when the
 # change wins at least nine tenths of the pairs *and* that holds, and `WORSE`
 # when its median is worse than the parent's by more than the metric's bound.
+# A row also reads `SPREAD parent` / `SPREAD change` when that side's own
+# inter-quartile distance is wider than the bound taken of the parent's median
+# — the benchmark driver refuses such a row as too noisy to judge, however far
+# apart the medians are. The bound is in the metric's own units, so a side that
+# is twice as fast has half the relative spread to spend on a per-second metric.
+#
+# With a fifth argument — per-layer metric names from BENCHMARK.json — each
+# workload's pairs are followed by two `--trace 1` runs per side (parent,
+# change, change, parent) and a `metric parent change ratio` table of those
+# metrics, so where the saving sits comes from the same script, binaries and
+# seed as the claim. Traced runs never enter the end-to-end table.
 #
 # Reads BENCHMARK.json, edits nothing under benchmark/, and removes its
 # directory on exit. Needs python3 for the JSON and the quartiles.
 set -euo pipefail
 
 [ $# -ge 2 ] || { sed -n '2,6p' "$0" >&2; exit 2; }
-parent_ref=$1 workloads=${2//,/ } pairs=${3:-10} seed=${4:-1}
+parent_ref=$1 workloads=${2//,/ } pairs=${3:-10} seed=${4:-1} layers=${5:-}
 command -v python3 >/dev/null || { echo "tools/ab.sh: python3 not found" >&2; exit 2; }
 
 repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -39,6 +50,12 @@ mapfile -t cmd < <(python3 -c 'import json, sys
 print(*json.load(open(sys.argv[1]))["command"], sep="\n")' "$repo/BENCHMARK.json")
 seconds=$(python3 -c 'import json, sys
 print(json.load(open(sys.argv[1]))["run_seconds"])' "$repo/BENCHMARK.json")
+# A misspelt per-layer name should fail now, not after the runs.
+python3 -c 'import json, sys
+known = {m["name"] for m in json.load(open(sys.argv[1]))["per_layer"]}
+unknown = [n for n in sys.argv[2].split(",") if n and n not in known]
+if unknown: sys.exit("tools/ab.sh: not a per-layer metric of BENCHMARK.json: " + " ".join(unknown))' \
+    "$repo/BENCHMARK.json" "$layers"
 
 for side in parent change; do
     mkdir "$work/$side"
@@ -48,16 +65,18 @@ for side in parent change; do
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
 
-# One run: the benchmark's closing JSON line, appended to the side's log.
+# One run: the benchmark's closing JSON line, appended to the side's log
+# (the traced log when the second argument is 1).
 run() {
+    local trace=${2:-0}
     (cd "$work/$1" && CARGO_TARGET_DIR="$work/$1/.bench_build" \
-        "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
-        | tail -n 1 >> "$work/$1.$workload.jsonl"
+        "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace") \
+        | tail -n 1 >> "$work/$1.$workload.trace$trace.jsonl"
 }
 
 # The table for one workload, from both sides' logs.
 report() {
-    python3 - "$repo/BENCHMARK.json" "$work/parent.$workload.jsonl" "$work/change.$workload.jsonl" \
+    python3 - "$repo/BENCHMARK.json" "$work/parent.$workload.trace0.jsonl" "$work/change.$workload.trace0.jsonl" \
         "$workload" "$seed" "$parent" "$change" <<'PY'
 import json, sys
 from statistics import median, quantiles
@@ -90,11 +109,36 @@ for m in json.load(open(contract))["end_to_end"]:
     worse_by = -sign * (bm - am) / am
     verdict = ("gain" if apart and worse_by < 0 and won >= 0.9 * n
                else f"WORSE by {worse_by:.0%} (bound {m['bound']:.0%})" if worse_by > m["bound"] else "")
+    room = m["bound"] * am
+    for side, iqr in (("parent", a3 - a1), ("change", b3 - b1)):
+        if iqr > room:
+            verdict += f"  SPREAD {side} {iqr:.4g} > {room:.4g}"
     print(f"{m['name']:<18}{m['unit']:<6}{f'{a1:.4g} / {am:.4g} / {a3:.4g}':<34}"
           f"{f'{b1:.4g} / {bm:.4g} / {b3:.4g}':<34}{bm / am:<15.3f}"
           f"{f'{won}-{lost} of {n}':<11}{'yes' if apart else 'no':<5}{verdict}")
     print(f"  runs parent: {' '.join(f'{x:.4g}' for x in a)}")
     print(f"  runs change: {' '.join(f'{x:.4g}' for x in b)}")
+PY
+}
+
+# The per-layer table for one workload, from both sides' traced logs.
+report_layers() {
+    python3 - "$work/parent.$workload.trace1.jsonl" "$work/change.$workload.trace1.jsonl" \
+        "$workload" "$layers" <<'PY'
+import json, sys
+from statistics import mean
+
+parent_log, change_log, workload, layers = sys.argv[1:]
+runs = {side: [json.loads(l)["metrics"] for l in open(log)]
+        for side, log in (("parent", parent_log), ("change", change_log))}
+print(f"{workload}  per layer, --trace 1, mean of {len(runs['parent'])} runs a side (each run in brackets)")
+print(f"{'metric':<38}{'unit':<9}{'parent':<50}{'change':<50}change/parent")
+for name in layers.split(","):
+    a = [r[name]["value"] for r in runs["parent"]]
+    b = [r[name]["value"] for r in runs["change"]]
+    cell = lambda xs: f"{mean(xs):.10g} [{' '.join(f'{x:.10g}' for x in xs)}]"
+    ratio = f"{mean(b) / mean(a):.3f}" if mean(a) else "-"
+    print(f"{name:<38}{runs['parent'][0][name]['unit']:<9}{cell(a):<50}{cell(b):<50}{ratio}")
 PY
 }
 
@@ -104,4 +148,9 @@ for workload in $workloads; do
         if ((i % 2 == 0)); then run parent; run change; else run change; run parent; fi
     done
     report
+    if [ -n "$layers" ]; then
+        echo "$workload: traced runs" >&2
+        run parent 1; run change 1; run change 1; run parent 1
+        report_layers
+    fi
 done
