@@ -1,7 +1,6 @@
 //! The [`Layer`] trait and [`Sequential`] container.
 
 use crate::param::ParamSet;
-use exaclim_tensor::ops::ConvAlgo;
 use exaclim_tensor::{ComputePrecision, Tensor, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,8 +12,6 @@ pub struct Ctx {
     /// RNG for stochastic layers (dropout). Seeded per rank so replicas
     /// can be made identical or decorrelated deliberately.
     pub rng: StdRng,
-    /// Convolution algorithm selection.
-    pub algo: ConvAlgo,
     /// GEMM operand precision for conv/deconv kernels: FP32, or half
     /// (f16/bf16) panels with FP32 accumulation — the tensor-core compute
     /// recipe. Parameters and optimizer state stay FP32 master copies.
@@ -31,7 +28,6 @@ impl Ctx {
         Ctx {
             training: true,
             rng: StdRng::seed_from_u64(seed),
-            algo: ConvAlgo::Auto,
             compute: ComputePrecision::F32,
             workspace: Workspace::new(),
         }
@@ -42,7 +38,6 @@ impl Ctx {
         Ctx {
             training: false,
             rng: StdRng::seed_from_u64(0),
-            algo: ConvAlgo::Auto,
             compute: ComputePrecision::F32,
             workspace: Workspace::new(),
         }

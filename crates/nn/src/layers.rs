@@ -3,7 +3,7 @@
 use crate::layer::{Ctx, Layer};
 use crate::param::{Param, ParamSet};
 use exaclim_tensor::init::he_normal;
-use exaclim_tensor::ops::{self, BatchNormCache, Conv2dParams, Deconv2dParams};
+use exaclim_tensor::ops::{self, BatchNormCache, Conv2dParams, ConvAlgo, Deconv2dParams};
 use exaclim_tensor::{set_compute_precision, ComputePrecision, DType, Shape, Tensor};
 use rand::rngs::StdRng;
 
@@ -65,7 +65,7 @@ impl Layer for Conv2d {
         let w = self.weight.value().cast(x.dtype());
         self.compute = ctx.compute;
         let prev = set_compute_precision(self.compute);
-        let mut y = ops::conv2d_forward(x, &w, self.params, ctx.algo);
+        let mut y = ops::conv2d_forward(x, &w, self.params, ConvAlgo::Auto);
         set_compute_precision(prev);
         if let Some(b) = &self.bias {
             let bv = b.value().cast(x.dtype());
@@ -141,10 +141,10 @@ impl Layer for Deconv2d {
         self.cached_input = Some(ctx.workspace.cache(x));
         let w = self.weight.value().cast(x.dtype());
         self.compute = ctx.compute;
-        // Deconv forward is a direct scatter (no GEMM); only backward
-        // routes through the packed path, but stash the precision here so
-        // both directions agree.
-        ops::deconv2d_forward(x, &w, self.params)
+        let prev = set_compute_precision(self.compute);
+        let y = ops::deconv2d_forward(x, &w, self.params);
+        set_compute_precision(prev);
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -566,6 +566,25 @@ mod tests {
         let gx = d.backward(&Tensor::full(y.shape().clone(), DType::F32, 1.0));
         assert_eq!(gx.shape().dims(), x.shape().dims());
         assert_eq!(d.params().len(), 1);
+    }
+
+    /// The forward is a GEMM now, so `ctx.compute` reaches it — set around
+    /// the op only, as `Conv2d` does, with the caller's own setting back in
+    /// place afterwards.
+    #[test]
+    fn deconv_forward_runs_in_the_ctx_precision_and_restores_the_callers() {
+        let mut rng = seeded_rng(31);
+        let mut d = Deconv2d::new("d", 4, 3, 3, Deconv2dParams::double(), &mut rng);
+        let x = randn([1, 4, 5, 6], DType::F32, 1.0, &mut rng);
+        let full = d.forward(&x, &mut Ctx::eval());
+        let caller = set_compute_precision(ComputePrecision::Bf16);
+        let half = d.forward(&x, &mut Ctx::eval().with_compute(ComputePrecision::F16));
+        assert_eq!(set_compute_precision(caller), ComputePrecision::Bf16, "caller's precision not restored");
+        assert_eq!(half.shape(), full.shape());
+        assert_ne!(half.as_slice(), full.as_slice(), "F16 operand panels must change the forward");
+        for (h, f) in half.as_slice().iter().zip(full.as_slice()) {
+            assert!((h - f).abs() < 5e-2, "{h} vs {f}: half panels round operands, nothing more");
+        }
     }
 
     #[test]

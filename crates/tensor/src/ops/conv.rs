@@ -8,7 +8,10 @@
 //! Two algorithms are provided, mirroring the paper's observation (§VI)
 //! that cuDNN executed all convolutions as either *direct* convolutions or
 //! *implicit GEMMs*: [`ConvAlgo::Direct`] and [`ConvAlgo::Im2colGemm`].
-//! Both count the same `2·N·K·C·R·S·Ho·Wo` FLOPs.
+//! Both count the same `2·N·K·C·R·S·Ho·Wo` FLOPs. The implicit GEMM is the
+//! route every layer takes ([`ConvAlgo::Auto`] resolves to it for every
+//! shape); the direct loop nest is the reference route that tests and the
+//! kernel benchmarks name explicitly.
 //!
 //! The im2col-GEMM path is a true *implicit* GEMM: the patch matrix is
 //! never materialized. [`Im2colB`] implements the blocked GEMM's
@@ -18,24 +21,25 @@
 //! own output-tile grid (disjoint `C` regions, fixed accumulation order —
 //! bit-identical at any thread count), not from a separate pack phase.
 //! Backward runs through the same machinery: the data gradient is
-//! `Wᵀ·∂y` per pixel strip followed by a col2im scatter, the weight
-//! gradient is `∂y·colᵀ` with the patch matrix again packed on the fly.
+//! `Wᵀ·∂y` per pixel strip followed by a col2im scatter
+//! ([`transposed_gemm_col2im`], which is also the whole of a transposed
+//! convolution's forward pass), the weight gradient is `∂y·colᵀ` with the
+//! patch matrix again packed on the fly.
 //!
 //! The packers and the scatter walk output rows, not elements: a panel's
 //! pixels (or a patch row's tap) are decomposed once, bounds are resolved
 //! per row stretch, and the inner loops are contiguous copies and adds —
 //! no division and no branch per element. With that the GEMM route costs
 //! what its GEMM costs (forward within 1.0–1.8× of the dense product of
-//! the same shape, best of 30 on a 2-vCPU host) and the direct route is
-//! the slower one at every shape measured: 17–18× at 32→32 and 64→32
+//! the same shape, best of 30 on a 2-vCPU host), which is why the direct
+//! route lost at every shape measured: 17–18× slower at 32→32 and 64→32
 //! channels on 48×72, 8–13× for the 6- to 16-wide 3×3 and 7×7 layers of
-//! the tiny networks, and still 3–8× for the `c < 16` shapes
-//! [`ConvAlgo::Auto`] sends to it (1→4 and 4→4 on 8×8, 3→16 and 12→6 on
-//! 48×72). Routing those through the GEMM changes their summation order
-//! and is ROADMAP item 2c.
+//! the tiny networks, and still 3–8× for narrow inputs (1→4 and 4→4 on
+//! 8×8, 3→16 and 12→6 on 48×72). The two routes sum in different orders,
+//! so they agree to rounding, not bit for bit.
 
 use crate::ops::gemm::{
-    compute_precision, gemm_noprofile, gemm_panels, Layout, PanelSource, SliceB,
+    compute_precision, gemm_noprofile, gemm_panels, ComputePrecision, Layout, PanelSource, SliceB,
 };
 use crate::pool;
 use crate::profile::{self, KernelKind};
@@ -81,15 +85,14 @@ impl Default for Conv2dParams {
 /// Convolution algorithm selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvAlgo {
-    /// Pick per-shape: GEMM for 1×1 kernels and for `c ≥ 16` input
-    /// channels, direct otherwise (a crude stand-in for cuDNN's autotuner).
-    /// The `c < 16` rule predates the row-wise packer and is now wrong on
-    /// speed — direct measured 3–8× slower than the GEMM route on every
-    /// narrow shape tried (see the module doc) — but the two routes sum in
-    /// different orders, so moving it re-pins every parameter hash: ROADMAP
-    /// item 2c.
+    /// What every layer passes: the implicit GEMM, for every shape (bit
+    /// for bit [`ConvAlgo::Im2colGemm`]). There is no per-shape choice left
+    /// to make — the direct route measured 3–18× slower on every shape
+    /// tried, narrow inputs included (see the module doc).
     Auto,
-    /// Seven-loop direct convolution.
+    /// Seven-loop direct convolution: the reference route. Tests compare
+    /// the GEMM route against it and the kernel benchmarks time it; no
+    /// layer, model, trainer or server selects it.
     Direct,
     /// Implicit GEMM: the blocked GEMM with im2col patches packed straight
     /// into its `B` micro-panels (`Im2colB`); the patch matrix is never
@@ -142,15 +145,9 @@ pub fn conv2d_forward_noprofile(x: &Tensor, w: &Tensor, p: Conv2dParams, algo: C
     let wo = conv_out_dim(wd, s, p.stride, p.pad, p.dilation);
     let mut y = Tensor::zeros([n, k, ho, wo], x.dtype());
 
-    let use_gemm = match algo {
-        ConvAlgo::Direct => false,
-        ConvAlgo::Im2colGemm => true,
-        ConvAlgo::Auto => r * s == 1 || c >= 16,
-    };
-    if use_gemm {
-        forward_im2col(x, w, p, &mut y);
-    } else {
-        forward_direct(x, w, p, &mut y);
+    match algo {
+        ConvAlgo::Auto | ConvAlgo::Im2colGemm => forward_im2col(x, w, p, &mut y),
+        ConvAlgo::Direct => forward_direct(x, w, p, &mut y),
     }
     y.requantize();
     y
@@ -238,13 +235,15 @@ fn im2col(
     }
 }
 
-/// Output pixels per backward strip. Bounds the column-gradient buffer at
+/// Pixels per strip of [`transposed_gemm_col2im`] (convolution backward,
+/// transposed-convolution forward). Bounds the column buffer at
 /// `C·R·S·COL_STRIP` floats regardless of image size — a full 1152×768
 /// paper tile with 48·3·3 patch rows would otherwise need a ~1.5 GB
 /// buffer. Fixed (not thread-count-dependent), so the strip partitioning
-/// and hence the floating-point evaluation order never change. (Forward no
-/// longer needs a strip: its patch matrix is packed on the fly.)
-const COL_STRIP: usize = 8192;
+/// and hence the floating-point evaluation order never change. (The
+/// convolution forward needs no strip: its patch matrix is packed on the
+/// fly.)
+pub(crate) const COL_STRIP: usize = 8192;
 
 /// [`PanelSource`] that packs im2col patch values straight into GEMM `B`
 /// micro-panels — the patch matrix `col[C·R·S, Ho·Wo]` is never stored.
@@ -520,6 +519,51 @@ fn col2im_add(
     });
 }
 
+/// `dst_n[C, h·wd] += col2im(Wᵀ[C·R·S, K] · src_n[K, npix])` for each of
+/// the `n` images: the transpose of a convolution's forward GEMM, one
+/// [`COL_STRIP`] of `src` pixels at a time, each strip scattered by
+/// [`col2im_add`] through the `wo`-wide pixel grid `src` is laid out on.
+///
+/// This one product is both a convolution's data gradient (`src = ∂y`,
+/// `dst = ∂x`) and a transposed convolution's forward pass (`src = x`,
+/// `dst = y` — the deconv weight `[C_in, K_out, R, S]` is already the
+/// `[K, C·R·S]` matrix read here). The scratch is `C·R·S·min(npix,
+/// COL_STRIP)` floats; the result depends on `COL_STRIP`, never on the
+/// thread count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn transposed_gemm_col2im(
+    src: &[f32],
+    (n, k, npix): (usize, usize, usize),
+    ws: &[f32],
+    dst: &mut [f32],
+    (c, h, wd): (usize, usize, usize),
+    (r, s): (usize, usize),
+    wo: usize,
+    p: Conv2dParams,
+    prec: ComputePrecision,
+) {
+    let crs = c * r * s;
+    let mut col = pool::take_scratch(crs * COL_STRIP.min(npix.max(1)));
+    for ni in 0..n {
+        let dst_n = &mut dst[ni * c * h * wd..(ni + 1) * c * h * wd];
+        for p0 in (0..npix).step_by(COL_STRIP) {
+            let sw = COL_STRIP.min(npix - p0);
+            let strip = &mut col[..crs * sw];
+            strip.fill(0.0);
+            // col[C·R·S, sw] = Wᵀ[C·R·S, K] · src_n[K, p0..p0+sw]
+            let src_n = SliceB {
+                b: &src[ni * k * npix + p0..],
+                layout: Layout::Normal,
+                n: sw,
+                ld: npix,
+            };
+            gemm_panels(crs, sw, k, ws, Layout::Transposed, &src_n, strip, sw, prec);
+            col2im_add(strip, p0, sw, dst_n, (h, wd), (r, s), wo, p);
+        }
+    }
+    pool::recycle(col);
+}
+
 /// Gradients of a convolution.
 #[derive(Debug)]
 pub struct ConvGrads {
@@ -549,30 +593,17 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Conv2dParam
 
     // --- grad wrt input -------------------------------------------------
     let mut gx = Tensor::zeros([n, c, h, wd], x.dtype());
-    {
-        let gos = grad_out.as_slice();
-        let ws = w.as_slice();
-        let gxs = gx.as_mut_slice();
-        let mut gcol = pool::take_scratch(crs * COL_STRIP.min(hw.max(1)));
-        for ni in 0..n {
-            let gxn = &mut gxs[ni * c * h * wd..(ni + 1) * c * h * wd];
-            for p0 in (0..hw).step_by(COL_STRIP) {
-                let sw = COL_STRIP.min(hw - p0);
-                let strip = &mut gcol[..crs * sw];
-                strip.fill(0.0);
-                // colᵍ[C·R·S, sw] = Wᵀ[C·R·S, K] · ∂y_n[K, p0..p0+sw]
-                let go_src = SliceB {
-                    b: &gos[ni * k * hw + p0..],
-                    layout: Layout::Normal,
-                    n: sw,
-                    ld: hw,
-                };
-                gemm_panels(crs, sw, k, ws, Layout::Transposed, &go_src, strip, sw, prec);
-                col2im_add(&gcol[..crs * sw], p0, sw, gxn, (h, wd), (r, s), wo, p);
-            }
-        }
-        pool::recycle(gcol);
-    }
+    transposed_gemm_col2im(
+        grad_out.as_slice(),
+        (n, k, hw),
+        w.as_slice(),
+        gx.as_mut_slice(),
+        (c, h, wd),
+        (r, s),
+        wo,
+        p,
+        prec,
+    );
     gx.requantize();
     record_conv(
         "conv2d_bwd_data",
@@ -706,6 +737,31 @@ mod tests {
             assert_eq!(a.shape(), b.shape());
             for (u, v) in a.as_slice().iter().zip(b.as_slice().iter()) {
                 assert!((u - v).abs() < 1e-4, "{u} vs {v} under {p:?}");
+            }
+        }
+    }
+
+    /// `Auto` is the implicit GEMM at every shape — including the narrow
+    /// inputs it used to send down the direct route — and the direct route
+    /// stays within rounding of it.
+    #[test]
+    fn auto_is_the_gemm_route_at_every_shape() {
+        let (xs, ws) = (noise(12 * 48 * 72, 5), noise(16 * 12 * 3 * 3, 6));
+        for ((c, k), (h, wd), p) in [
+            ((1, 4), (8, 8), Conv2dParams::padded(1)),
+            ((3, 16), (48, 72), Conv2dParams::padded(1)),
+            ((12, 6), (48, 72), Conv2dParams::padded(1)),
+            ((8, 8), (12, 18), Conv2dParams::atrous(2)),
+        ] {
+            let x = Tensor::from_vec([1, c, h, wd], DType::F32, xs[..c * h * wd].to_vec());
+            let w = Tensor::from_vec([k, c, 3, 3], DType::F32, ws[..k * c * 9].to_vec());
+            let auto = conv2d_forward(&x, &w, p, ConvAlgo::Auto);
+            let gemm = conv2d_forward(&x, &w, p, ConvAlgo::Im2colGemm);
+            let direct = conv2d_forward(&x, &w, p, ConvAlgo::Direct);
+            assert_eq!(auto.shape().dims(), &[1, k, h, wd]);
+            for (i, ((a, g), d)) in auto.as_slice().iter().zip(gemm.as_slice()).zip(direct.as_slice()).enumerate() {
+                assert_eq!(a.to_bits(), g.to_bits(), "element {i} of {c}→{k} on {h}x{wd}: Auto {a} vs Im2colGemm {g}");
+                assert!((a - d).abs() <= 1e-5 * d.abs().max(1.0), "element {i} of {c}→{k} on {h}x{wd}: Auto {a} vs Direct {d}");
             }
         }
     }

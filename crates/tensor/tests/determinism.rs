@@ -162,6 +162,31 @@ fn misc_kernels_bit_identical_across_widths() {
     assert_eq!(a.3.as_slice(), b.3.as_slice(), "deconv differs");
 }
 
+/// Transposed-convolution forward is a strip GEMM plus a col2im scatter:
+/// shapes wide enough for the GEMM's parallel tile grid, every stride with
+/// and without `output_pad`, and a 96×97 map (more than one `COL_STRIP` of
+/// input pixels, strip boundary mid-row).
+#[test]
+fn deconv_forward_bit_identical_across_widths() {
+    let mut rng = seeded_rng(321);
+    let x = randn([2, 16, 32, 32], DType::F32, 1.0, &mut rng);
+    let wt = randn([16, 16, 3, 3], DType::F32, 0.5, &mut rng);
+    for p in [
+        Deconv2dParams::double(),
+        Deconv2dParams { stride: 1, pad: 1, output_pad: 0 },
+        Deconv2dParams { stride: 2, pad: 1, output_pad: 0 },
+        Deconv2dParams { stride: 3, pad: 0, output_pad: 0 },
+        Deconv2dParams { stride: 3, pad: 1, output_pad: 2 },
+    ] {
+        let (a, b) = at_widths(|| deconv2d_forward(&x, &wt, p));
+        assert_eq!(a.as_slice(), b.as_slice(), "deconv differs under {p:?}");
+    }
+    let wide = randn([1, 8, 96, 97], DType::F32, 1.0, &mut rng);
+    let wt = randn([8, 8, 3, 3], DType::F32, 0.5, &mut rng);
+    let (a, b) = at_widths(|| deconv2d_forward(&wide, &wt, Deconv2dParams::double()));
+    assert_eq!(a.as_slice(), b.as_slice(), "deconv differs across a strip boundary");
+}
+
 #[test]
 fn bit_hash_identical_across_widths() {
     // The hash every equality above could be (and the trainer's audit is)

@@ -1,7 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
 use exaclim_tensor::half::{quantize_f16, F16};
-use exaclim_tensor::ops::{self, Conv2dParams, ConvAlgo};
+use exaclim_tensor::ops::{self, Conv2dParams, ConvAlgo, Deconv2dParams};
 use exaclim_tensor::{DType, Shape, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -294,6 +294,29 @@ proptest! {
         prop_assert_eq!(s, v);
     }
 
+    /// Transposed convolution forward (strip GEMM + col2im) and backward
+    /// (both gradients on the packed GEMM) under every stride, with and
+    /// without `output_pad`: bit-identical across SIMD levels.
+    #[test]
+    fn deconv_bit_identical_across_simd(
+        seed in 0u64..150,
+        stride in 1usize..4,
+        pad in 0usize..3,
+        output_pad in 0usize..3,
+        kernel in prop::sample::select(vec![2usize, 3, 4]),
+    ) {
+        let p = Deconv2dParams { stride, pad, output_pad: output_pad % stride };
+        let mut rng = exaclim_tensor::init::seeded_rng(seed);
+        let x = exaclim_tensor::init::randn([2, 5, 6, 9], DType::F32, 1.0, &mut rng);
+        let w = exaclim_tensor::init::randn([5, 3, kernel, kernel], DType::F32, 0.5, &mut rng);
+        let (s, v) = scalar_and_simd(|| {
+            let y = ops::deconv2d_forward(&x, &w, p);
+            let g = ops::deconv2d_backward(&x, &w, &y, p);
+            (bits(&y), bits(&g.grad_input), bits(&g.grad_weight))
+        });
+        prop_assert_eq!(s, v);
+    }
+
     /// Batch norm forward and backward (vectorized statistics, apply and
     /// gradient kernels) are bit-identical across SIMD levels.
     #[test]
@@ -347,5 +370,23 @@ fn gemm_blocked_bit_identical_across_simd() {
             c.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         });
         assert_eq!(s, v, "blocked GEMM bits diverge at m={m} n={n} k={k}");
+    }
+}
+
+/// Transposed-convolution forward on the blocked GEMM path: the decoder's
+/// 32→32 stage, and a 96×97 map whose second `COL_STRIP` of input pixels
+/// starts mid-row — bits must match the scalar route exactly.
+#[test]
+fn deconv_forward_blocked_bit_identical_across_simd() {
+    for (c, k, h, wd, p) in [
+        (32, 32, 12, 18, Deconv2dParams::double()),
+        (8, 8, 96, 97, Deconv2dParams::double()),
+        (8, 8, 96, 97, Deconv2dParams { stride: 1, pad: 1, output_pad: 0 }),
+    ] {
+        let mut rng = exaclim_tensor::init::seeded_rng(19);
+        let x = exaclim_tensor::init::randn([1, c, h, wd], DType::F32, 1.0, &mut rng);
+        let w = exaclim_tensor::init::randn([c, k, 3, 3], DType::F32, 0.5, &mut rng);
+        let (s, v) = scalar_and_simd(|| bits(&ops::deconv2d_forward(&x, &w, p)));
+        assert_eq!(s, v, "deconv bits diverge at {c}→{k} on {h}x{wd} under {p:?}");
     }
 }

@@ -23,6 +23,14 @@
 # apart the medians are. The bound is in the metric's own units, so a side that
 # is twice as fast has half the relative spread to spend on a per-second metric.
 #
+# Under the run counts it reports the arithmetic as well as the speed: each
+# run's `check` lines are kept beside its closing JSON, and per side it lists
+# the distinct hashes those lines carry (`chunks_repeat_bitwise`: the final
+# parameter hash; `frame_hash_stable`: the blended frame's) with the number of
+# runs that printed each, any check that FAILED, and one verdict — `arithmetic
+# identical`, or `arithmetic changed <old> → <new>` for a change that re-pins.
+# More than one hash on a side is an error: that side does not repeat itself.
+#
 # With a fifth argument — per-layer metric names from BENCHMARK.json — each
 # workload's pairs are followed by two `--trace 1` runs per side (parent,
 # change, change, parent) and a `metric parent change ratio` table of those
@@ -66,24 +74,29 @@ for side in parent change; do
 done
 
 # One run: the benchmark's closing JSON line, appended to the side's log
-# (the traced log when the second argument is 1).
+# (the traced log when the second argument is 1), and its `check` lines,
+# appended to the side's .checks file.
 run() {
     local trace=${2:-0}
+    local log="$work/$1.$workload.trace$trace"
     (cd "$work/$1" && CARGO_TARGET_DIR="$work/$1/.bench_build" \
         "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace") \
-        | tail -n 1 >> "$work/$1.$workload.trace$trace.jsonl"
+        > "$work/last.out"
+    tail -n 1 "$work/last.out" >> "$log.jsonl"
+    grep " check " "$work/last.out" >> "$log.checks" || true
 }
 
 # The table for one workload, from both sides' logs.
 report() {
-    python3 - "$repo/BENCHMARK.json" "$work/parent.$workload.trace0.jsonl" "$work/change.$workload.trace0.jsonl" \
+    python3 - "$repo/BENCHMARK.json" "$work/parent.$workload.trace0" "$work/change.$workload.trace0" \
         "$workload" "$seed" "$parent" "$change" <<'PY'
-import json, sys
+import json, re, sys
+from collections import Counter
 from statistics import median, quantiles
 
 contract, parent_log, change_log, workload, seed, parent, change = sys.argv[1:]
-runs = {"parent": [json.loads(l) for l in open(parent_log)],
-        "change": [json.loads(l) for l in open(change_log)]}
+logs = {"parent": parent_log, "change": change_log}
+runs = {side: [json.loads(l) for l in open(log + ".jsonl")] for side, log in logs.items()}
 n = len(runs["parent"])
 print(f"{workload}  seed {seed}  {n} pairs  parent {parent[:10]}  change {change[:10]}")
 for side, rs in runs.items():
@@ -91,6 +104,25 @@ for side, rs in runs.items():
     attempted = sum(r["attempted"] for r in rs)
     wrong = sum(not r["correct"] for r in rs)
     print(f"  {side}: {failed:.0f} of {attempted:.0f} operations failed, {wrong} of {n} runs incorrect")
+
+# The arithmetic: the hash each run's chunks_repeat_bitwise (final
+# parameters) or frame_hash_stable (blended frame) line carries.
+hashes = {}
+for side, log in logs.items():
+    checks = open(log + ".checks").read().splitlines()
+    for line in checks:
+        if " FAILED " in line:
+            print(f"  {side}: {line}")
+    hashes[side] = Counter(h for line in checks
+                           if re.search(r" check (chunks_repeat_bitwise|frame_hash_stable) ", line)
+                           for h in re.findall(r"\b[0-9a-f]{16}\b", line))
+    found = ", ".join(f"{h} in {k} of {n} runs" for h, k in hashes[side].most_common())
+    print(f"  {side}: hash {found or 'not printed by this workload'}")
+    if len(hashes[side]) > 1:
+        print(f"  ERROR: {side} does not repeat its own arithmetic ({len(hashes[side])} distinct hashes)")
+if all(len(c) == 1 for c in hashes.values()):
+    (old,), (new,) = hashes["parent"], hashes["change"]
+    print("  arithmetic identical" if old == new else f"  arithmetic changed {old} → {new}")
 
 def q(xs):
     q1, _, q3 = quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
