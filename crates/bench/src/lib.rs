@@ -16,8 +16,5 @@
 //! | `loss_weighting` | §V-B1 weighting-scheme stability study |
 //! | `ablations` | design-choice ablations (growth rate, decoder resolution, collectives, fusion, weak-vs-strong scaling) |
 //! | `time_to_solution` | §II/§VII-C end-to-end wall-clock estimates |
-//! | `kernel_microbench` | CPU-backend baseline: blocked GEMM vs naive, conv2d/batch-norm at 1 vs 4 threads (`BENCH_kernels.json`) |
-//! | `overlap_microbench` | serial vs backward-overlapped gradient all-reduce at 2/4/8 ranks: exposed-comm time, overlap fraction, bit-identity (`BENCH_overlap.json`) |
 //!
-//! Criterion microbenchmarks (`cargo bench`) cover the kernels,
-//! collectives and input pipeline.
+//! Speed is measured by the end-to-end benchmark in `benchmark/`.

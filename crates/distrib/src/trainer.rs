@@ -222,8 +222,8 @@ pub struct TrainingReport {
     /// optimizer updates, wherever they ran. The spread between this and
     /// `optim_s_per_step` is the optimizer work the fused plane hid.
     pub optim_busy_s_per_step: f64,
-    /// Rank 0's per-step critical-path optimizer seconds (the
-    /// microbench's best-of estimator consumes the raw vector).
+    /// Rank 0's per-step critical-path optimizer seconds (the benchmark
+    /// adapter reads this and `exposed_comm_s_steps` as raw vectors).
     pub optim_s_steps: Vec<f64>,
     /// Rank 0's per-step exposed-communication seconds.
     pub exposed_comm_s_steps: Vec<f64>,

@@ -169,37 +169,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Renders one labelled histogram as a fixed-width summary row, matching
-/// the step-timeline table style so serving reports can interleave both.
-pub fn render_latency_row(label: &str, h: &LatencyHistogram) -> String {
-    format!(
-        "{:<18} {:>8} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3}\n",
-        label,
-        h.count(),
-        h.min().as_secs_f64() * 1e3,
-        h.mean().as_secs_f64() * 1e3,
-        h.p50().as_secs_f64() * 1e3,
-        h.p99().as_secs_f64() * 1e3,
-        h.max().as_secs_f64() * 1e3,
-    )
-}
-
-/// Renders a latency table: header plus one row per labelled histogram.
-/// All columns are milliseconds except the sample count.
-pub fn render_latency_table(rows: &[(&str, &LatencyHistogram)]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<18} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "Series", "Count", "min(ms)", "mean(ms)", "p50(ms)", "p99(ms)", "max(ms)"
-    );
-    for (label, h) in rows {
-        s.push_str(&render_latency_row(label, h));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,15 +235,5 @@ mod tests {
         assert_eq!(h.p50(), Duration::ZERO);
         assert_eq!(h.p99(), Duration::ZERO);
         assert_eq!(h.mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn table_renders_all_series() {
-        let mut h = LatencyHistogram::new();
-        h.record(Duration::from_millis(3));
-        let s = render_latency_table(&[("batch=1", &h), ("dynamic", &h)]);
-        assert!(s.contains("p99(ms)"));
-        assert!(s.contains("batch=1"));
-        assert!(s.contains("dynamic"));
     }
 }

@@ -19,8 +19,7 @@
 //!    wall-clock phase spans into per-step exposed-communication time and
 //!    the fraction of all-reduce work hidden behind backward (§V-A3).
 //! 6. [`latency`] — log-bucketed, mergeable latency histograms with
-//!    p50/p99 quantiles, rendered alongside the phase timeline by the
-//!    serving tier's load generator.
+//!    p50/p99 quantiles; every serving replica records into one.
 
 pub mod census;
 pub mod latency;
@@ -30,7 +29,7 @@ pub mod timeline;
 pub mod tts;
 
 pub use census::{census_from_profile, census_from_spec, workload_from_spec};
-pub use latency::{render_latency_row, render_latency_table, LatencyHistogram};
+pub use latency::LatencyHistogram;
 pub use report::{fig2_row, fig2_table, fig3_table, render_alloc_traffic, Fig2Row, Fig3Row};
 pub use scaling::{fig4_series, fig5_series, ScalingSeries};
 pub use timeline::{

@@ -32,8 +32,8 @@ pub fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// Order-sensitive hash of a consumed sample sequence. Tests and the
-/// ingest microbench compare this across worker counts, pool settings and
+/// Order-sensitive hash of a consumed sample sequence. Tests
+/// compare this across reader-worker counts, re-shards and
 /// elastic churn schedules: equal hashes ⇔ bit-identical order.
 pub fn sequence_hash(seq: impl IntoIterator<Item = usize>) -> u64 {
     let mut h = 0x6a09_e667_f3bc_c909u64; // sqrt(2) fractional bits

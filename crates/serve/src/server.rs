@@ -23,7 +23,7 @@
 //! at launch, which is what makes the fused forward bit-identical per
 //! sample to batch-1 execution (eval batch norm is pointwise; dropout is
 //! identity; every kernel reduces over non-batch axes in canonical
-//! order). The smoke gate in `serve_microbench` asserts exactly this.
+//! order). `tests::dynamic_batching_is_bit_identical_to_batch1` asserts exactly this.
 
 use crate::batch::{concat_batch, split_batch};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -405,7 +405,12 @@ mod tests {
 
     #[test]
     fn dynamic_batching_is_bit_identical_to_batch1() {
-        let xs = inputs(12);
+        // f16: the paper's inference precision, and a per-forward weight cast.
+        [DType::F32, DType::F16].into_iter().for_each(batching_is_bit_identical_for);
+    }
+
+    fn batching_is_bit_identical_for(dtype: DType) {
+        let xs: Vec<Tensor> = inputs(12).iter().map(|x| x.cast(dtype)).collect();
         // Batch-1 reference server.
         let base = InferenceServer::launch(
             ServeConfig::batch1(1),
@@ -433,7 +438,7 @@ mod tests {
         let got: Vec<u64> = pending.into_iter().map(|p| p.wait().bit_hash()).collect();
         let tm = server.shutdown();
 
-        assert_eq!(got, reference, "fused batches changed output bits");
+        assert_eq!(got, reference, "{dtype:?}: fused batches changed output bits");
         assert_eq!(tm.requests(), 12);
         let flushes: u64 = tm
             .replicas

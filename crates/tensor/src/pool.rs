@@ -458,7 +458,7 @@ pub fn recycle(mut v: Vec<f32>) {
 /// The streaming ingest path recycles `Vec<u8>` buffers (label masks, raw
 /// CDF5 chunk bytes) through size-class free lists mirroring the `f32`
 /// pool. Separate lists — byte buffers never alias tensor storage — with
-/// their own telemetry, so the ingest microbenchmark can assert the data
+/// their own telemetry, so the pipeline's `stream_alloc` test can assert the data
 /// plane performs zero steady-state fresh allocations on *both* element
 /// types.
 struct ByteFreeLists {

@@ -6,11 +6,11 @@
 //! counters are process-global: parallel test threads would interleave
 //! their allocator deltas.
 
-use exaclim_models::{Tiramisu, TiramisuConfig};
+use exaclim_models::{DeepLabConfig, DeepLabV3Plus, Tiramisu, TiramisuConfig};
 use exaclim_nn::optim::{Optimizer, Sgd};
 use exaclim_nn::{Ctx, Layer};
 use exaclim_tensor::init::{randn, seeded_rng};
-use exaclim_tensor::{pool, DType, Tensor};
+use exaclim_tensor::{kernel_threads, pool, set_kernel_threads, DType, Tensor};
 
 fn build_net(seed: u64) -> Tiramisu {
     let mut rng = seeded_rng(seed);
@@ -18,12 +18,13 @@ fn build_net(seed: u64) -> Tiramisu {
 }
 
 /// One forward + backward + SGD step on a fixed synthetic batch.
-fn train_step(net: &mut Tiramisu, opt: &mut Sgd, x: &Tensor, ctx: &mut Ctx) {
+fn train_step(net: &mut dyn Layer, opt: &mut Sgd, x: &Tensor, ctx: &mut Ctx) -> u64 {
     let y = net.forward(x, ctx);
     let scale = 1.0 / y.numel() as f32;
     let g = Tensor::full(y.shape().clone(), DType::F32, scale);
     net.backward(&g);
     opt.step(&net.params());
+    y.bit_hash()
 }
 
 #[test]
@@ -100,6 +101,23 @@ fn pool_absorbs_steady_state_training_allocations() {
     let hash_off = net_off.params().state_hash();
     let hash_on = net_on.params().state_hash();
     assert_eq!(hash_on, hash_off, "pooling must not change parameter bits");
+    // ... and for both networks, with the kernel pool 1 and 4 wide.
+    let ambient = kernel_threads();
+    for deeplab in [false, true] {
+        let hashes = [(false, 4), (true, 4), (true, 1)].map(|(pooled, threads)| {
+            pool::set_enabled(pooled);
+            set_kernel_threads(threads);
+            let mut net: Box<dyn Layer> = match deeplab {
+                true => Box::new(DeepLabV3Plus::new(DeepLabConfig::tiny(4), &mut seeded_rng(7))),
+                false => Box::new(build_net(7)),
+            };
+            let (mut opt, mut ctx) = (Sgd::new(0.05), Ctx::train(0));
+            let out = (0..3).map(|_| train_step(net.as_mut(), &mut opt, &x, &mut ctx)).last();
+            (out, net.params().state_hash())
+        });
+        set_kernel_threads(ambient);
+        assert_eq!(hashes, [hashes[0]; 3], "deeplab={deeplab}: (pool off, on, on at 1 thread)");
+    }
 
     // Restore the environment default for any later process reuse.
     pool::set_enabled(true);

@@ -58,8 +58,8 @@ fn model(rng: &mut rand::rngs::StdRng) -> Box<dyn Layer> {
     )
 }
 
-fn config(kind: OptimizerKind, lag: bool, overlap: bool, fused: bool) -> TrainerConfig {
-    let mut cfg = TrainerConfig::new(2);
+fn config(ranks: usize, kind: OptimizerKind, lag: bool, overlap: bool, fused: bool) -> TrainerConfig {
+    let mut cfg = TrainerConfig::new(ranks);
     cfg.steps = 3;
     cfg.seed = 23;
     cfg.optimizer = kind;
@@ -72,8 +72,8 @@ fn config(kind: OptimizerKind, lag: bool, overlap: bool, fused: bool) -> Trainer
 
 /// The tentpole matrix: {Sgd, Adam, LarcSgd, Lagged} × overlap {off, on}
 /// × fused {off, on} × SIMD {on, off} × kernel threads {1, 4}. Sixteen
-/// mode combinations per optimizer, every one bit-identical to that
-/// optimizer's serial-legacy-scalar baseline. One `#[test]` because the
+/// mode combinations per optimizer and world size (1, 2, 4 ranks), every one
+/// bit-identical to its serial-legacy-scalar baseline. One `#[test]` because the
 /// SIMD gate and the kernel pool width are process-global.
 #[test]
 fn fused_simd_threads_matrix_is_bit_identical() {
@@ -85,7 +85,7 @@ fn fused_simd_threads_matrix_is_bit_identical() {
         ("larc", OptimizerKind::Larc { lr: 0.05, trust: 0.02 }, false),
         ("lagged", OptimizerKind::Sgd { lr: 0.05, momentum: 0.9 }, true),
     ];
-    for &(name, kind, lag) in kinds {
+    for (&(name, kind, lag), ranks) in kinds.iter().flat_map(|k| [1usize, 2, 4].map(|r| (k, r))) {
         let mut baseline = None;
         for threads in [1usize, 4] {
             for simd in [true, false] {
@@ -93,7 +93,7 @@ fn fused_simd_threads_matrix_is_bit_identical() {
                     for fused in [false, true] {
                         set_kernel_threads(threads);
                         set_simd_enabled(simd);
-                        let cfg = config(kind, lag, overlap, fused);
+                        let cfg = config(ranks, kind, lag, overlap, fused);
                         let (r, _m) = train_data_parallel(&cfg, model, source);
                         set_simd_enabled(ambient_simd);
                         set_kernel_threads(ambient_threads);
@@ -104,7 +104,7 @@ fn fused_simd_threads_matrix_is_bit_identical() {
                             None => baseline = Some(key),
                             Some(b) => assert_eq!(
                                 *b, key,
-                                "{name}: parameter bits changed (threads={threads}, \
+                                "{name}, {ranks} ranks: parameter bits changed (threads={threads}, \
                                  simd={simd}, overlap={overlap}, fused={fused})"
                             ),
                         }

