@@ -10,12 +10,14 @@
 //! its output grid back to its input grid, so all three of its passes are
 //! that convolution's passes with the roles swapped, and all three run
 //! through the packed blocked GEMM: forward is the convolution's data
-//! gradient (`Wᵀ·x` per pixel strip, then a col2im scatter — the helper
-//! `conv2d_backward` uses), the data gradient is the convolution's forward
-//! and the weight gradient is its weight gradient with `x` and `∂y`
-//! exchanged.
+//! gradient in its strip form (`Wᵀ·x` per pixel strip, then a col2im
+//! scatter: `transposed_gemm_col2im`, the route `conv2d_backward` keeps
+//! for strided convolutions, which the paper's `/2` deconvs are the
+//! adjoints of), the data gradient is the convolution's forward
+//! (`im2col_gemm`, the code the convolution forward runs) and the weight
+//! gradient is its weight gradient with `x` and `∂y` exchanged.
 
-use crate::ops::conv::{transposed_gemm_col2im, Conv2dParams, Im2colB};
+use crate::ops::conv::{im2col_gemm, transposed_gemm_col2im, Conv2dParams, Im2colB};
 use crate::ops::gemm::{compute_precision, gemm_panels, Layout};
 use crate::profile::{self, KernelKind};
 use crate::shape::deconv_out_dim;
@@ -178,29 +180,8 @@ pub fn deconv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Deconv2dP
 
     // grad input: gin[n,c,h,w] = Σ_{k,r,s} gout[n,k,h·st+r−pad, w·st+s−pad]·w[c,k,r,s]
     let mut gx = Tensor::zeros([n, c, h, wd], x.dtype());
-    {
-        let gos = grad_out.as_slice();
-        let ws = w.as_slice();
-        let gxs = gx.as_mut_slice();
-        // Images serial; parallelism is the GEMM's output-tile grid.
-        for ni in 0..n {
-            let src = Im2colB {
-                xs: gos,
-                xbase: ni * k * ho * wo,
-                h: ho,
-                wd: wo,
-                r,
-                s,
-                wo: wd,
-                ncols: hw,
-                p: conv_p,
-                by_pixel_depth: false,
-            };
-            let gxn = &mut gxs[ni * c * hw..(ni + 1) * c * hw];
-            // gin_n[C, H·W] += W[C, K·R·S] · col(∂y_n)[K·R·S, H·W]
-            gemm_panels(c, hw, krs, ws, Layout::Normal, &src, gxn, hw, prec);
-        }
-    }
+    // gin_n[C, H·W] += W[C, K·R·S] · col(∂y_n)[K·R·S, H·W]
+    im2col_gemm(grad_out.as_slice(), (n, k, ho, wo), w.as_slice(), c, (r, s), (hw, wd), conv_p, gx.as_mut_slice(), prec);
     gx.requantize();
     profile::record(
         KernelKind::Conv,

@@ -824,12 +824,17 @@ impl Workspace {
     }
 }
 
+/// The pool and its counters are process-global: the tests below that
+/// assert on them hold this, and so does any unit test that puts sustained
+/// traffic on the pool (thousands of takes and recycles in a row, e.g. the
+/// convolution gradient sweeps), so the two never overlap.
+#[cfg(test)]
+pub(crate) static TEST_GUARD: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The pool and its counters are process-global; serialize these tests.
-    static GUARD: Mutex<()> = Mutex::new(());
+    use super::TEST_GUARD as GUARD;
 
     #[test]
     fn round_trip_reuses_buffer() {

@@ -65,16 +65,23 @@ fn conv2d_backward_bit_identical_across_widths() {
 /// The geometries the row-wise im2col packers and the col2im scatter
 /// branch on: stride 2, dilation, an odd width whose 8-pixel panels straddle
 /// output rows, a 7×7 kernel — through the GEMM route, forward and backward.
+/// The data gradient's three routes each appear: the flipped-kernel forward
+/// (stride 1, also on a 96×97 map of more pixels than one 8192-pixel
+/// column strip), the transposed 1×1, and the strip GEMM + col2im (stride 2,
+/// and a 3×3 at pad 3, past `dilation·(r−1)`).
 #[test]
 fn conv_geometries_bit_identical_across_widths() {
     let mut rng = seeded_rng(31);
-    for (kernel, p) in [
-        (3, Conv2dParams::strided(2, 1)),
-        (3, Conv2dParams::atrous(2)),
-        (3, Conv2dParams { stride: 2, pad: 4, dilation: 4 }),
-        (7, Conv2dParams::padded(3)),
+    for (kernel, (h, wd), p) in [
+        (3, (29, 37), Conv2dParams::strided(2, 1)),
+        (3, (29, 37), Conv2dParams::atrous(2)),
+        (3, (29, 37), Conv2dParams { stride: 2, pad: 4, dilation: 4 }),
+        (7, (29, 37), Conv2dParams::padded(3)),
+        (1, (29, 37), Conv2dParams::default()),
+        (3, (29, 37), Conv2dParams::padded(3)),
+        (3, (96, 97), Conv2dParams::padded(1)),
     ] {
-        let x = randn([2, 16, 29, 37], DType::F32, 1.0, &mut rng);
+        let x = randn([2, 16, h, wd], DType::F32, 1.0, &mut rng);
         let w = randn([8, 16, kernel, kernel], DType::F32, 0.5, &mut rng);
         let (a, b) = at_widths(|| {
             let y = conv2d_forward(&x, &w, p, ConvAlgo::Im2colGemm);
