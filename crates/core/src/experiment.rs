@@ -9,7 +9,8 @@ use exaclim_nn::loss::{class_weights, pixel_weight_map, ClassWeighting, Labels};
 use exaclim_nn::metrics::{argmax_channels, ConfusionMatrix};
 use exaclim_nn::{Ctx, Layer};
 use exaclim_pipeline::{
-    ChannelStats, IngestStream, PrefetchConfig, ReaderMode, StreamConfig, StreamingIngest,
+    ChannelStats, IngestStream, PrefetchConfig, ReaderAutoscaler, ReaderMode, StreamConfig,
+    StreamingIngest,
 };
 use exaclim_staging::IngestFeed;
 use exaclim_tensor::{pool, DType, Tensor};
@@ -102,6 +103,12 @@ impl ExperimentConfig {
 /// backpressured sharded readers in the bit-reproducible hierarchical
 /// shuffle order, augmentation runs in-stream on raw fields, and batch
 /// assembly draws its storage from the tensor pool.
+///
+/// The stream starts with one reader. A [`ReaderAutoscaler`] capped at
+/// [`PrefetchConfig::auto_workers`] reads the trainer's step timings and
+/// resizes the reader set only when a 16-step window calls for it; a
+/// generation change (a new shard) resets its floor. Since the sequence
+/// is worker-invariant, resizing never changes a batch.
 pub struct ClimateBatchSource {
     stream: StreamingIngest,
     feed: IngestFeed,
@@ -113,7 +120,7 @@ pub struct ClimateBatchSource {
     w: usize,
     dtype: DType,
     local_batch: usize,
-    autoscale: bool,
+    autoscaler: Option<ReaderAutoscaler>,
 }
 
 impl ClimateBatchSource {
@@ -179,14 +186,15 @@ impl ClimateBatchSource {
             w,
             dtype,
             local_batch,
-            autoscale: true,
+            autoscaler: Some(ReaderAutoscaler::new(PrefetchConfig::auto_workers())),
         }
     }
 
-    /// Disables the exposed-I/O reader autoscaler (fixed one worker) —
-    /// used by benches that sweep worker counts explicitly.
+    /// Drops the reader autoscaler: the stream keeps its one reader
+    /// whatever the step timings say. For callers that pin the reader
+    /// count, such as a content check against the autoscaled stream.
     pub fn without_autoscaling(mut self) -> ClimateBatchSource {
-        self.autoscale = false;
+        self.autoscaler = None;
         self
     }
 
@@ -224,12 +232,16 @@ impl BatchSource for ClimateBatchSource {
         let shard = self.feed.on_generation_change(members);
         let mapped: Vec<usize> = shard.iter().map(|&i| self.train[i]).collect();
         self.stream.reshard(mapped);
+        if let Some(scaler) = &mut self.autoscaler {
+            scaler.on_reshard();
+        }
     }
 
     fn on_step_timing(&mut self, ingest_wait: Duration, step_wall: Duration) {
-        if self.autoscale {
-            let w = PrefetchConfig::auto_workers_for_io(self.stream.workers(), ingest_wait, step_wall);
-            self.stream.set_workers(w);
+        if let Some(scaler) = &mut self.autoscaler {
+            if let Some(w) = scaler.observe(self.stream.workers(), ingest_wait, step_wall) {
+                self.stream.set_workers(w);
+            }
         }
     }
 }
@@ -397,19 +409,48 @@ mod tests {
 
     #[test]
     fn batches_replay_identically_across_autoscaling() {
-        // Two identical sources; one gets a fake exposed-I/O signal that
-        // doubles its reader count mid-stream. The batch sequence must not
-        // notice — autoscaling may change throughput, never content.
+        // Two identical sources; one gets a window of exposed-I/O signals
+        // that doubles its reader count mid-stream (the cap is set so this
+        // holds on any host). The batch sequence must not notice —
+        // autoscaling may change throughput, never content.
         let mut a = source(true);
         let mut b = source(true);
+        b.autoscaler = Some(ReaderAutoscaler::new(4));
         let (ba, bb) = (a.next_batch(), b.next_batch());
         assert_eq!(ba.input.as_slice(), bb.input.as_slice());
-        b.on_step_timing(Duration::from_millis(50), Duration::from_millis(100));
+        for _ in 0..ReaderAutoscaler::WINDOW {
+            b.on_step_timing(Duration::from_millis(50), Duration::from_millis(100));
+        }
+        assert_eq!((a.workers(), b.workers()), (1, 2), "b resized mid-stream");
         for _ in 0..3 {
             let (ba, bb) = (a.next_batch(), b.next_batch());
             assert_eq!(ba.input.as_slice(), bb.input.as_slice());
             assert_eq!(ba.weights, bb.weights);
         }
+    }
+
+    #[test]
+    fn exposed_drive_resizes_the_readers_and_keeps_the_content() {
+        // The benchmark's content check: 64 batches, each step reporting a
+        // 5 ms wait in a 10 ms wall, against a source pinned to one reader.
+        // Four exposed windows double the readers up to the host cap (a
+        // one-core host has nothing to resize).
+        let drive = |mut src: ClimateBatchSource, feed: bool| {
+            let mut seen = Vec::new();
+            for _ in 0..64 {
+                let b = src.next_batch();
+                if feed {
+                    src.on_step_timing(Duration::from_millis(5), Duration::from_millis(10));
+                }
+                seen.push((b.input.bit_hash(), b.labels.data));
+            }
+            (seen, src.workers())
+        };
+        let (auto, workers) = drive(source(true), true);
+        let (pinned, one) = drive(source(true).without_autoscaling(), false);
+        assert_eq!(workers, PrefetchConfig::auto_workers().min(16));
+        assert_eq!(one, 1);
+        assert!(auto == pinned, "autoscaled batches differ");
     }
 
     #[test]

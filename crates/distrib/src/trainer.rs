@@ -47,8 +47,9 @@ pub trait BatchSource: Send {
 
     /// Per-step timing feedback: how long this step's critical path
     /// waited on `next_batch` (exposed ingest) and the step's wall time.
-    /// Streaming sources feed this to prefetch autoscaling
-    /// (`PrefetchConfig::auto_workers_for_io`); the default is a no-op.
+    /// Streaming sources feed this to reader autoscaling
+    /// (`exaclim_pipeline::ReaderAutoscaler`, which decides once per
+    /// 16-step window); the default is a no-op.
     fn on_step_timing(&mut self, _ingest_wait: Duration, _step_wall: Duration) {}
 }
 

@@ -106,8 +106,9 @@ pub fn mean_overlap_fraction(rows: &[StepOverlapRow]) -> f64 {
     rows.iter().map(|r| r.overlap_fraction).sum::<f64>() / rows.len() as f64
 }
 
-/// Mean exposed-ingest seconds per step across the given rows — what
-/// `exaclim_pipeline`'s `auto_workers_for_io` consumes.
+/// Mean exposed-ingest seconds per step across the given rows — the
+/// per-step signal `exaclim_pipeline`'s `ReaderAutoscaler` sums over its
+/// decision window.
 pub fn mean_ingest_s(rows: &[StepOverlapRow]) -> f64 {
     if rows.is_empty() {
         return 0.0;

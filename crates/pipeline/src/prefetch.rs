@@ -11,8 +11,20 @@
 //!   worker owns an independent reader (the Python `multiprocessing`
 //!   workaround), so reads genuinely overlap.
 //!
-//! This module holds the configuration and the live counters; the engine
-//! that consumes them is [`crate::stream::StreamingIngest`].
+//! This module holds the configuration, the live counters and the reader
+//! autoscaler; the engine that consumes them is
+//! [`crate::stream::StreamingIngest`].
+//!
+//! **Reader autoscaling.** [`ReaderAutoscaler`] sizes the reader set from
+//! the exposed-ingest share of the step (the time the step's critical path
+//! waited on ingest over its wall time). It decides once per
+//! [`ReaderAutoscaler::WINDOW`] steps, on the window's summed timings:
+//! above 10 % it doubles the readers, below 2 % it drops one, in between
+//! it holds. A window that read above 10 % at `n` readers proves `n` too
+//! few, so later shrinks stop at `n + 1` (the *floor*, at most the cap);
+//! a new shard resets the floor. Without the floor, a second reader that
+//! hides the very wait which justified it would be taken away again, and
+//! every such flip tears the readers down and respawns them.
 
 use exaclim_perfmodel::LatencyHistogram;
 use exaclim_tensor::DType;
@@ -62,27 +74,91 @@ impl PrefetchConfig {
     pub fn auto_workers() -> usize {
         rayon::current_num_threads().max(1)
     }
+}
 
-    /// Worker count adjusted by the exposed-I/O feedback loop: given the
-    /// time a step's critical path waited on ingest versus the step wall
-    /// time, grow aggressively (double) while ingest is exposed above 10 %
-    /// of the step, shrink by one once it falls below 2 %, and stay put in
-    /// between. Clamped to `[1, auto_workers()]`. Pure — autoscaling
-    /// decisions are reproducible from the recorded timings.
-    pub fn auto_workers_for_io(current: usize, ingest_wait: Duration, step_wall: Duration) -> usize {
-        let cap = PrefetchConfig::auto_workers();
-        let current = current.clamp(1, cap.max(1));
-        if step_wall.is_zero() {
-            return current;
+/// Exposed-ingest share of a window above which the readers double.
+const GROW_ABOVE: f64 = 0.10;
+/// Exposed-ingest share of a window below which one reader goes.
+const SHRINK_BELOW: f64 = 0.02;
+
+/// The exposed-I/O feedback loop that sizes the reader set (see the module
+/// docs). Its decisions are a pure function of the timing sequence and
+/// the reshard points, so they are reproducible from recorded timings.
+#[derive(Debug)]
+pub struct ReaderAutoscaler {
+    cap: usize,
+    floor: usize,
+    steps: usize,
+    wait: Duration,
+    wall: Duration,
+}
+
+impl ReaderAutoscaler {
+    /// Steps summed into one decision. A one-step cold-start wait is
+    /// diluted this many times, so compute-bound runs never grow.
+    pub const WINDOW: usize = 16;
+
+    /// An autoscaler that never goes above `cap` readers (callers pass
+    /// [`PrefetchConfig::auto_workers`]) nor below one.
+    pub fn new(cap: usize) -> ReaderAutoscaler {
+        ReaderAutoscaler {
+            cap: cap.max(1),
+            floor: 1,
+            steps: 0,
+            wait: Duration::ZERO,
+            wall: Duration::ZERO,
         }
-        let exposed = ingest_wait.as_secs_f64() / step_wall.as_secs_f64();
-        if exposed > 0.10 {
-            (current * 2).min(cap)
-        } else if exposed < 0.02 {
-            (current - 1).max(1)
+    }
+
+    /// Records one step — how long its critical path waited on ingest and
+    /// its wall time — run at `current` readers. At the end of a window it
+    /// returns the new reader count when that differs from `current`.
+    pub fn observe(
+        &mut self,
+        current: usize,
+        ingest_wait: Duration,
+        step_wall: Duration,
+    ) -> Option<usize> {
+        self.wait += ingest_wait;
+        self.wall += step_wall;
+        self.steps += 1;
+        if self.steps < Self::WINDOW {
+            return None;
+        }
+        let (wait, wall) = (self.wait, self.wall);
+        self.reset_window();
+        if wall.is_zero() {
+            return None;
+        }
+        let n = current.clamp(1, self.cap);
+        let exposed = wait.as_secs_f64() / wall.as_secs_f64();
+        let next = if exposed > GROW_ABOVE {
+            self.floor = self.floor.max(n + 1).min(self.cap);
+            (n * 2).min(self.cap)
+        } else if exposed < SHRINK_BELOW && n > self.floor {
+            n - 1
         } else {
-            current
-        }
+            n
+        };
+        (next != current).then_some(next)
+    }
+
+    /// A new shard: what earlier windows measured no longer applies, so
+    /// the floor returns to one and the current window starts over.
+    pub fn on_reshard(&mut self) {
+        self.floor = 1;
+        self.reset_window();
+    }
+
+    /// The fewest readers a shrink may leave.
+    pub fn floor(&self) -> usize {
+        self.floor
+    }
+
+    fn reset_window(&mut self) {
+        self.steps = 0;
+        self.wait = Duration::ZERO;
+        self.wall = Duration::ZERO;
     }
 }
 
@@ -225,20 +301,86 @@ mod tests {
         assert_eq!(w, exaclim_tensor::kernel_threads().max(1));
     }
 
+    /// Drives `scaler` for `windows` windows of 10 ms steps, starting at
+    /// `n` readers, whose exposed-ingest share at `n` readers is
+    /// `share(n)`. Returns the reader count after every move.
+    fn drive(
+        scaler: &mut ReaderAutoscaler,
+        mut n: usize,
+        windows: usize,
+        share: impl Fn(usize) -> f64,
+    ) -> Vec<usize> {
+        let wall = Duration::from_millis(10);
+        let mut moves = Vec::new();
+        for _ in 0..windows * ReaderAutoscaler::WINDOW {
+            if let Some(next) = scaler.observe(n, wall.mul_f64(share(n)), wall) {
+                n = next;
+                moves.push(n);
+            }
+        }
+        moves
+    }
+
+    /// One reader leaves 15 % of the step exposed, two leave 1 %.
+    fn one_reader_too_few(n: usize) -> f64 {
+        if n == 1 {
+            0.15
+        } else {
+            0.01
+        }
+    }
+
     #[test]
-    fn auto_workers_for_io_grows_and_shrinks() {
-        let step = Duration::from_millis(100);
-        // Heavily exposed ingest: double.
-        let grown = PrefetchConfig::auto_workers_for_io(1, Duration::from_millis(50), step);
-        assert_eq!(grown, 2.min(PrefetchConfig::auto_workers()));
-        // Negligible ingest: shrink by one, floored at 1.
-        assert_eq!(PrefetchConfig::auto_workers_for_io(2, Duration::ZERO, step), 1);
-        assert_eq!(PrefetchConfig::auto_workers_for_io(1, Duration::ZERO, step), 1);
-        // In the dead band: hold.
-        assert_eq!(
-            PrefetchConfig::auto_workers_for_io(2, Duration::from_millis(5), step),
-            2.min(PrefetchConfig::auto_workers())
-        );
+    fn autoscaler_settles_where_one_reader_is_too_few_and_two_hide_the_wait() {
+        let mut scaler = ReaderAutoscaler::new(4);
+        let moves = drive(&mut scaler, 1, 40, one_reader_too_few);
+        assert_eq!(moves, vec![2], "one move to two readers, then no more");
+        assert_eq!(scaler.floor(), 2);
+    }
+
+    #[test]
+    fn autoscaler_ignores_a_single_exposed_step_in_a_quiet_window() {
+        let mut scaler = ReaderAutoscaler::new(4);
+        let wall = Duration::from_millis(10);
+        // A 50 %-exposed cold start, then fifteen steps with no wait:
+        // 3.1 % over the window, inside the hold band.
+        assert_eq!(scaler.observe(1, wall / 2, wall), None);
+        for _ in 1..ReaderAutoscaler::WINDOW {
+            assert_eq!(scaler.observe(1, Duration::ZERO, wall), None);
+        }
+        assert_eq!(scaler.floor(), 1);
+    }
+
+    #[test]
+    fn autoscaler_shrinks_only_to_counts_never_measured_too_few() {
+        // Up to two readers leave 15 % exposed, three or more hide the
+        // wait: 1 → 2 → 4, then one shrink to 3 and no further.
+        let mut scaler = ReaderAutoscaler::new(8);
+        let share = |n: usize| if n <= 2 { 0.15 } else { 0.0 };
+        let moves = drive(&mut scaler, 1, 40, share);
+        assert_eq!(moves, vec![2, 4, 3]);
+        assert_eq!(scaler.floor(), 3);
+    }
+
+    #[test]
+    fn autoscaler_floor_resets_on_reshard() {
+        let mut scaler = ReaderAutoscaler::new(4);
+        assert_eq!(drive(&mut scaler, 1, 4, one_reader_too_few), vec![2]);
+        scaler.on_reshard();
+        assert_eq!(scaler.floor(), 1);
+        // The new shard needs no second reader: one quiet window drops it.
+        let moves = drive(&mut scaler, 2, 4, |_| 0.0);
+        assert_eq!(moves, vec![1]);
+    }
+
+    #[test]
+    fn autoscaler_floor_never_exceeds_the_cap() {
+        for cap in [1, 2] {
+            let mut scaler = ReaderAutoscaler::new(cap);
+            let moves = drive(&mut scaler, 1, 8, |_| 0.5);
+            assert_eq!(moves, if cap == 1 { vec![] } else { vec![2] });
+            assert_eq!(scaler.floor(), cap);
+        }
     }
 
     #[test]

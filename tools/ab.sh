@@ -13,15 +13,17 @@
 # BENCHMARK.json runs on each side with `--trace 0`, alternating which side
 # goes first (parent, change | change, parent | ...). Per end-to-end metric
 # it prints each side's median and quartiles, the pairs the change won
-# (ties count for neither), and whether the medians are further apart than
-# the parent's own inter-quartile distance. A row reads `gain` only when the
-# change wins at least nine tenths of the pairs *and* that holds, and `WORSE`
-# when its median is worse than the parent's by more than the metric's bound.
-# A row also reads `SPREAD parent` / `SPREAD change` when that side's own
-# inter-quartile distance is wider than the bound taken of the parent's median
-# — the benchmark driver refuses such a row as too noisy to judge, however far
-# apart the medians are. The bound is in the metric's own units, so a side that
-# is twice as fast has half the relative spread to spend on a per-second metric.
+# (ties count for neither), whether the medians are further apart than the
+# parent's own inter-quartile distance, and whether the runs separate
+# completely (every change run better than every parent run). Quartiles are
+# Python's default `statistics.quantiles(xs, n=4)` (the exclusive method),
+# as in benchmark/src/stats.rs. A row reads `gain` only when the change wins
+# at least nine tenths of the pairs *and* the medians are that far apart,
+# and `WORSE` when its median is worse than the parent's by more than the
+# metric's bound. A row also reads `SPREAD parent` / `SPREAD change` when
+# that side's spread — its inter-quartile distance over its *own* median —
+# exceeds the bound: the benchmark refuses such a row as too noisy to
+# judge, however far apart the medians are.
 #
 # Under the run counts it reports the arithmetic as well as the speed: each
 # run's `check` lines are kept beside its closing JSON, and per side it lists
@@ -125,11 +127,11 @@ if all(len(c) == 1 for c in hashes.values()):
     print("  arithmetic identical" if old == new else f"  arithmetic changed {old} → {new}")
 
 def q(xs):
-    q1, _, q3 = quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
+    q1, _, q3 = quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
     return q1, median(xs), q3
 
 print(f"{'metric':<18}{'unit':<6}{'parent q1 / median / q3':<34}{'change q1 / median / q3':<34}"
-      f"{'change/parent':<15}{'pairs won':<11}beyond parent IQR")
+      f"{'change/parent':<15}{'pairs won':<11}{'beyond IQR':<12}{'separate':<10}verdict")
 for m in json.load(open(contract))["end_to_end"]:
     a = [r["metrics"][m["name"]]["value"] for r in runs["parent"]]
     b = [r["metrics"][m["name"]]["value"] for r in runs["change"]]
@@ -138,16 +140,18 @@ for m in json.load(open(contract))["end_to_end"]:
     lost = sum(sign * (y - x) < 0 for x, y in zip(a, b))
     (a1, am, a3), (b1, bm, b3) = q(a), q(b)
     apart = abs(bm - am) > a3 - a1
+    separate = min(sign * y for y in b) > max(sign * x for x in a)
     worse_by = -sign * (bm - am) / am
     verdict = ("gain" if apart and worse_by < 0 and won >= 0.9 * n
                else f"WORSE by {worse_by:.0%} (bound {m['bound']:.0%})" if worse_by > m["bound"] else "")
-    room = m["bound"] * am
-    for side, iqr in (("parent", a3 - a1), ("change", b3 - b1)):
-        if iqr > room:
-            verdict += f"  SPREAD {side} {iqr:.4g} > {room:.4g}"
+    for side, (s1, sm, s3) in (("parent", (a1, am, a3)), ("change", (b1, bm, b3))):
+        spread = (s3 - s1) / abs(sm) if sm else 0.0
+        if spread > m["bound"]:
+            verdict += f"  SPREAD {side} {spread:.1%} > {m['bound']:.0%}"
     print(f"{m['name']:<18}{m['unit']:<6}{f'{a1:.4g} / {am:.4g} / {a3:.4g}':<34}"
           f"{f'{b1:.4g} / {bm:.4g} / {b3:.4g}':<34}{bm / am:<15.3f}"
-          f"{f'{won}-{lost} of {n}':<11}{'yes' if apart else 'no':<5}{verdict}")
+          f"{f'{won}-{lost} of {n}':<11}{'yes' if apart else 'no':<12}"
+          f"{'yes' if separate else 'no':<10}{verdict}")
     print(f"  runs parent: {' '.join(f'{x:.4g}' for x in a)}")
     print(f"  runs change: {' '.join(f'{x:.4g}' for x in b)}")
 PY
