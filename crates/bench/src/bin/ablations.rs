@@ -120,35 +120,4 @@ fn main() {
     }
     println!("  paper §III: strong scaling \"is generally only of interest when");
     println!("  effective hyperparameters cannot be found for a larger global batch\".");
-
-    // --- pointwise fusion (§VII-A's chosen optimization) -----------------
-    println!("\n=== fused conv+bias+ReLU vs separate kernels (census) ===");
-    {
-        use exaclim_tensor::init::{randn, seeded_rng};
-        use exaclim_tensor::ops::{self, Conv2dParams, ConvAlgo, Epilogue};
-        use exaclim_tensor::{profile, DType};
-        let mut rng = seeded_rng(2);
-        let x = randn([1, 16, 32, 32], DType::F32, 1.0, &mut rng);
-        let w = randn([16, 16, 3, 3], DType::F32, 0.3, &mut rng);
-        let b = randn([16], DType::F32, 0.1, &mut rng);
-        profile::set_phase(profile::Phase::Forward);
-        let ((), unfused) = profile::capture(|| {
-            let mut y = ops::conv2d_forward(&x, &w, Conv2dParams::padded(1), ConvAlgo::Direct);
-            ops::add_bias_nchw(&mut y, &b);
-            let _ = ops::relu_forward(&y);
-        });
-        let ((), fused) = profile::capture(|| {
-            let _ = ops::conv2d_forward_fused(&x, &w, Some(&b), Epilogue::BiasRelu, Conv2dParams::padded(1), ConvAlgo::Direct);
-        });
-        println!(
-            "  separate: {} kernels, {:.2} MB traffic | fused: {} kernel, {:.2} MB traffic",
-            unfused.total_kernels(),
-            unfused.total_bytes() as f64 / 1e6,
-            fused.total_kernels(),
-            fused.total_bytes() as f64 / 1e6
-        );
-        println!("  §VII-A: \"fuse some of the point-wise operations together to reduce");
-        println!("  the number of times tensors are read and written to DRAM\" — the");
-        println!("  saving that \"will help the FP16 even more than FP32\".");
-    }
 }

@@ -277,67 +277,6 @@ mod tests {
         );
     }
 
-    /// Satellite pin for the fused-epilogue double-count: a
-    /// `conv2d_forward_fused` call with `Epilogue::None` must contribute
-    /// exactly the single ForwardConv kernel the symbolic census predicts
-    /// for that op — with matching FLOPs — never a fused record stacked on
-    /// the plain convolution's.
-    #[test]
-    fn fused_none_conv_census_agrees_with_spec() {
-        use exaclim_models::{ArchSpec, OpSpec};
-        use exaclim_tensor::init::{randn, seeded_rng};
-        use exaclim_tensor::ops::{self, Conv2dParams, ConvAlgo, Epilogue};
-        use exaclim_tensor::{profile, DType};
-
-        let _g = profile::census_test_guard();
-        let spec = ArchSpec {
-            name: "one-conv".into(),
-            input: (3, 8, 8),
-            ops: vec![OpSpec {
-                name: "c".into(),
-                kind: OpKind::Conv { kernel: 3, stride: 1, dilation: 1 },
-                in_ch: 3,
-                in_h: 8,
-                in_w: 8,
-                out_ch: 4,
-                out_h: 8,
-                out_w: 8,
-                weight_params: 4 * 3 * 3 * 3,
-            }],
-        };
-        let spec_fwd = census_from_spec(&spec, Precision::FP32)
-            .into_iter()
-            .find(|w| w.category == WorkCategory::ForwardConv)
-            .expect("forward conv row");
-        assert_eq!(spec_fwd.kernels, 1);
-
-        let mut rng = seeded_rng(9);
-        let x = randn([1, 3, 8, 8], DType::F32, 1.0, &mut rng);
-        let w = randn([4, 3, 3, 3], DType::F32, 0.5, &mut rng);
-        profile::set_phase(profile::Phase::Forward);
-        let (_, prof) = profile::capture(|| {
-            let _ = ops::conv2d_forward_fused(
-                &x,
-                &w,
-                None,
-                Epilogue::None,
-                Conv2dParams::padded(1),
-                ConvAlgo::Direct,
-            );
-        });
-        let run_fwd = census_from_profile(&prof)
-            .into_iter()
-            .find(|w| w.category == WorkCategory::ForwardConv)
-            .expect("forward conv row");
-        assert_eq!(run_fwd.kernels, spec_fwd.kernels, "one kernel, not a fused+plain pair");
-        assert!(
-            (run_fwd.flops - spec_fwd.flops).abs() < 1e-6,
-            "executed {} vs symbolic {} FLOPs",
-            run_fwd.flops,
-            spec_fwd.flops
-        );
-    }
-
     #[test]
     fn workload_shape_matches_paper_conventions() {
         let spec = DeepLabConfig::paper().spec(768, 1152);

@@ -30,7 +30,7 @@ pub mod tts;
 
 pub use census::{census_from_profile, census_from_spec, workload_from_spec};
 pub use latency::LatencyHistogram;
-pub use report::{fig2_row, fig2_table, fig3_table, render_alloc_traffic, Fig2Row, Fig3Row};
+pub use report::{fig2_row, fig2_table, fig3_table, Fig2Row, Fig3Row};
 pub use scaling::{fig4_series, fig5_series, ScalingSeries};
 pub use timeline::{
     mean_exposed_s, mean_ingest_s, mean_overlap_fraction, render_step_timeline, step_timeline,

@@ -113,24 +113,6 @@ pub fn fig3_table(census: &[KernelWork], gpu: &GpuModel, precision: Precision) -
         .collect()
 }
 
-/// Renders the allocator-traffic footer appended beneath a Figure-3
-/// table when the census comes from an *executed* profile: how many buffer
-/// requests the step made, what fraction the recycling pool absorbed, and
-/// the pool's high-water mark. The symbolic (spec-derived) census has no
-/// such line — allocation traffic only exists at execution time.
-pub fn render_alloc_traffic(alloc: &exaclim_tensor::profile::AllocTraffic) -> String {
-    format!(
-        "Allocator: {} buffer requests | {} pool-served ({:.1}% reuse) | {:.2} MB fresh | {:.2} MB reused | high water {:.2} MB
-",
-        alloc.total_allocs(),
-        alloc.pool_served,
-        100.0 * alloc.reuse_fraction(),
-        alloc.bytes_fresh as f64 / 1e6,
-        alloc.bytes_reused as f64 / 1e6,
-        alloc.high_water_bytes as f64 / 1e6,
-    )
-}
-
 /// Renders a Figure 3/8/9 table.
 pub fn render_fig3(rows: &[Fig3Row]) -> String {
     use std::fmt::Write as _;

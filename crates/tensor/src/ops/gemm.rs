@@ -21,15 +21,17 @@
 //! `EXACLIM_NUM_THREADS` (and for any `EXACLIM_SIMD` setting).
 //!
 //! Reduced-precision compute (the paper's tensor-core recipe, §IV): when
-//! the thread's [`ComputePrecision`] is `F16` or `Bf16`, both operand
-//! panels are quantized to 16-bit at pack time and the micro-kernel widens
-//! them back per element, keeping **all accumulation in FP32** — operands
-//! lose precision, sums never do. Master weights stay FP32 in the
-//! optimizer, so this mirrors mixed-precision training, not a half-float
-//! library.
+//! the thread's [`ComputePrecision`] is `F16` or `Bf16`, every packed
+//! operand panel is rounded to that precision in place (`round_panel`)
+//! and the one FP32 micro-kernel runs on it, keeping **all accumulation in
+//! FP32** — operands lose precision, sums never do. Widening a half value
+//! to `f32` is exact, so this *is* the tensor-core contract, and a
+//! half-precision product is bit for bit the FP32 product of rounded
+//! operands. Master weights stay FP32 in the optimizer, so this mirrors
+//! mixed-precision training, not a half-float library.
 
 use crate::profile::{self, KernelKind};
-use crate::simd::{self, HalfKind, MR, NR};
+use crate::simd::{self, MR, NR};
 use rayon::prelude::*;
 use std::cell::Cell;
 
@@ -276,11 +278,7 @@ pub(crate) fn gemm_panels(
         c.len() >= (m - 1) * ldc + n,
         "C must cover the strided m×n sub-matrix"
     );
-    match prec {
-        ComputePrecision::F32 => gemm_blocked(m, n, k, a, a_layout, bsrc, c, ldc),
-        ComputePrecision::F16 => gemm_blocked_half(m, n, k, a, a_layout, bsrc, c, ldc, HalfKind::F16),
-        ComputePrecision::Bf16 => gemm_blocked_half(m, n, k, a, a_layout, bsrc, c, ldc, HalfKind::Bf16),
-    }
+    gemm_blocked(m, n, k, a, a_layout, bsrc, c, ldc, prec);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -304,16 +302,12 @@ fn gemm_dispatch(
         Layout::Transposed => k,
     };
     let bsrc = SliceB { b, layout: b_layout, n, ld };
-    match prec {
-        ComputePrecision::F32 => {
-            if m * n * k < BLOCKED_MIN_VOLUME {
-                gemm_small(m, n, k, a, a_layout, b, b_layout, c, ldc);
-            } else {
-                gemm_blocked(m, n, k, a, a_layout, &bsrc, c, ldc);
-            }
-        }
-        ComputePrecision::F16 => gemm_blocked_half(m, n, k, a, a_layout, &bsrc, c, ldc, HalfKind::F16),
-        ComputePrecision::Bf16 => gemm_blocked_half(m, n, k, a, a_layout, &bsrc, c, ldc, HalfKind::Bf16),
+    // The half precisions take the blocked route at every shape: rounding
+    // happens at pack time, and the streaming kernel packs nothing.
+    if prec == ComputePrecision::F32 && m * n * k < BLOCKED_MIN_VOLUME {
+        gemm_small(m, n, k, a, a_layout, b, b_layout, c, ldc);
+    } else {
+        gemm_blocked(m, n, k, a, a_layout, &bsrc, c, ldc, prec);
     }
 }
 
@@ -397,22 +391,14 @@ fn pack_a_panel(a: &[f32], layout: Layout, m: usize, k: usize, i0: usize, pc: us
     }
 }
 
-/// Quantizes a packed f32 panel to 16-bit operand storage. Software
-/// round-to-nearest-even in both the f16 and bf16 cases, so panel contents
-/// are identical no matter which SIMD level later consumes them.
-fn quantize_panel(src: &[f32], dst: &mut [u16], kind: HalfKind) {
-    debug_assert_eq!(src.len(), dst.len());
-    match kind {
-        HalfKind::F16 => {
-            for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                *d = crate::half::F16::from_f32(s).0;
-            }
-        }
-        HalfKind::Bf16 => {
-            for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                *d = crate::half::Bf16::from_f32(s).0;
-            }
-        }
+/// Rounds a packed operand panel to the compute precision in place:
+/// software round-to-nearest-even, so panel contents are identical no
+/// matter which SIMD level later consumes them. `F32` leaves it untouched.
+fn round_panel(panel: &mut [f32], prec: ComputePrecision) {
+    match prec {
+        ComputePrecision::F32 => {}
+        ComputePrecision::F16 => crate::half::quantize_f16_slice(panel),
+        ComputePrecision::Bf16 => panel.iter_mut().for_each(|v| *v = crate::half::quantize_bf16(*v)),
     }
 }
 
@@ -455,6 +441,7 @@ fn gemm_blocked(
     bsrc: &impl PanelSource,
     c: &mut [f32],
     ldc: usize,
+    prec: ComputePrecision,
 ) {
     let m_panels = m.div_ceil(MR);
     let tiles = tile_grid(m, n);
@@ -469,6 +456,7 @@ fn gemm_blocked(
         let kc = KC.min(k - pc);
         for (panel, buf) in ap.chunks_mut(MR * KC).enumerate() {
             pack_a_panel(a, a_layout, m, k, panel * MR, pc, kc, &mut buf[..kc * MR]);
+            round_panel(&mut buf[..kc * MR], prec);
         }
 
         for_each_tile(&tiles, m * n * k, |&(mt, nt)| {
@@ -485,6 +473,7 @@ fn gemm_blocked(
             let mut bp = crate::pool::take_scratch(nr_panels * NR * kc);
             bp.chunks_exact_mut(NR * kc).enumerate().for_each(|(panel, buf)| {
                 bsrc.pack_panel(j0 + panel * NR, pc, kc, buf);
+                round_panel(buf, prec);
             });
 
             for ir in (0..mc).step_by(MR) {
@@ -507,81 +496,6 @@ fn gemm_blocked(
         });
     }
     crate::pool::recycle(ap);
-}
-
-/// The half-precision sibling of [`gemm_blocked`]: identical blocking and
-/// tile grid, but operand panels are stored as 16-bit (f16 or bf16) and
-/// the micro-kernel widens each element back to f32 before the
-/// multiply-accumulate. Accumulators and `C` stay FP32 throughout.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked_half(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_layout: Layout,
-    bsrc: &impl PanelSource,
-    c: &mut [f32],
-    ldc: usize,
-    kind: HalfKind,
-) {
-    let m_panels = m.div_ceil(MR);
-    let tiles = tile_grid(m, n);
-    let c_ptr = SendPtr(c.as_mut_ptr());
-
-    // Quantized panels are u16, outside the f32 pool's size classes; the
-    // half path is opt-in, so these allocations never touch the FP32
-    // steady-state alloc budget.
-    let mut ap16 = vec![0u16; m_panels * MR * KC];
-    let mut a_scratch = [0.0f32; MR * KC];
-
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
-        for panel in 0..m_panels {
-            pack_a_panel(a, a_layout, m, k, panel * MR, pc, kc, &mut a_scratch[..kc * MR]);
-            quantize_panel(
-                &a_scratch[..kc * MR],
-                &mut ap16[panel * MR * KC..panel * MR * KC + kc * MR],
-                kind,
-            );
-        }
-        let ap16 = &ap16;
-
-        for_each_tile(&tiles, m * n * k, |&(mt, nt)| {
-            let c_raw = c_ptr.get();
-            let i0 = mt * MC;
-            let mc = MC.min(m - i0);
-            let j0 = nt * NC;
-            let nc = NC.min(n - j0);
-            let nr_panels = nc.div_ceil(NR);
-            let mut bp16 = vec![0u16; nr_panels * NR * kc];
-            let mut b_scratch = [0.0f32; NR * KC];
-            for panel in 0..nr_panels {
-                bsrc.pack_panel(j0 + panel * NR, pc, kc, &mut b_scratch[..kc * NR]);
-                quantize_panel(
-                    &b_scratch[..kc * NR],
-                    &mut bp16[panel * NR * kc..(panel + 1) * NR * kc],
-                    kind,
-                );
-            }
-
-            for ir in (0..mc).step_by(MR) {
-                let i = i0 + ir;
-                let mr_eff = MR.min(m - i);
-                let ap_panel = &ap16[(i / MR) * MR * KC..(i / MR) * MR * KC + kc * MR];
-                for (panel, bp_panel) in bp16.chunks_exact(NR * kc).enumerate() {
-                    let j = j0 + panel * NR;
-                    let nr_eff = NR.min(n - j);
-                    let mut acc = [[0.0f32; NR]; MR];
-                    simd::microkernel_half(kc, ap_panel, bp_panel, &mut acc, kind);
-                    // Safety: same disjoint-tile argument as gemm_blocked.
-                    unsafe {
-                        simd::tile_accumulate(&acc, mr_eff, nr_eff, c_raw.add(i * ldc + j), ldc)
-                    };
-                }
-            }
-        });
-    }
 }
 
 #[cfg(test)]

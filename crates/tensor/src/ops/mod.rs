@@ -3,12 +3,10 @@
 //! Every public op records a [`crate::profile`] census entry using the
 //! paper's FLOP conventions (Section VI): a multiply-add counts as 2 FLOPs,
 //! and a convolution (regardless of algorithm — direct or implicit/im2col
-//! GEMM) counts `2·N·K·C·R·S·Ho·Wo`. [`fused`] implements the pointwise
-//! fusion the paper names as its next optimization (§VII-A).
+//! GEMM) counts `2·N·K·C·R·S·Ho·Wo`.
 
 pub mod conv;
 pub mod deconv;
-pub mod fused;
 pub mod gemm;
 pub mod interp;
 pub mod layout;
@@ -19,7 +17,6 @@ pub mod reduce;
 
 pub use conv::{conv2d_backward, conv2d_forward, Conv2dParams, ConvAlgo};
 pub use deconv::{deconv2d_backward, deconv2d_forward, Deconv2dParams};
-pub use fused::{conv2d_forward_fused, Epilogue};
 pub use gemm::{compute_precision, gemm, set_compute_precision, ComputePrecision};
 pub use interp::{bilinear_resize_backward, bilinear_resize_forward};
 pub use layout::{crop_spatial, nchw_to_nhwc, nhwc_to_nchw, paste_spatial};

@@ -1,8 +1,8 @@
 //! Buffer-recycling tensor memory pool.
 //!
 //! §VII-A of the paper names "improve the memory management" as half of
-//! its single-node optimization path (the other half — pointwise fusion —
-//! landed with [`crate::ops::fused`]). This module supplies that half for
+//! its single-node optimization path (the other half is pointwise fusion,
+//! which this crate does not represent). This module supplies that half for
 //! the CPU backend: a process-wide, thread-safe pool of `Vec<f32>` buffers
 //! organized into power-of-two size classes. Dropped tensors return their
 //! storage here instead of to the system allocator, so a steady-state

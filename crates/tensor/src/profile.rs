@@ -315,9 +315,8 @@ pub fn record(kind: KernelKind, name: &'static str, flops: u64, bytes_read: u64,
     });
 }
 
-/// Re-records a previously captured kernel record verbatim (used when a
-/// fused op suspends recording around its inner kernels and restores the
-/// surrounding census).
+/// Records a caller-built kernel record verbatim, category included (the
+/// optimizer files its updates under `Optimizer` whatever the phase).
 pub fn record_raw(record: KernelRecord) {
     if !enabled() {
         return;

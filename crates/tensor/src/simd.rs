@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 /// Instruction set selected for the current call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// 256-bit AVX2 paths (plus F16C for half-precision panels).
+    /// 256-bit AVX2 paths.
     Avx2,
     /// 128-bit SSE2 paths (baseline on x86-64).
     Sse2,
@@ -74,19 +74,6 @@ fn hw_level() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-/// Whether the hardware (and toolchain) can convert binary16 panels in
-/// vector registers (AVX2 + F16C).
-#[cfg(target_arch = "x86_64")]
-fn hw_f16c() -> bool {
-    static F16C: OnceLock<bool> = OnceLock::new();
-    *F16C.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c"))
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn hw_f16c() -> bool {
-    false
-}
-
 fn force_scalar_flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
     FLAG.get_or_init(|| {
@@ -117,23 +104,6 @@ pub fn active_level() -> SimdLevel {
         SimdLevel::Scalar
     } else {
         hw_level()
-    }
-}
-
-/// How a `u16` GEMM panel element decodes to `f32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HalfKind {
-    /// IEEE binary16 bits (see [`crate::half::F16`]).
-    F16,
-    /// bfloat16 bits: the top half of the `f32` representation.
-    Bf16,
-}
-
-#[inline]
-fn half_to_f32(bits: u16, kind: HalfKind) -> f32 {
-    match kind {
-        HalfKind::F16 => crate::half::F16(bits).to_f32(),
-        HalfKind::Bf16 => f32::from_bits((bits as u32) << 16),
     }
 }
 
@@ -238,99 +208,6 @@ unsafe fn microkernel_sse2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; N
         _mm_storeu_ps(row.as_mut_ptr(), lo[i]);
         _mm_storeu_ps(row.as_mut_ptr().add(4), hi[i]);
     }
-}
-
-/// Half-precision-panel micro-kernel: `ap`/`bp` hold `u16`-encoded f16 or
-/// bf16 values; every product and the accumulation run in `f32` (the
-/// tensor-core convention: reduced-precision operands, full-precision
-/// accumulate). Widening a half value to `f32` is exact, so the vector and
-/// scalar paths are bit-identical.
-#[inline]
-pub fn microkernel_half(kc: usize, ap: &[u16], bp: &[u16], acc: &mut [[f32; NR]; MR], kind: HalfKind) {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => match kind {
-            HalfKind::F16 if hw_f16c() => unsafe { microkernel_f16_avx2(kc, ap, bp, acc) },
-            HalfKind::Bf16 => unsafe { microkernel_bf16_avx2(kc, ap, bp, acc) },
-            _ => microkernel_half_scalar(kc, ap, bp, acc, kind),
-        },
-        _ => microkernel_half_scalar(kc, ap, bp, acc, kind),
-    }
-}
-
-fn microkernel_half_scalar(kc: usize, ap: &[u16], bp: &[u16], acc: &mut [[f32; NR]; MR], kind: HalfKind) {
-    for (a_col, b_row) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-        let mut bf = [0.0f32; NR];
-        for (o, &bits) in bf.iter_mut().zip(b_row.iter()) {
-            *o = half_to_f32(bits, kind);
-        }
-        for (i, &abits) in a_col.iter().enumerate() {
-            let av = half_to_f32(abits, kind);
-            for (j, &bv) in bf.iter().enumerate() {
-                acc[i][j] += av * bv;
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,f16c")]
-unsafe fn microkernel_f16_avx2(kc: usize, ap: &[u16], bp: &[u16], acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    let mut r0 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut r1 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut r2 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut r3 = _mm256_loadu_ps(acc[3].as_ptr());
-    let a = ap.as_ptr();
-    let b = bp.as_ptr();
-    for p in 0..kc {
-        // vcvtph2ps widens 8 binary16 values exactly — identical to the
-        // software F16::to_f32 used by the scalar path.
-        let bv = _mm256_cvtph_ps(_mm_loadu_si128(b.add(p * NR) as *const __m128i));
-        let a4 = _mm_cvtph_ps(_mm_loadl_epi64(a.add(p * MR) as *const __m128i));
-        let mut af = [0.0f32; 4];
-        _mm_storeu_ps(af.as_mut_ptr(), a4);
-        r0 = _mm256_add_ps(r0, _mm256_mul_ps(_mm256_set1_ps(af[0]), bv));
-        r1 = _mm256_add_ps(r1, _mm256_mul_ps(_mm256_set1_ps(af[1]), bv));
-        r2 = _mm256_add_ps(r2, _mm256_mul_ps(_mm256_set1_ps(af[2]), bv));
-        r3 = _mm256_add_ps(r3, _mm256_mul_ps(_mm256_set1_ps(af[3]), bv));
-    }
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), r0);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), r1);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), r2);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), r3);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn microkernel_bf16_avx2(kc: usize, ap: &[u16], bp: &[u16], acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    let mut r0 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut r1 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut r2 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut r3 = _mm256_loadu_ps(acc[3].as_ptr());
-    let a = ap.as_ptr();
-    let b = bp.as_ptr();
-    for p in 0..kc {
-        // bf16 → f32 is a 16-bit left shift of the bit pattern (exact).
-        let raw = _mm_loadu_si128(b.add(p * NR) as *const __m128i);
-        let wide = _mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(raw));
-        let bv = _mm256_castsi256_ps(wide);
-        let ac = a.add(p * MR);
-        let a0 = f32::from_bits((*ac as u32) << 16);
-        let a1 = f32::from_bits((*ac.add(1) as u32) << 16);
-        let a2 = f32::from_bits((*ac.add(2) as u32) << 16);
-        let a3 = f32::from_bits((*ac.add(3) as u32) << 16);
-        r0 = _mm256_add_ps(r0, _mm256_mul_ps(_mm256_set1_ps(a0), bv));
-        r1 = _mm256_add_ps(r1, _mm256_mul_ps(_mm256_set1_ps(a1), bv));
-        r2 = _mm256_add_ps(r2, _mm256_mul_ps(_mm256_set1_ps(a2), bv));
-        r3 = _mm256_add_ps(r3, _mm256_mul_ps(_mm256_set1_ps(a3), bv));
-    }
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), r0);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), r1);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), r2);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), r3);
 }
 
 // ---------------------------------------------------------------------------
@@ -1302,32 +1179,6 @@ mod tests {
             bitwise_on_off(|| {
                 let mut acc = [[0.0f32; NR]; MR];
                 microkernel(kc, &ap, &bp, &mut acc);
-                acc
-            });
-        }
-    }
-
-    #[test]
-    fn half_microkernel_simd_matches_scalar_bitwise() {
-        for kind in [HalfKind::F16, HalfKind::Bf16] {
-            let kc = 33;
-            let ap: Vec<u16> = data(kc * MR, 3)
-                .iter()
-                .map(|&v| match kind {
-                    HalfKind::F16 => crate::half::F16::from_f32(v).0,
-                    HalfKind::Bf16 => crate::half::Bf16::from_f32(v).0,
-                })
-                .collect();
-            let bp: Vec<u16> = data(kc * NR, 4)
-                .iter()
-                .map(|&v| match kind {
-                    HalfKind::F16 => crate::half::F16::from_f32(v).0,
-                    HalfKind::Bf16 => crate::half::Bf16::from_f32(v).0,
-                })
-                .collect();
-            bitwise_on_off(|| {
-                let mut acc = [[0.0f32; NR]; MR];
-                microkernel_half(kc, &ap, &bp, &mut acc, kind);
                 acc
             });
         }

@@ -11,8 +11,7 @@
 use exaclim_tensor::init::{randn, seeded_rng};
 use exaclim_tensor::ops::conv::conv_flops;
 use exaclim_tensor::ops::{
-    add_bias_nchw, conv2d_backward, conv2d_forward, conv2d_forward_fused, nchw_to_nhwc,
-    nhwc_to_nchw, relu_forward, Conv2dParams, ConvAlgo, Epilogue,
+    conv2d_backward, conv2d_forward, nchw_to_nhwc, nhwc_to_nchw, Conv2dParams, ConvAlgo,
 };
 use exaclim_tensor::profile::{
     capture, census_test_guard, enabled, record, set_phase, Category, KernelKind, Phase,
@@ -141,7 +140,7 @@ fn census_totals_identical_across_widths() {
         set_kernel_threads(threads);
         set_phase(Phase::Forward);
         let ((), prof) = capture(|| {
-            let y = conv2d_forward(&x, &w, Conv2dParams::padded(1), ConvAlgo::Im2colGemm);
+            let y = conv2d_forward(&x, &w, Conv2dParams::padded(1), ConvAlgo::Auto);
             set_phase(Phase::Backward);
             let _ = conv2d_backward(&x, &w, &y, Conv2dParams::padded(1));
             set_phase(Phase::Forward);
@@ -159,73 +158,16 @@ fn census_totals_identical_across_widths() {
     }
 }
 
-// --- fused epilogues -------------------------------------------------------------
+// --- concurrent recording ----------------------------------------------------------
 
-fn fused_setup() -> (Tensor, Tensor, Tensor) {
-    let mut rng = seeded_rng(404);
-    let x = randn([2, 3, 6, 6], DType::F32, 1.0, &mut rng);
-    let w = randn([4, 3, 3, 3], DType::F32, 0.5, &mut rng);
-    let b = randn([4], DType::F32, 0.3, &mut rng);
-    (x, w, b)
-}
-
-#[test]
-fn fusion_reduces_kernels_and_bytes() {
-    let _g = census_test_guard();
-    let (x, w, b) = fused_setup();
-    let p = Conv2dParams::padded(1);
-    set_phase(Phase::Forward);
-    let ((), unfused) = capture(|| {
-        let mut y = conv2d_forward(&x, &w, p, ConvAlgo::Direct);
-        add_bias_nchw(&mut y, &b);
-        let _ = relu_forward(&y);
-    });
-    let ((), fused) = capture(|| {
-        let _ = conv2d_forward_fused(&x, &w, Some(&b), Epilogue::BiasRelu, p, ConvAlgo::Direct);
-    });
-    assert_eq!(unfused.total_kernels(), 3);
-    assert_eq!(fused.total_kernels(), 1, "one fused launch");
-    assert!(
-        fused.total_bytes() < unfused.total_bytes(),
-        "fusion avoids intermediate round trips: {} vs {}",
-        fused.total_bytes(),
-        unfused.total_bytes()
-    );
-}
-
-/// Pin for the census double-count bug: an `Epilogue::None` fused call
-/// must produce exactly the record a plain convolution produces — one
-/// kernel, canonical name, identical FLOPs and bytes — never a fused
-/// record stacked on top of (or in place of) the inner conv's.
-#[test]
-fn none_epilogue_census_matches_plain_conv_exactly() {
-    let _g = census_test_guard();
-    let (x, w, _) = fused_setup();
-    let p = Conv2dParams::padded(1);
-    set_phase(Phase::Forward);
-    let ((), plain) = capture(|| {
-        let _ = conv2d_forward(&x, &w, p, ConvAlgo::Direct);
-    });
-    let ((), fused) = capture(|| {
-        let _ = conv2d_forward_fused(&x, &w, None, Epilogue::None, p, ConvAlgo::Direct);
-    });
-    assert_eq!(plain.total_kernels(), 1);
-    assert_eq!(fused.total_kernels(), 1, "None epilogue must not add a second record");
-    let (pr, fr) = (&plain.records[0], &fused.records[0]);
-    assert_eq!(fr.name, pr.name, "canonical conv2d_fwd record");
-    assert_eq!(fr.flops, pr.flops);
-    assert_eq!(fr.bytes_read, pr.bytes_read);
-    assert_eq!(fr.bytes_written, pr.bytes_written);
-}
-
-/// The old implementation suspended profiling *globally* around the
-/// inner conv (stop()/start()), so concurrently running fused convs
-/// dropped each other's records. The no-profile entry point is purely
-/// thread-local: every launch must land in the census.
+/// Every thread records into its own census shard: convolutions launched
+/// concurrently from four threads must all land in the census.
 #[test]
 fn concurrent_fused_convs_all_record() {
     let _g = census_test_guard();
-    let (x, w, b) = fused_setup();
+    let mut rng = seeded_rng(404);
+    let x = randn([2, 3, 6, 6], DType::F32, 1.0, &mut rng);
+    let w = randn([4, 3, 3, 3], DType::F32, 0.5, &mut rng);
     let p = Conv2dParams::padded(1);
     set_phase(Phase::Forward);
     let ((), prof) = capture(|| {
@@ -233,21 +175,14 @@ fn concurrent_fused_convs_all_record() {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..8 {
-                        let _ = conv2d_forward_fused(
-                            &x,
-                            &w,
-                            Some(&b),
-                            Epilogue::BiasRelu,
-                            p,
-                            ConvAlgo::Direct,
-                        );
+                        let _ = conv2d_forward(&x, &w, p, ConvAlgo::Auto);
                     }
                 });
             }
         });
     });
-    assert_eq!(prof.total_kernels(), 32, "no fused launch may vanish from the census");
-    assert!(prof.records.iter().all(|r| r.name == "conv2d_fwd_fused"));
+    assert_eq!(prof.total_kernels(), 32, "no launch may vanish from the census");
+    assert!(prof.records.iter().all(|r| r.name == "conv2d_fwd"));
 }
 
 // --- layout ------------------------------------------------------------------------

@@ -46,7 +46,7 @@ fn conv_case() -> (Tensor, Tensor) {
 #[test]
 fn conv2d_forward_bit_identical_across_widths() {
     let (x, w) = conv_case();
-    for algo in [ConvAlgo::Direct, ConvAlgo::Im2colGemm] {
+    for algo in [ConvAlgo::Direct, ConvAlgo::Auto] {
         let (a, b) = at_widths(|| conv2d_forward(&x, &w, Conv2dParams::padded(1), algo));
         assert_eq!(a.as_slice(), b.as_slice(), "{algo:?} differs across widths");
     }
@@ -84,7 +84,7 @@ fn conv_geometries_bit_identical_across_widths() {
         let x = randn([2, 16, h, wd], DType::F32, 1.0, &mut rng);
         let w = randn([8, 16, kernel, kernel], DType::F32, 0.5, &mut rng);
         let (a, b) = at_widths(|| {
-            let y = conv2d_forward(&x, &w, p, ConvAlgo::Im2colGemm);
+            let y = conv2d_forward(&x, &w, p, ConvAlgo::Auto);
             let g = conv2d_backward(&x, &w, &y, p);
             (y, g)
         });

@@ -116,7 +116,7 @@ proptest! {
         let x = exaclim_tensor::init::randn([2, 3, h, w], DType::F32, 1.0, &mut rng);
         let wt = exaclim_tensor::init::randn([4, 3, kernel, kernel], DType::F32, 0.5, &mut rng);
         let a = ops::conv2d_forward(&x, &wt, p, ConvAlgo::Direct);
-        let b = ops::conv2d_forward(&x, &wt, p, ConvAlgo::Im2colGemm);
+        let b = ops::conv2d_forward(&x, &wt, p, ConvAlgo::Auto);
         prop_assert_eq!(a.shape().dims(), b.shape().dims());
         for (u, v) in a.as_slice().iter().zip(b.as_slice()) {
             prop_assert!((u - v).abs() < 1e-3, "{} vs {}", u, v);
@@ -241,7 +241,7 @@ proptest! {
         seed in 0u64..200,
         stride in 1usize..3,
         pad in 0usize..2,
-        algo in prop::sample::select(vec![ConvAlgo::Direct, ConvAlgo::Im2colGemm]),
+        algo in prop::sample::select(vec![ConvAlgo::Direct, ConvAlgo::Auto]),
     ) {
         let p = Conv2dParams { stride, pad, dilation: 1 };
         let mut rng = exaclim_tensor::init::seeded_rng(seed);
@@ -287,7 +287,7 @@ proptest! {
         let x = exaclim_tensor::init::randn([2, 3, 7, wd], DType::F32, 1.0, &mut rng);
         let w = exaclim_tensor::init::randn([4, 3, kernel, kernel], DType::F32, 0.5, &mut rng);
         let (s, v) = scalar_and_simd(|| {
-            let y = ops::conv2d_forward(&x, &w, p, ConvAlgo::Im2colGemm);
+            let y = ops::conv2d_forward(&x, &w, p, ConvAlgo::Auto);
             let g = ops::conv2d_backward(&x, &w, &y, p);
             (bits(&y), bits(&g.grad_input), bits(&g.grad_weight))
         });
@@ -388,5 +388,84 @@ fn deconv_forward_blocked_bit_identical_across_simd() {
         let w = exaclim_tensor::init::randn([c, k, 3, 3], DType::F32, 0.5, &mut rng);
         let (s, v) = scalar_and_simd(|| bits(&ops::deconv2d_forward(&x, &w, p)));
         assert_eq!(s, v, "deconv bits diverge at {c}→{k} on {h}x{wd} under {p:?}");
+    }
+}
+
+/// Reduced-precision compute is defined as the FP32 kernel on operands
+/// rounded to the compute precision: `gemm`, the implicit-GEMM forward
+/// convolution and both convolution gradients under `F16`/`Bf16` must
+/// equal, bit for bit, the same op in `F32` on `quantize_*`-rounded inputs
+/// — on every SIMD level, for blocked GEMM shapes and for padded, strided,
+/// atrous and 1×1 convolutions.
+#[test]
+fn half_compute_is_the_f32_kernel_on_rounded_operands() {
+    use exaclim_tensor::half::quantize_bf16;
+    use exaclim_tensor::{set_compute_precision, ComputePrecision};
+
+    fn rounded(t: &Tensor, q: fn(f32) -> f32) -> Tensor {
+        let mut r = t.clone();
+        r.as_mut_slice().iter_mut().for_each(|v| *v = q(*v));
+        r
+    }
+    fn under<T>(prec: ComputePrecision, f: impl FnOnce() -> T) -> T {
+        let prev = set_compute_precision(prec);
+        let out = f();
+        set_compute_precision(prev);
+        out
+    }
+    fn gemm_bits(m: usize, n: usize, k: usize, a: &Tensor, b: &Tensor) -> Vec<u32> {
+        let mut c = vec![0.0f32; m * n];
+        ops::gemm(m, n, k, a.as_slice(), b.as_slice(), &mut c);
+        c.iter().map(|x| x.to_bits()).collect()
+    }
+    fn assert_same_bits(half: &[u32], oracle: &[u32], what: String) {
+        let differ = half.iter().zip(oracle).filter(|(h, o)| h != o).count();
+        assert!(half.len() == oracle.len() && differ == 0, "{what}: {differ} of {} elements differ", oracle.len());
+    }
+    fn conv_bits(x: &Tensor, w: &Tensor, gy: &Tensor, p: Conv2dParams) -> [Vec<u32>; 3] {
+        let y = ops::conv2d_forward(x, w, p, ConvAlgo::Auto);
+        let g = ops::conv2d_backward(x, w, gy, p);
+        [bits(&y), bits(&g.grad_input), bits(&g.grad_weight)]
+    }
+
+    let geometries = [
+        (3, Conv2dParams::padded(1)),
+        (3, Conv2dParams::strided(2, 1)),
+        (3, Conv2dParams::atrous(2)),
+        (1, Conv2dParams::default()),
+    ];
+    for (prec, q) in [
+        (ComputePrecision::F16, quantize_f16 as fn(f32) -> f32),
+        (ComputePrecision::Bf16, quantize_bf16 as fn(f32) -> f32),
+    ] {
+        for simd in [false, true] {
+            let _g = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+            let prev_simd = exaclim_tensor::simd_enabled();
+            exaclim_tensor::set_simd_enabled(simd);
+
+            for (m, n, k, seed) in [(65, 130, 70, 3u64), (64, 513, 17, 5), (130, 67, 300, 9)] {
+                let mut rng = exaclim_tensor::init::seeded_rng(seed);
+                let a = exaclim_tensor::init::randn([m * k], DType::F32, 1.0, &mut rng);
+                let b = exaclim_tensor::init::randn([k * n], DType::F32, 1.0, &mut rng);
+                let half = under(prec, || gemm_bits(m, n, k, &a, &b));
+                let oracle = gemm_bits(m, n, k, &rounded(&a, q), &rounded(&b, q));
+                assert_same_bits(&half, &oracle, format!("{prec:?} gemm {m}x{n}x{k} simd={simd}"));
+            }
+
+            for (i, &(r, p)) in geometries.iter().enumerate() {
+                let mut rng = exaclim_tensor::init::seeded_rng(40 + i as u64);
+                let x = exaclim_tensor::init::randn([2, 8, 13, 17], DType::F32, 1.0, &mut rng);
+                let w = exaclim_tensor::init::randn([12, 8, r, r], DType::F32, 0.5, &mut rng);
+                let y_shape = ops::conv2d_forward(&x, &w, p, ConvAlgo::Auto).shape().clone();
+                let gy = exaclim_tensor::init::randn(y_shape, DType::F32, 1.0, &mut rng);
+                let half = under(prec, || conv_bits(&x, &w, &gy, p));
+                let oracle = conv_bits(&rounded(&x, q), &rounded(&w, q), &rounded(&gy, q), p);
+                for (name, (h, o)) in ["forward", "grad_input", "grad_weight"].iter().zip(half.iter().zip(oracle.iter())) {
+                    assert_same_bits(h, o, format!("{prec:?} conv {name} {r}x{r} {p:?} simd={simd}"));
+                }
+            }
+
+            exaclim_tensor::set_simd_enabled(prev_simd);
+        }
     }
 }

@@ -12,6 +12,10 @@ cargo build --workspace --examples
 cargo test -q
 cargo clippy --workspace -- -D warnings
 
+# The ablation table is deterministic: it must reproduce the recorded
+# artifact byte for byte.
+cargo run --release -q -p exaclim-bench --bin ablations | diff - artifacts/ablations.txt
+
 # Kernel results must be bit-identical at any pool width: rerun the
 # tensor and nn suites with a 4-thread default pool.
 EXACLIM_NUM_THREADS=4 cargo test -q -p exaclim-tensor -p exaclim-nn
