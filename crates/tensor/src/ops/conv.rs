@@ -13,12 +13,20 @@
 //! loop nest is the reference route that tests name explicitly.
 //!
 //! The im2col-GEMM path is a true *implicit* GEMM: the patch matrix is
-//! never materialized. [`Im2colB`] implements the blocked GEMM's
-//! [`PanelSource`] by computing each `B` micro-panel's elements straight
-//! from the input tensor, so the only intermediate storage is the
-//! cache-resident packed panel itself. Parallelism comes from the GEMM's
-//! own output-tile grid (disjoint `C` regions, fixed accumulation order —
-//! bit-identical at any thread count), not from a separate pack phase.
+//! never materialized, and at unit stride most of it is never even
+//! packed. A `B` micro-panel of eight pixels on one output row is, for
+//! each patch row `(ci, ri, si)`, eight contiguous floats of the input —
+//! so once a padded convolution is rewritten as the unpadded one over a
+//! zero-bordered copy of each image ([`im2col_gemm`] stages it, once per
+//! image), the micro-kernel reads those rows where they lie
+//! ([`PanelSource::in_place_panel`]). The remaining panels — those that
+//! straddle output rows, strided convolutions, the weight-gradient
+//! orientation and the half precisions, which round at pack time — are
+//! packed by [`Im2colB`], computing each element straight from the input,
+//! so the only intermediate storage is the cache-resident panel itself.
+//! Parallelism comes from the GEMM's own output-tile grid (disjoint `C`
+//! regions, fixed accumulation order — bit-identical at any thread count),
+//! not from a separate pack phase.
 //!
 //! Backward runs through the same machinery. The weight gradient is
 //! `∂y·colᵀ` with the patch matrix again packed on the fly. The data
@@ -104,11 +112,11 @@ impl Default for Conv2dParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvAlgo {
     /// What every layer passes: the implicit GEMM — the blocked GEMM with
-    /// im2col patches packed straight into its `B` micro-panels
-    /// (`Im2colB`), so the patch matrix is never materialized — for every
-    /// shape. There is no per-shape choice left to make: the direct route
-    /// measured 3–18× slower on every shape tried, narrow inputs included
-    /// (see the module doc).
+    /// im2col patches read in place or packed straight into its `B`
+    /// micro-panels (`Im2colB`), so the patch matrix is never
+    /// materialized — for every shape. There is no per-shape choice left
+    /// to make: the direct route measured 3–18× slower on every shape
+    /// tried, narrow inputs included (see the module doc).
     Auto,
     /// Seven-loop direct convolution: the reference route. Tests compare
     /// the GEMM route against it; no layer, model, trainer or server
@@ -262,7 +270,8 @@ fn im2col(
 pub(crate) const COL_STRIP: usize = 8192;
 
 /// [`PanelSource`] that packs im2col patch values straight into GEMM `B`
-/// micro-panels — the patch matrix `col[C·R·S, Ho·Wo]` is never stored.
+/// micro-panels, or lets the GEMM read them in place — the patch matrix
+/// `col[C·R·S, Ho·Wo]` is never stored.
 ///
 /// Two orientations cover both convolution GEMMs:
 /// * forward / data-gradient shape (`by_pixel_depth = false`): logical
@@ -368,6 +377,25 @@ impl Im2colB<'_> {
         (crow / (self.r * self.s), crow / self.s % self.r, crow % self.s)
     }
 
+    /// The `(ci, ri, si)` of patch rows `crow, crow+1, …`, advanced
+    /// incrementally: no division per row.
+    fn taps_from(&self, crow: usize) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        std::iter::successors(Some(self.tap_of(crow)), |&(ci, ri, si)| {
+            Some(match (si + 1 == self.s, ri + 1 == self.r) {
+                (false, _) => (ci, ri, si + 1),
+                (true, false) => (ci, ri + 1, 0),
+                (true, true) => (ci + 1, 0, 0),
+            })
+        })
+    }
+
+    /// Whether panels may be read in place: the forward orientation at
+    /// unit stride over an unpadded map (a padded convolution reads a
+    /// zero-bordered copy instead, see [`im2col_gemm`]).
+    fn reads_in_place(&self) -> bool {
+        !self.by_pixel_depth && self.p.stride == 1 && self.p.pad == 0
+    }
+
     /// Depth = patch rows `[pc, pc+kc)`, columns = the `NR` pixels from
     /// `j0` (logical `col`). The pixels are decomposed once per panel and
     /// `(ci, ri, si)` advances incrementally down the depth rows, so no
@@ -391,8 +419,7 @@ impl Im2colB<'_> {
             }
         }
         let (h, wd) = (self.h as isize, self.wd as isize);
-        let (mut ci, mut ri, mut si) = self.tap_of(pc);
-        for row in panel[..kc * NR].chunks_exact_mut(NR) {
+        for (row, (ci, ri, si)) in panel[..kc * NR].chunks_exact_mut(NR).zip(self.taps_from(pc)) {
             let plane = &self.xs[self.xbase + ci * self.h * self.wd..][..self.h * self.wd];
             let (dh, dw) = ((ri * dil) as isize, (si * dil) as isize);
             let (hi, wi) = (h0[0] + dh, w0[0] + dw);
@@ -406,15 +433,6 @@ impl Im2colB<'_> {
                     let (hi, wi) = (h0[j] + dh, w0[j] + dw);
                     let inside = j < live && hi >= 0 && hi < h && wi >= 0 && wi < wd;
                     row[j] = if inside { plane[(hi * wd + wi) as usize] } else { 0.0 };
-                }
-            }
-            si += 1;
-            if si == self.s {
-                si = 0;
-                ri += 1;
-                if ri == self.r {
-                    ri = 0;
-                    ci += 1;
                 }
             }
         }
@@ -458,17 +476,55 @@ impl PanelSource for Im2colB<'_> {
             self.pack_pixels(j0, pc, kc, panel);
         }
     }
+
+    /// Patch row `(ci, ri, si)` of a panel whose pixels start at map
+    /// position `(hoi, woi)` is the `NR` floats at `(hoi + ri·dil,
+    /// woi + si·dil)` of plane `ci`: its offset from the panel's first
+    /// float depends on the row alone, and ascends with it.
+    fn in_place_rows(&self, pc: usize, kc: usize, offs: &mut [usize]) -> Option<&[f32]> {
+        if !self.reads_in_place() {
+            return None;
+        }
+        let dil = self.p.dilation;
+        for (o, (ci, ri, si)) in offs[..kc].iter_mut().zip(self.taps_from(pc)) {
+            *o = ci * self.h * self.wd + ri * dil * self.wd + si * dil;
+        }
+        Some(self.xs)
+    }
+
+    /// Eight live pixels on one output row, every tap row of which lies
+    /// inside the map: the rows no bound clips, so in place they are
+    /// exactly what [`Im2colB::pack_pixels`] copies.
+    fn in_place_panel(&self, j0: usize) -> Option<usize> {
+        let (hoi, woi) = (j0 / self.wo, j0 % self.wo);
+        let dil = self.p.dilation;
+        let fits = self.reads_in_place()
+            && j0 + NR <= self.ncols
+            && woi + NR <= self.wo
+            && hoi + (self.r - 1) * dil < self.h
+            && woi + (self.s - 1) * dil + NR <= self.wd;
+        fits.then(|| self.xbase + hoi * self.wd + woi)
+    }
 }
 
 /// `dst_n[M, npix] += A[M, C·R·S] · col(src_n)` for each of the `n` images
 /// `src_n[C, h·wd]`: the implicit-GEMM convolution, `col` being the patches
-/// of `src_n` read through a `wo`-wide output grid of `npix` pixels, packed
-/// straight into the GEMM's `B` panels by [`Im2colB`] and never stored.
+/// of `src_n` read through a `wo`-wide output grid of `npix` pixels, and
+/// never stored.
 ///
 /// Three products are this one: a convolution's forward (`src = x`,
 /// `A = W`), a stride-1 convolution's data gradient (`src = ∂y`, `A` the
 /// flipped kernel, see [`conv2d_backward`]) and a transposed convolution's
 /// data gradient (`src = ∂y`, `A = W`).
+///
+/// At unit stride and `F32` compute a padded convolution is the unpadded
+/// one over a zero-bordered copy of each image, staged once per image in
+/// one scratch: over that copy, every `B` panel whose eight pixels lie on
+/// one output row is read in place by the micro-kernel
+/// ([`PanelSource::in_place_panel`]) and never packed. The copy's border is
+/// the same `+0.0` the packer writes for padding, so the bits do not
+/// change. Other panels, strided convolutions and the half precisions
+/// (which round at pack time) are packed by [`Im2colB`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn im2col_gemm(
     src: &[f32],
@@ -482,24 +538,35 @@ pub(crate) fn im2col_gemm(
     prec: ComputePrecision,
 ) {
     let crs = c * r * s;
+    let pad = p.pad;
+    let stage = p.stride == 1 && pad > 0 && prec == ComputePrecision::F32;
+    let (hs, ws) = (h + 2 * pad, wd + 2 * pad);
+    let mut staged = if stage { pool::take_scratch(c * hs * ws) } else { Vec::new() };
     // Images run serially; all parallelism is the GEMM's output-tile grid,
     // which partitions the (M × npix) output — not the pack — so wide
     // images scale with threads and small shapes stay on one thread.
     for ni in 0..n {
-        let col = Im2colB {
-            xs: src,
-            xbase: ni * c * h * wd,
-            h,
-            wd,
-            r,
-            s,
-            wo,
-            ncols: npix,
-            p,
-            by_pixel_depth: false,
-        };
+        let xbase = ni * c * h * wd;
+        let mut col = Im2colB { xs: src, xbase, h, wd, r, s, wo, ncols: npix, p, by_pixel_depth: false };
+        if stage {
+            stage_padded(&src[xbase..xbase + c * h * wd], (h, wd), pad, &mut staged);
+            col = Im2colB { xs: &staged, xbase: 0, h: hs, wd: ws, p: Conv2dParams { pad: 0, ..p }, ..col };
+        }
         let dst_n = &mut dst[ni * m * npix..(ni + 1) * m * npix];
         gemm_panels(m, npix, crs, a, Layout::Normal, &col, dst_n, npix, prec);
+    }
+    pool::recycle(staged);
+}
+
+/// Copies each `h×wd` plane of `image` into the interior of the
+/// `(h+2·pad)×(wd+2·pad)` planes of `staged`; the zero border is never
+/// written, so it stays zero from image to image.
+fn stage_padded(image: &[f32], (h, wd): (usize, usize), pad: usize, staged: &mut [f32]) {
+    let ws = wd + 2 * pad;
+    for (plane, splane) in image.chunks_exact(h * wd).zip(staged.chunks_exact_mut((h + 2 * pad) * ws)) {
+        for (row, srow) in plane.chunks_exact(wd).zip(splane[pad * ws..].chunks_exact_mut(ws)) {
+            srow[pad..pad + wd].copy_from_slice(row);
+        }
     }
 }
 
@@ -827,6 +894,60 @@ mod tests {
         }
     }
 
+    /// The implicit GEMM against the explicit one: the patch matrix
+    /// materialized by `im2col`, then the same blocked GEMM reading it as a
+    /// dense [`SliceB`]. The same values meet the same `A` panels in the
+    /// same depth order, so the two agree bit for bit, with the SIMD
+    /// micro-kernels on and off — however the implicit route gets its `B`
+    /// values (packed patches, a zero-bordered copy, rows read in place).
+    /// Tiramisu and DeepLab shapes: `M` 3/6/16/64, output widths 72/36/18/4,
+    /// 1×1, 3×3 and 5×5 kernels, dilation 1/2/4, a pad past
+    /// `dilation·(r−1)` and a strided case; `dst` starts non-zero, as the
+    /// product accumulates into it.
+    #[test]
+    fn implicit_gemm_is_explicit_im2col_bit_for_bit() {
+        let _pool_quiet = pool::TEST_GUARD.lock();
+        let (xs, ws, before) = (noise(2 * 32 * 48 * 72, 80), noise(64 * 32 * 25, 81), noise(2 * 64 * 48 * 72, 82));
+        let same = |k: usize, d: usize| Conv2dParams { stride: 1, pad: d * (k / 2), dilation: d };
+        // (n, c, m, (h, wd), kernel, p)
+        let cases = [
+            (1, 12, 6, (48, 72), 3, same(3, 1)),
+            (2, 24, 6, (24, 36), 3, same(3, 1)),
+            (1, 30, 6, (12, 18), 3, same(3, 1)),
+            (1, 18, 3, (48, 72), 1, same(1, 1)),
+            (1, 4, 16, (48, 72), 3, same(3, 1)),
+            (1, 32, 64, (6, 4), 3, same(3, 2)),
+            (1, 16, 64, (12, 18), 3, same(3, 4)),
+            (2, 6, 16, (24, 36), 5, same(5, 1)),
+            (1, 4, 6, (12, 18), 5, same(5, 2)),
+            (1, 8, 6, (12, 18), 1, Conv2dParams::padded(1)),
+            (1, 16, 16, (24, 36), 3, Conv2dParams::strided(2, 1)),
+        ];
+        let simd_before = crate::simd::simd_enabled();
+        for simd in [true, false] {
+            crate::simd::set_simd_enabled(simd);
+            for (n, c, m, (h, wd), kernel, p) in cases {
+                let ho = conv_out_dim(h, kernel, p.stride, p.pad, p.dilation);
+                let wo = conv_out_dim(wd, kernel, p.stride, p.pad, p.dilation);
+                let (crs, npix) = (c * kernel * kernel, ho * wo);
+                let (xs, ws) = (&xs[..n * c * h * wd], &ws[..m * crs]);
+                let mut got = before[..n * m * npix].to_vec();
+                im2col_gemm(xs, (n, c, h, wd), ws, m, (kernel, kernel), (npix, wo), p, &mut got, ComputePrecision::F32);
+                let mut want = before[..n * m * npix].to_vec();
+                let mut col = vec![0.0f32; crs * npix];
+                for (ni, want_n) in want.chunks_mut(m * npix).enumerate() {
+                    im2col(xs, ni, c, h, wd, kernel, kernel, ho, wo, p, &mut col);
+                    let b = SliceB { b: &col, layout: Layout::Normal, n: npix, ld: npix };
+                    gemm_panels(m, npix, crs, ws, Layout::Normal, &b, want_n, npix, ComputePrecision::F32);
+                }
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "element {i}: {g} vs {w}; {n}x{c}x{h}x{wd} → {m}, kernel {kernel} {p:?} simd {simd}");
+                }
+            }
+        }
+        crate::simd::set_simd_enabled(simd_before);
+    }
+
     #[test]
     fn conv1x1_gemm_matches_direct() {
         let mut rng = seeded_rng(5);
@@ -974,29 +1095,49 @@ mod tests {
     }
 
     /// Packs depths `[pc, pc+kc)` of every panel of `src` into a
-    /// NaN-poisoned buffer and compares each slot with [`Im2colB::patch`]
-    /// bit for bit (padding and columns past `ncols` must be `+0.0`).
-    fn assert_panels_match_patch(src: &Im2colB, pc: usize, kc: usize) {
+    /// NaN-poisoned buffer and compares each slot with `want`'s
+    /// [`Im2colB::patch`] bit for bit (padding and columns past `ncols`
+    /// must be `+0.0`). Every panel `src` reports as read in place is also
+    /// compared, row by row where the micro-kernel would read it. `want` is
+    /// `src` itself, or the unpadded view's original when `src` reads a
+    /// zero-bordered copy. Returns the number of in-place panels checked.
+    fn assert_panels_match_patch(src: &Im2colB, want: &Im2colB, pc: usize, kc: usize) -> usize {
+        let what = |depth: usize, col: usize| {
+            format!(
+                "depth {depth} col {col} (by_pixel_depth {}): map {}x{} kernel {}x{} wo {} {:?} j0 {} pc {pc} kc {kc}",
+                src.by_pixel_depth, src.h, src.wd, src.r, src.s, src.wo, src.p, col / NR * NR,
+            )
+        };
+        let want_at = |depth: usize, col: usize| match (col < want.ncols, want.by_pixel_depth) {
+            (false, _) => 0.0,
+            (true, false) => want.patch(depth, col),
+            (true, true) => want.patch(col, depth),
+        };
         let mut panel = vec![f32::NAN; kc * NR];
+        let mut offs = vec![usize::MAX; kc];
+        let in_place = src.in_place_rows(pc, kc, &mut offs);
+        assert!(offs.windows(2).all(|w| w[0] <= w[1]), "in-place offsets must ascend: {}", what(pc, 0));
+        let mut checked = 0;
         for j0 in (0..src.ncols).step_by(NR) {
             panel.fill(f32::NAN);
             src.pack_panel(j0, pc, kc, &mut panel);
             for (i, got) in panel.iter().enumerate() {
                 let (depth, col) = (pc + i / NR, j0 + i % NR);
-                let want = match (col < src.ncols, src.by_pixel_depth) {
-                    (false, _) => 0.0,
-                    (true, false) => src.patch(depth, col),
-                    (true, true) => src.patch(col, depth),
-                };
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "depth {depth} col {col} (by_pixel_depth {}): {got} vs {want}; \
-                     map {}x{} kernel {}x{} wo {} {:?} j0 {j0} pc {pc} kc {kc}",
-                    src.by_pixel_depth, src.h, src.wd, src.r, src.s, src.wo, src.p,
-                );
+                let want = want_at(depth, col);
+                assert_eq!(got.to_bits(), want.to_bits(), "packed {got} vs {want}; {}", what(depth, col));
             }
+            let Some(at) = src.in_place_panel(j0) else { continue };
+            let xs = in_place.expect("a panel is in place only when the rows are");
+            for (p, &o) in offs.iter().enumerate() {
+                for (j, got) in xs[at + o..at + o + NR].iter().enumerate() {
+                    let (depth, col) = (pc + p, j0 + j);
+                    let want = want_at(depth, col);
+                    assert_eq!(got.to_bits(), want.to_bits(), "in place {got} vs {want}; {}", what(depth, col));
+                }
+            }
+            checked += 1;
         }
+        checked
     }
 
     /// Test data as a plain vector: the sweeps below slice one of these
@@ -1009,9 +1150,15 @@ mod tests {
     /// Both orientations of the packer over the second of two `c`-channel
     /// `h×wd` maps at the head of `xs` (so `xbase` is not zero), read through
     /// an `ho×wo` output grid, on whole-depth, mid-channel and single-row
-    /// depth slices.
-    fn check_packers(xs: &[f32], c: usize, (h, wd): (usize, usize), k: usize, (ho, wo): (usize, usize), p: Conv2dParams) {
+    /// depth slices — directly, and as the unpadded view of a zero-bordered
+    /// copy of the map (the layout [`im2col_gemm`] stages), against the
+    /// original's patches. Returns the number of in-place panels checked.
+    fn check_packers(xs: &[f32], c: usize, (h, wd): (usize, usize), k: usize, (ho, wo): (usize, usize), p: Conv2dParams) -> usize {
         let (crs, npix) = (c * k * k, ho * wo);
+        let (hs, ws) = (h + 2 * p.pad, wd + 2 * p.pad);
+        let mut staged = vec![0.0f32; 2 * c * hs * ws];
+        stage_padded(&xs[c * h * wd..2 * c * h * wd], (h, wd), p.pad, &mut staged[c * hs * ws..]);
+        let mut checked = 0;
         for by_pixel_depth in [false, true] {
             let (ncols, depth) = if by_pixel_depth { (crs, npix) } else { (npix, crs) };
             let src = Im2colB {
@@ -1026,13 +1173,16 @@ mod tests {
                 p,
                 by_pixel_depth,
             };
+            let unpadded = Im2colB { xs: &staged, xbase: c * hs * ws, h: hs, wd: ws, p: Conv2dParams { pad: 0, ..p }, ..src };
             // A slice start that is neither a channel nor an output-row
             // boundary whenever the depth allows one.
             let mid = ((depth / 2) | 1).min(depth - 1);
             for (pc, kc) in [(0, depth), (mid, depth - mid), (depth - 1, 1)] {
-                assert_panels_match_patch(&src, pc, kc);
+                checked += assert_panels_match_patch(&src, &src, pc, kc);
+                checked += assert_panels_match_patch(&unpadded, &src, pc, kc);
             }
         }
+        checked
     }
 
     /// Kernel 1/3/5/7 × stride 1–3 × dilation 1/2/4/6 × every pad up to one
@@ -1062,11 +1212,13 @@ mod tests {
     #[test]
     fn packers_match_patch_over_the_geometry_sweep() {
         let xs = noise(1 << 14, 1);
+        let mut in_place = 0;
         for (k, wo, p) in geometry_sweep() {
             // Three output rows: panels span rows for wo < 8 and wo = 9, 17,
             // and 3·wo is a multiple of 8 only at wo = 8.
-            check_packers(&xs, 2, (in_dim(3, k, p), in_dim(wo, k, p)), k, (3, wo), p);
+            in_place += check_packers(&xs, 2, (in_dim(3, k, p), in_dim(wo, k, p)), k, (3, wo), p);
         }
+        assert!(in_place > 0, "the sweep must reach the in-place panels");
     }
 
     #[test]
@@ -1086,20 +1238,32 @@ mod tests {
             p: Conv2dParams::padded(1),
             by_pixel_depth: false,
         };
+        // The same slices over the zero-bordered copy, whose one-row
+        // panels are read in place.
+        let mut staged = vec![0.0f32; 64 * 8 * 11];
+        stage_padded(&xs, (6, 9), 1, &mut staged);
+        let unpadded = Im2colB { xs: &staged, h: 8, wd: 11, p: Conv2dParams::default(), ..src };
         for (pc, kc) in [(0, 256), (256, 256), (512, 64), (575, 1)] {
-            assert_panels_match_patch(&src, pc, kc);
+            assert_panels_match_patch(&src, &src, pc, kc);
+            assert!(assert_panels_match_patch(&unpadded, &src, pc, kc) > 0);
         }
         // 17×17 outputs: pixel-depth slices of 256 starting on and off an
         // output-row boundary.
         src = Im2colB { h: 17, wd: 17, wo: 17, ncols: 27, by_pixel_depth: true, ..src };
         for (pc, kc) in [(0, 256), (33, 256), (256, 33)] {
-            assert_panels_match_patch(&src, pc, kc);
+            assert_panels_match_patch(&src, &src, pc, kc);
         }
         // Dilation 6 on a 6×9 map: the outer tap rows never touch the image.
         check_packers(&xs, 3, (6, 9), 3, (6, 9), Conv2dParams::atrous(6));
         // A transposed convolution's backward view: the 8×10 gradient read
         // through the 4×5 grid of the deconv's input, stride 2.
         check_packers(&xs, 3, (8, 10), 3, (4, 5), Conv2dParams::strided(2, 1));
+        // Stride-1 grids that do not fit their map. Narrower: a panel's map
+        // rows run on past the grid's row end, so panels that straddle grid
+        // rows must still be packed. Taller: the bottom rows' taps leave the
+        // map, so those panels must be packed too.
+        assert!(check_packers(&xs, 3, (8, 20), 3, (4, 9), Conv2dParams::padded(1)) > 0);
+        assert!(check_packers(&xs, 3, (4, 20), 3, (6, 18), Conv2dParams::padded(1)) > 0);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! The implementation follows the classic three-level blocking scheme
 //! (Goto/BLIS): the `k` dimension is cut into `KC`-deep panels, `A` is
 //! packed into `MR`-row micro-panels and `B` into `NR`-column micro-panels,
-//! and a register-tiled `MR×NR` micro-kernel ([`crate::simd`], AVX2/SSE2
-//! with a bit-identical scalar fallback) accumulates each output tile while
+//! and a register-tiled `MR×NR` micro-kernel ([`crate::simd`], AVX2 with
+//! a bit-identical scalar fallback) accumulates each output tile while
 //! both operand panels stay cache-resident. All three storage layouts
 //! (`A·B`, `Aᵀ·B`, `A·Bᵀ`) share the same compute path — only the packing
 //! routines differ — and the `B` side is abstracted behind [`PanelSource`]
 //! so convolution can pack im2col patches straight into `B` micro-panels
-//! without ever materializing the column matrix.
+//! without ever materializing the column matrix, or, where a panel's depth
+//! rows are contiguous runs of its input, skip the pack and let the
+//! micro-kernel read them in place.
 //!
 //! Parallelism: the `(row-block × column-block)` tile grid of `C` is
 //! dispatched across the kernel thread pool once the problem is large
@@ -101,14 +103,35 @@ pub(crate) enum Layout {
     Transposed,
 }
 
-/// A provider of packed `B` micro-panels: anything that can write the
-/// `NR`-column panel covering logical columns `[j0, j0+NR)` and depths
-/// `[pc, pc+kc)` into a `kc·NR` buffer (layout: `kc` groups of `NR`
-/// column-values, zero-padded past the matrix edge). Convolution
-/// implements this with on-the-fly im2col so the column matrix never
-/// exists in memory.
+/// A provider of `B` micro-panels: anything that can write the `NR`-column
+/// panel covering logical columns `[j0, j0+NR)` and depths `[pc, pc+kc)`
+/// into a `kc·NR` buffer (layout: `kc` groups of `NR` column-values,
+/// zero-padded past the matrix edge). Convolution implements this with
+/// on-the-fly im2col so the column matrix never exists in memory.
+///
+/// A source may also let the GEMM skip the pack (default off): when every
+/// depth row of a panel is `NR` contiguous floats of some source slice, the
+/// micro-kernel reads them where they lie ([`simd::microkernel_in_place`]).
+/// [`PanelSource::in_place_rows`] gives, once per depth slice, each row's
+/// offset from a panel's first float; [`PanelSource::in_place_panel`] says
+/// which panels qualify and where they start. Only used for `F32` compute:
+/// the half precisions round at pack time.
 pub(crate) trait PanelSource: Sync {
     fn pack_panel(&self, j0: usize, pc: usize, kc: usize, panel: &mut [f32]);
+
+    /// When this source serves panels in place, writes the offset of depth
+    /// row `pc + p` from a panel's first float into `offs[p]` for `p < kc`
+    /// (ascending with `p`) and returns the slice the panels lie in.
+    fn in_place_rows(&self, _pc: usize, _kc: usize, _offs: &mut [usize]) -> Option<&[f32]> {
+        None
+    }
+
+    /// Where panel `j0` starts in the [`PanelSource::in_place_rows`] slice,
+    /// if it can be read in place: row `p` is then the `NR` floats at
+    /// `start + offs[p]`, each equal to what `pack_panel` would write.
+    fn in_place_panel(&self, _j0: usize) -> Option<usize> {
+        None
+    }
 }
 
 /// [`PanelSource`] over a dense slice: logical element `(p, j)` lives at
@@ -451,6 +474,8 @@ fn gemm_blocked(
     // tiles. Packed serially: the pack is a tiny fraction of the FLOPs and
     // pool dispatch here costs more than it buys.
     let mut ap = crate::pool::take_scratch(m_panels * MR * KC);
+    // Depth-row offsets of the B panels read in place, per kc-panel.
+    let mut offs = [0usize; KC];
 
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
@@ -458,6 +483,11 @@ fn gemm_blocked(
             pack_a_panel(a, a_layout, m, k, panel * MR, pc, kc, &mut buf[..kc * MR]);
             round_panel(&mut buf[..kc * MR], prec);
         }
+        let in_place = match prec {
+            ComputePrecision::F32 => bsrc.in_place_rows(pc, kc, &mut offs[..kc]),
+            _ => None,
+        };
+        let offs = &offs[..kc];
 
         for_each_tile(&tiles, m * n * k, |&(mt, nt)| {
             let c_raw = c_ptr.get();
@@ -465,26 +495,38 @@ fn gemm_blocked(
             let mc = MC.min(m - i0);
             let j0 = nt * NC;
             let nc = NC.min(n - j0);
-            // Per-task packed-B panel for this column block. Re-packed per
-            // row-block task; redundant for multi-row-block shapes but
-            // keeps every task independent (content is tile-invariant, so
-            // numerics are unaffected).
+            // This column block's B panels: read in place where the source
+            // allows, else packed into a per-task buffer. Re-packed per
+            // row-block task; redundant for multi-row-block shapes but keeps
+            // every task independent (content is tile-invariant, so numerics
+            // are unaffected).
             let nr_panels = nc.div_ceil(NR);
-            let mut bp = crate::pool::take_scratch(nr_panels * NR * kc);
-            bp.chunks_exact_mut(NR * kc).enumerate().for_each(|(panel, buf)| {
+            let mut rows_in_place: [Option<&[f32]>; NC / NR] = [None; NC / NR];
+            for (panel, rows) in rows_in_place[..nr_panels].iter_mut().enumerate() {
+                *rows = in_place.and_then(|src| bsrc.in_place_panel(j0 + panel * NR).map(|at| &src[at..]));
+            }
+            let packed = rows_in_place[..nr_panels].iter().filter(|r| r.is_none()).count();
+            let mut bp = crate::pool::take_scratch(packed * NR * kc);
+            let to_pack = rows_in_place[..nr_panels].iter().enumerate().filter(|(_, r)| r.is_none());
+            for ((panel, _), buf) in to_pack.zip(bp.chunks_exact_mut(NR * kc)) {
                 bsrc.pack_panel(j0 + panel * NR, pc, kc, buf);
                 round_panel(buf, prec);
-            });
+            }
 
             for ir in (0..mc).step_by(MR) {
                 let i = i0 + ir;
                 let mr_eff = MR.min(m - i);
                 let ap_panel = &ap[(i / MR) * MR * KC..(i / MR) * MR * KC + kc * MR];
-                for (panel, bp_panel) in bp.chunks_exact(NR * kc).enumerate() {
+                let mut bp_panels = bp.chunks_exact(NR * kc);
+                for (panel, rows) in rows_in_place[..nr_panels].iter().enumerate() {
                     let j = j0 + panel * NR;
                     let nr_eff = NR.min(n - j);
                     let mut acc = [[0.0f32; NR]; MR];
-                    simd::microkernel(kc, ap_panel, bp_panel, &mut acc);
+                    match rows {
+                        // Safety: `in_place_rows` offsets ascend.
+                        Some(src) => unsafe { simd::microkernel_in_place(kc, ap_panel, src, offs, &mut acc) },
+                        None => simd::microkernel(kc, ap_panel, bp_panels.next().unwrap(), &mut acc),
+                    }
                     // Safety: rows [i, i+mr_eff) × cols [j, j+nr_eff) lie
                     // inside this task's tile; tiles are disjoint.
                     unsafe {

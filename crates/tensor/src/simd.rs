@@ -1,5 +1,5 @@
-//! Runtime-dispatched SIMD micro-kernels (x86-64 SSE2/AVX2) with
-//! bit-identical scalar fallbacks.
+//! Runtime-dispatched SIMD micro-kernels (x86-64 AVX2) with bit-identical
+//! scalar fallbacks.
 //!
 //! The paper's single-GPU numbers rest on hand-scheduled tensor-core
 //! kernels; our CPU substrate gets the analogous treatment here: explicit
@@ -39,18 +39,16 @@ use std::sync::OnceLock;
 pub enum SimdLevel {
     /// 256-bit AVX2 paths.
     Avx2,
-    /// 128-bit SSE2 paths (baseline on x86-64).
-    Sse2,
-    /// Pure scalar loops (also the `EXACLIM_SIMD=0` fallback).
+    /// Pure scalar loops (hosts without AVX2, and the `EXACLIM_SIMD=0`
+    /// fallback).
     Scalar,
 }
 
 impl SimdLevel {
-    /// Short label for benchmark output ("avx2" / "sse2" / "scalar").
+    /// Short label for benchmark output ("avx2" / "scalar").
     pub fn label(self) -> &'static str {
         match self {
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Scalar => "scalar",
         }
     }
@@ -63,8 +61,7 @@ fn hw_level() -> SimdLevel {
         if is_x86_feature_detected!("avx2") {
             SimdLevel::Avx2
         } else {
-            // SSE2 is part of the x86-64 baseline.
-            SimdLevel::Sse2
+            SimdLevel::Scalar
         }
     })
 }
@@ -120,18 +117,42 @@ pub fn active_level() -> SimdLevel {
 /// B-values (zero-padded at matrix edges by the packers).
 #[inline]
 pub fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { microkernel_avx2(kc, ap, bp, acc) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { microkernel_sse2(kc, ap, bp, acc) },
-        _ => microkernel_scalar(kc, ap, bp, acc),
+    assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+    #[cfg(target_arch = "x86_64")]
+    if active_level() == SimdLevel::Avx2 {
+        unsafe { microkernel_avx2(kc, ap, bp, acc) };
+        return;
     }
+    tile_scalar(&ap[..kc * MR], bp.chunks_exact(NR).take(kc), acc);
 }
 
-fn microkernel_scalar(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (a_col, b_row) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
+/// [`microkernel`] with `B` read where it lies instead of from a packed
+/// panel: depth row `p` is the `NR` contiguous floats at `src[offs[p]..]`.
+/// The same values meet the same `A` values in the same order, so the bits
+/// are those of `microkernel` on a panel packed from those rows.
+///
+/// The offsets ascend with depth, so one bound on the last row bounds
+/// every row: there is no per-row check.
+///
+/// # Safety
+/// `offs[..kc]` must be non-decreasing (checked in debug builds only).
+#[inline]
+pub(crate) unsafe fn microkernel_in_place(kc: usize, ap: &[f32], src: &[f32], offs: &[usize], acc: &mut [[f32; NR]; MR]) {
+    assert!(ap.len() >= kc * MR && offs.len() >= kc);
+    assert!(kc == 0 || offs[kc - 1] + NR <= src.len(), "in-place B rows run past the source");
+    debug_assert!(offs[..kc].windows(2).all(|w| w[0] <= w[1]), "in-place depth offsets must ascend");
+    #[cfg(target_arch = "x86_64")]
+    if active_level() == SimdLevel::Avx2 {
+        unsafe { microkernel_in_place_avx2(kc, ap, src, offs, acc) };
+        return;
+    }
+    tile_scalar(&ap[..kc * MR], offs[..kc].iter().map(|&o| &src[o..o + NR]), acc);
+}
+
+/// The scalar register tile over any sequence of `NR`-wide `B` depth rows:
+/// the reference both micro-kernels' vector bodies are bit-compared with.
+fn tile_scalar<'a>(ap: &[f32], b_rows: impl Iterator<Item = &'a [f32]>, acc: &mut [[f32; NR]; MR]) {
+    for (a_col, b_row) in ap.chunks_exact(MR).zip(b_rows) {
         for (i, &av) in a_col.iter().enumerate() {
             for (j, &bv) in b_row.iter().enumerate() {
                 acc[i][j] += av * bv;
@@ -140,74 +161,61 @@ fn microkernel_scalar(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; M
     }
 }
 
+/// The AVX2 register tile: `acc += ap ⊗ B` over `kc` depths, where depth
+/// row `p` of `B` is the `NR` floats at the pointer `$row` (an expression
+/// in `$p`). mul + add kept separate (no FMA), one accumulator per row:
+/// each element sees the same k-ascending two-op sequence as the scalar
+/// loop, so the bits match exactly. The 4× unroll only trims loop control;
+/// it does not reorder any accumulation.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn microkernel_avx2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    let mut r0 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut r1 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut r2 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut r3 = _mm256_loadu_ps(acc[3].as_ptr());
-    let a = ap.as_ptr();
-    let b = bp.as_ptr();
-    // mul + add kept separate (no FMA), one accumulator per row: each
-    // element sees the same k-ascending two-op sequence as the scalar
-    // loop, so the bits match exactly. The 4× unroll only trims loop
-    // control; it does not reorder any accumulation.
-    macro_rules! kstep {
-        ($p:expr) => {{
-            let bv = _mm256_loadu_ps(b.add($p * NR));
-            let ac = a.add($p * MR);
-            r0 = _mm256_add_ps(r0, _mm256_mul_ps(_mm256_set1_ps(*ac), bv));
-            r1 = _mm256_add_ps(r1, _mm256_mul_ps(_mm256_set1_ps(*ac.add(1)), bv));
-            r2 = _mm256_add_ps(r2, _mm256_mul_ps(_mm256_set1_ps(*ac.add(2)), bv));
-            r3 = _mm256_add_ps(r3, _mm256_mul_ps(_mm256_set1_ps(*ac.add(3)), bv));
-        }};
-    }
-    let mut p = 0;
-    while p + 4 <= kc {
-        kstep!(p);
-        kstep!(p + 1);
-        kstep!(p + 2);
-        kstep!(p + 3);
-        p += 4;
-    }
-    while p < kc {
-        kstep!(p);
-        p += 1;
-    }
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), r0);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), r1);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), r2);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), r3);
+macro_rules! avx2_tile {
+    ($kc:expr, $ap:expr, $acc:expr, |$p:ident| $row:expr) => {{
+        use std::arch::x86_64::*;
+        let (kc, a, acc): (usize, *const f32, &mut [[f32; NR]; MR]) = ($kc, $ap.as_ptr(), $acc);
+        let mut r0 = _mm256_loadu_ps(acc[0].as_ptr());
+        let mut r1 = _mm256_loadu_ps(acc[1].as_ptr());
+        let mut r2 = _mm256_loadu_ps(acc[2].as_ptr());
+        let mut r3 = _mm256_loadu_ps(acc[3].as_ptr());
+        let mut $p = 0usize;
+        macro_rules! kstep {
+            () => {{
+                let bv = _mm256_loadu_ps($row);
+                let ac = a.add($p * MR);
+                r0 = _mm256_add_ps(r0, _mm256_mul_ps(_mm256_set1_ps(*ac), bv));
+                r1 = _mm256_add_ps(r1, _mm256_mul_ps(_mm256_set1_ps(*ac.add(1)), bv));
+                r2 = _mm256_add_ps(r2, _mm256_mul_ps(_mm256_set1_ps(*ac.add(2)), bv));
+                r3 = _mm256_add_ps(r3, _mm256_mul_ps(_mm256_set1_ps(*ac.add(3)), bv));
+                $p += 1;
+            }};
+        }
+        while $p + 4 <= kc {
+            kstep!();
+            kstep!();
+            kstep!();
+            kstep!();
+        }
+        while $p < kc {
+            kstep!();
+        }
+        _mm256_storeu_ps(acc[0].as_mut_ptr(), r0);
+        _mm256_storeu_ps(acc[1].as_mut_ptr(), r1);
+        _mm256_storeu_ps(acc[2].as_mut_ptr(), r2);
+        _mm256_storeu_ps(acc[3].as_mut_ptr(), r3);
+    }};
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn microkernel_sse2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    // Two 4-lane halves per accumulator row.
-    let mut lo = [_mm_setzero_ps(); MR];
-    let mut hi = [_mm_setzero_ps(); MR];
-    for (i, row) in acc.iter().enumerate() {
-        lo[i] = _mm_loadu_ps(row.as_ptr());
-        hi[i] = _mm_loadu_ps(row.as_ptr().add(4));
-    }
-    let a = ap.as_ptr();
+#[target_feature(enable = "avx2")]
+unsafe fn microkernel_avx2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     let b = bp.as_ptr();
-    for p in 0..kc {
-        let blo = _mm_loadu_ps(b.add(p * NR));
-        let bhi = _mm_loadu_ps(b.add(p * NR + 4));
-        for i in 0..MR {
-            let av = _mm_set1_ps(*a.add(p * MR + i));
-            lo[i] = _mm_add_ps(lo[i], _mm_mul_ps(av, blo));
-            hi[i] = _mm_add_ps(hi[i], _mm_mul_ps(av, bhi));
-        }
-    }
-    for (i, row) in acc.iter_mut().enumerate() {
-        _mm_storeu_ps(row.as_mut_ptr(), lo[i]);
-        _mm_storeu_ps(row.as_mut_ptr().add(4), hi[i]);
-    }
+    avx2_tile!(kc, ap, acc, |p| b.add(p * NR));
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn microkernel_in_place_avx2(kc: usize, ap: &[f32], src: &[f32], offs: &[usize], acc: &mut [[f32; NR]; MR]) {
+    let (b, o) = (src.as_ptr(), offs.as_ptr());
+    avx2_tile!(kc, ap, acc, |p| b.add(*o.add(p)));
 }
 
 // ---------------------------------------------------------------------------
@@ -1184,6 +1192,28 @@ mod tests {
         }
     }
 
+    /// `microkernel_in_place` on rows scattered through a source, with gaps
+    /// between them as a patch row's taps have, is `microkernel` on the
+    /// panel packed from the same rows — on both dispatch levels.
+    #[test]
+    fn microkernel_in_place_is_microkernel_on_a_packed_copy() {
+        for kc in [1usize, 3, 256] {
+            let ap = data(kc * MR, 3);
+            let offs: Vec<usize> = (0..kc).map(|p| p * 11 + p / 3 * 29 + p % 2).collect();
+            let src = data(offs[kc - 1] + NR + 5, 4);
+            let bp: Vec<f32> = offs.iter().flat_map(|&o| src[o..o + NR].iter().copied()).collect();
+            for on in [true, false] {
+                set_simd_enabled(on);
+                let (mut packed, mut in_place) = ([[0.5f32; NR]; MR], [[0.5f32; NR]; MR]);
+                microkernel(kc, &ap, &bp, &mut packed);
+                unsafe { microkernel_in_place(kc, &ap, &src, &offs, &mut in_place) };
+                let bits = |t: &[[f32; NR]; MR]| t.iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&in_place), bits(&packed), "kc {kc} simd {on}");
+            }
+            set_simd_enabled(true);
+        }
+    }
+
     #[test]
     fn elementwise_maps_match_bitwise_on_odd_lengths() {
         for n in [1usize, 7, 8, 9, 31, 64, 100] {
@@ -1339,6 +1369,6 @@ mod tests {
     #[test]
     fn env_gate_reports_level() {
         // Whatever the gate state, the label is one of the known levels.
-        assert!(["avx2", "sse2", "scalar"].contains(&active_level().label()));
+        assert!(["avx2", "scalar"].contains(&active_level().label()));
     }
 }

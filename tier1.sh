@@ -9,6 +9,9 @@ tree_before=$(tree_state)
 
 cargo build --release
 cargo build --workspace --examples
+# The end-to-end benchmark is its own workspace and calls the crates'
+# public API: a change that breaks it must fail here, not at benchmark time.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q
 cargo clippy --workspace -- -D warnings
 
