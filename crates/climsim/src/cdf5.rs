@@ -179,8 +179,9 @@ impl Cdf5Reader {
         Ok(())
     }
 
-    /// Total payload size of the file in bytes (used by staging models).
-    pub fn payload_bytes(&self) -> u64 {
+    /// Total payload size of the file in bytes.
+    #[cfg(test)]
+    fn payload_bytes(&self) -> u64 {
         self.n_samples as u64 * self.sample_bytes()
     }
 }

@@ -173,7 +173,7 @@ impl ClimateDataset {
     /// The split a global index belongs to. Deterministic and interleaved
     /// (every 10th sample is test, every following one validation) so all
     /// splits cover the same climate statistics.
-    pub fn split_of(&self, i: usize) -> Split {
+    fn split_of(&self, i: usize) -> Split {
         match i % 10 {
             8 => Split::Test,
             9 => Split::Validation,

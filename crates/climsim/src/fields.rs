@@ -33,19 +33,13 @@ impl ClimateSample {
     }
 
     /// Mutable view of one channel.
-    pub fn channel_mut(&mut self, c: usize) -> &mut [f32] {
+    fn channel_mut(&mut self, c: usize) -> &mut [f32] {
         &mut self.data[c * self.h * self.w..(c + 1) * self.h * self.w]
     }
 
-    /// Size of the sample's field payload in bytes (f32 storage) — drives
-    /// the staging and I/O models. At paper scale this is
-    /// 16·768·1152·4 ≈ 56.6 MB per sample.
-    pub fn field_bytes(&self) -> usize {
-        self.data.len() * 4
-    }
-
     /// Extracts a channel subset (e.g. the 4-variable Piz Daint mode).
-    pub fn select_channels(&self, idx: &[usize]) -> ClimateSample {
+    #[cfg(test)]
+    fn select_channels(&self, idx: &[usize]) -> ClimateSample {
         let hw = self.h * self.w;
         let mut data = Vec::with_capacity(idx.len() * hw);
         for &c in idx {
@@ -276,12 +270,12 @@ impl FieldGenerator {
 
     /// Core radius (σ, pixels) of a TC at this resolution: ~300 km at the
     /// paper's 0.25° grid, ≈ w/110.
-    pub fn tc_sigma(&self) -> f32 {
+    fn tc_sigma(&self) -> f32 {
         (self.config.w as f32 / 110.0).max(1.0)
     }
 
     /// Half-width (pixels) of an AR filament: ~10 px at paper scale.
-    pub fn ar_width(&self) -> f32 {
+    fn ar_width(&self) -> f32 {
         (self.config.w as f32 / 110.0).max(1.2)
     }
 

@@ -154,7 +154,8 @@ pub fn heuristic_labels(sample: &ClimateSample, cfg: &LabelerConfig) -> Vec<u8> 
 
 /// Intersection-over-union between two masks for one class — used to
 /// validate the heuristics against the generator's true masks.
-pub fn mask_iou(a: &[u8], b: &[u8], class: u8) -> f64 {
+#[cfg(test)]
+fn mask_iou(a: &[u8], b: &[u8], class: u8) -> f64 {
     let mut inter = 0u64;
     let mut union = 0u64;
     for (&x, &y) in a.iter().zip(b.iter()) {

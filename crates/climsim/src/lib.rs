@@ -52,7 +52,7 @@ pub mod classes {
 
 /// The 16 CAM5 variables of the full Summit runs (§V-B3: "water vapor,
 /// wind, precipitation, temperature, pressure, etc.").
-pub const CHANNEL_NAMES: [&str; 16] = [
+const CHANNEL_NAMES: [&str; 16] = [
     "TMQ",    // integrated water vapor (the Fig 7 backdrop)
     "U850",   // zonal wind at 850 hPa
     "V850",   // meridional wind at 850 hPa

@@ -11,7 +11,7 @@
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::CommError;
@@ -42,7 +42,7 @@ impl Payload {
 /// The receive deadline used when none is configured: generous enough
 /// for any healthy in-process collective, finite so a dead peer can
 /// never hang a test run indefinitely.
-pub const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(30);
+const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(30);
 
 fn default_recv_deadline() -> Duration {
     match std::env::var("EXACLIM_RECV_DEADLINE_MS") {
@@ -75,12 +75,6 @@ impl CommStats {
     /// Payload bytes sent by `rank`.
     pub fn bytes_sent(&self, rank: usize) -> u64 {
         self.bytes_sent[rank].load(Ordering::Relaxed)
-    }
-
-    /// Largest per-rank sent-message count — the hot-spot metric of the
-    /// control-plane analysis (rank 0 under the centralized scheduler).
-    pub fn max_messages_sent(&self) -> u64 {
-        self.sent.iter().map(|a| a.load(Ordering::Relaxed)).max().unwrap_or(0)
     }
 
     /// Resets all counters.
@@ -129,7 +123,6 @@ impl CommWorld {
             received: (0..n).map(|_| AtomicU64::new(0)).collect(),
             bytes_sent: (0..n).map(|_| AtomicU64::new(0)).collect(),
         });
-        let barrier = Arc::new(Barrier::new(n));
         receivers
             .into_iter()
             .zip(senders)
@@ -142,7 +135,6 @@ impl CommWorld {
                 stashed: (0..n).map(|_| VecDeque::new()).collect(),
                 dead: vec![false; n],
                 stats: stats.clone(),
-                barrier: barrier.clone(),
                 op_seq: 0,
                 recv_deadline,
             })
@@ -163,7 +155,6 @@ pub struct Communicator {
     /// Peers whose communicator we have observed to be dropped.
     dead: Vec<bool>,
     stats: Arc<CommStats>,
-    barrier: Arc<Barrier>,
     op_seq: u64,
     recv_deadline: Duration,
 }
@@ -317,15 +308,6 @@ impl Communicator {
         None
     }
 
-    /// Blocks until all ranks arrive.
-    ///
-    /// Uses a plain barrier with no deadline: a world that has lost a
-    /// rank must not call this (fault-tolerant code paths coordinate
-    /// through the deadline-guarded receives instead).
-    pub fn barrier(&mut self) {
-        self.barrier.wait();
-    }
-
     fn next_tag(&mut self) -> u64 {
         self.op_seq += 1;
         self.op_seq << 32
@@ -385,7 +367,8 @@ impl Communicator {
     /// reduced chunk `(rank+1) % size` of the logical buffer (the first
     /// half of the NCCL ring all-reduce; the building block ZeRO-style
     /// sharded optimizers use). Returns `(chunk_index, chunk)`.
-    pub fn try_reduce_scatter_ring(&mut self, buf: &mut [f32]) -> Result<(usize, Vec<f32>), CommError> {
+    #[cfg(test)]
+    pub(crate) fn try_reduce_scatter_ring(&mut self, buf: &mut [f32]) -> Result<(usize, Vec<f32>), CommError> {
         let tag = self.next_tag();
         let group: Vec<usize> = (0..self.size).collect();
         let g = group.len();
@@ -417,7 +400,8 @@ impl Communicator {
     /// Ring all-gather of per-rank chunks produced by
     /// [`Communicator::try_reduce_scatter_ring`]: every rank ends with
     /// the concatenation of all chunks in chunk-index order.
-    pub fn try_allgather_ring(
+    #[cfg(test)]
+    pub(crate) fn try_allgather_ring(
         &mut self,
         chunk_index: usize,
         chunk: &[f32],

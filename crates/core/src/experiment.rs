@@ -5,12 +5,11 @@ use exaclim_climsim::{ClimateDataset, DatasetConfig, Split};
 use exaclim_distrib::trainer::Batch;
 use exaclim_distrib::{train_data_parallel, BatchSource, TrainerConfig, TrainingReport};
 use exaclim_models::{DeepLabConfig, DeepLabV3Plus, Tiramisu, TiramisuConfig, NUM_CLASSES};
-use exaclim_nn::loss::{class_weights, pixel_weight_map, ClassWeighting, Labels};
+use exaclim_nn::loss::{class_weights, ClassWeighting, Labels};
 use exaclim_nn::metrics::{argmax_channels, ConfusionMatrix};
 use exaclim_nn::{Ctx, Layer};
 use exaclim_pipeline::{
-    ChannelStats, IngestStream, PrefetchConfig, ReaderAutoscaler, ReaderMode, StreamConfig,
-    StreamingIngest,
+    ChannelStats, PrefetchConfig, ReaderAutoscaler, ReaderMode, StreamConfig, StreamingIngest,
 };
 use exaclim_staging::IngestFeed;
 use exaclim_tensor::{pool, DType, Tensor};
@@ -356,12 +355,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> io::Result<ExperimentResult>
         dataset,
         stats,
     })
-}
-
-/// Re-expands a label map into the paper's per-pixel weight map (utility
-/// shared by examples and benches).
-pub fn weight_map_for(labels: &Labels, scheme: ClassWeighting, freqs: &[f32]) -> Vec<f32> {
-    pixel_weight_map(labels, &class_weights(freqs, scheme))
 }
 
 #[cfg(test)]

@@ -325,16 +325,6 @@ impl Coordinator {
             std::thread::yield_now();
         }
     }
-
-    /// Upper bound on messages a single rank exchanges per tensor under
-    /// this plane — `2·(r+1)` for the hierarchical tree vs `2·N` at rank 0
-    /// under the centralized protocol.
-    pub fn max_messages_per_tensor(&self, world: usize) -> usize {
-        match self.plane {
-            ControlPlane::Centralized => 2 * world,
-            ControlPlane::Hierarchical { radix } => 2 * (radix + 1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -552,13 +542,5 @@ mod tests {
         assert!(MemberMsg::decode(&[]).is_err());
         assert!(MemberMsg::decode(&[2]).is_err());
         assert!(MemberMsg::decode(&[0]).is_err(), "Status without its flag byte");
-    }
-
-    #[test]
-    fn message_bound_formula() {
-        let c = Coordinator::new(ControlPlane::Centralized, 10);
-        assert_eq!(c.max_messages_per_tensor(27360), 54720);
-        let h = Coordinator::new(ControlPlane::Hierarchical { radix: 4 }, 10);
-        assert_eq!(h.max_messages_per_tensor(27360), 10);
     }
 }

@@ -1,16 +1,16 @@
 //! Elastic data-parallel training: ranks join and leave at step
 //! boundaries without a full restart.
 //!
-//! Checkpoint-restart fault tolerance ([`train_data_parallel_ft`]
-//! (crate::trainer::train_data_parallel_ft)) tears the whole world down on
-//! any membership change and replays from the last snapshot — at the
-//! paper's scale (4560 Summit nodes) that throws away up to
-//! `checkpoint_every − 1` steps of work on every node failure, and cannot
-//! *grow* the world at all. This module keeps training running across
+//! Checkpoint-restart fault tolerance
+//! ([`train_data_parallel_ft`](crate::trainer::train_data_parallel_ft))
+//! tears the whole world down on any membership change and replays from
+//! the last snapshot — at the paper's scale (4560 Summit nodes) that throws
+//! away up to `checkpoint_every − 1` steps of work on every node failure,
+//! and cannot *grow* the world at all. This module keeps training running across
 //! membership changes:
 //!
 //! * **Generation-numbered views.** The world is described by a
-//!   [`WorldView`] — a strictly increasing generation number plus the
+//!   `WorldView` — a strictly increasing generation number plus the
 //!   sorted member ids. Every collective runs against exactly one view;
 //!   views change only *between* steps.
 //! * **Boundary membership protocol.** At every step boundary each member
@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 /// A training world: who is in it, under which generation number.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorldView {
+struct WorldView {
     /// Strictly increasing across transitions; 0 is the founding world.
     pub generation: u64,
     /// Sorted original member ids.

@@ -35,9 +35,7 @@ mod step;
 pub mod trainer;
 
 pub use control::{ControlPlane, Coordinator};
-pub use elastic::{
-    train_data_parallel_elastic, ElasticConfig, ElasticReport, GenerationRecord, WorldView,
-};
+pub use elastic::{train_data_parallel_elastic, ElasticConfig, ElasticReport, GenerationRecord};
 pub use fusion::{fuse, FusionBucket};
 pub use trainer::{
     train_data_parallel, train_data_parallel_ft, BatchSource, FtConfig, FtReport, OptimizerKind,

@@ -302,7 +302,8 @@ impl FaultPlan {
     }
 
     /// The simulated time at which `node` crashes, if any.
-    pub fn crash_time(&self, node: usize) -> Option<f64> {
+    #[cfg(test)]
+    fn crash_time(&self, node: usize) -> Option<f64> {
         self.crashes
             .iter()
             .filter(|c| c.node == node)
@@ -326,7 +327,8 @@ impl FaultPlan {
     }
 
     /// Nodes doomed to crash (any crash point).
-    pub fn doomed_nodes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn doomed_nodes(&self) -> Vec<usize> {
         let mut nodes: Vec<usize> = self.crashes.iter().map(|c| c.node).collect();
         nodes.sort_unstable();
         nodes.dedup();
@@ -341,7 +343,8 @@ impl FaultPlan {
     }
 
     /// The first step at which `node` may be admitted, if scheduled.
-    pub fn join_step(&self, node: usize) -> Option<usize> {
+    #[cfg(test)]
+    fn join_step(&self, node: usize) -> Option<usize> {
         self.joins.iter().filter(|j| j.node == node).map(|j| j.at_step).min()
     }
 
@@ -354,7 +357,8 @@ impl FaultPlan {
     }
 
     /// Nodes scheduled to leave, sorted and deduplicated.
-    pub fn leaving_nodes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn leaving_nodes(&self) -> Vec<usize> {
         let mut nodes: Vec<usize> = self.leaves.iter().map(|l| l.node).collect();
         nodes.sort_unstable();
         nodes.dedup();
@@ -364,7 +368,8 @@ impl FaultPlan {
     /// The combined fault on the link `src → dst`: slowdowns multiply,
     /// drop probabilities compose as independent losses. Returns a
     /// healthy fault when nothing matches.
-    pub fn link_fault(&self, src: usize, dst: usize) -> LinkFault {
+    #[cfg(test)]
+    fn link_fault(&self, src: usize, dst: usize) -> LinkFault {
         let mut slowdown = 1.0;
         let mut pass = 1.0; // probability a message survives every fault
         for f in self.links.iter().filter(|f| f.matches(src, dst)) {

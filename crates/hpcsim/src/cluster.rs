@@ -81,7 +81,7 @@ impl TrainingJobModel {
     }
 
     /// Deterministic per-step compute time of one rank (no jitter).
-    pub fn compute_time(&self) -> f64 {
+    fn compute_time(&self) -> f64 {
         self.machine.gpu.census_time(&self.workload.census, self.workload.precision)
             * self.workload.local_batch as f64
     }
@@ -117,7 +117,7 @@ impl TrainingJobModel {
     }
 
     /// Exposed (non-overlapped) all-reduce time per step.
-    pub fn exposed_allreduce(&self, nodes: usize) -> f64 {
+    fn exposed_allreduce(&self, nodes: usize) -> f64 {
         let t_ar = self.allreduce_time(nodes);
         let t_bwd = self.backward_time();
         let t_cmp = self.compute_time();
@@ -140,7 +140,7 @@ impl TrainingJobModel {
     /// the coordinator per coordinated rank. Centralized: rank 0 talks to
     /// all N ranks; hierarchical: to `radix + 1` (§V-A3 "no rank sends or
     /// receives more than r+1 messages per tensor").
-    pub fn control_plane_time(&self, total_ranks: usize) -> f64 {
+    fn control_plane_time(&self, total_ranks: usize) -> f64 {
         // Coordinator message-processing rate (msgs/s). A Python-level
         // coordinator handles a few million small messages per second.
         const MSG_RATE: f64 = 3.0e6;
@@ -154,7 +154,8 @@ impl TrainingJobModel {
 
     /// Messages through rank 0 per step (the §V-A3 "millions of messages
     /// per second" vs "mere thousands" comparison).
-    pub fn control_messages_at_rank0(&self, total_ranks: usize) -> u64 {
+    #[cfg(test)]
+    fn control_messages_at_rank0(&self, total_ranks: usize) -> u64 {
         let per_tensor = if self.hierarchical_control {
             2 * (self.control_radix as u64 + 1)
         } else {

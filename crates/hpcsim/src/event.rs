@@ -70,14 +70,14 @@ impl<T> Simulator<T> {
     }
 
     /// Schedules an event at absolute time `at` (must not be in the past).
-    pub fn schedule_at(&mut self, at: f64, event: T) {
+    fn schedule_at(&mut self, at: f64, event: T) {
         assert!(at >= self.time, "cannot schedule into the past ({at} < {})", self.time);
         self.seq += 1;
         self.heap.push(Entry { time: at, seq: self.seq, event });
     }
 
     /// Schedules an event `delay` seconds from now.
-    pub fn schedule_in(&mut self, delay: f64, event: T) {
+    fn schedule_in(&mut self, delay: f64, event: T) {
         let at = self.time + delay;
         self.schedule_at(at, event);
     }

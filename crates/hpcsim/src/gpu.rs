@@ -96,7 +96,7 @@ pub struct KernelWork {
 
 /// Achievable fractions of peak for one category.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Efficiency {
+struct Efficiency {
     /// Fraction of peak math throughput.
     pub math: f64,
     /// Fraction of peak memory bandwidth.
@@ -163,7 +163,7 @@ impl GpuModel {
     /// 50–100 % of math peak in FP32 but only ~20–50 % of the much higher
     /// tensor-core peak in FP16; pointwise/copy kernels are memory-bound
     /// at 45–80 % of bandwidth.
-    pub fn efficiency(category: WorkCategory, p: Precision) -> Efficiency {
+    fn efficiency(category: WorkCategory, p: Precision) -> Efficiency {
         use WorkCategory::*;
         match (category, p) {
             // FP32 convs: Figure 9 measures 75.6 % (forward) and ~100 %

@@ -19,7 +19,7 @@
 //!   system parameters.
 //! * [`event`] — a small discrete-event engine used by the staging
 //!   simulator.
-//! * [`cluster`] — the weak-scaling training-step model behind Figures 4
+//! * [`TrainingJobModel`] — the weak-scaling training-step model behind Figures 4
 //!   and 5: per-rank compute jitter (synchronous all-reduce waits for the
 //!   slowest of N ranks), overlapped gradient all-reduce with and without
 //!   gradient lag, and the input-pipeline exposure under staged vs global
@@ -27,7 +27,7 @@
 //!
 //! All bandwidths are bytes/second and times are seconds unless noted.
 
-pub mod cluster;
+mod cluster;
 pub mod event;
 pub mod fs;
 pub mod gpu;

@@ -76,12 +76,14 @@ impl MachineSpec {
     }
 
     /// Total GPUs.
-    pub fn total_gpus(&self) -> usize {
+    #[cfg(test)]
+    fn total_gpus(&self) -> usize {
         self.nodes * self.gpus_per_node
     }
 
     /// Peak machine throughput at a precision, FLOP/s.
-    pub fn peak_flops(&self, p: crate::gpu::Precision) -> f64 {
+    #[cfg(test)]
+    fn peak_flops(&self, p: crate::gpu::Precision) -> f64 {
         self.total_gpus() as f64 * self.gpu.peak(p)
     }
 }

@@ -43,7 +43,7 @@ impl LinkModel {
         self.latency + bytes / self.bandwidth
     }
 
-    /// This link under a [`LinkFault`]: the slowdown factor stretches
+    /// This link under a [`exaclim_faults::LinkFault`]: the slowdown factor stretches
     /// latency and divides bandwidth, and lossy links pay the expected
     /// retransmission count `1/(1−p)` on both terms — so
     /// `message_time` under the degraded model is the *expected* delivery
@@ -93,7 +93,7 @@ pub fn allreduce_time(algo: CollectiveAlgo, n: usize, bytes: f64, link: &LinkMod
 }
 
 /// Broadcast cost (binomial tree).
-pub fn broadcast_time(n: usize, bytes: f64, link: &LinkModel) -> f64 {
+fn broadcast_time(n: usize, bytes: f64, link: &LinkModel) -> f64 {
     if n <= 1 {
         return 0.0;
     }
@@ -142,7 +142,8 @@ pub fn hierarchical_allreduce_time(
 
 /// Flat (non-hierarchical) all-reduce across every GPU in the job, the
 /// pre-optimization baseline.
-pub fn flat_allreduce_time(total_ranks: usize, bytes: f64, inter: &LinkModel, algo: CollectiveAlgo) -> f64 {
+#[cfg(test)]
+fn flat_allreduce_time(total_ranks: usize, bytes: f64, inter: &LinkModel, algo: CollectiveAlgo) -> f64 {
     allreduce_time(algo, total_ranks, bytes, inter)
 }
 

@@ -80,7 +80,7 @@ impl DenseBlock {
 
 impl Layer for DenseBlock {
     fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
-        let mut feats: Vec<Tensor> = vec![ctx.workspace.cache(x)];
+        let mut feats: Vec<Tensor> = vec![x.clone()];
         for layer in self.layers.iter_mut() {
             let inp = if feats.len() == 1 {
                 feats[0].clone()
@@ -269,7 +269,7 @@ impl Layer for Bottleneck {
         // Cache the *output*: the backward mask (y > 0 iff pre > 0) comes
         // back out of it, so `pre` can be dropped here instead of living
         // until backward alongside y.
-        self.relu_out = Some(ctx.workspace.cache(&y));
+        self.relu_out = Some(y.clone());
         y
     }
 
@@ -472,7 +472,8 @@ impl Layer for Aspp {
 
 /// Shared helper: used by both models' parameter-gradient tests.
 #[doc(hidden)]
-pub fn sum_loss_backward(layer: &mut dyn Layer, x: &Tensor, ctx: &mut Ctx) -> (f32, Tensor) {
+#[cfg(test)]
+fn sum_loss_backward(layer: &mut dyn Layer, x: &Tensor, ctx: &mut Ctx) -> (f32, Tensor) {
     let y = layer.forward(x, ctx);
     let loss = y.sum();
     let ones = Tensor::full(y.shape().clone(), exaclim_tensor::DType::F32, 1.0);
@@ -600,5 +601,43 @@ mod tests {
         let mut ctx = Ctx::train(0);
         let y = td.forward(&x, &mut ctx);
         assert_eq!(y.shape().dims(), &[1, 8, 4, 4]);
+    }
+
+    /// Activation caches are copy-on-write shares of the activation, not
+    /// copies: after `forward` the cached input (Conv2d, Deconv2d) or
+    /// output (ReLU, Bottleneck) shares its buffer with the layer's cache,
+    /// and `backward` releases the share.
+    #[test]
+    fn activation_caches_alias_not_copy() {
+        use exaclim_nn::layers::Deconv2d;
+        use exaclim_tensor::ops::Deconv2dParams;
+        let mut rng = seeded_rng(44);
+        let mut ctx = Ctx::train(0);
+        let x = randn([1, 4, 6, 6], DType::F32, 1.0, &mut rng);
+        assert!(!x.storage_shared());
+
+        let mut conv = Conv2d::new("c", 4, 4, 3, Conv2dParams { stride: 1, pad: 1, dilation: 1 }, false, &mut rng);
+        let y = conv.forward(&x, &mut ctx);
+        assert!(x.storage_shared(), "Conv2d caches its input by reference");
+        conv.backward(&y);
+        assert!(!x.storage_shared(), "backward consumes the cache");
+
+        let mut deconv = Deconv2d::new("d", 4, 4, 3, Deconv2dParams::double(), &mut rng);
+        let y = deconv.forward(&x, &mut ctx);
+        assert!(x.storage_shared(), "Deconv2d caches its input by reference");
+        deconv.backward(&y);
+        assert!(!x.storage_shared());
+
+        let mut relu = ReLU::new();
+        let y = relu.forward(&x, &mut ctx);
+        assert!(y.storage_shared(), "ReLU caches its output by reference");
+        relu.backward(&y);
+        assert!(!y.storage_shared());
+
+        let mut block = Bottleneck::new("b", 4, 1, 1, 1, &mut rng);
+        let y = block.forward(&x, &mut ctx);
+        assert!(y.storage_shared(), "Bottleneck caches its output by reference");
+        block.backward(&y);
+        assert!(!y.storage_shared());
     }
 }

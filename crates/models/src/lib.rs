@@ -35,9 +35,3 @@ pub const NUM_CLASSES: usize = 3;
 
 /// Number of CAM5 input variables used on Summit (§V-B3).
 pub const NUM_CHANNELS_FULL: usize = 16;
-
-/// Number of input variables initially used on Piz Daint (§V-B3).
-pub const NUM_CHANNELS_DAINT: usize = 4;
-
-/// The CAM5 grid of the paper's dataset.
-pub const PAPER_RESOLUTION: (usize, usize) = (768, 1152);

@@ -110,13 +110,8 @@ impl OpSpec {
 
     /// Whether this op is a convolution-category kernel in the paper's
     /// census (Figures 3/8/9 group deconvs with convs).
-    pub fn is_conv_category(&self) -> bool {
+    fn is_conv_category(&self) -> bool {
         matches!(self.kind, OpKind::Conv { .. } | OpKind::Deconv { .. })
-    }
-
-    /// Activation output scalar count.
-    pub fn out_numel(&self) -> usize {
-        self.out_ch * self.out_h * self.out_w
     }
 }
 
@@ -158,21 +153,6 @@ impl ArchSpec {
             .filter(|o| o.is_conv_category())
             .map(|o| o.forward_flops() + o.backward_flops())
             .sum()
-    }
-
-    /// Number of ops of each kind-category, `(conv, pointwise, copy)`.
-    pub fn op_counts(&self) -> (usize, usize, usize) {
-        let mut conv = 0;
-        let mut pw = 0;
-        let mut copy = 0;
-        for o in &self.ops {
-            match o.kind {
-                OpKind::Conv { .. } | OpKind::Deconv { .. } => conv += 1,
-                OpKind::Concat => copy += 1,
-                _ => pw += 1,
-            }
-        }
-        (conv, pw, copy)
     }
 
     /// Renders a Figure-1-style layer table.

@@ -89,15 +89,16 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Writes an auto-checkpoint `step-NNNNNNNN.exck` under `dir` (created if
-/// missing), where `step` counts *completed* training steps. Returns the
-/// file path. Together with [`latest`] this is the periodic-snapshot side
-/// of checkpoint/restart fault tolerance.
-pub fn save_auto(params: &ParamSet, dir: impl AsRef<Path>, step: usize) -> io::Result<PathBuf> {
+/// [`save_auto_with_optimizer`] with an empty optimizer section.
+#[cfg(test)]
+fn save_auto(params: &ParamSet, dir: impl AsRef<Path>, step: usize) -> io::Result<PathBuf> {
     save_auto_with_optimizer(params, &OptState::default(), dir, step)
 }
 
-/// [`save_auto`] with an optimizer-state section.
+/// Writes an auto-checkpoint `step-NNNNNNNN.exck` with an optimizer-state
+/// section under `dir` (created if missing), where `step` counts
+/// *completed* training steps. Returns the file path: the periodic-snapshot
+/// side of checkpoint/restart fault tolerance.
 pub fn save_auto_with_optimizer(
     params: &ParamSet,
     opt: &OptState,
@@ -114,7 +115,8 @@ pub fn save_auto_with_optimizer(
 /// Finds the most recent auto-checkpoint in `dir` (highest completed-step
 /// count wins). Returns `None` when the directory is missing or holds no
 /// `step-*.exck` files; non-checkpoint files are ignored.
-pub fn latest(dir: impl AsRef<Path>) -> io::Result<Option<(usize, PathBuf)>> {
+#[cfg(test)]
+fn latest(dir: impl AsRef<Path>) -> io::Result<Option<(usize, PathBuf)>> {
     let entries = match std::fs::read_dir(dir.as_ref()) {
         Ok(e) => e,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),

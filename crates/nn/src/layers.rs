@@ -48,18 +48,13 @@ impl Conv2d {
             compute: ComputePrecision::default(),
         }
     }
-
-    /// Convolution hyper-parameters.
-    pub fn conv_params(&self) -> Conv2dParams {
-        self.params
-    }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
         // The cache shares `x`'s storage (copy-on-write); a buffer copy
         // happens only if someone later mutates either side.
-        self.cached_input = Some(ctx.workspace.cache(x));
+        self.cached_input = Some(x.clone());
         // Mixed precision: cast the f32 master weight to the activation
         // precision for compute, as tensor cores do.
         let w = self.weight.value().cast(x.dtype());
@@ -138,7 +133,7 @@ impl Deconv2d {
 
 impl Layer for Deconv2d {
     fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
-        self.cached_input = Some(ctx.workspace.cache(x));
+        self.cached_input = Some(x.clone());
         let w = self.weight.value().cast(x.dtype());
         self.compute = ctx.compute;
         let prev = set_compute_precision(self.compute);
@@ -223,7 +218,7 @@ impl Layer for BatchNorm2d {
         } else {
             // Inference: normalize with running stats.
             let (n, c, h, w) = x.shape().nchw();
-            let mut y = Tensor::zeros_in(x.shape().clone(), x.dtype(), &mut ctx.workspace);
+            let mut y = Tensor::zeros(x.shape().clone(), x.dtype());
             let g = self.gamma.value();
             let b = self.beta.value();
             let rm = self.running_mean.value();
@@ -296,9 +291,9 @@ impl Default for ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _ctx: &mut Ctx) -> Tensor {
         let y = ops::relu_forward(x);
-        self.cached_output = Some(ctx.workspace.cache(&y));
+        self.cached_output = Some(y.clone());
         y
     }
 

@@ -14,10 +14,8 @@
 //!   rate controller (§V-B2) and the **gradient-lag** wrapper (§V-B4).
 //! * [`metrics`] — confusion matrices and the intersection-over-union
 //!   scores reported in §VII-D.
-//! * [`amp`] — dynamic loss scaling (the production alternative to the
-//!   paper's static scale), and [`checkpoint`] — parameter save/restore.
+//! * [`checkpoint`] — parameter save/restore.
 
-pub mod amp;
 pub mod checkpoint;
 pub mod layer;
 pub mod layers;

@@ -97,7 +97,8 @@ impl ConfusionMatrix {
     }
 
     /// Recall (true-positive rate) for one class.
-    pub fn class_recall(&self, c: usize) -> Option<f64> {
+    #[cfg(test)]
+    fn class_recall(&self, c: usize) -> Option<f64> {
         let row: u64 = (0..self.n_classes).map(|p| self.count(c, p)).sum();
         if row == 0 {
             None

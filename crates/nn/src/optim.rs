@@ -548,13 +548,6 @@ impl LarcSgd {
     pub fn sgd_mut(&mut self) -> &mut Sgd {
         &mut self.inner
     }
-
-    /// The local learning rate LARC would use for `(‖w‖, ‖g‖)`.
-    pub fn local_lr(&self, w_norm: f32, g_norm: f32) -> f32 {
-        let wd = self.inner.weight_decay;
-        let local = self.trust * w_norm / (g_norm + wd * w_norm + self.eps);
-        local.min(self.inner.lr)
-    }
 }
 
 /// Norms + fused rescaled update for one parameter under LARC.
@@ -647,7 +640,8 @@ impl<O: Optimizer> Lagged<O> {
     }
 
     /// True once a lagged gradient is available.
-    pub fn primed(&self) -> bool {
+    #[cfg(test)]
+    fn primed(&self) -> bool {
         self.seen_steps >= self.depth
     }
 
@@ -758,99 +752,6 @@ impl<O: Optimizer> Optimizer for Lagged<O> {
     }
 }
 
-/// LARS (You, Gitman & Ginsburg), the predecessor the paper replaced:
-/// every tensor's update is `γ(t) · λ · (g + wd·w)` with the *unclipped*
-/// local rate `λ = trust·‖w‖ / (‖g‖ + wd·‖w‖)`. Because λ multiplies the
-/// global rate instead of being bounded by it, LARS needs the γ(t)
-/// warm-up ramp that §V-B2 says LARC "removes the need for".
-pub struct Lars {
-    inner: Sgd,
-    /// Trust coefficient.
-    pub trust: f32,
-    /// Linear warm-up length in steps (0 = no warm-up).
-    pub warmup_steps: u32,
-    step: u32,
-    eps: f32,
-    /// Warm-up factor for the step opened by the last `begin_step`.
-    warm: f32,
-}
-
-impl Lars {
-    /// LARS with the given base rate, trust coefficient and warm-up.
-    pub fn new(lr: f32, trust: f32, warmup_steps: u32) -> Lars {
-        Lars {
-            inner: Sgd::new(lr),
-            trust,
-            warmup_steps,
-            step: 0,
-            eps: 1e-9,
-            warm: 1.0,
-        }
-    }
-
-    /// Mutable access to the wrapped SGD.
-    pub fn sgd_mut(&mut self) -> &mut Sgd {
-        &mut self.inner
-    }
-
-    fn warmup_factor(&self) -> f32 {
-        if self.warmup_steps == 0 {
-            1.0
-        } else {
-            ((self.step + 1) as f32 / self.warmup_steps as f32).min(1.0)
-        }
-    }
-}
-
-impl Optimizer for Lars {
-    fn begin_step(&mut self, params: &ParamSet) {
-        self.warm = self.warmup_factor();
-        self.step += 1;
-        self.inner.begin_step(params);
-    }
-
-    fn apply(&mut self, params: &ParamSet, id: usize) {
-        let p = params.param(id);
-        let gs = self.inner.grad_scale;
-        let wd = self.inner.weight_decay;
-        let (w_norm, g_norm) = p.with(|w, g| (w.l2_norm(), g.l2_norm() / gs));
-        record_norms("lars_norms", p.numel());
-        // Unclipped local rate times the warm-up ramp, folded into the
-        // fused pass as a gradient rescale so the inner SGD's lr applies it.
-        let grad_mul = if g_norm == 0.0 {
-            None
-        } else {
-            let lambda = self.trust * w_norm / (g_norm + wd * w_norm + self.eps);
-            Some(lambda * self.warm)
-        };
-        self.inner.apply_with_mul(params, id, grad_mul);
-    }
-
-    fn lr(&self) -> f32 {
-        self.inner.lr()
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.inner.set_lr(lr);
-    }
-
-    fn export_state(&self) -> OptState {
-        let mut out = self.inner.export_state();
-        out.push("lars.step", vec![self.step as f32]);
-        out.sort();
-        out
-    }
-
-    fn import_state(&mut self, state: &OptState, params: &ParamSet) -> Result<(), String> {
-        self.inner.import_state(state, params)?;
-        self.step = state
-            .get("lars.step")
-            .and_then(|v| v.first().copied())
-            .unwrap_or(0.0) as u32;
-        Ok(())
-    }
-}
-
 /// Linear-scaling rule for the learning rate: the paper scales its base
 /// rate with GPU count (Figure 6 legends: LR 0.0001 at 384 GPUs →
 /// 0.0064 at 1536 → 0.4096 at 6144, i.e. ∝ batch size beyond a base).
@@ -863,6 +764,100 @@ mod tests {
     use super::*;
     use crate::param::Param;
     use exaclim_tensor::{DType, Tensor};
+
+    /// LARS (You, Gitman & Ginsburg), the predecessor the paper replaced and
+    /// the reference the LARC tests measure against (no trainer selects it):
+    /// every tensor's update is `γ(t) · λ · (g + wd·w)` with the *unclipped*
+    /// local rate `λ = trust·‖w‖ / (‖g‖ + wd·‖w‖)`. Because λ multiplies the
+    /// global rate instead of being bounded by it, LARS needs the γ(t)
+    /// warm-up ramp that §V-B2 says LARC "removes the need for".
+    pub struct Lars {
+        inner: Sgd,
+        /// Trust coefficient.
+        pub trust: f32,
+        /// Linear warm-up length in steps (0 = no warm-up).
+        pub warmup_steps: u32,
+        step: u32,
+        eps: f32,
+        /// Warm-up factor for the step opened by the last `begin_step`.
+        warm: f32,
+    }
+
+    impl Lars {
+        /// LARS with the given base rate, trust coefficient and warm-up.
+        pub fn new(lr: f32, trust: f32, warmup_steps: u32) -> Lars {
+            Lars {
+                inner: Sgd::new(lr),
+                trust,
+                warmup_steps,
+                step: 0,
+                eps: 1e-9,
+                warm: 1.0,
+            }
+        }
+
+        /// Mutable access to the wrapped SGD.
+        pub fn sgd_mut(&mut self) -> &mut Sgd {
+            &mut self.inner
+        }
+
+        fn warmup_factor(&self) -> f32 {
+            if self.warmup_steps == 0 {
+                1.0
+            } else {
+                ((self.step + 1) as f32 / self.warmup_steps as f32).min(1.0)
+            }
+        }
+    }
+
+    impl Optimizer for Lars {
+        fn begin_step(&mut self, params: &ParamSet) {
+            self.warm = self.warmup_factor();
+            self.step += 1;
+            self.inner.begin_step(params);
+        }
+
+        fn apply(&mut self, params: &ParamSet, id: usize) {
+            let p = params.param(id);
+            let gs = self.inner.grad_scale;
+            let wd = self.inner.weight_decay;
+            let (w_norm, g_norm) = p.with(|w, g| (w.l2_norm(), g.l2_norm() / gs));
+            record_norms("lars_norms", p.numel());
+            // Unclipped local rate times the warm-up ramp, folded into the
+            // fused pass as a gradient rescale so the inner SGD's lr applies it.
+            let grad_mul = if g_norm == 0.0 {
+                None
+            } else {
+                let lambda = self.trust * w_norm / (g_norm + wd * w_norm + self.eps);
+                Some(lambda * self.warm)
+            };
+            self.inner.apply_with_mul(params, id, grad_mul);
+        }
+
+        fn lr(&self) -> f32 {
+            self.inner.lr()
+        }
+
+        fn set_lr(&mut self, lr: f32) {
+            self.inner.set_lr(lr);
+        }
+
+        fn export_state(&self) -> OptState {
+            let mut out = self.inner.export_state();
+            out.push("lars.step", vec![self.step as f32]);
+            out.sort();
+            out
+        }
+
+        fn import_state(&mut self, state: &OptState, params: &ParamSet) -> Result<(), String> {
+            self.inner.import_state(state, params)?;
+            self.step = state
+                .get("lars.step")
+                .and_then(|v| v.first().copied())
+                .unwrap_or(0.0) as u32;
+            Ok(())
+        }
+    }
 
     fn quadratic_param(x0: f32) -> (ParamSet, Param) {
         let p = Param::new("x", Tensor::from_vec([1], DType::F32, vec![x0]));

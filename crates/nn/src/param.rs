@@ -151,7 +151,7 @@ impl Param {
     }
 
     /// Bitwise hash of the value (replica-consistency checks).
-    pub fn value_hash(&self) -> u64 {
+    fn value_hash(&self) -> u64 {
         self.0.read().value.bit_hash()
     }
 }
@@ -235,7 +235,8 @@ impl ParamSet {
     }
 
     /// Removes the gradient-ready hooks of every parameter in the set.
-    pub fn clear_ready_hooks(&self) {
+    #[cfg(test)]
+    fn clear_ready_hooks(&self) {
         for p in &self.params {
             p.clear_ready_hook();
         }
@@ -249,7 +250,7 @@ impl ParamSet {
     }
 
     /// Combined bitwise hash of all values (replica-consistency checks):
-    /// an FNV-1a fold over the per-tensor [`Param::value_hash`]es in set
+    /// an FNV-1a fold over the per-tensor `Param::value_hash`es in set
     /// order — `h = (h ^ value_hash) * 0x100_0000_01b3` from the offset
     /// basis `0xcbf2_9ce4_8422_2325` — so it is sensitive to the order of
     /// the parameters as well as to every bit of every value. The

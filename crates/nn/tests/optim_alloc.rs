@@ -6,7 +6,7 @@
 //! any neighbouring test thread that touches the pool inside the measured
 //! window would be counted against the optimizer.
 
-use exaclim_nn::optim::{Adam, Lagged, LarcSgd, Lars, Optimizer, Sgd};
+use exaclim_nn::optim::{Adam, Lagged, LarcSgd, Optimizer, Sgd};
 use exaclim_nn::{Param, ParamSet};
 use exaclim_tensor::{pool, DType, Tensor};
 
@@ -41,7 +41,6 @@ fn builders() -> Vec<(&'static str, Build)> {
             Box::new(o)
         }),
         ("lagged", || Box::new(Lagged::new(Sgd::new(0.05)))),
-        ("lars", || Box::new(Lars::new(0.05, 0.5, 10))),
     ]
 }
 

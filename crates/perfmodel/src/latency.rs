@@ -150,11 +150,6 @@ impl LatencyHistogram {
         self.quantile(0.50)
     }
 
-    /// 99th percentile.
-    pub fn p99(&self) -> Duration {
-        self.quantile(0.99)
-    }
-
     /// Folds another histogram into this one. Exact: both use the same
     /// fixed bucket layout, so merged quantiles equal those of a single
     /// histogram that saw every sample.
@@ -194,7 +189,7 @@ mod tests {
         }
         assert_eq!(h.count(), 10_000);
         let p50 = h.p50().as_micros() as f64;
-        let p99 = h.p99().as_micros() as f64;
+        let p99 = h.quantile(0.99).as_micros() as f64;
         // True p50 = 5000 µs, p99 = 9900 µs; allow the 1/8 bucket error.
         assert!((p50 / 5_000.0 - 1.0).abs() < 0.13, "p50 {p50}");
         assert!((p99 / 9_900.0 - 1.0).abs() < 0.13, "p99 {p99}");
@@ -233,7 +228,7 @@ mod tests {
         let h = LatencyHistogram::new();
         assert!(h.is_empty());
         assert_eq!(h.p50(), Duration::ZERO);
-        assert_eq!(h.p99(), Duration::ZERO);
+        assert_eq!(h.quantile(0.99), Duration::ZERO);
         assert_eq!(h.mean(), Duration::ZERO);
     }
 }

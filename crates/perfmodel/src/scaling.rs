@@ -47,7 +47,7 @@ impl ScalingSeries {
 }
 
 /// Standard node counts for a sweep up to `max_nodes`.
-pub fn node_sweep(max_nodes: usize) -> Vec<usize> {
+fn node_sweep(max_nodes: usize) -> Vec<usize> {
     let mut v = vec![1usize];
     while *v.last().expect("non-empty") * 4 <= max_nodes {
         let next = v.last().expect("non-empty") * 4;

@@ -11,7 +11,6 @@
 //! This module composes staging + epochs × (steps/epoch × step time +
 //! validation pass) into an end-to-end wall-clock estimate.
 
-use crate::scaling::ScalingSeries;
 use exaclim_hpcsim::TrainingJobModel;
 use exaclim_staging::{simulate_distributed_staging, StagingConfig};
 
@@ -92,12 +91,6 @@ pub fn render(tts: &TimeToSolution, label: &str) -> String {
         tts.validation_s,
         tts.hours()
     )
-}
-
-/// Convenience: hours to run `epochs` at the last point of a scaling
-/// series (step time from the series' largest configuration).
-pub fn hours_at_scale(series: &ScalingSeries, steps_per_epoch: usize, epochs: usize) -> f64 {
-    series.last().step_time_median * (steps_per_epoch * epochs) as f64 / 3600.0
 }
 
 #[cfg(test)]

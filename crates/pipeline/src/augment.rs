@@ -30,11 +30,6 @@ pub struct Augmentation {
 }
 
 impl Augmentation {
-    /// No-op augmentation.
-    pub fn identity() -> Augmentation {
-        Augmentation { roll: 0, flip_lat: false }
-    }
-
     /// Samples a random augmentation for a `w`-wide grid.
     pub fn sample(w: usize, rng: &mut StdRng) -> Augmentation {
         Augmentation {
@@ -55,17 +50,9 @@ impl Augmentation {
     }
 
     /// Applies to one scalar field (row-major `h×w`), flipping sign when
-    /// `flip_sign` (meridional winds under a latitude mirror).
-    pub fn apply_field(&self, field: &[f32], h: usize, w: usize, flip_sign: bool) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.apply_field_into(field, h, w, flip_sign, &mut out);
-        out
-    }
-
-    /// [`Augmentation::apply_field`] into a caller-provided buffer
-    /// (appended; callers clear first for a standalone field) — the
-    /// allocation-free path the streaming ingest workers use.
-    pub fn apply_field_into(&self, field: &[f32], h: usize, w: usize, flip_sign: bool, out: &mut Vec<f32>) {
+    /// `flip_sign` (meridional winds under a latitude mirror). Appends to
+    /// `out`, so the streaming ingest workers fill one reused buffer.
+    fn apply_field_into(&self, field: &[f32], h: usize, w: usize, flip_sign: bool, out: &mut Vec<f32>) {
         assert_eq!(field.len(), h * w);
         let sign = if self.flip_lat && flip_sign { -1.0 } else { 1.0 };
         out.reserve(h * w);
@@ -93,22 +80,8 @@ impl Augmentation {
     }
 
     /// Applies to a full channel-major sample (`channels × h × w`), given
-    /// which channel indices are meridional winds.
-    pub fn apply_sample(
-        &self,
-        fields: &[f32],
-        channels: usize,
-        h: usize,
-        w: usize,
-        meridional: &[usize],
-    ) -> Vec<f32> {
-        let mut out = Vec::with_capacity(fields.len());
-        self.apply_sample_into(fields, channels, h, w, meridional, &mut out);
-        out
-    }
-
-    /// [`Augmentation::apply_sample`] into a caller-provided buffer
-    /// (cleared and filled).
+    /// which channel indices are meridional winds, into a caller-provided
+    /// buffer (cleared and filled).
     pub fn apply_sample_into(
         &self,
         fields: &[f32],
@@ -132,11 +105,23 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    fn field(a: &Augmentation, f: &[f32], h: usize, w: usize, flip_sign: bool) -> Vec<f32> {
+        let mut out = Vec::new();
+        a.apply_field_into(f, h, w, flip_sign, &mut out);
+        out
+    }
+
+    fn sample(a: &Augmentation, f: &[f32], c: usize, h: usize, w: usize, meridional: &[usize]) -> Vec<f32> {
+        let mut out = Vec::new();
+        a.apply_sample_into(f, c, h, w, meridional, &mut out);
+        out
+    }
+
     #[test]
     fn identity_is_identity() {
         let f: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        let a = Augmentation::identity();
-        assert_eq!(a.apply_field(&f, 3, 4, true), f);
+        let a = Augmentation { roll: 0, flip_lat: false };
+        assert_eq!(field(&a, &f, 3, 4, true), f);
         let m: Vec<u8> = (0..12).map(|i| (i % 3) as u8).collect();
         assert_eq!(a.apply_mask(&m, 3, 4), m);
     }
@@ -145,20 +130,20 @@ mod tests {
     fn roll_is_cyclic_and_invertible() {
         let f: Vec<f32> = (0..12).map(|i| i as f32).collect();
         let a = Augmentation { roll: 1, flip_lat: false };
-        let rolled = a.apply_field(&f, 3, 4, false);
+        let rolled = field(&a, &f, 3, 4, false);
         // Row 0: [0,1,2,3] rolled right by 1 → [3,0,1,2].
         assert_eq!(&rolled[0..4], &[3.0, 0.0, 1.0, 2.0]);
         // Rolling by w-1 more returns the original.
         let b = Augmentation { roll: 3, flip_lat: false };
-        assert_eq!(b.apply_field(&rolled, 3, 4, false), f);
+        assert_eq!(field(&b, &rolled, 3, 4, false), f);
     }
 
     #[test]
     fn lat_flip_mirrors_rows_and_flips_meridional_sign() {
         let f: Vec<f32> = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 3 rows × 2
         let a = Augmentation { roll: 0, flip_lat: true };
-        assert_eq!(a.apply_field(&f, 3, 2, false), vec![5.0, 6.0, 3.0, 4.0, 1.0, 2.0]);
-        assert_eq!(a.apply_field(&f, 3, 2, true), vec![-5.0, -6.0, -3.0, -4.0, -1.0, -2.0]);
+        assert_eq!(field(&a, &f, 3, 2, false), vec![5.0, 6.0, 3.0, 4.0, 1.0, 2.0]);
+        assert_eq!(field(&a, &f, 3, 2, true), vec![-5.0, -6.0, -3.0, -4.0, -1.0, -2.0]);
     }
 
     #[test]
@@ -167,10 +152,10 @@ mod tests {
         let (h, w) = (6, 8);
         // Field equals mask value, so congruence is directly checkable.
         let mask: Vec<u8> = (0..h * w).map(|i| ((i * 7) % 3) as u8).collect();
-        let field: Vec<f32> = mask.iter().map(|&m| m as f32).collect();
+        let f: Vec<f32> = mask.iter().map(|&m| m as f32).collect();
         for _ in 0..8 {
             let a = Augmentation::sample(w, &mut rng);
-            let fm = a.apply_field(&field, h, w, false);
+            let fm = field(&a, &f, h, w, false);
             let mm = a.apply_mask(&mask, h, w);
             for (x, m) in fm.iter().zip(mm.iter()) {
                 assert_eq!(*x, *m as f32, "{a:?}");
@@ -183,7 +168,7 @@ mod tests {
         let (c, h, w) = (3, 2, 2);
         let fields: Vec<f32> = (0..c * h * w).map(|i| i as f32 + 1.0).collect();
         let a = Augmentation { roll: 0, flip_lat: true };
-        let out = a.apply_sample(&fields, c, h, w, &[1]); // channel 1 is meridional
+        let out = sample(&a, &fields, c, h, w, &[1]); // channel 1 is meridional
         // Channel 0 mirrored, positive.
         assert_eq!(&out[0..4], &[3.0, 4.0, 1.0, 2.0]);
         // Channel 1 mirrored, negated.
@@ -212,7 +197,7 @@ mod tests {
         let a = Augmentation { roll: 2, flip_lat: true };
         let mut out = vec![99.0; 5]; // stale contents must be discarded
         a.apply_sample_into(&fields, c, h, w, &[1], &mut out);
-        assert_eq!(out, a.apply_sample(&fields, c, h, w, &[1]));
+        assert_eq!(out, sample(&a, &fields, c, h, w, &[1]));
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub mod stream;
 
 pub use augment::Augmentation;
 pub use decode::{ChannelStats, DecodedSample};
-pub use prefetch::{PipelineStats, PrefetchConfig, ReaderAutoscaler, ReaderMode};
-pub use sampler::{epoch_permutation, sequence_hash, SampleSampler};
-pub use stream::{IngestStream, StreamConfig, StreamingIngest};
+pub use prefetch::{PrefetchConfig, ReaderAutoscaler, ReaderMode};
+pub use sampler::{epoch_permutation, SampleSampler};
+pub use stream::{StreamConfig, StreamingIngest};

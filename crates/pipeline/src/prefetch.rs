@@ -11,9 +11,8 @@
 //!   worker owns an independent reader (the Python `multiprocessing`
 //!   workaround), so reads genuinely overlap.
 //!
-//! This module holds the configuration, the live counters and the reader
-//! autoscaler; the engine that consumes them is
-//! [`crate::stream::StreamingIngest`].
+//! This module holds the configuration and the reader autoscaler; the
+//! engine that consumes them is [`crate::stream::StreamingIngest`].
 //!
 //! **Reader autoscaling.** [`ReaderAutoscaler`] sizes the reader set from
 //! the exposed-ingest share of the step (the time the step's critical path
@@ -26,10 +25,7 @@
 //! hides the very wait which justified it would be taken away again, and
 //! every such flip tears the readers down and respawns them.
 
-use exaclim_perfmodel::LatencyHistogram;
 use exaclim_tensor::DType;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Reader-concurrency mode.
@@ -162,103 +158,12 @@ impl ReaderAutoscaler {
     }
 }
 
-/// Live pipeline counters. Durations are recorded into mergeable
-/// [`LatencyHistogram`]s, so consumers get p50/p99 alongside the totals
-/// the old atomic counters provided.
-#[derive(Default)]
-pub struct PipelineStats {
-    produced: AtomicU64,
-    consumed: AtomicU64,
-    consumer_wait: Mutex<LatencyHistogram>,
-    read: Mutex<LatencyHistogram>,
-}
-
-impl PipelineStats {
-    /// Samples produced by workers.
-    pub fn produced(&self) -> u64 {
-        self.produced.load(Ordering::Relaxed)
-    }
-
-    /// Samples taken by the consumer.
-    pub fn consumed(&self) -> u64 {
-        self.consumed.load(Ordering::Relaxed)
-    }
-
-    /// Total time the consumer spent blocked on an empty queue.
-    pub fn consumer_wait(&self) -> Duration {
-        self.consumer_wait.lock().total()
-    }
-
-    /// Total wall time spent inside (possibly locked) read operations.
-    pub fn read_time(&self) -> Duration {
-        self.read.lock().total()
-    }
-
-    /// Median consumer wait per pull.
-    pub fn wait_p50(&self) -> Duration {
-        self.consumer_wait.lock().p50()
-    }
-
-    /// 99th-percentile consumer wait per pull — the ingest tail the step
-    /// timeline's p99 column reports.
-    pub fn wait_p99(&self) -> Duration {
-        self.consumer_wait.lock().p99()
-    }
-
-    /// Median read-operation latency.
-    pub fn read_p50(&self) -> Duration {
-        self.read.lock().p50()
-    }
-
-    /// 99th-percentile read-operation latency.
-    pub fn read_p99(&self) -> Duration {
-        self.read.lock().p99()
-    }
-
-    /// Snapshot of the consumer-wait histogram (mergeable across ranks).
-    pub fn wait_histogram(&self) -> LatencyHistogram {
-        self.consumer_wait.lock().clone()
-    }
-
-    /// Snapshot of the read-operation histogram.
-    pub fn read_histogram(&self) -> LatencyHistogram {
-        self.read.lock().clone()
-    }
-
-    pub(crate) fn note_produced(&self) {
-        self.produced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_consumed(&self) {
-        self.consumed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_wait(&self, d: Duration) {
-        self.consumer_wait.lock().record(d);
-    }
-
-    pub(crate) fn record_read(&self, d: Duration) {
-        self.read.lock().record(d);
-    }
-}
-
-impl std::fmt::Debug for PipelineStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineStats")
-            .field("produced", &self.produced())
-            .field("consumed", &self.consumed())
-            .field("consumer_wait", &self.consumer_wait())
-            .field("read_time", &self.read_time())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decode::ChannelStats;
     use crate::sampler::SampleSampler;
-    use crate::stream::{IngestStream, StreamConfig, StreamingIngest};
+    use crate::stream::{StreamConfig, StreamingIngest};
     use exaclim_climsim::dataset::DatasetConfig;
     use exaclim_climsim::ClimateDataset;
     use std::sync::Arc;
@@ -394,7 +299,6 @@ mod tests {
             assert_eq!(s.input.shape().dims(), &[1, 16, 12, 18]);
             assert_eq!(s.labels.len(), 12 * 18);
         }
-        assert!(q.stats().consumed() == 10);
     }
 
     #[test]
@@ -459,21 +363,5 @@ mod tests {
         let mut q = start(&ds, sampler, stats, config(ReaderMode::PerWorker, 2));
         let _ = q.next_sample();
         drop(q); // must not hang
-    }
-
-    #[test]
-    fn wait_histogram_records_every_pull() {
-        let ds = tiny_dataset();
-        let stats = ChannelStats::estimate(&ds, 1).expect("stats");
-        let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 6);
-        let mut q = start(&ds, sampler, stats, config(ReaderMode::PerWorker, 1));
-        for _ in 0..8 {
-            let _ = q.next_sample();
-        }
-        let st = q.stats();
-        assert_eq!(st.wait_histogram().count(), 8, "one wait sample per pull");
-        assert!(st.wait_p99() >= st.wait_p50());
-        assert!(st.consumer_wait() >= st.wait_p50(), "total covers at least the median");
-        assert!(st.read_histogram().count() > 0, "read ops recorded");
     }
 }

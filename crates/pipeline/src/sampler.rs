@@ -35,7 +35,8 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Order-sensitive hash of a consumed sample sequence. Tests
 /// compare this across reader-worker counts, re-shards and
 /// elastic churn schedules: equal hashes ⇔ bit-identical order.
-pub fn sequence_hash(seq: impl IntoIterator<Item = usize>) -> u64 {
+#[cfg(test)]
+pub(crate) fn sequence_hash(seq: impl IntoIterator<Item = usize>) -> u64 {
     let mut h = 0x6a09_e667_f3bc_c909u64; // sqrt(2) fractional bits
     for (i, idx) in seq.into_iter().enumerate() {
         h = mix64(h ^ (idx as u64).wrapping_add((i as u64).wrapping_mul(GOLDEN)));
@@ -122,7 +123,7 @@ impl SampleSampler {
 
     /// Samples from an explicit shard with the given chunk granularity
     /// (normally the dataset's `chunk_size()`, i.e. one CDF5 file).
-    pub fn with_chunks(shard: Vec<usize>, seed: u64, chunk_size: usize) -> SampleSampler {
+    fn with_chunks(shard: Vec<usize>, seed: u64, chunk_size: usize) -> SampleSampler {
         assert!(!shard.is_empty(), "shard must be non-empty");
         let chunk_size = chunk_size.max(1);
         let order = epoch_permutation(seed, 0, &shard, chunk_size);
@@ -153,11 +154,6 @@ impl SampleSampler {
     /// Completed epochs.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Shard size.
-    pub fn shard_len(&self) -> usize {
-        self.shard.len()
     }
 
     /// The underlying shard, in storage order.
@@ -211,13 +207,13 @@ mod tests {
         let a2 = SampleSampler::for_rank(1000, 0, 50, 9);
         assert_ne!(a.shard, b.shard);
         assert_eq!(a.shard, a2.shard);
-        assert_eq!(a.shard_len(), 50);
+        assert_eq!(a.shard().len(), 50);
     }
 
     #[test]
     fn shard_larger_than_dataset_is_clamped() {
         let s = SampleSampler::for_rank(10, 0, 250, 1);
-        assert_eq!(s.shard_len(), 10);
+        assert_eq!(s.shard().len(), 10);
     }
 
     #[test]

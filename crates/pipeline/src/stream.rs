@@ -19,7 +19,7 @@
 //! * Decode output lives in pool-recycled buffers and each worker reuses
 //!   its raw staging buffers across runs: the steady-state stream performs
 //!   zero fresh heap allocations.
-//! * [`IngestStream::reshard`] and [`IngestStream::set_workers`] tear the
+//! * [`StreamingIngest::reshard`] and [`StreamingIngest::set_workers`] tear the
 //!   readers down and respawn them at the consumer's exact position, so
 //!   elastic generation changes replay deterministically: the consumed
 //!   sequence is a pure function of the seed, the shard history and the
@@ -28,7 +28,7 @@
 
 use crate::augment::Augmentation;
 use crate::decode::{decode, ChannelStats, DecodedSample};
-use crate::prefetch::{PipelineStats, PrefetchConfig, ReaderMode};
+use crate::prefetch::{PrefetchConfig, ReaderMode};
 use crate::sampler::{epoch_permutation, SampleSampler};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use exaclim_climsim::ClimateDataset;
@@ -36,34 +36,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// A backpressured, reproducible source of decoded samples.
-///
-/// Both trainers consume their input through this trait; the default
-/// engine is [`StreamingIngest`], and tests substitute deterministic
-/// stand-ins.
-pub trait IngestStream: Send {
-    /// Next sample in the global order (blocks on backpressure; the wait
-    /// is recorded as consumer-wait in [`PipelineStats`]).
-    fn next_sample(&mut self) -> DecodedSample;
-
-    /// Live pipeline counters.
-    fn stats(&self) -> Arc<PipelineStats>;
-
-    /// Replaces the shard (an elastic re-shard): the *current* epoch is
-    /// rebuilt over the new shard and delivery restarts at its beginning.
-    /// Deterministic — the continuation depends only on `(seed, epoch,
-    /// new_shard)`.
-    fn reshard(&mut self, shard: Vec<usize>);
-
-    /// Changes the reader-worker count, resuming at the exact consumed
-    /// position; the sample sequence is unaffected.
-    fn set_workers(&mut self, workers: usize);
-
-    /// Current reader-worker count.
-    fn workers(&self) -> usize;
-}
+use std::time::Duration;
 
 /// Configuration of a [`StreamingIngest`].
 #[derive(Debug, Clone)]
@@ -102,7 +75,8 @@ struct WorkerSet {
     handles: Vec<JoinHandle<()>>,
 }
 
-/// The sharded-reader streaming engine.
+/// The sharded-reader streaming engine: a backpressured, reproducible
+/// source of decoded samples, consumed by both trainers.
 pub struct StreamingIngest {
     dataset: Arc<ClimateDataset>,
     norm: Arc<ChannelStats>,
@@ -112,7 +86,6 @@ pub struct StreamingIngest {
     epoch: u64,
     cursor: usize,
     state: Option<WorkerSet>,
-    stats: Arc<PipelineStats>,
 }
 
 impl StreamingIngest {
@@ -134,7 +107,6 @@ impl StreamingIngest {
             epoch: 0,
             cursor: 0,
             state: None,
-            stats: Arc::new(PipelineStats::default()),
         };
         s.spawn();
         s
@@ -179,7 +151,6 @@ impl StreamingIngest {
                 norm: self.norm.clone(),
                 shard: self.shard.clone(),
                 cfg: self.cfg.clone(),
-                stats: self.stats.clone(),
                 start_epoch: self.epoch,
                 start_pos: self.cursor,
                 stop: stop.clone(),
@@ -201,18 +172,14 @@ impl StreamingIngest {
             }
         }
     }
-}
 
-impl IngestStream for StreamingIngest {
-    fn next_sample(&mut self) -> DecodedSample {
+    /// Next sample in the global order (blocks on backpressure).
+    pub fn next_sample(&mut self) -> DecodedSample {
         let j = self.cursor / self.chunk();
         let g = self.epoch.wrapping_mul(self.n_runs() as u64).wrapping_add(j as u64);
         let w = (g % self.n_workers as u64) as usize;
         let st = self.state.as_ref().expect("stream is running");
-        let t0 = Instant::now();
         let sample = st.rxs[w].recv().expect("ingest worker exited");
-        self.stats.record_wait(t0.elapsed());
-        self.stats.note_consumed();
         self.cursor += 1;
         if self.cursor >= self.shard.len() {
             self.cursor = 0;
@@ -221,11 +188,11 @@ impl IngestStream for StreamingIngest {
         sample
     }
 
-    fn stats(&self) -> Arc<PipelineStats> {
-        self.stats.clone()
-    }
-
-    fn reshard(&mut self, shard: Vec<usize>) {
+    /// Replaces the shard (an elastic re-shard): the *current* epoch is
+    /// rebuilt over the new shard and delivery restarts at its beginning.
+    /// Deterministic — the continuation depends only on `(seed, epoch,
+    /// new_shard)`.
+    pub fn reshard(&mut self, shard: Vec<usize>) {
         assert!(!shard.is_empty(), "shard must be non-empty");
         self.teardown();
         self.shard = Arc::new(shard);
@@ -233,7 +200,9 @@ impl IngestStream for StreamingIngest {
         self.spawn();
     }
 
-    fn set_workers(&mut self, workers: usize) {
+    /// Changes the reader-worker count, resuming at the exact consumed
+    /// position; the sample sequence is unaffected.
+    pub fn set_workers(&mut self, workers: usize) {
         let workers = workers.max(1);
         if workers == self.n_workers {
             return;
@@ -243,7 +212,8 @@ impl IngestStream for StreamingIngest {
         self.spawn();
     }
 
-    fn workers(&self) -> usize {
+    /// Current reader-worker count.
+    pub fn workers(&self) -> usize {
         self.n_workers
     }
 }
@@ -261,7 +231,6 @@ struct WorkerCtx {
     norm: Arc<ChannelStats>,
     shard: Arc<Vec<usize>>,
     cfg: StreamConfig,
-    stats: Arc<PipelineStats>,
     start_epoch: u64,
     start_pos: usize,
     stop: Arc<AtomicBool>,
@@ -301,7 +270,6 @@ fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
             // HDF5 per-read overhead (`read_cost`) is paid once, and in
             // SharedLocked mode the global library lock is held for the
             // operation's duration. Decode happens outside the lock.
-            let t0 = Instant::now();
             {
                 let _guard = ctx.global_lock.as_ref().map(|l| l.lock());
                 if !ctx.cfg.prefetch.read_cost.is_zero() {
@@ -312,7 +280,6 @@ fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
                     cursor.read_into(order[p], f, l).expect("dataset read");
                 }
             }
-            ctx.stats.record_read(t0.elapsed());
             for (k, p) in (lo..hi).enumerate() {
                 let (f, l) = &raw[k];
                 let fields: &[f32] = if ctx.cfg.augment {
@@ -337,10 +304,7 @@ fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
                 // Blocking send with stop polling (backpressure point).
                 loop {
                     match tx.send_timeout(item, Duration::from_millis(20)) {
-                        Ok(()) => {
-                            ctx.stats.note_produced();
-                            break;
-                        }
+                        Ok(()) => break,
                         Err(crossbeam::channel::SendTimeoutError::Timeout(back)) => {
                             if ctx.stop.load(Ordering::Relaxed) {
                                 return;

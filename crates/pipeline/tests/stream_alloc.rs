@@ -3,7 +3,7 @@
 
 use exaclim_climsim::{dataset::DatasetConfig, ClimateDataset};
 use exaclim_pipeline::prefetch::{PrefetchConfig, ReaderMode};
-use exaclim_pipeline::{ChannelStats, IngestStream, StreamConfig, StreamingIngest};
+use exaclim_pipeline::{ChannelStats, StreamConfig, StreamingIngest};
 use exaclim_tensor::{pool, DType};
 use std::{sync::Arc, time::Duration};
 

@@ -30,7 +30,7 @@ pub mod tile;
 
 pub use batch::{concat_batch, split_batch};
 pub use server::{
-    replicas_from_checkpoint, FlushReason, InferenceServer, PendingResponse, ReplicaReport,
-    ServeConfig, ServeHandle, ServeTelemetry,
+    replicas_from_checkpoint, InferenceServer, PendingResponse, ReplicaReport, ServeConfig,
+    ServeHandle, ServeTelemetry,
 };
 pub use tile::{infer_tiled, plan_tiles, Tile, TileConfig};

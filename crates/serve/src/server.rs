@@ -63,16 +63,9 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// The batching-disabled baseline: every request is its own batch.
-    pub fn batch1(replicas: usize) -> ServeConfig {
-        ServeConfig { replicas, max_batch: 1, ..ServeConfig::default() }
-    }
-}
-
 /// Why a replica flushed a batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlushReason {
+enum FlushReason {
     /// The batch reached `max_batch`.
     Full,
     /// The latency deadline fired on a partial batch.
@@ -199,7 +192,7 @@ impl InferenceServer {
     /// Launches one thread per replica. Every replica is pinned to eval
     /// mode here — serving never runs training-mode normalization, no
     /// matter what context a caller might have threaded elsewhere.
-    pub fn launch(cfg: ServeConfig, mut replicas: Vec<Box<dyn Layer>>) -> InferenceServer {
+    pub(crate) fn launch(cfg: ServeConfig, mut replicas: Vec<Box<dyn Layer>>) -> InferenceServer {
         assert!(!replicas.is_empty(), "server needs at least one replica");
         assert!(cfg.max_batch >= 1, "max_batch must be >= 1");
         let (tx, rx) = channel::bounded::<Request>(cfg.queue_cap.max(1));
@@ -413,7 +406,7 @@ mod tests {
         let xs: Vec<Tensor> = inputs(12).iter().map(|x| x.cast(dtype)).collect();
         // Batch-1 reference server.
         let base = InferenceServer::launch(
-            ServeConfig::batch1(1),
+            ServeConfig { replicas: 1, max_batch: 1, ..ServeConfig::default() },
             vec![tiny_deeplab(42)],
         );
         let h = base.handle();

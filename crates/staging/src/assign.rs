@@ -67,15 +67,6 @@ impl StagingPlan {
         total as f64 / self.n_samples as f64
     }
 
-    /// Bytes each strategy pulls from the shared filesystem.
-    pub fn filesystem_bytes(&self, sample_bytes: u64, naive: bool) -> u64 {
-        if naive {
-            self.needs.iter().map(|n| n.len() as u64 * sample_bytes).sum()
-        } else {
-            self.n_samples as u64 * sample_bytes
-        }
-    }
-
     /// Re-shards ownership after a membership change: every sample whose
     /// owner is no longer in `live` is reassigned round-robin over the
     /// live nodes, preserving the ownership partition (every sample owned
@@ -165,13 +156,6 @@ mod tests {
         let plan = StagingPlan::build(630, 64, 94, 3);
         let r = plan.mean_replication();
         assert!(r > 8.0 && r < 11.0, "replication {r} ≈ 64·94/630");
-    }
-
-    #[test]
-    fn filesystem_byte_accounting() {
-        let plan = StagingPlan::build(10, 2, 5, 4);
-        assert_eq!(plan.filesystem_bytes(100, true), 2 * 5 * 100);
-        assert_eq!(plan.filesystem_bytes(100, false), 10 * 100);
     }
 
     #[test]

@@ -52,7 +52,8 @@ impl IngestFeed {
 
     /// The samples this node reads from the shared filesystem on behalf
     /// of the cohort (the disjoint staging partition).
-    pub fn owned(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn owned(&self) -> Vec<usize> {
         self.plan.owned_by(self.node)
     }
 
@@ -65,10 +66,10 @@ impl IngestFeed {
     /// joiners in `live` are staged with the same seeded per-node draw a
     /// fresh build would use, then orphaned ownership is reassigned over
     /// the live set. Returns this node's (possibly new) training shard —
-    /// the argument for [`IngestStream::reshard`]. Pure with respect to
+    /// the argument for [`StreamingIngest::reshard`]. Pure with respect to
     /// `(plan history, live)`: every rank converges on the same plan.
     ///
-    /// [`IngestStream::reshard`]: https://docs.rs/exaclim-pipeline
+    /// [`StreamingIngest::reshard`]: https://docs.rs/exaclim-pipeline
     pub fn on_generation_change(&mut self, live: &[usize]) -> Vec<usize> {
         for &n in live {
             self.plan.ensure_node(n, self.samples_per_node, self.seed);

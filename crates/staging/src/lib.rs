@@ -26,7 +26,7 @@
 //!   verify the protocol delivers bit-identical shards.
 
 pub mod assign;
-pub mod ingest;
+mod ingest;
 pub mod real;
 pub mod sim;
 

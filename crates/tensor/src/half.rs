@@ -16,13 +16,6 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct F16(pub u16);
 
-/// Largest finite binary16 value: `(2 - 2^-10) * 2^15 = 65504`.
-pub const F16_MAX: f32 = 65504.0;
-/// Smallest positive normal binary16 value: `2^-14`.
-pub const F16_MIN_POSITIVE: f32 = 6.103_515_6e-5;
-/// Smallest positive subnormal binary16 value: `2^-24`.
-pub const F16_MIN_SUBNORMAL: f32 = 5.960_464_5e-8;
-
 impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0);
@@ -35,8 +28,9 @@ impl F16 {
 
     /// Converts an `f32` to binary16 with round-to-nearest-even.
     ///
-    /// Values whose magnitude exceeds [`F16_MAX`] (after rounding) become
-    /// infinity; values below half the smallest subnormal flush to zero.
+    /// Values whose magnitude after rounding exceeds 65504 (the largest
+    /// finite binary16) become infinity; values below half the smallest
+    /// subnormal flush to zero.
     #[inline]
     pub fn from_f32(x: f32) -> F16 {
         let bits = x.to_bits();
@@ -317,7 +311,7 @@ mod tests {
 
     #[test]
     fn overflow_to_infinity() {
-        assert!(F16::from_f32(65520.0).is_infinite()); // rounds past F16_MAX
+        assert!(F16::from_f32(65520.0).is_infinite()); // rounds past 65504
         assert!(F16::from_f32(1.0e6).is_infinite());
         assert!(F16::from_f32(-1.0e6).to_f32().is_infinite());
         assert_eq!(F16::from_f32(65519.0).to_f32(), 65504.0); // rounds down to max

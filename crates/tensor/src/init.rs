@@ -15,7 +15,7 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 }
 
 /// Standard normal sample via Box–Muller (avoids a rand_distr dependency).
-pub fn sample_standard_normal(rng: &mut StdRng) -> f32 {
+fn sample_standard_normal(rng: &mut StdRng) -> f32 {
     loop {
         let u1: f32 = rng.gen::<f32>();
         let u2: f32 = rng.gen::<f32>();
@@ -50,24 +50,6 @@ pub fn he_normal(shape: impl Into<crate::Shape>, dtype: DType, rng: &mut StdRng)
     randn(shape, dtype, std, rng)
 }
 
-/// Glorot/Xavier uniform initialization: `U(±sqrt(6/(fan_in+fan_out)))`.
-pub fn xavier_uniform(shape: impl Into<crate::Shape>, dtype: DType, rng: &mut StdRng) -> Tensor {
-    let shape = shape.into();
-    let dims = shape.dims();
-    let (fan_out, fan_in): (usize, usize) = if dims.len() >= 2 {
-        let rs: usize = dims[2..].iter().product::<usize>().max(1);
-        (dims[0] * rs, dims[1] * rs)
-    } else {
-        let n = dims.iter().product::<usize>().max(1);
-        (n, n)
-    };
-    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    let data = (0..shape.numel())
-        .map(|_| rng.gen_range(-bound..=bound))
-        .collect();
-    Tensor::from_vec(shape, dtype, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,15 +73,6 @@ mod tests {
             / (t.numel() - 1) as f32;
         let expected = 2.0 / 576.0;
         assert!((var - expected).abs() < expected * 0.15, "var {var} vs {expected}");
-    }
-
-    #[test]
-    fn xavier_bound_respected() {
-        let mut rng = seeded_rng(3);
-        let t = xavier_uniform([16, 16, 3, 3], DType::F32, &mut rng);
-        let bound = (6.0f32 / (16.0 * 9.0 + 16.0 * 9.0)).sqrt();
-        assert!(t.max_abs() <= bound * 1.0001);
-        assert!(t.max_abs() > bound * 0.8, "samples should approach the bound");
     }
 
     #[test]

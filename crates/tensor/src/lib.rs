@@ -22,8 +22,7 @@
 //!   counts). This is the data source for the Figure 2/3/8/9 analyses.
 //! * [`pool`] — the buffer-recycling tensor memory pool (§VII-A's "improve
 //!   the memory management"): size-class free lists behind every tensor's
-//!   copy-on-write storage, plus the [`Workspace`] handle layers draw
-//!   scratch and activation-cache buffers through.
+//!   copy-on-write storage.
 
 pub mod half;
 pub mod init;
@@ -36,7 +35,7 @@ pub mod tensor;
 
 pub use crate::half::{Bf16, F16};
 pub use crate::ops::gemm::{compute_precision, set_compute_precision, ComputePrecision};
-pub use crate::pool::{PooledBytes, Workspace};
+pub use crate::pool::PooledBytes;
 pub use crate::shape::Shape;
 pub use crate::simd::{set_simd_enabled, simd_enabled, SimdLevel};
 pub use crate::tensor::{DType, Tensor};
@@ -55,31 +54,3 @@ pub fn set_kernel_threads(n: usize) {
 pub fn kernel_threads() -> usize {
     rayon::current_num_threads()
 }
-
-/// Errors produced by tensor operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TensorError {
-    /// Operand shapes are incompatible for the requested operation.
-    ShapeMismatch {
-        /// Human-readable description of the mismatch.
-        context: String,
-    },
-    /// An index was out of bounds for the tensor's shape.
-    IndexOutOfBounds {
-        /// Human-readable description of the offending access.
-        context: String,
-    },
-}
-
-impl std::fmt::Display for TensorError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TensorError::ShapeMismatch { context } => write!(f, "shape mismatch: {context}"),
-            TensorError::IndexOutOfBounds { context } => {
-                write!(f, "index out of bounds: {context}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TensorError {}

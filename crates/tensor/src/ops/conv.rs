@@ -65,7 +65,7 @@
 //! so they agree to rounding, not bit for bit.
 
 use crate::ops::gemm::{
-    compute_precision, gemm_noprofile, gemm_panels, ComputePrecision, Layout, PanelSource, SliceB,
+    compute_precision, gemm_panels, ComputePrecision, Layout, PanelSource, SliceB,
 };
 use crate::pool;
 use crate::profile::{self, KernelKind};
@@ -772,26 +772,6 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Conv2dParam
     ConvGrads { grad_input: gx, grad_weight: gw }
 }
 
-/// 1×1 convolution expressed directly as a GEMM over flattened pixels;
-/// exposed for the benchmark suite to compare lowering strategies.
-pub fn conv1x1_as_gemm(x: &Tensor, w: &Tensor) -> Tensor {
-    let (n, c, h, wd) = x.shape().nchw();
-    let (k, cw, r, s) = w.shape().nchw();
-    assert_eq!((cw, r, s), (c, 1, 1), "conv1x1_as_gemm requires 1×1 weights");
-    let mut y = Tensor::zeros([n, k, h, wd], x.dtype());
-    let xs = x.as_slice();
-    let ws = w.as_slice();
-    let hw = h * wd;
-    // Serial over images; the blocked GEMM parallelizes over its own tile
-    // grid (hw is the wide dimension, so tiles dominate image count).
-    for (ni, yn) in y.as_mut_slice().chunks_mut(k * hw).enumerate() {
-        gemm_noprofile(k, hw, c, ws, &xs[ni * c * hw..(ni + 1) * c * hw], yn);
-    }
-    y.requantize();
-    record_conv("conv1x1_gemm", conv_flops(n, k, c, 1, 1, h, wd), &[x, w], &y);
-    y
-}
-
 /// Weight gradient through the materialized patch matrix and a dense
 /// `gemm_a_bt`: the oracle the implicit (packed on the fly) route is tested
 /// against.
@@ -946,18 +926,6 @@ mod tests {
             }
         }
         crate::simd::set_simd_enabled(simd_before);
-    }
-
-    #[test]
-    fn conv1x1_gemm_matches_direct() {
-        let mut rng = seeded_rng(5);
-        let x = randn([2, 8, 4, 4], DType::F32, 1.0, &mut rng);
-        let w = randn([5, 8, 1, 1], DType::F32, 0.4, &mut rng);
-        let a = conv2d_forward(&x, &w, Conv2dParams::default(), ConvAlgo::Direct);
-        let b = conv1x1_as_gemm(&x, &w);
-        for (u, v) in a.as_slice().iter().zip(b.as_slice().iter()) {
-            assert!((u - v).abs() < 1e-4);
-        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl Deconv2dParams {
 
 /// FLOPs of one transposed-convolution pass (every input pixel multiplies
 /// the full kernel; 2 FLOPs per multiply-add).
-pub fn deconv_flops(n: usize, c: usize, k: usize, r: usize, s: usize, h: usize, w: usize) -> u64 {
+fn deconv_flops(n: usize, c: usize, k: usize, r: usize, s: usize, h: usize, w: usize) -> u64 {
     2 * (n as u64) * (c as u64) * (k as u64) * (r as u64) * (s as u64) * (h as u64) * (w as u64)
 }
 

@@ -206,10 +206,9 @@ impl SendPtr {
 /// `c[m×n] += a[m×k] · b[k×n]`, all row-major dense slices.
 ///
 /// Parallelized over output tiles on the kernel pool. Records a census
-/// entry of `2·m·n·k` FLOPs when invoked directly (the convolution
-/// wrappers record at the op level instead and call [`gemm_noprofile`]).
-/// The census name carries the operand precision (`gemm`, `gemm_f16`,
-/// `gemm_bf16`).
+/// entry of `2·m·n·k` FLOPs (the convolutions record at the op level and
+/// call `gemm_panels` instead). The census name carries the operand
+/// precision (`gemm`, `gemm_f16`, `gemm_bf16`).
 ///
 /// # Panics
 /// Panics if slice lengths do not match the given dimensions.
@@ -229,9 +228,8 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_noprofile(m, n, k, a, b, c);
 }
 
-/// [`gemm`] without the census entry; used internally by convolution
-/// kernels that account their FLOPs at the op level.
-pub fn gemm_noprofile(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+/// [`gemm`] without the census entry.
+fn gemm_noprofile(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "A must be m×k");
     assert_eq!(b.len(), k * n, "B must be k×n");
     assert_eq!(c.len(), m * n, "C must be m×n");

@@ -8,26 +8,22 @@
 pub mod conv;
 pub mod deconv;
 pub mod gemm;
-pub mod interp;
+mod interp;
 pub mod layout;
 pub mod norm;
 pub mod pointwise;
 pub mod pool;
-pub mod reduce;
+mod reduce;
 
 pub use conv::{conv2d_backward, conv2d_forward, Conv2dParams, ConvAlgo};
 pub use deconv::{deconv2d_backward, deconv2d_forward, Deconv2dParams};
 pub use gemm::{compute_precision, gemm, set_compute_precision, ComputePrecision};
 pub use interp::{bilinear_resize_backward, bilinear_resize_forward};
-pub use layout::{crop_spatial, nchw_to_nhwc, nhwc_to_nchw, paste_spatial};
+pub use layout::crop_spatial;
 pub use norm::{batchnorm_backward, batchnorm_forward, BatchNormCache};
 pub use pointwise::{
-    add, add_bias_, add_bias_nchw, bias_grad_nchw, concat_channels, dropout_backward,
-    dropout_forward, mul, relu_, relu_backward, relu_backward_from_output, relu_forward,
-    scale_add_, scale_tensor, split_channels,
+    add, add_bias_nchw, bias_grad_nchw, concat_channels, dropout_backward, dropout_forward, mul,
+    relu_backward, relu_backward_from_output, relu_forward, split_channels,
 };
-pub use pool::{
-    avgpool_global_backward, avgpool_global_forward, maxpool2d_backward,
-    maxpool2d_backward_shaped, maxpool2d_forward,
-};
+pub use pool::{maxpool2d_backward_shaped, maxpool2d_forward};
 pub use reduce::{log_softmax_channels, softmax_channels};

@@ -72,17 +72,10 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// `a * s` into a new tensor.
-pub fn scale_tensor(a: &Tensor, s: f32) -> Tensor {
-    let data = map1(a.as_slice(), |d, x| simd::vscale(d, x, s));
-    let out = Tensor::from_vec(a.shape().clone(), a.dtype(), data);
-    record_pw("scale", a.numel() as u64, a.storage_bytes() as u64, out.storage_bytes() as u64);
-    out
-}
-
 /// In-place ReLU: `x = max(0, x)`. Reuses the input buffer — no
 /// allocation, one read + one write per element.
-pub fn relu_(x: &mut Tensor) {
+#[cfg(test)]
+fn relu_(x: &mut Tensor) {
     let bytes = x.storage_bytes() as u64;
     x.as_mut_slice().par_chunks_mut(PW_BLOCK).for_each(simd::vrelu_);
     // max(0, ·) of an f16-exact value is f16-exact; no requantize needed.
@@ -91,7 +84,8 @@ pub fn relu_(x: &mut Tensor) {
 
 /// In-place scale-accumulate: `y[i] = s·y[i] + x[i]` (quantized if FP16) —
 /// the momentum/running-average update shape, fused into one pass over `y`.
-pub fn scale_add_(y: &mut Tensor, s: f32, x: &Tensor) {
+#[cfg(test)]
+fn scale_add_(y: &mut Tensor, s: f32, x: &Tensor) {
     assert_eq!(y.shape(), x.shape(), "scale_add_ shape mismatch");
     let bytes = y.storage_bytes() as u64;
     {
@@ -120,13 +114,6 @@ pub fn add_bias_nchw(x: &mut Tensor, bias: &Tensor) {
     }
     x.requantize();
     record_pw("bias_add", x.numel() as u64, bytes + bias.storage_bytes() as u64, bytes);
-}
-
-/// In-place-family alias of [`add_bias_nchw`] (the op was always
-/// in-place; the underscore name groups it with [`relu_`] and
-/// [`scale_add_`]).
-pub fn add_bias_(x: &mut Tensor, bias: &Tensor) {
-    add_bias_nchw(x, bias);
 }
 
 /// Per-channel bias gradient: sums `grad_out` over N, H, W.
@@ -398,6 +385,5 @@ mod tests {
         let b = Tensor::from_vec([3], DType::F32, vec![4.0, 5.0, 6.0]);
         assert_eq!(add(&a, &b).as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(mul(&a, &b).as_slice(), &[4.0, 10.0, 18.0]);
-        assert_eq!(scale_tensor(&a, 2.0).as_slice(), &[2.0, 4.0, 6.0]);
     }
 }

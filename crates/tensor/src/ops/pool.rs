@@ -12,7 +12,7 @@ use rayon::prelude::*;
 /// Forward max pooling.
 ///
 /// Returns the pooled tensor and the flat input index of each maximum
-/// (needed by [`maxpool2d_backward`]).
+/// (needed by [`maxpool2d_backward_shaped`]).
 pub fn maxpool2d_forward(
     x: &Tensor,
     kernel: usize,
@@ -70,16 +70,8 @@ pub fn maxpool2d_forward(
 }
 
 /// Backward max pooling: routes each output gradient to its argmax input.
-///
-/// Only the input's shape and dtype are consulted — see
-/// [`maxpool2d_backward_shaped`] for callers that no longer hold the
-/// forward input tensor.
-pub fn maxpool2d_backward(x: &Tensor, grad_out: &Tensor, argmax: &[u32]) -> Tensor {
-    maxpool2d_backward_shaped(x.shape().clone(), x.dtype(), grad_out, argmax)
-}
-
-/// [`maxpool2d_backward`] from shape metadata alone, so layers don't have
-/// to materialize a zero tensor of the forward input just to describe it.
+/// Takes the forward input's shape and dtype rather than the tensor, so
+/// layers need not keep the input alive just to describe it.
 pub fn maxpool2d_backward_shaped(
     shape: crate::shape::Shape,
     dtype: crate::tensor::DType,
@@ -117,7 +109,8 @@ pub fn maxpool2d_backward_shaped(
 }
 
 /// Global average pooling: `[N, C, H, W] → [N, C, 1, 1]`.
-pub fn avgpool_global_forward(x: &Tensor) -> Tensor {
+#[cfg(test)]
+fn avgpool_global_forward(x: &Tensor) -> Tensor {
     let (n, c, h, w) = x.shape().nchw();
     let mut y = Tensor::zeros([n, c, 1, 1], x.dtype());
     let hw = (h * w) as f32;
@@ -143,7 +136,8 @@ pub fn avgpool_global_forward(x: &Tensor) -> Tensor {
 }
 
 /// Backward global average pooling: spreads each gradient uniformly.
-pub fn avgpool_global_backward(x_shape: &crate::Shape, grad_out: &Tensor) -> Tensor {
+#[cfg(test)]
+fn avgpool_global_backward(x_shape: &crate::Shape, grad_out: &Tensor) -> Tensor {
     let (n, c, h, w) = x_shape.nchw();
     let mut gx = Tensor::zeros([n, c, h, w], grad_out.dtype());
     let hw = (h * w) as f32;
@@ -197,7 +191,7 @@ mod tests {
         let (y, arg) = maxpool2d_forward(&x, 2, 2, 0);
         assert_eq!(y.as_slice(), &[9.0]);
         let go = Tensor::from_vec([1, 1, 1, 1], DType::F32, vec![5.0]);
-        let gx = maxpool2d_backward(&x, &go, &arg);
+        let gx = maxpool2d_backward_shaped(x.shape().clone(), x.dtype(), &go, &arg);
         assert_eq!(gx.as_slice(), &[0.0, 5.0, 0.0, 0.0]);
     }
 

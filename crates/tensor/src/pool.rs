@@ -21,13 +21,12 @@
 //!   allocator's `free`.
 //!
 //! The pool is enabled by default and gated by the `EXACLIM_POOL`
-//! environment variable (`0`/`false`/`off` disable it); benchmarks compare
-//! both modes in one process via [`set_enabled`]. Telemetry — allocations
+//! environment variable (`0`/`false`/`off` disable it); tests compare both
+//! modes in one process via [`set_enabled`]. Telemetry — allocations
 //! served from the pool vs. fresh, bytes reused, high-water mark — feeds
 //! the allocation-traffic column of the kernel census
 //! ([`crate::profile::AllocTraffic`]).
 
-use crate::tensor::{DType, Tensor};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -43,27 +42,13 @@ const NUM_CLASSES: usize = 48;
 
 struct FreeLists {
     classes: Vec<Mutex<Vec<Vec<f32>>>>,
-    counters: Vec<ClassCounters>,
 }
 
 fn free_lists() -> &'static FreeLists {
     static LISTS: OnceLock<FreeLists> = OnceLock::new();
     LISTS.get_or_init(|| FreeLists {
         classes: (0..NUM_CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-        counters: (0..NUM_CLASSES).map(|_| ClassCounters::default()).collect(),
     })
-}
-
-/// Per-size-class telemetry. All counters use relaxed atomics: they are
-/// statistics, not synchronization — the free lists themselves are guarded
-/// by their mutexes.
-#[derive(Default)]
-struct ClassCounters {
-    served: AtomicU64,
-    fresh: AtomicU64,
-    recycled: AtomicU64,
-    dropped: AtomicU64,
-    resident_high: AtomicU64,
 }
 
 // --- telemetry --------------------------------------------------------------
@@ -100,11 +85,6 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Total buffer requests (served + fresh).
-    pub fn total_requests(&self) -> u64 {
-        self.pool_served + self.fresh_allocs
-    }
-
     /// Counter delta since an earlier snapshot (`high_water_bytes` and
     /// `outstanding_bytes` report the later absolute values).
     pub fn since(&self, earlier: &PoolStats) -> PoolStats {
@@ -135,107 +115,6 @@ pub fn stats() -> PoolStats {
     }
 }
 
-/// Telemetry for one size class (requests of `(2^(class-1), 2^class]`
-/// elements). Counters are monotonic since process start.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Size-class index: requests draw buffers of `2^class` elements.
-    pub class: usize,
-    /// Largest request this class serves, in elements (`2^class`).
-    pub max_elems: usize,
-    /// Requests satisfied from this class's free list (hits).
-    pub served: u64,
-    /// Requests that fell through to the system allocator (misses).
-    pub fresh: u64,
-    /// Buffers returned to this class's free list.
-    pub recycled: u64,
-    /// Returned buffers freed instead of retained.
-    pub dropped: u64,
-    /// Buffers currently resident in the free list.
-    pub resident: usize,
-    /// Most buffers ever resident at once (the class's high-water mark).
-    pub resident_high: u64,
-}
-
-impl ClassStats {
-    /// Hit fraction of this class's requests, in `[0, 1]`.
-    pub fn hit_fraction(&self) -> f64 {
-        let total = self.served + self.fresh;
-        if total == 0 {
-            0.0
-        } else {
-            self.served as f64 / total as f64
-        }
-    }
-}
-
-/// A cheap point-in-time view of the whole pool: the global counters plus
-/// per-size-class hit/miss/high-water telemetry. Taking one is a handful
-/// of relaxed atomic loads plus one brief lock per *active* class, so
-/// serve replicas can snapshot around every request batch and report pool
-/// contention per batch via [`PoolSnapshot::since`].
-#[derive(Debug, Clone, Default)]
-pub struct PoolSnapshot {
-    /// Global counters (same as [`stats`]).
-    pub totals: PoolStats,
-    /// Per-class telemetry, ascending by class, classes with activity only.
-    pub classes: Vec<ClassStats>,
-}
-
-impl PoolSnapshot {
-    /// Counter deltas since an earlier snapshot. `resident`,
-    /// `resident_high`, `outstanding_bytes` and `high_water_bytes` report
-    /// the later absolute values (they are levels, not flows).
-    pub fn since(&self, earlier: &PoolSnapshot) -> PoolSnapshot {
-        let base: std::collections::BTreeMap<usize, &ClassStats> =
-            earlier.classes.iter().map(|c| (c.class, c)).collect();
-        PoolSnapshot {
-            totals: self.totals.since(&earlier.totals),
-            classes: self
-                .classes
-                .iter()
-                .map(|c| {
-                    let e = base.get(&c.class).copied();
-                    ClassStats {
-                        served: c.served - e.map_or(0, |e| e.served),
-                        fresh: c.fresh - e.map_or(0, |e| e.fresh),
-                        recycled: c.recycled - e.map_or(0, |e| e.recycled),
-                        dropped: c.dropped - e.map_or(0, |e| e.dropped),
-                        ..*c
-                    }
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Takes a [`PoolSnapshot`]: global counters plus per-class telemetry.
-pub fn snapshot() -> PoolSnapshot {
-    let lists = free_lists();
-    let mut classes = Vec::new();
-    for (class, ctr) in lists.counters.iter().enumerate() {
-        let served = ctr.served.load(Ordering::Relaxed);
-        let fresh = ctr.fresh.load(Ordering::Relaxed);
-        let recycled = ctr.recycled.load(Ordering::Relaxed);
-        let dropped = ctr.dropped.load(Ordering::Relaxed);
-        let resident_high = ctr.resident_high.load(Ordering::Relaxed);
-        if served + fresh + recycled + dropped + resident_high == 0 {
-            continue;
-        }
-        classes.push(ClassStats {
-            class,
-            max_elems: 1usize << class.min(usize::BITS as usize - 1),
-            served,
-            fresh,
-            recycled,
-            dropped,
-            resident: lists.classes[class].lock().len(),
-            resident_high,
-        });
-    }
-    PoolSnapshot { totals: stats(), classes }
-}
-
 // --- enable gate ------------------------------------------------------------
 
 fn env_default() -> bool {
@@ -263,7 +142,7 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Overrides the `EXACLIM_POOL` gate in-process (for benchmarks and tests
+/// Overrides the `EXACLIM_POOL` gate in-process (for tests
 /// that compare pooled vs. unpooled behaviour in one run).
 pub fn set_enabled(on: bool) {
     OVERRIDE_VAL.store(on, Ordering::Relaxed);
@@ -310,17 +189,6 @@ fn note_taken(n: usize) {
     HIGH_WATER_BYTES.fetch_max(out, Ordering::Relaxed);
 }
 
-/// Files a request of `n` elements under its size class's hit or miss
-/// counter (out-of-range classes are uncounted, matching [`pop`]).
-fn note_class_request(n: usize, served: bool) {
-    let class = class_for_request(n);
-    if class < NUM_CLASSES {
-        let ctr = &free_lists().counters[class];
-        let counter = if served { &ctr.served } else { &ctr.fresh };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Fresh empty buffer whose capacity is rounded up to the request
 /// class's power of two, so that when it is later recycled it files into
 /// exactly the class requests of this size draw from. Without the
@@ -361,7 +229,6 @@ pub fn take_filled(n: usize, fill: f32) -> Vec<f32> {
         Some(mut v) => {
             POOL_SERVED.fetch_add(1, Ordering::Relaxed);
             BYTES_REUSED.fetch_add((n * 4) as u64, Ordering::Relaxed);
-            note_class_request(n, true);
             v.clear();
             v.resize(n, fill);
             v
@@ -369,7 +236,6 @@ pub fn take_filled(n: usize, fill: f32) -> Vec<f32> {
         None => {
             FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES_FRESH.fetch_add((n * 4) as u64, Ordering::Relaxed);
-            note_class_request(n, false);
             let mut v = fresh_with_class_capacity(n);
             v.resize(n, fill);
             v
@@ -395,14 +261,12 @@ pub fn take_with_capacity(n: usize) -> Vec<f32> {
         Some(mut v) => {
             POOL_SERVED.fetch_add(1, Ordering::Relaxed);
             BYTES_REUSED.fetch_add((n * 4) as u64, Ordering::Relaxed);
-            note_class_request(n, true);
             v.clear();
             v
         }
         None => {
             FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES_FRESH.fetch_add((n * 4) as u64, Ordering::Relaxed);
-            note_class_request(n, false);
             fresh_with_class_capacity(n)
         }
     }
@@ -435,22 +299,16 @@ pub fn recycle(mut v: Vec<f32>) {
         DROPPED.fetch_add(1, Ordering::Relaxed);
         return;
     }
-    let lists = free_lists();
-    let mut list = lists.classes[class].lock();
+    let mut list = free_lists().classes[class].lock();
     if list.len() >= MAX_PER_CLASS {
         drop(list);
         DROPPED.fetch_add(1, Ordering::Relaxed);
-        lists.counters[class].dropped.fetch_add(1, Ordering::Relaxed);
         return;
     }
     v.clear();
     list.push(v);
-    let resident = list.len() as u64;
     drop(list);
     RECYCLED.fetch_add(1, Ordering::Relaxed);
-    let ctr = &lists.counters[class];
-    ctr.recycled.fetch_add(1, Ordering::Relaxed);
-    ctr.resident_high.fetch_max(resident, Ordering::Relaxed);
 }
 
 // --- byte-buffer pool (ingest labels / raw CDF5 chunks) ---------------------
@@ -526,7 +384,7 @@ fn byte_pop(n: usize) -> Option<Vec<u8>> {
 
 /// An empty byte buffer with capacity for at least `n` elements (recycled
 /// if possible), for `extend`-style fills.
-pub fn take_bytes_with_capacity(n: usize) -> Vec<u8> {
+fn take_bytes_with_capacity(n: usize) -> Vec<u8> {
     if n == 0 {
         return Vec::new();
     }
@@ -546,21 +404,22 @@ pub fn take_bytes_with_capacity(n: usize) -> Vec<u8> {
 }
 
 /// A byte buffer of `n` zeros (recycled if possible, fully initialized).
-pub fn take_bytes_zeroed(n: usize) -> Vec<u8> {
+#[cfg(test)]
+fn take_bytes_zeroed(n: usize) -> Vec<u8> {
     let mut v = take_bytes_with_capacity(n);
     v.resize(n, 0);
     v
 }
 
 /// A byte buffer holding a copy of `src` (recycled if possible).
-pub fn take_bytes_copy(src: &[u8]) -> Vec<u8> {
+fn take_bytes_copy(src: &[u8]) -> Vec<u8> {
     let mut v = take_bytes_with_capacity(src.len());
     v.extend_from_slice(src);
     v
 }
 
 /// Returns a byte buffer to its size-class free list (or frees it).
-pub fn recycle_bytes(mut v: Vec<u8>) {
+fn recycle_bytes(mut v: Vec<u8>) {
     let cap = v.capacity();
     if cap == 0 {
         return;
@@ -751,79 +610,6 @@ impl std::fmt::Debug for PoolBuf {
     }
 }
 
-// --- workspace --------------------------------------------------------------
-
-/// Per-context handle through which layers draw scratch and
-/// activation-cache storage from the pool (threaded through
-/// `exaclim_nn::Ctx`).
-///
-/// Lifetime rules: an activation cache taken with [`Workspace::cache`]
-/// lives until the layer's backward pass consumes it, then recycles via
-/// tensor drop; a scratch buffer from [`Workspace::scratch`] must be
-/// returned with [`Workspace::release`] (or adopted into a tensor) before
-/// the forward/backward pair completes.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Workspace {
-    cached_tensors: u64,
-    cached_bytes: u64,
-    scratch_draws: u64,
-    scratch_bytes: u64,
-}
-
-impl Workspace {
-    /// Fresh workspace with zeroed telemetry.
-    pub fn new() -> Workspace {
-        Workspace::default()
-    }
-
-    /// An activation cache of `t`: a copy-on-write share of its buffer
-    /// (zero-copy until either side is mutated). Replaces the deep
-    /// `cached_input = Some(x.clone())` pattern — the telemetry records
-    /// how many bytes of caching the workspace made alias-free.
-    pub fn cache(&mut self, t: &Tensor) -> Tensor {
-        self.cached_tensors += 1;
-        self.cached_bytes += (t.numel() * 4) as u64;
-        t.clone()
-    }
-
-    /// A pooled zeroed scratch buffer of `n` elements.
-    pub fn scratch(&mut self, n: usize) -> Vec<f32> {
-        self.scratch_draws += 1;
-        self.scratch_bytes += (n * 4) as u64;
-        take_zeroed(n)
-    }
-
-    /// An empty pooled buffer with capacity `n`, for `extend`-style fills.
-    pub fn scratch_with_capacity(&mut self, n: usize) -> Vec<f32> {
-        self.scratch_draws += 1;
-        self.scratch_bytes += (n * 4) as u64;
-        take_with_capacity(n)
-    }
-
-    /// Returns a scratch buffer to the pool.
-    pub fn release(&mut self, v: Vec<f32>) {
-        recycle(v);
-    }
-
-    /// A pooled zero tensor drawn through this workspace.
-    pub fn zeros(&mut self, shape: impl Into<crate::Shape>, dtype: DType) -> Tensor {
-        let shape = shape.into();
-        self.scratch_draws += 1;
-        self.scratch_bytes += (shape.numel() * 4) as u64;
-        Tensor::zeros(shape, dtype)
-    }
-
-    /// (cached tensors, cached bytes) drawn so far.
-    pub fn cache_telemetry(&self) -> (u64, u64) {
-        (self.cached_tensors, self.cached_bytes)
-    }
-
-    /// (scratch draws, scratch bytes) drawn so far.
-    pub fn scratch_telemetry(&self) -> (u64, u64) {
-        (self.scratch_draws, self.scratch_bytes)
-    }
-}
-
 /// The pool and its counters are process-global: the tests below that
 /// assert on them hold this, and so does any unit test that puts sustained
 /// traffic on the pool (thousands of takes and recycles in a row, e.g. the
@@ -953,48 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reports_per_class_hits_and_misses() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let before = snapshot();
-        // Miss (nothing resident after trim), recycle, then hit.
-        let v = take_zeroed(600); // class 10 (1024 elems)
-        recycle(v);
-        let w = take_zeroed(700); // same class: must hit
-        let after = snapshot().since(&before);
-        let c10 = after.classes.iter().find(|c| c.class == 10).expect("class 10 active");
-        assert_eq!(c10.max_elems, 1024);
-        assert!(c10.fresh >= 1, "first request misses");
-        assert!(c10.served >= 1, "second request hits");
-        assert!(c10.recycled >= 1);
-        assert!(c10.resident_high >= 1);
-        assert!(c10.hit_fraction() > 0.0 && c10.hit_fraction() < 1.0);
-        recycle(w);
-        // The later absolute resident count is visible after the recycle.
-        let now = snapshot();
-        let c10 = now.classes.iter().find(|c| c.class == 10).expect("class 10");
-        assert!(c10.resident >= 1);
-    }
-
-    #[test]
-    fn snapshot_is_consistent_with_global_stats() {
-        let _g = GUARD.lock();
-        set_enabled(true);
-        trim();
-        let before = snapshot();
-        let bufs: Vec<Vec<f32>> = (0..4).map(|i| take_zeroed(128 << i)).collect();
-        for b in bufs {
-            recycle(b);
-        }
-        let d = snapshot().since(&before);
-        let class_requests: u64 = d.classes.iter().map(|c| c.served + c.fresh).sum();
-        assert_eq!(class_requests, d.totals.total_requests(), "per-class counters cover every request");
-        let class_recycles: u64 = d.classes.iter().map(|c| c.recycled).sum();
-        assert_eq!(class_recycles, d.totals.recycled);
-    }
-
-    #[test]
     fn byte_pool_round_trip_reuses_buffer() {
         let _g = GUARD.lock();
         set_enabled(true);
@@ -1042,19 +786,5 @@ mod tests {
         assert_eq!(after.fresh_allocs - before.fresh_allocs, 1);
         recycle_bytes(w);
         set_enabled(true);
-    }
-
-    #[test]
-    fn workspace_telemetry_counts() {
-        let _g = GUARD.lock();
-        let mut ws = Workspace::new();
-        let t = Tensor::zeros([4, 4], DType::F32);
-        let c = ws.cache(&t);
-        assert_eq!(c.as_slice(), t.as_slice());
-        let s = ws.scratch(128);
-        assert_eq!(s.len(), 128);
-        ws.release(s);
-        assert_eq!(ws.cache_telemetry(), (1, 64));
-        assert_eq!(ws.scratch_telemetry(), (1, 512));
     }
 }

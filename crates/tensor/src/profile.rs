@@ -145,15 +145,6 @@ impl AllocTraffic {
     pub fn total_allocs(&self) -> u64 {
         self.fresh_allocs + self.pool_served
     }
-
-    /// Fraction of requests served by the pool, in `[0, 1]`.
-    pub fn reuse_fraction(&self) -> f64 {
-        let total = self.total_allocs();
-        if total == 0 {
-            return 0.0;
-        }
-        self.pool_served as f64 / total as f64
-    }
 }
 
 /// Aggregate census over a recorded region.
@@ -289,7 +280,7 @@ pub fn set_phase(phase: Phase) {
 }
 
 /// The current execution phase.
-pub fn phase() -> Phase {
+fn phase() -> Phase {
     match PHASE.load(Ordering::Relaxed) {
         0 => Phase::Forward,
         1 => Phase::Backward,
@@ -406,7 +397,7 @@ pub fn timeline_start() {
 
 /// True while a timeline is being recorded.
 #[inline]
-pub fn timeline_active() -> bool {
+fn timeline_active() -> bool {
     TIMELINE_ON.load(Ordering::Relaxed)
 }
 

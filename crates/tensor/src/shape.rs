@@ -31,15 +31,6 @@ impl Shape {
         self.0.iter().product()
     }
 
-    /// Row-major strides (in elements).
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
-
     /// Linear row-major offset of a multi-dimensional index.
     ///
     /// # Panics
@@ -122,7 +113,6 @@ mod tests {
     fn offsets_are_row_major() {
         let s = Shape::new(&[2, 3, 4]);
         assert_eq!(s.numel(), 24);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
         assert_eq!(s.offset(&[0, 0, 0]), 0);
         assert_eq!(s.offset(&[1, 2, 3]), 23);
         assert_eq!(s.offset(&[1, 0, 2]), 14);

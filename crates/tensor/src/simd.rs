@@ -277,41 +277,10 @@ elementwise2!(
     vdiv, vdiv_avx2, |x, y| x / y, _mm256_div_ps
 );
 
-/// `dst[i] = a[i] * s`.
-#[inline]
-pub fn vscale(dst: &mut [f32], a: &[f32], s: f32) {
-    debug_assert_eq!(dst.len(), a.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
-        unsafe { vscale_avx2(dst, a, s) };
-        return;
-    }
-    for (o, &x) in dst.iter_mut().zip(a.iter()) {
-        *o = x * s;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vscale_avx2(dst: &mut [f32], a: &[f32], s: f32) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let vs = _mm256_set1_ps(s);
-    let mut i = 0;
-    while i + 8 <= n {
-        let va = _mm256_loadu_ps(a.as_ptr().add(i));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_mul_ps(va, vs));
-        i += 8;
-    }
-    while i < n {
-        *dst.get_unchecked_mut(i) = *a.get_unchecked(i) * s;
-        i += 1;
-    }
-}
-
 /// In-place `y[i] = s * y[i] + x[i]` (mul then add — never fused).
+#[cfg(test)]
 #[inline]
-pub fn vscale_add_(y: &mut [f32], s: f32, x: &[f32]) {
+pub(crate) fn vscale_add_(y: &mut [f32], s: f32, x: &[f32]) {
     debug_assert_eq!(y.len(), x.len());
     #[cfg(target_arch = "x86_64")]
     if active_level() == SimdLevel::Avx2 {
@@ -323,6 +292,7 @@ pub fn vscale_add_(y: &mut [f32], s: f32, x: &[f32]) {
     }
 }
 
+#[cfg(test)]
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn vscale_add_avx2(y: &mut [f32], s: f32, x: &[f32]) {
@@ -512,8 +482,9 @@ unsafe fn vrelu_avx2(dst: &mut [f32], a: &[f32]) {
 }
 
 /// In-place ReLU (same semantics as [`vrelu`]).
+#[cfg(test)]
 #[inline]
-pub fn vrelu_(x: &mut [f32]) {
+pub(crate) fn vrelu_(x: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if active_level() == SimdLevel::Avx2 {
         // Safe to alias: the in-place op reads and writes the same index.
@@ -525,6 +496,7 @@ pub fn vrelu_(x: &mut [f32]) {
     }
 }
 
+#[cfg(test)]
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn vrelu_inplace_avx2(x: &mut [f32]) {

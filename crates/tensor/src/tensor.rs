@@ -1,7 +1,7 @@
 //! The dense [`Tensor`] type.
 
 use crate::half::{quantize_f16, quantize_f16_slice};
-use crate::pool::{self, PoolBuf, Workspace};
+use crate::pool::{self, PoolBuf};
 use crate::profile::{self, KernelKind};
 use crate::shape::Shape;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ impl DType {
     /// Bytes per element in this precision, used for memory-traffic
     /// accounting in the kernel census (Figures 3/8/9).
     #[inline]
-    pub fn size_bytes(self) -> usize {
+    fn size_bytes(self) -> usize {
         match self {
             DType::F32 => 4,
             DType::F16 => 2,
@@ -49,9 +49,9 @@ impl std::fmt::Display for DType {
 /// image is bit-equivalent (up to widening) to a true `u16` half buffer.
 ///
 /// Storage is a pooled, copy-on-write buffer (`Arc<PoolBuf>`): `clone()`
-/// and [`Tensor::reshape`] share the buffer at zero cost, the first
-/// mutation of a shared tensor copies it (through the pool), and the last
-/// owner returns the buffer to the [`crate::pool`] free lists on drop.
+/// shares the buffer at zero cost, the first mutation of a shared tensor
+/// copies it (through the pool), and the last owner returns the buffer to
+/// the [`crate::pool`] free lists on drop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
@@ -69,12 +69,6 @@ impl Tensor {
             dtype,
             data: Arc::new(PoolBuf::from_vec(pool::take_zeroed(numel))),
         }
-    }
-
-    /// A pooled zero tensor accounted against `ws` — the workspace-aware
-    /// variant layers use for per-forward scratch outputs.
-    pub fn zeros_in(shape: impl Into<Shape>, dtype: DType, ws: &mut Workspace) -> Tensor {
-        ws.zeros(shape, dtype)
     }
 
     /// A tensor filled with `value` (quantized if FP16).
@@ -166,8 +160,7 @@ impl Tensor {
     }
 
     /// True if this tensor's buffer is shared with another tensor (a COW
-    /// alias created by `clone`, [`Tensor::reshape`], or a workspace
-    /// activation cache).
+    /// alias created by `clone`, e.g. a layer's activation cache).
     #[inline]
     pub fn storage_shared(&self) -> bool {
         Arc::strong_count(&self.data) > 1
@@ -230,7 +223,8 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics if element counts differ.
-    pub fn reshape(&self, shape: impl Into<Shape>) -> Tensor {
+    #[cfg(test)]
+    fn reshape(&self, shape: impl Into<Shape>) -> Tensor {
         let shape = shape.into();
         assert_eq!(
             shape.numel(),

@@ -11,10 +11,10 @@
 //! default pool width differs.
 
 use exaclim_tensor::init::{randn, seeded_rng};
-use exaclim_tensor::ops::gemm::{gemm_a_bt, gemm_at_b, gemm_noprofile};
+use exaclim_tensor::ops::gemm::{gemm, gemm_a_bt, gemm_at_b};
 use exaclim_tensor::ops::{
     batchnorm_backward, batchnorm_forward, bilinear_resize_forward, conv2d_backward,
-    conv2d_forward, deconv2d_forward, maxpool2d_backward, maxpool2d_forward, relu_forward,
+    conv2d_forward, deconv2d_forward, maxpool2d_backward_shaped, maxpool2d_forward, relu_forward,
     Conv2dParams, ConvAlgo, Deconv2dParams,
 };
 use exaclim_tensor::{set_kernel_threads, DType, Tensor};
@@ -106,7 +106,7 @@ fn gemm_variants_bit_identical_across_widths() {
 
     let (c1, c4) = at_widths(|| {
         let mut c = vec![0.0f32; m * n];
-        gemm_noprofile(m, n, k, a.as_slice(), b.as_slice(), &mut c);
+        gemm(m, n, k, a.as_slice(), b.as_slice(), &mut c);
         c
     });
     assert_eq!(c1, c4, "gemm differs across widths");
@@ -158,7 +158,7 @@ fn misc_kernels_bit_identical_across_widths() {
     let (a, b) = at_widths(|| {
         let (y, arg) = maxpool2d_forward(&x, 3, 2, 1);
         let go = relu_forward(&y);
-        let gx = maxpool2d_backward(&x, &go, &arg);
+        let gx = maxpool2d_backward_shaped(x.shape().clone(), x.dtype(), &go, &arg);
         let up = bilinear_resize_forward(&x, 33, 29);
         let de = deconv2d_forward(&x, &wt, Deconv2dParams::double());
         (y, gx, up, de)

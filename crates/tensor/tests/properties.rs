@@ -159,7 +159,7 @@ proptest! {
         let x = exaclim_tensor::init::randn([1, 2, 6, 6], DType::F32, 1.0, &mut rng);
         let (y, arg) = ops::maxpool2d_forward(&x, 2, 2, 0);
         let g = exaclim_tensor::init::randn(y.shape().clone(), DType::F32, 1.0, &mut rng);
-        let gx = ops::maxpool2d_backward(&x, &g, &arg);
+        let gx = ops::maxpool2d_backward_shaped(x.shape().clone(), x.dtype(), &g, &arg);
         prop_assert!((gx.sum() - g.sum()).abs() < 1e-3);
     }
 

@@ -6,7 +6,7 @@ use exaclim_climsim::ClimateDataset;
 use exaclim_comm::CommWorld;
 use exaclim_distrib::{ControlPlane, Coordinator};
 use exaclim_pipeline::prefetch::{PrefetchConfig, ReaderMode};
-use exaclim_pipeline::{ChannelStats, IngestStream, SampleSampler, StreamConfig, StreamingIngest};
+use exaclim_pipeline::{ChannelStats, SampleSampler, StreamConfig, StreamingIngest};
 use exaclim_staging::real::{stage_distributed, stage_naive};
 use exaclim_staging::StagingPlan;
 use exaclim_tensor::DType;

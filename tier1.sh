@@ -14,6 +14,8 @@ cargo build --workspace --examples
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q
 cargo clippy --workspace -- -D warnings
+# A doc link to a deleted or narrowed name must fail here.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
 # The ablation table is deterministic: it must reproduce the recorded
 # artifact byte for byte.
