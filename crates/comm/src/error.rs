@@ -2,10 +2,9 @@
 //!
 //! Every blocking receive in this crate carries a deadline, and every
 //! failure mode is a variant here instead of a panic or an indefinite
-//! hang: a fault-tolerant caller (the staging retry loop, the
-//! checkpoint-restart trainer, the elastic membership layer) matches on
-//! the variant and decides whether to retry, reconfigure the world, or
-//! abort with the formatted diagnosis.
+//! hang: a fault-tolerant caller (the staging retry loop, the elastic
+//! membership layer) matches on the variant and decides whether to retry,
+//! reconfigure the world, or abort with the formatted diagnosis.
 
 use std::error::Error;
 use std::fmt;

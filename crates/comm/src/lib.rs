@@ -30,8 +30,8 @@
 //! mismatch, incomplete world rendezvous — is a typed [`CommError`].
 //! The API is uniformly fallible (`try_*`): callers that cannot recover
 //! `.expect` the result and die with the formatted edge diagnosis,
-//! while the fault-tolerant layers (staging retry, checkpoint-restart
-//! training, elastic membership) match on the variant and survive.
+//! while the fault-tolerant layers (staging retry, elastic membership)
+//! match on the variant and survive.
 
 pub mod elastic;
 pub mod error;

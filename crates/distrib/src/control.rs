@@ -173,8 +173,8 @@ impl Coordinator {
     /// Fallible [`Coordinator::coordinate`]: a peer that dies (its
     /// communicator drops) or a round that makes no progress within the
     /// communicator's receive deadline comes back as a [`CommError`]
-    /// instead of spinning forever — the hook the checkpoint-restart
-    /// trainer uses to detect a lost rank.
+    /// instead of spinning forever — the hook the elastic trainer uses to
+    /// detect a lost rank.
     pub fn try_coordinate(&self, comm: &mut Communicator, ready_order: &[u32]) -> Result<Vec<u32>, CommError> {
         assert_eq!(ready_order.len(), self.n_tensors, "must report every tensor");
         match self.plane {

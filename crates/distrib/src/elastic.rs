@@ -1,13 +1,11 @@
 //! Elastic data-parallel training: ranks join and leave at step
-//! boundaries without a full restart.
+//! boundaries without a full restart, and a crash costs no completed step.
 //!
-//! Checkpoint-restart fault tolerance
-//! ([`train_data_parallel_ft`](crate::trainer::train_data_parallel_ft))
-//! tears the whole world down on any membership change and replays from
-//! the last snapshot — at the paper's scale (4560 Summit nodes) that throws
-//! away up to `checkpoint_every − 1` steps of work on every node failure,
-//! and cannot *grow* the world at all. This module keeps training running across
-//! membership changes:
+//! Restarting the world from a checkpoint on every membership change would
+//! throw away the steps since the last snapshot on every node failure — at
+//! the paper's scale (4560 Summit nodes) a steady loss — and could not
+//! *grow* the world at all. This module keeps training running across
+//! membership changes instead:
 //!
 //! * **Generation-numbered views.** The world is described by a
 //!   `WorldView` — a strictly increasing generation number plus the
@@ -30,13 +28,16 @@
 //! * **Crash recovery without restart.** A member that vanishes surfaces
 //!   as a typed [`CommError`] on the survivors, who meet in a keyed
 //!   recovery round, agree on the surviving set, and continue in a fresh
-//!   generation from the *live* model — zero completed steps are lost,
-//!   where checkpoint-restart would replay everything past the last
-//!   snapshot.
+//!   generation from the *live* model — zero completed steps are lost or
+//!   replayed.
+//! * **Typed protocol faults.** A membership message that does not decode
+//!   or arrives out of protocol ends the member that received it as
+//!   [`CommError::MalformedPayload`] in
+//!   [`ElasticReport::ranks_failed`]; its peers recover as from a crash.
 //!
-//! Members run the same `Replica::step` as the plain and checkpoint-restart
-//! drivers; this module owns only what is elastic — the hub, the
-//! membership rounds, `enter`/`recover` and the LR rescale.
+//! Members run the same `Replica::step` as the plain driver; this module
+//! owns only what is elastic — the hub, the membership rounds,
+//! `enter`/`recover` and the LR rescale.
 //!
 //! Fault schedules come from [`FaultPlan`] (`with_leave_at_step` /
 //! `with_join_at_step` plus crashes), so any churn scenario — flapping
@@ -154,7 +155,8 @@ pub struct ElasticReport {
     /// Scheduled joiners the run ended without ever admitting.
     pub never_admitted: Vec<usize>,
     /// Members that stopped on an error no smaller world can cure — a
-    /// state broadcast that did not decode
+    /// state broadcast that did not decode, or a membership message that
+    /// did not decode or broke the protocol
     /// ([`CommError::MalformedPayload`]) — with the error, in member-id
     /// order. Their peers recover as from a crash, so each id is also in
     /// `ranks_lost`.
@@ -689,24 +691,14 @@ impl<B: BatchSource> Member<B> {
                 leavers.push(self.me);
             }
             for i in 1..n {
-                let bytes = match self.replica.comm().try_recv_bytes(i, TAG_MS_UP) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        self.abort_round(n);
-                        return Err(e);
-                    }
-                };
-                match MemberMsg::decode(&bytes) {
-                    Ok(MemberMsg::Status { wants_leave: true }) => leavers.push(members[i]),
-                    Ok(MemberMsg::Status { wants_leave: false }) => {}
-                    other => panic!("leader expected Status from {}, got {other:?}", members[i]),
+                let status = self.gather(i, "Status", |m| matches!(m, MemberMsg::Status { .. }))?;
+                if status == (MemberMsg::Status { wants_leave: true }) {
+                    leavers.push(members[i]);
                 }
             }
             let joiners = self.hub.pending_joins(step, &members);
             if leavers.is_empty() && joiners.is_empty() {
-                for i in 1..n {
-                    self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, ViewMsg::NoChange.encode())?;
-                }
+                self.announce(&ViewMsg::NoChange)?;
                 return Ok(Round::Proceed);
             }
             let mut new_members: Vec<usize> = members
@@ -734,36 +726,11 @@ impl<B: BatchSource> Member<B> {
             } else {
                 None
             };
-            let propose = ViewMsg::Propose { generation: new_gen, members: new_members.clone() };
+            self.announce(&ViewMsg::Propose { generation: new_gen, members: new_members.clone() })?;
             for i in 1..n {
-                if let Err(e) =
-                    self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, propose.encode())
-                {
-                    self.abort_round(n);
-                    return Err(e);
-                }
+                self.gather(i, "Ack", |m| *m == MemberMsg::Ack)?;
             }
-            for i in 1..n {
-                let ack = match self.replica.comm().try_recv_bytes(i, TAG_MS_UP) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        self.abort_round(n);
-                        return Err(e);
-                    }
-                };
-                match MemberMsg::decode(&ack) {
-                    Ok(MemberMsg::Ack) => {}
-                    other => panic!("leader expected Ack from {}, got {other:?}", members[i]),
-                }
-            }
-            for i in 1..n {
-                if let Err(e) =
-                    self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, ViewMsg::Commit.encode())
-                {
-                    self.abort_round(n);
-                    return Err(e);
-                }
-            }
+            self.announce(&ViewMsg::Commit)?;
             let cause = format!("{} leave / {} join", leavers.len(), joiners.len());
             self.hub.commit_transition(
                 new_gen,
@@ -787,48 +754,68 @@ impl<B: BatchSource> Member<B> {
                 sync,
             })
         } else {
+            let (me, leader) = (self.me, members[0]);
             let comm = self.replica.comm();
             comm.try_send_bytes(0, TAG_MS_UP, MemberMsg::Status { wants_leave }.encode())?;
-            let ctrl = ViewMsg::decode(&comm.try_recv_bytes(0, TAG_MS_CTRL)?)
-                .unwrap_or_else(|e| panic!("member {}: bad control message: {e}", self.me));
-            match ctrl {
-                ViewMsg::NoChange => Ok(Round::Proceed),
-                ViewMsg::Abort => Ok(Round::Recover),
-                ViewMsg::Commit => panic!("member {}: Commit without a proposal", self.me),
-                ViewMsg::Propose { generation, members: new_members } => {
-                    comm.try_send_bytes(0, TAG_MS_UP, MemberMsg::Ack.encode())?;
-                    match ViewMsg::decode(&comm.try_recv_bytes(0, TAG_MS_CTRL)?)
-                        .unwrap_or_else(|e| panic!("member {}: bad control message: {e}", self.me))
-                    {
-                        ViewMsg::Commit => {
-                            if !new_members.contains(&self.me) {
-                                return Ok(Round::Left);
-                            }
-                            let joined_any =
-                                new_members.iter().any(|m| !members.contains(m));
-                            let sync = if joined_any {
-                                let root = members
-                                    .iter()
-                                    .copied()
-                                    .find(|m| new_members.contains(m))
-                                    .expect("a surviving member roots the broadcast");
+            let mut acked = None;
+            loop {
+                let bytes = comm.try_recv_bytes(0, TAG_MS_CTRL)?;
+                match follow(&bytes, acked.take(), me, leader)? {
+                    Follow::Proceed => return Ok(Round::Proceed),
+                    Follow::Recover => return Ok(Round::Recover),
+                    Follow::Ack(view) => {
+                        comm.try_send_bytes(0, TAG_MS_UP, MemberMsg::Ack.encode())?;
+                        acked = Some(view);
+                    }
+                    Follow::Commit(view) => {
+                        if !view.members.contains(&me) {
+                            return Ok(Round::Left);
+                        }
+                        // Joiners are synced from the first old member
+                        // that stays (the leader does the same).
+                        let sync = match members.iter().find(|m| view.members.contains(m)) {
+                            Some(&root) if view.members.iter().any(|m| !members.contains(m)) => {
                                 SyncPlan::Broadcast { root }
-                            } else {
-                                SyncPlan::None
-                            };
-                            Ok(Round::Transition {
-                                view: WorldView { generation, members: new_members },
-                                sync,
-                            })
-                        }
-                        ViewMsg::Abort => Ok(Round::Recover),
-                        other => {
-                            panic!("member {}: expected Commit/Abort, got {other:?}", self.me)
-                        }
+                            }
+                            _ => SyncPlan::None,
+                        };
+                        return Ok(Round::Transition { view, sync });
                     }
                 }
             }
         }
+    }
+
+    /// Sends `msg` to every other member; a failed send aborts the round.
+    fn announce(&mut self, msg: &ViewMsg) -> Result<(), CommError> {
+        let n = self.view.members.len();
+        let sent = (1..n).try_for_each(|i| self.replica.comm().try_send_bytes(i, TAG_MS_CTRL, msg.encode()));
+        if sent.is_err() {
+            self.abort_round(n);
+        }
+        sent
+    }
+
+    /// Receives member `i`'s reply in this round and checks it is one
+    /// `admits` accepts. Any failure aborts the round for every member
+    /// before the error is handed back.
+    fn gather(
+        &mut self,
+        i: usize,
+        expected: &str,
+        admits: fn(&MemberMsg) -> bool,
+    ) -> Result<MemberMsg, CommError> {
+        let (me, sender, n) = (self.me, self.view.members[i], self.view.members.len());
+        let reply = self.replica.comm().try_recv_bytes(i, TAG_MS_UP).and_then(|bytes| {
+            match MemberMsg::decode(&bytes) {
+                Ok(m) if admits(&m) => Ok(m),
+                got => Err(out_of_protocol(me, sender, expected, got)),
+            }
+        });
+        if reply.is_err() {
+            self.abort_round(n);
+        }
+        reply
     }
 
     /// Best-effort Abort to every other member (peers may already be
@@ -860,6 +847,7 @@ impl<B: BatchSource> Member<B> {
                     Ok(Round::Transition { view, sync }) => {
                         self.enter_or_recover(view, sync, step)?
                     }
+                    Err(e) if incurable(&e) => return Err(e),
                     Ok(Round::Recover) | Err(_) => self.recover(step)?,
                 }
             }
@@ -896,9 +884,62 @@ impl<B: BatchSource> Member<B> {
 }
 
 /// True for an error that recovering into a smaller world cannot cure:
-/// the root would broadcast the same undecodable state again.
+/// the root would broadcast the same undecodable state again, or a peer
+/// broke the membership protocol.
 fn incurable(e: &CommError) -> bool {
     matches!(e, CommError::MalformedPayload { .. })
+}
+
+/// A member's next move after one control message from the leader.
+#[derive(Debug)]
+enum Follow {
+    /// `NoChange`: run the step.
+    Proceed,
+    /// `Abort`: run recovery.
+    Recover,
+    /// `Propose`: ack this view and wait for the verdict.
+    Ack(WorldView),
+    /// `Commit` of the view acked before.
+    Commit(WorldView),
+}
+
+/// Decodes the leader's control message and checks it against the round
+/// so far (`acked`: the proposal this member acked, if any). Bytes that do
+/// not decode, a `Commit` with no proposal, or anything but `Commit` /
+/// `Abort` after one are the leader's protocol violation.
+fn follow(
+    bytes: &[u8],
+    acked: Option<WorldView>,
+    me: usize,
+    leader: usize,
+) -> Result<Follow, CommError> {
+    match (ViewMsg::decode(bytes), acked) {
+        (Ok(ViewMsg::Abort), _) => Ok(Follow::Recover),
+        (Ok(ViewMsg::NoChange), None) => Ok(Follow::Proceed),
+        (Ok(ViewMsg::Propose { generation, members }), None) => {
+            Ok(Follow::Ack(WorldView { generation, members }))
+        }
+        (Ok(ViewMsg::Commit), Some(view)) => Ok(Follow::Commit(view)),
+        (got, acked) => {
+            let expected = if acked.is_some() { "Commit or Abort" } else { "NoChange, Propose or Abort" };
+            Err(out_of_protocol(me, leader, expected, got))
+        }
+    }
+}
+
+/// The typed error for a membership message from `sender` that did not
+/// decode, or decoded to a kind this point of the round does not admit.
+fn out_of_protocol<M: std::fmt::Debug>(
+    me: usize,
+    sender: usize,
+    expected: &str,
+    got: Result<M, String>,
+) -> CommError {
+    let what = match got {
+        Ok(m) => format!("expected {expected}, got {m:?}"),
+        Err(e) => e,
+    };
+    CommError::MalformedPayload { rank: me, root: sender, what: format!("membership round: {what}") }
 }
 
 // ---------------------------------------------------------------------------
@@ -1204,7 +1245,7 @@ mod tests {
     fn crash_recovers_without_checkpoint_restart() {
         // Rank 2 crashes at step 5. Survivors recover in place from the
         // live model: no checkpoint restore, no step lost or replayed —
-        // where the FT trainer would replay everything past step 4.
+        // a restart from the step-4 checkpoint would replay step 4.
         let cfg = elastic_config(4, 8, "crash");
         let faults = FaultPlan::seeded(7).with_crash_at_step(2, 5);
         let (r, _m) = run(&cfg, &faults);
@@ -1217,6 +1258,106 @@ mod tests {
         let last = r.generations.last().unwrap();
         assert!(last.cause.contains("crash recovery"), "{}", last.cause);
         assert_eq!(last.members, vec![0, 1, 3]);
+        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+    }
+
+    #[test]
+    fn leader_crash_recovers_and_replays_bit_identically() {
+        // The leader (member 0) crashes at step 3 of 6: the others find it
+        // dead in the boundary round and elect member 1. Twice, same bits.
+        let faults = FaultPlan::seeded(21).with_crash_at_step(0, 3);
+        let go = |dir: &str| {
+            let cfg = elastic_config(4, 6, dir);
+            let (r, _m) = run(&cfg, &faults);
+            std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+            assert!(r.consistent);
+            assert_eq!(r.ranks_lost, vec![0]);
+            assert_eq!((r.steps.len(), r.steps_retried), (6, 0));
+            assert_eq!(r.generations.last().unwrap().members, vec![1, 2, 3]);
+            r
+        };
+        let (a, b) = (go("leader_crash_a"), go("leader_crash_b"));
+        assert_eq!(a.final_hashes, b.final_hashes, "same plan, same bits");
+        for (x, y) in a.steps.iter().zip(&b.steps) {
+            assert_eq!(x.mean_loss.to_bits(), y.mean_loss.to_bits(), "step {} loss", x.step);
+        }
+    }
+
+    #[test]
+    fn two_crashes_across_generations_recover() {
+        // Member 1 crashes at step 2, member 3 at step 4 — two recoveries,
+        // each from the live model, and the last two finish consistently.
+        let cfg = elastic_config(4, 6, "two_crashes");
+        let faults = FaultPlan::seeded(5).with_crash_at_step(1, 2).with_crash_at_step(3, 4);
+        let (r, _m) = run(&cfg, &faults);
+        assert!(r.consistent, "finishers diverged: {:?}", r.final_hashes);
+        assert_eq!(r.ranks_lost, vec![1, 3]);
+        assert_eq!((r.steps.len(), r.steps_retried, r.final_hashes.len()), (6, 0, 2));
+        assert_eq!(r.generations.len(), 3, "initial world + two recoveries");
+        assert_eq!(r.generations[1].members, vec![0, 2, 3]);
+        assert_eq!(r.generations[2].members, vec![0, 2]);
+        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+    }
+
+    #[test]
+    fn control_messages_out_of_protocol_are_typed_errors() {
+        // The in-protocol sequences are what every elastic run exchanges.
+        let view = WorldView { generation: 4, members: vec![0, 2] };
+        let propose = ViewMsg::Propose { generation: 4, members: vec![0, 2] }.encode();
+        let malformed = |bytes: &[u8], acked: Option<WorldView>| match follow(bytes, acked, 2, 0) {
+            Err(CommError::MalformedPayload { rank: 2, root: 0, what }) => what,
+            other => panic!("expected a malformed-payload error, got {other:?}"),
+        };
+        assert!(malformed(&propose[..propose.len() - 1], None).contains("Propose of 2 members"));
+        assert!(malformed(&[9], None).contains("unknown ViewMsg kind"));
+        assert!(malformed(&[], Some(view.clone())).contains("unknown ViewMsg kind"));
+        let what = malformed(&ViewMsg::Commit.encode(), None);
+        assert!(what.contains("expected NoChange, Propose or Abort, got Commit"), "{what}");
+        let what = malformed(&ViewMsg::NoChange.encode(), Some(view));
+        assert!(what.contains("expected Commit or Abort, got NoChange"), "{what}");
+    }
+
+    #[test]
+    fn out_of_protocol_message_fails_the_member_without_recovery() {
+        // The test thread plays leader 0 of a two-member world and answers
+        // member 1's status with a Commit that no proposal preceded. The
+        // member must stop with the typed error. Were it to run recovery
+        // instead, it would find the leader gone and finish alone.
+        let cfg = elastic_config(2, 2, "out_of_protocol");
+        let hub = Arc::new(ElasticHub::new(&cfg, &FaultPlan::none()));
+        let leader_lease = hub.adopt(0);
+        let mut comms = CommWorld::with_deadline(2, cfg.recv_deadline);
+        let (c1, mut c0) = (comms.pop().unwrap(), comms.pop().unwrap());
+        let mut member = Member {
+            me: 1,
+            replica: Replica::build(&cfg.base, 1, &toy_model),
+            source: toy_source(1),
+            view: WorldView { generation: 0, members: vec![0, 1] },
+            synced: true,
+            handoff: None,
+            joined_at: -1,
+            _guard: hub.adopt(1),
+            hub: hub.clone(),
+            rv: Arc::new(Rendezvous::new()),
+            cfg: cfg.clone(),
+            faults: FaultPlan::none(),
+        };
+        member.configure(c1);
+        let outcome = std::thread::scope(|scope| {
+            let m = scope.spawn(move || member.run(0));
+            let status = c0.try_recv_bytes(1, TAG_MS_UP).expect("status");
+            assert_eq!(MemberMsg::decode(&status), Ok(MemberMsg::Status { wants_leave: false }));
+            c0.try_send_bytes(1, TAG_MS_CTRL, ViewMsg::Commit.encode()).expect("send");
+            drop((c0, leader_lease));
+            m.join().expect("member thread")
+        });
+        match outcome {
+            Err(CommError::MalformedPayload { rank: 1, root: 0, what }) => {
+                assert!(what.contains("got Commit"), "{what}");
+            }
+            Err(e) => panic!("expected a malformed-payload error, got {e}"),
+            Ok(_) => panic!("the member carried on past an out-of-protocol message"),
+        }
         std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 

@@ -18,13 +18,13 @@
 //!   identical initialization, per-step gradient averaging through the
 //!   hybrid hierarchical all-reduce, LARC / Adam / gradient-lag options,
 //!   and bitwise replica-consistency verification. One step
-//!   (`step.rs`), three drivers: plain, checkpoint-restart, [`elastic`].
+//!   (`step.rs`), two drivers: plain and [`elastic`].
 //! * [`modelpar`] — the §VIII-B outlook made concrete: spatial domain
 //!   decomposition with halo exchange, bitwise-equal to single-rank
 //!   convolution.
 //! * [`elastic`] — generation-numbered membership: ranks join and leave at
-//!   step boundaries without a full restart, with crash recovery from the
-//!   live model instead of checkpoint replay.
+//!   step boundaries without a full restart, and survivors of a crash
+//!   carry on from the live model, replaying no completed step.
 
 pub mod control;
 pub mod elastic;
@@ -38,6 +38,5 @@ pub use control::{ControlPlane, Coordinator};
 pub use elastic::{train_data_parallel_elastic, ElasticConfig, ElasticReport, GenerationRecord};
 pub use fusion::{fuse, FusionBucket};
 pub use trainer::{
-    train_data_parallel, train_data_parallel_ft, BatchSource, FtConfig, FtReport, OptimizerKind,
-    StepRecord, TrainerConfig, TrainingReport,
+    train_data_parallel, BatchSource, OptimizerKind, StepRecord, TrainerConfig, TrainingReport,
 };

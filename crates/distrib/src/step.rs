@@ -8,13 +8,12 @@
 //! order → forward → loss → backward with fused buckets all-reduced behind
 //! it → optimizer → loss mean → replica-consistency audit.
 //!
-//! The three drivers ([`train_data_parallel`](crate::train_data_parallel),
-//! [`train_data_parallel_ft`](crate::train_data_parallel_ft),
+//! The two drivers ([`train_data_parallel`](crate::train_data_parallel),
 //! [`train_data_parallel_elastic`](crate::train_data_parallel_elastic))
-//! differ only in what happens *around* a step — report aggregation,
-//! checkpoint cadence and restarts, membership rounds — so the step, the
-//! checkpoint restore, the stream fast-forward and the per-world wiring
-//! live here once.
+//! differ only in what happens *around* a step — report aggregation;
+//! membership rounds, crash recovery and the checkpoint cadence — so the
+//! step, the checkpoint save and restore, the stream fast-forward and the
+//! per-world wiring live here once.
 //!
 //! **Determinism.** Fusion buckets are fixed at build time from the
 //! canonical tensor order, so bucket membership — and therefore summation
@@ -301,9 +300,9 @@ impl Replica {
     /// configuration: with overlap and the fused plane on, a lent
     /// optimizer is applied bucket by bucket on the progress thread, so a
     /// step that fails mid-flight may leave ranks with *different* buckets
-    /// applied. A driver that restores parameters and optimizer from a
-    /// checkpoint wipes that; one that retries from live parameters must
-    /// not lend.
+    /// applied. A driver for which a failed step ends the run (the plain
+    /// trainer) may lend; one that retries from live parameters (elastic)
+    /// must not.
     pub(crate) fn step(
         &mut self,
         step: usize,
@@ -493,7 +492,7 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::test_support::{toy_config, toy_model};
+    use crate::trainer::test_support::{toy_config, toy_model, toy_source};
     use exaclim_comm::CommWorld;
     use std::time::Duration;
 
@@ -527,5 +526,43 @@ mod tests {
         assert!(!e.is_peer_failure());
         assert_eq!(e.peer(), Some(0));
         assert!(e.to_string().contains("truncated"), "{e}");
+    }
+
+    #[test]
+    fn dead_peer_fails_the_next_step_with_a_typed_error_not_a_hang() {
+        // Rank 1 completes step 0, then its communicator drops. Rank 0's
+        // step 1 must come back as `PeerDead` long before the receive
+        // deadline, whether the reduction runs inline or on the progress
+        // thread and whether that thread holds the lent optimizer.
+        for overlap in [false, true] {
+            for lend in [false, true] {
+                let mut cfg = toy_config(2, 2);
+                cfg.overlap_comm = overlap;
+                let mut comms = CommWorld::with_deadline(2, Duration::from_secs(2));
+                let (c1, c0) = (comms.pop().unwrap(), comms.pop().unwrap());
+                let mut r0 = Replica::build(&cfg, 0, &toy_model);
+                let mut r1 = Replica::build(&cfg, 1, &toy_model);
+                r0.wire(c0);
+                r1.wire(c1);
+                let (mut s0, mut s1) = (toy_source(0), toy_source(1));
+                let (first, second, waited) = std::thread::scope(|scope| {
+                    scope.spawn(move || {
+                        r1.step(0, &mut s1, lend).expect("rank 1 step 0");
+                        drop(r1);
+                    });
+                    let first = r0.step(0, &mut s0, lend).map(drop);
+                    let t0 = std::time::Instant::now();
+                    let second = r0.step(1, &mut s0, lend).map(drop);
+                    (first, second, t0.elapsed())
+                });
+                let case = format!("overlap={overlap} lend={lend}");
+                assert_eq!(first, Ok(()), "{case}: step 0");
+                assert!(
+                    matches!(second, Err(CommError::PeerDead { rank: 0, src: 1 })),
+                    "{case}: step 1 gave {second:?}"
+                );
+                assert!(waited < Duration::from_secs(1), "{case}: took {waited:?}");
+            }
+        }
     }
 }

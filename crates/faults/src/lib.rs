@@ -12,9 +12,9 @@
 //!   simulator, per-link slowdown in the α–β network models;
 //! * `exaclim-staging` — reader-node failure and shard reassignment in
 //!   both the simulated and the real (thread-node) staging system;
-//! * `exaclim-comm` / `exaclim-distrib` — rank death at a training step,
-//!   detected through typed comm errors and recovered via
-//!   checkpoint-restart.
+//! * `exaclim-comm` / `exaclim-distrib` — rank death at a training step
+//!   (detected through typed comm errors), graceful leave and lobby join,
+//!   all absorbed by elastic membership without a restart.
 //!
 //! Because a plan is plain data keyed by a seed, replaying the same plan
 //! reproduces the same failure schedule bit-for-bit — chaos testing with

@@ -9,11 +9,11 @@
 //! optimizer joins on the full set before stepping. These tests pin that
 //! contract across every axis that could plausibly break it — overlap
 //! on/off, kernel thread-pool width, gradient compression — and verify
-//! the progress thread degrades cleanly (no deadlock) under stragglers
-//! and rank death.
+//! the progress thread degrades cleanly (no deadlock, no drift) under a
+//! straggler. Rank death inside a step is `step.rs`'s unit test.
 
-use exaclim_distrib::trainer::{Batch, BatchSource, FtConfig, TrainerConfig};
-use exaclim_distrib::{train_data_parallel, train_data_parallel_ft};
+use exaclim_distrib::trainer::{Batch, BatchSource, TrainerConfig};
+use exaclim_distrib::{train_data_parallel, train_data_parallel_elastic, ElasticConfig};
 use exaclim_faults::FaultPlan;
 use exaclim_nn::layers::{Conv2d, ReLU};
 use exaclim_nn::loss::Labels;
@@ -133,46 +133,21 @@ fn straggler_rank_overlaps_without_deadlock_or_drift() {
     assert_eq!(serial.final_hashes, overlapped.final_hashes);
 }
 
-fn ft_dir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir()
-        .join(format!("exaclim_overlap_ft_{}", std::process::id()))
-        .join(name);
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-/// A rank dying mid-run with overlap enabled must surface as a
-/// [`CommError`] out of the comm progress thread — the worker hands the
-/// error back to the rank thread at the step join, the rank backs out,
-/// and the fault-tolerant driver restarts the survivors. The test
-/// finishing at all (inside the 2-second receive deadline per
-/// collective) is the no-deadlock proof.
-#[test]
-fn progress_thread_propagates_rank_death_instead_of_deadlocking() {
-    let mut ft = FtConfig::new(config(true, false), ft_dir("overlap_death"));
-    ft.base.steps = 8;
-    ft.checkpoint_every = 2;
-    ft.recv_deadline = std::time::Duration::from_secs(2);
-    let faults = FaultPlan::seeded(31).with_crash_at_step(2, 5);
-    let (r, _model) = train_data_parallel_ft(&ft, &faults, model, source);
-    assert_eq!(r.ranks_lost, vec![2]);
-    assert_eq!(r.restarts, 1);
-    assert_eq!(r.steps.len(), 8, "every global step completed after recovery");
-    assert!(r.consistent, "survivors diverged: {:?}", r.final_hashes);
-    std::fs::remove_dir_all(&ft.checkpoint_dir).ok();
-}
-
-/// Healthy fault-tolerant run with overlap on matches the plain serial
-/// trainer bit for bit — the FT wrapper and the overlap engine compose
-/// without touching the arithmetic.
+/// Healthy fault-tolerant (elastic) run with overlap on matches the plain
+/// serial trainer bit for bit — the membership rounds and the overlap
+/// engine compose without touching the arithmetic.
 #[test]
 fn overlapped_ft_run_matches_serial_plain_trainer_bitwise() {
     let (plain, _m) = train_data_parallel(&config(false, false), model, source);
-    let mut ft = FtConfig::new(config(true, false), ft_dir("overlap_healthy"));
-    ft.recv_deadline = std::time::Duration::from_secs(2);
-    let (r, _m2) = train_data_parallel_ft(&ft, &FaultPlan::none(), model, source);
-    assert_eq!(r.restarts, 0);
+    let dir = std::env::temp_dir()
+        .join(format!("exaclim_overlap_ft_{}", std::process::id()))
+        .join("overlap_healthy");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut cfg = ElasticConfig::new(config(true, false), &dir);
+    cfg.recv_deadline = std::time::Duration::from_secs(2);
+    let (r, _m2) = train_data_parallel_elastic(&cfg, &FaultPlan::none(), model, source);
+    std::fs::remove_dir_all(&dir).ok();
     assert!(r.consistent);
+    assert_eq!(r.generations.len(), 1, "no transitions");
     assert_eq!(r.final_hashes[0], plain.final_hashes[0], "identical parameter bits");
-    std::fs::remove_dir_all(&ft.checkpoint_dir).ok();
 }

@@ -21,6 +21,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 # artifact byte for byte.
 cargo run --release -q -p exaclim-bench --bin ablations | diff - artifacts/ablations.txt
 
+# The fault-injection example asserts every recovery invariant it prints
+# (consistent replicas, bit-identical replays, complete staged shards).
+cargo run --release -q --example fault_injection
+
 # Kernel results must be bit-identical at any pool width: rerun the
 # tensor and nn suites with a 4-thread default pool.
 EXACLIM_NUM_THREADS=4 cargo test -q -p exaclim-tensor -p exaclim-nn
