@@ -8,9 +8,7 @@ use exaclim_models::{DeepLabConfig, DeepLabV3Plus, Tiramisu, TiramisuConfig, NUM
 use exaclim_nn::loss::{class_weights, ClassWeighting, Labels};
 use exaclim_nn::metrics::{argmax_channels, ConfusionMatrix};
 use exaclim_nn::{Ctx, Layer};
-use exaclim_pipeline::{
-    ChannelStats, PrefetchConfig, ReaderAutoscaler, ReaderMode, StreamConfig, StreamingIngest,
-};
+use exaclim_pipeline::{ChannelStats, ReaderAutoscaler, ReaderMode, StreamConfig, StreamingIngest};
 use exaclim_staging::IngestFeed;
 use exaclim_tensor::{pool, DType, Tensor};
 use std::io;
@@ -104,7 +102,7 @@ impl ExperimentConfig {
 /// assembly draws its storage from the tensor pool.
 ///
 /// The stream starts with one reader. A [`ReaderAutoscaler`] capped at
-/// [`PrefetchConfig::auto_workers`] reads the trainer's step timings and
+/// [`ReaderAutoscaler::auto_workers`] reads the trainer's step timings and
 /// resizes the reader set only when a 16-step window calls for it; a
 /// generation change (a new shard) resets its floor. Since the sequence
 /// is worker-invariant, resizing never changes a batch.
@@ -145,35 +143,21 @@ impl ClimateBatchSource {
         let per = samples_per_rank.min(train.len()).max(1);
         let feed = IngestFeed::build(train.len(), ranks.max(1), rank, per, seed);
         let shard: Vec<usize> = feed.shard().iter().map(|&i| train[i]).collect();
-        let meridional: Vec<usize> = if augment {
-            exaclim_pipeline::augment::MERIDIONAL_CHANNELS
-                .iter()
-                .filter_map(|n| exaclim_climsim::channel_index(n))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let n_channels = channels.len();
         let (h, w) = (dataset.h, dataset.w);
-        let chunk_size = dataset.chunk_size();
         let stream = StreamingIngest::start(
             dataset,
             shard,
             (*stats).clone(),
             StreamConfig {
-                prefetch: PrefetchConfig {
-                    workers: 1,
-                    depth: local_batch.max(2) * 2,
-                    mode: ReaderMode::PerWorker,
-                    read_cost: Duration::ZERO,
-                    channels,
-                    class_weights: weights,
-                    dtype,
-                },
+                depth: local_batch.max(2) * 2,
+                mode: ReaderMode::PerWorker,
+                read_cost: Duration::ZERO,
+                channels,
+                class_weights: weights,
+                dtype,
                 seed: seed ^ 0x57EA ^ (rank as u64).wrapping_mul(0x9E37_79B9),
-                chunk_size,
                 augment,
-                meridional,
             },
         );
         ClimateBatchSource {
@@ -185,7 +169,7 @@ impl ClimateBatchSource {
             w,
             dtype,
             local_batch,
-            autoscaler: Some(ReaderAutoscaler::new(PrefetchConfig::auto_workers())),
+            autoscaler: Some(ReaderAutoscaler::new(ReaderAutoscaler::auto_workers())),
         }
     }
 
@@ -441,7 +425,7 @@ mod tests {
         };
         let (auto, workers) = drive(source(true), true);
         let (pinned, one) = drive(source(true).without_autoscaling(), false);
-        assert_eq!(workers, PrefetchConfig::auto_workers().min(16));
+        assert_eq!(workers, ReaderAutoscaler::auto_workers().min(16));
         assert_eq!(one, 1);
         assert!(auto == pinned, "autoscaled batches differ");
     }

@@ -20,9 +20,10 @@
 //!   [`Rendezvous`], so a collective can never straddle two worlds.
 //! * **State follows the view.** On every transition the learning rate is
 //!   rescaled linearly with the world size (the paper's Figure-6 rule),
-//!   the staging plan re-shards ownership so only orphaned samples are
-//!   re-read, the replica is re-wired to the new world (topology, overlap
-//!   engine, ready hooks), and joiners receive the parameters *and
+//!   every member's batch source re-shards through
+//!   [`BatchSource::on_generation`] (a streaming source's staging plan
+//!   moves only orphaned samples), the replica is re-wired to the new
+//!   world (topology, overlap engine, ready hooks), and joiners receive the parameters *and
 //!   optimizer state* by broadcast from a live survivor — a checkpoint is
 //!   touched only in the survivor-less handoff case.
 //! * **Crash recovery without restart.** A member that vanishes surfaces
@@ -51,7 +52,6 @@ use exaclim_comm::{CommError, CommWorld, Communicator, Rendezvous};
 use exaclim_faults::FaultPlan;
 use exaclim_nn::optim::scale_lr_for_batch;
 use exaclim_nn::Layer;
-use exaclim_staging::StagingPlan;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -80,8 +80,6 @@ pub struct GenerationRecord {
     pub cause: String,
     /// Learning rate after the linear world-size rescale.
     pub lr: f32,
-    /// Staging samples whose owner moved in the re-shard.
-    pub staging_moved: usize,
     /// Wall-clock seconds the transition took (0 for the founding world).
     pub transition_wall_s: f64,
 }
@@ -101,23 +99,16 @@ pub struct ElasticConfig {
     pub checkpoint_dir: PathBuf,
     /// Per-receive deadline; also bounds each rendezvous wait.
     pub recv_deadline: Duration,
-    /// Total samples in the simulated staging dataset.
-    pub staging_samples: usize,
-    /// Samples each member stages locally.
-    pub staging_samples_per_node: usize,
 }
 
 impl ElasticConfig {
-    /// Sensible defaults: checkpoint every 2 steps, 5-second deadline,
-    /// a small staging universe.
+    /// Sensible defaults: checkpoint every 2 steps, 5-second deadline.
     pub fn new(base: TrainerConfig, checkpoint_dir: impl Into<PathBuf>) -> ElasticConfig {
         ElasticConfig {
             base,
             checkpoint_every: 2,
             checkpoint_dir: checkpoint_dir.into(),
             recv_deadline: Duration::from_secs(5),
-            staging_samples: 96,
-            staging_samples_per_node: 16,
         }
     }
 }
@@ -150,8 +141,6 @@ pub struct ElasticReport {
     pub checkpoint_fallbacks: usize,
     /// Periodic auto-checkpoints written.
     pub checkpoints_saved: usize,
-    /// Staging samples whose owner moved across all re-shards.
-    pub staging_moved_samples: usize,
     /// Scheduled joiners the run ended without ever admitting.
     pub never_admitted: Vec<usize>,
     /// Members that stopped on an error no smaller world can cure — a
@@ -205,8 +194,6 @@ struct HubState {
     admissions: BTreeMap<usize, Admission>,
     next_generation: u64,
     recoveries: BTreeMap<u64, Recovery>,
-    staging: StagingPlan,
-    staging_moved: usize,
     history: Vec<GenerationRecord>,
     ranks_joined: Vec<usize>,
     ranks_left: Vec<usize>,
@@ -224,8 +211,6 @@ struct ElasticHub {
     cv: Condvar,
     base_lr: f32,
     initial_ranks: usize,
-    staging_spn: usize,
-    staging_seed: u64,
 }
 
 /// Membership lease: dropping it (graceful return *or* thread death)
@@ -259,27 +244,18 @@ impl ElasticHub {
             *e = (*e).min(j.at_step);
         }
         let base_lr = kind_lr(cfg.base.optimizer);
-        let staging = StagingPlan::build(
-            cfg.staging_samples,
-            cfg.base.ranks,
-            cfg.staging_samples_per_node,
-            cfg.base.seed,
-        );
         let state = HubState {
             alive: (0..cfg.base.ranks).collect(),
             lobby,
             admissions: BTreeMap::new(),
             next_generation: 1,
             recoveries: BTreeMap::new(),
-            staging,
-            staging_moved: 0,
             history: vec![GenerationRecord {
                 generation: 0,
                 members: (0..cfg.base.ranks).collect(),
                 begin_step: 0,
                 cause: "initial world".into(),
                 lr: scale_lr_for_batch(base_lr, cfg.base.ranks, cfg.base.ranks),
-                staging_moved: 0,
                 transition_wall_s: 0.0,
             }],
             ranks_joined: Vec::new(),
@@ -294,8 +270,6 @@ impl ElasticHub {
             cv: Condvar::new(),
             base_lr,
             initial_ranks: cfg.base.ranks,
-            staging_spn: cfg.staging_samples_per_node,
-            staging_seed: cfg.base.seed,
         }
     }
 
@@ -340,8 +314,7 @@ impl ElasticHub {
     }
 
     /// Books a committed transition: removes admitted joiners from the
-    /// lobby, grants their admissions, re-shards staging ownership onto
-    /// the new member set, and logs the generation.
+    /// lobby, grants their admissions, and logs the generation.
     #[allow(clippy::too_many_arguments)]
     fn commit_transition(
         &self,
@@ -362,10 +335,7 @@ impl ElasticHub {
             old_members.iter().copied().filter(|m| new_members.contains(m)).collect();
         for j in &joiners {
             s.lobby.remove(j);
-            s.staging.ensure_node(*j, self.staging_spn, self.staging_seed);
         }
-        let moved = s.staging.reassign_owners(new_members);
-        s.staging_moved += moved;
         if !joiners.is_empty() {
             if survivors.is_empty() {
                 s.counters.checkpoint_fallbacks += 1;
@@ -394,7 +364,6 @@ impl ElasticHub {
             begin_step,
             cause: cause.to_string(),
             lr,
-            staging_moved: moved,
             transition_wall_s: wall_s,
         });
         self.cv.notify_all();
@@ -456,8 +425,6 @@ impl ElasticHub {
                 let any_unsynced = survivors.iter().any(|m| !r.synced.contains(m));
                 (survivors, dead, root, any_unsynced, r.new_generation)
             };
-            let moved = s.staging.reassign_owners(&survivors);
-            s.staging_moved += moved;
             s.ranks_lost.extend(dead.iter().copied());
             let lr = self.lr_for(survivors.len());
             s.history.push(GenerationRecord {
@@ -466,7 +433,6 @@ impl ElasticHub {
                 begin_step: step,
                 cause: format!("crash recovery (lost {dead:?})"),
                 lr,
-                staging_moved: moved,
                 transition_wall_s: t0.elapsed().as_secs_f64(),
             });
             if any_unsynced && root.is_some() {
@@ -1097,7 +1063,6 @@ where
         param_broadcasts: s.counters.param_broadcasts,
         checkpoint_fallbacks: s.counters.checkpoint_fallbacks,
         checkpoints_saved: s.counters.checkpoints_saved,
-        staging_moved_samples: s.staging_moved,
         never_admitted,
         ranks_failed,
         diverged,
@@ -1109,8 +1074,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::test_support::{toy_config, toy_model, toy_source};
-    use crate::trainer::train_data_parallel;
+    use crate::trainer::test_support::{toy_config, toy_model, toy_source, ToySource};
+    use crate::trainer::{train_data_parallel, Batch};
     use exaclim_tensor::ComputePrecision;
 
     fn elastic_config(ranks: usize, steps: usize, dir: &str) -> ElasticConfig {
@@ -1168,13 +1133,35 @@ mod tests {
         assert_ne!(both(true, true, ComputePrecision::Bf16), f32_hash);
     }
 
+    /// Every `on_generation` call each member's source received, by member.
+    type GenerationLog = Arc<Mutex<BTreeMap<usize, Vec<(u64, Vec<usize>)>>>>;
+
+    /// The toy source, recording the generations it is told about.
+    struct RecordingSource {
+        inner: ToySource,
+        me: usize,
+        log: GenerationLog,
+    }
+
+    impl BatchSource for RecordingSource {
+        fn next_batch(&mut self) -> Batch {
+            self.inner.next_batch()
+        }
+        fn on_generation(&mut self, generation: u64, members: &[usize]) {
+            let mut log = self.log.lock().unwrap();
+            log.entry(self.me).or_default().push((generation, members.to_vec()));
+        }
+    }
+
     #[test]
     fn leave_and_join_complete_without_restart() {
         // Rank 1 leaves at step 2; a new rank 4 joins at step 5. Training
         // never restarts: the world shrinks to 3, grows to 4, finishes.
         let cfg = elastic_config(4, 8, "leave_join");
         let faults = FaultPlan::seeded(11).with_leave_at_step(1, 2).with_join_at_step(4, 5);
-        let (r, _m) = run(&cfg, &faults);
+        let log = GenerationLog::default();
+        let source = |me| RecordingSource { inner: toy_source(me), me, log: log.clone() };
+        let (r, _m) = train_data_parallel_elastic(&cfg, &faults, toy_model, source);
         assert!(r.consistent, "finishers diverged: {:?}", r.final_hashes);
         assert_eq!(r.steps.len(), 8, "every global step completed exactly once");
         assert_eq!(r.ranks_left, vec![1]);
@@ -1187,7 +1174,20 @@ mod tests {
         assert_eq!(r.param_broadcasts, 1, "the joiner got the live state");
         assert_eq!(r.checkpoint_fallbacks, 0, "no checkpoint was needed to resize");
         assert_eq!(r.steps_retried, 0, "boundary churn loses no step");
-        assert!(r.staging_moved_samples > 0, "orphaned shards were re-owned");
+        // The re-shard reaches the data plane: each member's source saw
+        // every later generation it belongs to, in order, with its member
+        // list — the leaver none, the joiner only the one it entered.
+        let log = log.lock().unwrap();
+        for m in 0..5 {
+            let want: Vec<(u64, Vec<usize>)> = r.generations[1..]
+                .iter()
+                .filter(|g| g.members.contains(&m))
+                .map(|g| (g.generation, g.members.clone()))
+                .collect();
+            assert_eq!(log.get(&m).cloned().unwrap_or_default(), want, "member {m}");
+        }
+        assert!(!log.contains_key(&1), "the leaver hears of no later world");
+        assert_eq!(log[&4].len(), 1, "the joiner hears of the world it entered");
         std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 

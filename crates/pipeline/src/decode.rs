@@ -67,10 +67,6 @@ pub struct DecodedSample {
     pub labels: PooledBytes,
     /// Per-pixel loss weights.
     pub weights: PoolBuf,
-    /// Grid height.
-    pub h: usize,
-    /// Grid width.
-    pub w: usize,
 }
 
 /// Decodes raw sample buffers: channel selection, normalization, and the
@@ -106,8 +102,6 @@ pub fn decode(
         input,
         labels: PooledBytes::copy_of(raw_labels),
         weights: PoolBuf::from_vec(wts),
-        h,
-        w,
     }
 }
 

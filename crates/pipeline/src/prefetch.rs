@@ -11,8 +11,9 @@
 //!   worker owns an independent reader (the Python `multiprocessing`
 //!   workaround), so reads genuinely overlap.
 //!
-//! This module holds the configuration and the reader autoscaler; the
-//! engine that consumes them is [`crate::stream::StreamingIngest`].
+//! This module holds the reader mode and the reader autoscaler; the
+//! engine that consumes them is [`crate::stream::StreamingIngest`], which
+//! starts with one reader.
 //!
 //! **Reader autoscaling.** [`ReaderAutoscaler`] sizes the reader set from
 //! the exposed-ingest share of the step (the time the step's critical path
@@ -25,7 +26,6 @@
 //! hides the very wait which justified it would be taken away again, and
 //! every such flip tears the readers down and respawns them.
 
-use exaclim_tensor::DType;
 use std::time::Duration;
 
 /// Reader-concurrency mode.
@@ -35,41 +35,6 @@ pub enum ReaderMode {
     SharedLocked,
     /// One independent reader per worker (the multiprocessing fix).
     PerWorker,
-}
-
-/// Prefetch-pipeline configuration.
-#[derive(Debug, Clone)]
-pub struct PrefetchConfig {
-    /// Background workers.
-    pub workers: usize,
-    /// Queue depth (prefetched samples).
-    pub depth: usize,
-    /// Reader concurrency mode.
-    pub mode: ReaderMode,
-    /// Artificial per-read-operation cost, standing in for HDF5 open +
-    /// decode overhead of a 56.6 MB paper-scale sample (tiny test grids
-    /// read in microseconds). The streaming readers pay it once per chunk
-    /// run; the legacy pull model paid it once per sample.
-    pub read_cost: Duration,
-    /// Channels to keep (e.g. all 16, or the 4-channel Daint subset).
-    pub channels: Vec<usize>,
-    /// Per-class loss weights.
-    pub class_weights: Vec<f32>,
-    /// Output precision.
-    pub dtype: DType,
-}
-
-impl PrefetchConfig {
-    /// Reader-worker count sized to the host: the kernel pool's width
-    /// (`EXACLIM_NUM_THREADS` → `available_parallelism`), at least 1.
-    ///
-    /// Every worker count used by the paper-replication benches is
-    /// *semantic* — the paper's fixed reader-thread sweeps (§V-A2) — and
-    /// stays explicit. This helper is for callers that want a sensible
-    /// host-matched default instead.
-    pub fn auto_workers() -> usize {
-        rayon::current_num_threads().max(1)
-    }
 }
 
 /// Exposed-ingest share of a window above which the readers double.
@@ -94,8 +59,14 @@ impl ReaderAutoscaler {
     /// diluted this many times, so compute-bound runs never grow.
     pub const WINDOW: usize = 16;
 
+    /// The reader cap sized to the host: the kernel pool's width
+    /// (`EXACLIM_NUM_THREADS` → `available_parallelism`), at least 1.
+    pub fn auto_workers() -> usize {
+        rayon::current_num_threads().max(1)
+    }
+
     /// An autoscaler that never goes above `cap` readers (callers pass
-    /// [`PrefetchConfig::auto_workers`]) nor below one.
+    /// [`ReaderAutoscaler::auto_workers`]) nor below one.
     pub fn new(cap: usize) -> ReaderAutoscaler {
         ReaderAutoscaler {
             cap: cap.max(1),
@@ -162,46 +133,52 @@ impl ReaderAutoscaler {
 mod tests {
     use super::*;
     use crate::decode::ChannelStats;
-    use crate::sampler::SampleSampler;
     use crate::stream::{StreamConfig, StreamingIngest};
     use exaclim_climsim::dataset::DatasetConfig;
     use exaclim_climsim::ClimateDataset;
+    use exaclim_tensor::DType;
     use std::sync::Arc;
     use std::time::Instant;
 
+    /// Six samples, one per file: every read is its own operation, so the
+    /// read cost is paid per sample.
     fn tiny_dataset() -> Arc<ClimateDataset> {
         let mut cfg = DatasetConfig::small(40, 6);
         cfg.generator.h = 12;
         cfg.generator.w = 18;
+        cfg.samples_per_file = 1;
         Arc::new(ClimateDataset::in_memory(&cfg))
     }
 
-    fn config(mode: ReaderMode, workers: usize) -> PrefetchConfig {
-        PrefetchConfig {
-            workers,
+    fn config(mode: ReaderMode, seed: u64) -> StreamConfig {
+        StreamConfig {
             depth: 4,
             mode,
             read_cost: Duration::ZERO,
             channels: (0..16).collect(),
             class_weights: vec![1.0, 10.0, 5.0],
             dtype: DType::F32,
+            seed,
+            augment: false,
         }
     }
 
-    /// Streams `sampler`'s shard under its seed and chunking.
+    /// Streams `shard` on `workers` readers.
     fn start(
         ds: &Arc<ClimateDataset>,
-        sampler: SampleSampler,
+        shard: Vec<usize>,
         stats: ChannelStats,
-        prefetch: PrefetchConfig,
+        cfg: StreamConfig,
+        workers: usize,
     ) -> StreamingIngest {
-        let cfg = StreamConfig::for_sampler(&sampler, prefetch);
-        StreamingIngest::start(ds.clone(), sampler.shard().to_vec(), stats, cfg)
+        let mut q = StreamingIngest::start(ds.clone(), shard, stats, cfg);
+        q.set_workers(workers);
+        q
     }
 
     #[test]
     fn auto_workers_matches_the_kernel_pool() {
-        let w = PrefetchConfig::auto_workers();
+        let w = ReaderAutoscaler::auto_workers();
         assert!(w >= 1);
         assert_eq!(w, exaclim_tensor::kernel_threads().max(1));
     }
@@ -292,8 +269,8 @@ mod tests {
     fn queue_produces_decoded_samples() {
         let ds = tiny_dataset();
         let stats = ChannelStats::estimate(&ds, 2).expect("stats");
-        let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 1);
-        let mut q = start(&ds, sampler, stats, config(ReaderMode::PerWorker, 2));
+        let cfg = config(ReaderMode::PerWorker, 1);
+        let mut q = start(&ds, vec![0, 2, 3, 5], stats, cfg, 2);
         for _ in 0..10 {
             let s = q.next_sample();
             assert_eq!(s.input.shape().dims(), &[1, 16, 12, 18]);
@@ -306,8 +283,7 @@ mod tests {
         let ds = tiny_dataset();
         for mode in [ReaderMode::SharedLocked, ReaderMode::PerWorker] {
             let stats = ChannelStats::estimate(&ds, 2).expect("stats");
-            let sampler = SampleSampler::for_rank(ds.len(), 0, 6, 2);
-            let mut q = start(&ds, sampler, stats, config(mode, 3));
+            let mut q = start(&ds, (0..6).collect(), stats, config(mode, 2), 3);
             for _ in 0..6 {
                 let s = q.next_sample();
                 assert!(!s.input.has_non_finite(), "{mode:?} produced garbage");
@@ -325,10 +301,9 @@ mod tests {
         let mut elapsed = Vec::new();
         for mode in [ReaderMode::SharedLocked, ReaderMode::PerWorker] {
             let stats = ChannelStats::estimate(&ds, 1).expect("stats");
-            let sampler = SampleSampler::for_rank(ds.len(), 0, 6, 3);
-            let mut cfg = config(mode, 4);
+            let mut cfg = config(mode, 3);
             cfg.read_cost = Duration::from_millis(3);
-            let mut q = start(&ds, sampler, stats, cfg);
+            let mut q = start(&ds, (0..6).collect(), stats, cfg, 4);
             let t0 = Instant::now();
             for _ in 0..n {
                 let _ = q.next_sample();
@@ -347,10 +322,9 @@ mod tests {
     fn channel_subset_mode() {
         let ds = tiny_dataset();
         let stats = ChannelStats::estimate(&ds, 2).expect("stats");
-        let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 4);
-        let mut cfg = config(ReaderMode::PerWorker, 1);
+        let mut cfg = config(ReaderMode::PerWorker, 4);
         cfg.channels = vec![0, 1, 2, 7]; // TMQ, U850, V850, PSL
-        let mut q = start(&ds, sampler, stats, cfg);
+        let mut q = start(&ds, vec![1, 3, 4, 5], stats, cfg, 1);
         let s = q.next_sample();
         assert_eq!(s.input.shape().dims(), &[1, 4, 12, 18]);
     }
@@ -359,8 +333,7 @@ mod tests {
     fn drop_shuts_workers_down() {
         let ds = tiny_dataset();
         let stats = ChannelStats::estimate(&ds, 1).expect("stats");
-        let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 5);
-        let mut q = start(&ds, sampler, stats, config(ReaderMode::PerWorker, 2));
+        let mut q = start(&ds, vec![0, 1, 4, 5], stats, config(ReaderMode::PerWorker, 5), 2);
         let _ = q.next_sample();
         drop(q); // must not hang
     }

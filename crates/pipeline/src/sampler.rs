@@ -1,20 +1,19 @@
-//! Per-rank shard sampling with a bit-reproducible hierarchical shuffle.
+//! The bit-reproducible hierarchical shuffle of a node-local shard.
 //!
 //! §V-A1: each rank draws from a node-local shard ("250 images per GPU
 //! ... are sufficient to maintain convergence"); independent shards make
 //! the union of local batches statistically similar to a global draw.
+//! The shards themselves come from the staging plan
+//! (`exaclim_staging::IngestFeed`).
 //!
 //! The epoch order is a *pure function* of `(seed, epoch, shard,
 //! chunk_size)` — no RNG draw history, no dependence on reader-worker
-//! count or on when the sampler was constructed. The shuffle is
+//! count or on where a reader resumes. The shuffle is
 //! hierarchical, mirroring the storage layout the streaming readers
 //! exploit: chunk order is permuted first (seeded by `(seed, epoch)`),
 //! then samples within each chunk (seeded by `(seed, epoch, chunk)`), so
 //! readers still touch one file per chunk while every epoch sees a fresh
 //! global order.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
@@ -99,99 +98,25 @@ pub fn epoch_permutation(seed: u64, epoch: u64, shard: &[usize], chunk_size: usi
     out
 }
 
-/// An infinite, epoch-shuffled iterator over a shard of sample indices.
-///
-/// Unlike a draw-history RNG, the order at any `(epoch, cursor)` is
-/// reproducible from the constructor arguments alone, so any number of
-/// readers — or a reader that restarts mid-epoch — sees the same stream.
-#[derive(Debug, Clone)]
-pub struct SampleSampler {
-    shard: Vec<usize>,
-    chunk_size: usize,
-    seed: u64,
-    order: Vec<usize>,
-    cursor: usize,
-    epoch: u64,
-}
-
-impl SampleSampler {
-    /// Samples from an explicit shard with per-sample chunking (every
-    /// sample its own read unit — the scattered-shard case).
-    pub fn new(shard: Vec<usize>, seed: u64) -> SampleSampler {
-        SampleSampler::with_chunks(shard, seed, 1)
-    }
-
-    /// Samples from an explicit shard with the given chunk granularity
-    /// (normally the dataset's `chunk_size()`, i.e. one CDF5 file).
-    fn with_chunks(shard: Vec<usize>, seed: u64, chunk_size: usize) -> SampleSampler {
-        assert!(!shard.is_empty(), "shard must be non-empty");
-        let chunk_size = chunk_size.max(1);
-        let order = epoch_permutation(seed, 0, &shard, chunk_size);
-        SampleSampler { shard, chunk_size, seed, order, cursor: 0, epoch: 0 }
-    }
-
-    /// Builds the rank's shard the way staging does: `samples_per_rank`
-    /// distinct pseudo-random picks from the dataset.
-    pub fn for_rank(dataset_len: usize, rank: usize, samples_per_rank: usize, seed: u64) -> SampleSampler {
-        let take = samples_per_rank.min(dataset_len);
-        let mut rng = StdRng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0x9e37_79b9));
-        let shard = rand::seq::index::sample(&mut rng, dataset_len, take).into_vec();
-        SampleSampler::with_chunks(shard, seed ^ 0xFACE ^ rank as u64, 1)
-    }
-
-    /// Next sample index (reshuffles at epoch boundaries).
-    pub fn next_index(&mut self) -> usize {
-        if self.cursor >= self.order.len() {
-            self.epoch += 1;
-            self.order = epoch_permutation(self.seed, self.epoch, &self.shard, self.chunk_size);
-            self.cursor = 0;
-        }
-        let idx = self.order[self.cursor];
-        self.cursor += 1;
-        idx
-    }
-
-    /// Completed epochs.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The underlying shard, in storage order.
-    pub fn shard(&self) -> &[usize] {
-        &self.shard
-    }
-
-    /// The shuffle seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The chunk granularity of the hierarchical shuffle.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn covers_shard_each_epoch() {
-        let mut s = SampleSampler::new(vec![3, 5, 7, 9], 1);
-        let mut seen: Vec<usize> = (0..4).map(|_| s.next_index()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![3, 5, 7, 9]);
-        assert_eq!(s.epoch(), 0);
-        let _ = s.next_index();
-        assert_eq!(s.epoch(), 1, "reshuffle advances the epoch");
+        let shard = vec![3, 5, 7, 9];
+        for epoch in 0..3 {
+            let mut seen = epoch_permutation(1, epoch, &shard, 1);
+            seen.sort_unstable();
+            assert_eq!(seen, shard, "epoch {epoch}");
+        }
     }
 
     #[test]
     fn epochs_are_differently_shuffled() {
-        let mut s = SampleSampler::new((0..32).collect(), 2);
-        let e0: Vec<usize> = (0..32).map(|_| s.next_index()).collect();
-        let e1: Vec<usize> = (0..32).map(|_| s.next_index()).collect();
+        let shard: Vec<usize> = (0..32).collect();
+        let e0 = epoch_permutation(2, 0, &shard, 1);
+        let e1 = epoch_permutation(2, 1, &shard, 1);
         assert_ne!(e0, e1, "epoch orders should differ");
         let mut a = e0.clone();
         let mut b = e1.clone();
@@ -201,32 +126,15 @@ mod tests {
     }
 
     #[test]
-    fn rank_shards_differ_but_are_deterministic() {
-        let a = SampleSampler::for_rank(1000, 0, 50, 9);
-        let b = SampleSampler::for_rank(1000, 1, 50, 9);
-        let a2 = SampleSampler::for_rank(1000, 0, 50, 9);
-        assert_ne!(a.shard, b.shard);
-        assert_eq!(a.shard, a2.shard);
-        assert_eq!(a.shard().len(), 50);
-    }
-
-    #[test]
-    fn shard_larger_than_dataset_is_clamped() {
-        let s = SampleSampler::for_rank(10, 0, 250, 1);
-        assert_eq!(s.shard().len(), 10);
-    }
-
-    #[test]
     fn epoch_order_is_a_pure_function_not_draw_history() {
-        // A sampler that already walked three epochs and a fresh
-        // permutation call agree exactly: no hidden RNG state.
+        // Epoch 3 computed cold equals epoch 3 computed after walking
+        // epochs 0–2: a reader may resume at any epoch without replaying
+        // the ones before it.
         let shard: Vec<usize> = (100..164).collect();
-        let mut s = SampleSampler::with_chunks(shard.clone(), 77, 8);
-        for _ in 0..3 * shard.len() {
-            let _ = s.next_index();
-        }
-        let walked: Vec<usize> = (0..shard.len()).map(|_| s.next_index()).collect();
-        assert_eq!(walked, epoch_permutation(77, 3, &shard, 8));
+        let cold = epoch_permutation(77, 3, &shard, 8);
+        let walked: Vec<Vec<usize>> = (0..4).map(|e| epoch_permutation(77, e, &shard, 8)).collect();
+        assert_eq!(walked[3], cold);
+        assert_ne!(walked[2], cold);
     }
 
     #[test]

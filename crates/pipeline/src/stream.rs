@@ -1,8 +1,6 @@
 //! The streaming, backpressured, bit-reproducible ingest engine.
 //!
-//! A pull-per-sample queue takes one sample index at a time from a
-//! locked sampler and allocates fresh buffers for every decoded sample.
-//! This module instead runs *sharded reader tasks*:
+//! The stream runs *sharded reader tasks*:
 //!
 //! * The epoch order comes from the pure hierarchical shuffle
 //!   ([`crate::sampler::epoch_permutation`]) and is split into **runs** of
@@ -26,47 +24,45 @@
 //!   positions at which reshards happened — never of worker count or
 //!   timing.
 
-use crate::augment::Augmentation;
+use crate::augment::{Augmentation, MERIDIONAL_CHANNELS};
 use crate::decode::{decode, ChannelStats, DecodedSample};
-use crate::prefetch::{PrefetchConfig, ReaderMode};
-use crate::sampler::{epoch_permutation, SampleSampler};
+use crate::prefetch::ReaderMode;
+use crate::sampler::epoch_permutation;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use exaclim_climsim::ClimateDataset;
+use exaclim_tensor::DType;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Configuration of a [`StreamingIngest`].
+/// Configuration of a [`StreamingIngest`]. The run length is the
+/// dataset's `chunk_size()` (one CDF5 file) and the stream starts with one
+/// reader; [`StreamingIngest::set_workers`] resizes it.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Worker count, queue depth, reader mode, read cost, channel
-    /// selection, class weights and dtype.
-    pub prefetch: PrefetchConfig,
+    /// Queue depth (prefetched samples), split across the readers.
+    pub depth: usize,
+    /// Reader concurrency mode.
+    pub mode: ReaderMode,
+    /// Artificial per-read-operation cost, standing in for HDF5 open +
+    /// decode overhead of a 56.6 MB paper-scale sample (tiny test grids
+    /// read in microseconds). Paid once per run.
+    pub read_cost: Duration,
+    /// Channels to keep (e.g. all 16, or the 4-channel Daint subset).
+    pub channels: Vec<usize>,
+    /// Per-class loss weights.
+    pub class_weights: Vec<f32>,
+    /// Output precision.
+    pub dtype: DType,
     /// Shuffle seed; with the shard it fully determines the order.
     pub seed: u64,
-    /// Samples per run (normally the dataset's `chunk_size()`).
-    pub chunk_size: usize,
     /// Apply the label-preserving augmentations in-stream, on raw fields
-    /// before normalization, seeded per `(seed, epoch, position)`.
+    /// before normalization, seeded per `(seed, epoch, position)`; the
+    /// meridional winds ([`MERIDIONAL_CHANNELS`]) flip sign under a
+    /// latitude mirror.
     pub augment: bool,
-    /// Raw channel indices whose sign flips under a latitude mirror.
-    pub meridional: Vec<usize>,
-}
-
-impl StreamConfig {
-    /// `sampler`'s seed and chunking drive the shuffle; no augmentation.
-    /// Pair with `sampler.shard()` when starting the stream.
-    pub fn for_sampler(sampler: &SampleSampler, prefetch: PrefetchConfig) -> StreamConfig {
-        StreamConfig {
-            prefetch,
-            seed: sampler.seed(),
-            chunk_size: sampler.chunk_size(),
-            augment: false,
-            meridional: Vec::new(),
-        }
-    }
 }
 
 struct WorkerSet {
@@ -81,6 +77,10 @@ pub struct StreamingIngest {
     dataset: Arc<ClimateDataset>,
     norm: Arc<ChannelStats>,
     cfg: StreamConfig,
+    /// Samples per run: the dataset's chunk size.
+    chunk: usize,
+    /// Raw channel indices whose sign flips under a latitude mirror.
+    meridional: Arc<Vec<usize>>,
     shard: Arc<Vec<usize>>,
     n_workers: usize,
     epoch: u64,
@@ -89,7 +89,7 @@ pub struct StreamingIngest {
 }
 
 impl StreamingIngest {
-    /// Starts `cfg.prefetch.workers` reader tasks over `shard`.
+    /// Starts one reader task over `shard`.
     pub fn start(
         dataset: Arc<ClimateDataset>,
         shard: Vec<usize>,
@@ -97,13 +97,19 @@ impl StreamingIngest {
         cfg: StreamConfig,
     ) -> StreamingIngest {
         assert!(!shard.is_empty(), "shard must be non-empty");
-        let n_workers = cfg.prefetch.workers.max(1);
+        let meridional = if cfg.augment {
+            MERIDIONAL_CHANNELS.iter().filter_map(|n| exaclim_climsim::channel_index(n)).collect()
+        } else {
+            Vec::new()
+        };
         let mut s = StreamingIngest {
+            chunk: dataset.chunk_size().max(1),
+            meridional: Arc::new(meridional),
             dataset,
             norm: Arc::new(stats_src),
             cfg,
             shard: Arc::new(shard),
-            n_workers,
+            n_workers: 1,
             epoch: 0,
             cursor: 0,
             state: None,
@@ -117,25 +123,16 @@ impl StreamingIngest {
         (self.epoch, self.cursor)
     }
 
-    /// The active shard, in storage order.
-    pub fn shard(&self) -> &[usize] {
-        &self.shard
-    }
-
-    fn chunk(&self) -> usize {
-        self.cfg.chunk_size.max(1)
-    }
-
     fn n_runs(&self) -> usize {
-        self.shard.len().div_ceil(self.chunk())
+        self.shard.len().div_ceil(self.chunk)
     }
 
     fn spawn(&mut self) {
         let stop = Arc::new(AtomicBool::new(false));
         // The shared depth budget splits across per-worker channels; each
         // gets at least one slot so every reader can run ahead.
-        let cap = self.cfg.prefetch.depth.max(1).div_ceil(self.n_workers).max(1);
-        let global_lock = match self.cfg.prefetch.mode {
+        let cap = self.cfg.depth.max(1).div_ceil(self.n_workers).max(1);
+        let global_lock = match self.cfg.mode {
             ReaderMode::SharedLocked => Some(Arc::new(Mutex::new(()))),
             ReaderMode::PerWorker => None,
         };
@@ -151,6 +148,8 @@ impl StreamingIngest {
                 norm: self.norm.clone(),
                 shard: self.shard.clone(),
                 cfg: self.cfg.clone(),
+                chunk: self.chunk,
+                meridional: self.meridional.clone(),
                 start_epoch: self.epoch,
                 start_pos: self.cursor,
                 stop: stop.clone(),
@@ -175,7 +174,7 @@ impl StreamingIngest {
 
     /// Next sample in the global order (blocks on backpressure).
     pub fn next_sample(&mut self) -> DecodedSample {
-        let j = self.cursor / self.chunk();
+        let j = self.cursor / self.chunk;
         let g = self.epoch.wrapping_mul(self.n_runs() as u64).wrapping_add(j as u64);
         let w = (g % self.n_workers as u64) as usize;
         let st = self.state.as_ref().expect("stream is running");
@@ -231,6 +230,8 @@ struct WorkerCtx {
     norm: Arc<ChannelStats>,
     shard: Arc<Vec<usize>>,
     cfg: StreamConfig,
+    chunk: usize,
+    meridional: Arc<Vec<usize>>,
     start_epoch: u64,
     start_pos: usize,
     stop: Arc<AtomicBool>,
@@ -238,7 +239,7 @@ struct WorkerCtx {
 }
 
 fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
-    let chunk = ctx.cfg.chunk_size.max(1);
+    let chunk = ctx.chunk;
     let n_runs = ctx.shard.len().div_ceil(chunk);
     let (c, h, w) = (ctx.dataset.channels, ctx.dataset.h, ctx.dataset.w);
     let mut cursor = ctx.dataset.open_cursor();
@@ -272,8 +273,8 @@ fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
             // operation's duration. Decode happens outside the lock.
             {
                 let _guard = ctx.global_lock.as_ref().map(|l| l.lock());
-                if !ctx.cfg.prefetch.read_cost.is_zero() {
-                    std::thread::sleep(ctx.cfg.prefetch.read_cost);
+                if !ctx.cfg.read_cost.is_zero() {
+                    std::thread::sleep(ctx.cfg.read_cost);
                 }
                 for (k, p) in (lo..hi).enumerate() {
                     let (f, l) = &mut raw[k];
@@ -284,7 +285,7 @@ fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
                 let (f, l) = &raw[k];
                 let fields: &[f32] = if ctx.cfg.augment {
                     let a = Augmentation::at_position(w, ctx.cfg.seed, epoch, p as u64);
-                    a.apply_sample_into(f, c, h, w, &ctx.cfg.meridional, &mut aug_buf);
+                    a.apply_sample_into(f, c, h, w, &ctx.meridional, &mut aug_buf);
                     &aug_buf
                 } else {
                     f
@@ -293,13 +294,13 @@ fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
                     order[p],
                     fields,
                     l,
-                    &ctx.cfg.prefetch.channels,
+                    &ctx.cfg.channels,
                     c,
                     h,
                     w,
                     &ctx.norm,
-                    &ctx.cfg.prefetch.class_weights,
-                    ctx.cfg.prefetch.dtype,
+                    &ctx.cfg.class_weights,
+                    ctx.cfg.dtype,
                 );
                 // Blocking send with stop polling (backpressure point).
                 loop {
@@ -326,7 +327,6 @@ mod tests {
     use super::*;
     use crate::sampler::sequence_hash;
     use exaclim_climsim::dataset::DatasetConfig;
-    use exaclim_tensor::DType;
 
     fn chunked_dataset(n: usize) -> Arc<ClimateDataset> {
         let mut cfg = DatasetConfig::small(21, n);
@@ -336,22 +336,26 @@ mod tests {
         Arc::new(ClimateDataset::in_memory(&cfg))
     }
 
-    fn stream_cfg(workers: usize, chunk: usize) -> StreamConfig {
+    fn stream_cfg() -> StreamConfig {
         StreamConfig {
-            prefetch: PrefetchConfig {
-                workers,
-                depth: 6,
-                mode: ReaderMode::PerWorker,
-                read_cost: Duration::ZERO,
-                channels: (0..16).collect(),
-                class_weights: vec![1.0, 10.0, 5.0],
-                dtype: DType::F32,
-            },
+            depth: 6,
+            mode: ReaderMode::PerWorker,
+            read_cost: Duration::ZERO,
+            channels: (0..16).collect(),
+            class_weights: vec![1.0, 10.0, 5.0],
+            dtype: DType::F32,
             seed: 42,
-            chunk_size: chunk,
             augment: false,
-            meridional: Vec::new(),
         }
+    }
+
+    /// Streams `shard` of `ds` (runs of 4, its chunk size) on `workers`
+    /// readers.
+    fn start(ds: &Arc<ClimateDataset>, shard: Vec<usize>, workers: usize) -> StreamingIngest {
+        let norm = ChannelStats::estimate(ds, 2).expect("stats");
+        let mut s = StreamingIngest::start(ds.clone(), shard, norm, stream_cfg());
+        s.set_workers(workers);
+        s
     }
 
     fn consume(stream: &mut StreamingIngest, n: usize) -> Vec<usize> {
@@ -361,9 +365,8 @@ mod tests {
     #[test]
     fn delivers_the_epoch_permutation_in_order() {
         let ds = chunked_dataset(12);
-        let norm = ChannelStats::estimate(&ds, 2).expect("stats");
         let shard: Vec<usize> = (0..12).collect();
-        let mut s = StreamingIngest::start(ds, shard.clone(), norm, stream_cfg(3, 4));
+        let mut s = start(&ds, shard.clone(), 3);
         let got = consume(&mut s, 18); // 1.5 epochs
         let mut want = epoch_permutation(42, 0, &shard, 4);
         want.extend(&epoch_permutation(42, 1, &shard, 4)[..6]);
@@ -376,9 +379,7 @@ mod tests {
         let ds = chunked_dataset(12);
         let mut hashes = Vec::new();
         for workers in [1usize, 2, 4] {
-            let norm = ChannelStats::estimate(&ds, 2).expect("stats");
-            let mut s =
-                StreamingIngest::start(ds.clone(), (0..12).collect(), norm, stream_cfg(workers, 4));
+            let mut s = start(&ds, (0..12).collect(), workers);
             hashes.push(sequence_hash(consume(&mut s, 30)));
         }
         assert_eq!(hashes[0], hashes[1], "1 vs 2 workers");
@@ -388,23 +389,19 @@ mod tests {
     #[test]
     fn set_workers_mid_epoch_keeps_the_sequence() {
         let ds = chunked_dataset(12);
-        let norm = ChannelStats::estimate(&ds, 2).expect("stats");
-        let mut s = StreamingIngest::start(ds.clone(), (0..12).collect(), norm, stream_cfg(1, 4));
+        let mut s = start(&ds, (0..12).collect(), 1);
         let mut got = consume(&mut s, 7); // stop inside a run
         s.set_workers(3);
         assert_eq!(s.workers(), 3);
         got.extend(consume(&mut s, 17));
-        let norm = ChannelStats::estimate(&ds, 2).expect("stats");
-        let mut uninterrupted =
-            StreamingIngest::start(ds, (0..12).collect(), norm, stream_cfg(2, 4));
+        let mut uninterrupted = start(&ds, (0..12).collect(), 2);
         assert_eq!(got, consume(&mut uninterrupted, 24));
     }
 
     #[test]
     fn reshard_rebuilds_the_current_epoch() {
         let ds = chunked_dataset(16);
-        let norm = ChannelStats::estimate(&ds, 2).expect("stats");
-        let mut s = StreamingIngest::start(ds, (0..8).collect(), norm, stream_cfg(2, 4));
+        let mut s = start(&ds, (0..8).collect(), 2);
         let _ = consume(&mut s, 11); // into epoch 1
         assert_eq!(s.position().0, 1);
         let new_shard: Vec<usize> = (8..16).collect();
@@ -422,9 +419,7 @@ mod tests {
         let shard_b: Vec<usize> = (6..18).collect();
         let shard_c: Vec<usize> = (12..24).collect();
         let run = |workers: usize| {
-            let norm = ChannelStats::estimate(&ds, 2).expect("stats");
-            let mut s =
-                StreamingIngest::start(ds.clone(), shard_a.clone(), norm, stream_cfg(workers, 4));
+            let mut s = start(&ds, shard_a.clone(), workers);
             let mut seq = consume(&mut s, 9);
             s.reshard(shard_b.clone()); // a rank joined
             seq.extend(consume(&mut s, 15));

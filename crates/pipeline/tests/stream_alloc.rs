@@ -2,8 +2,7 @@
 //! in a binary of its own, like `decode_alloc.rs`: the pool counters are process-global.
 
 use exaclim_climsim::{dataset::DatasetConfig, ClimateDataset};
-use exaclim_pipeline::prefetch::{PrefetchConfig, ReaderMode};
-use exaclim_pipeline::{ChannelStats, StreamConfig, StreamingIngest};
+use exaclim_pipeline::{ChannelStats, ReaderMode, StreamConfig, StreamingIngest};
 use exaclim_tensor::{pool, DType};
 use std::{sync::Arc, time::Duration};
 
@@ -15,18 +14,19 @@ fn steady_state_stream_makes_no_fresh_allocations() {
     let ds = Arc::new(ClimateDataset::in_memory(&ds_cfg));
     for workers in [1usize, 2, 4] {
         let norm = ChannelStats::estimate(&ds, 2).expect("stats");
-        let prefetch = PrefetchConfig {
-            workers,
+        let cfg = StreamConfig {
             depth: 6,
             mode: ReaderMode::PerWorker,
             read_cost: Duration::ZERO,
             channels: (0..16).collect(),
             class_weights: vec![1.0, 10.0, 5.0],
             dtype: DType::F32,
+            seed: 42,
+            // The augmented path must be clean too.
+            augment: true,
         };
-        // The augmented path must be clean too.
-        let cfg = StreamConfig { prefetch, seed: 42, chunk_size: 4, augment: true, meridional: vec![2, 4] };
         let mut s = StreamingIngest::start(ds.clone(), (0..12).collect(), norm, cfg);
+        s.set_workers(workers);
         // Warm-up epoch populates the free lists (depth+in-flight buffers).
         // The high water must exceed the measured window's transient peak
         // (full channels + reader in-flight + consumer-held), so: let the

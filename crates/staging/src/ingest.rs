@@ -39,11 +39,6 @@ impl IngestFeed {
         IngestFeed::new(StagingPlan::build(n_samples, nodes, samples_per_node, seed), node, samples_per_node, seed)
     }
 
-    /// The node this feed serves.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     /// The samples this node trains on — what the streaming readers
     /// deliver (sorted, so chunk-contiguous index runs stay contiguous).
     pub fn shard(&self) -> Vec<usize> {
@@ -87,7 +82,6 @@ mod tests {
     fn shard_matches_the_plan_needs() {
         let feed = IngestFeed::build(100, 4, 2, 25, 7);
         assert_eq!(feed.shard(), StagingPlan::build(100, 4, 25, 7).needs[2]);
-        assert_eq!(feed.node(), 2);
         assert!(!feed.owned().is_empty());
     }
 

@@ -5,23 +5,24 @@ use exaclim_climsim::dataset::DatasetConfig;
 use exaclim_climsim::ClimateDataset;
 use exaclim_comm::CommWorld;
 use exaclim_distrib::{ControlPlane, Coordinator};
-use exaclim_pipeline::prefetch::{PrefetchConfig, ReaderMode};
-use exaclim_pipeline::{ChannelStats, SampleSampler, StreamConfig, StreamingIngest};
+use exaclim_pipeline::{ChannelStats, ReaderMode, StreamConfig, StreamingIngest};
 use exaclim_staging::real::{stage_distributed, stage_naive};
-use exaclim_staging::StagingPlan;
+use exaclim_staging::{IngestFeed, StagingPlan};
 use exaclim_tensor::DType;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Streams `sampler`'s shard under its seed and chunking.
+/// Streams `shard` on `workers` readers.
 fn start_stream(
     ds: &Arc<ClimateDataset>,
-    sampler: SampleSampler,
+    shard: Vec<usize>,
     stats: ChannelStats,
-    prefetch: PrefetchConfig,
+    cfg: StreamConfig,
+    workers: usize,
 ) -> StreamingIngest {
-    let cfg = StreamConfig::for_sampler(&sampler, prefetch);
-    StreamingIngest::start(ds.clone(), sampler.shard().to_vec(), stats, cfg)
+    let mut q = StreamingIngest::start(ds.clone(), shard, stats, cfg);
+    q.set_workers(workers);
+    q
 }
 
 fn dataset(n: usize) -> Arc<ClimateDataset> {
@@ -42,20 +43,21 @@ fn staged_shards_feed_the_pipeline() {
     assert_eq!(staged.shards[0].len(), 5);
 
     let stats = ChannelStats::estimate(&ds, 2).expect("stats");
-    let sampler = SampleSampler::new(shard.clone(), 11);
     let mut q = start_stream(
         &ds,
-        sampler,
+        shard.clone(),
         stats,
-        PrefetchConfig {
-            workers: 2,
+        StreamConfig {
             depth: 3,
             mode: ReaderMode::PerWorker,
             read_cost: Duration::ZERO,
             channels: (0..16).collect(),
             class_weights: vec![1.0, 10.0, 5.0],
             dtype: DType::F32,
+            seed: 11,
+            augment: false,
         },
+        2,
     );
     for _ in 0..10 {
         let s = q.next_sample();
@@ -131,20 +133,22 @@ fn on_disk_dataset_supports_the_full_path() {
     let ds = Arc::new(ClimateDataset::on_disk(&cfg, &dir).expect("on-disk"));
     assert_eq!(ds.files().len(), 3);
     let stats = ChannelStats::estimate(&ds, 2).expect("stats");
-    let sampler = SampleSampler::for_rank(ds.len(), 0, 4, 2);
+    let shard = IngestFeed::build(ds.len(), 1, 0, 4, 2).shard();
     let mut q = start_stream(
         &ds,
-        sampler,
+        shard,
         stats,
-        PrefetchConfig {
-            workers: 2,
+        StreamConfig {
             depth: 2,
             mode: ReaderMode::SharedLocked,
             read_cost: Duration::ZERO,
             channels: vec![0, 7],
             class_weights: vec![1.0, 1.0, 1.0],
             dtype: DType::F16,
+            seed: 2,
+            augment: false,
         },
+        2,
     );
     let s = q.next_sample();
     assert_eq!(s.input.dtype(), DType::F16);
