@@ -16,8 +16,8 @@
 /// Channels whose sign flips under a latitude mirror (meridional winds).
 pub const MERIDIONAL_CHANNELS: [&str; 2] = ["V850", "VBOT"];
 
-/// An augmentation decision, sampled once per sample so fields and labels
-/// stay congruent.
+/// An augmentation decision, made once per sample and applied to its
+/// fields and labels together ([`Augmentation::apply_into`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Augmentation {
     /// Cyclic longitude shift in pixels.
@@ -38,54 +38,52 @@ impl Augmentation {
         Augmentation { roll: (h as usize) % w.max(1), flip_lat: (h >> 63) & 1 == 1 }
     }
 
-    /// Applies to one scalar field (row-major `h×w`), flipping sign when
-    /// `flip_sign` (meridional winds under a latitude mirror). Appends to
-    /// `out`, so the streaming ingest workers fill one reused buffer.
-    fn apply_field_into(&self, field: &[f32], h: usize, w: usize, flip_sign: bool, out: &mut Vec<f32>) {
-        assert_eq!(field.len(), h * w);
-        let sign = if self.flip_lat && flip_sign { -1.0 } else { 1.0 };
+    /// Appends `src` (row-major `h×w`) moved by this transform to `out`,
+    /// each value passed through `map`.
+    fn move_into<T: Copy>(&self, src: &[T], h: usize, w: usize, map: impl Fn(T) -> T, out: &mut Vec<T>) {
+        assert_eq!(src.len(), h * w);
         out.reserve(h * w);
         for y in 0..h {
             let src_y = if self.flip_lat { h - 1 - y } else { y };
             for x in 0..w {
                 let src_x = (x + w - self.roll % w) % w;
-                out.push(sign * field[src_y * w + src_x]);
+                out.push(map(src[src_y * w + src_x]));
             }
         }
     }
 
-    /// Applies to a label mask congruently.
-    pub fn apply_mask(&self, mask: &[u8], h: usize, w: usize) -> Vec<u8> {
-        assert_eq!(mask.len(), h * w);
-        let mut out = vec![0u8; h * w];
-        for y in 0..h {
-            let src_y = if self.flip_lat { h - 1 - y } else { y };
-            for x in 0..w {
-                let src_x = (x + w - self.roll % w) % w;
-                out[y * w + x] = mask[src_y * w + src_x];
-            }
-        }
-        out
+    /// Applies to one scalar field, flipping sign when `flip_sign`
+    /// (meridional winds under a latitude mirror).
+    fn apply_field_into(&self, field: &[f32], h: usize, w: usize, flip_sign: bool, out: &mut Vec<f32>) {
+        let sign = if self.flip_lat && flip_sign { -1.0 } else { 1.0 };
+        self.move_into(field, h, w, |v| sign * v, out);
     }
 
-    /// Applies to a full channel-major sample (`channels × h × w`), given
-    /// which channel indices are meridional winds, into a caller-provided
-    /// buffer (cleared and filled).
-    pub fn apply_sample_into(
+    /// Applies to one sample: its channel-major fields (`channels × h ×
+    /// w`; the `meridional` channel indices flip sign under a latitude
+    /// mirror) and its label mask move together, into caller-provided
+    /// buffers (cleared and filled) — the labels always follow their
+    /// fields.
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_into(
         &self,
         fields: &[f32],
+        mask: &[u8],
         channels: usize,
         h: usize,
         w: usize,
         meridional: &[usize],
-        out: &mut Vec<f32>,
+        out_fields: &mut Vec<f32>,
+        out_mask: &mut Vec<u8>,
     ) {
         assert_eq!(fields.len(), channels * h * w);
-        out.clear();
+        out_fields.clear();
         for c in 0..channels {
             let flip_sign = meridional.contains(&c);
-            self.apply_field_into(&fields[c * h * w..(c + 1) * h * w], h, w, flip_sign, out);
+            self.apply_field_into(&fields[c * h * w..(c + 1) * h * w], h, w, flip_sign, out_fields);
         }
+        out_mask.clear();
+        self.move_into(mask, h, w, |l| l, out_mask);
     }
 }
 
@@ -99,10 +97,25 @@ mod tests {
         out
     }
 
-    fn sample(a: &Augmentation, f: &[f32], c: usize, h: usize, w: usize, meridional: &[usize]) -> Vec<f32> {
+    fn mask(a: &Augmentation, m: &[u8], h: usize, w: usize) -> Vec<u8> {
         let mut out = Vec::new();
-        a.apply_sample_into(f, c, h, w, meridional, &mut out);
+        a.move_into(m, h, w, |l| l, &mut out);
         out
+    }
+
+    /// `a` applied to a `c`-channel sample and its mask, into fresh buffers.
+    fn sample(
+        a: &Augmentation,
+        f: &[f32],
+        m: &[u8],
+        c: usize,
+        h: usize,
+        w: usize,
+        meridional: &[usize],
+    ) -> (Vec<f32>, Vec<u8>) {
+        let (mut fields, mut labels) = (Vec::new(), Vec::new());
+        a.apply_into(f, m, c, h, w, meridional, &mut fields, &mut labels);
+        (fields, labels)
     }
 
     #[test]
@@ -111,7 +124,7 @@ mod tests {
         let a = Augmentation { roll: 0, flip_lat: false };
         assert_eq!(field(&a, &f, 3, 4, true), f);
         let m: Vec<u8> = (0..12).map(|i| (i % 3) as u8).collect();
-        assert_eq!(a.apply_mask(&m, 3, 4), m);
+        assert_eq!(mask(&a, &m, 3, 4), m);
     }
 
     #[test]
@@ -136,16 +149,16 @@ mod tests {
 
     #[test]
     fn mask_and_fields_stay_congruent() {
-        let (h, w) = (6, 8);
-        // Field equals mask value, so congruence is directly checkable.
-        let mask: Vec<u8> = (0..h * w).map(|i| ((i * 7) % 3) as u8).collect();
-        let f: Vec<f32> = mask.iter().map(|&m| m as f32).collect();
+        let (c, h, w) = (2, 6, 8);
+        // Both channels equal the mask value, so congruence is directly
+        // checkable on the one call that moves fields and labels.
+        let m: Vec<u8> = (0..h * w).map(|i| ((i * 7) % 3) as u8).collect();
+        let f: Vec<f32> = m.iter().chain(&m).map(|&l| l as f32).collect();
         for p in 0..8 {
             let a = Augmentation::at_position(w, 4, 0, p);
-            let fm = field(&a, &f, h, w, false);
-            let mm = a.apply_mask(&mask, h, w);
-            for (x, m) in fm.iter().zip(mm.iter()) {
-                assert_eq!(*x, *m as f32, "{a:?}");
+            let (fm, mm) = sample(&a, &f, &m, c, h, w, &[]);
+            for (k, x) in fm.iter().enumerate() {
+                assert_eq!(*x, mm[k % (h * w)] as f32, "{a:?}");
             }
         }
     }
@@ -155,7 +168,7 @@ mod tests {
         let (c, h, w) = (3, 2, 2);
         let fields: Vec<f32> = (0..c * h * w).map(|i| i as f32 + 1.0).collect();
         let a = Augmentation { roll: 0, flip_lat: true };
-        let out = sample(&a, &fields, c, h, w, &[1]); // channel 1 is meridional
+        let (out, _) = sample(&a, &fields, &[0; 4], c, h, w, &[1]); // channel 1 is meridional
         // Channel 0 mirrored, positive.
         assert_eq!(&out[0..4], &[3.0, 4.0, 1.0, 2.0]);
         // Channel 1 mirrored, negated.
@@ -181,16 +194,18 @@ mod tests {
     fn into_variants_match_allocating_ones() {
         let (c, h, w) = (3, 4, 6);
         let fields: Vec<f32> = (0..c * h * w).map(|i| i as f32 * 0.25 - 3.0).collect();
+        let m: Vec<u8> = (0..h * w).map(|i| (i % 3) as u8).collect();
         let a = Augmentation { roll: 2, flip_lat: true };
-        let mut out = vec![99.0; 5]; // stale contents must be discarded
-        a.apply_sample_into(&fields, c, h, w, &[1], &mut out);
-        assert_eq!(out, sample(&a, &fields, c, h, w, &[1]));
+        // Stale contents must be discarded.
+        let (mut out, mut out_mask) = (vec![99.0; 5], vec![7u8; 100]);
+        a.apply_into(&fields, &m, c, h, w, &[1], &mut out, &mut out_mask);
+        assert_eq!((out, out_mask), sample(&a, &fields, &m, c, h, w, &[1]));
     }
 
     #[test]
     fn class_frequencies_are_preserved() {
         let (h, w) = (10, 12);
-        let mask: Vec<u8> = (0..h * w).map(|i| ((i * 13) % 3) as u8).collect();
+        let m: Vec<u8> = (0..h * w).map(|i| ((i * 13) % 3) as u8).collect();
         let count = |m: &[u8]| {
             let mut c = [0usize; 3];
             for &v in m {
@@ -198,10 +213,10 @@ mod tests {
             }
             c
         };
-        let before = count(&mask);
+        let before = count(&m);
         for p in 0..5 {
             let a = Augmentation::at_position(w, 9, 0, p);
-            assert_eq!(count(&a.apply_mask(&mask, h, w)), before, "{a:?}");
+            assert_eq!(count(&mask(&a, &m, h, w)), before, "{a:?}");
         }
     }
 }

@@ -243,10 +243,10 @@ fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
     let n_runs = ctx.shard.len().div_ceil(chunk);
     let (c, h, w) = (ctx.dataset.channels, ctx.dataset.h, ctx.dataset.w);
     let mut cursor = ctx.dataset.open_cursor();
-    // Raw staging for one run, plus the augmentation scratch — allocated
-    // once here, reused for the thread's lifetime.
+    // Raw staging for one run, plus the augmentation scratch for fields
+    // and labels — allocated once here, reused for the thread's lifetime.
     let mut raw: Vec<(Vec<f32>, Vec<u8>)> = Vec::new();
-    let mut aug_buf: Vec<f32> = Vec::new();
+    let (mut aug_fields, mut aug_labels) = (Vec::<f32>::new(), Vec::<u8>::new());
     let mut epoch = ctx.start_epoch;
     let mut floor = ctx.start_pos; // resume offset, first epoch only
     loop {
@@ -283,17 +283,17 @@ fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
             }
             for (k, p) in (lo..hi).enumerate() {
                 let (f, l) = &raw[k];
-                let fields: &[f32] = if ctx.cfg.augment {
+                let (fields, labels): (&[f32], &[u8]) = if ctx.cfg.augment {
                     let a = Augmentation::at_position(w, ctx.cfg.seed, epoch, p as u64);
-                    a.apply_sample_into(f, c, h, w, &ctx.meridional, &mut aug_buf);
-                    &aug_buf
+                    a.apply_into(f, l, c, h, w, &ctx.meridional, &mut aug_fields, &mut aug_labels);
+                    (&aug_fields, &aug_labels)
                 } else {
-                    f
+                    (f, l)
                 };
                 let mut item = decode(
                     order[p],
                     fields,
-                    l,
+                    labels,
                     &ctx.cfg.channels,
                     c,
                     h,
@@ -408,6 +408,62 @@ mod tests {
         s.reshard(new_shard.clone());
         let got = consume(&mut s, 8);
         assert_eq!(got, epoch_permutation(42, 1, &new_shard, 4), "epoch 1 rebuilt on new shard");
+    }
+
+    #[test]
+    fn augmented_labels_follow_their_fields() {
+        // Oracle for in-stream augmentation, over three epochs: for each
+        // delivered sample, the (roll, flip_lat) that reproduces its
+        // fields from the stored sample must reproduce its labels too, and
+        // every weight is its own label's class weight. The expected
+        // values are recomputed here pixel by pixel, not through
+        // `Augmentation`.
+        let ds = chunked_dataset(12);
+        let norm = ChannelStats::estimate(&ds, 2).expect("stats");
+        let cfg = StreamConfig { augment: true, ..stream_cfg() };
+        let mut s = StreamingIngest::start(ds.clone(), (0..12).collect(), norm.clone(), cfg.clone());
+        let (h, w) = (ds.h, ds.w);
+        let hw = h * w;
+        let meridional: Vec<usize> =
+            MERIDIONAL_CHANNELS.iter().filter_map(|n| exaclim_climsim::channel_index(n)).collect();
+        let (mut flips, mut rolls) = (0, 0);
+        for _ in 0..3 * 12 {
+            let got = s.next_sample();
+            let stored = ds.sample(got.index).expect("stored sample");
+            let input = got.input.as_slice();
+            // Output pixel (y, x) reads stored pixel (y or h-1-y, x - roll mod w).
+            let src = |roll: usize, flip: bool, p: usize| {
+                let (y, x) = (p / w, p % w);
+                let sy = if flip { h - 1 - y } else { y };
+                sy * w + (x + w - roll) % w
+            };
+            let fits: Vec<(usize, bool)> = (0..w)
+                .flat_map(|roll| [(roll, false), (roll, true)])
+                .filter(|&(roll, flip)| {
+                    cfg.channels.iter().enumerate().all(|(k, &ch)| {
+                        let sign = if flip && meridional.contains(&ch) { -1.0 } else { 1.0 };
+                        (0..hw).all(|p| {
+                            let v = sign * stored.fields[ch * hw + src(roll, flip, p)];
+                            input[k * hw + p].to_bits() == norm.normalize(ch, v).to_bits()
+                        })
+                    })
+                })
+                .collect();
+            assert!(!fits.is_empty(), "sample {}: no transform reproduces its fields", got.index);
+            let labels = got.labels.as_slice();
+            let fit = fits
+                .iter()
+                .find(|&&(roll, flip)| (0..hw).all(|p| labels[p] == stored.labels[src(roll, flip, p)]));
+            let Some(&(roll, flip)) = fit else {
+                panic!("sample {}: labels did not follow fields moved by {fits:?}", got.index)
+            };
+            flips += flip as usize;
+            rolls += (roll != 0) as usize;
+            for (p, &l) in labels.iter().enumerate() {
+                assert_eq!(got.weights[p], cfg.class_weights[l as usize], "pixel {p}");
+            }
+        }
+        assert!(flips > 0 && rolls > 0, "the run drew {flips} mirrors and {rolls} nonzero rolls");
     }
 
     #[test]
