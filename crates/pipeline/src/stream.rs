@@ -77,10 +77,6 @@ pub struct StreamingIngest {
     dataset: Arc<ClimateDataset>,
     norm: Arc<ChannelStats>,
     cfg: StreamConfig,
-    /// Samples per run: the dataset's chunk size.
-    chunk: usize,
-    /// Raw channel indices whose sign flips under a latitude mirror.
-    meridional: Arc<Vec<usize>>,
     shard: Arc<Vec<usize>>,
     n_workers: usize,
     epoch: u64,
@@ -97,14 +93,7 @@ impl StreamingIngest {
         cfg: StreamConfig,
     ) -> StreamingIngest {
         assert!(!shard.is_empty(), "shard must be non-empty");
-        let meridional = if cfg.augment {
-            MERIDIONAL_CHANNELS.iter().filter_map(|n| exaclim_climsim::channel_index(n)).collect()
-        } else {
-            Vec::new()
-        };
         let mut s = StreamingIngest {
-            chunk: dataset.chunk_size().max(1),
-            meridional: Arc::new(meridional),
             dataset,
             norm: Arc::new(stats_src),
             cfg,
@@ -123,8 +112,13 @@ impl StreamingIngest {
         (self.epoch, self.cursor)
     }
 
+    /// Samples per run: one storage chunk.
+    fn chunk(&self) -> usize {
+        self.dataset.chunk_size()
+    }
+
     fn n_runs(&self) -> usize {
-        self.shard.len().div_ceil(self.chunk)
+        self.shard.len().div_ceil(self.chunk())
     }
 
     fn spawn(&mut self) {
@@ -148,8 +142,6 @@ impl StreamingIngest {
                 norm: self.norm.clone(),
                 shard: self.shard.clone(),
                 cfg: self.cfg.clone(),
-                chunk: self.chunk,
-                meridional: self.meridional.clone(),
                 start_epoch: self.epoch,
                 start_pos: self.cursor,
                 stop: stop.clone(),
@@ -174,7 +166,7 @@ impl StreamingIngest {
 
     /// Next sample in the global order (blocks on backpressure).
     pub fn next_sample(&mut self) -> DecodedSample {
-        let j = self.cursor / self.chunk;
+        let j = self.cursor / self.chunk();
         let g = self.epoch.wrapping_mul(self.n_runs() as u64).wrapping_add(j as u64);
         let w = (g % self.n_workers as u64) as usize;
         let st = self.state.as_ref().expect("stream is running");
@@ -230,8 +222,6 @@ struct WorkerCtx {
     norm: Arc<ChannelStats>,
     shard: Arc<Vec<usize>>,
     cfg: StreamConfig,
-    chunk: usize,
-    meridional: Arc<Vec<usize>>,
     start_epoch: u64,
     start_pos: usize,
     stop: Arc<AtomicBool>,
@@ -239,9 +229,11 @@ struct WorkerCtx {
 }
 
 fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
-    let chunk = ctx.chunk;
+    let chunk = ctx.dataset.chunk_size();
     let n_runs = ctx.shard.len().div_ceil(chunk);
     let (c, h, w) = (ctx.dataset.channels, ctx.dataset.h, ctx.dataset.w);
+    let meridional: Vec<usize> =
+        MERIDIONAL_CHANNELS.iter().filter_map(|n| exaclim_climsim::channel_index(n)).collect();
     let mut cursor = ctx.dataset.open_cursor();
     // Raw staging for one run, plus the augmentation scratch for fields
     // and labels — allocated once here, reused for the thread's lifetime.
@@ -285,7 +277,7 @@ fn worker_loop(ctx: WorkerCtx, tx: Sender<DecodedSample>) {
                 let (f, l) = &raw[k];
                 let (fields, labels): (&[f32], &[u8]) = if ctx.cfg.augment {
                     let a = Augmentation::at_position(w, ctx.cfg.seed, epoch, p as u64);
-                    a.apply_into(f, l, c, h, w, &ctx.meridional, &mut aug_fields, &mut aug_labels);
+                    a.apply_into(f, l, c, h, w, &meridional, &mut aug_fields, &mut aug_labels);
                     (&aug_fields, &aug_labels)
                 } else {
                     (f, l)
