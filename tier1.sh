@@ -17,6 +17,14 @@ cargo clippy --workspace -- -D warnings
 # A doc link to a deleted or narrowed name must fail here.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
+# Every public name without another production caller carries a reason
+# on the allowlist, and no allowlist line is stale.
+pub_report=$(tools/pub_callers.sh)
+if grep -E 'UNLISTED|stale line' <<<"$pub_report"; then
+    echo "tier1: tools/pub_callers.sh found names missing from, or stale lines in, tools/pub_callers.allow" >&2
+    exit 1
+fi
+
 # The ablation table is deterministic: it must reproduce the recorded
 # artifact byte for byte.
 cargo run --release -q -p exaclim-bench --bin ablations | diff - artifacts/ablations.txt

@@ -17,10 +17,11 @@
 # then the allowlist's reason for keeping it, or UNLISTED; then any
 # allowlist line that matched nothing.
 #
-# A report, not a gate: it always exits 0. The match is by name, so a name
-# that another file uses for something else counts as used. Allowlist lines
-# are `<key> <reason>`; a key is `crate::module::[Type::]name` as printed, or
-# a prefix ending in `::*`.
+# It always exits 0; tier1.sh fails when it prints an UNLISTED name or a
+# stale line. The match is by name, so a name that another file uses for
+# something else counts as used. Allowlist lines are `<key> <reason>`; a
+# key is `crate::module::[Type::]name` as printed, or a prefix ending in
+# `::*`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 command -v python3 >/dev/null || { echo "tools/pub_callers.sh: python3 not found" >&2; exit 2; }
