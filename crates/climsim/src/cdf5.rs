@@ -178,12 +178,6 @@ impl Cdf5Reader {
         labels.extend_from_slice(&self.scratch[nfield * 4..]);
         Ok(())
     }
-
-    /// Total payload size of the file in bytes.
-    #[cfg(test)]
-    fn payload_bytes(&self) -> u64 {
-        self.n_samples as u64 * self.sample_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -238,21 +232,6 @@ mod tests {
         wtr.finish().expect("finish");
         let mut rdr = Cdf5Reader::open(&path).expect("open");
         assert!(rdr.read_sample(1).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn payload_bytes_accounting() {
-        let path = tmpdir().join("bytes.cdf5");
-        let mut wtr = Cdf5Writer::create(&path, 16, 8, 8).expect("create");
-        for _ in 0..3 {
-            wtr.append(&[0.0; 16 * 64], &[0; 64]).expect("append");
-        }
-        wtr.finish().expect("finish");
-        let rdr = Cdf5Reader::open(&path).expect("open");
-        assert_eq!(rdr.payload_bytes(), 3 * (16 * 64 * 4 + 64) as u64);
-        let disk = std::fs::metadata(&path).expect("meta").len();
-        assert_eq!(disk, HEADER_LEN + rdr.payload_bytes());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -36,23 +36,6 @@ impl ClimateSample {
     fn channel_mut(&mut self, c: usize) -> &mut [f32] {
         &mut self.data[c * self.h * self.w..(c + 1) * self.h * self.w]
     }
-
-    /// Extracts a channel subset (e.g. the 4-variable Piz Daint mode).
-    #[cfg(test)]
-    fn select_channels(&self, idx: &[usize]) -> ClimateSample {
-        let hw = self.h * self.w;
-        let mut data = Vec::with_capacity(idx.len() * hw);
-        for &c in idx {
-            data.extend_from_slice(self.channel(c));
-        }
-        ClimateSample {
-            h: self.h,
-            w: self.w,
-            channels: idx.len(),
-            data,
-            true_mask: self.true_mask.clone(),
-        }
-    }
 }
 
 /// Generator parameters.
@@ -515,20 +498,6 @@ mod tests {
         let ys: Vec<usize> = ar.iter().map(|&i| i / s.w).collect();
         let span = ys.iter().max().unwrap() - ys.iter().min().unwrap();
         assert!(span > s.h / 8, "AR latitude span {span}");
-    }
-
-    #[test]
-    fn channel_subset_extraction() {
-        let g = FieldGenerator::new(GeneratorConfig::small(9));
-        let s = g.generate(0);
-        let idx: Vec<usize> = crate::DAINT_CHANNELS
-            .iter()
-            .map(|n| crate::channel_index(n).unwrap())
-            .collect();
-        let sub = s.select_channels(&idx);
-        assert_eq!(sub.channels, 4);
-        assert_eq!(sub.channel(0), s.channel(0)); // TMQ
-        assert_eq!(sub.channel(3), s.channel(7)); // PSL
     }
 
     #[test]

@@ -206,31 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_then_allgather_equals_allreduce() {
-        // The ZeRO-style decomposition: reduce-scatter + all-gather must
-        // equal the plain all-reduce, bitwise.
-        for n in [1, 2, 3, 5] {
-            let results = run_world(n, |c, buf| {
-                let mut a = buf.clone();
-                c.try_allreduce_ring(&mut a).expect("allreduce");
-                let mut b = buf.clone();
-                let (idx, chunk) = c.try_reduce_scatter_ring(&mut b).expect("reduce-scatter");
-                let gathered = c.try_allgather_ring(idx, &chunk, b.len()).expect("all-gather");
-                assert_eq!(
-                    gathered.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "decomposed == fused all-reduce"
-                );
-                a
-            });
-            let want = expected_sum(n);
-            for r in &results {
-                assert_eq!(r, &want, "n = {n}");
-            }
-        }
-    }
-
-    #[test]
     fn recv_times_out_with_edge_diagnostics() {
         use std::time::Duration;
         let comms = CommWorld::with_deadline(2, Duration::from_millis(50));

@@ -363,74 +363,6 @@ impl Communicator {
         self.rhd_allreduce_group(&group, buf, tag)
     }
 
-    /// Ring reduce-scatter: after the call, this rank holds the fully
-    /// reduced chunk `(rank+1) % size` of the logical buffer (the first
-    /// half of the NCCL ring all-reduce; the building block ZeRO-style
-    /// sharded optimizers use). Returns `(chunk_index, chunk)`.
-    #[cfg(test)]
-    pub(crate) fn try_reduce_scatter_ring(&mut self, buf: &mut [f32]) -> Result<(usize, Vec<f32>), CommError> {
-        let tag = self.next_tag();
-        let group: Vec<usize> = (0..self.size).collect();
-        let g = group.len();
-        let me = self.rank;
-        if g == 1 {
-            return Ok((0, buf.to_vec()));
-        }
-        // Reuse the ring's reduce-scatter phase only.
-        let right = (me + 1) % g;
-        let left = (me + g - 1) % g;
-        let len = buf.len();
-        let bounds = |i: usize| (i * len / g, (i + 1) * len / g);
-        for step in 0..g - 1 {
-            let send_idx = (me + g - step) % g;
-            let recv_idx = (me + g - step - 1) % g;
-            let (slo, shi) = bounds(send_idx);
-            self.try_send_f32(right, tag | (step as u64) << 8, buf[slo..shi].to_vec())?;
-            let part = self.try_recv_f32(left, tag | (step as u64) << 8)?;
-            let (rlo, rhi) = bounds(recv_idx);
-            for (a, b) in buf[rlo..rhi].iter_mut().zip(part.iter()) {
-                *a += *b;
-            }
-        }
-        let owned = (me + 1) % g;
-        let (lo, hi) = bounds(owned);
-        Ok((owned, buf[lo..hi].to_vec()))
-    }
-
-    /// Ring all-gather of per-rank chunks produced by
-    /// [`Communicator::try_reduce_scatter_ring`]: every rank ends with
-    /// the concatenation of all chunks in chunk-index order.
-    #[cfg(test)]
-    pub(crate) fn try_allgather_ring(
-        &mut self,
-        chunk_index: usize,
-        chunk: &[f32],
-        total_len: usize,
-    ) -> Result<Vec<f32>, CommError> {
-        let tag = self.next_tag();
-        let g = self.size;
-        let me = self.rank;
-        let mut out = vec![0.0f32; total_len];
-        let bounds = |i: usize| (i * total_len / g, (i + 1) * total_len / g);
-        let (lo, hi) = bounds(chunk_index);
-        out[lo..hi].copy_from_slice(chunk);
-        if g == 1 {
-            return Ok(out);
-        }
-        let right = (me + 1) % g;
-        let left = (me + g - 1) % g;
-        for step in 0..g - 1 {
-            let send_idx = (chunk_index + g - step) % g;
-            let recv_idx = (chunk_index + g - step - 1) % g;
-            let (slo, shi) = bounds(send_idx);
-            self.try_send_f32(right, tag | (step as u64) << 8, out[slo..shi].to_vec())?;
-            let part = self.try_recv_f32(left, tag | (step as u64) << 8)?;
-            let (rlo, rhi) = bounds(recv_idx);
-            out[rlo..rhi].copy_from_slice(&part);
-        }
-        Ok(out)
-    }
-
     /// Binomial reduce-to-root + broadcast all-reduce.
     pub fn try_allreduce_tree(&mut self, buf: &mut Vec<f32>) -> Result<(), CommError> {
         let tag = self.next_tag();

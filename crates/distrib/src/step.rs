@@ -43,13 +43,14 @@ use std::time::Instant;
 
 fn build_optimizer(
     kind: OptimizerKind,
-    lag: Option<usize>,
+    lag: bool,
     grad_scale: f32,
 ) -> Box<dyn Optimizer + Send> {
-    fn wrap<O: Optimizer + Send + 'static>(opt: O, lag: Option<usize>) -> Box<dyn Optimizer + Send> {
-        match lag {
-            Some(depth) => Box::new(Lagged::with_depth(opt, depth)),
-            None => Box::new(opt),
+    fn wrap<O: Optimizer + Send + 'static>(opt: O, lag: bool) -> Box<dyn Optimizer + Send> {
+        if lag {
+            Box::new(Lagged::new(opt))
+        } else {
+            Box::new(opt)
         }
     }
     match kind {
@@ -158,14 +159,13 @@ impl Replica {
         let params_vec: Vec<Param> = params.iter().cloned().collect();
         let sizes: Vec<usize> = params_vec.iter().map(|p| p.numel()).collect();
         let canonical: Vec<u32> = (0..sizes.len() as u32).collect();
-        let lag = cfg.gradient_lag.then_some(cfg.lag_depth.max(1));
         Replica {
             world: None,
             buckets: fuse(&canonical, &sizes, cfg.fusion_threshold_bytes),
             coordinator: Coordinator::new(cfg.control, sizes.len()),
             loss_fn: WeightedCrossEntropy::with_scale(cfg.loss_scale),
-            optimizer: Some(build_optimizer(cfg.optimizer, lag, cfg.loss_scale)),
-            ctx: Ctx::train(cfg.seed ^ (stream_id as u64 + 1) << 17).with_compute(cfg.compute),
+            optimizer: Some(build_optimizer(cfg.optimizer, cfg.gradient_lag, cfg.loss_scale)),
+            ctx: Ctx::train(cfg.seed ^ (stream_id as u64 + 1) << 17),
             shuffle_rng: rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xABCD ^ stream_id as u64),
             hashes_ok: true,
             cfg: cfg.clone(),

@@ -17,7 +17,7 @@ use crate::step::{Replica, StepStats, Trained};
 use exaclim_comm::{CommError, CommWorld, Communicator};
 use exaclim_nn::loss::Labels;
 use exaclim_nn::Layer;
-use exaclim_tensor::{ComputePrecision, DType, Tensor};
+use exaclim_tensor::{DType, Tensor};
 use std::time::Duration;
 
 /// One local batch: input `[N, C, H, W]`, labels, per-pixel loss weights.
@@ -88,16 +88,8 @@ pub struct TrainerConfig {
     pub optimizer: OptimizerKind,
     /// §V-B4 gradient lag.
     pub gradient_lag: bool,
-    /// Lag depth when `gradient_lag` is set (1 = the paper's lag 1;
-    /// larger = the EASGD-style deeper lags §V-B4 cites).
-    pub lag_depth: usize,
     /// Training precision for activations.
     pub precision: DType,
-    /// GEMM operand precision inside conv/deconv kernels (FP32, or
-    /// f16/bf16 panels with FP32 accumulation). Orthogonal to
-    /// `precision`: activations can stay FP32 storage while the GEMM
-    /// computes through half operands. Defaults to FP32.
-    pub compute: ComputePrecision,
     /// FP16 loss scale (1.0 for FP32).
     pub loss_scale: f32,
     /// Steps to run.
@@ -143,9 +135,7 @@ impl TrainerConfig {
             control: ControlPlane::Hierarchical { radix: 2 },
             optimizer: OptimizerKind::Sgd { lr: 0.01, momentum: 0.9 },
             gradient_lag: false,
-            lag_depth: 1,
             precision: DType::F32,
-            compute: ComputePrecision::F32,
             loss_scale: 1.0,
             steps: 4,
             seed: 1234,

@@ -15,11 +15,6 @@ pub enum Precision {
     FP32,
     /// FP16 storage/math with FP32 accumulation (tensor cores on V100).
     FP16,
-    /// Bfloat16 storage/math with FP32 accumulation. Same wire/memory
-    /// footprint and tensor-core peak as FP16 (Ampere+ run both at the
-    /// half-precision rate); wider exponent trades mantissa for range,
-    /// which removes the need for loss scaling.
-    BF16,
 }
 
 impl std::fmt::Display for Precision {
@@ -27,7 +22,6 @@ impl std::fmt::Display for Precision {
         match self {
             Precision::FP32 => write!(f, "FP32"),
             Precision::FP16 => write!(f, "FP16"),
-            Precision::BF16 => write!(f, "BF16"),
         }
     }
 }
@@ -154,7 +148,7 @@ impl GpuModel {
     pub fn peak(&self, p: Precision) -> f64 {
         match p {
             Precision::FP32 => self.peak_fp32,
-            Precision::FP16 | Precision::BF16 => self.peak_fp16,
+            Precision::FP16 => self.peak_fp16,
         }
     }
 
@@ -173,18 +167,12 @@ impl GpuModel {
             // FP16 tensor cores reach ~52 % of their 8× higher peak
             // (Figure 9 FP16: 52.0 / 51.2 % math); memory-bound FP16 convs
             // saturate bandwidth (Figure 8: 101.2 % of peak).
-            (ForwardConv, Precision::FP16 | Precision::BF16) => {
-                Efficiency { math: 0.52, mem: 0.95 }
-            }
-            (BackwardConv, Precision::FP16 | Precision::BF16) => {
-                Efficiency { math: 0.52, mem: 0.80 }
-            }
+            (ForwardConv, Precision::FP16) => Efficiency { math: 0.52, mem: 0.95 },
+            (BackwardConv, Precision::FP16) => Efficiency { math: 0.52, mem: 0.80 },
             (ForwardPointwise, _) | (BackwardPointwise, _) => Efficiency { math: 0.05, mem: 0.75 },
             (Optimizer, _) => Efficiency { math: 0.02, mem: 0.30 },
             (CopiesTransposes, Precision::FP32) => Efficiency { math: 0.01, mem: 0.70 },
-            (CopiesTransposes, Precision::FP16 | Precision::BF16) => {
-                Efficiency { math: 0.01, mem: 0.55 }
-            }
+            (CopiesTransposes, Precision::FP16) => Efficiency { math: 0.01, mem: 0.55 },
             (Allreduce, _) => Efficiency { math: 0.01, mem: 0.05 }, // NVLink-bound
             (TypeConversions, _) => Efficiency { math: 0.01, mem: 0.40 },
         }

@@ -89,12 +89,6 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// [`save_auto_with_optimizer`] with an empty optimizer section.
-#[cfg(test)]
-fn save_auto(params: &ParamSet, dir: impl AsRef<Path>, step: usize) -> io::Result<PathBuf> {
-    save_auto_with_optimizer(params, &OptState::default(), dir, step)
-}
-
 /// Writes an auto-checkpoint `step-NNNNNNNN.exck` with an optimizer-state
 /// section under `dir` (created if missing), where `step` counts
 /// *completed* training steps. Returns the file path: the periodic-snapshot
@@ -110,34 +104,6 @@ pub fn save_auto_with_optimizer(
     let path = dir.join(format!("step-{step:08}.exck"));
     save_with_optimizer(params, opt, &path)?;
     Ok(path)
-}
-
-/// Finds the most recent auto-checkpoint in `dir` (highest completed-step
-/// count wins). Returns `None` when the directory is missing or holds no
-/// `step-*.exck` files; non-checkpoint files are ignored.
-#[cfg(test)]
-fn latest(dir: impl AsRef<Path>) -> io::Result<Option<(usize, PathBuf)>> {
-    let entries = match std::fs::read_dir(dir.as_ref()) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut best: Option<(usize, PathBuf)> = None;
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let step = name
-            .to_string_lossy()
-            .strip_prefix("step-")
-            .and_then(|s| s.strip_suffix(".exck"))
-            .and_then(|s| s.parse::<usize>().ok());
-        if let Some(step) = step {
-            if best.as_ref().is_none_or(|(b, _)| step > *b) {
-                best = Some((step, entry.path()));
-            }
-        }
-    }
-    Ok(best)
 }
 
 /// Opens a checkpoint, validates magic + version, and returns the reader
@@ -316,25 +282,6 @@ mod tests {
         assert_eq!(bytes1, bytes2, "checkpoint bytes drift through load/save");
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
-    }
-
-    #[test]
-    fn auto_checkpoints_find_the_latest() {
-        let dir = tmp("auto_dir");
-        std::fs::remove_dir_all(&dir).ok();
-        assert!(latest(&dir).expect("missing dir is fine").is_none());
-        let params = sample_params(5);
-        save_auto(&params, &dir, 2).expect("save step 2");
-        save_auto(&params, &dir, 10).expect("save step 10");
-        save_auto(&params, &dir, 6).expect("save step 6");
-        // Unrelated files are ignored.
-        std::fs::write(dir.join("notes.txt"), b"hi").expect("write");
-        let (step, path) = latest(&dir).expect("scan").expect("checkpoints exist");
-        assert_eq!(step, 10);
-        let restored = sample_params(7);
-        load_into(&restored, path).expect("load latest");
-        assert_eq!(restored.state_hash(), params.state_hash());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

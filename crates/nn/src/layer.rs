@@ -1,7 +1,7 @@
 //! The [`Layer`] trait and [`Sequential`] container.
 
 use crate::param::ParamSet;
-use exaclim_tensor::{ComputePrecision, Tensor};
+use exaclim_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -12,10 +12,6 @@ pub struct Ctx {
     /// RNG for stochastic layers (dropout). Seeded per rank so replicas
     /// can be made identical or decorrelated deliberately.
     pub rng: StdRng,
-    /// GEMM operand precision for conv/deconv kernels: FP32, or half
-    /// (f16/bf16) panels with FP32 accumulation — the tensor-core compute
-    /// recipe. Parameters and optimizer state stay FP32 master copies.
-    pub compute: ComputePrecision,
 }
 
 impl Ctx {
@@ -24,7 +20,6 @@ impl Ctx {
         Ctx {
             training: true,
             rng: StdRng::seed_from_u64(seed),
-            compute: ComputePrecision::F32,
         }
     }
 
@@ -33,14 +28,7 @@ impl Ctx {
         Ctx {
             training: false,
             rng: StdRng::seed_from_u64(0),
-            compute: ComputePrecision::F32,
         }
-    }
-
-    /// Builder-style override of the GEMM compute precision.
-    pub fn with_compute(mut self, p: ComputePrecision) -> Ctx {
-        self.compute = p;
-        self
     }
 }
 

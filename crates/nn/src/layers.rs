@@ -4,7 +4,7 @@ use crate::layer::{Ctx, Layer};
 use crate::param::{Param, ParamSet};
 use exaclim_tensor::init::he_normal;
 use exaclim_tensor::ops::{self, BatchNormCache, Conv2dParams, ConvAlgo, Deconv2dParams};
-use exaclim_tensor::{set_compute_precision, ComputePrecision, DType, Shape, Tensor};
+use exaclim_tensor::{DType, Shape, Tensor};
 use rand::rngs::StdRng;
 
 /// 2-D convolution layer (`dark blue` and `green` boxes of Figure 1).
@@ -14,9 +14,6 @@ pub struct Conv2d {
     bias: Option<Param>,
     params: Conv2dParams,
     cached_input: Option<Tensor>,
-    /// GEMM operand precision stashed at forward time (backward has no
-    /// ctx, and both directions must use the same precision).
-    compute: ComputePrecision,
 }
 
 impl Conv2d {
@@ -45,23 +42,19 @@ impl Conv2d {
             bias,
             params,
             cached_input: None,
-            compute: ComputePrecision::default(),
         }
     }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _ctx: &mut Ctx) -> Tensor {
         // The cache shares `x`'s storage (copy-on-write); a buffer copy
         // happens only if someone later mutates either side.
         self.cached_input = Some(x.clone());
         // Mixed precision: cast the f32 master weight to the activation
         // precision for compute, as tensor cores do.
         let w = self.weight.value().cast(x.dtype());
-        self.compute = ctx.compute;
-        let prev = set_compute_precision(self.compute);
         let mut y = ops::conv2d_forward(x, &w, self.params, ConvAlgo::Auto);
-        set_compute_precision(prev);
         if let Some(b) = &self.bias {
             let bv = b.value().cast(x.dtype());
             ops::add_bias_nchw(&mut y, &bv);
@@ -75,9 +68,7 @@ impl Layer for Conv2d {
         if let Some(b) = &self.bias {
             b.accumulate_grad(&ops::bias_grad_nchw(grad_out));
         }
-        let prev = set_compute_precision(self.compute);
         let grads = ops::conv2d_backward(&x, &w, grad_out, self.params);
-        set_compute_precision(prev);
         self.weight.accumulate_grad(&grads.grad_weight);
         grads.grad_input
     }
@@ -103,7 +94,6 @@ pub struct Deconv2d {
     weight: Param,
     params: Deconv2dParams,
     cached_input: Option<Tensor>,
-    compute: ComputePrecision,
 }
 
 impl Deconv2d {
@@ -126,28 +116,21 @@ impl Deconv2d {
             weight,
             params,
             cached_input: None,
-            compute: ComputePrecision::default(),
         }
     }
 }
 
 impl Layer for Deconv2d {
-    fn forward(&mut self, x: &Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _ctx: &mut Ctx) -> Tensor {
         self.cached_input = Some(x.clone());
         let w = self.weight.value().cast(x.dtype());
-        self.compute = ctx.compute;
-        let prev = set_compute_precision(self.compute);
-        let y = ops::deconv2d_forward(x, &w, self.params);
-        set_compute_precision(prev);
-        y
+        ops::deconv2d_forward(x, &w, self.params)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let x = self.cached_input.take().expect("Deconv2d::backward before forward");
         let w = self.weight.value().cast(x.dtype());
-        let prev = set_compute_precision(self.compute);
         let grads = ops::deconv2d_backward(&x, &w, grad_out, self.params);
-        set_compute_precision(prev);
         self.weight.accumulate_grad(&grads.grad_weight);
         grads.grad_input
     }
@@ -561,25 +544,6 @@ mod tests {
         let gx = d.backward(&Tensor::full(y.shape().clone(), DType::F32, 1.0));
         assert_eq!(gx.shape().dims(), x.shape().dims());
         assert_eq!(d.params().len(), 1);
-    }
-
-    /// The forward is a GEMM now, so `ctx.compute` reaches it — set around
-    /// the op only, as `Conv2d` does, with the caller's own setting back in
-    /// place afterwards.
-    #[test]
-    fn deconv_forward_runs_in_the_ctx_precision_and_restores_the_callers() {
-        let mut rng = seeded_rng(31);
-        let mut d = Deconv2d::new("d", 4, 3, 3, Deconv2dParams::double(), &mut rng);
-        let x = randn([1, 4, 5, 6], DType::F32, 1.0, &mut rng);
-        let full = d.forward(&x, &mut Ctx::eval());
-        let caller = set_compute_precision(ComputePrecision::Bf16);
-        let half = d.forward(&x, &mut Ctx::eval().with_compute(ComputePrecision::F16));
-        assert_eq!(set_compute_precision(caller), ComputePrecision::Bf16, "caller's precision not restored");
-        assert_eq!(half.shape(), full.shape());
-        assert_ne!(half.as_slice(), full.as_slice(), "F16 operand panels must change the forward");
-        for (h, f) in half.as_slice().iter().zip(full.as_slice()) {
-            assert!((h - f).abs() < 5e-2, "{h} vs {f}: half panels round operands, nothing more");
-        }
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub mod metrics;
 pub mod optim;
 pub mod param;
 
-pub use exaclim_tensor::ComputePrecision;
 pub use layer::{Ctx, Layer, Sequential};
 pub use optim::{OptState, Optimizer};
 pub use param::{ready_hooks_active, Param, ParamSet, ReadyHook};

@@ -36,7 +36,6 @@ use crate::param::ParamSet;
 use exaclim_tensor::simd::{self, AdamCoeffs, SgdCoeffs};
 use exaclim_tensor::{pool, profile, Tensor};
 use rayon::prelude::*;
-use std::collections::VecDeque;
 
 /// A serializable snapshot of an optimizer's internal state — momentum
 /// velocities, Adam moments, gradient-lag queues — as named `f32`
@@ -601,17 +600,15 @@ impl Optimizer for LarcSgd {
     }
 }
 
-/// Gradient lag (§V-B4): stores this step's gradients and applies those
-/// computed `depth` steps earlier, so the final layer's all-reduce
-/// overlaps later compute. `depth = 1` is the paper's "lag 1"; larger
-/// depths correspond to the EASGD-style schemes §V-B4 cites ("a similar
-/// gradient lagging strategy ... with even larger degrees of lag"). The
-/// first `depth` steps perform no update.
+/// Gradient lag (§V-B4, the paper's "lag 1"): stores this step's
+/// gradients and applies those computed one step earlier, so the final
+/// layer's all-reduce overlaps later compute. The first step performs no
+/// update.
 pub struct Lagged<O: Optimizer> {
     inner: O,
-    depth: usize,
-    /// Per-parameter gradient queues addressed by registration index.
-    stash: Vec<VecDeque<Tensor>>,
+    /// Per-parameter gradient held back one step, addressed by
+    /// registration index.
+    stash: Vec<Option<Tensor>>,
     /// Parameter names captured at bind time (export/import only).
     names: Vec<String>,
     seen_steps: usize,
@@ -623,15 +620,8 @@ pub struct Lagged<O: Optimizer> {
 impl<O: Optimizer> Lagged<O> {
     /// Wraps an optimizer with lag-1 gradient application.
     pub fn new(inner: O) -> Lagged<O> {
-        Lagged::with_depth(inner, 1)
-    }
-
-    /// Wraps an optimizer with lag-`depth` application (EASGD-style).
-    pub fn with_depth(inner: O, depth: usize) -> Lagged<O> {
-        assert!(depth >= 1, "lag depth must be at least 1");
         Lagged {
             inner,
-            depth,
             stash: Vec::new(),
             names: Vec::new(),
             seen_steps: 0,
@@ -642,30 +632,23 @@ impl<O: Optimizer> Lagged<O> {
     /// True once a lagged gradient is available.
     #[cfg(test)]
     fn primed(&self) -> bool {
-        self.seen_steps >= self.depth
-    }
-
-    /// The configured lag depth.
-    pub fn depth(&self) -> usize {
-        self.depth
+        self.seen_steps >= 1
     }
 
     fn bind(&mut self, params: &ParamSet) {
         if self.stash.len() != params.len() {
             self.names = params.iter().map(|p| p.name()).collect();
-            self.stash = (0..params.len()).map(|_| VecDeque::new()).collect();
+            self.stash = vec![None; params.len()];
         }
     }
 
-    /// Rotates parameter `id`'s queue: stashes the current gradient and,
-    /// when primed, installs the `depth`-old one for the inner update.
+    /// Stashes parameter `id`'s current gradient and, when primed,
+    /// installs the one from the previous step for the inner update.
     fn rotate(&mut self, params: &ParamSet, id: usize) {
         let p = params.param(id);
-        let q = &mut self.stash[id];
-        q.push_back(p.grad());
+        let old = self.stash[id].replace(p.grad());
         if self.ready {
-            let old = q.pop_front().expect("queue holds depth+1 entries");
-            p.set_grad(old);
+            p.set_grad(old.expect("a primed lag holds last step's gradient"));
         }
     }
 }
@@ -673,11 +656,11 @@ impl<O: Optimizer> Lagged<O> {
 impl<O: Optimizer> Optimizer for Lagged<O> {
     fn begin_step(&mut self, params: &ParamSet) {
         self.bind(params);
-        self.ready = self.seen_steps >= self.depth;
+        self.ready = self.seen_steps >= 1;
         self.seen_steps += 1;
         // The inner optimizer's step counters advance only when an update
         // will actually be applied (Adam's `t` must not tick on the
-        // fill-in steps).
+        // fill-in step).
         if self.ready {
             self.inner.begin_step(params);
         }
@@ -693,7 +676,7 @@ impl<O: Optimizer> Optimizer for Lagged<O> {
     }
 
     fn apply_all_par(&mut self, params: &ParamSet) {
-        // Queue rotation is cheap pointer shuffling — serial; the inner
+        // Stash rotation is cheap pointer shuffling — serial; the inner
         // updates carry the arithmetic and parallelize.
         for id in 0..params.len() {
             self.rotate(params, id);
@@ -716,36 +699,52 @@ impl<O: Optimizer> Optimizer for Lagged<O> {
     fn export_state(&self) -> OptState {
         let mut out = self.inner.export_state();
         out.push("lag.seen", vec![self.seen_steps as f32]);
-        for (name, q) in self.names.iter().zip(self.stash.iter()) {
-            for (i, t) in q.iter().enumerate() {
-                out.push(format!("lag.q:{name}#{i:04}"), t.as_slice().to_vec());
+        for (name, slot) in self.names.iter().zip(self.stash.iter()) {
+            if let Some(t) = slot {
+                out.push(format!("lag.q:{name}#0000"), t.as_slice().to_vec());
             }
         }
         out.sort();
         out
     }
 
+    /// Restores the inner state and the held-back gradients. A parameter
+    /// with any queue entry other than `#0000` comes from a deeper lag
+    /// and is an error: resuming it here would either drop gradients or
+    /// keep applying stale ones. So is a state that has stepped but holds
+    /// no gradient for some parameter.
     fn import_state(&mut self, state: &OptState, params: &ParamSet) -> Result<(), String> {
         self.inner.import_state(state, params)?;
         self.names = params.iter().map(|p| p.name()).collect();
-        self.stash = (0..params.len()).map(|_| VecDeque::new()).collect();
+        self.stash = vec![None; params.len()];
         self.seen_steps = state
             .get("lag.seen")
             .and_then(|v| v.first().copied())
             .unwrap_or(0.0) as usize;
-        // Entries are sorted by name and queue indices are zero-padded,
-        // so pushing in entry order rebuilds each queue front-to-back.
         for (name, values) in &state.entries {
             if let Some(rest) = name.strip_prefix("lag.q:") {
-                let (pname, _) = rest
+                let (pname, index) = rest
                     .rsplit_once('#')
                     .ok_or_else(|| format!("malformed lag-queue entry {name}"))?;
+                if index != "0000" {
+                    return Err(format!(
+                        "lag-queue entry {name}: gradient lag is 1, so each parameter holds one \
+                         gradient (#0000); this state comes from a deeper lag"
+                    ));
+                }
                 check_entry(params, pname, values, "gradient-lag queue")?;
                 let p = params.get(pname).expect("checked above");
                 let shape = p.value().shape().clone();
                 let dtype = p.with(|_, g| g.dtype());
                 let id = self.names.iter().position(|n| n == pname).expect("bound from params");
-                self.stash[id].push_back(Tensor::from_vec(shape, dtype, values.clone()));
+                self.stash[id] = Some(Tensor::from_vec(shape, dtype, values.clone()));
+            }
+        }
+        // A primed lag applies last step's gradient at the next step; a
+        // parameter without one would have nothing to apply.
+        if self.seen_steps >= 1 {
+            if let Some(id) = self.stash.iter().position(Option::is_none) {
+                return Err(format!("gradient-lag state has stepped but queues no gradient for {}", self.names[id]));
             }
         }
         Ok(())
@@ -986,36 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn deeper_lag_applies_older_gradients() {
-        let (set, p) = quadratic_param(1.0);
-        let mut inner = Sgd::new(0.1);
-        inner.momentum = 0.0;
-        let mut opt = Lagged::with_depth(inner, 3);
-        assert_eq!(opt.depth(), 3);
-        // Gradients 10, 20, 30 queued with no updates.
-        for g in [10.0f32, 20.0, 30.0] {
-            p.set_grad(Tensor::from_vec([1], DType::F32, vec![g]));
-            opt.step(&set);
-            assert_eq!(p.value().as_slice(), &[1.0], "no update during fill");
-        }
-        assert!(opt.primed());
-        // Fourth step applies the oldest gradient (10).
-        p.set_grad(Tensor::from_vec([1], DType::F32, vec![40.0]));
-        opt.step(&set);
-        assert!((p.value().as_slice()[0] - 0.0).abs() < 1e-6, "1 - 0.1·10");
-    }
-
-    #[test]
-    fn deep_lag_still_converges_slowly() {
-        let (set, p) = quadratic_param(4.0);
-        let mut inner = Sgd::new(0.02);
-        inner.momentum = 0.0;
-        let mut opt = Lagged::with_depth(inner, 4);
-        let x = run_steps(&mut opt, &set, &p, 300);
-        assert!(x.abs() < 0.05, "EASGD-style lag-4 converges: x = {x}");
-    }
-
-    #[test]
     fn larc_is_stable_where_unwarmed_lars_diverges() {
         // §V-B2: LARC clips the local rate at the global one; LARS
         // multiplies them. On f(x) = x² with an aggressive global rate,
@@ -1151,6 +1120,39 @@ mod tests {
         b.step(&set_b);
         let x = pb.value().as_slice()[0];
         assert!((x - (1.0 - 0.1 * 7.0)).abs() < 1e-6, "x = {x}");
+    }
+
+    #[test]
+    fn lagged_import_rejects_a_deeper_queue_and_round_trips_lag_one() {
+        let (set_a, pa) = quadratic_param(1.0);
+        let mut a = Lagged::new(Sgd::new(0.1));
+        for g in [7.0f32, -3.0] {
+            pa.set_grad(Tensor::from_vec([1], DType::F32, vec![g]));
+            a.step(&set_a);
+        }
+        let snapshot = a.export_state();
+        assert!(snapshot.get("lag.q:x#0000").is_some());
+
+        // A lag-2 state queues two gradients per parameter.
+        let mut deeper = snapshot.clone();
+        deeper.push("lag.q:x#0001", vec![5.0]);
+        deeper.sort();
+        let (set_d, _) = quadratic_param(1.0);
+        let err = Lagged::new(Sgd::new(0.1)).import_state(&deeper, &set_d).unwrap_err();
+        assert!(err.contains("lag.q:x#0001"), "{err}");
+        // A stepped state with no queued gradient has nothing to apply.
+        let mut empty = snapshot.clone();
+        empty.entries.retain(|(n, _)| !n.starts_with("lag.q:"));
+        assert!(Lagged::new(Sgd::new(0.1)).import_state(&empty, &set_d).is_err());
+
+        // Lag 1 round-trips: same state, same bits on the following steps.
+        let (set_b, pb) = quadratic_param(pa.value().as_slice()[0]);
+        let mut b = Lagged::new(Sgd::new(0.1));
+        b.import_state(&snapshot, &set_b).expect("lag-1 state imports");
+        assert_eq!(b.export_state(), snapshot);
+        let xa = run_steps(&mut a, &set_a, &pa, 3);
+        let xb = run_steps(&mut b, &set_b, &pb, 3);
+        assert_eq!(xa.to_bits(), xb.to_bits());
     }
 
     #[test]

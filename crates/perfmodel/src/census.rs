@@ -8,7 +8,7 @@ use exaclim_tensor::profile::{Category, Profile};
 fn esize(p: Precision) -> f64 {
     match p {
         Precision::FP32 => 4.0,
-        Precision::FP16 | Precision::BF16 => 2.0,
+        Precision::FP16 => 2.0,
     }
 }
 
@@ -156,7 +156,7 @@ pub fn workload_from_spec(
     // §VII-A: FP32 trains 1 image/GPU/step; FP16's smaller footprint fits 2.
     let local_batch = match precision {
         Precision::FP32 => 1,
-        Precision::FP16 | Precision::BF16 => 2,
+        Precision::FP16 => 2,
     };
     // Staged files hold every stored channel even when the network reads a
     // subset (the Piz Daint 4-of-16 mode still reads full samples).

@@ -30,7 +30,7 @@ pub fn fig2_row(name: &str, spec: &ArchSpec, gpu: &GpuModel, precision: Precisio
     let census = census_from_spec(spec, precision);
     let batch = match precision {
         Precision::FP32 => 1,
-        Precision::FP16 | Precision::BF16 => 2,
+        Precision::FP16 => 2,
     };
     let step_time = gpu.census_time(&census, precision) * batch as f64;
     let tf_per_sample = spec.training_flops() as f64 / 1e12;

@@ -190,93 +190,12 @@ impl std::fmt::Display for F16 {
     }
 }
 
-/// A bfloat16 value stored in a `u16`: the top 16 bits of an `f32`.
-///
-/// bf16 keeps binary32's 8-bit exponent (so its dynamic range matches f32 —
-/// no loss-scaling needed) and truncates the mantissa to 7 bits. This is
-/// the operand format of modern matrix units; the GEMM half-compute path
-/// packs operand panels as bf16 while accumulating in f32.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Bf16(pub u16);
-
-impl Bf16 {
-    /// Positive zero.
-    pub const ZERO: Bf16 = Bf16(0);
-    /// One.
-    pub const ONE: Bf16 = Bf16(0x3f80);
-
-    /// Converts an `f32` to bfloat16 with round-to-nearest-even on the
-    /// discarded low 16 bits. NaNs are quieted; rounding a finite value
-    /// just below the largest finite bf16 can carry into infinity, exactly
-    /// as in hardware.
-    #[inline]
-    pub fn from_f32(x: f32) -> Bf16 {
-        let bits = x.to_bits();
-        if x.is_nan() {
-            // Keep the sign/exponent, force a quiet payload bit so the
-            // truncated mantissa cannot become zero (which would read back
-            // as infinity).
-            return Bf16(((bits >> 16) as u16) | 0x0040);
-        }
-        let hi = (bits >> 16) as u16;
-        let lo = bits & 0xffff;
-        let rounded = if lo > 0x8000 || (lo == 0x8000 && hi & 1 == 1) {
-            hi.wrapping_add(1) // carry may overflow to ±infinity: correct
-        } else {
-            hi
-        };
-        Bf16(rounded)
-    }
-
-    /// Converts this bfloat16 value to `f32` exactly (bf16 ⊂ binary32).
-    #[inline]
-    pub fn to_f32(self) -> f32 {
-        f32::from_bits((self.0 as u32) << 16)
-    }
-
-    /// Returns true if this value is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.0 & 0x7f80 == 0x7f80 && self.0 & 0x007f != 0
-    }
-
-    /// Returns true if this value is infinite.
-    #[inline]
-    pub fn is_infinite(self) -> bool {
-        self.0 & 0x7fff == 0x7f80
-    }
-}
-
-impl From<f32> for Bf16 {
-    fn from(x: f32) -> Bf16 {
-        Bf16::from_f32(x)
-    }
-}
-
-impl From<Bf16> for f32 {
-    fn from(h: Bf16) -> f32 {
-        h.to_f32()
-    }
-}
-
-impl std::fmt::Display for Bf16 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.to_f32())
-    }
-}
-
 /// Rounds an `f32` through binary16 and back: `f16(x) as f32`.
 ///
 /// This is the storage-quantization primitive used by FP16 tensors.
 #[inline]
 pub fn quantize_f16(x: f32) -> f32 {
     F16::from_f32(x).to_f32()
-}
-
-/// Rounds an `f32` through bfloat16 and back.
-#[inline]
-pub fn quantize_bf16(x: f32) -> f32 {
-    Bf16::from_f32(x).to_f32()
 }
 
 /// Quantizes a whole slice through binary16 in place.
@@ -357,43 +276,5 @@ mod tests {
     fn negation_flips_sign_bit() {
         assert_eq!((-F16::ONE).to_f32(), -1.0);
         assert_eq!((-F16::ZERO).0, 0x8000);
-    }
-
-    #[test]
-    fn bf16_known_constants_roundtrip() {
-        assert_eq!(Bf16::ONE.to_f32(), 1.0);
-        assert_eq!(Bf16::from_f32(1.0), Bf16::ONE);
-        assert_eq!(quantize_bf16(0.5), 0.5);
-        assert_eq!(quantize_bf16(-0.25), -0.25);
-        // 8-bit exponent: f32's extremes survive where f16's don't.
-        assert_eq!(quantize_bf16(1.0e38), f32::from_bits((Bf16::from_f32(1.0e38).0 as u32) << 16));
-        assert!(Bf16::from_f32(1.0e38).to_f32().is_finite());
-        assert!(quantize_bf16(1.0e-38) > 0.0);
-    }
-
-    #[test]
-    fn bf16_round_to_nearest_even() {
-        // 1 + 2^-8 is exactly halfway between 1 and 1 + 2^-7; ties to even → 1.
-        assert_eq!(quantize_bf16(1.0 + 2.0f32.powi(-8)), 1.0);
-        // 1 + 3*2^-8 is halfway between 1+2^-7 and 1+2^-6; ties to even → 1+2^-6.
-        assert_eq!(quantize_bf16(1.0 + 3.0 * 2.0f32.powi(-8)), 1.0 + 2.0f32.powi(-6));
-        // Just above halfway rounds up.
-        assert_eq!(quantize_bf16(1.0 + 1.25 * 2.0f32.powi(-8)), 1.0 + 2.0f32.powi(-7));
-    }
-
-    #[test]
-    fn bf16_carry_overflows_to_infinity() {
-        // Largest finite bf16 is 0x7f7f; rounding past it must give inf.
-        let max_bf16 = f32::from_bits(0x7f7f_0000);
-        assert_eq!(quantize_bf16(max_bf16), max_bf16);
-        let above = f32::from_bits(0x7f7f_ffff); // rounds up, carries to 0x7f80
-        assert!(Bf16::from_f32(above).is_infinite());
-        assert!(Bf16::from_f32(f32::INFINITY).is_infinite());
-    }
-
-    #[test]
-    fn bf16_nan_propagates() {
-        assert!(Bf16::from_f32(f32::NAN).is_nan());
-        assert!(Bf16::from_f32(f32::NAN).to_f32().is_nan());
     }
 }

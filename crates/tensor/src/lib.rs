@@ -33,8 +33,7 @@ pub mod shape;
 pub mod simd;
 pub mod tensor;
 
-pub use crate::half::{Bf16, F16};
-pub use crate::ops::gemm::{compute_precision, set_compute_precision, ComputePrecision};
+pub use crate::half::F16;
 pub use crate::pool::PooledBytes;
 pub use crate::shape::Shape;
 pub use crate::simd::{set_simd_enabled, simd_enabled, SimdLevel};

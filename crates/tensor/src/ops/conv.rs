@@ -20,9 +20,8 @@
 //! zero-bordered copy of each image ([`im2col_gemm`] stages it, once per
 //! image), the micro-kernel reads those rows where they lie
 //! ([`PanelSource::in_place_panel`]). The remaining panels — those that
-//! straddle output rows, strided convolutions, the weight-gradient
-//! orientation and the half precisions, which round at pack time — are
-//! packed by [`Im2colB`], computing each element straight from the input,
+//! straddle output rows, strided convolutions and the weight-gradient
+//! orientation — are packed by [`Im2colB`], computing each element straight from the input,
 //! so the only intermediate storage is the cache-resident panel itself.
 //! Parallelism comes from the GEMM's own output-tile grid (disjoint `C`
 //! regions, fixed accumulation order — bit-identical at any thread count),
@@ -64,9 +63,7 @@
 //! 8×8, 3→16 and 12→6 on 48×72). The two routes sum in different orders,
 //! so they agree to rounding, not bit for bit.
 
-use crate::ops::gemm::{
-    compute_precision, gemm_panels, ComputePrecision, Layout, PanelSource, SliceB,
-};
+use crate::ops::gemm::{gemm_panels, Layout, PanelSource, SliceB};
 use crate::pool;
 use crate::profile::{self, KernelKind};
 use crate::shape::conv_out_dim;
@@ -167,7 +164,6 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, p: Conv2dParams, algo: ConvAlgo) -
             (ho * wo, wo),
             p,
             y.as_mut_slice(),
-            compute_precision(),
         ),
         ConvAlgo::Direct => forward_direct(x, w, p, &mut y),
     }
@@ -517,14 +513,14 @@ impl PanelSource for Im2colB<'_> {
 /// flipped kernel, see [`conv2d_backward`]) and a transposed convolution's
 /// data gradient (`src = ∂y`, `A = W`).
 ///
-/// At unit stride and `F32` compute a padded convolution is the unpadded
+/// At unit stride a padded convolution is the unpadded
 /// one over a zero-bordered copy of each image, staged once per image in
 /// one scratch: over that copy, every `B` panel whose eight pixels lie on
 /// one output row is read in place by the micro-kernel
 /// ([`PanelSource::in_place_panel`]) and never packed. The copy's border is
 /// the same `+0.0` the packer writes for padding, so the bits do not
-/// change. Other panels, strided convolutions and the half precisions
-/// (which round at pack time) are packed by [`Im2colB`].
+/// change. Other panels and strided convolutions are packed by
+/// [`Im2colB`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn im2col_gemm(
     src: &[f32],
@@ -535,11 +531,10 @@ pub(crate) fn im2col_gemm(
     (npix, wo): (usize, usize),
     p: Conv2dParams,
     dst: &mut [f32],
-    prec: ComputePrecision,
 ) {
     let crs = c * r * s;
     let pad = p.pad;
-    let stage = p.stride == 1 && pad > 0 && prec == ComputePrecision::F32;
+    let stage = p.stride == 1 && pad > 0;
     let (hs, ws) = (h + 2 * pad, wd + 2 * pad);
     let mut staged = if stage { pool::take_scratch(c * hs * ws) } else { Vec::new() };
     // Images run serially; all parallelism is the GEMM's output-tile grid,
@@ -553,7 +548,7 @@ pub(crate) fn im2col_gemm(
             col = Im2colB { xs: &staged, xbase: 0, h: hs, wd: ws, p: Conv2dParams { pad: 0, ..p }, ..col };
         }
         let dst_n = &mut dst[ni * m * npix..(ni + 1) * m * npix];
-        gemm_panels(m, npix, crs, a, Layout::Normal, &col, dst_n, npix, prec);
+        gemm_panels(m, npix, crs, a, Layout::Normal, &col, dst_n, npix);
     }
     pool::recycle(staged);
 }
@@ -635,7 +630,6 @@ pub(crate) fn transposed_gemm_col2im(
     (r, s): (usize, usize),
     wo: usize,
     p: Conv2dParams,
-    prec: ComputePrecision,
 ) {
     let crs = c * r * s;
     let mut col = pool::take_scratch(crs * COL_STRIP.min(npix.max(1)));
@@ -652,7 +646,7 @@ pub(crate) fn transposed_gemm_col2im(
                 n: sw,
                 ld: npix,
             };
-            gemm_panels(crs, sw, k, ws, Layout::Transposed, &src_n, strip, sw, prec);
+            gemm_panels(crs, sw, k, ws, Layout::Transposed, &src_n, strip, sw);
             col2im_add(strip, p0, sw, dst_n, (h, wd), (r, s), wo, p);
         }
     }
@@ -689,7 +683,7 @@ pub struct ConvGrads {
 /// weight gradients.
 ///
 /// Both gradients run through the packed blocked GEMM (inheriting its
-/// blocking, SIMD micro-kernel and reduced-precision panels). The weight
+/// blocking and SIMD micro-kernel). The weight
 /// gradient is `∂y · colᵀ` with the patch matrix packed on the fly by
 /// [`Im2colB`]. The data gradient's route follows from the shape alone:
 /// * stride 1, `r == s` and `pad ≤ dilation·(r−1)`: the forward
@@ -712,7 +706,6 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Conv2dParam
     assert_eq!((gn, gk), (n, k), "grad_out batch/channel mismatch");
     let crs = c * r * s;
     let hw = ho * wo;
-    let prec = compute_precision();
 
     // --- grad wrt input -------------------------------------------------
     let mut gx = Tensor::zeros([n, c, h, wd], x.dtype());
@@ -721,15 +714,15 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Conv2dParam
         for ni in 0..n {
             let gy_n = SliceB { b: &gos[ni * k * hw..(ni + 1) * k * hw], layout: Layout::Normal, n: hw, ld: hw };
             // ∂x_n[C, H·W] += Wᵀ[C, K] · ∂y_n[K, H·W]
-            gemm_panels(c, hw, k, ws, Layout::Transposed, &gy_n, &mut gxs[ni * c * hw..(ni + 1) * c * hw], hw, prec);
+            gemm_panels(c, hw, k, ws, Layout::Transposed, &gy_n, &mut gxs[ni * c * hw..(ni + 1) * c * hw], hw);
         }
     } else if p.stride == 1 && r == s && p.pad <= p.dilation * (r - 1) {
         let flipped = flipped_kernel(ws, (k, c, r * s));
         let full = Conv2dParams { stride: 1, pad: p.dilation * (r - 1) - p.pad, dilation: p.dilation };
-        im2col_gemm(gos, (n, k, ho, wo), &flipped, c, (r, s), (h * wd, wd), full, gxs, prec);
+        im2col_gemm(gos, (n, k, ho, wo), &flipped, c, (r, s), (h * wd, wd), full, gxs);
         pool::recycle(flipped);
     } else {
-        transposed_gemm_col2im(gos, (n, k, hw), ws, gxs, (c, h, wd), (r, s), wo, p, prec);
+        transposed_gemm_col2im(gos, (n, k, hw), ws, gxs, (c, h, wd), (r, s), wo, p);
     }
     gx.requantize();
     record_conv(
@@ -759,7 +752,7 @@ pub fn conv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Conv2dParam
                 by_pixel_depth: true,
             };
             // Wᵍ[K, C·R·S] += ∂y_n[K, Ho·Wo] · col[C·R·S, Ho·Wo]ᵀ
-            gemm_panels(k, crs, hw, &gos[ni * k * hw..(ni + 1) * k * hw], Layout::Normal, &src, gws, crs, prec);
+            gemm_panels(k, crs, hw, &gos[ni * k * hw..(ni + 1) * k * hw], Layout::Normal, &src, gws, crs);
         }
     }
     record_conv(
@@ -864,7 +857,7 @@ mod tests {
             let w = Tensor::from_vec([k, c, 3, 3], DType::F32, ws[..k * c * 9].to_vec());
             let auto = conv2d_forward(&x, &w, p, ConvAlgo::Auto);
             let mut gemm = vec![0.0f32; k * h * wd];
-            im2col_gemm(x.as_slice(), (1, c, h, wd), w.as_slice(), k, (3, 3), (h * wd, wd), p, &mut gemm, ComputePrecision::F32);
+            im2col_gemm(x.as_slice(), (1, c, h, wd), w.as_slice(), k, (3, 3), (h * wd, wd), p, &mut gemm);
             let direct = conv2d_forward(&x, &w, p, ConvAlgo::Direct);
             assert_eq!(auto.shape().dims(), &[1, k, h, wd]);
             for (i, ((a, g), d)) in auto.as_slice().iter().zip(&gemm).zip(direct.as_slice()).enumerate() {
@@ -912,13 +905,13 @@ mod tests {
                 let (crs, npix) = (c * kernel * kernel, ho * wo);
                 let (xs, ws) = (&xs[..n * c * h * wd], &ws[..m * crs]);
                 let mut got = before[..n * m * npix].to_vec();
-                im2col_gemm(xs, (n, c, h, wd), ws, m, (kernel, kernel), (npix, wo), p, &mut got, ComputePrecision::F32);
+                im2col_gemm(xs, (n, c, h, wd), ws, m, (kernel, kernel), (npix, wo), p, &mut got);
                 let mut want = before[..n * m * npix].to_vec();
                 let mut col = vec![0.0f32; crs * npix];
                 for (ni, want_n) in want.chunks_mut(m * npix).enumerate() {
                     im2col(xs, ni, c, h, wd, kernel, kernel, ho, wo, p, &mut col);
                     let b = SliceB { b: &col, layout: Layout::Normal, n: npix, ld: npix };
-                    gemm_panels(m, npix, crs, ws, Layout::Normal, &b, want_n, npix, ComputePrecision::F32);
+                    gemm_panels(m, npix, crs, ws, Layout::Normal, &b, want_n, npix);
                 }
                 for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(g.to_bits(), w.to_bits(), "element {i}: {g} vs {w}; {n}x{c}x{h}x{wd} → {m}, kernel {kernel} {p:?} simd {simd}");
@@ -1274,7 +1267,7 @@ mod tests {
                 let sw = COL_STRIP.min(hw - p0);
                 let mut strip = vec![0.0f32; crs * sw];
                 let go_src = SliceB { b: &gos[ni * k * hw + p0..], layout: Layout::Normal, n: sw, ld: hw };
-                gemm_panels(crs, sw, k, ws, Layout::Transposed, &go_src, &mut strip, sw, compute_precision());
+                gemm_panels(crs, sw, k, ws, Layout::Transposed, &go_src, &mut strip, sw);
                 col2im_add_reference(&strip, p0, sw, gxn, (h, wd), (kernel, kernel), wo, p);
             }
         }

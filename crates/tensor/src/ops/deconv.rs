@@ -18,7 +18,7 @@
 //! gradient is its weight gradient with `x` and `∂y` exchanged.
 
 use crate::ops::conv::{im2col_gemm, transposed_gemm_col2im, Conv2dParams, Im2colB};
-use crate::ops::gemm::{compute_precision, gemm_panels, Layout};
+use crate::ops::gemm::{gemm_panels, Layout};
 use crate::profile::{self, KernelKind};
 use crate::shape::deconv_out_dim;
 use crate::tensor::Tensor;
@@ -85,7 +85,6 @@ pub fn deconv2d_forward(x: &Tensor, w: &Tensor, p: Deconv2dParams) -> Tensor {
         (r, s),
         wd,
         conv_p,
-        compute_precision(),
     );
     y.requantize();
     profile::record(
@@ -173,7 +172,6 @@ pub fn deconv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Deconv2dP
     );
     let krs = k * r * s;
     let hw = h * wd;
-    let prec = compute_precision();
     // The adjoint patch mapping reads gout at hoi = hi·stride + ri − pad:
     // an ordinary (stride, pad, dilation-1) convolution over gout.
     let conv_p = Conv2dParams { stride: p.stride, pad: p.pad, dilation: 1 };
@@ -181,7 +179,7 @@ pub fn deconv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Deconv2dP
     // grad input: gin[n,c,h,w] = Σ_{k,r,s} gout[n,k,h·st+r−pad, w·st+s−pad]·w[c,k,r,s]
     let mut gx = Tensor::zeros([n, c, h, wd], x.dtype());
     // gin_n[C, H·W] += W[C, K·R·S] · col(∂y_n)[K·R·S, H·W]
-    im2col_gemm(grad_out.as_slice(), (n, k, ho, wo), w.as_slice(), c, (r, s), (hw, wd), conv_p, gx.as_mut_slice(), prec);
+    im2col_gemm(grad_out.as_slice(), (n, k, ho, wo), w.as_slice(), c, (r, s), (hw, wd), conv_p, gx.as_mut_slice());
     gx.requantize();
     profile::record(
         KernelKind::Conv,
@@ -211,7 +209,7 @@ pub fn deconv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Deconv2dP
                 by_pixel_depth: true,
             };
             // Wᵍ[C, K·R·S] += x_n[C, H·W] · col(∂y_n)[K·R·S, H·W]ᵀ
-            gemm_panels(c, krs, hw, &xs[ni * c * hw..(ni + 1) * c * hw], Layout::Normal, &src, gws, krs, prec);
+            gemm_panels(c, krs, hw, &xs[ni * c * hw..(ni + 1) * c * hw], Layout::Normal, &src, gws, krs);
         }
     }
     profile::record(

@@ -22,20 +22,16 @@
 //! thread count, so results are **bit-identical** for any
 //! `EXACLIM_NUM_THREADS` (and for any `EXACLIM_SIMD` setting).
 //!
-//! Reduced-precision compute (the paper's tensor-core recipe, §IV): when
-//! the thread's [`ComputePrecision`] is `F16` or `Bf16`, every packed
-//! operand panel is rounded to that precision in place (`round_panel`)
-//! and the one FP32 micro-kernel runs on it, keeping **all accumulation in
-//! FP32** — operands lose precision, sums never do. Widening a half value
-//! to `f32` is exact, so this *is* the tensor-core contract, and a
-//! half-precision product is bit for bit the FP32 product of rounded
-//! operands. Master weights stay FP32 in the optimizer, so this mirrors
-//! mixed-precision training, not a half-float library.
+//! Half precision (the paper's tensor-core recipe, §IV) needs nothing
+//! here: an `F16` tensor holds binary16 values in `f32` storage, and the
+//! layers cast their FP32 master weights to the activation dtype before
+//! the GEMM. Widening binary16 to `f32` is exact, so the one FP32
+//! micro-kernel reading those values *is* the tensor-core contract —
+//! binary16 operands, **all accumulation in FP32**.
 
 use crate::profile::{self, KernelKind};
 use crate::simd::{self, MR, NR};
 use rayon::prelude::*;
-use std::cell::Cell;
 
 /// Depth of one packed `k`-panel (`A`/`B` micro-panels stay L1-resident).
 const KC: usize = 256;
@@ -52,47 +48,6 @@ const BLOCKED_MIN_VOLUME: usize = 64 * 64 * 64;
 /// disjoint, so serial vs parallel execution is bit-identical — this
 /// threshold trades wall time only.
 const PAR_MIN_VOLUME: usize = 128 * 128 * 128;
-
-/// Operand element type for GEMM compute (the paper's fp16 tensor-core
-/// path and its bf16 cousin). Selected per thread via
-/// [`set_compute_precision`]; read once at each GEMM entry on the caller
-/// thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ComputePrecision {
-    /// Full-precision operands (the default).
-    #[default]
-    F32,
-    /// IEEE binary16 operand panels, FP32 accumulation.
-    F16,
-    /// bfloat16 operand panels, FP32 accumulation.
-    Bf16,
-}
-
-impl ComputePrecision {
-    /// Short label for census/bench output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ComputePrecision::F32 => "f32",
-            ComputePrecision::F16 => "f16",
-            ComputePrecision::Bf16 => "bf16",
-        }
-    }
-}
-
-thread_local! {
-    static COMPUTE: Cell<ComputePrecision> = const { Cell::new(ComputePrecision::F32) };
-}
-
-/// The calling thread's GEMM operand precision.
-pub fn compute_precision() -> ComputePrecision {
-    COMPUTE.with(|c| c.get())
-}
-
-/// Sets the calling thread's GEMM operand precision and returns the
-/// previous value (callers restore it guard-style around an op).
-pub fn set_compute_precision(p: ComputePrecision) -> ComputePrecision {
-    COMPUTE.with(|c| c.replace(p))
-}
 
 /// How an operand is laid out in memory relative to its logical role.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -114,8 +69,7 @@ pub(crate) enum Layout {
 /// micro-kernel reads them where they lie ([`simd::microkernel_in_place`]).
 /// [`PanelSource::in_place_rows`] gives, once per depth slice, each row's
 /// offset from a panel's first float; [`PanelSource::in_place_panel`] says
-/// which panels qualify and where they start. Only used for `F32` compute:
-/// the half precisions round at pack time.
+/// which panels qualify and where they start.
 pub(crate) trait PanelSource: Sync {
     fn pack_panel(&self, j0: usize, pc: usize, kc: usize, panel: &mut [f32]);
 
@@ -207,20 +161,14 @@ impl SendPtr {
 ///
 /// Parallelized over output tiles on the kernel pool. Records a census
 /// entry of `2·m·n·k` FLOPs (the convolutions record at the op level and
-/// call `gemm_panels` instead). The census name carries the operand
-/// precision (`gemm`, `gemm_f16`, `gemm_bf16`).
+/// call `gemm_panels` instead).
 ///
 /// # Panics
 /// Panics if slice lengths do not match the given dimensions.
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    let name = match compute_precision() {
-        ComputePrecision::F32 => "gemm",
-        ComputePrecision::F16 => "gemm_f16",
-        ComputePrecision::Bf16 => "gemm_bf16",
-    };
     profile::record(
         KernelKind::Conv,
-        name,
+        "gemm",
         2 * (m * n * k) as u64,
         4 * (m * k + k * n) as u64,
         4 * (m * n) as u64,
@@ -277,8 +225,7 @@ pub(crate) fn gemm_strided(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c
 
 /// The generalized blocked entry for convolution: `A` is a dense slice,
 /// `B` is any [`PanelSource`] (typically on-the-fly im2col), `C` is a
-/// strided `m×n` output window, and `prec` selects the operand precision
-/// (read once by the caller so the whole op uses one setting).
+/// strided `m×n` output window.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_panels(
     m: usize,
@@ -289,7 +236,6 @@ pub(crate) fn gemm_panels(
     bsrc: &impl PanelSource,
     c: &mut [f32],
     ldc: usize,
-    prec: ComputePrecision,
 ) {
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -299,7 +245,7 @@ pub(crate) fn gemm_panels(
         c.len() >= (m - 1) * ldc + n,
         "C must cover the strided m×n sub-matrix"
     );
-    gemm_blocked(m, n, k, a, a_layout, bsrc, c, ldc, prec);
+    gemm_blocked(m, n, k, a, a_layout, bsrc, c, ldc);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -317,18 +263,15 @@ fn gemm_dispatch(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let prec = compute_precision();
     let ld = match b_layout {
         Layout::Normal => n,
         Layout::Transposed => k,
     };
     let bsrc = SliceB { b, layout: b_layout, n, ld };
-    // The half precisions take the blocked route at every shape: rounding
-    // happens at pack time, and the streaming kernel packs nothing.
-    if prec == ComputePrecision::F32 && m * n * k < BLOCKED_MIN_VOLUME {
+    if m * n * k < BLOCKED_MIN_VOLUME {
         gemm_small(m, n, k, a, a_layout, b, b_layout, c, ldc);
     } else {
-        gemm_blocked(m, n, k, a, a_layout, &bsrc, c, ldc, prec);
+        gemm_blocked(m, n, k, a, a_layout, &bsrc, c, ldc);
     }
 }
 
@@ -412,17 +355,6 @@ fn pack_a_panel(a: &[f32], layout: Layout, m: usize, k: usize, i0: usize, pc: us
     }
 }
 
-/// Rounds a packed operand panel to the compute precision in place:
-/// software round-to-nearest-even, so panel contents are identical no
-/// matter which SIMD level later consumes them. `F32` leaves it untouched.
-fn round_panel(panel: &mut [f32], prec: ComputePrecision) {
-    match prec {
-        ComputePrecision::F32 => {}
-        ComputePrecision::F16 => crate::half::quantize_f16_slice(panel),
-        ComputePrecision::Bf16 => panel.iter_mut().for_each(|v| *v = crate::half::quantize_bf16(*v)),
-    }
-}
-
 /// Tile descriptors for the parallel grid: (row-block, col-block).
 fn tile_grid(m: usize, n: usize) -> Vec<(usize, usize)> {
     let m_tiles = m.div_ceil(MC);
@@ -462,7 +394,6 @@ fn gemm_blocked(
     bsrc: &impl PanelSource,
     c: &mut [f32],
     ldc: usize,
-    prec: ComputePrecision,
 ) {
     let m_panels = m.div_ceil(MR);
     let tiles = tile_grid(m, n);
@@ -479,12 +410,8 @@ fn gemm_blocked(
         let kc = KC.min(k - pc);
         for (panel, buf) in ap.chunks_mut(MR * KC).enumerate() {
             pack_a_panel(a, a_layout, m, k, panel * MR, pc, kc, &mut buf[..kc * MR]);
-            round_panel(&mut buf[..kc * MR], prec);
         }
-        let in_place = match prec {
-            ComputePrecision::F32 => bsrc.in_place_rows(pc, kc, &mut offs[..kc]),
-            _ => None,
-        };
+        let in_place = bsrc.in_place_rows(pc, kc, &mut offs[..kc]);
         let offs = &offs[..kc];
 
         for_each_tile(&tiles, m * n * k, |&(mt, nt)| {
@@ -508,7 +435,6 @@ fn gemm_blocked(
             let to_pack = rows_in_place[..nr_panels].iter().enumerate().filter(|(_, r)| r.is_none());
             for ((panel, _), buf) in to_pack.zip(bp.chunks_exact_mut(NR * kc)) {
                 bsrc.pack_panel(j0 + panel * NR, pc, kc, buf);
-                round_panel(buf, prec);
             }
 
             for ir in (0..mc).step_by(MR) {
@@ -598,51 +524,6 @@ mod tests {
             c_fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             c_slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn half_precision_gemm_tracks_f32_within_tolerance() {
-        let (m, n, k) = (33, 29, 70);
-        let a: Vec<f32> = (0..m * k).map(|i| ((i * 13 % 17) as f32 - 8.0) * 0.03).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 7 % 11) as f32 - 5.0) * 0.05).collect();
-        let mut c32 = vec![0.0; m * n];
-        gemm_noprofile(m, n, k, &a, &b, &mut c32);
-        for prec in [ComputePrecision::F16, ComputePrecision::Bf16] {
-            let prev = set_compute_precision(prec);
-            let mut ch = vec![0.0; m * n];
-            gemm_noprofile(m, n, k, &a, &b, &mut ch);
-            set_compute_precision(prev);
-            let tol: f32 = match prec {
-                ComputePrecision::F16 => 0.05,
-                _ => 0.3, // bf16 has 8 mantissa bits
-            };
-            for (x, y) in ch.iter().zip(c32.iter()) {
-                assert!((x - y).abs() < tol.max(y.abs() * tol), "{prec:?}: {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn half_precision_gemm_is_bit_identical_across_simd_levels() {
-        let (m, n, k) = (37, 41, 90);
-        let a: Vec<f32> = (0..m * k).map(|i| ((i * 29 % 13) as f32 - 6.0) * 0.06).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 23 % 9) as f32 - 4.0) * 0.04).collect();
-        for prec in [ComputePrecision::F16, ComputePrecision::Bf16] {
-            let prev = set_compute_precision(prec);
-            crate::simd::set_simd_enabled(true);
-            let mut c_fast = vec![0.0; m * n];
-            gemm_noprofile(m, n, k, &a, &b, &mut c_fast);
-            crate::simd::set_simd_enabled(false);
-            let mut c_slow = vec![0.0; m * n];
-            gemm_noprofile(m, n, k, &a, &b, &mut c_slow);
-            crate::simd::set_simd_enabled(true);
-            set_compute_precision(prev);
-            assert_eq!(
-                c_fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                c_slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{prec:?}"
-            );
-        }
     }
 
     #[test]
@@ -751,7 +632,7 @@ mod tests {
         let expect = naive(m, n, k, &a, &b);
         let src = SliceB { b: &b, layout: Layout::Normal, n, ld: n };
         let mut c = vec![0.0f32; m * ldc];
-        gemm_panels(m, n, k, &a, Layout::Normal, &src, &mut c, ldc, ComputePrecision::F32);
+        gemm_panels(m, n, k, &a, Layout::Normal, &src, &mut c, ldc);
         for i in 0..m {
             for j in 0..n {
                 let got = c[i * ldc + j];

@@ -17,7 +17,7 @@ mod reduce;
 
 pub use conv::{conv2d_backward, conv2d_forward, Conv2dParams, ConvAlgo};
 pub use deconv::{deconv2d_backward, deconv2d_forward, Deconv2dParams};
-pub use gemm::{compute_precision, gemm, set_compute_precision, ComputePrecision};
+pub use gemm::gemm;
 pub use interp::{bilinear_resize_backward, bilinear_resize_forward};
 pub use layout::crop_spatial;
 pub use norm::{batchnorm_backward, batchnorm_forward, BatchNormCache};

@@ -72,33 +72,6 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// In-place ReLU: `x = max(0, x)`. Reuses the input buffer — no
-/// allocation, one read + one write per element.
-#[cfg(test)]
-fn relu_(x: &mut Tensor) {
-    let bytes = x.storage_bytes() as u64;
-    x.as_mut_slice().par_chunks_mut(PW_BLOCK).for_each(simd::vrelu_);
-    // max(0, ·) of an f16-exact value is f16-exact; no requantize needed.
-    record_pw("relu_", x.numel() as u64, bytes, bytes);
-}
-
-/// In-place scale-accumulate: `y[i] = s·y[i] + x[i]` (quantized if FP16) —
-/// the momentum/running-average update shape, fused into one pass over `y`.
-#[cfg(test)]
-fn scale_add_(y: &mut Tensor, s: f32, x: &Tensor) {
-    assert_eq!(y.shape(), x.shape(), "scale_add_ shape mismatch");
-    let bytes = y.storage_bytes() as u64;
-    {
-        let xs = x.as_slice();
-        let ys = y.as_mut_slice();
-        ys.par_chunks_mut(PW_BLOCK)
-            .zip(xs.par_chunks(PW_BLOCK))
-            .for_each(|(yc, xc)| simd::vscale_add_(yc, s, xc));
-    }
-    y.requantize();
-    record_pw("scale_add_", 2 * y.numel() as u64, bytes + x.storage_bytes() as u64, bytes);
-}
-
 /// Adds a per-channel bias `[C]` to an NCHW tensor in place.
 #[allow(clippy::needless_range_loop)]
 pub fn add_bias_nchw(x: &mut Tensor, bias: &Tensor) {
@@ -349,15 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn in_place_relu_matches_out_of_place() {
-        let x = Tensor::from_vec([5], DType::F32, vec![-2.0, -0.0, 0.0, 1.5, -3.0]);
-        let y = relu_forward(&x);
-        let mut z = x.clone();
-        relu_(&mut z);
-        assert_eq!(z.as_slice(), y.as_slice());
-    }
-
-    #[test]
     fn relu_backward_from_output_is_bit_identical_to_input_mask() {
         use crate::init::{randn, seeded_rng};
         let mut rng = seeded_rng(91);
@@ -367,16 +331,6 @@ mod tests {
         let from_input = relu_backward(&x, &g);
         let from_output = relu_backward_from_output(&y, &g);
         assert_eq!(from_input.as_slice(), from_output.as_slice());
-    }
-
-    #[test]
-    fn scale_add_fuses_momentum_update() {
-        let mut v = Tensor::from_vec([3], DType::F32, vec![1.0, 2.0, 3.0]);
-        let g = Tensor::from_vec([3], DType::F32, vec![0.5, -0.5, 1.0]);
-        scale_add_(&mut v, 0.9, &g);
-        let expected: Vec<f32> =
-            [(1.0, 0.5), (2.0, -0.5), (3.0, 1.0)].iter().map(|&(v, g): &(f32, f32)| 0.9 * v + g).collect();
-        assert_eq!(v.as_slice(), expected.as_slice());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Pooling kernels.
 //!
 //! The ResNet-50 core of the paper's DeepLabv3+ begins with a
-//! `3×3 maxpool, /2` (Figure 1); global average pooling is provided for
-//! ASPP-style image-level features.
+//! `3×3 maxpool, /2` (Figure 1).
 
 use crate::profile::{self, KernelKind};
 use crate::shape::conv_out_dim;
@@ -108,60 +107,6 @@ pub fn maxpool2d_backward_shaped(
     gx
 }
 
-/// Global average pooling: `[N, C, H, W] → [N, C, 1, 1]`.
-#[cfg(test)]
-fn avgpool_global_forward(x: &Tensor) -> Tensor {
-    let (n, c, h, w) = x.shape().nchw();
-    let mut y = Tensor::zeros([n, c, 1, 1], x.dtype());
-    let hw = (h * w) as f32;
-    {
-        let xs = x.as_slice();
-        let ys = y.as_mut_slice();
-        // One task per (n, c) plane; each plane's sum keeps its sequential
-        // left-to-right order.
-        ys.par_iter_mut().enumerate().for_each(|(plane, yp)| {
-            let base = plane * h * w;
-            *yp = xs[base..base + h * w].iter().sum::<f32>() / hw;
-        });
-    }
-    y.requantize();
-    profile::record(
-        KernelKind::Pointwise,
-        "avgpool_global_fwd",
-        x.numel() as u64,
-        x.storage_bytes() as u64,
-        y.storage_bytes() as u64,
-    );
-    y
-}
-
-/// Backward global average pooling: spreads each gradient uniformly.
-#[cfg(test)]
-fn avgpool_global_backward(x_shape: &crate::Shape, grad_out: &Tensor) -> Tensor {
-    let (n, c, h, w) = x_shape.nchw();
-    let mut gx = Tensor::zeros([n, c, h, w], grad_out.dtype());
-    let hw = (h * w) as f32;
-    {
-        let gos = grad_out.as_slice();
-        let gxs = gx.as_mut_slice();
-        gxs.par_chunks_mut(h * w).enumerate().for_each(|(plane, gxp)| {
-            let v = gos[plane] / hw;
-            for o in gxp.iter_mut() {
-                *o = v;
-            }
-        });
-    }
-    gx.requantize();
-    profile::record(
-        KernelKind::Pointwise,
-        "avgpool_global_bwd",
-        gx.numel() as u64,
-        grad_out.storage_bytes() as u64,
-        gx.storage_bytes() as u64,
-    );
-    gx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,15 +155,5 @@ mod tests {
         let x = Tensor::from_vec([1, 1, 2, 2], DType::F32, vec![-5.0, -6.0, -7.0, -8.0]);
         let (y, _) = maxpool2d_forward(&x, 3, 2, 1);
         assert_eq!(y.as_slice(), &[-5.0]);
-    }
-
-    #[test]
-    fn global_avgpool_roundtrip() {
-        let x = Tensor::from_vec([1, 2, 2, 2], DType::F32, vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0]);
-        let y = avgpool_global_forward(&x);
-        assert_eq!(y.as_slice(), &[2.5, 25.0]);
-        let go = Tensor::from_vec([1, 2, 1, 1], DType::F32, vec![4.0, 8.0]);
-        let gx = avgpool_global_backward(x.shape(), &go);
-        assert_eq!(gx.as_slice(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 }

@@ -277,42 +277,6 @@ elementwise2!(
     vdiv, vdiv_avx2, |x, y| x / y, _mm256_div_ps
 );
 
-/// In-place `y[i] = s * y[i] + x[i]` (mul then add — never fused).
-#[cfg(test)]
-#[inline]
-pub(crate) fn vscale_add_(y: &mut [f32], s: f32, x: &[f32]) {
-    debug_assert_eq!(y.len(), x.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
-        unsafe { vscale_add_avx2(y, s, x) };
-        return;
-    }
-    for (v, &u) in y.iter_mut().zip(x.iter()) {
-        *v = s * *v + u;
-    }
-}
-
-#[cfg(test)]
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vscale_add_avx2(y: &mut [f32], s: f32, x: &[f32]) {
-    use std::arch::x86_64::*;
-    let n = y.len();
-    let vs = _mm256_set1_ps(s);
-    let mut i = 0;
-    while i + 8 <= n {
-        let vy = _mm256_loadu_ps(y.as_ptr().add(i));
-        let vx = _mm256_loadu_ps(x.as_ptr().add(i));
-        _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_add_ps(_mm256_mul_ps(vs, vy), vx));
-        i += 8;
-    }
-    while i < n {
-        let v = y.get_unchecked_mut(i);
-        *v = s * *v + *x.get_unchecked(i);
-        i += 1;
-    }
-}
-
 /// In-place `x[i] += b` (per-channel bias broadcast).
 #[inline]
 pub fn vadd_scalar_(x: &mut [f32], b: f32) {
@@ -477,41 +441,6 @@ unsafe fn vrelu_avx2(dst: &mut [f32], a: &[f32]) {
     while i < n {
         let x = *a.get_unchecked(i);
         *dst.get_unchecked_mut(i) = if x > 0.0 { x } else { 0.0 };
-        i += 1;
-    }
-}
-
-/// In-place ReLU (same semantics as [`vrelu`]).
-#[cfg(test)]
-#[inline]
-pub(crate) fn vrelu_(x: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
-        // Safe to alias: the in-place op reads and writes the same index.
-        unsafe { vrelu_inplace_avx2(x) };
-        return;
-    }
-    for v in x.iter_mut() {
-        *v = if *v > 0.0 { *v } else { 0.0 };
-    }
-}
-
-#[cfg(test)]
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vrelu_inplace_avx2(x: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = x.len();
-    let zero = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(x.as_ptr().add(i));
-        _mm256_storeu_ps(x.as_mut_ptr().add(i), _mm256_max_ps(v, zero));
-        i += 8;
-    }
-    while i < n {
-        let v = x.get_unchecked_mut(i);
-        *v = if *v > 0.0 { *v } else { 0.0 };
         i += 1;
     }
 }
@@ -1205,11 +1134,6 @@ mod tests {
                 let mut d = vec![0.0f32; n];
                 vrelu_mask(&mut d, &a, &b);
                 d
-            });
-            bitwise_on_off(|| {
-                let mut y = a.clone();
-                vscale_add_(&mut y, 0.9, &b);
-                y
             });
         }
     }

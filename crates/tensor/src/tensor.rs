@@ -147,8 +147,8 @@ impl Tensor {
         self.data.as_slice()
     }
 
-    /// Mutable view of the data. If the buffer is shared (a clone or
-    /// reshape alias is alive), it is copied first — copy-on-write keeps
+    /// Mutable view of the data. If the buffer is shared (a clone is
+    /// alive), it is copied first — copy-on-write keeps
     /// every tensor value-semantic.
     ///
     /// Callers writing to an FP16 tensor must re-quantize afterwards (see
@@ -216,27 +216,6 @@ impl Tensor {
             (self.numel() * dtype.size_bytes()) as u64,
         );
         Tensor::from_vec(self.shape.clone(), dtype, pool::take_copy(self.as_slice()))
-    }
-
-    /// Returns a view with a new shape sharing the same element count.
-    /// The buffer is shared copy-on-write, not copied.
-    ///
-    /// # Panics
-    /// Panics if element counts differ.
-    #[cfg(test)]
-    fn reshape(&self, shape: impl Into<Shape>) -> Tensor {
-        let shape = shape.into();
-        assert_eq!(
-            shape.numel(),
-            self.numel(),
-            "cannot reshape {} to {shape}",
-            self.shape
-        );
-        Tensor {
-            shape,
-            dtype: self.dtype,
-            data: self.data.clone(),
-        }
     }
 
     /// Sum of all elements (f32 accumulation).
@@ -385,20 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec([2, 3], DType::F32, (0..6).map(|i| i as f32).collect());
-        let r = t.reshape([3, 2]);
-        assert_eq!(r.at(&[2, 1]), 5.0);
-        assert_eq!(r.shape().dims(), &[3, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot reshape")]
-    fn reshape_wrong_numel_panics() {
-        Tensor::zeros([2, 3], DType::F32).reshape([7]);
-    }
-
-    #[test]
     fn reductions() {
         let t = Tensor::from_vec([4], DType::F32, vec![1.0, -2.0, 3.0, -4.0]);
         assert_eq!(t.sum(), -2.0);
@@ -507,16 +472,6 @@ mod tests {
         assert!(!a.storage_shared(), "mutation unshares");
         assert_eq!(a.at(&[0]), 1.0, "original untouched by clone mutation");
         assert_eq!(b.at(&[0]), 9.0);
-    }
-
-    #[test]
-    fn reshape_shares_until_written() {
-        let a = Tensor::from_vec([2, 2], DType::F32, vec![1.0, 2.0, 3.0, 4.0]);
-        let mut r = a.reshape([4]);
-        assert!(a.storage_shared());
-        r.as_mut_slice()[3] = 0.0;
-        assert_eq!(a.at(&[1, 1]), 4.0);
-        assert_eq!(r.at(&[3]), 0.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! binary that means every test that runs a kernel, guarded or not. Here
 //! each test holds [`census_test_guard`] for its whole body, so the binary
 //! runs them one at a time and nothing else shares the process. (A
-//! run-scoped recorder — ROADMAP item 1 — would make the guard unnecessary.)
+//! run-scoped recorder — ROADMAP item 3 — would make the guard unnecessary.)
 
 use exaclim_tensor::init::{randn, seeded_rng};
 use exaclim_tensor::ops::conv::conv_flops;

@@ -212,28 +212,6 @@ proptest! {
         prop_assert_eq!(s, v);
     }
 
-    /// Half-precision GEMM panels (f16 and bf16): widening to f32 is
-    /// exact, so the vector path must match the scalar path bit-for-bit.
-    #[test]
-    fn gemm_half_bit_identical_across_simd(
-        m in 1usize..8, n in 1usize..14, k in 1usize..10, seed in 0u64..100,
-        bf16 in proptest::bool::ANY,
-    ) {
-        use exaclim_tensor::{set_compute_precision, ComputePrecision};
-        let prec = if bf16 { ComputePrecision::Bf16 } else { ComputePrecision::F16 };
-        let mut rng = exaclim_tensor::init::seeded_rng(seed);
-        let a = exaclim_tensor::init::randn([m * k], DType::F32, 1.0, &mut rng);
-        let b = exaclim_tensor::init::randn([k * n], DType::F32, 1.0, &mut rng);
-        let (s, v) = scalar_and_simd(|| {
-            let prev = set_compute_precision(prec);
-            let mut c = vec![0.0f32; m * n];
-            ops::gemm(m, n, k, a.as_slice(), b.as_slice(), &mut c);
-            set_compute_precision(prev);
-            c.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        });
-        prop_assert_eq!(s, v);
-    }
-
     /// Both convolution lowerings are bit-identical across SIMD levels
     /// for random geometry (stride/pad/dilation, odd spatial sizes).
     #[test]
@@ -391,81 +369,99 @@ fn deconv_forward_blocked_bit_identical_across_simd() {
     }
 }
 
-/// Reduced-precision compute is defined as the FP32 kernel on operands
-/// rounded to the compute precision: `gemm`, the implicit-GEMM forward
-/// convolution and both convolution gradients under `F16`/`Bf16` must
-/// equal, bit for bit, the same op in `F32` on `quantize_*`-rounded inputs
-/// — on every SIMD level, for blocked GEMM shapes and for padded, strided,
-/// atrous and 1×1 convolutions.
+/// Half precision is the dtype: an `F16` tensor holds binary16 values in
+/// `f32` storage, and the conv family runs its one FP32 kernel on them.
+/// `conv2d_forward`, `conv2d_backward`, `deconv2d_forward` and
+/// `deconv2d_backward` on `F16` tensors must equal, bit for bit, the same
+/// op on `F32` tensors holding the same `quantize_f16` values, with the
+/// outputs the `F16` op returns as `F16` requantized — on every SIMD
+/// level, for padded, strided, atrous and 1×1 convolutions and for
+/// stride-2 and stride-1 transposed ones. The weight gradients are FP32
+/// master-precision tensors in both. The GEMM under them reads those
+/// values exactly: on `quantize_f16` slices of blocked shapes, scalar and
+/// vector paths agree bit for bit.
 #[test]
 fn half_compute_is_the_f32_kernel_on_rounded_operands() {
-    use exaclim_tensor::half::quantize_bf16;
-    use exaclim_tensor::{set_compute_precision, ComputePrecision};
-
-    fn rounded(t: &Tensor, q: fn(f32) -> f32) -> Tensor {
-        let mut r = t.clone();
-        r.as_mut_slice().iter_mut().for_each(|v| *v = q(*v));
-        r
-    }
-    fn under<T>(prec: ComputePrecision, f: impl FnOnce() -> T) -> T {
-        let prev = set_compute_precision(prec);
-        let out = f();
-        set_compute_precision(prev);
-        out
-    }
-    fn gemm_bits(m: usize, n: usize, k: usize, a: &Tensor, b: &Tensor) -> Vec<u32> {
+    fn gemm_bits(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<u32> {
         let mut c = vec![0.0f32; m * n];
-        ops::gemm(m, n, k, a.as_slice(), b.as_slice(), &mut c);
+        ops::gemm(m, n, k, a, b, &mut c);
         c.iter().map(|x| x.to_bits()).collect()
     }
     fn assert_same_bits(half: &[u32], oracle: &[u32], what: String) {
         let differ = half.iter().zip(oracle).filter(|(h, o)| h != o).count();
         assert!(half.len() == oracle.len() && differ == 0, "{what}: {differ} of {} elements differ", oracle.len());
     }
-    fn conv_bits(x: &Tensor, w: &Tensor, gy: &Tensor, p: Conv2dParams) -> [Vec<u32>; 3] {
-        let y = ops::conv2d_forward(x, w, p, ConvAlgo::Auto);
-        let g = ops::conv2d_backward(x, w, gy, p);
-        [bits(&y), bits(&g.grad_input), bits(&g.grad_weight)]
+    /// The bits of `t`, or of `t` rounded through binary16 when `half`.
+    fn out_bits(t: &Tensor, half: bool) -> Vec<u32> {
+        if half {
+            t.as_slice().iter().map(|&v| quantize_f16(v).to_bits()).collect()
+        } else {
+            bits(t)
+        }
+    }
+    /// Runs one op family — `[forward, grad_input, grad_weight]` of
+    /// `(x, w, ∂y)` — on `F16` operands and on their `F32` copies and
+    /// compares every output.
+    fn check(what: &str, simd: bool, operands: [&Tensor; 3], op: impl Fn(&Tensor, &Tensor, &Tensor) -> [Tensor; 3]) {
+        let widened = operands.map(|t| t.cast(DType::F32));
+        let half = op(operands[0], operands[1], operands[2]);
+        let oracle = op(&widened[0], &widened[1], &widened[2]);
+        for ((name, h), o) in ["forward", "grad_input", "grad_weight"].iter().zip(&half).zip(&oracle) {
+            let is_half = h.dtype() == DType::F16;
+            assert_eq!(is_half, *name != "grad_weight", "{what} {name}: dtype {:?}", h.dtype());
+            assert_same_bits(&bits(h), &out_bits(o, is_half), format!("{what} {name} simd={simd}"));
+        }
     }
 
-    let geometries = [
+    let conv_geometries = [
         (3, Conv2dParams::padded(1)),
         (3, Conv2dParams::strided(2, 1)),
         (3, Conv2dParams::atrous(2)),
         (1, Conv2dParams::default()),
     ];
-    for (prec, q) in [
-        (ComputePrecision::F16, quantize_f16 as fn(f32) -> f32),
-        (ComputePrecision::Bf16, quantize_bf16 as fn(f32) -> f32),
-    ] {
-        for simd in [false, true] {
-            let _g = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-            let prev_simd = exaclim_tensor::simd_enabled();
+    let deconv_geometries = [Deconv2dParams::double(), Deconv2dParams { stride: 1, pad: 1, output_pad: 0 }];
+    for simd in [false, true] {
+        let _g = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        let prev_simd = exaclim_tensor::simd_enabled();
+        exaclim_tensor::set_simd_enabled(simd);
+
+        for (m, n, k, seed) in [(65, 130, 70, 3u64), (64, 513, 17, 5), (130, 67, 300, 9)] {
+            let mut rng = exaclim_tensor::init::seeded_rng(seed);
+            let a = exaclim_tensor::init::randn([m * k], DType::F16, 1.0, &mut rng);
+            let b = exaclim_tensor::init::randn([k * n], DType::F16, 1.0, &mut rng);
+            let here = gemm_bits(m, n, k, a.as_slice(), b.as_slice());
+            exaclim_tensor::set_simd_enabled(!simd);
+            let other = gemm_bits(m, n, k, a.as_slice(), b.as_slice());
             exaclim_tensor::set_simd_enabled(simd);
-
-            for (m, n, k, seed) in [(65, 130, 70, 3u64), (64, 513, 17, 5), (130, 67, 300, 9)] {
-                let mut rng = exaclim_tensor::init::seeded_rng(seed);
-                let a = exaclim_tensor::init::randn([m * k], DType::F32, 1.0, &mut rng);
-                let b = exaclim_tensor::init::randn([k * n], DType::F32, 1.0, &mut rng);
-                let half = under(prec, || gemm_bits(m, n, k, &a, &b));
-                let oracle = gemm_bits(m, n, k, &rounded(&a, q), &rounded(&b, q));
-                assert_same_bits(&half, &oracle, format!("{prec:?} gemm {m}x{n}x{k} simd={simd}"));
-            }
-
-            for (i, &(r, p)) in geometries.iter().enumerate() {
-                let mut rng = exaclim_tensor::init::seeded_rng(40 + i as u64);
-                let x = exaclim_tensor::init::randn([2, 8, 13, 17], DType::F32, 1.0, &mut rng);
-                let w = exaclim_tensor::init::randn([12, 8, r, r], DType::F32, 0.5, &mut rng);
-                let y_shape = ops::conv2d_forward(&x, &w, p, ConvAlgo::Auto).shape().clone();
-                let gy = exaclim_tensor::init::randn(y_shape, DType::F32, 1.0, &mut rng);
-                let half = under(prec, || conv_bits(&x, &w, &gy, p));
-                let oracle = conv_bits(&rounded(&x, q), &rounded(&w, q), &rounded(&gy, q), p);
-                for (name, (h, o)) in ["forward", "grad_input", "grad_weight"].iter().zip(half.iter().zip(oracle.iter())) {
-                    assert_same_bits(h, o, format!("{prec:?} conv {name} {r}x{r} {p:?} simd={simd}"));
-                }
-            }
-
-            exaclim_tensor::set_simd_enabled(prev_simd);
+            assert_same_bits(&here, &other, format!("gemm {m}x{n}x{k} on binary16 values"));
         }
+
+        for (i, &(r, p)) in conv_geometries.iter().enumerate() {
+            let mut rng = exaclim_tensor::init::seeded_rng(40 + i as u64);
+            let x = exaclim_tensor::init::randn([2, 8, 13, 17], DType::F16, 1.0, &mut rng);
+            let w = exaclim_tensor::init::randn([12, 8, r, r], DType::F16, 0.5, &mut rng);
+            let y_shape = ops::conv2d_forward(&x, &w, p, ConvAlgo::Auto).shape().clone();
+            let gy = exaclim_tensor::init::randn(y_shape, DType::F16, 1.0, &mut rng);
+            let conv = |x: &Tensor, w: &Tensor, gy: &Tensor| {
+                let g = ops::conv2d_backward(x, w, gy, p);
+                [ops::conv2d_forward(x, w, p, ConvAlgo::Auto), g.grad_input, g.grad_weight]
+            };
+            check(&format!("conv {r}x{r} {p:?}"), simd, [&x, &w, &gy], conv);
+        }
+
+        for (i, &p) in deconv_geometries.iter().enumerate() {
+            let mut rng = exaclim_tensor::init::seeded_rng(60 + i as u64);
+            let x = exaclim_tensor::init::randn([2, 8, 7, 9], DType::F16, 1.0, &mut rng);
+            let w = exaclim_tensor::init::randn([8, 6, 3, 3], DType::F16, 0.5, &mut rng);
+            let y_shape = ops::deconv2d_forward(&x, &w, p).shape().clone();
+            let gy = exaclim_tensor::init::randn(y_shape, DType::F16, 1.0, &mut rng);
+            let deconv = |x: &Tensor, w: &Tensor, gy: &Tensor| {
+                let g = ops::deconv2d_backward(x, w, gy, p);
+                [ops::deconv2d_forward(x, w, p), g.grad_input, g.grad_weight]
+            };
+            check(&format!("deconv {p:?}"), simd, [&x, &w, &gy], deconv);
+        }
+
+        exaclim_tensor::set_simd_enabled(prev_simd);
     }
 }

@@ -29,6 +29,11 @@ fi
 # artifact byte for byte.
 cargo run --release -q -p exaclim-bench --bin ablations | diff - artifacts/ablations.txt
 
+# The Fig. 6 convergence runs are the one end-to-end pin of FP16 training
+# (binary16 activations and weights through the FP32-accumulating GEMM):
+# they must reproduce the recorded artifact byte for byte.
+cargo run --release -q -p exaclim-bench --bin fig6_convergence | diff - artifacts/fig6.txt
+
 # The fault-injection example asserts every recovery invariant it prints
 # (consistent replicas, bit-identical replays, complete staged shards).
 cargo run --release -q --example fault_injection
