@@ -6,9 +6,8 @@
 //! * [`CommWorld::new`] builds `n` connected [`Communicator`]s (one per
 //!   rank thread) with FIFO point-to-point channels.
 //! * Collectives: [`Communicator::try_allreduce_ring`] (NCCL's systolic
-//!   ring), [`Communicator::try_allreduce_rhd`] (recursive
-//!   halving/doubling, the classic MPI tree-style algorithm),
-//!   [`Communicator::try_allreduce_tree`] (binomial reduce + broadcast),
+//!   ring), [`Communicator::try_allreduce_tree`] (binomial reduce +
+//!   broadcast),
 //!   and [`Communicator::try_hierarchical_allreduce`] — the paper's
 //!   hybrid (§V-A3): NCCL-style ring *within* a node, then a subset of
 //!   local ranks (4 on Summit, matching its 4 virtual IB devices) each
@@ -24,8 +23,8 @@
 //! analysis.
 
 //!
-//! Every blocking receive carries a deadline (default 30 s, or the
-//! `EXACLIM_RECV_DEADLINE_MS` environment variable), and every failure
+//! Every blocking receive carries a deadline (30 s, or the one given to
+//! [`CommWorld::with_deadline`]), and every failure
 //! mode — timeout, dead peer, payload-type mismatch, protocol-tag
 //! mismatch, incomplete world rendezvous — is a typed [`CommError`].
 //! The API is uniformly fallible (`try_*`): callers that cannot recover
@@ -81,20 +80,6 @@ mod tests {
             let want = expected_sum(n);
             for (rank, r) in results.iter().enumerate() {
                 assert_eq!(r, &want, "rank {rank} of {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn rhd_allreduce_sums_everywhere() {
-        for n in [1, 2, 4, 8, 6, 5] {
-            let results = run_world(n, |c, mut buf| {
-                c.try_allreduce_rhd(&mut buf).expect("allreduce");
-                buf
-            });
-            let want = expected_sum(n);
-            for r in &results {
-                assert_eq!(r, &want, "n = {n}");
             }
         }
     }
@@ -170,15 +155,11 @@ mod tests {
             c.try_allreduce_ring(&mut buf).expect("allreduce");
             let mut second = vec![c.rank() as f32; 4];
             c.try_allreduce_tree(&mut second).expect("allreduce");
-            let mut third = vec![1.0f32; 2];
-            c.try_allreduce_rhd(&mut third).expect("allreduce");
             buf.extend(second);
-            buf.extend(third);
             buf
         });
         let mut want = expected_sum(3);
         want.extend(vec![3.0f32; 4]); // 0+1+2
-        want.extend(vec![3.0f32; 2]);
         for r in &results {
             assert_eq!(r, &want);
         }

@@ -1,8 +1,8 @@
 //! Communicator implementation: FIFO point-to-point channels plus
 //! deterministic collectives.
 //!
-//! Every blocking receive carries a deadline (default 30 s, or
-//! `EXACLIM_RECV_DEADLINE_MS`), so a lost peer turns a would-be hang
+//! Every blocking receive carries a deadline (30 s, or the one given to
+//! [`CommWorld::with_deadline`]), so a lost peer turns a would-be hang
 //! into a typed [`CommError`] naming who waited on whom for which tag.
 //! The whole API is fallible (`try_*`): every caller decides whether a
 //! dead peer means "crash with the diagnosis" (`.expect`) or "survive
@@ -39,20 +39,10 @@ impl Payload {
     }
 }
 
-/// The receive deadline used when none is configured: generous enough
-/// for any healthy in-process collective, finite so a dead peer can
-/// never hang a test run indefinitely.
+/// The receive deadline of [`CommWorld::new`]: generous enough for any
+/// healthy in-process collective, finite so a dead peer can never hang a
+/// test run indefinitely.
 const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(30);
-
-fn default_recv_deadline() -> Duration {
-    match std::env::var("EXACLIM_RECV_DEADLINE_MS") {
-        Ok(ms) => match ms.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => Duration::from_millis(ms),
-            _ => DEFAULT_RECV_DEADLINE,
-        },
-        Err(_) => DEFAULT_RECV_DEADLINE,
-    }
-}
 
 /// Shared per-world counters, indexable by rank.
 pub struct CommStats {
@@ -93,7 +83,7 @@ impl CommWorld {
     /// thread. (A factory returning the endpoints, not `Self`.)
     #[allow(clippy::new_ret_no_self)]
     pub fn new(n: usize) -> Vec<Communicator> {
-        CommWorld::with_deadline(n, default_recv_deadline())
+        CommWorld::with_deadline(n, DEFAULT_RECV_DEADLINE)
     }
 
     /// Like [`CommWorld::new`] but with an explicit receive deadline —
@@ -178,12 +168,6 @@ impl Communicator {
     /// The deadline applied to every blocking receive.
     pub fn recv_deadline(&self) -> Duration {
         self.recv_deadline
-    }
-
-    /// Overrides the blocking-receive deadline for this endpoint.
-    pub fn set_recv_deadline(&mut self, deadline: Duration) {
-        assert!(deadline > Duration::ZERO, "receive deadline must be positive");
-        self.recv_deadline = deadline;
     }
 
     /// Peers observed dead so far (their communicator was dropped).
@@ -354,15 +338,6 @@ impl Communicator {
         self.ring_allreduce_group(&group, buf, tag)
     }
 
-    /// Recursive-doubling all-reduce (sum) — the tree-structured exchange
-    /// pattern MPI implementations favour at scale. Non-power-of-two world
-    /// sizes fold the excess ranks into partners first.
-    pub fn try_allreduce_rhd(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
-        let tag = self.next_tag();
-        let group: Vec<usize> = (0..self.size).collect();
-        self.rhd_allreduce_group(&group, buf, tag)
-    }
-
     /// Binomial reduce-to-root + broadcast all-reduce.
     pub fn try_allreduce_tree(&mut self, buf: &mut Vec<f32>) -> Result<(), CommError> {
         let tag = self.next_tag();
@@ -508,72 +483,6 @@ impl Communicator {
             let part = self.try_recv_f32(left, tag | 1 << 20 | (step as u64) << 8)?;
             let (rlo, rhi) = bounds(recv_idx);
             buf[rlo..rhi].copy_from_slice(&part);
-        }
-        Ok(())
-    }
-
-    fn rhd_allreduce_group(&mut self, group: &[usize], buf: &mut [f32], tag: u64) -> Result<(), CommError> {
-        let g = group.len();
-        if g == 1 {
-            return Ok(());
-        }
-        let me = self.group_pos(group);
-        let p2 = {
-            let mut p = 1usize;
-            while p * 2 <= g {
-                p *= 2;
-            }
-            p
-        };
-        let extra = g - p2;
-
-        // Fold the excess ranks into partners.
-        let active: Option<usize> = if me < 2 * extra {
-            if !me.is_multiple_of(2) {
-                self.try_send_f32(group[me - 1], tag, buf.to_vec())?;
-                None
-            } else {
-                let part = self.try_recv_f32(group[me + 1], tag)?;
-                for (a, b) in buf.iter_mut().zip(part.iter()) {
-                    *a += *b;
-                }
-                Some(me / 2)
-            }
-        } else {
-            Some(me - extra)
-        };
-        let actual = |id: usize| -> usize {
-            if id < extra {
-                group[2 * id]
-            } else {
-                group[id + extra]
-            }
-        };
-
-        if let Some(id) = active {
-            // Recursive doubling: exchange full buffers with partner at
-            // each bit level. Elementwise a+b is commutative, so both
-            // partners compute identical bits.
-            let mut mask = 1usize;
-            while mask < p2 {
-                let partner = actual(id ^ mask);
-                self.try_send_f32(partner, tag | (mask as u64) << 8, buf.to_vec())?;
-                let part = self.try_recv_f32(partner, tag | (mask as u64) << 8)?;
-                for (a, b) in buf.iter_mut().zip(part.iter()) {
-                    *a += *b;
-                }
-                mask <<= 1;
-            }
-        }
-
-        // Unfold: partners return the final buffer to folded ranks.
-        if me < 2 * extra {
-            if me.is_multiple_of(2) {
-                self.try_send_f32(group[me + 1], tag | 1 << 20, buf.to_vec())?;
-            } else {
-                let out = self.try_recv_f32(group[me - 1], tag | 1 << 20)?;
-                buf.copy_from_slice(&out);
-            }
         }
         Ok(())
     }

@@ -95,9 +95,10 @@ pub(crate) fn reduce_bucket(
 
 /// Tracks per-parameter gradient readiness and releases fusion buckets.
 ///
-/// Parameter hooks may fire more than once per step (and layer paths fire
-/// them for whole sublayers at a time); the per-tensor `seen` flags dedup,
-/// and each bucket's countdown therefore hits zero exactly once per step —
+/// A parameter's hook fires from `Param::accumulate_grad`, once per
+/// backward for every layer-owned parameter; the per-tensor `seen` flags
+/// dedup any repeat (and the end-of-step [`flush`](ReadyTracker::flush)),
+/// so each bucket's countdown hits zero exactly once per step —
 /// so the progress thread can rely on receiving exactly one notification
 /// per bucket between [`reset`](ReadyTracker::reset) and the end of
 /// [`flush`](ReadyTracker::flush).
@@ -162,8 +163,8 @@ impl ReadyTracker {
     }
 
     /// Marks every tensor ready. The rank thread calls this after backward
-    /// returns, so buckets a model's backward path never notified (or a
-    /// step abandoned mid-backward) still reach the progress thread and
+    /// returns, so buckets whose parameters no backward accumulated into
+    /// (or a step abandoned mid-backward) still reach the progress thread and
     /// the step stays framed at exactly one notification per bucket.
     pub fn flush(&self) {
         for id in 0..self.seen.len() {
@@ -379,7 +380,7 @@ impl CommEngine {
     }
 
     /// Joins the in-flight step: releases any buckets backward never
-    /// notified, blocks until the progress thread finishes, and returns
+    /// released, blocks until the progress thread finishes, and returns
     /// the communicator (and any lent optimizer) with the step's wire
     /// bytes, busy seconds, and outcome. The caller's blocked time here is
     /// the step's *exposed* communication-plus-apply tail.
@@ -410,8 +411,8 @@ impl Drop for CommEngine {
 }
 
 /// Clears the ready hooks it holds when dropped, so a training run never
-/// leaks hooks (which would keep every later backward paying notification
-/// costs and pin the engine's tracker alive).
+/// leaks hooks (which would keep every later backward calling into a dead
+/// run's tracker and pin it alive).
 pub(crate) struct HookClearGuard(pub Vec<Param>);
 
 impl Drop for HookClearGuard {
@@ -482,7 +483,7 @@ mod tests {
             let _guard = HookClearGuard(params.clone());
         }
         for p in &params {
-            p.notify_ready();
+            p.accumulate_grad(&Tensor::zeros([2], DType::F32));
         }
         assert_eq!(hits.load(Ordering::SeqCst), 0, "hooks cleared by guard");
     }

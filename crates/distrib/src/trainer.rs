@@ -108,12 +108,13 @@ pub struct TrainerConfig {
     pub compress_gradients: bool,
     /// Overlap gradient reduction with backward (§V-A3's "communication of
     /// gradients ... can start as soon as they become available"): a
-    /// per-rank comm progress thread all-reduces fusion buckets as layer
-    /// backward paths mark their parameters ready, and the optimizer step
-    /// joins on the queue. Bit-identical to serial reduction — buckets are
-    /// assigned before the step from the canonical order. On by default;
-    /// `false` is the serial reference the determinism suites compare
-    /// against.
+    /// per-rank comm progress thread all-reduces each fusion bucket as soon
+    /// as backward has accumulated the gradient of its last parameter
+    /// (every `Param::accumulate_grad` fires that parameter's ready hook),
+    /// and the optimizer step joins on the queue. Bit-identical to serial
+    /// reduction — buckets are assigned before the step from the canonical
+    /// order. On by default; `false` is the serial reference the
+    /// determinism suites compare against.
     pub overlap_comm: bool,
     /// Fused optimizer plane: single-pass SIMD updates, applied per
     /// fusion bucket on the comm progress thread the moment the bucket's

@@ -126,15 +126,9 @@ impl Layer for DenseBlock {
 
         // Walk layers in reverse, scattering input gradients onto the
         // features each layer consumed.
-        let notify = exaclim_nn::ready_hooks_active();
         for j in (0..n_layers).rev() {
             let gout = grads[j + 1].clone();
             let gin = self.layers[j].backward(&gout);
-            // This dense layer's gradients are final (no later layer feeds
-            // them): hand them to the overlap engine mid-backward.
-            if notify {
-                self.layers[j].params().notify_all_ready();
-            }
             let consumed: Vec<usize> = feats[..=j].iter().map(|t| t.shape().dim(1)).collect();
             if consumed.len() == 1 {
                 grads[0].add_assign(&gin);
@@ -275,36 +269,18 @@ impl Layer for Bottleneck {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let y = self.relu_out.take().expect("Bottleneck::backward before forward");
-        let notify = exaclim_nn::ready_hooks_active();
         let g = ops::relu_backward_from_output(&y, grad_out);
-        // Main branch. Each stage's parameter gradients are final as soon
-        // as its backward returns; announce them stage by stage.
+        // Main branch.
         let mut gm = self.bn3.backward(&g);
-        if notify {
-            self.bn3.params().notify_all_ready();
-        }
         gm = self.conv3.backward(&gm);
-        if notify {
-            self.conv3.params().notify_all_ready();
-        }
         gm = self.conv2.backward(&gm);
-        if notify {
-            self.conv2.params().notify_all_ready();
-        }
         let mut gx = self.conv1.backward(&gm);
-        if notify {
-            self.conv1.params().notify_all_ready();
-        }
         // Shortcut branch.
         match &mut self.shortcut {
             Some((conv, bn)) => {
                 let gs = bn.backward(&g);
                 let gs = conv.backward(&gs);
                 gx.add_assign(&gs);
-                if notify {
-                    bn.params().notify_all_ready();
-                    conv.params().notify_all_ready();
-                }
             }
             None => gx.add_assign(&g),
         }
@@ -419,19 +395,12 @@ impl Layer for Aspp {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let notify = exaclim_nn::ready_hooks_active();
         let gcat = self.project.backward(grad_out);
-        if notify {
-            self.project.params().notify_all_ready();
-        }
         let sizes = vec![self.branch_ch; self.branches.len()];
         let parts = ops::split_channels(&gcat, &sizes);
         let mut gx: Option<Tensor> = None;
         for (branch, g) in self.branches.iter_mut().zip(parts) {
             let gb = branch.backward(&g);
-            if notify {
-                branch.params().notify_all_ready();
-            }
             match gx.as_mut() {
                 Some(acc) => acc.add_assign(&gb),
                 None => gx = Some(gb),

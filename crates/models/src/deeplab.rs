@@ -339,23 +339,11 @@ impl Layer for DeepLabV3Plus {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let skip = self.skip_cache.take().expect("DeepLabV3Plus::backward before forward");
-        // As with Tiramisu: hand each decoder stage's finished gradients
-        // to the overlap engine while the encoder backward still runs.
-        let notify = exaclim_nn::ready_hooks_active();
         let mut g = self.head.backward(grad_out);
-        if notify {
-            self.head.params().notify_all_ready();
-        }
         g = self.ref2.backward(&g);
         g = self.up2.backward(&g);
         g = self.ref1.backward(&g);
         g = self.up1.backward(&g);
-        if notify {
-            self.ref2.params().notify_all_ready();
-            self.up2.params().notify_all_ready();
-            self.ref1.params().notify_all_ready();
-            self.up1.params().notify_all_ready();
-        }
         let gcat = self.ref0.backward(&g);
         let dw = self.config.decoder_width;
         let parts = ops::split_channels(&gcat, &[dw, self.config.skip_width]);
@@ -363,27 +351,15 @@ impl Layer for DeepLabV3Plus {
         let gmain = it.next().expect("main part");
         let gskip = it.next().expect("skip part");
         let gskip_pool = self.skip_proj.backward(&gskip);
-        if notify {
-            self.ref0.params().notify_all_ready();
-            self.skip_proj.params().notify_all_ready();
-        }
         g = self.up0.backward(&gmain);
         g = self.aspp.backward(&g);
-        if notify {
-            self.up0.params().notify_all_ready();
-        }
         for b in self.stages.iter_mut().rev() {
             g = b.backward(&g);
         }
         g.add_assign(&gskip_pool);
         let _ = skip; // cached only to assert forward/backward pairing
         g = self.pool.backward(&g);
-        let gx = self.stem.backward(&g);
-        if notify {
-            self.pool.params().notify_all_ready();
-            self.stem.params().notify_all_ready();
-        }
-        gx
+        self.stem.backward(&g)
     }
 
     fn params(&self) -> ParamSet {

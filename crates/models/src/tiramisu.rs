@@ -244,14 +244,7 @@ impl Layer for Tiramisu {
         let skips = self.skip_cache.take().expect("Tiramisu::backward before forward");
         let mut skip_grads: Vec<Option<Tensor>> = vec![None; skips.len()];
 
-        // Announce each component's finished gradients as the reverse walk
-        // passes it, so the overlap engine reduces them during the rest of
-        // backward (the DenseBlocks additionally notify layer by layer).
-        let notify = exaclim_nn::ready_hooks_active();
         let mut g = self.head.backward(grad_out);
-        if notify {
-            self.head.params().notify_all_ready();
-        }
         for (j, (deconv, db)) in self.up_deconvs.iter_mut().zip(self.up_blocks.iter_mut()).enumerate().rev() {
             let i = self.down_blocks.len() - 1 - j;
             let gcat = db.backward(&g);
@@ -261,29 +254,16 @@ impl Layer for Tiramisu {
             let gskip = it.next().expect("skip part");
             skip_grads[i] = Some(gskip);
             g = deconv.backward(&gup);
-            if notify {
-                deconv.params().notify_all_ready();
-            }
         }
         g = self.bottleneck.backward(&g);
-        if notify {
-            self.bottleneck.params().notify_all_ready();
-        }
         for i in (0..self.down_blocks.len()).rev() {
             let mut gfeat = self.down_transitions[i].backward(&g);
-            if notify {
-                self.down_transitions[i].params().notify_all_ready();
-            }
             if let Some(gs) = skip_grads[i].take() {
                 gfeat.add_assign(&gs);
             }
             g = self.down_blocks[i].backward(&gfeat);
         }
-        let gx = self.stem.backward(&g);
-        if notify {
-            self.stem.params().notify_all_ready();
-        }
-        gx
+        self.stem.backward(&g)
     }
 
     fn params(&self) -> ParamSet {

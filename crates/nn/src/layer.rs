@@ -120,16 +120,9 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let notify = crate::param::ready_hooks_active();
         let mut cur = grad_out.clone();
         for l in self.layers.iter_mut().rev() {
             cur = l.backward(&cur);
-            // Each sublayer's parameter gradients are final once its
-            // backward returns: announce them so a gradient all-reduce can
-            // start while the remaining (earlier) layers still compute.
-            if notify {
-                l.params().notify_all_ready();
-            }
         }
         cur
     }

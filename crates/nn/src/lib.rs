@@ -26,4 +26,4 @@ pub mod param;
 
 pub use layer::{Ctx, Layer, Sequential};
 pub use optim::{OptState, Optimizer};
-pub use param::{ready_hooks_active, Param, ParamSet, ReadyHook};
+pub use param::{Param, ParamSet, ReadyHook};

@@ -11,28 +11,16 @@
 
 use exaclim_tensor::{DType, Tensor};
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A gradient-ready notification callback (see [`Param::set_ready_hook`]).
 pub type ReadyHook = Arc<dyn Fn() + Send + Sync>;
 
-/// Count of parameters that currently carry a ready hook. Lets the layer
-/// backward paths skip all notification work with one relaxed load when no
-/// overlap engine is listening.
-static ACTIVE_HOOKS: AtomicUsize = AtomicUsize::new(0);
-
-/// True if any parameter anywhere has a gradient-ready hook installed.
-#[inline]
-pub fn ready_hooks_active() -> bool {
-    ACTIVE_HOOKS.load(Ordering::Relaxed) > 0
-}
-
 struct ParamInner {
     name: String,
     value: Tensor,
     grad: Tensor,
-    /// Fired by the layer backward paths once this parameter's gradient
+    /// Fired by [`Param::accumulate_grad`] once this parameter's gradient
     /// for the step is final — the signal the distributed runtime uses to
     /// start all-reducing while backward is still running.
     on_ready: Option<ReadyHook>,
@@ -56,30 +44,15 @@ impl Param {
     }
 
     /// Installs a gradient-ready hook, replacing any existing one. The hook
-    /// fires (possibly more than once per step — listeners must dedup) when
-    /// a layer backward path declares this parameter's gradient final.
+    /// fires each time [`accumulate_grad`](Param::accumulate_grad) adds a
+    /// gradient (once per backward for every layer-owned parameter).
     pub fn set_ready_hook(&self, hook: ReadyHook) {
-        let prev = self.0.write().on_ready.replace(hook);
-        if prev.is_none() {
-            ACTIVE_HOOKS.fetch_add(1, Ordering::Relaxed);
-        }
+        self.0.write().on_ready = Some(hook);
     }
 
     /// Removes the gradient-ready hook, if any.
     pub fn clear_ready_hook(&self) {
-        if self.0.write().on_ready.take().is_some() {
-            ACTIVE_HOOKS.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Fires the gradient-ready hook, if one is installed. Called by layer
-    /// backward paths after the last gradient contribution for this
-    /// parameter has been accumulated; the hook runs outside the lock.
-    pub fn notify_ready(&self) {
-        let hook = self.0.read().on_ready.clone();
-        if let Some(hook) = hook {
-            hook();
-        }
+        self.0.write().on_ready = None;
     }
 
     /// The parameter's unique name (used to order all-reduce operations).
@@ -116,9 +89,25 @@ impl Param {
         inner.grad = g;
     }
 
-    /// Adds `g` into the gradient accumulator.
+    /// Adds `g` into the gradient accumulator, then fires the ready hook,
+    /// if one is installed.
+    ///
+    /// The layer that owns a parameter (`Conv2d`, `Deconv2d`,
+    /// `BatchNorm2d`) is the only caller in a backward pass, and it
+    /// accumulates each of its parameters exactly once per backward. So the
+    /// gradient is final here, and the hook fires once per parameter per
+    /// backward, at the earliest point the all-reduce can start. The hook
+    /// runs after the write lock is released: it may read the gradient on
+    /// another thread.
     pub fn accumulate_grad(&self, g: &Tensor) {
-        self.0.write().grad.add_assign(g);
+        let hook = {
+            let mut inner = self.0.write();
+            inner.grad.add_assign(g);
+            inner.on_ready.clone()
+        };
+        if let Some(hook) = hook {
+            hook();
+        }
     }
 
     /// Zeroes the gradient accumulator.
@@ -222,26 +211,6 @@ impl ParamSet {
         &self.params[idx]
     }
 
-    /// Fires the gradient-ready hook of every parameter in the set. Layer
-    /// backward paths call this for the parameters of each sublayer as its
-    /// backward completes; a no-op (one atomic load) when nothing listens.
-    pub fn notify_all_ready(&self) {
-        if !ready_hooks_active() {
-            return;
-        }
-        for p in &self.params {
-            p.notify_ready();
-        }
-    }
-
-    /// Removes the gradient-ready hooks of every parameter in the set.
-    #[cfg(test)]
-    fn clear_ready_hooks(&self) {
-        for p in &self.params {
-            p.clear_ready_hook();
-        }
-    }
-
     /// Zeroes every gradient.
     pub fn zero_grads(&self) {
         for p in &self.params {
@@ -279,6 +248,7 @@ impl std::fmt::Debug for ParamSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn shared_handle_sees_updates() {
@@ -343,44 +313,54 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ready_hooks_fire_and_clear() {
-        let p = Param::new("w", Tensor::zeros([2], DType::F32));
-        let q = p.clone();
+    /// Installs a hook on `p` that counts its fires.
+    fn counting_hook(p: &Param) -> Arc<AtomicUsize> {
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
         p.set_ready_hook(Arc::new(move || {
             h.fetch_add(1, Ordering::SeqCst);
         }));
-        assert!(ready_hooks_active(), "installing a hook raises the flag");
-        // The shared handle fires the same hook.
-        q.notify_ready();
-        q.notify_ready();
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-        p.clear_ready_hook();
-        q.notify_ready();
-        assert_eq!(hits.load(Ordering::SeqCst), 2, "cleared hook stays silent");
+        hits
     }
 
     #[test]
-    fn paramset_notifies_every_member() {
+    fn ready_hooks_fire_and_clear() {
+        let p = Param::new("w", Tensor::zeros([1], DType::F32));
+        let q = p.clone();
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let s = seen.clone();
+        // The hook reads the gradient it was fired for through the shared
+        // handle: this would deadlock if it ran under the write lock.
+        p.set_ready_hook(Arc::new(move || s.lock().push(q.grad().as_slice()[0])));
+        p.accumulate_grad(&Tensor::from_vec([1], DType::F32, vec![2.5]));
+        assert_eq!(*seen.lock(), vec![2.5]);
+        p.clear_ready_hook();
+        p.accumulate_grad(&Tensor::from_vec([1], DType::F32, vec![1.0]));
+        assert_eq!(*seen.lock(), vec![2.5], "cleared hook stays silent");
+        assert_eq!(p.grad().as_slice(), &[3.5]);
+    }
+
+    #[test]
+    fn accumulate_grad_fires_once_per_call() {
         let mut set = ParamSet::new();
-        set.push(Param::new("a", Tensor::zeros([1], DType::F32)));
-        set.push(Param::new("b", Tensor::zeros([1], DType::F32)));
-        let hits = Arc::new(AtomicUsize::new(0));
-        for p in set.iter() {
-            let h = hits.clone();
-            p.set_ready_hook(Arc::new(move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        set.notify_all_ready();
+        set.push(Param::new("a", Tensor::zeros([2], DType::F32)));
+        set.push(Param::new("b", Tensor::zeros([2], DType::F32)));
+        let g = Tensor::from_vec([2], DType::F32, vec![1.0, 2.0]);
+        // No hook installed: accumulating is all that happens.
+        set.param(0).accumulate_grad(&g);
+        let hits = counting_hook(set.param(0));
+        let other = counting_hook(set.param(1));
+        set.param(0).clone().accumulate_grad(&g);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        set.param(0).accumulate_grad(&g);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
-        set.clear_ready_hooks();
-        for p in set.iter() {
-            p.notify_ready();
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 2, "cleared hooks stay silent");
+        assert_eq!(set.param(0).grad().as_slice(), &[3.0, 6.0]);
+        assert_eq!(other.load(Ordering::SeqCst), 0, "each parameter fires its own hook");
+        // Zeroing or replacing a gradient is not a ready signal.
+        set.zero_grads();
+        set.param(1).set_grad(g.clone());
+        assert_eq!(hits.load(Ordering::SeqCst), 2);
+        assert_eq!(other.load(Ordering::SeqCst), 0);
     }
 
     #[test]

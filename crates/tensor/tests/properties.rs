@@ -2,6 +2,7 @@
 
 use exaclim_tensor::half::{quantize_f16, F16};
 use exaclim_tensor::ops::{self, Conv2dParams, ConvAlgo, Deconv2dParams};
+use exaclim_tensor::simd::{MR, NR};
 use exaclim_tensor::{DType, Shape, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -33,6 +34,45 @@ fn small_f32() -> impl Strategy<Value = f32> {
         -1.0e-3f32..1.0e-3,
         Just(0.0f32),
     ]
+}
+
+/// Depth panel of the blocked GEMM (`crates/tensor/src/ops/gemm.rs`), and
+/// the `m·n·k` volume from which `ops::gemm` takes that path instead of
+/// the plain small-shape loops.
+const KC: usize = 256;
+const BLOCKED_MIN_VOLUME: usize = 64 * 64 * 64;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The blocked GEMM produces the same bits with and without SIMD for
+    /// random shapes on its path: every `MR`/`NR`/`KC` remainder, row and
+    /// column counts across the `MC` (128) and `NC` (512) tiles, and
+    /// depths of one or two `KC` panels.
+    #[test]
+    fn gemm_blocked_random_shapes_bit_identical_across_simd(
+        n_tiles in 8usize..66, n_rem in 0usize..NR,
+        k_panels in 0usize..2, k_rem in 1usize..KC,
+        m_tiles in 1usize..36, m_rem in 0usize..MR,
+        seed in 0u64..200,
+    ) {
+        let n = n_tiles * NR + n_rem;
+        let k = k_panels * KC + k_rem;
+        // The fewest whole register rows that lift the volume onto the
+        // blocked path; a shallow `k` buys a taller `m`.
+        let m_min_tiles = BLOCKED_MIN_VOLUME.div_ceil(n * k).div_ceil(MR);
+        let m = m_tiles.max(m_min_tiles) * MR + m_rem;
+        prop_assert!(m * n * k >= BLOCKED_MIN_VOLUME, "m={} n={} k={} is below the blocked path", m, n, k);
+        let mut rng = exaclim_tensor::init::seeded_rng(seed);
+        let a = exaclim_tensor::init::randn([m * k], DType::F32, 1.0, &mut rng);
+        let b = exaclim_tensor::init::randn([k * n], DType::F32, 1.0, &mut rng);
+        let (s, v) = scalar_and_simd(|| {
+            let mut c = vec![0.0f32; m * n];
+            ops::gemm(m, n, k, a.as_slice(), b.as_slice(), &mut c);
+            c.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        });
+        prop_assert_eq!(s, v, "blocked GEMM bits diverge at m={} n={} k={}", m, n, k);
+    }
 }
 
 proptest! {
@@ -193,23 +233,6 @@ proptest! {
         prop_assert_ne!(x.bit_hash(), y.bit_hash(), "len {} idx {} bit {}", len, idx, bit);
         let (scalar, vector) = scalar_and_simd(|| x.bit_hash());
         prop_assert_eq!(scalar, vector);
-    }
-
-    /// The small-GEMM path produces the same bits with and without SIMD,
-    /// including remainder rows/columns against the MR×NR register tile.
-    #[test]
-    fn gemm_small_bit_identical_across_simd(
-        m in 1usize..10, n in 1usize..18, k in 1usize..12, seed in 0u64..200,
-    ) {
-        let mut rng = exaclim_tensor::init::seeded_rng(seed);
-        let a = exaclim_tensor::init::randn([m * k], DType::F32, 1.0, &mut rng);
-        let b = exaclim_tensor::init::randn([k * n], DType::F32, 1.0, &mut rng);
-        let (s, v) = scalar_and_simd(|| {
-            let mut c = vec![0.0f32; m * n];
-            ops::gemm(m, n, k, a.as_slice(), b.as_slice(), &mut c);
-            c.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        });
-        prop_assert_eq!(s, v);
     }
 
     /// Both convolution lowerings are bit-identical across SIMD levels

@@ -12,6 +12,8 @@ cargo build --workspace --examples
 # The end-to-end benchmark is its own workspace and calls the crates'
 # public API: a change that breaks it must fail here, not at benchmark time.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# ... and its own unit tests (JSON, statistics, the A/B comparison).
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 cargo test -q
 cargo clippy --workspace -- -D warnings
 # A doc link to a deleted or narrowed name must fail here.
