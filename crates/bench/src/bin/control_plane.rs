@@ -23,12 +23,14 @@ fn measure(n: usize, plane: ControlPlane, tensors: usize) -> (u64, u64) {
                 let coord = Coordinator::new(plane, tensors);
                 let mut ready: Vec<u32> = (0..tensors as u32).collect();
                 ready.rotate_left(rank % tensors.max(1));
-                coord.coordinate(&mut comm, &ready)
+                coord.try_coordinate(&mut comm, &ready)
             })
         })
         .collect();
-    for h in handles {
-        let _ = h.join().expect("rank");
+    for (rank, h) in handles.into_iter().enumerate() {
+        if let Err(e) = h.join().expect("rank thread") {
+            panic!("rank {rank}: coordination failed: {e}");
+        }
     }
     let rank0 = stats.messages_sent(0) + stats.messages_received(0);
     let other = (1..n)

@@ -58,7 +58,6 @@ fn main() {
         };
         if precision == Precision::FP16 {
             cfg.trainer.precision = DType::F16;
-            cfg.trainer.loss_scale = 128.0;
         }
         let step_t = paper_step_time(model, precision, gpus, lag);
         let result = run_experiment(&cfg).expect("training run");

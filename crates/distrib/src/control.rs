@@ -164,13 +164,7 @@ impl Coordinator {
     ///
     /// `ready_order` is the order in which *this* rank's tensors became
     /// ready (a permutation of `0..n_tensors`). Returns the agreed global
-    /// order — identical on every rank.
-    pub fn coordinate(&self, comm: &mut Communicator, ready_order: &[u32]) -> Vec<u32> {
-        self.try_coordinate(comm, ready_order)
-            .unwrap_or_else(|e| panic!("coordinate: {e}"))
-    }
-
-    /// Fallible [`Coordinator::coordinate`]: a peer that dies (its
+    /// order — identical on every rank. A peer that dies (its
     /// communicator drops) or a round that makes no progress within the
     /// communicator's receive deadline comes back as a [`CommError`]
     /// instead of spinning forever — the hook the elastic trainer uses to
@@ -351,11 +345,14 @@ mod tests {
                             ready.reverse();
                         }
                     }
-                    coord.coordinate(&mut comm, &ready)
+                    coord.try_coordinate(&mut comm, &ready)
                 })
             })
             .collect();
-        let orders: Vec<Vec<u32>> = handles.into_iter().map(|h| h.join().expect("rank")).collect();
+        let orders: Vec<Vec<u32>> = handles
+            .into_iter()
+            .map(|h| h.join().expect("rank").expect("coordination round"))
+            .collect();
         let rank0_msgs = stats.messages_sent(0) + stats.messages_received(0);
         let max_other = (1..n)
             .map(|r| stats.messages_sent(r) + stats.messages_received(r))

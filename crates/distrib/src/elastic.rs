@@ -84,16 +84,17 @@ pub struct GenerationRecord {
     pub transition_wall_s: f64,
 }
 
+/// The leader saves an auto-checkpoint after every this-many completed
+/// steps. It is kept as the fallback artifact: elastic transitions
+/// themselves do not read it unless a handoff leaves no survivor.
+const CHECKPOINT_EVERY: usize = 2;
+
 /// Elastic-training knobs wrapped around a [`TrainerConfig`].
 #[derive(Debug, Clone)]
 pub struct ElasticConfig {
     /// The underlying training configuration. `ranks` is the *founding*
     /// world size; membership changes from there.
     pub base: TrainerConfig,
-    /// Save an auto-checkpoint after every this-many completed steps
-    /// (kept as the fallback artifact; elastic transitions themselves do
-    /// not read it unless a handoff leaves no survivor).
-    pub checkpoint_every: usize,
     /// Directory for `step-*.exck` auto-checkpoints and
     /// `handoff-gen*.exck` survivor-less handoffs.
     pub checkpoint_dir: PathBuf,
@@ -102,11 +103,10 @@ pub struct ElasticConfig {
 }
 
 impl ElasticConfig {
-    /// Sensible defaults: checkpoint every 2 steps, 5-second deadline.
+    /// Sensible defaults: a 5-second deadline.
     pub fn new(base: TrainerConfig, checkpoint_dir: impl Into<PathBuf>) -> ElasticConfig {
         ElasticConfig {
             base,
-            checkpoint_every: 2,
             checkpoint_dir: checkpoint_dir.into(),
             recv_deadline: Duration::from_secs(5),
         }
@@ -825,7 +825,7 @@ impl<B: BatchSource> Member<B> {
                     if self.is_leader() {
                         self.hub.record_step(step, s.mean_loss, s.wall_s);
                         let completed = step + 1;
-                        if completed.is_multiple_of(self.cfg.checkpoint_every) {
+                        if completed.is_multiple_of(CHECKPOINT_EVERY) {
                             self.replica
                                 .save_checkpoint(&self.cfg.checkpoint_dir, completed)
                                 .unwrap_or_else(|e| panic!("auto-checkpoint at step {completed}: {e}"));
@@ -929,7 +929,6 @@ where
 {
     assert!(cfg.base.ranks >= 1, "need at least one founding rank");
     assert_eq!(cfg.base.ranks % cfg.base.node_size, 0, "node_size must divide ranks");
-    assert!(cfg.checkpoint_every >= 1, "checkpoint_every must be at least 1");
 
     let hub = Arc::new(ElasticHub::new(cfg, faults));
     let rv = Arc::new(Rendezvous::new());

@@ -5,10 +5,9 @@
 //! the framework keeps differentiating earlier layers (§V-A3). This module
 //! is that machinery for the thread-rank runtime:
 //!
-//! * [`reduce_bucket`] — pack / (optionally) quantize / all-reduce /
-//!   scatter-back for one fusion bucket. Shared verbatim by the serial
-//!   reduce loop and the progress thread, so both modes run the *same*
-//!   arithmetic.
+//! * [`reduce_bucket`] — pack / all-reduce / scatter-back for one fusion
+//!   bucket. Shared verbatim by the serial reduce loop and the progress
+//!   thread, so both modes run the *same* arithmetic.
 //! * [`ReadyTracker`] — per-parameter readiness dedup feeding per-bucket
 //!   countdowns. When a bucket's last tensor reports ready, the bucket id
 //!   is pushed onto the progress thread's queue.
@@ -46,15 +45,12 @@ pub(crate) struct ReduceSettings {
     pub node_size: usize,
     /// Shard leaders for the hierarchical all-reduce.
     pub shard_leaders: usize,
-    /// Quantize through binary16 before the wire.
-    pub compress: bool,
 }
 
 /// Packs one fusion bucket's gradients, all-reduces them, and scatters the
 /// rank-averaged result back into the parameters. Returns the bytes the
-/// bucket put on the wire (halved by binary16 compression). Records an
-/// `Allreduce` census entry with the *actual* wire bytes and a `CommBusy`
-/// timeline span on whichever thread runs it.
+/// bucket put on the wire. Records an `Allreduce` census entry with those
+/// bytes and a `CommBusy` timeline span on whichever thread runs it.
 pub(crate) fn reduce_bucket(
     params: &[Param],
     bucket: &FusionBucket,
@@ -68,14 +64,7 @@ pub(crate) fn reduce_bucket(
     for &id in &bucket.tensor_ids {
         params[id as usize].with(|_, g| flat.extend_from_slice(g.as_slice()));
     }
-    let wire = if s.compress {
-        // §VIII-B gradient compression: binary16 on the wire. All ranks
-        // quantize the same way, so determinism holds.
-        exaclim_tensor::half::quantize_f16_slice(&mut flat);
-        flat.len() as u64 * 2
-    } else {
-        flat.len() as u64 * 4
-    };
+    let wire = flat.len() as u64 * 4;
     profile::record(KernelKind::Allreduce, "grad_allreduce", flat.len() as u64, wire, wire);
     comm.try_hierarchical_allreduce(&mut flat, s.node_size, s.shard_leaders)?;
     let inv_n = 1.0 / s.ranks as f32;

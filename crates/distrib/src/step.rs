@@ -34,12 +34,18 @@ use exaclim_nn::optim::{Adam, Lagged, LarcSgd, OptState, Optimizer, Sgd};
 use exaclim_nn::{Ctx, Layer, Param, ParamSet};
 use exaclim_tensor::init::seeded_rng;
 use exaclim_tensor::profile::{self, SpanKind};
+use exaclim_tensor::DType;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The static loss scale of FP16 training (§V-B1): the loss gradient is
+/// multiplied by it so small gradients survive binary16, and the optimizer
+/// divides it back out. F32 training runs unscaled.
+pub(crate) const F16_LOSS_SCALE: f32 = 128.0;
 
 fn build_optimizer(
     kind: OptimizerKind,
@@ -84,8 +90,6 @@ pub(crate) struct StepStats {
     pub wall_s: f64,
     /// Logical gradient bytes this rank put on the wire.
     pub wire_bytes: u64,
-    /// Seconds the critical path blocked on `next_batch`.
-    pub ingest_wait_s: f64,
     /// Seconds the critical path waited on gradient communication (the
     /// whole reduce loop when serial, the join when overlapped).
     pub exposed_comm_s: f64,
@@ -159,12 +163,16 @@ impl Replica {
         let params_vec: Vec<Param> = params.iter().cloned().collect();
         let sizes: Vec<usize> = params_vec.iter().map(|p| p.numel()).collect();
         let canonical: Vec<u32> = (0..sizes.len() as u32).collect();
+        let scale = match cfg.precision {
+            DType::F16 => F16_LOSS_SCALE,
+            DType::F32 => 1.0,
+        };
         Replica {
             world: None,
             buckets: fuse(&canonical, &sizes, cfg.fusion_threshold_bytes),
             coordinator: Coordinator::new(cfg.control, sizes.len()),
-            loss_fn: WeightedCrossEntropy::with_scale(cfg.loss_scale),
-            optimizer: Some(build_optimizer(cfg.optimizer, cfg.gradient_lag, cfg.loss_scale)),
+            loss_fn: WeightedCrossEntropy::with_scale(scale),
+            optimizer: Some(build_optimizer(cfg.optimizer, cfg.gradient_lag, scale)),
             ctx: Ctx::train(cfg.seed ^ (stream_id as u64 + 1) << 17),
             shuffle_rng: rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xABCD ^ stream_id as u64),
             hashes_ok: true,
@@ -252,9 +260,7 @@ impl Replica {
     pub(crate) fn fast_forward(&mut self, source: &mut dyn BatchSource, steps: usize) {
         for _ in 0..steps {
             let _ = source.next_batch();
-            if self.cfg.shuffle_ready_order {
-                self.canonical.clone().shuffle(&mut self.shuffle_rng);
-            }
+            self.canonical.clone().shuffle(&mut self.shuffle_rng);
         }
     }
 
@@ -270,7 +276,6 @@ impl Replica {
             ranks: world_size,
             node_size,
             shard_leaders: self.cfg.shard_leaders.min(node_size),
-            compress: self.cfg.compress_gradients,
         };
         let engine = self.cfg.overlap_comm.then(|| {
             CommEngine::new(idx, self.params_vec.clone(), self.buckets.clone(), settings.clone())
@@ -326,12 +331,12 @@ impl Replica {
         // The round proves agreement and liveness (and its traffic is what
         // the control-plane comparisons measure), but the batch boundaries
         // it emits depend on message arrival timing — execution uses the
-        // canonical buckets. `shuffle_rng` is consumed once per step
-        // whichever side of backward the round runs on.
+        // canonical buckets. Each rank shuffles its ready order, as
+        // TensorFlow's independent dynamic schedulers would; `shuffle_rng`
+        // is consumed once per step whichever side of backward the round
+        // runs on.
         let mut ready = self.canonical.clone();
-        if self.cfg.shuffle_ready_order {
-            ready.shuffle(&mut self.shuffle_rng);
-        }
+        ready.shuffle(&mut self.shuffle_rng);
         let (coordinator, canonical) = (&self.coordinator, &self.canonical);
         let coordinate = |c: &mut Communicator| -> Result<(), CommError> {
             let mut order = coordinator.try_coordinate(c, &ready)?;
@@ -444,7 +449,6 @@ impl Replica {
             hash,
             wall_s: t0.elapsed().as_secs_f64(),
             wire_bytes,
-            ingest_wait_s: ingest_wait.as_secs_f64(),
             exposed_comm_s,
             comm_busy_s,
             optim_s,

@@ -88,24 +88,16 @@ pub struct TrainerConfig {
     pub optimizer: OptimizerKind,
     /// §V-B4 gradient lag.
     pub gradient_lag: bool,
-    /// Training precision for activations.
+    /// Training precision for activations and weights. It also fixes the
+    /// loss scale (§V-B1): 128 for `F16` (`step.rs`'s `F16_LOSS_SCALE`),
+    /// none for `F32`.
     pub precision: DType,
-    /// FP16 loss scale (1.0 for FP32).
-    pub loss_scale: f32,
     /// Steps to run.
     pub steps: usize,
     /// Global seed (model init; per-rank streams derive from it).
     pub seed: u64,
     /// Horovod-style fusion threshold in bytes.
     pub fusion_threshold_bytes: usize,
-    /// Randomize each rank's gradient-ready order (models TensorFlow's
-    /// independent dynamic schedulers).
-    pub shuffle_ready_order: bool,
-    /// Quantize gradients through binary16 before the all-reduce (§VIII-B:
-    /// "compression techniques can be used at the expense of already
-    /// heavily utilized main processors"). Halves wire bytes; replicas
-    /// stay bitwise consistent because every rank quantizes identically.
-    pub compress_gradients: bool,
     /// Overlap gradient reduction with backward (§V-A3's "communication of
     /// gradients ... can start as soon as they become available"): a
     /// per-rank comm progress thread all-reduces each fusion bucket as soon
@@ -137,12 +129,9 @@ impl TrainerConfig {
             optimizer: OptimizerKind::Sgd { lr: 0.01, momentum: 0.9 },
             gradient_lag: false,
             precision: DType::F32,
-            loss_scale: 1.0,
             steps: 4,
             seed: 1234,
             fusion_threshold_bytes: 1 << 20,
-            shuffle_ready_order: true,
-            compress_gradients: false,
             overlap_comm: true,
             fused_optim: true,
         }
@@ -178,8 +167,8 @@ pub struct TrainingReport {
     pub rank0_control_messages: u64,
     /// Fused all-reduce launches per rank per step.
     pub allreduce_launches_per_step: usize,
-    /// Logical gradient bytes on the wire per rank per step (halved by
-    /// FP16 gradient compression).
+    /// Logical gradient bytes on the wire per rank per step (four per
+    /// gradient element).
     pub wire_bytes_per_step: u64,
     /// Non-finite loss detected (FP16 overflow diagnostics).
     pub diverged: bool,
@@ -188,32 +177,26 @@ pub struct TrainingReport {
     /// Rank 0's post-step parameter hash for every step — the determinism
     /// suite compares these bit-for-bit across modes.
     pub step_hashes: Vec<u64>,
-    /// Mean seconds per step rank 0's critical path spent *waiting* on
-    /// gradient communication (the whole reduce loop when serial, the join
-    /// on the progress thread when overlapped).
-    pub exposed_comm_s_per_step: f64,
     /// Mean seconds per step some thread of rank 0 spent packing /
     /// all-reducing / scattering gradients, wherever it ran. The spread
-    /// between this and `exposed_comm_s_per_step` is what backward hid.
+    /// between this and the mean of `exposed_comm_s_steps` is what
+    /// backward hid.
     pub comm_busy_s_per_step: f64,
-    /// Mean seconds per step rank 0's critical path spent blocked on the
-    /// input pipeline (the `next_batch` pull) — near zero when prefetch
-    /// keeps up, and the signal prefetch autoscaling consumes.
-    pub ingest_wait_s_per_step: f64,
     /// Whether the fused optimizer plane ran this run.
     pub fused_optim: bool,
-    /// Mean seconds per step rank 0's *critical path* spent in the
-    /// optimizer (the main-thread step; ~0 in fused-overlap mode, where
-    /// the progress thread retires updates behind backward).
-    pub optim_s_per_step: f64,
     /// Mean seconds per step some thread of rank 0 spent applying
     /// optimizer updates, wherever they ran. The spread between this and
-    /// `optim_s_per_step` is the optimizer work the fused plane hid.
+    /// the mean of `optim_s_steps` is the optimizer work the fused plane
+    /// hid.
     pub optim_busy_s_per_step: f64,
-    /// Rank 0's per-step critical-path optimizer seconds (the benchmark
-    /// adapter reads this and `exposed_comm_s_steps` as raw vectors).
+    /// Rank 0's per-step *critical-path* optimizer seconds: the
+    /// main-thread step, ~0 in fused-overlap mode, where the progress
+    /// thread retires updates behind backward.
     pub optim_s_steps: Vec<f64>,
-    /// Rank 0's per-step exposed-communication seconds.
+    /// Rank 0's per-step exposed-communication seconds: the time its
+    /// critical path spent *waiting* on gradient communication (the whole
+    /// reduce loop when serial, the join on the progress thread when
+    /// overlapped).
     pub exposed_comm_s_steps: Vec<f64>,
 }
 
@@ -290,11 +273,8 @@ where
         wire_bytes_per_step: r0.last().map_or(0, |s| s.wire_bytes),
         overlap_comm: cfg.overlap_comm,
         step_hashes: r0.iter().map(|s| s.hash).collect(),
-        exposed_comm_s_per_step: per_step(|s| s.exposed_comm_s),
         comm_busy_s_per_step: per_step(|s| s.comm_busy_s),
-        ingest_wait_s_per_step: per_step(|s| s.ingest_wait_s),
         fused_optim: cfg.fused_optim,
-        optim_s_per_step: per_step(|s| s.optim_s),
         optim_busy_s_per_step: per_step(|s| s.optim_busy_s),
         optim_s_steps: r0.iter().map(|s| s.optim_s).collect(),
         exposed_comm_s_steps: r0.iter().map(|s| s.exposed_comm_s).collect(),
@@ -474,30 +454,17 @@ mod tests {
         let (r_unfused, _m4) = train_data_parallel(&unfused, toy_model, toy_source);
         assert_eq!(r_fused.allreduce_launches_per_step, 1);
         assert_eq!(r_unfused.allreduce_launches_per_step, 4, "one per tensor");
-    }
-
-    #[test]
-    fn gradient_compression_halves_wire_bytes_and_still_trains() {
-        let mut plain = toy_config(2, 12);
-        let (r_plain, _m) = train_data_parallel(&plain.clone(), toy_model, toy_source);
-        plain.compress_gradients = true;
-        let (r_comp, _m2) = train_data_parallel(&plain, toy_model, toy_source);
-        assert!(r_comp.consistent, "compressed replicas stay identical");
-        assert_eq!(
-            r_comp.wire_bytes_per_step * 2,
-            r_plain.wire_bytes_per_step,
-            "binary16 halves gradient wire traffic"
-        );
-        let first = r_comp.steps[0].mean_loss;
-        let last = r_comp.steps.last().unwrap().mean_loss;
-        assert!(last < first, "compressed-gradient training still learns: {first} → {last}");
+        // Fusion changes the launch count, never the bytes: four per
+        // gradient element.
+        let elements = toy_model(&mut seeded_rng(0)).params().total_scalars() as u64;
+        assert_eq!(r_fused.wire_bytes_per_step, 4 * elements);
+        assert_eq!(r_unfused.wire_bytes_per_step, 4 * elements);
     }
 
     #[test]
     fn fp16_training_runs_with_loss_scaling() {
         let mut cfg = toy_config(2, 8);
         cfg.precision = DType::F16;
-        cfg.loss_scale = 128.0;
         let (report, _model) = train_data_parallel(&cfg, toy_model, toy_source);
         assert!(report.consistent);
         assert!(!report.diverged, "uniform weights at scale 128 must stay finite");

@@ -100,7 +100,7 @@ proptest! {
         prop_assert_eq!(t.nodes(), groups * routers * per);
         prop_assert_eq!(t.diameter(), 5);
         let mean = t.mean_hops();
-        prop_assert!(mean >= 1.0 && mean <= 5.0);
+        prop_assert!((1.0..=5.0).contains(&mean));
         prop_assert!(t.mean_latency_s(100.0) > 0.0);
     }
 }

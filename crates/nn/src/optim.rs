@@ -1201,7 +1201,9 @@ mod tests {
         }
     }
 
-    fn builders() -> Vec<(&'static str, fn() -> Box<dyn Optimizer>)> {
+    type Builder = fn() -> Box<dyn Optimizer>;
+
+    fn builders() -> Vec<(&'static str, Builder)> {
         vec![
             ("sgd", || Box::new(Sgd::new(0.05))),
             ("adam", || Box::new(Adam::new(0.01))),

@@ -20,9 +20,8 @@
 //!   [`MAX_PER_CLASS`] buffers; excess recycles fall through to the system
 //!   allocator's `free`.
 //!
-//! The pool is enabled by default and gated by the `EXACLIM_POOL`
-//! environment variable (`0`/`false`/`off` disable it); tests compare both
-//! modes in one process via [`set_enabled`]. Telemetry — allocations
+//! The pool is always on in production; tests switch it off and on in one
+//! process via [`set_enabled`] to compare both modes. Telemetry — allocations
 //! served from the pool vs. fresh, bytes reused, high-water mark — feeds
 //! the allocation-traffic column of the kernel census
 //! ([`crate::profile::AllocTraffic`]).
@@ -117,36 +116,21 @@ pub fn stats() -> PoolStats {
 
 // --- enable gate ------------------------------------------------------------
 
-fn env_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        match std::env::var("EXACLIM_POOL") {
-            Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-            Err(_) => true,
-        }
-    })
-}
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-static OVERRIDE_SET: AtomicBool = AtomicBool::new(false);
-static OVERRIDE_VAL: AtomicBool = AtomicBool::new(true);
-
-/// True if buffer recycling is active (`EXACLIM_POOL` env gate, unless
-/// overridden by [`set_enabled`]). When off, every request is a fresh heap
-/// allocation and every recycle is a free — numerics are unaffected.
+/// True if buffer recycling is active (on unless [`set_enabled`] turned it
+/// off). When off, every request is a fresh heap allocation and every
+/// recycle is a free — numerics are unaffected.
 #[inline]
 pub fn enabled() -> bool {
-    if OVERRIDE_SET.load(Ordering::Relaxed) {
-        OVERRIDE_VAL.load(Ordering::Relaxed)
-    } else {
-        env_default()
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Overrides the `EXACLIM_POOL` gate in-process (for tests
-/// that compare pooled vs. unpooled behaviour in one run).
+/// Switches buffer recycling on or off in-process (for tests that compare
+/// pooled vs. unpooled behaviour in one run). Turning it off frees every
+/// retained buffer.
 pub fn set_enabled(on: bool) {
-    OVERRIDE_VAL.store(on, Ordering::Relaxed);
-    OVERRIDE_SET.store(true, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
     if !on {
         trim();
     }

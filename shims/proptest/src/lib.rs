@@ -321,7 +321,9 @@ macro_rules! prop_assert {
         $crate::prop_assert!($cond, concat!("assertion failed: ", stringify!($cond)))
     };
     ($cond:expr, $($fmt:tt)+) => {
-        if !($cond) {
+        // Bound first, so a negated float comparison reads as a plain bool.
+        let holds: bool = $cond;
+        if !holds {
             return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
                 format!($($fmt)+),
             ));
@@ -382,7 +384,8 @@ macro_rules! prop_assert_ne {
 #[macro_export]
 macro_rules! prop_assume {
     ($cond:expr $(,)?) => {
-        if !($cond) {
+        let holds: bool = $cond;
+        if !holds {
             return ::std::result::Result::Ok(());
         }
     };
@@ -401,7 +404,7 @@ mod tests {
     use crate::prelude::*;
 
     fn tiny() -> impl Strategy<Value = f32> {
-        prop_oneof![(-1.0f32..1.0), Just(0.0f32)]
+        prop_oneof![-1.0f32..1.0, Just(0.0f32)]
     }
 
     proptest! {

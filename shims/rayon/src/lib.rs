@@ -551,7 +551,7 @@ mod tests {
     #[test]
     fn zip_over_two_chunked_slices() {
         let mut a = vec![1u32; 8];
-        let mut b = vec![2u32; 8];
+        let mut b = [2u32; 8];
         a.par_chunks_mut(4)
             .zip(b.par_chunks_mut(4))
             .for_each(|(xa, xb)| {

@@ -98,7 +98,7 @@ fn control_plane_and_collective_compose_at_9_ranks() {
                 let coord = Coordinator::new(ControlPlane::Hierarchical { radix: 3 }, 5);
                 let mut ready: Vec<u32> = (0..5).collect();
                 ready.rotate_left(rank % 5);
-                let order = coord.coordinate(&mut comm, &ready);
+                let order = coord.try_coordinate(&mut comm, &ready).expect("coordination round");
                 // One buffer per tensor, reduced in the agreed order.
                 let mut results = Vec::new();
                 for &t in &order {

@@ -11,7 +11,6 @@ fn fp16_training_with_sqrt_weights_is_stable() {
     let mut cfg = ExperimentConfig::quick(ModelKind::Tiramisu);
     cfg.trainer.steps = 8;
     cfg.trainer.precision = DType::F16;
-    cfg.trainer.loss_scale = 128.0;
     cfg.weighting = ClassWeighting::InverseSqrtFrequency;
     let result = run_experiment(&cfg).expect("fp16 experiment");
     assert!(result.report.consistent);
@@ -74,17 +73,16 @@ fn inverse_frequency_weights_overflow_fp16_loss_path() {
 
 #[test]
 fn fp32_and_fp16_runs_agree_at_early_steps() {
-    // With a modest loss scale, FP16 training should track FP32 closely
-    // for the first few steps (§VII-C: both precisions converge).
-    let mk = |precision, loss_scale| {
+    // With FP16's modest loss scale (128), FP16 training should track FP32
+    // closely for the first few steps (§VII-C: both precisions converge).
+    let mk = |precision| {
         let mut cfg = ExperimentConfig::quick(ModelKind::Tiramisu);
         cfg.trainer.steps = 5;
         cfg.trainer.precision = precision;
-        cfg.trainer.loss_scale = loss_scale;
         run_experiment(&cfg).expect("run")
     };
-    let r32 = mk(DType::F32, 1.0);
-    let r16 = mk(DType::F16, 128.0);
+    let r32 = mk(DType::F32);
+    let r16 = mk(DType::F16);
     for (a, b) in r32.report.steps.iter().zip(r16.report.steps.iter()) {
         let rel = (a.mean_loss - b.mean_loss).abs() / a.mean_loss.abs().max(1e-3);
         assert!(

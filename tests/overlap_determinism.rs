@@ -8,7 +8,7 @@
 //! arithmetically independent of the order buckets become ready, and the
 //! optimizer joins on the full set before stepping. These tests pin that
 //! contract across every axis that could plausibly break it — overlap
-//! on/off, kernel thread-pool width, gradient compression — and verify
+//! on/off, kernel thread-pool width, world size — and verify
 //! the progress thread degrades cleanly (no deadlock, no drift) under a
 //! straggler. Rank death inside a step is `step.rs`'s unit test.
 
@@ -61,54 +61,48 @@ fn model(rng: &mut rand::rngs::StdRng) -> Box<dyn Layer> {
     )
 }
 
-fn config(overlap: bool, compress: bool) -> TrainerConfig {
-    config_at(4, overlap, compress)
+fn config(overlap: bool) -> TrainerConfig {
+    config_at(4, overlap)
 }
 
-fn config_at(ranks: usize, overlap: bool, compress: bool) -> TrainerConfig {
+fn config_at(ranks: usize, overlap: bool) -> TrainerConfig {
     let mut cfg = TrainerConfig::new(ranks);
     cfg.steps = 5;
     cfg.seed = 11;
     cfg.fusion_threshold_bytes = 512;
     cfg.overlap_comm = overlap;
-    cfg.compress_gradients = compress;
     cfg
 }
 
 /// The tentpole determinism matrix: overlap {off, on} × kernel threads
-/// {1, 4} × gradient compression {off, on}. Within each compression
-/// setting (compression changes the gradient *values* by design, so it
-/// gets its own baseline) every combination must produce bit-identical
-/// per-step and final parameter hashes.
+/// {1, 4}. Every combination must produce bit-identical per-step and
+/// final parameter hashes.
 #[test]
-fn overlap_threads_compress_matrix_is_bit_identical() {
+fn overlap_threads_matrix_is_bit_identical() {
     let ambient = kernel_threads();
-    for compress in [false, true] {
-        let mut baseline = None;
-        for threads in [1usize, 4] {
-            for overlap in [false, true] {
-                set_kernel_threads(threads);
-                let cfg = config(overlap, compress);
-                let (r, _m) = train_data_parallel(&cfg, model, source);
-                set_kernel_threads(ambient);
-                assert!(r.consistent, "replicas diverged (overlap={overlap}, threads={threads})");
-                assert_eq!(r.overlap_comm, overlap);
-                assert_eq!(r.step_hashes.len(), cfg.steps, "one rank-0 hash per step");
-                let key = (r.step_hashes.clone(), r.final_hashes.clone());
-                match &baseline {
-                    None => baseline = Some(key),
-                    Some(b) => assert_eq!(
-                        *b, key,
-                        "parameter bits changed (compress={compress}, \
-                         overlap={overlap}, threads={threads})"
-                    ),
-                }
+    let mut baseline = None;
+    for threads in [1usize, 4] {
+        for overlap in [false, true] {
+            set_kernel_threads(threads);
+            let cfg = config(overlap);
+            let (r, _m) = train_data_parallel(&cfg, model, source);
+            set_kernel_threads(ambient);
+            assert!(r.consistent, "replicas diverged (overlap={overlap}, threads={threads})");
+            assert_eq!(r.overlap_comm, overlap);
+            assert_eq!(r.step_hashes.len(), cfg.steps, "one rank-0 hash per step");
+            let key = (r.step_hashes.clone(), r.final_hashes.clone());
+            match &baseline {
+                None => baseline = Some(key),
+                Some(b) => assert_eq!(
+                    *b, key,
+                    "parameter bits changed (overlap={overlap}, threads={threads})"
+                ),
             }
         }
     }
-    // The same at 2 and 8 ranks (ambient threads, no compression).
+    // The same at 2 and 8 ranks (ambient threads).
     for ranks in [2usize, 8] {
-        let run = |overlap| train_data_parallel(&config_at(ranks, overlap, false), model, source).0;
+        let run = |overlap| train_data_parallel(&config_at(ranks, overlap), model, source).0;
         let (serial, overlapped) = (run(false), run(true));
         assert!(serial.consistent && overlapped.consistent, "{ranks} ranks: replicas diverged");
         assert_eq!(serial.step_hashes, overlapped.step_hashes, "{ranks} ranks: per-step hashes");
@@ -126,8 +120,8 @@ fn straggler_rank_overlaps_without_deadlock_or_drift() {
         rng: seeded_rng(900 + rank as u64),
         delay: std::time::Duration::from_millis(if rank == 1 { 25 } else { 0 }),
     };
-    let (serial, _m1) = train_data_parallel(&config(false, false), model, straggler_source);
-    let (overlapped, _m2) = train_data_parallel(&config(true, false), model, straggler_source);
+    let (serial, _m1) = train_data_parallel(&config(false), model, straggler_source);
+    let (overlapped, _m2) = train_data_parallel(&config(true), model, straggler_source);
     assert!(serial.consistent && overlapped.consistent);
     assert_eq!(serial.step_hashes, overlapped.step_hashes);
     assert_eq!(serial.final_hashes, overlapped.final_hashes);
@@ -138,12 +132,12 @@ fn straggler_rank_overlaps_without_deadlock_or_drift() {
 /// engine compose without touching the arithmetic.
 #[test]
 fn overlapped_ft_run_matches_serial_plain_trainer_bitwise() {
-    let (plain, _m) = train_data_parallel(&config(false, false), model, source);
+    let (plain, _m) = train_data_parallel(&config(false), model, source);
     let dir = std::env::temp_dir()
         .join(format!("exaclim_overlap_ft_{}", std::process::id()))
         .join("overlap_healthy");
     std::fs::remove_dir_all(&dir).ok();
-    let mut cfg = ElasticConfig::new(config(true, false), &dir);
+    let mut cfg = ElasticConfig::new(config(true), &dir);
     cfg.recv_deadline = std::time::Duration::from_secs(2);
     let (r, _m2) = train_data_parallel_elastic(&cfg, &FaultPlan::none(), model, source);
     std::fs::remove_dir_all(&dir).ok();

@@ -15,7 +15,7 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # ... and its own unit tests (JSON, statistics, the A/B comparison).
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 cargo test -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # A doc link to a deleted or narrowed name must fail here.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
@@ -43,10 +43,6 @@ cargo run --release -q --example fault_injection
 # Kernel results must be bit-identical at any pool width: rerun the
 # tensor and nn suites with a 4-thread default pool.
 EXACLIM_NUM_THREADS=4 cargo test -q -p exaclim-tensor -p exaclim-nn
-
-# ... and with the buffer-recycling pool disabled: pooling trades
-# allocator traffic, never numerics.
-EXACLIM_POOL=0 cargo test -q -p exaclim-tensor -p exaclim-nn
 
 # ... and with the SIMD micro-kernels disabled: the scalar fallback is
 # the reference the vector paths are bit-compared against, so it must
