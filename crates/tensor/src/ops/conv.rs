@@ -60,8 +60,10 @@
 //! route lost at every shape measured: 17–18× slower at 32→32 and 64→32
 //! channels on 48×72, 8–13× for the 6- to 16-wide 3×3 and 7×7 layers of
 //! the tiny networks, and still 3–8× for narrow inputs (1→4 and 4→4 on
-//! 8×8, 3→16 and 12→6 on 48×72). The two routes sum in different orders,
-//! so they agree to rounding, not bit for bit.
+//! 8×8, 3→16 and 12→6 on 48×72). Both routes accumulate each output with
+//! one fused multiply-add per `(ci, ri, si)` tap, in that order; the GEMM
+//! restarts its sum at every `KC`-deep panel of patch rows, so the two
+//! agree bit for bit where `C·R·S ≤ KC` and to rounding beyond.
 
 use crate::ops::gemm::{gemm_panels, Layout, PanelSource, SliceB};
 use crate::pool;
@@ -115,9 +117,9 @@ pub enum ConvAlgo {
     /// to make: the direct route measured 3–18× slower on every shape
     /// tried, narrow inputs included (see the module doc).
     Auto,
-    /// Seven-loop direct convolution: the reference route. Tests compare
-    /// the GEMM route against it; no layer, model, trainer or server
-    /// selects it.
+    /// Seven-loop direct convolution: the reference route, with the
+    /// GEMM's fused multiply-add as its arithmetic. Tests compare the GEMM
+    /// route against it; no layer, model, trainer or server selects it.
     Direct,
 }
 
@@ -204,7 +206,7 @@ fn forward_direct(x: &Tensor, w: &Tensor, p: Conv2dParams, y: &mut Tensor) {
                             if wi < 0 || wi >= wd as isize {
                                 continue;
                             }
-                            yp[yrow + woi] += wv * xs[xrow + wi as usize];
+                            yp[yrow + woi] = wv.mul_add(xs[xrow + wi as usize], yp[yrow + woi]);
                         }
                     }
                 }

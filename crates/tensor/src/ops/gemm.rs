@@ -5,9 +5,13 @@
 //! The implementation follows the classic three-level blocking scheme
 //! (Goto/BLIS): the `k` dimension is cut into `KC`-deep panels, `A` is
 //! packed into `MR`-row micro-panels and `B` into `NR`-column micro-panels,
-//! and a register-tiled `MR×NR` micro-kernel ([`crate::simd`], AVX2 with
-//! a bit-identical scalar fallback) accumulates each output tile while
-//! both operand panels stay cache-resident. All three storage layouts
+//! and an 8×8 register-tiled micro-kernel ([`crate::simd`]) accumulates
+//! each output tile while both operand panels stay cache-resident. Its
+//! arithmetic is the fused multiply-add — AVX2 `vfmadd231ps`, with
+//! `f32::mul_add` as the bit-identical scalar fallback — into eight
+//! independent accumulator rows: per `KC` panel, every element of `C` gets
+//! `acc = a·b + acc` rounded once per depth, from zero, then `c += acc`.
+//! Every shape takes this one path. All three storage layouts
 //! (`A·B`, `Aᵀ·B`, `A·Bᵀ`) share the same compute path — only the packing
 //! routines differ — and the `B` side is abstracted behind [`PanelSource`]
 //! so convolution can pack im2col patches straight into `B` micro-panels
@@ -27,7 +31,9 @@
 //! layers cast their FP32 master weights to the activation dtype before
 //! the GEMM. Widening binary16 to `f32` is exact, so the one FP32
 //! micro-kernel reading those values *is* the tensor-core contract —
-//! binary16 operands, **all accumulation in FP32**.
+//! binary16 operands, fused multiply-add, **all accumulation in FP32**.
+//! The product of two binary16 values is exact in `f32`, so on `F16`
+//! operands the fused step rounds the same sum an unfused one would.
 
 use crate::profile::{self, KernelKind};
 use crate::simd::{self, MR, NR};
@@ -39,10 +45,6 @@ const KC: usize = 256;
 const MC: usize = 128;
 /// Columns of `C` per parallel tile (bounds the per-task packed-`B` buffer).
 const NC: usize = 512;
-/// Below this `m·n·k` volume the packing overhead dominates; use the plain
-/// streaming kernel instead. Shape-dependent only, so the choice is
-/// identical at every thread count.
-const BLOCKED_MIN_VOLUME: usize = 64 * 64 * 64;
 /// Below this `m·n·k` volume the blocked kernel runs its tile grid on the
 /// caller thread: pool dispatch costs more than it buys. Tiles are
 /// disjoint, so serial vs parallel execution is bit-identical — this
@@ -268,69 +270,7 @@ fn gemm_dispatch(
         Layout::Transposed => k,
     };
     let bsrc = SliceB { b, layout: b_layout, n, ld };
-    if m * n * k < BLOCKED_MIN_VOLUME {
-        gemm_small(m, n, k, a, a_layout, b, b_layout, c, ldc);
-    } else {
-        gemm_blocked(m, n, k, a, a_layout, &bsrc, c, ldc);
-    }
-}
-
-/// Streaming i-k-j kernel for shapes too small to amortize packing. The
-/// `B` row is read contiguously and the compiler vectorizes the update of
-/// a contiguous `C` row.
-#[allow(clippy::too_many_arguments)]
-fn gemm_small(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_layout: Layout,
-    b: &[f32],
-    b_layout: Layout,
-    c: &mut [f32],
-    ldc: usize,
-) {
-    for i in 0..m {
-        let c_row = &mut c[i * ldc..i * ldc + n];
-        match b_layout {
-            Layout::Normal => {
-                for kk in 0..k {
-                    let a_ik = match a_layout {
-                        Layout::Normal => a[i * k + kk],
-                        Layout::Transposed => a[kk * m + i],
-                    };
-                    if a_ik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row.iter()) {
-                        *c_ij += a_ik * b_kj;
-                    }
-                }
-            }
-            Layout::Transposed => {
-                // B stored n×k: dot products over contiguous B rows.
-                for (j, c_ij) in c_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    match a_layout {
-                        Layout::Normal => {
-                            let a_row = &a[i * k..(i + 1) * k];
-                            for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                                acc += x * y;
-                            }
-                        }
-                        Layout::Transposed => {
-                            for (kk, &y) in b_row.iter().enumerate() {
-                                acc += a[kk * m + i] * y;
-                            }
-                        }
-                    }
-                    *c_ij += acc;
-                }
-            }
-        }
-    }
+    gemm_blocked(m, n, k, a, a_layout, &bsrc, c, ldc);
 }
 
 /// Packs the `MR`-row micro-panel of `A` covering logical rows
@@ -495,8 +435,7 @@ mod tests {
 
     #[test]
     fn blocked_path_matches_naive() {
-        // Dimensions chosen to exceed BLOCKED_MIN_VOLUME and to exercise
-        // ragged MR/NR/KC/MC/NC edges.
+        // Dimensions chosen to exercise ragged MR/NR/KC/MC/NC edges.
         let (m, n, k) = (131, 73, 301);
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 13 % 17) as f32 - 8.0) * 0.25).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 7 % 11) as f32 - 5.0) * 0.5).collect();

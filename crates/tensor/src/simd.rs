@@ -10,9 +10,12 @@
 //! **Bit-identity contract.** Every function in this module produces the
 //! same bits on every dispatch level. Two rules make that possible:
 //!
-//! 1. *No FMA.* Vector paths use separate multiply and add intrinsics,
-//!    matching Rust's scalar `a * b + c` (which never contracts), so each
-//!    output element sees the identical sequence of IEEE operations.
+//! 1. *FMA in the GEMM micro-kernel only.* The register tile accumulates
+//!    with `vfmadd231ps`, and its scalar twin with `f32::mul_add`: both
+//!    round once per depth step, so each output element sees the same
+//!    operations in the same `k` order on every level. Every other kernel
+//!    keeps separate multiply and add intrinsics, matching Rust's scalar
+//!    `a * b + c` (which never contracts).
 //! 2. *Vectorize across outputs, or fix the lane split.* Elementwise maps
 //!    and the GEMM micro-kernel vectorize across independent output
 //!    elements — per-element operation order is untouched. Reductions
@@ -27,7 +30,7 @@
 //! fallbacks spell out the same expression instead of calling `f32::max`.
 
 /// Rows of a packed GEMM A micro-panel (register tile height).
-pub const MR: usize = 4;
+pub const MR: usize = 8;
 /// Columns of a packed GEMM B micro-panel (register tile width).
 pub const NR: usize = 8;
 
@@ -37,18 +40,18 @@ use std::sync::OnceLock;
 /// Instruction set selected for the current call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// 256-bit AVX2 paths.
-    Avx2,
-    /// Pure scalar loops (hosts without AVX2, and the `EXACLIM_SIMD=0`
-    /// fallback).
+    /// 256-bit AVX2 paths, with FMA in the GEMM micro-kernel.
+    Avx2Fma,
+    /// Pure scalar loops (hosts without AVX2 or FMA, and the
+    /// `EXACLIM_SIMD=0` fallback).
     Scalar,
 }
 
 impl SimdLevel {
-    /// Short label for benchmark output ("avx2" / "scalar").
+    /// Short label for benchmark output ("avx2+fma" / "scalar").
     pub fn label(self) -> &'static str {
         match self {
-            SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx2Fma => "avx2+fma",
             SimdLevel::Scalar => "scalar",
         }
     }
@@ -58,8 +61,8 @@ impl SimdLevel {
 fn hw_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        if is_x86_feature_detected!("avx2") {
-            SimdLevel::Avx2
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            SimdLevel::Avx2Fma
         } else {
             SimdLevel::Scalar
         }
@@ -108,10 +111,12 @@ pub fn active_level() -> SimdLevel {
 // GEMM register micro-kernel
 // ---------------------------------------------------------------------------
 
-/// `acc[MR][NR] += ap ⊗ bp` over `kc` depths: the register tile of the
-/// blocked GEMM. Vectorized across the `NR` output columns, so each
-/// element's k-order accumulation — and therefore every bit — matches the
-/// scalar loop exactly.
+/// `acc[MR][NR] += ap ⊗ bp` over `kc` depths: the 8×8 register tile of
+/// the blocked GEMM. Each depth step is one fused multiply-add per element
+/// (`vfmadd231ps`, or `f32::mul_add` on the scalar level), rounded once.
+/// Vectorized across the `NR` output columns, so each element's k-order
+/// accumulation — and therefore every bit — matches the scalar loop
+/// exactly.
 ///
 /// `ap` holds `kc` groups of `MR` A-values, `bp` `kc` groups of `NR`
 /// B-values (zero-padded at matrix edges by the packers).
@@ -119,7 +124,7 @@ pub fn active_level() -> SimdLevel {
 pub fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { microkernel_avx2(kc, ap, bp, acc) };
         return;
     }
@@ -142,7 +147,7 @@ pub(crate) unsafe fn microkernel_in_place(kc: usize, ap: &[f32], src: &[f32], of
     assert!(kc == 0 || offs[kc - 1] + NR <= src.len(), "in-place B rows run past the source");
     debug_assert!(offs[..kc].windows(2).all(|w| w[0] <= w[1]), "in-place depth offsets must ascend");
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { microkernel_in_place_avx2(kc, ap, src, offs, acc) };
         return;
     }
@@ -151,11 +156,12 @@ pub(crate) unsafe fn microkernel_in_place(kc: usize, ap: &[f32], src: &[f32], of
 
 /// The scalar register tile over any sequence of `NR`-wide `B` depth rows:
 /// the reference both micro-kernels' vector bodies are bit-compared with.
+/// `mul_add` rounds once, as `vfmadd231ps` does.
 fn tile_scalar<'a>(ap: &[f32], b_rows: impl Iterator<Item = &'a [f32]>, acc: &mut [[f32; NR]; MR]) {
     for (a_col, b_row) in ap.chunks_exact(MR).zip(b_rows) {
         for (i, &av) in a_col.iter().enumerate() {
             for (j, &bv) in b_row.iter().enumerate() {
-                acc[i][j] += av * bv;
+                acc[i][j] = av.mul_add(bv, acc[i][j]);
             }
         }
     }
@@ -163,28 +169,35 @@ fn tile_scalar<'a>(ap: &[f32], b_rows: impl Iterator<Item = &'a [f32]>, acc: &mu
 
 /// The AVX2 register tile: `acc += ap ⊗ B` over `kc` depths, where depth
 /// row `p` of `B` is the `NR` floats at the pointer `$row` (an expression
-/// in `$p`). mul + add kept separate (no FMA), one accumulator per row:
-/// each element sees the same k-ascending two-op sequence as the scalar
-/// loop, so the bits match exactly. The 4× unroll only trims loop control;
-/// it does not reorder any accumulation.
+/// in `$p`). One `vfmadd231ps` per row and depth into eight accumulators —
+/// eight independent FMA chains, enough to cover the instruction's latency
+/// on both FMA ports. Each element sees the same k-ascending sequence of
+/// singly rounded multiply-adds as [`tile_scalar`]'s `mul_add`, so the bits
+/// match exactly. The 4× unroll only trims loop control; it does not
+/// reorder any accumulation.
 #[cfg(target_arch = "x86_64")]
 macro_rules! avx2_tile {
     ($kc:expr, $ap:expr, $acc:expr, |$p:ident| $row:expr) => {{
         use std::arch::x86_64::*;
         let (kc, a, acc): (usize, *const f32, &mut [[f32; NR]; MR]) = ($kc, $ap.as_ptr(), $acc);
-        let mut r0 = _mm256_loadu_ps(acc[0].as_ptr());
-        let mut r1 = _mm256_loadu_ps(acc[1].as_ptr());
-        let mut r2 = _mm256_loadu_ps(acc[2].as_ptr());
-        let mut r3 = _mm256_loadu_ps(acc[3].as_ptr());
+        let mut r = [_mm256_setzero_ps(); MR];
+        for (ri, row) in r.iter_mut().zip(acc.iter()) {
+            *ri = _mm256_loadu_ps(row.as_ptr());
+        }
+        let [mut r0, mut r1, mut r2, mut r3, mut r4, mut r5, mut r6, mut r7] = r;
         let mut $p = 0usize;
         macro_rules! kstep {
             () => {{
                 let bv = _mm256_loadu_ps($row);
                 let ac = a.add($p * MR);
-                r0 = _mm256_add_ps(r0, _mm256_mul_ps(_mm256_set1_ps(*ac), bv));
-                r1 = _mm256_add_ps(r1, _mm256_mul_ps(_mm256_set1_ps(*ac.add(1)), bv));
-                r2 = _mm256_add_ps(r2, _mm256_mul_ps(_mm256_set1_ps(*ac.add(2)), bv));
-                r3 = _mm256_add_ps(r3, _mm256_mul_ps(_mm256_set1_ps(*ac.add(3)), bv));
+                r0 = _mm256_fmadd_ps(_mm256_set1_ps(*ac), bv, r0);
+                r1 = _mm256_fmadd_ps(_mm256_set1_ps(*ac.add(1)), bv, r1);
+                r2 = _mm256_fmadd_ps(_mm256_set1_ps(*ac.add(2)), bv, r2);
+                r3 = _mm256_fmadd_ps(_mm256_set1_ps(*ac.add(3)), bv, r3);
+                r4 = _mm256_fmadd_ps(_mm256_set1_ps(*ac.add(4)), bv, r4);
+                r5 = _mm256_fmadd_ps(_mm256_set1_ps(*ac.add(5)), bv, r5);
+                r6 = _mm256_fmadd_ps(_mm256_set1_ps(*ac.add(6)), bv, r6);
+                r7 = _mm256_fmadd_ps(_mm256_set1_ps(*ac.add(7)), bv, r7);
                 $p += 1;
             }};
         }
@@ -197,22 +210,21 @@ macro_rules! avx2_tile {
         while $p < kc {
             kstep!();
         }
-        _mm256_storeu_ps(acc[0].as_mut_ptr(), r0);
-        _mm256_storeu_ps(acc[1].as_mut_ptr(), r1);
-        _mm256_storeu_ps(acc[2].as_mut_ptr(), r2);
-        _mm256_storeu_ps(acc[3].as_mut_ptr(), r3);
+        for (row, ri) in acc.iter_mut().zip([r0, r1, r2, r3, r4, r5, r6, r7]) {
+            _mm256_storeu_ps(row.as_mut_ptr(), ri);
+        }
     }};
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_avx2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
     let b = bp.as_ptr();
     avx2_tile!(kc, ap, acc, |p| b.add(p * NR));
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_in_place_avx2(kc: usize, ap: &[f32], src: &[f32], offs: &[usize], acc: &mut [[f32; NR]; MR]) {
     let (b, o) = (src.as_ptr(), offs.as_ptr());
     avx2_tile!(kc, ap, acc, |p| b.add(*o.add(p)));
@@ -229,7 +241,7 @@ macro_rules! elementwise2 {
         pub fn $name(dst: &mut [f32], a: &[f32], b: &[f32]) {
             debug_assert!(dst.len() == a.len() && dst.len() == b.len());
             #[cfg(target_arch = "x86_64")]
-            if active_level() == SimdLevel::Avx2 {
+            if active_level() == SimdLevel::Avx2Fma {
                 unsafe { $avx_name(dst, a, b) };
                 return;
             }
@@ -281,7 +293,7 @@ elementwise2!(
 #[inline]
 pub fn vadd_scalar_(x: &mut [f32], b: f32) {
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vadd_scalar_avx2(x, b) };
         return;
     }
@@ -317,7 +329,7 @@ pub fn vpack_rows(kc: usize, src: &[f32], ld: usize, dst: &mut [f32]) {
     debug_assert!(dst.len() >= kc * NR);
     debug_assert!(kc == 0 || src.len() >= (kc - 1) * ld + NR);
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vpack_rows_avx2(kc, src, ld, dst) };
         return;
     }
@@ -356,7 +368,7 @@ pub unsafe fn tile_accumulate(
     ldc: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if nr_eff == NR && active_level() == SimdLevel::Avx2 {
+    if nr_eff == NR && active_level() == SimdLevel::Avx2Fma {
         unsafe { tile_accumulate_avx2(acc, mr_eff, c, ldc) };
         return;
     }
@@ -384,7 +396,7 @@ unsafe fn tile_accumulate_avx2(acc: &[[f32; NR]; MR], mr_eff: usize, c: *mut f32
 pub fn vadd_(dst: &mut [f32], a: &[f32]) {
     debug_assert_eq!(dst.len(), a.len());
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vadd_assign_avx2(dst, a) };
         return;
     }
@@ -417,7 +429,7 @@ unsafe fn vadd_assign_avx2(dst: &mut [f32], a: &[f32]) {
 pub fn vrelu(dst: &mut [f32], a: &[f32]) {
     debug_assert_eq!(dst.len(), a.len());
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vrelu_avx2(dst, a) };
         return;
     }
@@ -450,7 +462,7 @@ unsafe fn vrelu_avx2(dst: &mut [f32], a: &[f32]) {
 pub fn vrelu_mask(dst: &mut [f32], m: &[f32], g: &[f32]) {
     debug_assert!(dst.len() == m.len() && dst.len() == g.len());
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vrelu_mask_avx2(dst, m, g) };
         return;
     }
@@ -486,7 +498,7 @@ unsafe fn vrelu_mask_avx2(dst: &mut [f32], m: &[f32], g: &[f32]) {
 pub fn vmax_(mx: &mut [f32], row: &[f32]) {
     debug_assert_eq!(mx.len(), row.len());
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vmax_avx2(mx, row) };
         return;
     }
@@ -527,7 +539,7 @@ unsafe fn vmax_avx2(mx: &mut [f32], row: &[f32]) {
 pub fn vbn_apply(x: &[f32], mu: f32, is: f32, g: f32, b: f32, xh: &mut [f32], y: &mut [f32]) {
     debug_assert!(x.len() == xh.len() && x.len() == y.len());
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vbn_apply_avx2(x, mu, is, g, b, xh, y) };
         return;
     }
@@ -569,7 +581,7 @@ unsafe fn vbn_apply_avx2(x: &[f32], mu: f32, is: f32, g: f32, b: f32, xh: &mut [
 pub fn vbn_backward(go: &[f32], xh: &[f32], k: f32, sg: f32, sgx: f32, m: f32, gx: &mut [f32]) {
     debug_assert!(go.len() == xh.len() && go.len() == gx.len());
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vbn_backward_avx2(go, xh, k, sg, sgx, m, gx) };
         return;
     }
@@ -615,7 +627,7 @@ unsafe fn vbn_backward_avx2(go: &[f32], xh: &[f32], k: f32, sg: f32, sgx: f32, m
 #[inline]
 pub fn sum_f64(x: &[f32]) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         return unsafe { sum_f64_avx2(x) };
     }
     let mut lanes = [0.0f64; 4];
@@ -660,7 +672,7 @@ unsafe fn sum_f64_avx2(x: &[f32]) -> f64 {
 #[inline]
 pub fn sum_sqdiff_f64(x: &[f32], mu: f32) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         return unsafe { sum_sqdiff_f64_avx2(x, mu) };
     }
     let mut lanes = [0.0f64; 4];
@@ -712,7 +724,7 @@ unsafe fn sum_sqdiff_f64_avx2(x: &[f32], mu: f32) -> f64 {
 pub fn sum2_f64(g: &[f32], xh: &[f32]) -> (f64, f64) {
     debug_assert_eq!(g.len(), xh.len());
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         return unsafe { sum2_f64_avx2(g, xh) };
     }
     let mut la = [0.0f64; 4];
@@ -773,7 +785,7 @@ unsafe fn sum2_f64_avx2(g: &[f32], xh: &[f32]) -> (f64, f64) {
 #[inline]
 pub fn sum_sq_f64(x: &[f32]) -> f64 {
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         return unsafe { sum_sq_f64_avx2(x) };
     }
     let mut lanes = [0.0f64; 4];
@@ -822,7 +834,7 @@ unsafe fn sum_sq_f64_avx2(x: &[f32]) -> f64 {
 #[inline]
 pub fn sum_f32(x: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         return unsafe { sum_f32_avx2(x) };
     }
     let mut lanes = [0.0f32; 8];
@@ -899,7 +911,7 @@ pub fn vsgd_update(w: &mut [f32], v: &mut [f32], g: &[f32], k: SgdCoeffs) {
     // mis-sized optimizer state buffer must not become UB.
     assert!(w.len() == v.len() && w.len() == g.len());
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vsgd_update_avx2(w, v, g, k) };
         return;
     }
@@ -996,7 +1008,7 @@ pub fn vadam_update(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], k: A
     // Hard check, as in `vsgd_update`: unchecked lanes below.
     assert!(w.len() == m.len() && w.len() == v.len() && w.len() == g.len());
     #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2 {
+    if active_level() == SimdLevel::Avx2Fma {
         unsafe { vadam_update_avx2(w, m, v, g, k) };
         return;
     }
@@ -1265,6 +1277,6 @@ mod tests {
     #[test]
     fn env_gate_reports_level() {
         // Whatever the gate state, the label is one of the known levels.
-        assert!(["avx2", "scalar"].contains(&active_level().label()));
+        assert!(["avx2+fma", "scalar"].contains(&active_level().label()));
     }
 }

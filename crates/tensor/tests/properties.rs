@@ -36,33 +36,27 @@ fn small_f32() -> impl Strategy<Value = f32> {
     ]
 }
 
-/// Depth panel of the blocked GEMM (`crates/tensor/src/ops/gemm.rs`), and
-/// the `m·n·k` volume from which `ops::gemm` takes that path instead of
-/// the plain small-shape loops.
+/// Depth panel of the blocked GEMM (`crates/tensor/src/ops/gemm.rs`), the
+/// one path every shape takes.
 const KC: usize = 256;
-const BLOCKED_MIN_VOLUME: usize = 64 * 64 * 64;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The blocked GEMM produces the same bits with and without SIMD for
-    /// random shapes on its path: every `MR`/`NR`/`KC` remainder, row and
-    /// column counts across the `MC` (128) and `NC` (512) tiles, and
-    /// depths of one or two `KC` panels.
+    /// random shapes: every `MR`/`NR`/`KC` remainder, row and column counts
+    /// across the `MC` (128) and `NC` (512) tiles, and depths of one or two
+    /// `KC` panels.
     #[test]
     fn gemm_blocked_random_shapes_bit_identical_across_simd(
         n_tiles in 8usize..66, n_rem in 0usize..NR,
         k_panels in 0usize..2, k_rem in 1usize..KC,
-        m_tiles in 1usize..36, m_rem in 0usize..MR,
+        m_tiles in 1usize..18, m_rem in 0usize..MR,
         seed in 0u64..200,
     ) {
         let n = n_tiles * NR + n_rem;
         let k = k_panels * KC + k_rem;
-        // The fewest whole register rows that lift the volume onto the
-        // blocked path; a shallow `k` buys a taller `m`.
-        let m_min_tiles = BLOCKED_MIN_VOLUME.div_ceil(n * k).div_ceil(MR);
-        let m = m_tiles.max(m_min_tiles) * MR + m_rem;
-        prop_assert!(m * n * k >= BLOCKED_MIN_VOLUME, "m={} n={} k={} is below the blocked path", m, n, k);
+        let m = m_tiles * MR + m_rem;
         let mut rng = exaclim_tensor::init::seeded_rng(seed);
         let a = exaclim_tensor::init::randn([m * k], DType::F32, 1.0, &mut rng);
         let b = exaclim_tensor::init::randn([k * n], DType::F32, 1.0, &mut rng);
@@ -371,6 +365,108 @@ fn gemm_blocked_bit_identical_across_simd() {
             c.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         });
         assert_eq!(s, v, "blocked GEMM bits diverge at m={m} n={n} k={k}");
+    }
+}
+
+/// The blocked GEMM's arithmetic, spelled out as plain loops: per `KC`
+/// depth panel, each element of `C` accumulates `acc = a·b + acc` from zero
+/// in ascending depth, rounded once per step (`mul_add`), then `c += acc`.
+/// `a(i, p)` and `b(p, j)` read the logical `m×k` and `k×n` operands.
+fn fma_reference(
+    (m, n, k): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+) -> Vec<u32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for pc in (0..k).step_by(KC) {
+                let acc = (pc..k.min(pc + KC)).fold(0.0f32, |acc, p| a(i, p).mul_add(b(p, j), acc));
+                c[i * n + j] += acc;
+            }
+        }
+    }
+    c.iter().map(|v| v.to_bits()).collect()
+}
+
+/// FMA is the GEMM arithmetic: on both SIMD levels, `ops::gemm` (`A`
+/// row-major), `gemm_at_b` (`A` stored transposed), `gemm_a_bt` and the
+/// implicit-GEMM convolution equal [`fma_reference`] bit for bit. Shapes
+/// have `m` and `n` off the 8×8 register tile and `k` across `KC`; the
+/// stride-1 padded convolution takes the in-place `B` route and is checked
+/// against the reference on a materialized im2col matrix. One crafted case
+/// separates fused from unfused rounding outright: with `x = 1 + 2⁻¹²`,
+/// `x·x = 1 + 2⁻¹¹ + 2⁻²⁴` exactly, so `x·x − (1 + 2⁻¹¹)` is `2⁻²⁴`
+/// fused and `0` when the product is rounded first. A kernel with separate
+/// multiply and add fails every part of this test.
+#[test]
+fn gemm_is_fma_per_kc_panel_bit_for_bit() {
+    use exaclim_tensor::ops::gemm::{gemm_a_bt, gemm_at_b};
+    fn check(what: &str, got: Vec<f32>, want: &[u32]) {
+        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        let differ = got.iter().zip(want).filter(|(g, w)| g != w).count();
+        let total = want.len();
+        assert!(got.len() == total && differ == 0, "{what}: {differ} of {total} elements differ from the FMA reference");
+    }
+    type Entry = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+    /// Runs `entry` with operands stored as it expects them.
+    fn run(entry: Entry, (m, n, k): (usize, usize, usize), a: &[f32], b: &[f32], a_t: bool, b_t: bool) -> Vec<f32> {
+        // Stores the row-major `rows×cols` matrix `x` as `cols×rows`.
+        let transpose =
+            |x: &[f32], rows: usize, cols: usize| (0..rows * cols).map(|e| x[(e % rows) * cols + e / rows]).collect::<Vec<_>>();
+        let a = if a_t { transpose(a, m, k) } else { a.to_vec() };
+        let b = if b_t { transpose(b, k, n) } else { b.to_vec() };
+        let mut c = vec![0.0f32; m * n];
+        entry(m, n, k, &a, &b, &mut c);
+        c
+    }
+    let entries: [(&str, Entry, bool, bool); 3] = [
+        ("gemm", ops::gemm, false, false),
+        ("gemm_at_b", gemm_at_b, true, false),
+        ("gemm_a_bt", gemm_a_bt, false, true),
+    ];
+
+    let x = 1.0 + 2f32.powi(-12);
+    let crafted = (vec![1.0, x], vec![-(1.0 + 2f32.powi(-11)), x]);
+    assert_eq!(fma_reference((1, 1, 2), |_, p| crafted.0[p], |p, _| crafted.1[p]), [2f32.powi(-24).to_bits()]);
+
+    let (c, kout, h, wd, p) = (30, 12, 9, 19, Conv2dParams::padded(1));
+    let mut rng = exaclim_tensor::init::seeded_rng(23);
+    let xs = exaclim_tensor::init::randn([2, c, h, wd], DType::F32, 1.0, &mut rng);
+    let w = exaclim_tensor::init::randn([kout, c, 3, 3], DType::F32, 0.5, &mut rng);
+    // im2col of each image: row `(ci, ri, si)`, column `(hoi, woi)`.
+    let (crs, npix) = (c * 9, h * wd);
+    let conv_want: Vec<u32> = (0..2)
+        .flat_map(|ni| {
+            let col = |row: usize, pix: usize| {
+                let (ci, ri, si) = (row / 9, row / 3 % 3, row % 3);
+                let (hi, wi) = ((pix / wd + ri) as isize - 1, (pix % wd + si) as isize - 1);
+                let inside = (0..h as isize).contains(&hi) && (0..wd as isize).contains(&wi);
+                if inside { xs.as_slice()[((ni * c + ci) * h + hi as usize) * wd + wi as usize] } else { 0.0 }
+            };
+            fma_reference((kout, npix, crs), |i, q| w.as_slice()[i * crs + q], col)
+        })
+        .collect();
+
+    for simd in [false, true] {
+        let _g = SIMD_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = exaclim_tensor::simd_enabled();
+        exaclim_tensor::set_simd_enabled(simd);
+        for (name, entry, a_t, b_t) in entries {
+            let got = run(entry, (1, 1, 2), &crafted.0, &crafted.1, a_t, b_t);
+            assert_eq!(got, [2f32.powi(-24)], "{name} crafted case simd={simd}: the products were rounded before the add");
+            for (m, n, k, seed) in [(13, 21, 300, 1u64), (67, 130, 513, 2), (9, 517, 40, 3)] {
+                let mut rng = exaclim_tensor::init::seeded_rng(seed);
+                let a = exaclim_tensor::init::randn([m * k], DType::F32, 1.0, &mut rng);
+                let b = exaclim_tensor::init::randn([k * n], DType::F32, 1.0, &mut rng);
+                let (a, b) = (a.as_slice(), b.as_slice());
+                let want = fma_reference((m, n, k), |i, q| a[i * k + q], |q, j| b[q * n + j]);
+                check(&format!("{name} {m}x{n}x{k} simd={simd}"), run(entry, (m, n, k), a, b, a_t, b_t), &want);
+            }
+        }
+        let y = ops::conv2d_forward(&xs, &w, p, ConvAlgo::Auto);
+        check(&format!("stride-1 conv {c}→{kout} on {h}x{wd} simd={simd}"), y.as_slice().to_vec(), &conv_want);
+        exaclim_tensor::set_simd_enabled(prev);
     }
 }
 
