@@ -1,12 +1,12 @@
 //! End-to-end thread-count invariance at the layer level: a small
 //! conv/batch-norm/ReLU stack must produce bit-identical activations and
-//! parameter gradients whether the kernel pool runs 1 thread or 4.
+//! parameter gradients whether the kernel pool runs 1, 3 or 4 threads.
 
 use exaclim_nn::layers::{BatchNorm2d, Conv2d, ReLU};
 use exaclim_nn::{Ctx, Layer, Sequential};
 use exaclim_tensor::init::{randn, seeded_rng};
 use exaclim_tensor::ops::Conv2dParams;
-use exaclim_tensor::{set_kernel_threads, DType, Tensor};
+use exaclim_tensor::{kernel_threads, set_kernel_threads, DType, Tensor};
 use std::sync::Mutex;
 
 static WIDTH_GUARD: Mutex<()> = Mutex::new(());
@@ -39,17 +39,21 @@ fn run_once() -> (Tensor, Tensor, Vec<(String, Vec<f32>)>) {
 #[test]
 fn layer_stack_bit_identical_across_widths() {
     let _g = WIDTH_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    set_kernel_threads(1);
-    let (y1, gx1, grads1) = run_once();
-    set_kernel_threads(4);
-    let (y4, gx4, grads4) = run_once();
-    set_kernel_threads(1);
+    let ambient = kernel_threads();
+    let runs = [1, 3, 4].map(|w| {
+        set_kernel_threads(w);
+        (w, run_once())
+    });
+    set_kernel_threads(ambient);
 
-    assert_eq!(y1.as_slice(), y4.as_slice(), "activations differ across widths");
-    assert_eq!(gx1.as_slice(), gx4.as_slice(), "input grads differ across widths");
-    assert_eq!(grads1.len(), grads4.len());
-    for ((n1, g1), (n4, g4)) in grads1.iter().zip(grads4.iter()) {
-        assert_eq!(n1, n4);
-        assert_eq!(g1, g4, "parameter grad {n1} differs across widths");
+    let (y1, gx1, grads1) = &runs[0].1;
+    for (w, (y, gx, grads)) in &runs[1..] {
+        assert_eq!(y1.as_slice(), y.as_slice(), "activations differ at {w} threads");
+        assert_eq!(gx1.as_slice(), gx.as_slice(), "input grads differ at {w} threads");
+        assert_eq!(grads1.len(), grads.len());
+        for ((n1, g1), (n, g)) in grads1.iter().zip(grads.iter()) {
+            assert_eq!(n1, n);
+            assert_eq!(g1, g, "parameter grad {n1} differs at {w} threads");
+        }
     }
 }

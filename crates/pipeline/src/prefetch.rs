@@ -60,7 +60,7 @@ impl ReaderAutoscaler {
     pub const WINDOW: usize = 16;
 
     /// The reader cap sized to the host: the kernel pool's width
-    /// (`EXACLIM_NUM_THREADS` → `available_parallelism`), at least 1.
+    /// (`available_parallelism` unless a test narrowed it), at least 1.
     pub fn auto_workers() -> usize {
         rayon::current_num_threads().max(1)
     }

@@ -42,9 +42,9 @@ pub use crate::tensor::{DType, Tensor};
 /// Sets the kernel thread-pool width for subsequent ops (clamped to a
 /// sane range by the pool). Results are bit-identical at any width — the
 /// parallel partitioning is shape-dependent only — so this trades wall
-/// time, never numerics. Prefer the `EXACLIM_NUM_THREADS` environment
-/// variable for whole-process configuration; this call is for tests and
-/// benchmarks that compare widths in one process.
+/// time, never numerics. The default width is the number of CPUs the
+/// process may run on (`taskset` and cgroup quotas narrow it); this call
+/// is for tests that compare widths in one process.
 pub fn set_kernel_threads(n: usize) {
     rayon::set_num_threads(n);
 }

@@ -538,7 +538,7 @@ pub(crate) fn im2col_gemm(
     let pad = p.pad;
     let stage = p.stride == 1 && pad > 0;
     let (hs, ws) = (h + 2 * pad, wd + 2 * pad);
-    let mut staged = if stage { pool::take_scratch(c * hs * ws) } else { Vec::new() };
+    let mut staged = if stage { pool::take_zeroed(c * hs * ws) } else { Vec::new() };
     // Images run serially; all parallelism is the GEMM's output-tile grid,
     // which partitions the (M × npix) output — not the pack — so wide
     // images scale with threads and small shapes stay on one thread.
@@ -634,7 +634,7 @@ pub(crate) fn transposed_gemm_col2im(
     p: Conv2dParams,
 ) {
     let crs = c * r * s;
-    let mut col = pool::take_scratch(crs * COL_STRIP.min(npix.max(1)));
+    let mut col = pool::take_zeroed(crs * COL_STRIP.min(npix.max(1)));
     for ni in 0..n {
         let dst_n = &mut dst[ni * c * h * wd..(ni + 1) * c * h * wd];
         for p0 in (0..npix).step_by(COL_STRIP) {
@@ -660,7 +660,7 @@ pub(crate) fn transposed_gemm_col2im(
 /// caller recycles. Flipping both tap axes reverses the `R·S` taps of each
 /// `(k, c)` filter, so each filter is one reversed copy.
 fn flipped_kernel(ws: &[f32], (k, c, rs): (usize, usize, usize)) -> Vec<f32> {
-    let mut flipped = pool::take_scratch(k * c * rs);
+    let mut flipped = pool::take_zeroed(k * c * rs);
     for (ki, filters) in ws.chunks_exact(c * rs).enumerate() {
         for (ci, taps) in filters.chunks_exact(rs).enumerate() {
             let dst = &mut flipped[(ci * k + ki) * rs..(ci * k + ki + 1) * rs];
@@ -780,7 +780,7 @@ fn conv2d_weight_grad_gemm(x: &Tensor, grad_out: &Tensor, kshape: (usize, usize,
     let mut gw = pool::take_zeroed(k * crs);
     let xs = x.as_slice();
     let gos = grad_out.as_slice();
-    let mut col = pool::take_scratch(crs * ho * wo);
+    let mut col = pool::take_zeroed(crs * ho * wo);
     for ni in 0..n {
         im2col(xs, ni, c, h, wd, r, s, ho, wo, p, &mut col);
         // gw[k, crs] += gout_n[k, howo] · col[crs, howo]ᵀ

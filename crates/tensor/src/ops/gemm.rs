@@ -23,8 +23,8 @@
 //! dispatched across the kernel thread pool once the problem is large
 //! enough to amortize it. Every tile owns a disjoint region of `C` and
 //! accumulates its `k`-panels in a fixed order that does not depend on the
-//! thread count, so results are **bit-identical** for any
-//! `EXACLIM_NUM_THREADS` (and for any `EXACLIM_SIMD` setting).
+//! thread count, so results are **bit-identical** at any pool width (and
+//! on either SIMD level).
 //!
 //! Half precision (the paper's tensor-core recipe, §IV) needs nothing
 //! here: an `F16` tensor holds binary16 values in `f32` storage, and the
@@ -342,7 +342,7 @@ fn gemm_blocked(
     // One packed-A buffer for the whole kc-panel, shared read-only by all
     // tiles. Packed serially: the pack is a tiny fraction of the FLOPs and
     // pool dispatch here costs more than it buys.
-    let mut ap = crate::pool::take_scratch(m_panels * MR * KC);
+    let mut ap = crate::pool::take_zeroed(m_panels * MR * KC);
     // Depth-row offsets of the B panels read in place, per kc-panel.
     let mut offs = [0usize; KC];
 
@@ -371,7 +371,7 @@ fn gemm_blocked(
                 *rows = in_place.and_then(|src| bsrc.in_place_panel(j0 + panel * NR).map(|at| &src[at..]));
             }
             let packed = rows_in_place[..nr_panels].iter().filter(|r| r.is_none()).count();
-            let mut bp = crate::pool::take_scratch(packed * NR * kc);
+            let mut bp = crate::pool::take_zeroed(packed * NR * kc);
             let to_pack = rows_in_place[..nr_panels].iter().enumerate().filter(|(_, r)| r.is_none());
             for ((panel, _), buf) in to_pack.zip(bp.chunks_exact_mut(NR * kc)) {
                 bsrc.pack_panel(j0 + panel * NR, pc, kc, buf);
@@ -452,13 +452,14 @@ mod tests {
         let (m, n, k) = (131, 73, 301);
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 13 % 17) as f32 - 8.0) * 0.25).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 7 % 11) as f32 - 5.0) * 0.5).collect();
+        let was = crate::simd::simd_enabled();
         crate::simd::set_simd_enabled(true);
         let mut c_fast = vec![0.0; m * n];
         gemm_noprofile(m, n, k, &a, &b, &mut c_fast);
         crate::simd::set_simd_enabled(false);
         let mut c_slow = vec![0.0; m * n];
         gemm_noprofile(m, n, k, &a, &b, &mut c_slow);
-        crate::simd::set_simd_enabled(true);
+        crate::simd::set_simd_enabled(was);
         assert_eq!(
             c_fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             c_slow.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

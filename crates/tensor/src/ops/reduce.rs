@@ -28,9 +28,9 @@ pub fn softmax_channels(x: &Tensor) -> Tensor {
         let ys = y.as_mut_slice();
         let hw = h * w;
         let bw_max = SM_BLOCK.min(hw.max(1));
-        let mut mx = pool::take_scratch(bw_max);
-        let mut z = pool::take_scratch(bw_max);
-        let mut e = pool::take_scratch(bw_max);
+        let mut mx = pool::take_zeroed(bw_max);
+        let mut z = pool::take_zeroed(bw_max);
+        let mut e = pool::take_zeroed(bw_max);
         for ni in 0..n {
             let mut p0 = 0;
             while p0 < hw {
@@ -84,9 +84,9 @@ pub fn log_softmax_channels(x: &Tensor) -> Tensor {
         let ys = y.as_mut_slice();
         let hw = h * w;
         let bw_max = SM_BLOCK.min(hw.max(1));
-        let mut mx = pool::take_scratch(bw_max);
-        let mut z = pool::take_scratch(bw_max);
-        let mut e = pool::take_scratch(bw_max);
+        let mut mx = pool::take_zeroed(bw_max);
+        let mut z = pool::take_zeroed(bw_max);
+        let mut e = pool::take_zeroed(bw_max);
         for ni in 0..n {
             let mut p0 = 0;
             while p0 < hw {

@@ -1,12 +1,19 @@
-//! Buffer-recycling tensor memory pool.
+//! Buffer-recycling memory pool.
 //!
 //! §VII-A of the paper names "improve the memory management" as half of
 //! its single-node optimization path (the other half is pointwise fusion,
 //! which this crate does not represent). This module supplies that half for
-//! the CPU backend: a process-wide, thread-safe pool of `Vec<f32>` buffers
-//! organized into power-of-two size classes. Dropped tensors return their
-//! storage here instead of to the system allocator, so a steady-state
-//! training step performs almost no heap allocation.
+//! the CPU backend: a process-wide, thread-safe pool of buffers organized
+//! into power-of-two size classes. Dropped tensors return their storage
+//! here instead of to the system allocator, so a steady-state training step
+//! performs almost no heap allocation.
+//!
+//! One implementation, [`SizeClassPool`], serves two element types, each
+//! from its own pool: `f32` (tensor storage, kernel scratch, optimizer
+//! state) and `u8` (the streaming ingest's label masks and raw chunk
+//! bytes). Byte buffers never alias tensor storage, and each pool keeps
+//! its own counters, so the pipeline's allocation tests can assert zero
+//! steady-state fresh allocations on both.
 //!
 //! Design rules (see DESIGN.md "Memory management"):
 //!
@@ -17,7 +24,7 @@
 //! * **No unsafe** — recycled buffers are `clear()`ed and `resize()`d;
 //!   lengths never point at uninitialized memory.
 //! * **Bounded retention** — each size class keeps at most
-//!   [`MAX_PER_CLASS`] buffers; excess recycles fall through to the system
+//!   `MAX_PER_CLASS` (32) buffers; excess recycles fall through to the system
 //!   allocator's `free`.
 //!
 //! The pool is always on in production; tests switch it off and on in one
@@ -28,7 +35,6 @@
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Maximum buffers retained per size class; beyond this, recycled buffers
 /// are freed. 32 buffers × the largest live class bounds idle footprint
@@ -36,30 +42,47 @@ use std::sync::OnceLock;
 const MAX_PER_CLASS: usize = 32;
 
 /// One free list per power-of-two capacity class (`usize` has at most 64
-/// bit positions; f32 counts above 2^48 are unreachable in practice).
+/// bit positions; element counts above 2^48 are unreachable in practice).
 const NUM_CLASSES: usize = 48;
 
-struct FreeLists {
-    classes: Vec<Mutex<Vec<Vec<f32>>>>,
+/// A size-class pool of `Vec<T>` buffers: one free list per power-of-two
+/// capacity class, and the pool's counters.
+pub struct SizeClassPool<T> {
+    classes: [Mutex<Vec<Vec<T>>>; NUM_CLASSES],
+    served: AtomicU64,
+    fresh: AtomicU64,
+    bytes_reused: AtomicU64,
+    bytes_fresh: AtomicU64,
+    recycled: AtomicU64,
+    dropped: AtomicU64,
+    outstanding_bytes: AtomicU64,
+    high_water_bytes: AtomicU64,
 }
 
-fn free_lists() -> &'static FreeLists {
-    static LISTS: OnceLock<FreeLists> = OnceLock::new();
-    LISTS.get_or_init(|| FreeLists {
-        classes: (0..NUM_CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-    })
+static F32_POOL: SizeClassPool<f32> = SizeClassPool::new();
+static U8_POOL: SizeClassPool<u8> = SizeClassPool::new();
+
+/// An element type with a process-wide size-class pool of its own.
+pub trait Element: Copy + 'static {
+    /// The pool buffers of this type are drawn from and retire to.
+    fn pool() -> &'static SizeClassPool<Self>;
+}
+
+impl Element for f32 {
+    #[inline]
+    fn pool() -> &'static SizeClassPool<f32> {
+        &F32_POOL
+    }
+}
+
+impl Element for u8 {
+    #[inline]
+    fn pool() -> &'static SizeClassPool<u8> {
+        &U8_POOL
+    }
 }
 
 // --- telemetry --------------------------------------------------------------
-
-static POOL_SERVED: AtomicU64 = AtomicU64::new(0);
-static FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES_REUSED: AtomicU64 = AtomicU64::new(0);
-static BYTES_FRESH: AtomicU64 = AtomicU64::new(0);
-static RECYCLED: AtomicU64 = AtomicU64::new(0);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-static OUTSTANDING_BYTES: AtomicU64 = AtomicU64::new(0);
-static HIGH_WATER_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Pool telemetry counters (monotonic since process start, except
 /// `outstanding_bytes` which tracks the current balance).
@@ -100,18 +123,15 @@ impl PoolStats {
     }
 }
 
-/// Snapshot of the pool counters.
+/// Snapshot of the `f32` pool's counters.
 pub fn stats() -> PoolStats {
-    PoolStats {
-        pool_served: POOL_SERVED.load(Ordering::Relaxed),
-        fresh_allocs: FRESH_ALLOCS.load(Ordering::Relaxed),
-        bytes_reused: BYTES_REUSED.load(Ordering::Relaxed),
-        bytes_fresh: BYTES_FRESH.load(Ordering::Relaxed),
-        recycled: RECYCLED.load(Ordering::Relaxed),
-        dropped: DROPPED.load(Ordering::Relaxed),
-        outstanding_bytes: OUTSTANDING_BYTES.load(Ordering::Relaxed),
-        high_water_bytes: HIGH_WATER_BYTES.load(Ordering::Relaxed),
-    }
+    F32_POOL.stats()
+}
+
+/// Snapshot of the `u8` pool's counters: the ingest side of the
+/// allocation story.
+pub fn byte_stats() -> PoolStats {
+    U8_POOL.stats()
 }
 
 // --- enable gate ------------------------------------------------------------
@@ -136,15 +156,10 @@ pub fn set_enabled(on: bool) {
     }
 }
 
-/// Frees every retained buffer, f32 and byte lists alike (the counters
-/// are preserved).
+/// Frees every retained buffer of both pools (the counters are preserved).
 pub fn trim() {
-    for class in &free_lists().classes {
-        class.lock().clear();
-    }
-    for class in &byte_free_lists().classes {
-        class.lock().clear();
-    }
+    F32_POOL.trim();
+    U8_POOL.trim();
 }
 
 // --- size classes -----------------------------------------------------------
@@ -167,36 +182,122 @@ fn class_for_buffer(cap: usize) -> usize {
     (usize::BITS - 1 - cap.leading_zeros()) as usize
 }
 
-fn note_taken(n: usize) {
-    let bytes = (n * 4) as u64;
-    let out = OUTSTANDING_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    HIGH_WATER_BYTES.fetch_max(out, Ordering::Relaxed);
-}
-
-/// Fresh empty buffer whose capacity is rounded up to the request
-/// class's power of two, so that when it is later recycled it files into
-/// exactly the class requests of this size draw from. Without the
-/// round-up, a 1700-element fresh buffer (capacity 1700, class 10) could
-/// never serve another 1700-element request (class 11) and the pool would
-/// miss on that shape forever.
-fn fresh_with_class_capacity(n: usize) -> Vec<f32> {
-    let class = class_for_request(n);
-    let cap = if class < usize::BITS as usize { (1usize << class).max(n) } else { n };
-    Vec::with_capacity(cap)
-}
-
-fn pop(n: usize) -> Option<Vec<f32>> {
-    if n == 0 || !enabled() {
-        return None;
+impl<T: Copy> SizeClassPool<T> {
+    const fn new() -> SizeClassPool<T> {
+        SizeClassPool {
+            classes: [const { Mutex::new(Vec::new()) }; NUM_CLASSES],
+            served: AtomicU64::new(0),
+            fresh: AtomicU64::new(0),
+            bytes_reused: AtomicU64::new(0),
+            bytes_fresh: AtomicU64::new(0),
+            recycled: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            outstanding_bytes: AtomicU64::new(0),
+            high_water_bytes: AtomicU64::new(0),
+        }
     }
-    let class = class_for_request(n);
-    if class >= NUM_CLASSES {
-        return None;
+
+    fn stats(&self) -> PoolStats {
+        PoolStats {
+            pool_served: self.served.load(Ordering::Relaxed),
+            fresh_allocs: self.fresh.load(Ordering::Relaxed),
+            bytes_reused: self.bytes_reused.load(Ordering::Relaxed),
+            bytes_fresh: self.bytes_fresh.load(Ordering::Relaxed),
+            recycled: self.recycled.load(Ordering::Relaxed),
+            dropped: self.dropped.load(Ordering::Relaxed),
+            outstanding_bytes: self.outstanding_bytes.load(Ordering::Relaxed),
+            high_water_bytes: self.high_water_bytes.load(Ordering::Relaxed),
+        }
     }
-    free_lists().classes[class].lock().pop()
+
+    fn trim(&self) {
+        for class in &self.classes {
+            class.lock().clear();
+        }
+    }
+
+    fn pop(&self, n: usize) -> Option<Vec<T>> {
+        if !enabled() {
+            return None;
+        }
+        let class = class_for_request(n);
+        if class >= NUM_CLASSES {
+            return None;
+        }
+        self.classes[class].lock().pop()
+    }
+
+    /// An empty buffer with capacity for at least `n` elements: recycled
+    /// if possible, else fresh with its capacity rounded up to the request
+    /// class's power of two, so that when it is later recycled it files
+    /// into exactly the class requests of this size draw from. Without the
+    /// round-up, a 1700-element fresh buffer (capacity 1700, class 10)
+    /// could never serve another 1700-element request (class 11) and the
+    /// pool would miss on that shape forever.
+    fn take(&self, n: usize) -> Vec<T> {
+        if n == 0 {
+            return Vec::new();
+        }
+        let bytes = (n * size_of::<T>()) as u64;
+        let out = self.outstanding_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.high_water_bytes.fetch_max(out, Ordering::Relaxed);
+        match self.pop(n) {
+            Some(mut v) => {
+                self.served.fetch_add(1, Ordering::Relaxed);
+                self.bytes_reused.fetch_add(bytes, Ordering::Relaxed);
+                v.clear();
+                v
+            }
+            None => {
+                self.fresh.fetch_add(1, Ordering::Relaxed);
+                self.bytes_fresh.fetch_add(bytes, Ordering::Relaxed);
+                let class = class_for_request(n);
+                let cap = if class < usize::BITS as usize { (1usize << class).max(n) } else { n };
+                Vec::with_capacity(cap)
+            }
+        }
+    }
+
+    fn take_copy(&self, src: &[T]) -> Vec<T> {
+        let mut v = self.take(src.len());
+        v.extend_from_slice(src);
+        v
+    }
+
+    /// Files a buffer under its size class (or frees it if the class is
+    /// full, the buffer is trivial, or the pool is disabled).
+    fn recycle(&self, mut v: Vec<T>) {
+        let cap = v.capacity();
+        if cap == 0 {
+            return;
+        }
+        let bytes = (v.len() * size_of::<T>()) as u64;
+        let _ = self.outstanding_bytes.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            Some(cur.saturating_sub(bytes))
+        });
+        if !enabled() {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let class = class_for_buffer(cap);
+        if class >= NUM_CLASSES {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let mut list = self.classes[class].lock();
+        if list.len() >= MAX_PER_CLASS {
+            drop(list);
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        v.clear();
+        list.push(v);
+        drop(list);
+        self.recycled.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
-// --- public take/recycle API ------------------------------------------------
+// --- public take/recycle API (f32) ------------------------------------------
 
 /// A buffer of `n` zeros (recycled if possible).
 pub fn take_zeroed(n: usize) -> Vec<f32> {
@@ -205,339 +306,68 @@ pub fn take_zeroed(n: usize) -> Vec<f32> {
 
 /// A buffer of `n` copies of `fill` (recycled if possible).
 pub fn take_filled(n: usize, fill: f32) -> Vec<f32> {
-    if n == 0 {
-        return Vec::new();
-    }
-    note_taken(n);
-    match pop(n) {
-        Some(mut v) => {
-            POOL_SERVED.fetch_add(1, Ordering::Relaxed);
-            BYTES_REUSED.fetch_add((n * 4) as u64, Ordering::Relaxed);
-            v.clear();
-            v.resize(n, fill);
-            v
-        }
-        None => {
-            FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES_FRESH.fetch_add((n * 4) as u64, Ordering::Relaxed);
-            let mut v = fresh_with_class_capacity(n);
-            v.resize(n, fill);
-            v
-        }
-    }
-}
-
-/// Scratch buffer of `n` zeros for kernel-internal workspaces (im2col
-/// strips, GEMM packing panels). Identical to [`take_zeroed`]; the name
-/// documents intent at call sites that must recycle explicitly.
-pub fn take_scratch(n: usize) -> Vec<f32> {
-    take_zeroed(n)
+    let mut v = F32_POOL.take(n);
+    v.resize(n, fill);
+    v
 }
 
 /// An empty buffer with capacity for at least `n` elements, for
 /// `extend`-style fills (gradient-bucket flattening, dropout masks).
 pub fn take_with_capacity(n: usize) -> Vec<f32> {
-    if n == 0 {
-        return Vec::new();
-    }
-    note_taken(n);
-    match pop(n) {
-        Some(mut v) => {
-            POOL_SERVED.fetch_add(1, Ordering::Relaxed);
-            BYTES_REUSED.fetch_add((n * 4) as u64, Ordering::Relaxed);
-            v.clear();
-            v
-        }
-        None => {
-            FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES_FRESH.fetch_add((n * 4) as u64, Ordering::Relaxed);
-            fresh_with_class_capacity(n)
-        }
-    }
+    F32_POOL.take(n)
 }
 
 /// A buffer holding a copy of `src` (recycled if possible).
 pub fn take_copy(src: &[f32]) -> Vec<f32> {
-    let mut v = take_with_capacity(src.len());
-    v.extend_from_slice(src);
-    v
+    F32_POOL.take_copy(src)
 }
 
 /// Returns a buffer to its size-class free list (or frees it if the class
 /// is full, the buffer is trivial, or the pool is disabled).
-pub fn recycle(mut v: Vec<f32>) {
-    let cap = v.capacity();
-    if cap == 0 {
-        return;
-    }
-    let bytes = (v.len() * 4) as u64;
-    let _ = OUTSTANDING_BYTES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-        Some(cur.saturating_sub(bytes))
-    });
-    if !enabled() {
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let class = class_for_buffer(cap);
-    if class >= NUM_CLASSES {
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let mut list = free_lists().classes[class].lock();
-    if list.len() >= MAX_PER_CLASS {
-        drop(list);
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    v.clear();
-    list.push(v);
-    drop(list);
-    RECYCLED.fetch_add(1, Ordering::Relaxed);
+pub fn recycle(v: Vec<f32>) {
+    F32_POOL.recycle(v)
 }
 
-// --- byte-buffer pool (ingest labels / raw CDF5 chunks) ---------------------
+// --- pooled storage ---------------------------------------------------------
 
-/// The streaming ingest path recycles `Vec<u8>` buffers (label masks, raw
-/// CDF5 chunk bytes) through size-class free lists mirroring the `f32`
-/// pool. Separate lists — byte buffers never alias tensor storage — with
-/// their own telemetry, so the pipeline's `stream_alloc` test can assert the data
-/// plane performs zero steady-state fresh allocations on *both* element
-/// types.
-struct ByteFreeLists {
-    classes: Vec<Mutex<Vec<Vec<u8>>>>,
+/// A pooled buffer that returns itself to its element type's pool on drop.
+/// [`crate::Tensor`] holds its data as `Arc<PoolBuf>`, so tensor clones
+/// are copy-on-write buffer shares — activation caches alias live
+/// activations at zero cost — and the last owner recycles the storage;
+/// decoded samples carry their label masks as [`PooledBytes`].
+pub struct Pooled<T: Element> {
+    data: Vec<T>,
 }
 
-fn byte_free_lists() -> &'static ByteFreeLists {
-    static LISTS: OnceLock<ByteFreeLists> = OnceLock::new();
-    LISTS.get_or_init(|| ByteFreeLists {
-        classes: (0..NUM_CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-    })
-}
+/// Pooled `f32` tensor storage.
+pub type PoolBuf = Pooled<f32>;
 
-static BYTE_POOL_SERVED: AtomicU64 = AtomicU64::new(0);
-static BYTE_FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTE_RECYCLED: AtomicU64 = AtomicU64::new(0);
-static BYTE_DROPPED: AtomicU64 = AtomicU64::new(0);
+/// Pooled `u8` buffer: label masks and raw chunk bytes.
+pub type PooledBytes = Pooled<u8>;
 
-/// Telemetry for the byte-buffer pool (monotonic since process start) —
-/// the ingest side of the allocation story.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BytePoolStats {
-    /// Requests satisfied from a free list.
-    pub pool_served: u64,
-    /// Requests that went to the system allocator.
-    pub fresh_allocs: u64,
-    /// Buffers returned to a free list.
-    pub recycled: u64,
-    /// Returned buffers freed instead of retained.
-    pub dropped: u64,
-}
-
-impl BytePoolStats {
-    /// Counter delta since an earlier snapshot.
-    pub fn since(&self, earlier: &BytePoolStats) -> BytePoolStats {
-        BytePoolStats {
-            pool_served: self.pool_served.saturating_sub(earlier.pool_served),
-            fresh_allocs: self.fresh_allocs.saturating_sub(earlier.fresh_allocs),
-            recycled: self.recycled.saturating_sub(earlier.recycled),
-            dropped: self.dropped.saturating_sub(earlier.dropped),
-        }
-    }
-}
-
-/// Snapshot of the byte-pool counters.
-pub fn byte_stats() -> BytePoolStats {
-    BytePoolStats {
-        pool_served: BYTE_POOL_SERVED.load(Ordering::Relaxed),
-        fresh_allocs: BYTE_FRESH_ALLOCS.load(Ordering::Relaxed),
-        recycled: BYTE_RECYCLED.load(Ordering::Relaxed),
-        dropped: BYTE_DROPPED.load(Ordering::Relaxed),
-    }
-}
-
-fn byte_pop(n: usize) -> Option<Vec<u8>> {
-    if n == 0 || !enabled() {
-        return None;
-    }
-    let class = class_for_request(n);
-    if class >= NUM_CLASSES {
-        return None;
-    }
-    byte_free_lists().classes[class].lock().pop()
-}
-
-/// An empty byte buffer with capacity for at least `n` elements (recycled
-/// if possible), for `extend`-style fills.
-fn take_bytes_with_capacity(n: usize) -> Vec<u8> {
-    if n == 0 {
-        return Vec::new();
-    }
-    match byte_pop(n) {
-        Some(mut v) => {
-            BYTE_POOL_SERVED.fetch_add(1, Ordering::Relaxed);
-            v.clear();
-            v
-        }
-        None => {
-            BYTE_FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            let class = class_for_request(n);
-            let cap = if class < usize::BITS as usize { (1usize << class).max(n) } else { n };
-            Vec::with_capacity(cap)
-        }
-    }
-}
-
-/// A byte buffer of `n` zeros (recycled if possible, fully initialized).
-#[cfg(test)]
-fn take_bytes_zeroed(n: usize) -> Vec<u8> {
-    let mut v = take_bytes_with_capacity(n);
-    v.resize(n, 0);
-    v
-}
-
-/// A byte buffer holding a copy of `src` (recycled if possible).
-fn take_bytes_copy(src: &[u8]) -> Vec<u8> {
-    let mut v = take_bytes_with_capacity(src.len());
-    v.extend_from_slice(src);
-    v
-}
-
-/// Returns a byte buffer to its size-class free list (or frees it).
-fn recycle_bytes(mut v: Vec<u8>) {
-    let cap = v.capacity();
-    if cap == 0 {
-        return;
-    }
-    if !enabled() {
-        BYTE_DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let class = class_for_buffer(cap);
-    if class >= NUM_CLASSES {
-        BYTE_DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let mut list = byte_free_lists().classes[class].lock();
-    if list.len() >= MAX_PER_CLASS {
-        drop(list);
-        BYTE_DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    v.clear();
-    list.push(v);
-    drop(list);
-    BYTE_RECYCLED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// A pooled `u8` buffer: label masks and raw chunk bytes that return to
-/// the byte pool on drop — the `u8` counterpart of [`PoolBuf`].
-pub struct PooledBytes {
-    data: Vec<u8>,
-}
-
-impl PooledBytes {
+impl<T: Element> Pooled<T> {
     /// Adopts an existing buffer (it will be recycled on drop).
     #[inline]
-    pub fn from_vec(data: Vec<u8>) -> PooledBytes {
-        PooledBytes { data }
+    pub fn from_vec(data: Vec<T>) -> Pooled<T> {
+        Pooled { data }
     }
 
     /// A pooled copy of `src`.
     #[inline]
-    pub fn copy_of(src: &[u8]) -> PooledBytes {
-        PooledBytes { data: take_bytes_copy(src) }
+    pub fn copy_of(src: &[T]) -> Pooled<T> {
+        Pooled { data: T::pool().take_copy(src) }
     }
 
     /// Read-only view.
     #[inline]
-    pub fn as_slice(&self) -> &[u8] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if the buffer holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
-impl Drop for PooledBytes {
-    fn drop(&mut self) {
-        recycle_bytes(std::mem::take(&mut self.data));
-    }
-}
-
-impl Clone for PooledBytes {
-    fn clone(&self) -> PooledBytes {
-        PooledBytes::copy_of(&self.data)
-    }
-}
-
-impl std::ops::Deref for PooledBytes {
-    type Target = [u8];
-    #[inline]
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl PartialEq for PooledBytes {
-    fn eq(&self, other: &PooledBytes) -> bool {
-        self.data == other.data
-    }
-}
-
-impl PartialEq<[u8]> for PooledBytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.data.as_slice() == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for PooledBytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        &self.data == other
-    }
-}
-
-impl std::fmt::Debug for PooledBytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.data.fmt(f)
-    }
-}
-
-// --- pooled tensor storage --------------------------------------------------
-
-/// A pooled `f32` buffer: tensor storage that returns itself to the pool
-/// on drop. [`crate::Tensor`] holds its data as `Arc<PoolBuf>`, so tensor
-/// clones are copy-on-write buffer shares — activation caches alias live
-/// activations at zero cost — and the last owner recycles the storage.
-pub struct PoolBuf {
-    data: Vec<f32>,
-}
-
-impl PoolBuf {
-    /// Adopts an existing buffer (it will be recycled on drop).
-    #[inline]
-    pub fn from_vec(data: Vec<f32>) -> PoolBuf {
-        PoolBuf { data }
-    }
-
-    /// Read-only view.
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable view (callers reach this through `Arc::make_mut`, which
+    /// Mutable view (tensors reach this through `Arc::make_mut`, which
     /// copies first if the buffer is shared).
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 
@@ -556,39 +386,39 @@ impl PoolBuf {
     /// Consumes the wrapper, returning the raw buffer without recycling it
     /// (the subsequent `Drop` sees an empty vec and does nothing).
     #[inline]
-    pub fn take_data(mut self) -> Vec<f32> {
+    pub fn take_data(mut self) -> Vec<T> {
         std::mem::take(&mut self.data)
     }
 }
 
-impl Drop for PoolBuf {
+impl<T: Element> Drop for Pooled<T> {
     fn drop(&mut self) {
-        recycle(std::mem::take(&mut self.data));
+        T::pool().recycle(std::mem::take(&mut self.data));
     }
 }
 
-impl Clone for PoolBuf {
+impl<T: Element> Clone for Pooled<T> {
     /// Copy-on-write backing: cloning draws a pooled copy of the contents.
-    fn clone(&self) -> PoolBuf {
-        PoolBuf { data: take_copy(&self.data) }
+    fn clone(&self) -> Pooled<T> {
+        Pooled::copy_of(&self.data)
     }
 }
 
-impl std::ops::Deref for PoolBuf {
-    type Target = [f32];
+impl<T: Element> std::ops::Deref for Pooled<T> {
+    type Target = [T];
     #[inline]
-    fn deref(&self) -> &[f32] {
+    fn deref(&self) -> &[T] {
         &self.data
     }
 }
 
-impl PartialEq for PoolBuf {
-    fn eq(&self, other: &PoolBuf) -> bool {
+impl<T: Element + PartialEq> PartialEq for Pooled<T> {
+    fn eq(&self, other: &Pooled<T>) -> bool {
         self.data == other.data
     }
 }
 
-impl std::fmt::Debug for PoolBuf {
+impl<T: Element + std::fmt::Debug> std::fmt::Debug for Pooled<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.data.fmt(f)
     }
@@ -727,18 +557,17 @@ mod tests {
         let _g = GUARD.lock();
         set_enabled(true);
         trim();
-        let v = take_bytes_zeroed(512);
-        assert!(v.iter().all(|&b| b == 0));
+        let v = U8_POOL.take(512);
         let cap = v.capacity();
-        recycle_bytes(v);
+        U8_POOL.recycle(v);
         let before = byte_stats();
-        let w = take_bytes_copy(&[7u8; 400]); // same class (512): must reuse
+        let w = U8_POOL.take_copy(&[7u8; 400]); // same class (512): must reuse
         assert_eq!(w.len(), 400);
         assert_eq!(w.capacity(), cap);
         let after = byte_stats();
         assert_eq!(after.pool_served - before.pool_served, 1);
         assert_eq!(after.fresh_allocs, before.fresh_allocs);
-        recycle_bytes(w);
+        U8_POOL.recycle(w);
     }
 
     #[test]
@@ -749,7 +578,6 @@ mod tests {
         let b = PooledBytes::copy_of(&[1, 2, 3]);
         let c = b.clone();
         assert_eq!(b, c);
-        assert_eq!(b, [1u8, 2, 3][..]);
         let before = byte_stats();
         drop(b);
         let after = byte_stats();
@@ -761,14 +589,14 @@ mod tests {
     fn disabled_pool_drops_byte_buffers() {
         let _g = GUARD.lock();
         set_enabled(false);
-        let v = take_bytes_zeroed(64);
+        let v = U8_POOL.take(64);
         let before = byte_stats();
-        recycle_bytes(v);
-        let w = take_bytes_zeroed(64);
+        U8_POOL.recycle(v);
+        let w = U8_POOL.take(64);
         let after = byte_stats();
         assert_eq!(after.dropped - before.dropped, 1);
         assert_eq!(after.fresh_allocs - before.fresh_allocs, 1);
-        recycle_bytes(w);
+        U8_POOL.recycle(w);
         set_enabled(true);
     }
 }

@@ -5,7 +5,8 @@
 //! kernels; our CPU substrate gets the analogous treatment here: explicit
 //! `std::arch` vector code for the hot inner loops (the GEMM register tile,
 //! the pointwise family, the batch-norm reductions), selected at runtime by
-//! `is_x86_feature_detected!` and switchable off with `EXACLIM_SIMD=0`.
+//! `is_x86_feature_detected!` and switchable off in-process with
+//! [`set_simd_enabled`].
 //!
 //! **Bit-identity contract.** Every function in this module produces the
 //! same bits on every dispatch level. Two rules make that possible:
@@ -35,15 +36,14 @@ pub const MR: usize = 8;
 pub const NR: usize = 8;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 /// Instruction set selected for the current call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
     /// 256-bit AVX2 paths, with FMA in the GEMM micro-kernel.
     Avx2Fma,
-    /// Pure scalar loops (hosts without AVX2 or FMA, and the
-    /// `EXACLIM_SIMD=0` fallback).
+    /// Pure scalar loops (hosts without AVX2 or FMA, and the reference
+    /// [`set_simd_enabled`]`(false)` selects).
     Scalar,
 }
 
@@ -57,16 +57,15 @@ impl SimdLevel {
     }
 }
 
+/// The best level this host supports (`is_x86_feature_detected!` caches
+/// its probe).
 #[cfg(target_arch = "x86_64")]
 fn hw_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            SimdLevel::Avx2Fma
-        } else {
-            SimdLevel::Scalar
-        }
-    })
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        SimdLevel::Avx2Fma
+    } else {
+        SimdLevel::Scalar
+    }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -74,33 +73,26 @@ fn hw_level() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-fn force_scalar_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let off = std::env::var("EXACLIM_SIMD")
-            .map(|v| matches!(v.trim(), "0" | "off" | "false" | "no"))
-            .unwrap_or(false);
-        AtomicBool::new(off)
-    })
-}
+/// Set by [`set_simd_enabled`]`(false)`: every kernel takes its scalar
+/// path. Off at process start.
+static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Enables or disables the vector paths at runtime (tests and benchmarks
-/// compare both in one process). Results are bit-identical either way —
-/// this trades wall time, never numerics. Prefer `EXACLIM_SIMD=0` for
-/// whole-process configuration.
+/// Enables or disables the vector paths at runtime (tests compare both in
+/// one process; the scalar level is the reference). Results are
+/// bit-identical either way — this trades wall time, never numerics.
 pub fn set_simd_enabled(on: bool) {
-    force_scalar_flag().store(!on, Ordering::Relaxed);
+    FORCE_SCALAR.store(!on, Ordering::Relaxed);
 }
 
-/// True when vector paths are active (hardware supports them and neither
-/// `EXACLIM_SIMD=0` nor [`set_simd_enabled`]`(false)` forced scalar).
+/// True when vector paths are active (hardware supports them and
+/// [`set_simd_enabled`]`(false)` did not force scalar).
 pub fn simd_enabled() -> bool {
-    !force_scalar_flag().load(Ordering::Relaxed) && hw_level() != SimdLevel::Scalar
+    !FORCE_SCALAR.load(Ordering::Relaxed) && hw_level() != SimdLevel::Scalar
 }
 
 /// The dispatch level subsequent kernels will use.
 pub fn active_level() -> SimdLevel {
-    if force_scalar_flag().load(Ordering::Relaxed) {
+    if FORCE_SCALAR.load(Ordering::Relaxed) {
         SimdLevel::Scalar
     } else {
         hw_level()
@@ -1082,26 +1074,46 @@ mod tests {
     }
 
     /// Runs `f` with SIMD on, then off, and asserts both results are
-    /// bit-identical. Restores the gate afterwards.
+    /// bit-identical. Leaves the switch as it found it.
     fn bitwise_on_off<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
+        let was = !FORCE_SCALAR.load(Ordering::Relaxed);
         set_simd_enabled(true);
         let fast = f();
         set_simd_enabled(false);
         let slow = f();
-        set_simd_enabled(true);
+        set_simd_enabled(was);
         assert_eq!(fast, slow);
     }
 
+    /// The register tile and its two helpers: the interior B-panel packer
+    /// and the tile's accumulate into `C`, on full and edge tiles.
     #[test]
     fn microkernel_simd_matches_scalar_bitwise() {
+        let (ld, ldc) = (NR + 5, NR + 3);
+        let c0 = data(MR * ldc, 30);
         for kc in [1usize, 3, 8, 17, 256] {
             let ap = data(kc * MR, 1);
             let bp = data(kc * NR, 2);
-            bitwise_on_off(|| {
+            let tile = || {
                 let mut acc = [[0.0f32; NR]; MR];
                 microkernel(kc, &ap, &bp, &mut acc);
                 acc
+            };
+            bitwise_on_off(tile);
+            let src = data((kc - 1) * ld + NR, 21);
+            bitwise_on_off(|| {
+                let mut dst = vec![0.0f32; kc * NR];
+                vpack_rows(kc, &src, ld, &mut dst);
+                dst
             });
+            let acc = tile();
+            for (mr_eff, nr_eff) in [(MR, NR), (3, NR), (MR, 5), (1, 1)] {
+                bitwise_on_off(|| {
+                    let mut c = c0.clone();
+                    unsafe { tile_accumulate(&acc, mr_eff, nr_eff, c.as_mut_ptr(), ldc) };
+                    c
+                });
+            }
         }
     }
 
@@ -1115,6 +1127,7 @@ mod tests {
             let offs: Vec<usize> = (0..kc).map(|p| p * 11 + p / 3 * 29 + p % 2).collect();
             let src = data(offs[kc - 1] + NR + 5, 4);
             let bp: Vec<f32> = offs.iter().flat_map(|&o| src[o..o + NR].iter().copied()).collect();
+            let was = !FORCE_SCALAR.load(Ordering::Relaxed);
             for on in [true, false] {
                 set_simd_enabled(on);
                 let (mut packed, mut in_place) = ([[0.5f32; NR]; MR], [[0.5f32; NR]; MR]);
@@ -1123,7 +1136,7 @@ mod tests {
                 let bits = |t: &[[f32; NR]; MR]| t.iter().flatten().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&in_place), bits(&packed), "kc {kc} simd {on}");
             }
-            set_simd_enabled(true);
+            set_simd_enabled(was);
         }
     }
 
@@ -1146,6 +1159,45 @@ mod tests {
                 let mut d = vec![0.0f32; n];
                 vrelu_mask(&mut d, &a, &b);
                 d
+            });
+            bitwise_on_off(|| {
+                let mut d = vec![0.0f32; n];
+                vmul(&mut d, &a, &b);
+                d
+            });
+            bitwise_on_off(|| {
+                let mut d = vec![0.0f32; n];
+                vsub(&mut d, &a, &b);
+                d
+            });
+            bitwise_on_off(|| {
+                let mut d = a.clone();
+                vadd_(&mut d, &b);
+                d
+            });
+            bitwise_on_off(|| {
+                let mut d = a.clone();
+                vadd_scalar_(&mut d, 0.37);
+                d
+            });
+            // ReLU maps −0.0 and NaN to +0.0 on both levels.
+            let mut signed = a.clone();
+            signed[0] = -0.0;
+            signed[n / 2] = f32::NAN;
+            bitwise_on_off(|| {
+                let mut d = vec![1.0f32; n];
+                vrelu(&mut d, &signed);
+                d.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            });
+            // The running max keeps its value on ties (`data` repeats
+            // values), +0.0 against −0.0 included.
+            let mut row = data(n, 5).iter().rev().copied().collect::<Vec<_>>();
+            let mut start = a.clone();
+            (start[0], row[0]) = (0.0, -0.0);
+            bitwise_on_off(|| {
+                let mut mx = start.clone();
+                vmax_(&mut mx, &row);
+                mx.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             });
         }
     }
@@ -1229,6 +1281,7 @@ mod tests {
             v_legacy[i] = mom * v_legacy[i] + gi;
             w_legacy[i] -= lr * v_legacy[i];
         }
+        let was = !FORCE_SCALAR.load(Ordering::Relaxed);
         for on in [true, false] {
             set_simd_enabled(on);
             let mut w = w0.clone();
@@ -1244,7 +1297,7 @@ mod tests {
             assert_eq!(w, w_legacy, "simd={on}");
             assert_eq!(v, v_legacy, "simd={on}");
         }
-        set_simd_enabled(true);
+        set_simd_enabled(was);
     }
 
     #[test]
@@ -1275,8 +1328,8 @@ mod tests {
     }
 
     #[test]
-    fn env_gate_reports_level() {
-        // Whatever the gate state, the label is one of the known levels.
+    fn active_level_has_a_known_label() {
+        // Whatever the switch's state, the label is one of the known levels.
         assert!(["avx2+fma", "scalar"].contains(&active_level().label()));
     }
 }

@@ -14,7 +14,7 @@ use exaclim_tensor::ops::{conv2d_backward, conv2d_forward, crop_spatial, Conv2dP
 use exaclim_tensor::profile::{
     capture, census_test_guard, enabled, record, set_phase, Category, KernelKind, Phase,
 };
-use exaclim_tensor::{set_kernel_threads, DType, Tensor};
+use exaclim_tensor::{kernel_threads, set_kernel_threads, DType, Tensor};
 
 // --- the recorder itself -----------------------------------------------------
 
@@ -134,6 +134,7 @@ fn census_totals_identical_across_widths() {
     let mut rng = seeded_rng(2024);
     let x = randn([2, 16, 32, 32], DType::F32, 1.0, &mut rng);
     let w = randn([8, 16, 3, 3], DType::F32, 0.5, &mut rng);
+    let ambient = kernel_threads();
     let at_width = |threads: usize| {
         set_kernel_threads(threads);
         set_phase(Phase::Forward);
@@ -146,7 +147,7 @@ fn census_totals_identical_across_widths() {
         prof
     };
     let (p1, p4) = (at_width(1), at_width(4));
-    set_kernel_threads(1);
+    set_kernel_threads(ambient);
     assert_eq!(p1.total_kernels(), p4.total_kernels(), "kernel counts differ");
     assert_eq!(p1.total_flops(), p4.total_flops(), "FLOP totals differ");
     assert_eq!(p1.total_bytes(), p4.total_bytes(), "byte totals differ");

@@ -6,9 +6,8 @@
 //! and every task owns a disjoint output region with an unchanged
 //! per-element accumulation order. These tests pin that contract for the
 //! kernels the paper's census cares about (the census totals themselves
-//! are pinned in `census.rs`). `tier1.sh` re-runs the whole suite under
-//! `EXACLIM_NUM_THREADS=4` so the same assertions also hold when the
-//! default pool width differs.
+//! are pinned in `census.rs`). Each case runs at widths 1, 3 and 4; width
+//! 3 splits the chunk grids unevenly.
 
 use exaclim_tensor::init::{randn, seeded_rng};
 use exaclim_tensor::ops::gemm::{gemm, gemm_a_bt, gemm_at_b};
@@ -17,21 +16,25 @@ use exaclim_tensor::ops::{
     conv2d_forward, deconv2d_forward, maxpool2d_backward_shaped, maxpool2d_forward, relu_forward,
     Conv2dParams, ConvAlgo, Deconv2dParams,
 };
-use exaclim_tensor::{set_kernel_threads, DType, Tensor};
+use exaclim_tensor::{kernel_threads, set_kernel_threads, DType, Tensor};
 use std::sync::Mutex;
 
 /// Pool width is process-global; serialize tests that switch it.
 static WIDTH_GUARD: Mutex<()> = Mutex::new(());
 
-/// Runs `f` once at 1 thread and once at 4, returning both results.
-fn at_widths<T>(f: impl Fn() -> T) -> (T, T) {
+/// Runs `f` at 1, 3 and 4 threads and asserts the three results are
+/// equal; leaves the pool width as it found it.
+fn at_widths<T: PartialEq>(what: &str, f: impl Fn() -> T) {
     let _g = WIDTH_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    set_kernel_threads(1);
-    let one = f();
-    set_kernel_threads(4);
-    let four = f();
-    set_kernel_threads(1);
-    (one, four)
+    let ambient = kernel_threads();
+    let runs = [1, 3, 4].map(|w| {
+        set_kernel_threads(w);
+        (w, f())
+    });
+    set_kernel_threads(ambient);
+    for (w, r) in &runs[1..] {
+        assert!(*r == runs[0].1, "{what} differs between 1 and {w} threads");
+    }
 }
 
 /// Shapes large enough to cross the blocked-GEMM threshold and produce
@@ -47,8 +50,7 @@ fn conv_case() -> (Tensor, Tensor) {
 fn conv2d_forward_bit_identical_across_widths() {
     let (x, w) = conv_case();
     for algo in [ConvAlgo::Direct, ConvAlgo::Auto] {
-        let (a, b) = at_widths(|| conv2d_forward(&x, &w, Conv2dParams::padded(1), algo));
-        assert_eq!(a.as_slice(), b.as_slice(), "{algo:?} differs across widths");
+        at_widths(&format!("{algo:?} forward"), || conv2d_forward(&x, &w, Conv2dParams::padded(1), algo));
     }
 }
 
@@ -57,9 +59,10 @@ fn conv2d_backward_bit_identical_across_widths() {
     let (x, w) = conv_case();
     let mut rng = seeded_rng(7);
     let go = randn([2, 8, 32, 32], DType::F32, 1.0, &mut rng);
-    let (a, b) = at_widths(|| conv2d_backward(&x, &w, &go, Conv2dParams::padded(1)));
-    assert_eq!(a.grad_input.as_slice(), b.grad_input.as_slice(), "grad_input differs");
-    assert_eq!(a.grad_weight.as_slice(), b.grad_weight.as_slice(), "grad_weight differs");
+    at_widths("conv2d_backward (grad_input, grad_weight)", || {
+        let g = conv2d_backward(&x, &w, &go, Conv2dParams::padded(1));
+        (g.grad_input, g.grad_weight)
+    });
 }
 
 /// The geometries the row-wise im2col packers and the col2im scatter
@@ -83,14 +86,11 @@ fn conv_geometries_bit_identical_across_widths() {
     ] {
         let x = randn([2, 16, h, wd], DType::F32, 1.0, &mut rng);
         let w = randn([8, 16, kernel, kernel], DType::F32, 0.5, &mut rng);
-        let (a, b) = at_widths(|| {
+        at_widths(&format!("(forward, grad_input, grad_weight) under {p:?}"), || {
             let y = conv2d_forward(&x, &w, p, ConvAlgo::Auto);
             let g = conv2d_backward(&x, &w, &y, p);
-            (y, g)
+            (y, g.grad_input, g.grad_weight)
         });
-        assert_eq!(a.0.as_slice(), b.0.as_slice(), "forward differs under {p:?}");
-        assert_eq!(a.1.grad_input.as_slice(), b.1.grad_input.as_slice(), "grad_input differs under {p:?}");
-        assert_eq!(a.1.grad_weight.as_slice(), b.1.grad_weight.as_slice(), "grad_weight differs under {p:?}");
     }
 }
 
@@ -104,26 +104,23 @@ fn gemm_variants_bit_identical_across_widths() {
     let at = randn([k, m], DType::F32, 1.0, &mut rng);
     let bt = randn([n, k], DType::F32, 1.0, &mut rng);
 
-    let (c1, c4) = at_widths(|| {
+    at_widths("gemm", || {
         let mut c = vec![0.0f32; m * n];
         gemm(m, n, k, a.as_slice(), b.as_slice(), &mut c);
         c
     });
-    assert_eq!(c1, c4, "gemm differs across widths");
 
-    let (c1, c4) = at_widths(|| {
+    at_widths("gemm_at_b", || {
         let mut c = vec![0.0f32; m * n];
         gemm_at_b(m, n, k, at.as_slice(), b.as_slice(), &mut c);
         c
     });
-    assert_eq!(c1, c4, "gemm_at_b differs across widths");
 
-    let (c1, c4) = at_widths(|| {
+    at_widths("gemm_a_bt", || {
         let mut c = vec![0.0f32; m * n];
         gemm_a_bt(m, n, k, a.as_slice(), bt.as_slice(), &mut c);
         c
     });
-    assert_eq!(c1, c4, "gemm_a_bt differs across widths");
 }
 
 #[test]
@@ -134,19 +131,11 @@ fn batchnorm_bit_identical_across_widths() {
     let beta = randn([8], DType::F32, 0.5, &mut rng);
     let go = randn(x.shape().clone(), DType::F32, 1.0, &mut rng);
 
-    let (a, b) = at_widths(|| {
+    at_widths("bn (forward, grad_input, grad_gamma, grad_beta)", || {
         let (y, cache) = batchnorm_forward(&x, &gamma, &beta, 1e-5, None);
-        let grads = batchnorm_backward(&go, &gamma, &cache);
-        (y, grads)
+        let g = batchnorm_backward(&go, &gamma, &cache);
+        (y, g.grad_input, g.grad_gamma, g.grad_beta)
     });
-    assert_eq!(a.0.as_slice(), b.0.as_slice(), "bn forward differs");
-    assert_eq!(
-        a.1.grad_input.as_slice(),
-        b.1.grad_input.as_slice(),
-        "bn grad_input differs"
-    );
-    assert_eq!(a.1.grad_gamma.as_slice(), b.1.grad_gamma.as_slice(), "grad_gamma differs");
-    assert_eq!(a.1.grad_beta.as_slice(), b.1.grad_beta.as_slice(), "grad_beta differs");
 }
 
 #[test]
@@ -155,7 +144,7 @@ fn misc_kernels_bit_identical_across_widths() {
     let x = randn([2, 4, 16, 16], DType::F32, 1.0, &mut rng);
     let wt = randn([4, 3, 3, 3], DType::F32, 0.5, &mut rng);
 
-    let (a, b) = at_widths(|| {
+    at_widths("(maxpool fwd, maxpool bwd, bilinear, deconv)", || {
         let (y, arg) = maxpool2d_forward(&x, 3, 2, 1);
         let go = relu_forward(&y);
         let gx = maxpool2d_backward_shaped(x.shape().clone(), x.dtype(), &go, &arg);
@@ -163,10 +152,6 @@ fn misc_kernels_bit_identical_across_widths() {
         let de = deconv2d_forward(&x, &wt, Deconv2dParams::double());
         (y, gx, up, de)
     });
-    assert_eq!(a.0.as_slice(), b.0.as_slice(), "maxpool fwd differs");
-    assert_eq!(a.1.as_slice(), b.1.as_slice(), "maxpool bwd differs");
-    assert_eq!(a.2.as_slice(), b.2.as_slice(), "bilinear differs");
-    assert_eq!(a.3.as_slice(), b.3.as_slice(), "deconv differs");
 }
 
 /// Transposed-convolution forward is a strip GEMM plus a col2im scatter:
@@ -185,13 +170,11 @@ fn deconv_forward_bit_identical_across_widths() {
         Deconv2dParams { stride: 3, pad: 0, output_pad: 0 },
         Deconv2dParams { stride: 3, pad: 1, output_pad: 2 },
     ] {
-        let (a, b) = at_widths(|| deconv2d_forward(&x, &wt, p));
-        assert_eq!(a.as_slice(), b.as_slice(), "deconv differs under {p:?}");
+        at_widths(&format!("deconv under {p:?}"), || deconv2d_forward(&x, &wt, p));
     }
     let wide = randn([1, 8, 96, 97], DType::F32, 1.0, &mut rng);
     let wt = randn([8, 8, 3, 3], DType::F32, 0.5, &mut rng);
-    let (a, b) = at_widths(|| deconv2d_forward(&wide, &wt, Deconv2dParams::double()));
-    assert_eq!(a.as_slice(), b.as_slice(), "deconv differs across a strip boundary");
+    at_widths("deconv across a strip boundary", || deconv2d_forward(&wide, &wt, Deconv2dParams::double()));
 }
 
 #[test]
@@ -202,7 +185,6 @@ fn bit_hash_identical_across_widths() {
     for len in [0usize, 15, 16, 33, 70_001] {
         let data: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
         let t = Tensor::from_vec([len], DType::F32, data);
-        let (one, four) = at_widths(|| t.bit_hash());
-        assert_eq!(one, four, "len {len}");
+        at_widths(&format!("bit_hash of len {len}"), || t.bit_hash());
     }
 }

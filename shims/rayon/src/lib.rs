@@ -3,8 +3,9 @@
 //! Unlike the original sequential shim, this version actually executes the
 //! `par_*` entry points on a process-wide pool of `std::thread` workers:
 //!
-//! * The pool is spawned lazily, once, and sized by `EXACLIM_NUM_THREADS`
-//!   (falling back to [`std::thread::available_parallelism`]).
+//! * The pool is spawned lazily, once, and sized by
+//!   [`std::thread::available_parallelism`], which honours `taskset` and
+//!   cgroup CPU quotas.
 //! * Parallel iterators dispatch *chunk indices* through a shared atomic
 //!   cursor: every participating thread (the caller included) repeatedly
 //!   steals the next unclaimed chunk, so load balances dynamically without
@@ -27,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
-/// Hard ceiling on the pool width (sanity bound for env-var typos).
+/// Hard ceiling on the pool width [`set_num_threads`] accepts.
 const MAX_THREADS: usize = 512;
 
 /// One fork-join dispatch: `total` chunk indices executed exactly once.
@@ -69,7 +70,6 @@ struct Pool {
 static POOL: OnceLock<Pool> = OnceLock::new();
 /// Runtime width override; 0 means "use the default width".
 static ACTIVE_WIDTH: AtomicUsize = AtomicUsize::new(0);
-static DEFAULT_WIDTH: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
     /// True while this thread is executing a pool chunk; nested dispatches
@@ -83,20 +83,9 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn default_width() -> usize {
-    *DEFAULT_WIDTH.get_or_init(|| {
-        match std::env::var("EXACLIM_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(n) if n >= 1 => n.min(MAX_THREADS),
-            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
-    })
-}
-
-/// Hardware threads on this host, cached. Gates whether a dispatch
-/// actually fans out (see [`parallel_for`]).
+/// Hardware threads this process may run on, cached: the default pool
+/// width, and the gate on whether a dispatch actually fans out (see
+/// [`parallel_for`]).
 fn host_parallelism() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -106,7 +95,7 @@ fn host_parallelism() -> usize {
 /// participate in a parallel dispatch.
 pub fn current_num_threads() -> usize {
     match ACTIVE_WIDTH.load(Ordering::Relaxed) {
-        0 => default_width(),
+        0 => host_parallelism(),
         n => n,
     }
 }

@@ -10,7 +10,7 @@ use exaclim_models::{DeepLabConfig, DeepLabV3Plus, Tiramisu, TiramisuConfig};
 use exaclim_nn::optim::{Optimizer, Sgd};
 use exaclim_nn::{Ctx, Layer};
 use exaclim_tensor::init::{randn, seeded_rng};
-use exaclim_tensor::{kernel_threads, pool, set_kernel_threads, DType, Tensor};
+use exaclim_tensor::{kernel_threads, pool, set_kernel_threads, set_simd_enabled, simd_enabled, DType, Tensor};
 
 fn build_net(seed: u64) -> Tiramisu {
     let mut rng = seeded_rng(seed);
@@ -101,12 +101,16 @@ fn pool_absorbs_steady_state_training_allocations() {
     let hash_off = net_off.params().state_hash();
     let hash_on = net_on.params().state_hash();
     assert_eq!(hash_on, hash_off, "pooling must not change parameter bits");
-    // ... and for both networks, with the kernel pool 1 and 4 wide.
-    let ambient = kernel_threads();
+    // ... and for both networks, with the kernel pool 1 and 4 wide, and
+    // on the scalar kernels (the reference the SIMD paths are bit-compared
+    // against).
+    let (ambient, ambient_simd) = (kernel_threads(), simd_enabled());
     for deeplab in [false, true] {
-        let hashes = [(false, 4), (true, 4), (true, 1)].map(|(pooled, threads)| {
+        let rows = [(false, 4, true), (true, 4, true), (true, 1, true), (true, 4, false)];
+        let hashes = rows.map(|(pooled, threads, simd)| {
             pool::set_enabled(pooled);
             set_kernel_threads(threads);
+            set_simd_enabled(simd);
             let mut net: Box<dyn Layer> = match deeplab {
                 true => Box::new(DeepLabV3Plus::new(DeepLabConfig::tiny(4), &mut seeded_rng(7))),
                 false => Box::new(build_net(7)),
@@ -116,7 +120,12 @@ fn pool_absorbs_steady_state_training_allocations() {
             (out, net.params().state_hash())
         });
         set_kernel_threads(ambient);
-        assert_eq!(hashes, [hashes[0]; 3], "deeplab={deeplab}: (pool off, on, on at 1 thread)");
+        set_simd_enabled(ambient_simd);
+        assert_eq!(
+            hashes,
+            [hashes[0]; 4],
+            "deeplab={deeplab}: (pool off, on, on at 1 thread, on with SIMD off)"
+        );
     }
 
     // Restore the environment default for any later process reuse.

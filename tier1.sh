@@ -40,14 +40,12 @@ cargo run --release -q -p exaclim-bench --bin fig6_convergence | diff - artifact
 # (consistent replicas, bit-identical replays, complete staged shards).
 cargo run --release -q --example fault_injection
 
-# Kernel results must be bit-identical at any pool width: rerun the
-# tensor and nn suites with a 4-thread default pool.
-EXACLIM_NUM_THREADS=4 cargo test -q -p exaclim-tensor -p exaclim-nn
-
-# ... and with the SIMD micro-kernels disabled: the scalar fallback is
-# the reference the vector paths are bit-compared against, so it must
-# stay green on its own.
-EXACLIM_SIMD=0 cargo test -q -p exaclim-tensor -p exaclim-nn
+# The storm-analytics and time-lapse examples are deterministic: they must
+# reproduce their recorded output byte for byte. The time-lapse example
+# also rewrites the tracked out/timelapse_*.ppm frames, so the work-tree
+# check below pins those too.
+cargo run --release -q --example storm_analytics | diff - artifacts/example_storms.txt
+cargo run --release -q --example climate_timelapse | diff - artifacts/example_timelapse.txt
 
 if [ "$tree_before" != "$(tree_state)" ]; then
     echo "tier1: the run dirtied the work tree (< before, > after):" >&2
