@@ -224,14 +224,14 @@ impl Communicator {
     }
 
     /// Sends a tensor buffer to `dst`.
-    pub fn try_send_f32(&mut self, dst: usize, tag: u64, data: Vec<f32>) -> Result<(), CommError> {
+    pub(crate) fn try_send_f32(&mut self, dst: usize, tag: u64, data: Vec<f32>) -> Result<(), CommError> {
         self.try_send_msg(dst, tag, Payload::F32(data))
     }
 
     /// Receives a tensor buffer from `src` (FIFO per peer; tags are
     /// protocol assertions): a dead peer or an expired deadline comes
     /// back as a [`CommError`] instead of a hang.
-    pub fn try_recv_f32(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
+    pub(crate) fn try_recv_f32(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
         match self.try_recv_msg(src, tag)? {
             Payload::F32(v) => Ok(v),
             p @ Payload::Bytes(_) => Err(CommError::TypeMismatch {

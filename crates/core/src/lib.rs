@@ -54,7 +54,7 @@ pub use exaclim_tensor as tensor;
 pub mod prelude {
     pub use crate::experiment::{run_experiment, EvalResult, ExperimentConfig, ExperimentResult, ModelKind};
     pub use exaclim_climsim::{ClimateDataset, DatasetConfig, Split};
-    pub use exaclim_distrib::{ControlPlane, OptimizerKind, TrainerConfig};
+    pub use exaclim_distrib::{OptimizerKind, TrainerConfig};
     pub use exaclim_models::{DeepLabConfig, DeepLabV3Plus, Tiramisu, TiramisuConfig};
     pub use exaclim_nn::loss::ClassWeighting;
     pub use exaclim_nn::{Ctx, Layer};

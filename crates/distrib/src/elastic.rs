@@ -978,13 +978,15 @@ where
                 };
                 let guard = hub.register(me);
                 let mut source = sb(me);
-                let mut replica = Replica::build(&cfg.base, me, &mb);
-                // Fast-forward the per-member streams so the joiner's
-                // step `s` draws are what they would have been had it
-                // trained from the start — the replay-determinism
+                let replica = Replica::build(&cfg.base, me, &mb);
+                // Replay the batches of the steps it missed, so the
+                // joiner's step `s` batch is what it would have been had
+                // it trained from the start — the replay-determinism
                 // anchor.
                 let start = adm.start_step;
-                replica.fast_forward(&mut source, start);
+                for _ in 0..start {
+                    let _ = source.next_batch();
+                }
                 let mut member = Member {
                     me,
                     replica,

@@ -9,7 +9,8 @@
 /// One fused all-reduce: a run of tensor ids reduced together.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionBucket {
-    /// Tensor ids in coordination order.
+    /// Tensor ids in the order `fuse` was given (the trainer's canonical
+    /// tensor order).
     pub tensor_ids: Vec<u32>,
     /// Total payload elements.
     pub elements: usize,

@@ -3,15 +3,19 @@
 //! The Horovod-like distributed training runtime of §V-A3, with OS threads
 //! standing in for MPI ranks:
 //!
-//! * [`control`] — the readiness coordination protocol. TensorFlow's
-//!   dynamic scheduler may finish gradient tensors in a different order on
-//!   every rank; without agreement on a single total order, collective
-//!   all-reduces deadlock. The [`CentralizedController`](control) is
-//!   Horovod's original design (every rank reports to rank 0 — millions of
-//!   messages per second at 27 k ranks); the
+//! * [`control`] — Horovod's readiness coordination protocol, measured
+//!   standalone. TensorFlow's dynamic scheduler may finish gradient
+//!   tensors in a different order on every rank; without agreement on a
+//!   single total order, collective all-reduces deadlock.
+//!   [`Centralized`](control::ControlPlane::Centralized) is Horovod's
+//!   original design (every rank reports to rank 0 — millions of messages
+//!   per second at 27 k ranks); the
 //!   [`hierarchical`](control::ControlPlane::Hierarchical) radix-r tree is
 //!   the paper's fix, bounding every rank's traffic at `r+1` messages per
-//!   tensor.
+//!   tensor. The trainer does not run it per step: its fusion buckets are
+//!   canonical and fixed when the replica is built, so every rank already
+//!   reduces in the same order. The module also holds the elastic
+//!   driver's membership messages.
 //! * [`fusion`] — Horovod's tensor-fusion buffer: coalesces small
 //!   gradients into few large all-reduces.
 //! * [`trainer`] — synchronous data-parallel SGD over real model replicas:
@@ -19,9 +23,6 @@
 //!   hybrid hierarchical all-reduce, LARC / Adam / gradient-lag options,
 //!   and bitwise replica-consistency verification. One step
 //!   (`step.rs`), two drivers: plain and [`elastic`].
-//! * [`modelpar`] — the §VIII-B outlook made concrete: spatial domain
-//!   decomposition with halo exchange, bitwise-equal to single-rank
-//!   convolution.
 //! * [`elastic`] — generation-numbered membership: ranks join and leave at
 //!   step boundaries without a full restart, and survivors of a crash
 //!   carry on from the live model, replaying no completed step.
@@ -29,7 +30,6 @@
 pub mod control;
 pub mod elastic;
 pub mod fusion;
-pub mod modelpar;
 mod overlap;
 mod step;
 pub mod trainer;

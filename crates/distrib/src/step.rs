@@ -4,16 +4,18 @@
 //! parameter handles, the loss, the optimizer, the per-rank random streams
 //! and — once [`wire`](Replica::wire)d to a world — the communicator, the
 //! comm progress thread and its ready hooks. [`Replica::step`] is the
-//! paper's Horovod step (§V-A3, §V-B): ingest → cast → agree on a reduce
-//! order → forward → loss → backward with fused buckets all-reduced behind
-//! it → optimizer → loss mean → replica-consistency audit.
+//! paper's Horovod step (§V-A3, §V-B): ingest → cast → forward → loss →
+//! backward with fused buckets all-reduced behind it → optimizer → loss
+//! mean → replica-consistency audit. No per-step round agrees on a reduce
+//! order: every rank builds the same canonical buckets, so the order is
+//! settled before the first step.
 //!
 //! The two drivers ([`train_data_parallel`](crate::train_data_parallel),
 //! [`train_data_parallel_elastic`](crate::train_data_parallel_elastic))
 //! differ only in what happens *around* a step — report aggregation;
 //! membership rounds, crash recovery and the checkpoint cadence — so the
-//! step, the checkpoint save and restore, the stream fast-forward and the
-//! per-world wiring live here once.
+//! step, the checkpoint save and restore and the per-world wiring live
+//! here once.
 //!
 //! **Determinism.** Fusion buckets are fixed at build time from the
 //! canonical tensor order, so bucket membership — and therefore summation
@@ -23,7 +25,6 @@
 //! (`overlap_comm = false`, `fused_optim = false`) is the reference the
 //! determinism suites compare every other combination against.
 
-use crate::control::Coordinator;
 use crate::fusion::{fuse, FusionBucket};
 use crate::overlap::{reduce_bucket, CommEngine, HookClearGuard, ReduceSettings};
 use crate::trainer::{BatchSource, OptimizerKind, TrainerConfig};
@@ -35,8 +36,6 @@ use exaclim_nn::{Ctx, Layer, Param, ParamSet};
 use exaclim_tensor::init::seeded_rng;
 use exaclim_tensor::profile::{self, SpanKind};
 use exaclim_tensor::DType;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -136,23 +135,19 @@ pub(crate) struct Replica {
     params: ParamSet,
     /// Tensor-id-indexed handles.
     params_vec: Vec<Param>,
-    canonical: Vec<u32>,
     buckets: Vec<FusionBucket>,
-    coordinator: Coordinator,
     loss_fn: WeightedCrossEntropy,
     /// `None` only while lent to the engine inside a step.
     optimizer: Option<Box<dyn Optimizer + Send>>,
     ctx: Ctx,
-    shuffle_rng: rand::rngs::StdRng,
     hashes_ok: bool,
 }
 
 impl Replica {
     /// Builds an identically-initialized replica ("assuming consistent
-    /// initialization", §V-A3). `stream_id` keys the dropout and
-    /// ready-shuffle streams: the rank's *original* id, so a survivor keeps
-    /// its streams across generations. Dropout decorrelates across ranks;
-    /// model init does not.
+    /// initialization", §V-A3). `stream_id` keys the dropout stream: the
+    /// rank's *original* id, so a survivor keeps its stream across
+    /// generations. Dropout decorrelates across ranks; model init does not.
     pub(crate) fn build<MB>(cfg: &TrainerConfig, stream_id: usize, model_builder: &MB) -> Replica
     where
         MB: Fn(&mut rand::rngs::StdRng) -> Box<dyn Layer>,
@@ -170,18 +165,15 @@ impl Replica {
         Replica {
             world: None,
             buckets: fuse(&canonical, &sizes, cfg.fusion_threshold_bytes),
-            coordinator: Coordinator::new(cfg.control, sizes.len()),
             loss_fn: WeightedCrossEntropy::with_scale(scale),
             optimizer: Some(build_optimizer(cfg.optimizer, cfg.gradient_lag, scale)),
             ctx: Ctx::train(cfg.seed ^ (stream_id as u64 + 1) << 17),
-            shuffle_rng: rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xABCD ^ stream_id as u64),
             hashes_ok: true,
             cfg: cfg.clone(),
             model,
             state,
             params,
             params_vec,
-            canonical,
         }
     }
 
@@ -254,16 +246,6 @@ impl Replica {
         Ok(())
     }
 
-    /// Replays `steps` steps' worth of per-rank stream draws (one batch,
-    /// one ready shuffle) so a replica entering at step `s` sees what it
-    /// would have seen had it trained from the start.
-    pub(crate) fn fast_forward(&mut self, source: &mut dyn BatchSource, steps: usize) {
-        for _ in 0..steps {
-            let _ = source.next_batch();
-            self.canonical.clone().shuffle(&mut self.shuffle_rng);
-        }
-    }
-
     /// Wires the replica to `comm`'s world, replacing any previous wiring.
     /// A world that no longer tiles into full nodes falls back to a flat
     /// topology.
@@ -327,29 +309,10 @@ impl Replica {
             batch.input.cast(self.cfg.precision)
         };
 
-        // Agree on an all-reduce order despite per-rank scheduling skew.
-        // The round proves agreement and liveness (and its traffic is what
-        // the control-plane comparisons measure), but the batch boundaries
-        // it emits depend on message arrival timing — execution uses the
-        // canonical buckets. Each rank shuffles its ready order, as
-        // TensorFlow's independent dynamic schedulers would; `shuffle_rng`
-        // is consumed once per step whichever side of backward the round
-        // runs on.
-        let mut ready = self.canonical.clone();
-        ready.shuffle(&mut self.shuffle_rng);
-        let (coordinator, canonical) = (&self.coordinator, &self.canonical);
-        let coordinate = |c: &mut Communicator| -> Result<(), CommError> {
-            let mut order = coordinator.try_coordinate(c, &ready)?;
-            order.sort_unstable();
-            debug_assert_eq!(&order, canonical, "coordination must cover every tensor");
-            Ok(())
-        };
-
         let worker_applies = engine.is_some() && lend_optimizer && self.cfg.fused_optim;
         if let Some(engine) = engine.as_mut() {
-            // Overlap coordinates *before* forward so the progress thread
-            // can start the moment the first bucket is ready.
-            coordinate(comm.as_mut().expect("communicator on rank thread"))?;
+            // Armed before forward so the progress thread can start the
+            // moment the first bucket is ready.
             engine.tracker().reset();
             // A lent optimizer has its step begun here (state bound,
             // per-step scalars advanced — grads untouched); the worker
@@ -400,7 +363,6 @@ impl Replica {
                 (done.wire_bytes, done.busy_s, done.optim_busy_s);
         } else {
             let c = comm.as_mut().expect("communicator on rank thread");
-            coordinate(c)?;
             // Fused gradient all-reduces, serial on the critical path.
             let te = Instant::now();
             let mut wire = 0u64;
@@ -535,9 +497,13 @@ mod tests {
     #[test]
     fn dead_peer_fails_the_next_step_with_a_typed_error_not_a_hang() {
         // Rank 1 completes step 0, then its communicator drops. Rank 0's
-        // step 1 must come back as `PeerDead` long before the receive
-        // deadline, whether the reduction runs inline or on the progress
-        // thread and whether that thread holds the lent optimizer.
+        // step 1 must fail with a typed error naming rank 1 long before the
+        // receive deadline, whether the reduction runs inline or on the
+        // progress thread and whether that thread holds the lent optimizer.
+        // Its first contact with rank 1 is the gradient all-reduce: a send
+        // fails if the drop has already been observed, a receive sees the
+        // dead peer otherwise. A `Timeout` would mean the death went
+        // unnoticed until the deadline.
         for overlap in [false, true] {
             for lend in [false, true] {
                 let mut cfg = toy_config(2, 2);
@@ -562,7 +528,10 @@ mod tests {
                 let case = format!("overlap={overlap} lend={lend}");
                 assert_eq!(first, Ok(()), "{case}: step 0");
                 assert!(
-                    matches!(second, Err(CommError::PeerDead { rank: 0, src: 1 })),
+                    matches!(
+                        second,
+                        Err(CommError::SendFailed { rank: 0, dst: 1 } | CommError::PeerDead { rank: 0, src: 1 })
+                    ),
                     "{case}: step 1 gave {second:?}"
                 );
                 assert!(waited < Duration::from_secs(1), "{case}: took {waited:?}");

@@ -17,7 +17,7 @@
 //! the exact shapes of Figure 1 (1152×768×16 inputs) for the *analytic*
 //! paths (FLOP counting, roofline timing), while `tiny()` configs train for
 //! real on synthetic data in seconds. [`spec`] emits the per-layer
-//! [`OpSpec`](spec::OpSpec) list that `exaclim-perfmodel` consumes; its
+//! [`OpSpec`] list that `exaclim-perfmodel` consumes; its
 //! equality with the executed kernel census is enforced by tests.
 
 pub mod blocks;

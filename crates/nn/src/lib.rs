@@ -3,7 +3,7 @@
 //! Neural-network building blocks for the exaclim reproduction of
 //! *Exascale Deep Learning for Climate Analytics* (Kurth et al., SC'18):
 //!
-//! * [`layer`] — the [`Layer`](layer::Layer) trait and the convolution,
+//! * [`layer`] — the [`Layer`] trait and the convolution,
 //!   batch-norm, activation, pooling, upsampling and dropout layers that
 //!   compose Tiramisu and DeepLabv3+.
 //! * [`loss`] — the paper's **weighted softmax cross-entropy** (§V-B1)

@@ -6,8 +6,8 @@
 //! end of a run, so recording never takes a shared lock on the hot path.
 //!
 //! Bucketing is HDR-style: each power-of-two octave of nanoseconds is
-//! split into [`SUB_BUCKETS`] linear sub-buckets, giving a worst-case
-//! relative quantile error of `1 / SUB_BUCKETS` (6.25 %) while covering
+//! split into `SUB_BUCKETS` linear sub-buckets, giving a worst-case
+//! relative quantile error of `1 / SUB_BUCKETS` (12.5 %) while covering
 //! the full `u64` nanosecond range — sub-microsecond tensor ops and
 //! multi-second tail stalls land in the same fixed 512-slot table.
 
@@ -125,7 +125,7 @@ impl LatencyHistogram {
         Duration::from_nanos(self.max_ns)
     }
 
-    /// The `q`-quantile (`0.0 ..= 1.0`) with ≤ 1/[`SUB_BUCKETS`] relative
+    /// The `q`-quantile (`0.0 ..= 1.0`) with ≤ 1/`SUB_BUCKETS` relative
     /// error: the smallest bucket upper edge such that at least
     /// `ceil(q · count)` samples are at or below it. Zero when empty.
     pub fn quantile(&self, q: f64) -> Duration {

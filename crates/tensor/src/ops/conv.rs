@@ -17,11 +17,11 @@
 //! packed. A `B` micro-panel of eight pixels on one output row is, for
 //! each patch row `(ci, ri, si)`, eight contiguous floats of the input —
 //! so once a padded convolution is rewritten as the unpadded one over a
-//! zero-bordered copy of each image ([`im2col_gemm`] stages it, once per
+//! zero-bordered copy of each image (`im2col_gemm` stages it, once per
 //! image), the micro-kernel reads those rows where they lie
-//! ([`PanelSource::in_place_panel`]). The remaining panels — those that
+//! (`PanelSource::in_place_panel`). The remaining panels — those that
 //! straddle output rows, strided convolutions and the weight-gradient
-//! orientation — are packed by [`Im2colB`], computing each element straight from the input,
+//! orientation — are packed by `Im2colB`, computing each element straight from the input,
 //! so the only intermediate storage is the cache-resident panel itself.
 //! Parallelism comes from the GEMM's own output-tile grid (disjoint `C`
 //! regions, fixed accumulation order — bit-identical at any thread count),
@@ -33,12 +33,12 @@
 //! * **stride 1, square kernel, `pad ≤ dilation·(r−1)`** — every stride-1
 //!   layer of both networks: `∂x` is the forward convolution of `∂y` with
 //!   the flipped kernel at pad `dilation·(r−1) − pad`, the very
-//!   [`im2col_gemm`] the forward runs; a 1×1 kernel reads `W` transposed in
+//!   `im2col_gemm` the forward runs; a 1×1 kernel reads `W` transposed in
 //!   place instead of copying it;
 //! * **everything else** — strided convolutions, and pads past
 //!   `dilation·(r−1)`, where the flipped convolution would need a negative
 //!   pad: `Wᵀ·∂y` per pixel strip followed by a col2im scatter
-//!   ([`transposed_gemm_col2im`], which is also the whole of a transposed
+//!   (`transposed_gemm_col2im`, which is also the whole of a transposed
 //!   convolution's forward pass).
 //!
 //! The strip route is the slower one wherever both apply: its GEMM is only
@@ -256,7 +256,7 @@ fn im2col(
     }
 }
 
-/// Pixels per strip of [`transposed_gemm_col2im`] (the data gradient of a
+/// Pixels per strip of `transposed_gemm_col2im` (the data gradient of a
 /// strided convolution or of one padded past `dilation·(r−1)`, and the
 /// transposed-convolution forward). Bounds the column buffer at
 /// `C·R·S·COL_STRIP` floats regardless of image size — a full 1152×768
@@ -264,7 +264,7 @@ fn im2col(
 /// buffer. Fixed (not thread-count-dependent), so the strip partitioning
 /// and hence the floating-point evaluation order never change. (The
 /// convolution forward and the stride-1 data gradient need no strip: both
-/// are [`im2col_gemm`], whose patch matrix is packed on the fly.)
+/// are `im2col_gemm`, whose patch matrix is packed on the fly.)
 pub(crate) const COL_STRIP: usize = 8192;
 
 /// [`PanelSource`] that packs im2col patch values straight into GEMM `B`
@@ -389,7 +389,7 @@ impl Im2colB<'_> {
 
     /// Whether panels may be read in place: the forward orientation at
     /// unit stride over an unpadded map (a padded convolution reads a
-    /// zero-bordered copy instead, see [`im2col_gemm`]).
+    /// zero-bordered copy instead, see `im2col_gemm`).
     fn reads_in_place(&self) -> bool {
         !self.by_pixel_depth && self.p.stride == 1 && self.p.pad == 0
     }
@@ -519,10 +519,10 @@ impl PanelSource for Im2colB<'_> {
 /// one over a zero-bordered copy of each image, staged once per image in
 /// one scratch: over that copy, every `B` panel whose eight pixels lie on
 /// one output row is read in place by the micro-kernel
-/// ([`PanelSource::in_place_panel`]) and never packed. The copy's border is
+/// (`PanelSource::in_place_panel`) and never packed. The copy's border is
 /// the same `+0.0` the packer writes for padding, so the bits do not
 /// change. Other panels and strided convolutions are packed by
-/// [`Im2colB`].
+/// `Im2colB`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn im2col_gemm(
     src: &[f32],
@@ -687,17 +687,17 @@ pub struct ConvGrads {
 /// Both gradients run through the packed blocked GEMM (inheriting its
 /// blocking and SIMD micro-kernel). The weight
 /// gradient is `∂y · colᵀ` with the patch matrix packed on the fly by
-/// [`Im2colB`]. The data gradient's route follows from the shape alone:
+/// `Im2colB`. The data gradient's route follows from the shape alone:
 /// * stride 1, `r == s` and `pad ≤ dilation·(r−1)`: the forward
 ///   convolution of `∂y` with the flipped kernel,
 ///   `∂x_n[C, H·W] = W̃[C, K·R·S] · col(∂y_n)` with
 ///   `W̃[c, k, R−1−ri, S−1−si] = W[k, c, ri, si]`, at stride 1, dilation
-///   `dilation` and pad `dilation·(r−1) − pad` ([`im2col_gemm`]). `W̃` is
+///   `dilation` and pad `dilation·(r−1) − pad` (`im2col_gemm`). `W̃` is
 ///   one `K·C·R·S` scratch per call. A 1×1 kernel (whose pad is then 0)
 ///   skips the copy: `∂x_n = Wᵀ · ∂y_n` with `W` read transposed.
 /// * otherwise (strided convolutions; a pad the flipped convolution would
 ///   need to be negative; `r ≠ s`): `colᵍ = Wᵀ · ∂y` per pixel strip,
-///   then a col2im scatter-add ([`transposed_gemm_col2im`]).
+///   then a col2im scatter-add (`transposed_gemm_col2im`).
 ///
 /// Image order, GEMM tiles, strip boundaries and scatter order are all
 /// shape-derived, so results are bit-identical at any thread count.
@@ -1114,7 +1114,7 @@ mod tests {
     /// `h×wd` maps at the head of `xs` (so `xbase` is not zero), read through
     /// an `ho×wo` output grid, on whole-depth, mid-channel and single-row
     /// depth slices — directly, and as the unpadded view of a zero-bordered
-    /// copy of the map (the layout [`im2col_gemm`] stages), against the
+    /// copy of the map (the layout `im2col_gemm` stages), against the
     /// original's patches. Returns the number of in-place panels checked.
     fn check_packers(xs: &[f32], c: usize, (h, wd): (usize, usize), k: usize, (ho, wo): (usize, usize), p: Conv2dParams) -> usize {
         let (crs, npix) = (c * k * k, ho * wo);
@@ -1252,7 +1252,7 @@ mod tests {
     }
 
     /// The data gradient as the strip route computes it, on plain slices:
-    /// the strip GEMM of [`transposed_gemm_col2im`], then the per-element
+    /// the strip GEMM of `transposed_gemm_col2im`, then the per-element
     /// scatter.
     fn grad_input_by_scatter(
         gos: &[f32],

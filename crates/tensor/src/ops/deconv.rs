@@ -157,7 +157,7 @@ pub struct DeconvGrads {
 /// kernel (`gin = W · col(∂y)`, where the patch mapping
 /// `hoi = hi·stride + ri − pad` is exactly the adjoint of the forward
 /// scatter), and the weight gradient is `x · col(∂y)ᵀ`. The patch matrix
-/// is packed on the fly by [`Im2colB`], never materialized.
+/// is packed on the fly by `Im2colB`, never materialized.
 pub fn deconv2d_backward(x: &Tensor, w: &Tensor, grad_out: &Tensor, p: Deconv2dParams) -> DeconvGrads {
     let (n, c, h, wd) = x.shape().nchw();
     let (_, k, r, s) = w.shape().nchw();

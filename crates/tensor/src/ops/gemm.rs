@@ -13,7 +13,7 @@
 //! `acc = a·b + acc` rounded once per depth, from zero, then `c += acc`.
 //! Every shape takes this one path. All three storage layouts
 //! (`A·B`, `Aᵀ·B`, `A·Bᵀ`) share the same compute path — only the packing
-//! routines differ — and the `B` side is abstracted behind [`PanelSource`]
+//! routines differ — and the `B` side is abstracted behind `PanelSource`
 //! so convolution can pack im2col patches straight into `B` micro-panels
 //! without ever materializing the column matrix, or, where a panel's depth
 //! rows are contiguous runs of its input, skip the pack and let the
@@ -90,7 +90,7 @@ pub(crate) trait PanelSource: Sync {
     }
 }
 
-/// [`PanelSource`] over a dense slice: logical element `(p, j)` lives at
+/// `PanelSource` over a dense slice: logical element `(p, j)` lives at
 /// `b[p·ld + j]` (`Normal`) or `b[j·ld + p]` (`Transposed`). `ld` is the
 /// stored row stride, which may exceed the logical width — that is how
 /// strip-wise convolution reads a column window of a wider matrix.
@@ -226,7 +226,7 @@ pub(crate) fn gemm_strided(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c
 }
 
 /// The generalized blocked entry for convolution: `A` is a dense slice,
-/// `B` is any [`PanelSource`] (typically on-the-fly im2col), `C` is a
+/// `B` is any `PanelSource` (typically on-the-fly im2col), `C` is a
 /// strided `m×n` output window.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_panels(

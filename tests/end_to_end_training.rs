@@ -78,7 +78,6 @@ fn four_rank_hierarchical_matches_two_node_topology() {
     cfg.trainer.node_size = 2;
     cfg.trainer.shard_leaders = 2;
     cfg.trainer.steps = 5;
-    cfg.trainer.control = ControlPlane::Hierarchical { radix: 2 };
     let result = run_experiment(&cfg).expect("experiment");
     assert!(result.report.consistent, "hybrid all-reduce must keep replicas identical");
 }

@@ -16,8 +16,9 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
-# A doc link to a deleted or narrowed name must fail here.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+# Docs build without a warning: a link to a deleted, narrowed or private
+# name must fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Every public name without another production caller carries a reason
 # on the allowlist, and no allowlist line is stale.
@@ -35,6 +36,11 @@ cargo run --release -q -p exaclim-bench --bin ablations | diff - artifacts/ablat
 # (binary16 activations and weights through the FP32-accumulating GEMM):
 # they must reproduce the recorded artifact byte for byte.
 cargo run --release -q -p exaclim-bench --bin fig6_convergence | diff - artifacts/fig6.txt
+
+# Horovod's coordination protocol has no trainer caller; its measuring bin
+# panics if a round fails. Its message counts follow arrival timing, so
+# the output is not compared.
+cargo run --release -q -p exaclim-bench --bin control_plane > /dev/null
 
 # The fault-injection example asserts every recovery invariant it prints
 # (consistent replicas, bit-identical replays, complete staged shards).
