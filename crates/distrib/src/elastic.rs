@@ -20,12 +20,12 @@
 //!   [`Rendezvous`], so a collective can never straddle two worlds.
 //! * **State follows the view.** On every transition the learning rate is
 //!   rescaled linearly with the world size (the paper's Figure-6 rule),
-//!   every member's batch source re-shards through
-//!   [`BatchSource::on_generation`] (a streaming source's staging plan
-//!   moves only orphaned samples), the replica is re-wired to the new
-//!   world (topology, overlap engine, ready hooks), and joiners receive the parameters *and
-//!   optimizer state* by broadcast from a live survivor — a checkpoint is
-//!   touched only in the survivor-less handoff case.
+//!   the replica is re-wired to the new world (topology, overlap engine,
+//!   ready hooks), and joiners receive the parameters *and optimizer
+//!   state* by broadcast from a live survivor — a checkpoint is touched
+//!   only in the survivor-less handoff case. Batch sources keep their
+//!   shard: a rank's shard is a function of `(seed, rank)`, not of the
+//!   world it is in.
 //! * **Crash recovery without restart.** A member that vanishes surfaces
 //!   as a typed [`CommError`] on the survivors, who meet in a keyed
 //!   recovery round, agree on the surviving set, and continue in a fresh
@@ -592,9 +592,6 @@ impl<B: BatchSource> Member<B> {
             }
         }
         self.configure(comm);
-        // Let the batch source follow the membership change (streaming
-        // sources re-shard deterministically on this hook).
-        self.source.on_generation(self.view.generation, &self.view.members.clone());
         Ok(())
     }
 
@@ -1075,8 +1072,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::test_support::{toy_config, toy_model, toy_source, ToySource};
-    use crate::trainer::{train_data_parallel, Batch};
+    use crate::trainer::test_support::{toy_config, toy_model, toy_source};
+    use crate::trainer::train_data_parallel;
 
     fn elastic_config(ranks: usize, steps: usize, dir: &str) -> ElasticConfig {
         let d = std::env::temp_dir()
@@ -1129,35 +1126,13 @@ mod tests {
         }
     }
 
-    /// Every `on_generation` call each member's source received, by member.
-    type GenerationLog = Arc<Mutex<BTreeMap<usize, Vec<(u64, Vec<usize>)>>>>;
-
-    /// The toy source, recording the generations it is told about.
-    struct RecordingSource {
-        inner: ToySource,
-        me: usize,
-        log: GenerationLog,
-    }
-
-    impl BatchSource for RecordingSource {
-        fn next_batch(&mut self) -> Batch {
-            self.inner.next_batch()
-        }
-        fn on_generation(&mut self, generation: u64, members: &[usize]) {
-            let mut log = self.log.lock().unwrap();
-            log.entry(self.me).or_default().push((generation, members.to_vec()));
-        }
-    }
-
     #[test]
     fn leave_and_join_complete_without_restart() {
         // Rank 1 leaves at step 2; a new rank 4 joins at step 5. Training
         // never restarts: the world shrinks to 3, grows to 4, finishes.
         let cfg = elastic_config(4, 8, "leave_join");
         let faults = FaultPlan::seeded(11).with_leave_at_step(1, 2).with_join_at_step(4, 5);
-        let log = GenerationLog::default();
-        let source = |me| RecordingSource { inner: toy_source(me), me, log: log.clone() };
-        let (r, _m) = train_data_parallel_elastic(&cfg, &faults, toy_model, source);
+        let (r, _m) = run(&cfg, &faults);
         assert!(r.consistent, "finishers diverged: {:?}", r.final_hashes);
         assert_eq!(r.steps.len(), 8, "every global step completed exactly once");
         assert_eq!(r.ranks_left, vec![1]);
@@ -1170,20 +1145,6 @@ mod tests {
         assert_eq!(r.param_broadcasts, 1, "the joiner got the live state");
         assert_eq!(r.checkpoint_fallbacks, 0, "no checkpoint was needed to resize");
         assert_eq!(r.steps_retried, 0, "boundary churn loses no step");
-        // The re-shard reaches the data plane: each member's source saw
-        // every later generation it belongs to, in order, with its member
-        // list — the leaver none, the joiner only the one it entered.
-        let log = log.lock().unwrap();
-        for m in 0..5 {
-            let want: Vec<(u64, Vec<usize>)> = r.generations[1..]
-                .iter()
-                .filter(|g| g.members.contains(&m))
-                .map(|g| (g.generation, g.members.clone()))
-                .collect();
-            assert_eq!(log.get(&m).cloned().unwrap_or_default(), want, "member {m}");
-        }
-        assert!(!log.contains_key(&1), "the leaver hears of no later world");
-        assert_eq!(log[&4].len(), 1, "the joiner hears of the world it entered");
         std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 

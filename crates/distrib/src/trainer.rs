@@ -35,11 +35,6 @@ pub trait BatchSource: Send {
     /// shards, per the staging design of §V-A1).
     fn next_batch(&mut self) -> Batch;
 
-    /// Elastic-generation hook: called after the rank joins a new world
-    /// generation, with the surviving member ids. Streaming sources
-    /// re-shard deterministically here; the default is a no-op.
-    fn on_generation(&mut self, _generation: u64, _members: &[usize]) {}
-
     /// Per-step timing feedback: how long this step's critical path
     /// waited on `next_batch` (exposed ingest) and the step's wall time.
     /// Streaming sources feed this to reader autoscaling

@@ -20,15 +20,16 @@
 //! through bounded per-worker channels, decode into pool-recycled buffers
 //! (zero steady-state allocations), and follow the pure hierarchical
 //! shuffle of [`sampler::epoch_permutation`] — so the consumed sample
-//! sequence is bit-identical at any worker count and across elastic
-//! re-shards. The stream starts with one reader; the
-//! [`prefetch::ReaderAutoscaler`] resizes the set from step timings.
+//! sequence is bit-identical at any worker count. The stream starts with
+//! one reader; the [`prefetch::ReaderAutoscaler`] resizes the set from
+//! step timings.
 //! [`decode`] turns raw sample buffers into normalized training tensors
 //! with the per-pixel loss-weight map computed CPU-side (§V-B1), and
 //! [`augment`] adds the two label-preserving global-field augmentations
 //! (longitude roll, latitude mirror with meridional-wind sign flips). The
-//! node-local shard a stream reads comes from the staging plan
-//! (`exaclim_staging::IngestFeed`, §V-A1).
+//! node-local shard a stream reads is fixed for its lifetime: the staging
+//! plan's pure `(seed, node)` draw (`exaclim_staging::StagingPlan::node_needs`,
+//! §V-A1).
 
 pub mod augment;
 pub mod decode;

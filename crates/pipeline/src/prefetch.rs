@@ -21,10 +21,10 @@
 //! [`ReaderAutoscaler::WINDOW`] steps, on the window's summed timings:
 //! above 10 % it doubles the readers, below 2 % it drops one, in between
 //! it holds. A window that read above 10 % at `n` readers proves `n` too
-//! few, so later shrinks stop at `n + 1` (the *floor*, at most the cap);
-//! a new shard resets the floor. Without the floor, a second reader that
-//! hides the very wait which justified it would be taken away again, and
-//! every such flip tears the readers down and respawns them.
+//! few, so later shrinks stop at `n + 1` (the *floor*, at most the cap).
+//! Without the floor, a second reader that hides the very wait which
+//! justified it would be taken away again, and every such flip tears the
+//! readers down and respawns them.
 
 use std::time::Duration;
 
@@ -43,8 +43,8 @@ const GROW_ABOVE: f64 = 0.10;
 const SHRINK_BELOW: f64 = 0.02;
 
 /// The exposed-I/O feedback loop that sizes the reader set (see the module
-/// docs). Its decisions are a pure function of the timing sequence and
-/// the reshard points, so they are reproducible from recorded timings.
+/// docs). Its decisions are a pure function of the timing sequence, so
+/// they are reproducible from recorded timings.
 #[derive(Debug)]
 pub struct ReaderAutoscaler {
     cap: usize,
@@ -92,8 +92,8 @@ impl ReaderAutoscaler {
         if self.steps < Self::WINDOW {
             return None;
         }
-        let (wait, wall) = (self.wait, self.wall);
-        self.reset_window();
+        let (wait, wall) = (std::mem::take(&mut self.wait), std::mem::take(&mut self.wall));
+        self.steps = 0;
         if wall.is_zero() {
             return None;
         }
@@ -110,22 +110,10 @@ impl ReaderAutoscaler {
         (next != current).then_some(next)
     }
 
-    /// A new shard: what earlier windows measured no longer applies, so
-    /// the floor returns to one and the current window starts over.
-    pub fn on_reshard(&mut self) {
-        self.floor = 1;
-        self.reset_window();
-    }
-
     /// The fewest readers a shrink may leave.
-    pub fn floor(&self) -> usize {
+    #[cfg(test)]
+    fn floor(&self) -> usize {
         self.floor
-    }
-
-    fn reset_window(&mut self) {
-        self.steps = 0;
-        self.wait = Duration::ZERO;
-        self.wall = Duration::ZERO;
     }
 }
 
@@ -242,17 +230,6 @@ mod tests {
         let moves = drive(&mut scaler, 1, 40, share);
         assert_eq!(moves, vec![2, 4, 3]);
         assert_eq!(scaler.floor(), 3);
-    }
-
-    #[test]
-    fn autoscaler_floor_resets_on_reshard() {
-        let mut scaler = ReaderAutoscaler::new(4);
-        assert_eq!(drive(&mut scaler, 1, 4, one_reader_too_few), vec![2]);
-        scaler.on_reshard();
-        assert_eq!(scaler.floor(), 1);
-        // The new shard needs no second reader: one quiet window drops it.
-        let moves = drive(&mut scaler, 2, 4, |_| 0.0);
-        assert_eq!(moves, vec![1]);
     }
 
     #[test]

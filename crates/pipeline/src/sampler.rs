@@ -4,7 +4,7 @@
 //! ... are sufficient to maintain convergence"); independent shards make
 //! the union of local batches statistically similar to a global draw.
 //! The shards themselves come from the staging plan
-//! (`exaclim_staging::IngestFeed`).
+//! (`exaclim_staging::StagingPlan::node_needs`).
 //!
 //! The epoch order is a *pure function* of `(seed, epoch, shard,
 //! chunk_size)` — no RNG draw history, no dependence on reader-worker

@@ -17,12 +17,10 @@
 //! * Decode output lives in pool-recycled buffers and each worker reuses
 //!   its raw staging buffers across runs: the steady-state stream performs
 //!   zero fresh heap allocations.
-//! * [`StreamingIngest::reshard`] and [`StreamingIngest::set_workers`] tear the
-//!   readers down and respawn them at the consumer's exact position, so
-//!   elastic generation changes replay deterministically: the consumed
-//!   sequence is a pure function of the seed, the shard history and the
-//!   positions at which reshards happened — never of worker count or
-//!   timing.
+//! * [`StreamingIngest::set_workers`] tears the readers down and respawns
+//!   them at the consumer's exact position. The shard is fixed for the
+//!   stream's lifetime, so the consumed sequence is a pure function of the
+//!   seed and the shard — never of worker count or timing.
 
 use crate::augment::{Augmentation, MERIDIONAL_CHANNELS};
 use crate::decode::{decode, ChannelStats, DecodedSample};
@@ -108,7 +106,8 @@ impl StreamingIngest {
     }
 
     /// Consumer position as `(epoch, samples consumed within it)`.
-    pub fn position(&self) -> (u64, usize) {
+    #[cfg(test)]
+    fn position(&self) -> (u64, usize) {
         (self.epoch, self.cursor)
     }
 
@@ -177,18 +176,6 @@ impl StreamingIngest {
             self.epoch = self.epoch.wrapping_add(1);
         }
         sample
-    }
-
-    /// Replaces the shard (an elastic re-shard): the *current* epoch is
-    /// rebuilt over the new shard and delivery restarts at its beginning.
-    /// Deterministic — the continuation depends only on `(seed, epoch,
-    /// new_shard)`.
-    pub fn reshard(&mut self, shard: Vec<usize>) {
-        assert!(!shard.is_empty(), "shard must be non-empty");
-        self.teardown();
-        self.shard = Arc::new(shard);
-        self.cursor = 0;
-        self.spawn();
     }
 
     /// Changes the reader-worker count, resuming at the exact consumed
@@ -391,18 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn reshard_rebuilds_the_current_epoch() {
-        let ds = chunked_dataset(16);
-        let mut s = start(&ds, (0..8).collect(), 2);
-        let _ = consume(&mut s, 11); // into epoch 1
-        assert_eq!(s.position().0, 1);
-        let new_shard: Vec<usize> = (8..16).collect();
-        s.reshard(new_shard.clone());
-        let got = consume(&mut s, 8);
-        assert_eq!(got, epoch_permutation(42, 1, &new_shard, 4), "epoch 1 rebuilt on new shard");
-    }
-
-    #[test]
     fn augmented_labels_follow_their_fields() {
         // Oracle for in-stream augmentation, over three epochs: for each
         // delivered sample, the (roll, flip_lat) that reproduces its
@@ -456,29 +431,5 @@ mod tests {
             }
         }
         assert!(flips > 0 && rolls > 0, "the run drew {flips} mirrors and {rolls} nonzero rolls");
-    }
-
-    #[test]
-    fn seeded_churn_schedule_replays_bit_identically() {
-        // The same (seed, reshard-position) schedule must yield the same
-        // global sequence at any worker count.
-        let ds = chunked_dataset(24);
-        let shard_a: Vec<usize> = (0..12).collect();
-        let shard_b: Vec<usize> = (6..18).collect();
-        let shard_c: Vec<usize> = (12..24).collect();
-        let run = |workers: usize| {
-            let mut s = start(&ds, shard_a.clone(), workers);
-            let mut seq = consume(&mut s, 9);
-            s.reshard(shard_b.clone()); // a rank joined
-            seq.extend(consume(&mut s, 15));
-            s.set_workers(workers.max(2) - 1);
-            s.reshard(shard_c.clone()); // a rank left
-            seq.extend(consume(&mut s, 10));
-            seq
-        };
-        let base = run(1);
-        assert_eq!(base, run(2));
-        assert_eq!(base, run(4));
-        assert_eq!(base.len(), 34);
     }
 }

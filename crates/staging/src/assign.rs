@@ -24,21 +24,12 @@ pub struct StagingPlan {
 
 impl StagingPlan {
     /// Builds a plan: every node needs `samples_per_node` distinct samples
-    /// (deterministically pseudo-random), ownership is striped so each
-    /// node reads `ceil(n_samples/nodes)` disjoint samples.
+    /// ([`StagingPlan::node_needs`]), ownership is striped so each node
+    /// reads `ceil(n_samples/nodes)` disjoint samples.
     pub fn build(n_samples: usize, nodes: usize, samples_per_node: usize, seed: u64) -> StagingPlan {
         assert!(nodes > 0 && n_samples > 0);
-        assert!(
-            samples_per_node <= n_samples,
-            "cannot stage {samples_per_node} distinct samples from a {n_samples}-sample set"
-        );
         let needs = (0..nodes)
-            .map(|node| {
-                let mut rng = StdRng::seed_from_u64(seed ^ (node as u64).wrapping_mul(0x9e37_79b9));
-                let mut picks = rand::seq::index::sample(&mut rng, n_samples, samples_per_node).into_vec();
-                picks.sort_unstable();
-                picks
-            })
+            .map(|node| StagingPlan::node_needs(n_samples, node, samples_per_node, seed))
             .collect();
         let owners = (0..n_samples).map(|s| s % nodes).collect();
         StagingPlan {
@@ -49,14 +40,23 @@ impl StagingPlan {
         }
     }
 
+    /// The sorted samples `node` needs: `samples_per_node` distinct draws
+    /// seeded by `(seed, node)` alone, so a node's shard does not depend
+    /// on the node count of the plan it belongs to.
+    pub fn node_needs(n_samples: usize, node: usize, samples_per_node: usize, seed: u64) -> Vec<usize> {
+        assert!(
+            samples_per_node <= n_samples,
+            "cannot stage {samples_per_node} distinct samples from a {n_samples}-sample set"
+        );
+        let mut rng = StdRng::seed_from_u64(seed ^ (node as u64).wrapping_mul(0x9e37_79b9));
+        let mut picks = rand::seq::index::sample(&mut rng, n_samples, samples_per_node).into_vec();
+        picks.sort_unstable();
+        picks
+    }
+
     /// Samples owned (read from the filesystem) by `node`.
     pub fn owned_by(&self, node: usize) -> Vec<usize> {
         (0..self.n_samples).filter(|&s| self.owners[s] == node).collect()
-    }
-
-    /// Nodes that need sample `s`.
-    pub fn needed_by(&self, s: usize) -> Vec<usize> {
-        (0..self.nodes).filter(|&n| self.needs[n].binary_search(&s).is_ok()).collect()
     }
 
     /// Mean number of nodes needing each sample — the paper's "each
@@ -67,16 +67,14 @@ impl StagingPlan {
         total as f64 / self.n_samples as f64
     }
 
-    /// Re-shards ownership after a membership change: every sample whose
-    /// owner is no longer in `live` is reassigned round-robin over the
-    /// live nodes, preserving the ownership partition (every sample owned
-    /// by exactly one live node). Samples already owned by live nodes do
-    /// not move — only the orphans are re-read. Returns how many samples
-    /// moved.
+    /// Moves ownership off dead readers: every sample whose owner is not
+    /// in `live` is reassigned round-robin over the live nodes, preserving
+    /// the ownership partition (every sample owned by exactly one live
+    /// node). Samples already owned by live nodes do not move — only the
+    /// orphans are re-read. Returns how many samples moved.
     ///
     /// Deterministic: the reassignment depends only on the current owner
-    /// vector and the (sorted) live set, so every rank computing the new
-    /// plan independently arrives at the same answer.
+    /// vector and the (sorted) live set.
     pub fn reassign_owners(&mut self, live: &[usize]) -> usize {
         assert!(!live.is_empty(), "cannot re-shard onto an empty live set");
         let mut live = live.to_vec();
@@ -92,31 +90,6 @@ impl StagingPlan {
             }
         }
         moved
-    }
-
-    /// Grows the plan to cover `node` (a joiner), drawing its needs with
-    /// the same seeded per-node rule as [`StagingPlan::build`] — so a
-    /// node joining an elastic run stages exactly the shard it would have
-    /// had in a fresh world of that size. No-op when the node already has
-    /// a non-empty shard.
-    pub fn ensure_node(&mut self, node: usize, samples_per_node: usize, seed: u64) {
-        if node < self.needs.len() && !self.needs[node].is_empty() {
-            return;
-        }
-        assert!(
-            samples_per_node <= self.n_samples,
-            "cannot stage {samples_per_node} distinct samples from a {}-sample set",
-            self.n_samples
-        );
-        if node >= self.needs.len() {
-            self.needs.resize(node + 1, Vec::new());
-        }
-        let mut rng = StdRng::seed_from_u64(seed ^ (node as u64).wrapping_mul(0x9e37_79b9));
-        let mut picks =
-            rand::seq::index::sample(&mut rng, self.n_samples, samples_per_node).into_vec();
-        picks.sort_unstable();
-        self.needs[node] = picks;
-        self.nodes = self.nodes.max(node + 1);
     }
 }
 
@@ -193,16 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn joiner_shard_matches_a_fresh_build() {
-        let mut plan = StagingPlan::build(80, 3, 12, 5);
-        plan.ensure_node(4, 12, 5);
-        let fresh = StagingPlan::build(80, 5, 12, 5);
-        assert_eq!(plan.needs[4], fresh.needs[4], "seeded per-node draw is position-independent");
-        assert_eq!(plan.nodes, 5);
-        assert!(plan.needs[3].is_empty(), "intermediate node was not implicitly staged");
-        // Re-ensuring is a no-op.
-        let shard = plan.needs[4].clone();
-        plan.ensure_node(4, 12, 5);
-        assert_eq!(plan.needs[4], shard);
+    fn node_needs_do_not_depend_on_the_plan_size() {
+        let alone = StagingPlan::node_needs(80, 4, 12, 5);
+        for nodes in [5, 6, 9] {
+            assert_eq!(StagingPlan::build(80, nodes, 12, 5).needs[4], alone, "{nodes}-node plan");
+        }
+        assert_ne!(StagingPlan::node_needs(80, 3, 12, 5), alone, "nodes draw independently");
     }
 }

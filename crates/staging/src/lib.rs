@@ -18,20 +18,22 @@
 //! This crate provides:
 //!
 //! * [`assign`] — deterministic sample→node assignments (who needs what,
-//!   who reads what).
+//!   who reads what). A node's needs are a pure function of
+//!   `(seed, node)` ([`StagingPlan::node_needs`]), which is also the shard
+//!   its training stream reads; ownership moves only off a reader that
+//!   died mid-staging.
 //! * [`sim`] — a discrete-event simulation of both staging strategies on
 //!   the machine models, reproducing the §V-A1 timings.
 //! * [`real`] — a *real* miniature staging system: thread "nodes", CDF5
 //!   files on local disk, crossbeam channels as the interconnect — used to
-//!   verify the protocol delivers bit-identical shards.
+//!   verify the protocol delivers bit-identical shards, with or without
+//!   reader deaths.
 
 pub mod assign;
-mod ingest;
 pub mod real;
 pub mod sim;
 
 pub use assign::StagingPlan;
-pub use ingest::IngestFeed;
 pub use sim::{
     simulate_distributed_staging, simulate_distributed_staging_faulty, simulate_naive_staging,
     StagingConfig, StagingOutcome,

@@ -4,9 +4,9 @@
 //!
 //! * **naive** — every node opens the shared files and reads every sample
 //!   it needs (each file opened by many nodes);
-//! * **distributed** — every node reads only its disjoint owned partition
-//!   and forwards copies over channels (the "InfiniBand"), exactly the
-//!   §V-A1 protocol.
+//! * **distributed** — every node reads only the needed samples of its
+//!   disjoint owned partition and forwards copies over channels (the
+//!   "InfiniBand"), exactly the §V-A1 protocol.
 //!
 //! Both must deliver bit-identical shards; the test suite verifies it.
 
@@ -81,100 +81,18 @@ enum Wire {
     Done,
 }
 
-/// Distributed staging: disjoint reads + channel redistribution.
+/// Staging rounds at most: the first attempt plus recovery rounds.
+const MAX_ATTEMPTS: usize = 4;
+/// Backoff before recovery round `k` is `BASE_BACKOFF · 2^(k−1)`.
+const BASE_BACKOFF: Duration = Duration::from_millis(5);
+/// How long a collector waits with no traffic before concluding the
+/// missing `Done`s will never come (a peer died).
+const QUIET_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Distributed staging: disjoint reads + channel redistribution. The
+/// healthy case of [`stage_distributed_faulty`].
 pub fn stage_distributed(dataset: &Arc<ClimateDataset>, plan: &StagingPlan) -> RealStagingReport {
-    let t0 = Instant::now();
-    let n = plan.nodes;
-    let mut txs: Vec<Sender<Wire>> = Vec::with_capacity(n);
-    let mut rxs: Vec<Option<Receiver<Wire>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-
-    let (shards, stats): (Vec<Shard>, Vec<(usize, usize)>) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|node| {
-                let ds = dataset.clone();
-                let plan = plan.clone();
-                let txs = txs.clone();
-                let rx = rxs[node].take().expect("receiver");
-                scope.spawn(move || {
-                    let mut shard = Shard::new();
-                    let mut reads = 0;
-                    let mut forwards = 0;
-                    // Phase 1: read owned partition once, forward copies.
-                    for s in plan.owned_by(node) {
-                        let payload = ds.sample(s).expect("dataset read");
-                        reads += 1;
-                        for dst in plan.needed_by(s) {
-                            if dst == node {
-                                shard.insert(s, payload.clone());
-                            } else {
-                                forwards += 1;
-                                txs[dst]
-                                    .send(Wire::Sample { index: s, payload: payload.clone() })
-                                    .expect("peer alive");
-                            }
-                        }
-                    }
-                    // Signal completion to everyone (simple termination
-                    // protocol: each node sends Done to all).
-                    for tx in &txs {
-                        tx.send(Wire::Done).expect("peer alive");
-                    }
-                    // Phase 2: collect incoming copies until all peers done.
-                    let mut done = 0;
-                    while done < n {
-                        match rx.recv().expect("channel") {
-                            Wire::Sample { index, payload } => {
-                                shard.insert(index, payload);
-                            }
-                            Wire::Done => done += 1,
-                        }
-                    }
-                    (shard, (reads, forwards))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("node"))
-            .unzip()
-    });
-    drop(txs);
-    RealStagingReport {
-        shards,
-        wall_time: t0.elapsed().as_secs_f64(),
-        disk_reads: stats.iter().map(|s| s.0).sum(),
-        forwarded: stats.iter().map(|s| s.1).sum(),
-        retries: 0,
-        reassigned_samples: 0,
-        crashed_nodes: Vec::new(),
-    }
-}
-
-/// Retry/backoff knobs for [`stage_distributed_faulty`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Maximum staging rounds (first attempt + recovery rounds).
-    pub max_attempts: usize,
-    /// Backoff before recovery round `k` is `base_backoff · 2^(k−1)`.
-    pub base_backoff: Duration,
-    /// How long a collector waits with no traffic before concluding the
-    /// missing `Done`s will never come (a peer died).
-    pub quiet_timeout: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(5),
-            quiet_timeout: Duration::from_millis(250),
-        }
-    }
+    stage_distributed_faulty(dataset, plan, &FaultPlan::none())
 }
 
 /// What a node thread reports back to the staging driver.
@@ -189,24 +107,27 @@ enum NodeRun {
 
 /// Distributed staging that survives reader-node deaths.
 ///
-/// Runs the [`stage_distributed`] protocol in rounds. A node whose
+/// Runs the §V-A1 protocol in rounds. In each round every live node reads
+/// the samples it owns that some live node still misses — each exactly
+/// once — forwards copies to the nodes that need them, sends `Done` to
+/// every participant and collects its own copies. A node whose
 /// [`FaultPlan`] entry says "crash after `k` owned reads" performs `k`
 /// reads, forwards them, then drops all its endpoints without sending
 /// `Done` — exactly the signature of a real node death. Survivors detect
-/// the silence through a quiet-period timeout, the driver reassigns the
-/// dead node's still-missing owned samples to survivors round-robin, and
-/// a recovery round (after bounded exponential backoff) re-reads them.
-/// Surviving nodes always end with complete, bit-identical shards; the
-/// report counts rounds, reassignments, and deaths.
+/// the silence through a quiet-period timeout, the driver moves the dead
+/// node's ownership to survivors ([`StagingPlan::reassign_owners`]), and a
+/// recovery round (after bounded exponential backoff) re-reads what is
+/// still missing. Surviving nodes always end with complete, bit-identical
+/// shards; the report counts rounds, reassignments, and deaths.
 pub fn stage_distributed_faulty(
     dataset: &Arc<ClimateDataset>,
     plan: &StagingPlan,
     faults: &FaultPlan,
-    policy: &RetryPolicy,
 ) -> RealStagingReport {
     let t0 = Instant::now();
     let n = plan.nodes;
-    let mut owners = plan.owners.clone();
+    // A working copy: ownership moves off readers that die.
+    let mut working = plan.clone();
     let mut alive = vec![true; n];
     let mut shards: Vec<Shard> = vec![Shard::new(); n];
     let mut disk_reads = 0usize;
@@ -214,10 +135,9 @@ pub fn stage_distributed_faulty(
     let mut retries = 0usize;
     let mut reassigned_samples = 0usize;
     let mut crashed_nodes: Vec<usize> = Vec::new();
-    let mut rr = 0usize;
 
-    for attempt in 0..policy.max_attempts {
-        // What does each surviving node still miss?
+    for attempt in 0..MAX_ATTEMPTS {
+        // What does each surviving node still miss? (Nothing, for the dead.)
         let missing: Vec<Vec<usize>> = (0..n)
             .map(|node| {
                 if !alive[node] {
@@ -235,12 +155,10 @@ pub fn stage_distributed_faulty(
         }
         if attempt > 0 {
             retries += 1;
-            let backoff = policy.base_backoff * 2u32.pow((attempt - 1).min(8) as u32);
-            std::thread::sleep(backoff);
+            std::thread::sleep(BASE_BACKOFF * 2u32.pow((attempt - 1) as u32));
         }
 
         let participants: Vec<usize> = (0..n).filter(|&node| alive[node]).collect();
-        let expected_done = participants.len();
         // Fresh channels each round (no stale traffic across rounds).
         let mut txs: Vec<Sender<Wire>> = Vec::with_capacity(n);
         let mut rxs: Vec<Option<Receiver<Wire>>> = Vec::with_capacity(n);
@@ -251,16 +169,12 @@ pub fn stage_distributed_faulty(
         }
 
         let results: Vec<(usize, NodeRun)> = std::thread::scope(|scope| {
+            let (working, missing, participants) = (&working, &missing, &participants);
             let handles: Vec<_> = participants
                 .iter()
                 .map(|&node| {
-                    let ds = dataset.clone();
-                    let owners = owners.clone();
-                    let missing = missing.clone();
-                    let alive = alive.clone();
                     let txs = txs.clone();
                     let rx = rxs[node].take().expect("receiver");
-                    let quiet = policy.quiet_timeout;
                     // The injected crash strikes once, on the node's first
                     // staging round.
                     let crash_after = if attempt == 0 { faults.crash_after_reads(node) } else { None };
@@ -268,11 +182,12 @@ pub fn stage_distributed_faulty(
                         let mut shard = Shard::new();
                         let mut reads = 0usize;
                         let mut forwards = 0usize;
-                        // Phase 1: read currently-owned samples that some
-                        // surviving node still misses; forward copies.
-                        let to_read: Vec<usize> = (0..owners.len())
-                            .filter(|&s| owners[s] == node)
-                            .filter(|&s| (0..alive.len()).any(|d| alive[d] && missing[d].contains(&s)))
+                        // Phase 1: read owned samples that some surviving
+                        // node still misses; forward copies.
+                        let to_read: Vec<usize> = working
+                            .owned_by(node)
+                            .into_iter()
+                            .filter(|s| missing.iter().any(|m| m.contains(s)))
                             .collect();
                         for s in to_read {
                             if crash_after == Some(reads) {
@@ -280,10 +195,10 @@ pub fn stage_distributed_faulty(
                                 // Done. Peers must detect this, not hang.
                                 return (node, NodeRun::Crashed(reads, forwards));
                             }
-                            let payload = ds.sample(s).expect("dataset read");
+                            let payload = dataset.sample(s).expect("dataset read");
                             reads += 1;
                             for (dst, miss) in missing.iter().enumerate() {
-                                if !alive[dst] || !miss.contains(&s) {
+                                if !miss.contains(&s) {
                                     continue;
                                 }
                                 if dst == node {
@@ -300,15 +215,15 @@ pub fn stage_distributed_faulty(
                         if crash_after == Some(reads) {
                             return (node, NodeRun::Crashed(reads, forwards));
                         }
-                        for (p, _) in alive.iter().enumerate().filter(|&(_, &a)| a) {
+                        for &p in participants {
                             let _ = txs[p].send(Wire::Done);
                         }
                         // Phase 2: collect copies until every participant's
                         // Done arrived — or the line goes quiet (someone
                         // died mid-round).
                         let mut done = 0usize;
-                        while done < expected_done {
-                            match rx.recv_timeout(quiet) {
+                        while done < participants.len() {
+                            match rx.recv_timeout(QUIET_TIMEOUT) {
                                 Ok(Wire::Sample { index, payload }) => {
                                     shard.insert(index, payload);
                                 }
@@ -325,7 +240,6 @@ pub fn stage_distributed_faulty(
         });
 
         // Merge deltas; record deaths.
-        let mut newly_dead: Vec<usize> = Vec::new();
         for (node, run) in results {
             match run {
                 NodeRun::Finished(delta, reads, fwds) => {
@@ -339,33 +253,18 @@ pub fn stage_distributed_faulty(
                     // forwarded copies were delivered).
                     disk_reads += reads;
                     forwarded += fwds;
-                    newly_dead.push(node);
+                    alive[node] = false;
+                    crashed_nodes.push(node);
+                    shards[node].clear();
                 }
             }
         }
-        for dead in newly_dead {
-            alive[dead] = false;
-            crashed_nodes.push(dead);
-            shards[dead].clear();
-            // Reassign the dead node's owned samples that anyone alive
-            // still misses, round-robin over survivors.
-            let survivors: Vec<usize> = (0..n).filter(|&x| alive[x]).collect();
-            if survivors.is_empty() {
-                break;
-            }
-            for (s, owner) in owners.iter_mut().enumerate() {
-                if *owner != dead {
-                    continue;
-                }
-                let still_needed = (0..n)
-                    .any(|d| alive[d] && plan.needs[d].contains(&s) && !shards[d].contains_key(&s));
-                if still_needed {
-                    *owner = survivors[rr % survivors.len()];
-                    rr += 1;
-                    reassigned_samples += 1;
-                }
-            }
+        // Survivors take over the dead readers' ownership.
+        let survivors: Vec<usize> = (0..n).filter(|&x| alive[x]).collect();
+        if survivors.is_empty() {
+            break;
         }
+        reassigned_samples += working.reassign_owners(&survivors);
     }
 
     RealStagingReport {
@@ -421,30 +320,67 @@ mod tests {
         let ds = tiny_dataset();
         let plan = StagingPlan::build(12, 3, 8, 6);
         let dist = stage_distributed(&ds, &plan);
-        assert_eq!(dist.disk_reads, 12, "one disk read per dataset sample");
+        // 11 of the 12 samples are needed somewhere.
+        assert_eq!(dist.disk_reads, 11, "one disk read per needed sample");
         let naive = stage_naive(&ds, &plan);
         assert_eq!(naive.disk_reads, 3 * 8, "naive reads every need");
         assert!(dist.forwarded > 0, "copies must flow over the network");
     }
 
+    /// Explores 12 seeded schedules: every pair of 2–5 nodes and 0, 1 or 2
+    /// scheduled reader deaths (one on 2 nodes, so a node survives), at
+    /// drawn nodes and read counts (a count past the node's reads never
+    /// fires). The healthy run
+    /// reads every needed sample exactly once in one round; under faults
+    /// the scheduled deaths happen, every survivor ends with exactly
+    /// `stage_naive`'s shard, and a replay gives the same shards. A run
+    /// with a death waits out one quiet timeout (250 ms): about 4 s.
     #[test]
-    fn faulty_staging_without_faults_matches_plain() {
+    fn seeded_crash_schedules_leave_every_survivor_complete() {
+        use rand::{Rng, SeedableRng};
         let ds = tiny_dataset();
-        let plan = StagingPlan::build(12, 4, 6, 5);
-        let plain = stage_distributed(&ds, &plan);
-        let ft = stage_distributed_faulty(&ds, &plan, &FaultPlan::none(), &RetryPolicy::default());
-        assert_eq!(ft.retries, 0);
-        assert_eq!(ft.reassigned_samples, 0);
-        assert!(ft.crashed_nodes.is_empty());
-        // Plain staging reads every owned sample; the fault-tolerant
-        // protocol only reads samples some node actually needs, so it can
-        // read strictly fewer (never more) when the plan leaves orphans.
-        let needed: std::collections::HashSet<usize> =
-            plan.needs.iter().flatten().copied().collect();
-        assert_eq!(ft.disk_reads, needed.len(), "one read per needed sample");
-        assert!(ft.disk_reads <= plain.disk_reads);
-        for node in 0..4 {
-            assert_eq!(ft.shards[node], plain.shards[node], "node {node} shard");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        for case in 0..12u64 {
+            let nodes = 2 + case as usize % 4;
+            let plan = StagingPlan::build(12, nodes, rng.gen_range(2..=8), case);
+            let needed: std::collections::HashSet<usize> = plan.needs.iter().flatten().copied().collect();
+            let naive = stage_naive(&ds, &plan);
+
+            let healthy = stage_distributed(&ds, &plan);
+            assert_eq!(healthy.disk_reads, needed.len(), "case {case}: one read per needed sample");
+            assert_eq!(healthy.retries, 0, "case {case}");
+            assert_eq!(healthy.shards, naive.shards, "case {case}: healthy shards");
+
+            let mut faults = FaultPlan::seeded(case);
+            let mut doomed = Vec::new();
+            let deaths = (case as usize % 3).min(nodes - 1);
+            for node in rand::seq::index::sample(&mut rng, nodes, deaths) {
+                let reads = plan.owned_by(node).iter().filter(|s| needed.contains(s)).count();
+                let after = rng.gen_range(0..=reads + 1);
+                faults = faults.with_crash_after_reads(node, after);
+                if after <= reads {
+                    doomed.push(node);
+                }
+            }
+            let run = stage_distributed_faulty(&ds, &plan, &faults);
+            let mut dead = run.crashed_nodes.clone();
+            dead.sort_unstable();
+            doomed.sort_unstable();
+            assert_eq!(dead, doomed, "case {case}: the scheduled deaths");
+            for node in 0..nodes {
+                if dead.contains(&node) {
+                    assert!(run.shards[node].is_empty(), "case {case}: dead node {node} holds nothing");
+                } else {
+                    assert_eq!(run.shards[node], naive.shards[node], "case {case}: survivor {node}");
+                }
+            }
+            // Deaths strike only the first round, so one recovery round
+            // suffices (none when the dead had forwarded everything).
+            assert!(run.retries <= usize::from(!dead.is_empty()), "case {case}: {} retries", run.retries);
+
+            let replay = stage_distributed_faulty(&ds, &plan, &faults);
+            assert_eq!(replay.crashed_nodes, run.crashed_nodes, "case {case}");
+            assert_eq!(replay.shards, run.shards, "case {case}: replayed shards bit-identical");
         }
     }
 
@@ -454,7 +390,7 @@ mod tests {
         let plan = StagingPlan::build(12, 4, 6, 5);
         // Node 1 dies after reading a single owned sample.
         let faults = FaultPlan::seeded(3).with_crash_after_reads(1, 1);
-        let ft = stage_distributed_faulty(&ds, &plan, &faults, &RetryPolicy::default());
+        let ft = stage_distributed_faulty(&ds, &plan, &faults);
         assert_eq!(ft.crashed_nodes, vec![1]);
         assert!(ft.retries >= 1, "a recovery round must run");
         assert!(ft.reassigned_samples > 0, "dead node's samples must be reassigned");
@@ -479,7 +415,7 @@ mod tests {
         let faults = FaultPlan::seeded(4)
             .with_crash_after_reads(0, 0) // dies before reading anything
             .with_crash_after_reads(2, 2);
-        let ft = stage_distributed_faulty(&ds, &plan, &faults, &RetryPolicy::default());
+        let ft = stage_distributed_faulty(&ds, &plan, &faults);
         let mut dead = ft.crashed_nodes.clone();
         dead.sort_unstable();
         assert_eq!(dead, vec![0, 2]);
@@ -494,8 +430,8 @@ mod tests {
         let ds = tiny_dataset();
         let plan = StagingPlan::build(12, 3, 8, 6);
         let faults = FaultPlan::seeded(9).with_crash_after_reads(2, 1);
-        let a = stage_distributed_faulty(&ds, &plan, &faults, &RetryPolicy::default());
-        let b = stage_distributed_faulty(&ds, &plan, &faults, &RetryPolicy::default());
+        let a = stage_distributed_faulty(&ds, &plan, &faults);
+        let b = stage_distributed_faulty(&ds, &plan, &faults);
         assert_eq!(a.crashed_nodes, b.crashed_nodes);
         assert_eq!(a.reassigned_samples, b.reassigned_samples);
         assert_eq!(a.shards.len(), b.shards.len());

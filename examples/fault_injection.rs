@@ -16,7 +16,7 @@ use exaclim_faults::{FaultPlan, LinkFault};
 use exaclim_nn::layers::{Conv2d, ReLU};
 use exaclim_nn::loss::{class_weights, pixel_weight_map, ClassWeighting, Labels};
 use exaclim_nn::{Layer, Sequential};
-use exaclim_staging::real::{stage_distributed, stage_distributed_faulty, RetryPolicy};
+use exaclim_staging::real::{stage_distributed, stage_distributed_faulty};
 use exaclim_staging::{simulate_distributed_staging_faulty, StagingConfig, StagingPlan};
 use exaclim_tensor::init::{randn, seeded_rng};
 use exaclim_tensor::ops::Conv2dParams;
@@ -130,7 +130,7 @@ fn main() {
     let dataset = Arc::new(ClimateDataset::in_memory(&data));
     let plan = StagingPlan::build(12, 4, 6, 5);
     let reader_death = FaultPlan::seeded(3).with_crash_after_reads(1, 1);
-    let staged = stage_distributed_faulty(&dataset, &plan, &reader_death, &RetryPolicy::default());
+    let staged = stage_distributed_faulty(&dataset, &plan, &reader_death);
     println!(
         "crashed nodes {:?}, {} recovery round(s), {} sample(s) reassigned, {} disk reads",
         staged.crashed_nodes, staged.retries, staged.reassigned_samples, staged.disk_reads
@@ -142,7 +142,7 @@ fn main() {
         .all(|n| staged.shards[n].len() == plan.needs[n].len() && staged.shards[n] == healthy.shards[n]);
     println!("survivor shards complete and equal to a healthy run's: {complete}");
     assert!(complete, "a survivor's shard is incomplete or differs");
-    let replay = stage_distributed_faulty(&dataset, &plan, &reader_death, &RetryPolicy::default());
+    let replay = stage_distributed_faulty(&dataset, &plan, &reader_death);
     let identical = replay.crashed_nodes == staged.crashed_nodes && replay.shards == staged.shards;
     println!("replay bit-identical: {identical}");
     assert!(identical, "real staging replay drifted");

@@ -30,17 +30,10 @@ fn main() {
     );
     let naive = stage_naive(&dataset, &plan);
     let dist = stage_distributed(&dataset, &plan);
-    println!(
-        "  naive:       {} disk reads, 0 forwards, {:.1} ms",
-        naive.disk_reads,
-        naive.wall_time * 1e3
-    );
-    println!(
-        "  distributed: {} disk reads, {} forwards, {:.1} ms",
-        dist.disk_reads,
-        dist.forwarded,
-        dist.wall_time * 1e3
-    );
+    // Reads and forwards only: wall times vary run to run, and the output
+    // is pinned byte for byte.
+    println!("  naive:       {} disk reads, 0 forwards", naive.disk_reads);
+    println!("  distributed: {} disk reads, {} forwards", dist.disk_reads, dist.forwarded);
     let identical = (0..4).all(|n| naive.shards[n] == dist.shards[n]);
     println!("  shards bit-identical across strategies: {identical}");
     std::fs::remove_dir_all(&dir).ok();

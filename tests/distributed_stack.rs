@@ -7,7 +7,7 @@ use exaclim_comm::CommWorld;
 use exaclim_distrib::{ControlPlane, Coordinator};
 use exaclim_pipeline::{ChannelStats, ReaderMode, StreamConfig, StreamingIngest};
 use exaclim_staging::real::{stage_distributed, stage_naive};
-use exaclim_staging::{IngestFeed, StagingPlan};
+use exaclim_staging::StagingPlan;
 use exaclim_tensor::DType;
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,7 +80,8 @@ fn naive_and_distributed_staging_agree_at_8_nodes() {
     for node in 0..8 {
         assert_eq!(a.shards[node], b.shards[node], "node {node}");
     }
-    assert_eq!(b.disk_reads, 16);
+    // 14 of the 16 samples are needed somewhere; each is read once.
+    assert_eq!(b.disk_reads, 14);
     assert!(a.disk_reads > b.disk_reads, "naive re-reads shared files");
 }
 
@@ -133,7 +134,7 @@ fn on_disk_dataset_supports_the_full_path() {
     let ds = Arc::new(ClimateDataset::on_disk(&cfg, &dir).expect("on-disk"));
     assert_eq!(ds.files().len(), 3);
     let stats = ChannelStats::estimate(&ds, 2).expect("stats");
-    let shard = IngestFeed::build(ds.len(), 1, 0, 4, 2).shard();
+    let shard = StagingPlan::node_needs(ds.len(), 0, 4, 2);
     let mut q = start_stream(
         &ds,
         shard,

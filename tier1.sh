@@ -46,11 +46,12 @@ cargo run --release -q -p exaclim-bench --bin control_plane > /dev/null
 # (consistent replicas, bit-identical replays, complete staged shards).
 cargo run --release -q --example fault_injection
 
-# The storm-analytics and time-lapse examples are deterministic: they must
-# reproduce their recorded output byte for byte. The time-lapse example
-# also rewrites the tracked out/timelapse_*.ppm frames, so the work-tree
-# check below pins those too.
+# The storm-analytics, staging-comparison and time-lapse examples are
+# deterministic: they must reproduce their recorded output byte for byte.
+# The time-lapse example also rewrites the tracked out/timelapse_*.ppm
+# frames, so the work-tree check below pins those too.
 cargo run --release -q --example storm_analytics | diff - artifacts/example_storms.txt
+cargo run --release -q --example staging_comparison | diff - artifacts/example_staging.txt
 cargo run --release -q --example climate_timelapse | diff - artifacts/example_timelapse.txt
 
 if [ "$tree_before" != "$(tree_state)" ]; then
