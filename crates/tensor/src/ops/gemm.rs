@@ -275,11 +275,22 @@ fn gemm_dispatch(
 
 /// Packs the `MR`-row micro-panel of `A` covering logical rows
 /// `[i0, i0+MR)` and depths `[pc, pc+kc)` into `panel` (layout:
-/// `kc` groups of `MR` row-values; short row blocks are zero-padded, which
-/// contributes exact `+0.0` terms to lanes that are never written back).
+/// `kc` groups of `MR` row-values). A full panel is a vector copy: stored
+/// transposed, each depth is `MR` contiguous floats ([`simd::vpack_rows`]);
+/// row-major, each row is `kc` contiguous depths ([`simd::vpack_transpose`]).
+/// The tail panel of a short row block goes element by element and is
+/// zero-padded, which contributes exact `+0.0` terms to lanes that are
+/// never written back.
 #[allow(clippy::too_many_arguments)]
 fn pack_a_panel(a: &[f32], layout: Layout, m: usize, k: usize, i0: usize, pc: usize, kc: usize, panel: &mut [f32]) {
     debug_assert_eq!(panel.len(), kc * MR);
+    if i0 + MR <= m {
+        match layout {
+            Layout::Normal => simd::vpack_transpose(kc, &a[i0 * k + pc..], k, panel),
+            Layout::Transposed => simd::vpack_rows(kc, &a[pc * m + i0..], m, panel),
+        }
+        return;
+    }
     for p in 0..kc {
         for r in 0..MR {
             let i = i0 + r;
@@ -340,15 +351,19 @@ fn gemm_blocked(
     let c_ptr = SendPtr(c.as_mut_ptr());
 
     // One packed-A buffer for the whole kc-panel, shared read-only by all
-    // tiles. Packed serially: the pack is a tiny fraction of the FLOPs and
-    // pool dispatch here costs more than it buys.
-    let mut ap = crate::pool::take_zeroed(m_panels * MR * KC);
+    // tiles; its micro-panels lie `kcap = min(KC, k)` depths apart. Packed
+    // serially, ahead of the tile grid. A packed element of `A` feeds 2·N
+    // flops (one FMA per column of `C`): 32 on a 4×4 patch's N = 16, so
+    // on a narrow `B` the pack is a real share of the GEMM and its full
+    // panels go through vector copies (`pack_a_panel`).
+    let kcap = KC.min(k);
+    let mut ap = crate::pool::take_zeroed(m_panels * MR * kcap);
     // Depth-row offsets of the B panels read in place, per kc-panel.
     let mut offs = [0usize; KC];
 
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
-        for (panel, buf) in ap.chunks_mut(MR * KC).enumerate() {
+        for (panel, buf) in ap.chunks_mut(MR * kcap).enumerate() {
             pack_a_panel(a, a_layout, m, k, panel * MR, pc, kc, &mut buf[..kc * MR]);
         }
         let in_place = bsrc.in_place_rows(pc, kc, &mut offs[..kc]);
@@ -380,7 +395,7 @@ fn gemm_blocked(
             for ir in (0..mc).step_by(MR) {
                 let i = i0 + ir;
                 let mr_eff = MR.min(m - i);
-                let ap_panel = &ap[(i / MR) * MR * KC..(i / MR) * MR * KC + kc * MR];
+                let ap_panel = &ap[(i / MR) * MR * kcap..][..kc * MR];
                 let mut bp_panels = bp.chunks_exact(NR * kc);
                 for (panel, rows) in rows_in_place[..nr_panels].iter().enumerate() {
                     let j = j0 + panel * NR;

@@ -156,4 +156,44 @@ mod tests {
         let (y, _) = maxpool2d_forward(&x, 3, 2, 1);
         assert_eq!(y.as_slice(), &[-5.0]);
     }
+
+    /// Central-difference oracle for `maxpool2d_backward_shaped`, against
+    /// every input entry, for a stride-2 pool and the padded 3×3 stride-2
+    /// stem, whose windows overlap. Inputs are distinct multiples of 2⁻⁴,
+    /// a permutation with positive and negative values, so no window ties
+    /// and a step of 2⁻⁶ either way moves no argmax; the loss projects the
+    /// output on a fixed random tensor `r`, summed in f64, so
+    /// `backward(r)` is its exact gradient.
+    #[test]
+    fn gradient_check() {
+        let _pool_quiet = crate::pool::TEST_GUARD.lock();
+        let mut rng = crate::init::seeded_rng(7);
+        for (dims, kernel, stride, pad) in [([2, 2, 6, 6], 2, 2, 0), ([1, 2, 7, 9], 3, 2, 1)] {
+            let len: usize = dims.iter().product();
+            // 37 is coprime to both sizes, so `i·37 mod len` permutes them.
+            let vals = (0..len).map(|i| ((i * 37 % len) as f32 - (len / 2) as f32) * 0.0625).collect();
+            let x = Tensor::from_vec(dims, DType::F32, vals);
+            let (y, arg) = maxpool2d_forward(&x, kernel, stride, pad);
+            let r = crate::init::randn(y.shape().clone(), DType::F32, 1.0, &mut rng);
+            let ana = maxpool2d_backward_shaped(x.shape().clone(), x.dtype(), &r, &arg);
+
+            let loss = |x: &Tensor| -> f64 {
+                let (y, _) = maxpool2d_forward(x, kernel, stride, pad);
+                y.as_slice().iter().zip(r.as_slice()).map(|(&a, &b)| a as f64 * b as f64).sum()
+            };
+            let h = 2f32.powi(-6);
+            for (i, &a) in ana.as_slice().iter().enumerate() {
+                let mut at = x.clone();
+                at.as_mut_slice()[i] += h;
+                let lp = loss(&at);
+                at.as_mut_slice()[i] -= 2.0 * h;
+                let lm = loss(&at);
+                let num = (lp - lm) / (2.0 * h as f64);
+                assert!(
+                    (num - a as f64).abs() < 1e-5 * (a as f64).abs().max(0.1),
+                    "kernel {kernel} pad {pad}: grad x[{i}]: numeric {num} vs analytic {a}"
+                );
+            }
+        }
+    }
 }

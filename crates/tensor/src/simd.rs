@@ -318,8 +318,8 @@ unsafe fn vadd_scalar_avx2(x: &mut [f32], b: f32) {
 /// (where zero-padding applies) element-wise. Pure copies, so every level
 /// is trivially bit-identical.
 pub fn vpack_rows(kc: usize, src: &[f32], ld: usize, dst: &mut [f32]) {
-    debug_assert!(dst.len() >= kc * NR);
-    debug_assert!(kc == 0 || src.len() >= (kc - 1) * ld + NR);
+    assert!(dst.len() >= kc * NR);
+    assert!(kc == 0 || src.len() >= (kc - 1) * ld + NR);
     #[cfg(target_arch = "x86_64")]
     if active_level() == SimdLevel::Avx2Fma {
         unsafe { vpack_rows_avx2(kc, src, ld, dst) };
@@ -340,6 +340,73 @@ unsafe fn vpack_rows_avx2(kc: usize, src: &[f32], ld: usize, dst: &mut [f32]) {
     let d = dst.as_mut_ptr();
     for p in 0..kc {
         _mm256_storeu_ps(d.add(p * NR), _mm256_loadu_ps(s.add(p * ld)));
+    }
+}
+
+/// Packs `MR` strided rows of `kc` contiguous floats into a dense panel of
+/// `kc` groups of `MR`: `dst[p·MR + r] = src[r·ld + p]`. This is the
+/// full-panel path of row-major `A` packing, whose depth runs along a row;
+/// the AVX2 level moves eight depths at a time through one 8×8 register
+/// transpose. Pure copies, so every level is trivially bit-identical.
+pub(crate) fn vpack_transpose(kc: usize, src: &[f32], ld: usize, dst: &mut [f32]) {
+    assert!(dst.len() >= kc * MR);
+    assert!(kc == 0 || src.len() >= (MR - 1) * ld + kc);
+    #[cfg(target_arch = "x86_64")]
+    if active_level() == SimdLevel::Avx2Fma {
+        // SAFETY: AVX2 is present, and the asserts above bound every read
+        // (`r·ld + p` with `r < MR`, `p < kc`) and write (`< kc·MR`).
+        unsafe { vpack_transpose_avx2(kc, src, ld, dst) };
+        return;
+    }
+    for p in 0..kc {
+        for r in 0..MR {
+            dst[p * MR + r] = src[r * ld + p];
+        }
+    }
+}
+
+/// # Safety
+/// The host has AVX2; `src` covers `(MR − 1)·ld + kc` floats and `dst`
+/// `kc·MR`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn vpack_transpose_avx2(kc: usize, src: &[f32], ld: usize, dst: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let s = src.as_ptr();
+    let d = dst.as_mut_ptr();
+    let mut p = 0;
+    while p + 8 <= kc {
+        let r: [__m256; MR] = std::array::from_fn(|r| _mm256_loadu_ps(s.add(r * ld + p)));
+        // Interleave pairs of rows, then pairs of pairs: each 128-bit half
+        // of lo[j] (rows 0-3) and hi[j] (rows 4-7) is one depth's column,
+        // depth p + j in the low half and p + 4 + j in the high half.
+        let (a0, a1) = (_mm256_unpacklo_ps(r[0], r[1]), _mm256_unpackhi_ps(r[0], r[1]));
+        let (a2, a3) = (_mm256_unpacklo_ps(r[2], r[3]), _mm256_unpackhi_ps(r[2], r[3]));
+        let (a4, a5) = (_mm256_unpacklo_ps(r[4], r[5]), _mm256_unpackhi_ps(r[4], r[5]));
+        let (a6, a7) = (_mm256_unpacklo_ps(r[6], r[7]), _mm256_unpackhi_ps(r[6], r[7]));
+        let lo = [
+            _mm256_shuffle_ps::<0x44>(a0, a2),
+            _mm256_shuffle_ps::<0xEE>(a0, a2),
+            _mm256_shuffle_ps::<0x44>(a1, a3),
+            _mm256_shuffle_ps::<0xEE>(a1, a3),
+        ];
+        let hi = [
+            _mm256_shuffle_ps::<0x44>(a4, a6),
+            _mm256_shuffle_ps::<0xEE>(a4, a6),
+            _mm256_shuffle_ps::<0x44>(a5, a7),
+            _mm256_shuffle_ps::<0xEE>(a5, a7),
+        ];
+        for j in 0..4 {
+            _mm256_storeu_ps(d.add((p + j) * MR), _mm256_permute2f128_ps::<0x20>(lo[j], hi[j]));
+            _mm256_storeu_ps(d.add((p + 4 + j) * MR), _mm256_permute2f128_ps::<0x31>(lo[j], hi[j]));
+        }
+        p += 8;
+    }
+    while p < kc {
+        for r in 0..MR {
+            *d.add(p * MR + r) = *s.add(r * ld + p);
+        }
+        p += 1;
     }
 }
 
@@ -1114,6 +1181,22 @@ mod tests {
                     c
                 });
             }
+        }
+    }
+
+    /// The row-major `A` packer: depth counts around the 8-wide register
+    /// transpose (none, a remainder only, whole blocks, blocks plus a
+    /// remainder) and rows longer than the depths packed from them.
+    #[test]
+    fn vpack_transpose_matches_scalar_bitwise() {
+        for kc in [0usize, 1, 7, 8, 9, 255, 256, 257] {
+            let ld = kc + 5;
+            let src = data((MR - 1) * ld + kc, 22);
+            bitwise_on_off(|| {
+                let mut dst = vec![0.0f32; kc * MR];
+                vpack_transpose(kc, &src, ld, &mut dst);
+                dst
+            });
         }
     }
 

@@ -455,7 +455,9 @@ fn gemm_is_fma_per_kc_panel_bit_for_bit() {
         for (name, entry, a_t, b_t) in entries {
             let got = run(entry, (1, 1, 2), &crafted.0, &crafted.1, a_t, b_t);
             assert_eq!(got, [2f32.powi(-24)], "{name} crafted case simd={simd}: the products were rounded before the add");
-            for (m, n, k, seed) in [(13, 21, 300, 1u64), (67, 130, 513, 2), (9, 517, 40, 3)] {
+            // 136×16×523: 17 full `A` panels over two `MC` row blocks, a
+            // depth tail of 11 off the pack's 8-depth transpose.
+            for (m, n, k, seed) in [(13, 21, 300, 1u64), (67, 130, 513, 2), (9, 517, 40, 3), (136, 16, 523, 4)] {
                 let mut rng = exaclim_tensor::init::seeded_rng(seed);
                 let a = exaclim_tensor::init::randn([m * k], DType::F32, 1.0, &mut rng);
                 let b = exaclim_tensor::init::randn([k * n], DType::F32, 1.0, &mut rng);

@@ -25,6 +25,12 @@
 # exceeds the bound: the benchmark refuses such a row as too noisy to
 # judge, however far apart the medians are.
 #
+# Under each workload's header it prints the host every side's runs
+# recorded in benchmark/out/<workload>.json (`nproc`, `simd`,
+# `kernel_pool_width`, with run counts), and a WARNING when the runs do
+# not all agree: a speed-up read on more cores or another SIMD level is
+# not the code's.
+#
 # Under the run counts it reports the arithmetic as well as the speed: each
 # run's `check` lines are kept beside its closing JSON, and per side it lists
 # the distinct hashes those lines carry (`chunks_repeat_bitwise`: the final
@@ -76,8 +82,9 @@ for side in parent change; do
 done
 
 # One run: the benchmark's closing JSON line, appended to the side's log
-# (the traced log when the second argument is 1), and its `check` lines,
-# appended to the side's .checks file.
+# (the traced log when the second argument is 1), its `check` lines,
+# appended to the side's .checks file, and the host it recorded in
+# benchmark/out/<workload>[.traced].json, appended to the .host file.
 run() {
     local trace=${2:-0}
     local log="$work/$1.$workload.trace$trace"
@@ -86,6 +93,10 @@ run() {
         > "$work/last.out"
     tail -n 1 "$work/last.out" >> "$log.jsonl"
     grep " check " "$work/last.out" >> "$log.checks" || true
+    local stem=$workload
+    [ "$trace" = 1 ] && stem=$workload.traced
+    python3 -c 'import json, sys
+print(json.dumps(json.load(open(sys.argv[1]))["host"]))' "$work/$1/benchmark/out/$stem.json" >> "$log.host"
 }
 
 # The table for one workload, from both sides' logs.
@@ -101,6 +112,17 @@ logs = {"parent": parent_log, "change": change_log}
 runs = {side: [json.loads(l) for l in open(log + ".jsonl")] for side, log in logs.items()}
 n = len(runs["parent"])
 print(f"{workload}  seed {seed}  {n} pairs  parent {parent[:10]}  change {change[:10]}")
+# The host each side's runs recorded: a gain measured on more cores, or on
+# another SIMD level, is not a gain of the code.
+fields = ("nproc", "simd", "kernel_pool_width")
+hosts = {}
+for side, log in logs.items():
+    hosts[side] = Counter(tuple(json.loads(l)[f] for f in fields) for l in open(log + ".host"))
+    found = "; ".join(", ".join(f"{f} {v}" for f, v in zip(fields, h)) + f" in {k} of {n} runs"
+                      for h, k in hosts[side].most_common())
+    print(f"  {side} host: {found}")
+if set(hosts["parent"]) != set(hosts["change"]) or len(hosts["parent"]) > 1:
+    print("  WARNING: the runs did not all record the same host; the sides are not comparable")
 for side, rs in runs.items():
     failed = sum(r["failed"] for r in rs)
     attempted = sum(r["attempted"] for r in rs)
