@@ -1072,8 +1072,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::test_support::{toy_config, toy_model, toy_source};
+    use crate::trainer::test_support::{toy_config, toy_model, toy_source, ToySource};
     use crate::trainer::train_data_parallel;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn elastic_config(ranks: usize, steps: usize, dir: &str) -> ElasticConfig {
         let d = std::env::temp_dir()
@@ -1096,17 +1097,33 @@ mod tests {
         train_data_parallel_elastic(cfg, faults, toy_model, toy_source)
     }
 
+    /// Counts `on_step_timing` calls across every rank's source.
+    struct TimedSource(ToySource, Arc<AtomicUsize>);
+
+    impl BatchSource for TimedSource {
+        fn next_batch(&mut self) -> crate::trainer::Batch {
+            self.0.next_batch()
+        }
+        fn on_step_timing(&mut self, _ingest_wait: Duration, _step_wall: Duration) {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn healthy_elastic_run_matches_plain_trainer_bitwise() {
         // With no churn the elastic path must follow the plain trainer's
         // exact arithmetic: the membership rounds and the ×1.0 LR rescale
-        // are bit-neutral. Returns the hash both trainers landed on.
+        // are bit-neutral. It also feeds the reader autoscaler one
+        // `on_step_timing` per rank per step. Returns the hash both
+        // trainers landed on.
         let both = |overlap: bool, fused: bool| {
             let mut cfg = elastic_config(2, 6, &format!("healthy_{overlap}_{fused}"));
             cfg.base.overlap_comm = overlap;
             cfg.base.fused_optim = fused;
             let (plain, _m) = train_data_parallel(&cfg.base, toy_model, toy_source);
-            let (r, _m2) = run(&cfg, &FaultPlan::none());
+            let timings = Arc::new(AtomicUsize::new(0));
+            let source = |rank| TimedSource(toy_source(rank), timings.clone());
+            let (r, _m2) = train_data_parallel_elastic(&cfg, &FaultPlan::none(), toy_model, source);
             assert!(r.consistent);
             assert_eq!(
                 r.final_hashes[0], plain.final_hashes[0],
@@ -1116,6 +1133,9 @@ mod tests {
             assert!(r.ranks_left.is_empty() && r.ranks_joined.is_empty() && r.ranks_lost.is_empty());
             assert_eq!(r.steps_retried, 0);
             assert_eq!(r.checkpoints_saved, 3, "steps 2, 4, 6");
+            if overlap && fused {
+                assert_eq!(timings.load(Ordering::SeqCst), 2 * 6, "one per rank per step");
+            }
             std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
             plain.final_hashes[0]
         };

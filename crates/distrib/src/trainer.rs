@@ -356,17 +356,13 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{toy_config, toy_model, toy_source, ToySource};
+    use super::test_support::{toy_config, toy_model, toy_source};
     use super::*;
-    use crate::elastic::{train_data_parallel_elastic, ElasticConfig};
-    use exaclim_faults::FaultPlan;
     use exaclim_nn::layers::Conv2d;
     use exaclim_nn::Sequential;
     use exaclim_tensor::init::seeded_rng;
     use exaclim_tensor::ops::Conv2dParams;
     use rand::Rng;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn replicas_stay_bitwise_identical() {
@@ -454,43 +450,6 @@ mod tests {
         let (report, _model) = train_data_parallel(&cfg, toy_model, toy_source);
         assert!(report.consistent);
         assert!(!report.diverged, "uniform weights at scale 128 must stay finite");
-    }
-
-    /// Counts `on_step_timing` calls across every rank's source.
-    struct TimedSource(ToySource, Arc<AtomicUsize>);
-
-    impl BatchSource for TimedSource {
-        fn next_batch(&mut self) -> Batch {
-            self.0.next_batch()
-        }
-        fn on_step_timing(&mut self, _ingest_wait: Duration, _step_wall: Duration) {
-            self.1.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    #[test]
-    fn healthy_ft_run_matches_plain_trainer_bitwise() {
-        // With no faults injected, the fault-tolerant (elastic) driver must
-        // follow the plain trainer's exact arithmetic, and feed the reader
-        // autoscaler one `on_step_timing` per rank per step. The planes ×
-        // precision matrix is elastic.rs's test.
-        let dir = std::env::temp_dir()
-            .join(format!("exaclim_ft_{}", std::process::id()))
-            .join("healthy");
-        std::fs::remove_dir_all(&dir).ok();
-        let mut cfg = ElasticConfig::new(toy_config(2, 6), &dir);
-        cfg.recv_deadline = Duration::from_secs(2);
-        let (plain, _m) = train_data_parallel(&cfg.base, toy_model, toy_source);
-        let timings = Arc::new(AtomicUsize::new(0));
-        let source = |rank| TimedSource(toy_source(rank), timings.clone());
-        let (r, _m2) = train_data_parallel_elastic(&cfg, &FaultPlan::none(), toy_model, source);
-        std::fs::remove_dir_all(&dir).ok();
-        assert!(r.consistent);
-        assert!(r.ranks_lost.is_empty());
-        assert_eq!(r.steps_retried, 0);
-        assert_eq!(r.final_hashes[0], plain.final_hashes[0], "identical parameter bits");
-        assert_eq!(r.checkpoints_saved, 3, "steps 2, 4, 6");
-        assert_eq!(timings.load(Ordering::SeqCst), 2 * 6, "one per rank per step");
     }
 
     #[test]

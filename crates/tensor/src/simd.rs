@@ -1,34 +1,33 @@
-//! Runtime-dispatched SIMD micro-kernels (x86-64 AVX2) with bit-identical
-//! scalar fallbacks.
+//! Runtime-dispatched SIMD kernels (x86-64 AVX2) with bit-identical scalar
+//! fallbacks, selected by `is_x86_feature_detected!` and switchable off
+//! in-process with [`set_simd_enabled`]: our CPU substrate's analogue of
+//! the paper's hand-scheduled tensor-core kernels.
 //!
-//! The paper's single-GPU numbers rest on hand-scheduled tensor-core
-//! kernels; our CPU substrate gets the analogous treatment here: explicit
-//! `std::arch` vector code for the hot inner loops (the GEMM register tile,
-//! the pointwise family, the batch-norm reductions), selected at runtime by
-//! `is_x86_feature_detected!` and switchable off in-process with
-//! [`set_simd_enabled`].
+//! **Bit-identity contract.** Every function here produces the same bits on
+//! every dispatch level. Each of the three kinds of kernel keeps it its own
+//! way:
 //!
-//! **Bit-identity contract.** Every function in this module produces the
-//! same bits on every dispatch level. Two rules make that possible:
+//! 1. *One-body maps* ([`vadd`], [`vrelu`], [`vbn_apply`], [`vsgd_update`],
+//!    …): one scalar loop over independent elements, whose AVX2 level is
+//!    the compiler's build of that same loop. Rust never contracts
+//!    `a * b + c` into an FMA and never reassociates, and a vectorized
+//!    compare-and-select keeps the scalar NaN and −0.0 semantics, so the
+//!    bits agree by construction. ([`vadam_update`] keeps a hand-written
+//!    AVX2 body, which measured faster; it issues the scalar loop's
+//!    operations in the same order, one intrinsic each.)
+//! 2. *The hand-written GEMM tile and packers* ([`microkernel`],
+//!    [`vpack_rows`], [`tile_accumulate`]): the tile's `vfmadd231ps` and
+//!    its scalar twin's `f32::mul_add` both round once per depth step, in
+//!    the same `k` order; the packers copy, and the accumulate adds once
+//!    per element. No other kernel uses FMA.
+//! 3. *Fixed lane-split reductions* ([`sum_f64`], [`sum_f32`], …): N lane
+//!    accumulators combined in a fixed tree, plus a sequential tail — an
+//!    order fixed by the length alone, never by thread count or level. The
+//!    compiler's build of the scalar lane loop runs 1.5–5× slower, so an
+//!    AVX2 body with one vector accumulator implements the same order.
 //!
-//! 1. *FMA in the GEMM micro-kernel only.* The register tile accumulates
-//!    with `vfmadd231ps`, and its scalar twin with `f32::mul_add`: both
-//!    round once per depth step, so each output element sees the same
-//!    operations in the same `k` order on every level. Every other kernel
-//!    keeps separate multiply and add intrinsics, matching Rust's scalar
-//!    `a * b + c` (which never contracts).
-//! 2. *Vectorize across outputs, or fix the lane split.* Elementwise maps
-//!    and the GEMM micro-kernel vectorize across independent output
-//!    elements — per-element operation order is untouched. Reductions
-//!    ([`sum_f64`], [`sum_f32`], …) define a *canonical lane-split order*
-//!    (N independent lane accumulators combined in a fixed tree, plus a
-//!    sequential tail) that the scalar fallback implements with ordinary
-//!    loops. The canonical order is a function of the data length only —
-//!    never of thread count or dispatch level.
-//!
-//! Comparisons follow the vector-instruction convention `a > b ? a : b`
-//! (`maxps` returns the second operand on ties and NaNs); the scalar
-//! fallbacks spell out the same expression instead of calling `f32::max`.
+//! Comparisons follow `maxps`'s `a > b ? a : b` (the second operand on ties
+//! and NaNs), spelled out rather than calling `f32::max`.
 
 /// Rows of a packed GEMM A micro-panel (register tile height).
 pub const MR: usize = 8;
@@ -100,7 +99,7 @@ pub fn active_level() -> SimdLevel {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM register micro-kernel
+// GEMM register micro-kernel, packers and tile accumulate (hand-written)
 // ---------------------------------------------------------------------------
 
 /// `acc[MR][NR] += ap ⊗ bp` over `kc` depths: the 8×8 register tile of
@@ -220,96 +219,6 @@ unsafe fn microkernel_avx2(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; N
 unsafe fn microkernel_in_place_avx2(kc: usize, ap: &[f32], src: &[f32], offs: &[usize], acc: &mut [[f32; NR]; MR]) {
     let (b, o) = (src.as_ptr(), offs.as_ptr());
     avx2_tile!(kc, ap, acc, |p| b.add(*o.add(p)));
-}
-
-// ---------------------------------------------------------------------------
-// Elementwise maps (exact per element: any dispatch level is bit-identical)
-// ---------------------------------------------------------------------------
-
-macro_rules! elementwise2 {
-    ($(#[$doc:meta])* $name:ident, $avx_name:ident, |$x:ident, $y:ident| $expr:expr, $intr:ident) => {
-        $(#[$doc])*
-        #[inline]
-        pub fn $name(dst: &mut [f32], a: &[f32], b: &[f32]) {
-            debug_assert!(dst.len() == a.len() && dst.len() == b.len());
-            #[cfg(target_arch = "x86_64")]
-            if active_level() == SimdLevel::Avx2Fma {
-                unsafe { $avx_name(dst, a, b) };
-                return;
-            }
-            for ((o, &$x), &$y) in dst.iter_mut().zip(a.iter()).zip(b.iter()) {
-                *o = $expr;
-            }
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx_name(dst: &mut [f32], a: &[f32], b: &[f32]) {
-            use std::arch::x86_64::*;
-            let n = dst.len();
-            let mut i = 0;
-            while i + 8 <= n {
-                let va = _mm256_loadu_ps(a.as_ptr().add(i));
-                let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), $intr(va, vb));
-                i += 8;
-            }
-            while i < n {
-                let $x = *a.get_unchecked(i);
-                let $y = *b.get_unchecked(i);
-                *dst.get_unchecked_mut(i) = $expr;
-                i += 1;
-            }
-        }
-    };
-}
-
-elementwise2!(
-    /// `dst[i] = a[i] + b[i]`.
-    vadd, vadd_avx2, |x, y| x + y, _mm256_add_ps
-);
-elementwise2!(
-    /// `dst[i] = a[i] * b[i]`.
-    vmul, vmul_avx2, |x, y| x * y, _mm256_mul_ps
-);
-elementwise2!(
-    /// `dst[i] = a[i] - b[i]`.
-    vsub, vsub_avx2, |x, y| x - y, _mm256_sub_ps
-);
-elementwise2!(
-    /// `dst[i] = a[i] / b[i]`.
-    vdiv, vdiv_avx2, |x, y| x / y, _mm256_div_ps
-);
-
-/// In-place `x[i] += b` (per-channel bias broadcast).
-#[inline]
-pub fn vadd_scalar_(x: &mut [f32], b: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2Fma {
-        unsafe { vadd_scalar_avx2(x, b) };
-        return;
-    }
-    for v in x.iter_mut() {
-        *v += b;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vadd_scalar_avx2(x: &mut [f32], b: f32) {
-    use std::arch::x86_64::*;
-    let n = x.len();
-    let vb = _mm256_set1_ps(b);
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(x.as_ptr().add(i));
-        _mm256_storeu_ps(x.as_mut_ptr().add(i), _mm256_add_ps(v, vb));
-        i += 8;
-    }
-    while i < n {
-        *x.get_unchecked_mut(i) += b;
-        i += 1;
-    }
 }
 
 /// Packs `kc` groups of `NR` contiguous floats from rows of a strided
@@ -450,141 +359,120 @@ unsafe fn tile_accumulate_avx2(acc: &[[f32; NR]; MR], mr_eff: usize, c: *mut f32
     }
 }
 
-/// In-place `dst[i] += a[i]` (reduction across rows, e.g. softmax `z`).
-#[inline]
-pub fn vadd_(dst: &mut [f32], a: &[f32]) {
-    debug_assert_eq!(dst.len(), a.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2Fma {
-        unsafe { vadd_assign_avx2(dst, a) };
-        return;
-    }
-    for (o, &x) in dst.iter_mut().zip(a.iter()) {
-        *o += x;
+// ---------------------------------------------------------------------------
+// One-body maps (the AVX2 level is the compiler's build of the scalar loop)
+// ---------------------------------------------------------------------------
+
+/// Defines a kernel from one loop body, compiled for the baseline target
+/// (the scalar level) and again under `#[target_feature(enable = "avx2")]`,
+/// which runs when [`active_level`] is [`SimdLevel::Avx2Fma`]. The module
+/// doc's rule 1 says why both builds give the same bits.
+macro_rules! dispatch_avx2 {
+    ($(#[$attr:meta])* pub fn $name:ident($($arg:ident: $ty:ty),*) $body:block) => {
+        $(#[$attr])*
+        #[inline]
+        pub fn $name($($arg: $ty),*) {
+            #[inline(always)]
+            fn body($($arg: $ty),*) $body
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) {
+                body($($arg),*)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            if active_level() == SimdLevel::Avx2Fma {
+                // SAFETY: `active_level` reports `Avx2Fma` only on a host
+                // with AVX2.
+                unsafe { avx2($($arg),*) };
+                return;
+            }
+            body($($arg),*)
+        }
+    };
+}
+
+macro_rules! elementwise2 {
+    ($(#[$doc:meta])* $name:ident, |$x:ident, $y:ident| $expr:expr) => {
+        dispatch_avx2! {
+            $(#[$doc])*
+            pub fn $name(dst: &mut [f32], a: &[f32], b: &[f32]) {
+                debug_assert!(dst.len() == a.len() && dst.len() == b.len());
+                for ((o, &$x), &$y) in dst.iter_mut().zip(a).zip(b) {
+                    *o = $expr;
+                }
+            }
+        }
+    };
+}
+
+elementwise2!(
+    /// `dst[i] = a[i] + b[i]`.
+    vadd, |x, y| x + y
+);
+elementwise2!(
+    /// `dst[i] = a[i] * b[i]`.
+    vmul, |x, y| x * y
+);
+elementwise2!(
+    /// `dst[i] = a[i] - b[i]`.
+    vsub, |x, y| x - y
+);
+elementwise2!(
+    /// `dst[i] = a[i] / b[i]`.
+    vdiv, |x, y| x / y
+);
+
+dispatch_avx2! {
+    /// In-place `x[i] += b` (per-channel bias broadcast).
+    pub fn vadd_scalar_(x: &mut [f32], b: f32) {
+        for v in x.iter_mut() {
+            *v += b;
+        }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vadd_assign_avx2(dst: &mut [f32], a: &[f32]) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let vd = _mm256_loadu_ps(dst.as_ptr().add(i));
-        let va = _mm256_loadu_ps(a.as_ptr().add(i));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(vd, va));
-        i += 8;
-    }
-    while i < n {
-        *dst.get_unchecked_mut(i) += *a.get_unchecked(i);
-        i += 1;
+dispatch_avx2! {
+    /// In-place `dst[i] += a[i]` (reduction across rows, e.g. softmax `z`).
+    pub fn vadd_(dst: &mut [f32], a: &[f32]) {
+        debug_assert_eq!(dst.len(), a.len());
+        for (o, &x) in dst.iter_mut().zip(a) {
+            *o += x;
+        }
     }
 }
 
-/// `dst[i] = a[i] > 0 ? a[i] : 0` — ReLU with `maxps(a, 0)` semantics
-/// (−0.0 and NaN map to +0.0 on every level).
-#[inline]
-pub fn vrelu(dst: &mut [f32], a: &[f32]) {
-    debug_assert_eq!(dst.len(), a.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2Fma {
-        unsafe { vrelu_avx2(dst, a) };
-        return;
-    }
-    for (o, &x) in dst.iter_mut().zip(a.iter()) {
-        *o = if x > 0.0 { x } else { 0.0 };
+dispatch_avx2! {
+    /// `dst[i] = a[i] > 0 ? a[i] : 0` — ReLU with `maxps(a, 0)` semantics
+    /// (−0.0 and NaN map to +0.0 on every level).
+    pub fn vrelu(dst: &mut [f32], a: &[f32]) {
+        debug_assert_eq!(dst.len(), a.len());
+        for (o, &x) in dst.iter_mut().zip(a) {
+            *o = if x > 0.0 { x } else { 0.0 };
+        }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vrelu_avx2(dst: &mut [f32], a: &[f32]) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let zero = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(a.as_ptr().add(i));
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_max_ps(v, zero));
-        i += 8;
-    }
-    while i < n {
-        let x = *a.get_unchecked(i);
-        *dst.get_unchecked_mut(i) = if x > 0.0 { x } else { 0.0 };
-        i += 1;
+dispatch_avx2! {
+    /// `dst[i] = m[i] > 0 ? g[i] : 0` — the ReLU gradient gate.
+    pub fn vrelu_mask(dst: &mut [f32], m: &[f32], g: &[f32]) {
+        debug_assert!(dst.len() == m.len() && dst.len() == g.len());
+        for ((o, &mv), &gv) in dst.iter_mut().zip(m).zip(g) {
+            *o = if mv > 0.0 { gv } else { 0.0 };
+        }
     }
 }
 
-/// `dst[i] = m[i] > 0 ? g[i] : 0` — the ReLU gradient gate.
-#[inline]
-pub fn vrelu_mask(dst: &mut [f32], m: &[f32], g: &[f32]) {
-    debug_assert!(dst.len() == m.len() && dst.len() == g.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2Fma {
-        unsafe { vrelu_mask_avx2(dst, m, g) };
-        return;
-    }
-    for ((o, &mv), &gv) in dst.iter_mut().zip(m.iter()).zip(g.iter()) {
-        *o = if mv > 0.0 { gv } else { 0.0 };
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vrelu_mask_avx2(dst: &mut [f32], m: &[f32], g: &[f32]) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let zero = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= n {
-        let vm = _mm256_loadu_ps(m.as_ptr().add(i));
-        let vg = _mm256_loadu_ps(g.as_ptr().add(i));
-        let mask = _mm256_cmp_ps::<{ _CMP_GT_OQ }>(vm, zero);
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_and_ps(vg, mask));
-        i += 8;
-    }
-    while i < n {
-        let mv = *m.get_unchecked(i);
-        *dst.get_unchecked_mut(i) = if mv > 0.0 { *g.get_unchecked(i) } else { 0.0 };
-        i += 1;
-    }
-}
-
-/// In-place running max: `mx[i] = row[i] > mx[i] ? row[i] : mx[i]`
-/// (the channel-max pass of softmax).
-#[inline]
-pub fn vmax_(mx: &mut [f32], row: &[f32]) {
-    debug_assert_eq!(mx.len(), row.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2Fma {
-        unsafe { vmax_avx2(mx, row) };
-        return;
-    }
-    for (m, &x) in mx.iter_mut().zip(row.iter()) {
-        *m = if x > *m { x } else { *m };
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vmax_avx2(mx: &mut [f32], row: &[f32]) {
-    use std::arch::x86_64::*;
-    let n = mx.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let vm = _mm256_loadu_ps(mx.as_ptr().add(i));
-        let vr = _mm256_loadu_ps(row.as_ptr().add(i));
-        // maxps(a, b) = a > b ? a : b — arguments ordered so the running
-        // value survives ties.
-        _mm256_storeu_ps(mx.as_mut_ptr().add(i), _mm256_max_ps(vr, vm));
-        i += 8;
-    }
-    while i < n {
-        let m = mx.get_unchecked_mut(i);
-        let x = *row.get_unchecked(i);
-        *m = if x > *m { x } else { *m };
-        i += 1;
+dispatch_avx2! {
+    /// In-place running max: `mx[i] = row[i] > mx[i] ? row[i] : mx[i]`
+    /// (the channel-max pass of softmax). The running value survives ties
+    /// and a NaN in `row`.
+    pub fn vmax_(mx: &mut [f32], row: &[f32]) {
+        debug_assert_eq!(mx.len(), row.len());
+        for (m, &x) in mx.iter_mut().zip(row) {
+            *m = if x > *m { x } else { *m };
+        }
     }
 }
 
@@ -592,92 +480,33 @@ unsafe fn vmax_avx2(mx: &mut [f32], row: &[f32]) {
 // Batch-norm fused passes
 // ---------------------------------------------------------------------------
 
-/// Batch-norm normalize + scale/shift over one plane:
-/// `xh[i] = (x[i] − mu) · is; y[i] = g · xh[i] + b`.
-#[inline]
-pub fn vbn_apply(x: &[f32], mu: f32, is: f32, g: f32, b: f32, xh: &mut [f32], y: &mut [f32]) {
-    debug_assert!(x.len() == xh.len() && x.len() == y.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2Fma {
-        unsafe { vbn_apply_avx2(x, mu, is, g, b, xh, y) };
-        return;
-    }
-    for ((&v, xo), yo) in x.iter().zip(xh.iter_mut()).zip(y.iter_mut()) {
-        let xn = (v - mu) * is;
-        *xo = xn;
-        *yo = g * xn + b;
+dispatch_avx2! {
+    /// Batch-norm normalize + scale/shift over one plane:
+    /// `xh[i] = (x[i] − mu) · is; y[i] = g · xh[i] + b`.
+    pub fn vbn_apply(x: &[f32], mu: f32, is: f32, g: f32, b: f32, xh: &mut [f32], y: &mut [f32]) {
+        debug_assert!(x.len() == xh.len() && x.len() == y.len());
+        for ((&v, xo), yo) in x.iter().zip(xh.iter_mut()).zip(y.iter_mut()) {
+            let xn = (v - mu) * is;
+            *xo = xn;
+            *yo = g * xn + b;
+        }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vbn_apply_avx2(x: &[f32], mu: f32, is: f32, g: f32, b: f32, xh: &mut [f32], y: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = x.len();
-    let vmu = _mm256_set1_ps(mu);
-    let vis = _mm256_set1_ps(is);
-    let vg = _mm256_set1_ps(g);
-    let vb = _mm256_set1_ps(b);
-    let mut i = 0;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(x.as_ptr().add(i));
-        let xn = _mm256_mul_ps(_mm256_sub_ps(v, vmu), vis);
-        _mm256_storeu_ps(xh.as_mut_ptr().add(i), xn);
-        _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_add_ps(_mm256_mul_ps(vg, xn), vb));
-        i += 8;
-    }
-    while i < n {
-        let xn = (*x.get_unchecked(i) - mu) * is;
-        *xh.get_unchecked_mut(i) = xn;
-        *y.get_unchecked_mut(i) = g * xn + b;
-        i += 1;
-    }
-}
-
-/// Batch-norm input-gradient pass over one plane:
-/// `gx[i] = k · (m · go[i] − sg − xh[i] · sgx)`.
-#[inline]
-pub fn vbn_backward(go: &[f32], xh: &[f32], k: f32, sg: f32, sgx: f32, m: f32, gx: &mut [f32]) {
-    debug_assert!(go.len() == xh.len() && go.len() == gx.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2Fma {
-        unsafe { vbn_backward_avx2(go, xh, k, sg, sgx, m, gx) };
-        return;
-    }
-    for ((&g, &x), o) in go.iter().zip(xh.iter()).zip(gx.iter_mut()) {
-        *o = k * (m * g - sg - x * sgx);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vbn_backward_avx2(go: &[f32], xh: &[f32], k: f32, sg: f32, sgx: f32, m: f32, gx: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = go.len();
-    let vk = _mm256_set1_ps(k);
-    let vsg = _mm256_set1_ps(sg);
-    let vsgx = _mm256_set1_ps(sgx);
-    let vm = _mm256_set1_ps(m);
-    let mut i = 0;
-    while i + 8 <= n {
-        let g = _mm256_loadu_ps(go.as_ptr().add(i));
-        let x = _mm256_loadu_ps(xh.as_ptr().add(i));
-        // Same evaluation order as `k * (m*g - sg - x*sgx)`:
-        // ((m·g) − sg) − (x·sgx), then ·k.
-        let t = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(vm, g), vsg), _mm256_mul_ps(x, vsgx));
-        _mm256_storeu_ps(gx.as_mut_ptr().add(i), _mm256_mul_ps(vk, t));
-        i += 8;
-    }
-    while i < n {
-        let g = *go.get_unchecked(i);
-        let x = *xh.get_unchecked(i);
-        *gx.get_unchecked_mut(i) = k * (m * g - sg - x * sgx);
-        i += 1;
+dispatch_avx2! {
+    /// Batch-norm input-gradient pass over one plane:
+    /// `gx[i] = k · (m · go[i] − sg − xh[i] · sgx)`.
+    pub fn vbn_backward(go: &[f32], xh: &[f32], k: f32, sg: f32, sgx: f32, m: f32, gx: &mut [f32]) {
+        debug_assert!(go.len() == xh.len() && go.len() == gx.len());
+        for ((&g, &x), o) in go.iter().zip(xh).zip(gx.iter_mut()) {
+            *o = k * (m * g - sg - x * sgx);
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Reductions (canonical lane-split order, identical on every level)
+// Reductions (canonical lane-split order, identical on every level;
+// hand-written: the compiled lane loops run 1.5–5× slower)
 // ---------------------------------------------------------------------------
 
 /// Σ `x[i] as f64` in the canonical 4-lane order: lane `j` accumulates
@@ -781,7 +610,8 @@ unsafe fn sum_sqdiff_f64_avx2(x: &[f32], mu: f32) -> f64 {
 /// taken in `f32`, then widened).
 #[inline]
 pub fn sum2_f64(g: &[f32], xh: &[f32]) -> (f64, f64) {
-    debug_assert_eq!(g.len(), xh.len());
+    // Hard check: the AVX2 body reads `xh` unchecked for `g.len()` floats.
+    assert_eq!(g.len(), xh.len());
     #[cfg(target_arch = "x86_64")]
     if active_level() == SimdLevel::Avx2Fma {
         return unsafe { sum2_f64_avx2(g, xh) };
@@ -957,80 +787,35 @@ pub struct SgdCoeffs {
     pub grad_mul: Option<f32>,
 }
 
-/// Fused SGD-momentum update, one pass:
-/// `gi = (g[i]·grad_mul?) / gs + wd·w[i]; v[i] = mom·v[i] + gi;
-/// w[i] -= lr·v[i]` — grad-scale division, weight decay, momentum and
-/// the parameter write in a single read-modify-write sweep. Vectorized
-/// across independent elements with separate mul/add/div intrinsics
-/// (no FMA), so every element sees the identical IEEE op sequence as the
-/// scalar fallback — and as the pre-fusion multi-pass code.
-#[inline]
-pub fn vsgd_update(w: &mut [f32], v: &mut [f32], g: &[f32], k: SgdCoeffs) {
-    // Hard check: the AVX2 body indexes all three slices unchecked, and a
-    // mis-sized optimizer state buffer must not become UB.
-    assert!(w.len() == v.len() && w.len() == g.len());
-    #[cfg(target_arch = "x86_64")]
-    if active_level() == SimdLevel::Avx2Fma {
-        unsafe { vsgd_update_avx2(w, v, g, k) };
-        return;
-    }
-    let (lr, mom, wd, gs) = (k.lr, k.momentum, k.weight_decay, k.grad_scale);
-    match k.grad_mul {
-        Some(r) => {
-            for i in 0..w.len() {
-                let gi = (g[i] * r) / gs + wd * w[i];
-                v[i] = mom * v[i] + gi;
-                w[i] -= lr * v[i];
+dispatch_avx2! {
+    /// Fused SGD-momentum update, one pass:
+    /// `gi = (g[i]·grad_mul?) / gs + wd·w[i]; v[i] = mom·v[i] + gi;
+    /// w[i] -= lr·v[i]` — grad-scale division, weight decay, momentum and
+    /// the parameter write in a single read-modify-write sweep. Every
+    /// element sees the same IEEE op sequence on both levels (no FMA) — and
+    /// as the pre-fusion multi-pass code.
+    pub fn vsgd_update(w: &mut [f32], v: &mut [f32], g: &[f32], k: SgdCoeffs) {
+        // Hard check: a mis-sized optimizer state buffer must fail, not
+        // update a prefix.
+        assert!(w.len() == v.len() && w.len() == g.len());
+        let (lr, mom, wd, gs) = (k.lr, k.momentum, k.weight_decay, k.grad_scale);
+        let wvg = w.iter_mut().zip(v.iter_mut()).zip(g);
+        match k.grad_mul {
+            Some(r) => {
+                for ((wi, vi), &gv) in wvg {
+                    let gi = (gv * r) / gs + wd * *wi;
+                    *vi = mom * *vi + gi;
+                    *wi -= lr * *vi;
+                }
+            }
+            None => {
+                for ((wi, vi), &gv) in wvg {
+                    let gi = gv / gs + wd * *wi;
+                    *vi = mom * *vi + gi;
+                    *wi -= lr * *vi;
+                }
             }
         }
-        None => {
-            for i in 0..w.len() {
-                let gi = g[i] / gs + wd * w[i];
-                v[i] = mom * v[i] + gi;
-                w[i] -= lr * v[i];
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn vsgd_update_avx2(w: &mut [f32], v: &mut [f32], g: &[f32], k: SgdCoeffs) {
-    use std::arch::x86_64::*;
-    let n = w.len();
-    let vlr = _mm256_set1_ps(k.lr);
-    let vmom = _mm256_set1_ps(k.momentum);
-    let vwd = _mm256_set1_ps(k.weight_decay);
-    let vgs = _mm256_set1_ps(k.grad_scale);
-    let vr = _mm256_set1_ps(k.grad_mul.unwrap_or(1.0));
-    let scaled = k.grad_mul.is_some();
-    let mut i = 0;
-    while i + 8 <= n {
-        let wv = _mm256_loadu_ps(w.as_ptr().add(i));
-        let mut gv = _mm256_loadu_ps(g.as_ptr().add(i));
-        if scaled {
-            gv = _mm256_mul_ps(gv, vr);
-        }
-        // gi = g/gs + wd·w, v = mom·v + gi, w = w − lr·v — div, mul,
-        // add, mul, add, mul, sub: the scalar sequence exactly.
-        let gi = _mm256_add_ps(_mm256_div_ps(gv, vgs), _mm256_mul_ps(vwd, wv));
-        let vv = _mm256_add_ps(_mm256_mul_ps(vmom, _mm256_loadu_ps(v.as_ptr().add(i))), gi);
-        _mm256_storeu_ps(v.as_mut_ptr().add(i), vv);
-        _mm256_storeu_ps(w.as_mut_ptr().add(i), _mm256_sub_ps(wv, _mm256_mul_ps(vlr, vv)));
-        i += 8;
-    }
-    let (lr, mom, wd, gs) = (k.lr, k.momentum, k.weight_decay, k.grad_scale);
-    while i < n {
-        let mut gv = *g.get_unchecked(i);
-        if let Some(r) = k.grad_mul {
-            gv *= r;
-        }
-        let wi = w.get_unchecked_mut(i);
-        let vi = v.get_unchecked_mut(i);
-        let gi = gv / gs + wd * *wi;
-        *vi = mom * *vi + gi;
-        *wi -= lr * *vi;
-        i += 1;
     }
 }
 
@@ -1056,32 +841,44 @@ pub struct AdamCoeffs {
 }
 
 /// Fused Adam update, one pass: moment updates, bias correction and the
-/// parameter write in a single sweep. Per element (matching the scalar
-/// parse exactly, including `((1−β₂)·gi)·gi` association):
+/// parameter write in a single sweep. Per element (including the
+/// `((1−β₂)·gi)·gi` association):
 /// `gi = g[i]/gs; m = β₁·m + (1−β₁)·gi; v = β₂·v + (1−β₂)·gi·gi;
-/// w -= (lr·(m/b₁)) / (√(v/b₂) + ε)`. `_mm256_sqrt_ps` and
-/// `_mm256_div_ps` are correctly rounded, so vector and scalar bits
-/// agree.
+/// w -= (lr·(m/b₁)) / (√(v/b₂) + ε)`. Square root and division are
+/// correctly rounded at every vector width, so both levels agree.
+///
+/// The one map that keeps a hand-written AVX2 body: the compiler's build
+/// of its scalar loop ran about 10 % slower than it on L2-resident tensors
+/// (EXPERIMENTS.md, "One body per elementwise kernel").
 #[inline]
 pub fn vadam_update(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], k: AdamCoeffs) {
     // Hard check, as in `vsgd_update`: unchecked lanes below.
     assert!(w.len() == m.len() && w.len() == v.len() && w.len() == g.len());
     #[cfg(target_arch = "x86_64")]
     if active_level() == SimdLevel::Avx2Fma {
+        // SAFETY: the host has AVX2, and the assert above sizes all four
+        // slices alike.
         unsafe { vadam_update_avx2(w, m, v, g, k) };
         return;
     }
+    adam_scalar(w, m, v, g, k);
+}
+
+/// The scalar Adam loop: the reference level, and the AVX2 body's tail.
+fn adam_scalar(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], k: AdamCoeffs) {
     let (lr, b1, b2, eps, gs) = (k.lr, k.beta1, k.beta2, k.eps, k.grad_scale);
-    for i in 0..w.len() {
-        let gi = g[i] / gs;
-        m[i] = b1 * m[i] + (1.0 - b1) * gi;
-        v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
-        let mhat = m[i] / k.bias1;
-        let vhat = v[i] / k.bias2;
-        w[i] -= lr * mhat / (vhat.sqrt() + eps);
+    for (((wi, mi), vi), &gv) in w.iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g) {
+        let gi = gv / gs;
+        *mi = b1 * *mi + (1.0 - b1) * gi;
+        *vi = b2 * *vi + (1.0 - b2) * gi * gi;
+        let mhat = *mi / k.bias1;
+        let vhat = *vi / k.bias2;
+        *wi -= lr * mhat / (vhat.sqrt() + eps);
     }
 }
 
+/// # Safety
+/// The host has AVX2, and `m`, `v` and `g` are at least as long as `w`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn vadam_update_avx2(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], k: AdamCoeffs) {
@@ -1118,18 +915,7 @@ unsafe fn vadam_update_avx2(w: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f3
         _mm256_storeu_ps(w.as_mut_ptr().add(i), _mm256_sub_ps(wv, upd));
         i += 8;
     }
-    let (lr, b1, b2, eps, gs) = (k.lr, k.beta1, k.beta2, k.eps, k.grad_scale);
-    while i < n {
-        let gi = *g.get_unchecked(i) / gs;
-        let mi = m.get_unchecked_mut(i);
-        let vi = v.get_unchecked_mut(i);
-        *mi = b1 * *mi + (1.0 - b1) * gi;
-        *vi = b2 * *vi + (1.0 - b2) * gi * gi;
-        let mhat = *mi / k.bias1;
-        let vhat = *vi / k.bias2;
-        *w.get_unchecked_mut(i) -= lr * mhat / (vhat.sqrt() + eps);
-        i += 1;
-    }
+    adam_scalar(&mut w[i..], &mut m[i..], &mut v[i..], &g[i..], k);
 }
 
 #[cfg(test)]
@@ -1150,6 +936,31 @@ mod tests {
         let slow = f();
         set_simd_enabled(was);
         assert_eq!(fast, slow);
+    }
+
+    /// NaN, ±0.0, ±∞ and a subnormal: the values whose handling a
+    /// vectorized loop could change.
+    const SPECIALS: [f32; 6] = [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1e-40];
+
+    /// `v` with every seventh element from `phase` on replaced by the next
+    /// special value. The inputs of one kernel take distinct phases, so no
+    /// element combines two NaNs (whose payload order is unspecified).
+    fn sprinkle(mut v: Vec<f32>, phase: usize) -> Vec<f32> {
+        for (i, s) in v.iter_mut().skip(phase).step_by(7).zip(SPECIALS.iter().cycle()) {
+            *i = *s;
+        }
+        v
+    }
+
+    /// Every length from 0 to 70 — a compiled map's unrolled body, its
+    /// 8-wide remainder and its scalar tail, alone and in every
+    /// combination — plus 1023.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0..=70).chain([1023])
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// The register tile and its two helpers: the interior B-panel packer
@@ -1225,62 +1036,44 @@ mod tests {
 
     #[test]
     fn elementwise_maps_match_bitwise_on_odd_lengths() {
-        for n in [1usize, 7, 8, 9, 31, 64, 100] {
-            let a = data(n, 5);
-            let b: Vec<f32> = data(n, 6).iter().map(|v| v + 0.25).collect();
-            bitwise_on_off(|| {
-                let mut d = vec![0.0f32; n];
-                vadd(&mut d, &a, &b);
-                d
-            });
-            bitwise_on_off(|| {
-                let mut d = vec![0.0f32; n];
-                vdiv(&mut d, &a, &b);
-                d
-            });
-            bitwise_on_off(|| {
-                let mut d = vec![0.0f32; n];
-                vrelu_mask(&mut d, &a, &b);
-                d
-            });
-            bitwise_on_off(|| {
-                let mut d = vec![0.0f32; n];
-                vmul(&mut d, &a, &b);
-                d
-            });
-            bitwise_on_off(|| {
-                let mut d = vec![0.0f32; n];
-                vsub(&mut d, &a, &b);
-                d
-            });
+        for n in lengths() {
+            let a = sprinkle(data(n, 5), 0);
+            let b = sprinkle(data(n, 6).iter().map(|v| v + 0.25).collect(), 3);
+            type Map2 = fn(&mut [f32], &[f32], &[f32]);
+            for f in [vadd as Map2, vsub, vmul, vdiv, vrelu_mask] {
+                bitwise_on_off(|| {
+                    let mut d = vec![0.0f32; n];
+                    f(&mut d, &a, &b);
+                    bits(&d)
+                });
+            }
             bitwise_on_off(|| {
                 let mut d = a.clone();
                 vadd_(&mut d, &b);
-                d
+                bits(&d)
             });
             bitwise_on_off(|| {
                 let mut d = a.clone();
                 vadd_scalar_(&mut d, 0.37);
-                d
+                bits(&d)
             });
             // ReLU maps −0.0 and NaN to +0.0 on both levels.
-            let mut signed = a.clone();
-            signed[0] = -0.0;
-            signed[n / 2] = f32::NAN;
             bitwise_on_off(|| {
                 let mut d = vec![1.0f32; n];
-                vrelu(&mut d, &signed);
-                d.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                vrelu(&mut d, &a);
+                bits(&d)
             });
             // The running max keeps its value on ties (`data` repeats
-            // values), +0.0 against −0.0 included.
-            let mut row = data(n, 5).iter().rev().copied().collect::<Vec<_>>();
+            // values), +0.0 against −0.0 included, and against a NaN row.
+            let mut row = sprinkle(data(n, 5).iter().rev().copied().collect(), 3);
             let mut start = a.clone();
-            (start[0], row[0]) = (0.0, -0.0);
+            if n > 0 {
+                (start[0], row[0]) = (0.0, -0.0);
+            }
             bitwise_on_off(|| {
                 let mut mx = start.clone();
                 vmax_(&mut mx, &row);
-                mx.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                bits(&mx)
             });
         }
     }
@@ -1303,29 +1096,30 @@ mod tests {
 
     #[test]
     fn bn_passes_match_bitwise() {
-        let n = 77;
-        let x = data(n, 9);
-        let g = data(n, 10);
-        bitwise_on_off(|| {
-            let mut xh = vec![0.0f32; n];
-            let mut y = vec![0.0f32; n];
-            vbn_apply(&x, 0.1, 1.7, 0.9, -0.2, &mut xh, &mut y);
-            (xh, y)
-        });
-        bitwise_on_off(|| {
-            let mut gx = vec![0.0f32; n];
-            vbn_backward(&g, &x, 0.01, 1.3, -0.4, 77.0, &mut gx);
-            gx
-        });
+        for n in lengths() {
+            let x = sprinkle(data(n, 9), 0);
+            let g = sprinkle(data(n, 10), 3);
+            bitwise_on_off(|| {
+                let mut xh = vec![0.0f32; n];
+                let mut y = vec![0.0f32; n];
+                vbn_apply(&x, 0.1, 1.7, 0.9, -0.2, &mut xh, &mut y);
+                (bits(&xh), bits(&y))
+            });
+            bitwise_on_off(|| {
+                let mut gx = vec![0.0f32; n];
+                vbn_backward(&g, &x, 0.01, 1.3, -0.4, 77.0, &mut gx);
+                bits(&gx)
+            });
+        }
     }
 
     #[test]
     fn fused_sgd_update_matches_bitwise_on_odd_lengths() {
-        for n in [1usize, 7, 8, 9, 31, 100, 1023] {
+        for n in lengths() {
             for grad_mul in [None, Some(0.37f32)] {
-                let w0 = data(n, 11);
-                let v0 = data(n, 12);
-                let g = data(n, 13);
+                let w0 = sprinkle(data(n, 11), 0);
+                let v0 = sprinkle(data(n, 12), 2);
+                let g = sprinkle(data(n, 13), 4);
                 let k = SgdCoeffs {
                     lr: 0.05,
                     momentum: 0.9,
@@ -1337,7 +1131,7 @@ mod tests {
                     let mut w = w0.clone();
                     let mut v = v0.clone();
                     vsgd_update(&mut w, &mut v, &g, k);
-                    (w, v)
+                    (bits(&w), bits(&v))
                 });
             }
         }
@@ -1385,12 +1179,16 @@ mod tests {
 
     #[test]
     fn fused_adam_update_matches_bitwise_on_odd_lengths() {
-        for n in [1usize, 7, 8, 9, 31, 100, 1023] {
-            let w0 = data(n, 17);
-            let m0: Vec<f32> = data(n, 18).iter().map(|v| v * 0.01).collect();
-            // Second moments must be non-negative for the sqrt.
-            let v0: Vec<f32> = data(n, 19).iter().map(|v| v * v * 1e-4).collect();
-            let g = data(n, 20);
+        for n in lengths() {
+            let w0 = sprinkle(data(n, 17), 0);
+            let m0 = sprinkle(data(n, 18).iter().map(|v| v * 0.01).collect(), 2);
+            // Second moments stay non-negative: −0.0 and −∞ become +0.0
+            // and +∞.
+            let v0: Vec<f32> = sprinkle(data(n, 19).iter().map(|v| v * v * 1e-4).collect(), 4)
+                .into_iter()
+                .map(f32::abs)
+                .collect();
+            let g = sprinkle(data(n, 20), 6);
             let k = AdamCoeffs {
                 lr: 0.001,
                 beta1: 0.9,
@@ -1405,7 +1203,7 @@ mod tests {
                 let mut m = m0.clone();
                 let mut v = v0.clone();
                 vadam_update(&mut w, &mut m, &mut v, &g, k);
-                (w, m, v)
+                (bits(&w), bits(&m), bits(&v))
             });
         }
     }

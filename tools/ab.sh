@@ -23,7 +23,10 @@
 # metric's bound. A row also reads `SPREAD parent` / `SPREAD change` when
 # that side's spread — its inter-quartile distance over its *own* median —
 # exceeds the bound: the benchmark refuses such a row as too noisy to
-# judge, however far apart the medians are.
+# judge, however far apart the medians are. A `setup_s` gain reads
+# `gain, confirm at a second seed`: set-up time has passed the gain rule on
+# a workload that ran none of the changed code, so one seed's set-up gain
+# is not yet the code's.
 #
 # Under each workload's header it prints the host every side's runs
 # recorded in benchmark/out/<workload>.json (`nproc`, `simd`,
@@ -166,6 +169,8 @@ for m in json.load(open(contract))["end_to_end"]:
     worse_by = -sign * (bm - am) / am
     verdict = ("gain" if apart and worse_by < 0 and won >= 0.9 * n
                else f"WORSE by {worse_by:.0%} (bound {m['bound']:.0%})" if worse_by > m["bound"] else "")
+    if verdict == "gain" and m["name"] == "setup_s":
+        verdict += ", confirm at a second seed"
     for side, (s1, sm, s3) in (("parent", (a1, am, a3)), ("change", (b1, bm, b3))):
         spread = (s3 - s1) / abs(sm) if sm else 0.0
         if spread > m["bound"]:
