@@ -250,7 +250,7 @@ impl Communicator {
     }
 
     /// Receives control bytes from `src`.
-    pub fn try_recv_bytes(&mut self, src: usize, tag: u64) -> Result<Vec<u8>, CommError> {
+    pub(crate) fn try_recv_bytes(&mut self, src: usize, tag: u64) -> Result<Vec<u8>, CommError> {
         match self.try_recv_msg(src, tag)? {
             Payload::Bytes(b) => Ok(b),
             p @ Payload::F32(_) => Err(CommError::TypeMismatch {
@@ -301,33 +301,16 @@ impl Communicator {
     pub fn try_broadcast(&mut self, root: usize, buf: &mut Vec<f32>) -> Result<(), CommError> {
         let tag = self.next_tag();
         let group: Vec<usize> = (0..self.size).collect();
-        self.broadcast_group(&group, root, buf, tag)
+        self.broadcast_group(&group, root, buf, tag, Self::try_recv_f32, Payload::F32)
     }
 
-    /// Binomial-tree broadcast of a control-plane byte buffer from
-    /// `root` (in place) — the elastic layer uses this to ship world
-    /// views, serialized optimizer state, and other non-tensor payloads
-    /// to joining ranks.
+    /// [`try_broadcast`](Communicator::try_broadcast) of a byte buffer —
+    /// the elastic layer ships serialized optimizer state to joining ranks
+    /// with it.
     pub fn try_broadcast_bytes(&mut self, root: usize, buf: &mut Vec<u8>) -> Result<(), CommError> {
         let tag = self.next_tag();
-        let g = self.size;
-        if g == 1 {
-            return Ok(());
-        }
-        assert!(root < g, "broadcast root out of range");
-        let me = (self.rank + g - root) % g; // relative position
-        if me != 0 {
-            let parent = (me - 1) / 2;
-            let src = (parent + root) % g;
-            *buf = self.try_recv_bytes(src, tag)?;
-        }
-        for child in [2 * me + 1, 2 * me + 2] {
-            if child < g {
-                let dst = (child + root) % g;
-                self.try_send_bytes(dst, tag, buf.clone())?;
-            }
-        }
-        Ok(())
+        let group: Vec<usize> = (0..self.size).collect();
+        self.broadcast_group(&group, root, buf, tag, Self::try_recv_bytes, Payload::Bytes)
     }
 
     /// Ring all-reduce (sum) over all ranks — NCCL's systolic algorithm:
@@ -343,7 +326,7 @@ impl Communicator {
         let tag = self.next_tag();
         let group: Vec<usize> = (0..self.size).collect();
         self.tree_reduce_group(&group, 0, buf, tag)?;
-        self.broadcast_group(&group, 0, buf, tag | 1 << 24)
+        self.broadcast_group(&group, 0, buf, tag | 1 << 24, Self::try_recv_f32, Payload::F32)
     }
 
     /// The paper's hybrid hierarchical all-reduce (§V-A3):
@@ -389,7 +372,8 @@ impl Communicator {
                 let lo = leader * len / shard_leaders;
                 let hi = (leader + 1) * len / shard_leaders;
                 let mut shard = buf[lo..hi].to_vec();
-                self.broadcast_group(&node_group, node_group[leader], &mut shard, seq | 2 << 24 | (leader as u64) << 16)?;
+                let tag = seq | 2 << 24 | (leader as u64) << 16;
+                self.broadcast_group(&node_group, node_group[leader], &mut shard, tag, Self::try_recv_f32, Payload::F32)?;
                 buf[lo..hi].copy_from_slice(&shard);
             }
         }
@@ -405,7 +389,18 @@ impl Communicator {
             .expect("rank must belong to the collective's group")
     }
 
-    fn broadcast_group(&mut self, group: &[usize], root: usize, buf: &mut Vec<f32>, tag: u64) -> Result<(), CommError> {
+    /// One binomial tree for both payload kinds: `recv` is the typed
+    /// receive (a payload of the other kind is a `TypeMismatch`), `wrap`
+    /// the matching [`Payload`] variant.
+    fn broadcast_group<T: Clone>(
+        &mut self,
+        group: &[usize],
+        root: usize,
+        buf: &mut T,
+        tag: u64,
+        recv: fn(&mut Self, usize, u64) -> Result<T, CommError>,
+        wrap: fn(T) -> Payload,
+    ) -> Result<(), CommError> {
         let g = group.len();
         if g == 1 {
             return Ok(());
@@ -416,12 +411,12 @@ impl Communicator {
         if me != 0 {
             let parent = (me - 1) / 2;
             let src = group[(parent + root_pos) % g];
-            *buf = self.try_recv_f32(src, tag)?;
+            *buf = recv(self, src, tag)?;
         }
         for child in [2 * me + 1, 2 * me + 2] {
             if child < g {
                 let dst = group[(child + root_pos) % g];
-                self.try_send_f32(dst, tag, buf.clone())?;
+                self.try_send_msg(dst, tag, wrap(buf.clone()))?;
             }
         }
         Ok(())

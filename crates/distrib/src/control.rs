@@ -8,113 +8,16 @@
 //! protocol and the paper's hierarchical aggregation tree, over the real
 //! point-to-point channels of `exaclim-comm`, so message counts are
 //! *measured*, not estimated.
+//!
+//! It holds Horovod's coordination only. No trainer runs it per step (the
+//! fusion buckets are canonical), and elastic membership is decided by the
+//! elastic hub, not by messages.
 
 use exaclim_comm::{CommError, Communicator};
 use std::time::Instant;
 
 const TAG_READY: u64 = 0xC0_0001;
 const TAG_BEGIN: u64 = 0xC0_0002;
-
-/// Membership-protocol tags (elastic training). Members send upward on
-/// [`TAG_MS_UP`], the leader replies on [`TAG_MS_CTRL`]; both are
-/// disjoint from the readiness tags and from the data-plane's
-/// `op_seq << 32` tags, so a membership round can never be confused with
-/// a coordination round.
-pub(crate) const TAG_MS_UP: u64 = 0xE5_0001;
-pub(crate) const TAG_MS_CTRL: u64 = 0xE5_0002;
-
-/// Leader → member message of the elastic membership protocol. One step
-/// boundary is one round: every member reports status, the leader either
-/// declares [`ViewMsg::NoChange`] or runs a propose/ack/commit handshake
-/// for a new world view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ViewMsg {
-    /// Membership is unchanged; proceed with the step.
-    NoChange,
-    /// The leader proposes that `members` form `generation`.
-    Propose {
-        /// The new generation number (strictly increasing).
-        generation: u64,
-        /// Sorted member ids of the proposed world.
-        members: Vec<usize>,
-    },
-    /// All survivors acked; transition to the proposed view now.
-    Commit,
-    /// The round failed (a peer died mid-handshake); run recovery.
-    Abort,
-}
-
-impl ViewMsg {
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        match self {
-            ViewMsg::NoChange => vec![0],
-            ViewMsg::Propose { generation, members } => {
-                let mut out = vec![1];
-                out.extend_from_slice(&generation.to_le_bytes());
-                out.extend_from_slice(&(members.len() as u32).to_le_bytes());
-                for &m in members {
-                    out.extend_from_slice(&(m as u32).to_le_bytes());
-                }
-                out
-            }
-            ViewMsg::Commit => vec![2],
-            ViewMsg::Abort => vec![3],
-        }
-    }
-
-    pub(crate) fn decode(bytes: &[u8]) -> Result<ViewMsg, String> {
-        match bytes.first() {
-            Some(0) => Ok(ViewMsg::NoChange),
-            Some(1) => {
-                if bytes.len() < 13 {
-                    return Err(format!("truncated Propose: {} bytes", bytes.len()));
-                }
-                let generation = u64::from_le_bytes(bytes[1..9].try_into().unwrap());
-                let n = u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
-                if bytes.len() != 13 + 4 * n {
-                    return Err(format!("Propose of {n} members but {} bytes", bytes.len()));
-                }
-                let members = bytes[13..]
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as usize)
-                    .collect();
-                Ok(ViewMsg::Propose { generation, members })
-            }
-            Some(2) => Ok(ViewMsg::Commit),
-            Some(3) => Ok(ViewMsg::Abort),
-            other => Err(format!("unknown ViewMsg kind {other:?}")),
-        }
-    }
-}
-
-/// Member → leader message of the elastic membership protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MemberMsg {
-    /// Boundary status report: does this member want to leave now?
-    Status {
-        /// True when the member gracefully departs at this boundary.
-        wants_leave: bool,
-    },
-    /// Acknowledgement of a [`ViewMsg::Propose`].
-    Ack,
-}
-
-impl MemberMsg {
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        match self {
-            MemberMsg::Status { wants_leave } => vec![0, u8::from(*wants_leave)],
-            MemberMsg::Ack => vec![1],
-        }
-    }
-
-    pub(crate) fn decode(bytes: &[u8]) -> Result<MemberMsg, String> {
-        match bytes {
-            [0, w] => Ok(MemberMsg::Status { wants_leave: *w != 0 }),
-            [1] => Ok(MemberMsg::Ack),
-            other => Err(format!("unknown MemberMsg bytes {other:?}")),
-        }
-    }
-}
 
 /// Control-plane variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,8 +70,7 @@ impl Coordinator {
     /// order — identical on every rank. A peer that dies (its
     /// communicator drops) or a round that makes no progress within the
     /// communicator's receive deadline comes back as a [`CommError`]
-    /// instead of spinning forever — the hook the elastic trainer uses to
-    /// detect a lost rank.
+    /// instead of spinning forever.
     pub fn try_coordinate(&self, comm: &mut Communicator, ready_order: &[u32]) -> Result<Vec<u32>, CommError> {
         assert_eq!(ready_order.len(), self.n_tensors, "must report every tensor");
         match self.plane {
@@ -509,35 +411,5 @@ mod tests {
             other => panic!("expected mid-round timeout, got {other:?}"),
         }
         drop(c1);
-    }
-
-    #[test]
-    fn membership_messages_roundtrip() {
-        let views = [
-            ViewMsg::NoChange,
-            ViewMsg::Propose { generation: 7, members: vec![0, 2, 5] },
-            ViewMsg::Propose { generation: u64::MAX, members: vec![] },
-            ViewMsg::Commit,
-            ViewMsg::Abort,
-        ];
-        for v in views {
-            assert_eq!(ViewMsg::decode(&v.encode()), Ok(v.clone()), "{v:?}");
-        }
-        for m in [MemberMsg::Status { wants_leave: false }, MemberMsg::Status { wants_leave: true }, MemberMsg::Ack] {
-            assert_eq!(MemberMsg::decode(&m.encode()), Ok(m), "{m:?}");
-        }
-    }
-
-    #[test]
-    fn malformed_membership_messages_are_rejected() {
-        assert!(ViewMsg::decode(&[]).is_err());
-        assert!(ViewMsg::decode(&[9]).is_err());
-        assert!(ViewMsg::decode(&[1, 0, 0]).is_err(), "truncated Propose header");
-        let mut propose = ViewMsg::Propose { generation: 1, members: vec![3, 4] }.encode();
-        propose.truncate(propose.len() - 1);
-        assert!(ViewMsg::decode(&propose).is_err(), "member list shorter than its count");
-        assert!(MemberMsg::decode(&[]).is_err());
-        assert!(MemberMsg::decode(&[2]).is_err());
-        assert!(MemberMsg::decode(&[0]).is_err(), "Status without its flag byte");
     }
 }

@@ -3,19 +3,18 @@
 //! The Horovod-like distributed training runtime of §V-A3, with OS threads
 //! standing in for MPI ranks:
 //!
-//! * [`control`] — Horovod's readiness coordination protocol, measured
+//! * [`Coordinator`] — Horovod's readiness coordination protocol, measured
 //!   standalone. TensorFlow's dynamic scheduler may finish gradient
 //!   tensors in a different order on every rank; without agreement on a
 //!   single total order, collective all-reduces deadlock.
-//!   [`Centralized`](control::ControlPlane::Centralized) is Horovod's
+//!   [`Centralized`](ControlPlane::Centralized) is Horovod's
 //!   original design (every rank reports to rank 0 — millions of messages
 //!   per second at 27 k ranks); the
-//!   [`hierarchical`](control::ControlPlane::Hierarchical) radix-r tree is
+//!   [`hierarchical`](ControlPlane::Hierarchical) radix-r tree is
 //!   the paper's fix, bounding every rank's traffic at `r+1` messages per
 //!   tensor. The trainer does not run it per step: its fusion buckets are
 //!   canonical and fixed when the replica is built, so every rank already
-//!   reduces in the same order. The module also holds the elastic
-//!   driver's membership messages.
+//!   reduces in the same order.
 //! * [`fusion`] — Horovod's tensor-fusion buffer: coalesces small
 //!   gradients into few large all-reduces.
 //! * [`trainer`] — synchronous data-parallel SGD over real model replicas:
@@ -27,7 +26,7 @@
 //!   step boundaries without a full restart, and survivors of a crash
 //!   carry on from the live model, replaying no completed step.
 
-pub mod control;
+mod control;
 pub mod elastic;
 pub mod fusion;
 mod overlap;

@@ -418,13 +418,6 @@ impl Replica {
         })
     }
 
-    /// The wired world's communicator, for driver-level protocol rounds
-    /// between steps.
-    pub(crate) fn comm(&mut self) -> &mut Communicator {
-        let world = self.world.as_mut().expect("replica is wired to a world");
-        world.comm.as_mut().expect("communicator on rank thread")
-    }
-
     pub(crate) fn set_lr(&mut self, lr: f32) {
         self.optimizer.as_mut().expect("optimizer on rank thread").set_lr(lr);
     }

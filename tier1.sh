@@ -43,8 +43,10 @@ cargo run --release -q -p exaclim-bench --bin fig6_convergence | diff - artifact
 cargo run --release -q -p exaclim-bench --bin control_plane > /dev/null
 
 # The fault-injection example asserts every recovery invariant it prints
-# (consistent replicas, bit-identical replays, complete staged shards).
-cargo run --release -q --example fault_injection
+# (consistent replicas, bit-identical replays, complete staged shards),
+# and its output — the generation table, per-step losses and final
+# hashes included — must reproduce the recorded artifact byte for byte.
+cargo run --release -q --example fault_injection | diff - artifacts/example_fault_injection.txt
 
 # The storm-analytics, staging-comparison and time-lapse examples are
 # deterministic: they must reproduce their recorded output byte for byte.
