@@ -55,8 +55,17 @@ fn zonal_median(field: &[f32], h: usize, w: usize) -> Vec<f32> {
     med
 }
 
-/// 4-connected floodfill collecting a component of `candidate` pixels.
-fn floodfill(candidate: &[bool], h: usize, w: usize, seed: usize, visited: &mut [bool], out: &mut Vec<usize>) {
+/// 4-connected floodfill collecting the component of `seed` among the
+/// pixels `member` admits: each is marked in `visited` and appended to
+/// `out`, in depth-first order.
+pub(crate) fn floodfill(
+    h: usize,
+    w: usize,
+    seed: usize,
+    member: impl Fn(usize) -> bool,
+    visited: &mut [bool],
+    out: &mut Vec<usize>,
+) {
     let mut stack = vec![seed];
     visited[seed] = true;
     while let Some(i) = stack.pop() {
@@ -64,7 +73,7 @@ fn floodfill(candidate: &[bool], h: usize, w: usize, seed: usize, visited: &mut 
         let (y, x) = (i / w, i % w);
         // Longitude wraps; latitude does not.
         let mut push = |j: usize| {
-            if candidate[j] && !visited[j] {
+            if member(j) && !visited[j] {
                 visited[j] = true;
                 stack.push(j);
             }
@@ -109,7 +118,7 @@ pub fn heuristic_labels(sample: &ClimateSample, cfg: &LabelerConfig) -> Vec<u8> 
     for seed in 0..hw {
         if candidate[seed] && !visited[seed] {
             comp.clear();
-            floodfill(&candidate, h, w, seed, &mut visited, &mut comp);
+            floodfill(h, w, seed, |j| candidate[j], &mut visited, &mut comp);
             // Warm-core test at the component's pressure minimum.
             let core = comp
                 .iter()
@@ -136,7 +145,7 @@ pub fn heuristic_labels(sample: &ClimateSample, cfg: &LabelerConfig) -> Vec<u8> 
     for seed in 0..hw {
         if candidate[seed] && !visited[seed] {
             comp.clear();
-            floodfill(&candidate, h, w, seed, &mut visited, &mut comp);
+            floodfill(h, w, seed, |j| candidate[j], &mut visited, &mut comp);
             let ys_min = comp.iter().map(|&i| i / w).min().expect("non-empty");
             let ys_max = comp.iter().map(|&i| i / w).max().expect("non-empty");
             let span = (ys_max - ys_min) as f32 / h as f32;
@@ -257,7 +266,7 @@ mod tests {
         cand[w + 1] = true;
         let mut visited = vec![false; h * w];
         let mut out = Vec::new();
-        floodfill(&cand, h, w, w + 7, &mut visited, &mut out);
+        floodfill(h, w, w + 7, |j| cand[j], &mut visited, &mut out);
         assert_eq!(out.len(), 3, "wrapped component must be connected");
     }
 

@@ -10,6 +10,7 @@
 //! index (∝ ∫ v³).
 
 use crate::fields::ClimateSample;
+use crate::label::floodfill;
 use crate::{channel_index, classes};
 
 /// One detected storm system.
@@ -71,27 +72,8 @@ pub fn analyze_storms(sample: &ClimateSample, mask: &[u8], min_area: usize) -> V
         }
         let class = mask[seed];
         // Longitude-periodic 4-connected floodfill over same-class pixels.
-        let mut stack = vec![seed];
-        visited[seed] = true;
         let mut members = Vec::new();
-        while let Some(i) = stack.pop() {
-            members.push(i);
-            let (y, x) = (i / w, i % w);
-            let mut push = |j: usize| {
-                if !visited[j] && mask[j] == class {
-                    visited[j] = true;
-                    stack.push(j);
-                }
-            };
-            if y > 0 {
-                push(i - w);
-            }
-            if y + 1 < h {
-                push(i + w);
-            }
-            push(y * w + (x + 1) % w);
-            push(y * w + (x + w - 1) % w);
-        }
+        floodfill(h, w, seed, |j| mask[j] == class, &mut visited, &mut members);
         if members.len() < min_area {
             continue;
         }

@@ -213,7 +213,6 @@ mod tests {
             Err(CommError::PeerDead { rank: 0, src: 1 }) => {}
             other => panic!("expected PeerDead, got {other:?}"),
         }
-        assert_eq!(c0.dead_peers(), vec![1]);
         // Sends to the dead peer fail too.
         match c0.try_send_f32(1, 7, vec![1.0]) {
             Err(CommError::SendFailed { rank: 0, dst: 1 }) => {}

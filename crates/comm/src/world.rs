@@ -1,15 +1,17 @@
 //! Communicator implementation: FIFO point-to-point channels plus
 //! deterministic collectives.
 //!
-//! Every blocking receive carries a deadline (30 s, or the one given to
-//! [`CommWorld::with_deadline`]), so a lost peer turns a would-be hang
-//! into a typed [`CommError`] naming who waited on whom for which tag.
+//! Every receive is a blocking receive from a named peer with a deadline
+//! (30 s, or the one given to [`CommWorld::with_deadline`]), so a lost
+//! peer turns a would-be hang into a typed [`CommError`] naming who waited
+//! on whom for which tag. There is no polling or any-source receive: a
+//! protocol states whom it waits on, and the receive's error is its
+//! diagnosis.
 //! The whole API is fallible (`try_*`): every caller decides whether a
 //! dead peer means "crash with the diagnosis" (`.expect`) or "survive
 //! and reconfigure the world" (the fault-tolerant and elastic trainers).
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::collections::VecDeque;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,15 +30,6 @@ enum Payload {
     F32(Vec<f32>),
     /// Control-plane bytes.
     Bytes(Vec<u8>),
-}
-
-impl Payload {
-    fn kind(&self) -> &'static str {
-        match self {
-            Payload::F32(_) => "f32",
-            Payload::Bytes(_) => "bytes",
-        }
-    }
 }
 
 /// The receive deadline of [`CommWorld::new`]: generous enough for any
@@ -91,23 +84,19 @@ impl CommWorld {
     /// in milliseconds rather than the default 30 s.
     pub fn with_deadline(n: usize, recv_deadline: Duration) -> Vec<Communicator> {
         assert!(n > 0, "world size must be positive");
-        // channels[src][dst]
-        let mut senders: Vec<Vec<Sender<Message>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+        // One channel per (src, dst): senders[src][dst], receivers[dst][src].
         let mut receivers: Vec<Vec<Receiver<Message>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-        // receivers[dst][src]
-        let mut recv_grid: Vec<Vec<Option<Receiver<Message>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for (src, senders_row) in senders.iter_mut().enumerate() {
-            for (dst, recv_row) in recv_grid.iter_mut().enumerate() {
-                let (tx, rx) = unbounded();
-                senders_row.push(tx);
-                recv_row[src] = Some(rx);
-                let _ = dst;
-            }
-        }
-        for (dst, row) in recv_grid.into_iter().enumerate() {
-            receivers[dst] = row.into_iter().map(|r| r.expect("wired")).collect();
-        }
+        let senders: Vec<Vec<Sender<Message>>> = (0..n)
+            .map(|_| {
+                (receivers.iter_mut())
+                    .map(|column| {
+                        let (tx, rx) = unbounded();
+                        column.push(rx);
+                        tx
+                    })
+                    .collect()
+            })
+            .collect();
         let stats = Arc::new(CommStats {
             sent: (0..n).map(|_| AtomicU64::new(0)).collect(),
             received: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -122,8 +111,6 @@ impl CommWorld {
                 size: n,
                 senders: tx,
                 receivers: rx,
-                stashed: (0..n).map(|_| VecDeque::new()).collect(),
-                dead: vec![false; n],
                 stats: stats.clone(),
                 op_seq: 0,
                 recv_deadline,
@@ -138,12 +125,6 @@ pub struct Communicator {
     size: usize,
     senders: Vec<Sender<Message>>,
     receivers: Vec<Receiver<Message>>,
-    /// Tensor messages pulled off a channel while polling for control
-    /// bytes; drained by `recv_msg` before touching the channel so per-peer
-    /// FIFO order of tensor messages is preserved.
-    stashed: Vec<VecDeque<Message>>,
-    /// Peers whose communicator we have observed to be dropped.
-    dead: Vec<bool>,
     stats: Arc<CommStats>,
     op_seq: u64,
     recv_deadline: Duration,
@@ -165,16 +146,6 @@ impl Communicator {
         self.stats.clone()
     }
 
-    /// The deadline applied to every blocking receive.
-    pub fn recv_deadline(&self) -> Duration {
-        self.recv_deadline
-    }
-
-    /// Peers observed dead so far (their communicator was dropped).
-    pub fn dead_peers(&self) -> Vec<usize> {
-        (0..self.size).filter(|&r| self.dead[r]).collect()
-    }
-
     fn try_send_msg(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
         let bytes = match &payload {
             Payload::F32(v) => v.len() * 4,
@@ -187,30 +158,18 @@ impl Communicator {
             .map_err(|_| CommError::SendFailed { rank: self.rank, dst })
     }
 
+    /// The one receive: blocks on `src`'s channel up to the deadline. A
+    /// dropped peer's queued messages are delivered before its death is.
     fn try_recv_msg(&mut self, src: usize, tag: u64) -> Result<Payload, CommError> {
-        let msg = match self.stashed[src].pop_front() {
-            Some(m) => m,
-            None => {
-                if self.dead[src] && self.receivers[src].is_empty() {
-                    return Err(CommError::PeerDead { rank: self.rank, src });
-                }
-                match self.receivers[src].recv_timeout(self.recv_deadline) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.dead[src] = true;
-                        return Err(CommError::PeerDead { rank: self.rank, src });
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        return Err(CommError::Timeout {
-                            rank: self.rank,
-                            src,
-                            tag,
-                            waited: self.recv_deadline,
-                        });
-                    }
-                }
-            }
-        };
+        let msg = self.receivers[src].recv_timeout(self.recv_deadline).map_err(|e| match e {
+            RecvTimeoutError::Disconnected => CommError::PeerDead { rank: self.rank, src },
+            RecvTimeoutError::Timeout => CommError::Timeout {
+                rank: self.rank,
+                src,
+                tag,
+                waited: self.recv_deadline,
+            },
+        })?;
         if msg.tag != tag {
             return Err(CommError::TagMismatch {
                 rank: self.rank,
@@ -234,13 +193,7 @@ impl Communicator {
     pub(crate) fn try_recv_f32(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
         match self.try_recv_msg(src, tag)? {
             Payload::F32(v) => Ok(v),
-            p @ Payload::Bytes(_) => Err(CommError::TypeMismatch {
-                rank: self.rank,
-                src,
-                tag,
-                expected: "f32",
-                got: p.kind(),
-            }),
+            Payload::Bytes(_) => Err(CommError::TypeMismatch { rank: self.rank, src, tag, expected: "f32", got: "bytes" }),
         }
     }
 
@@ -250,46 +203,11 @@ impl Communicator {
     }
 
     /// Receives control bytes from `src`.
-    pub(crate) fn try_recv_bytes(&mut self, src: usize, tag: u64) -> Result<Vec<u8>, CommError> {
+    pub fn try_recv_bytes(&mut self, src: usize, tag: u64) -> Result<Vec<u8>, CommError> {
         match self.try_recv_msg(src, tag)? {
             Payload::Bytes(b) => Ok(b),
-            p @ Payload::F32(_) => Err(CommError::TypeMismatch {
-                rank: self.rank,
-                src,
-                tag,
-                expected: "bytes",
-                got: p.kind(),
-            }),
+            Payload::F32(_) => Err(CommError::TypeMismatch { rank: self.rank, src, tag, expected: "bytes", got: "f32" }),
         }
-    }
-
-    /// Non-blocking poll for a control-plane byte message from any peer.
-    ///
-    /// Returns `(src, tag, payload)` if one is waiting. A tensor (f32)
-    /// message encountered while polling — a faster peer may already have
-    /// begun the next collective — is stashed and later delivered to
-    /// `recv_f32` in original per-peer FIFO order. A peer whose channel
-    /// has disconnected is recorded in [`Communicator::dead_peers`].
-    pub fn try_recv_bytes_any(&mut self) -> Option<(usize, u64, Vec<u8>)> {
-        for src in 0..self.size {
-            loop {
-                match self.receivers[src].try_recv() {
-                    Ok(msg) => match msg.payload {
-                        Payload::Bytes(b) => {
-                            self.stats.received[self.rank].fetch_add(1, Ordering::Relaxed);
-                            return Some((src, msg.tag, b));
-                        }
-                        Payload::F32(_) => self.stashed[src].push_back(msg),
-                    },
-                    Err(TryRecvError::Disconnected) => {
-                        self.dead[src] = true;
-                        break;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                }
-            }
-        }
-        None
     }
 
     fn next_tag(&mut self) -> u64 {

@@ -11,8 +11,11 @@
 //!   original design (every rank reports to rank 0 — millions of messages
 //!   per second at 27 k ranks); the
 //!   [`hierarchical`](ControlPlane::Hierarchical) radix-r tree is
-//!   the paper's fix, bounding every rank's traffic at `r+1` messages per
-//!   tensor. The trainer does not run it per step: its fusion buckets are
+//!   the paper's fix. A round sends one message per tensor per tree edge
+//!   each way over blocking receives, so every rank exchanges exactly
+//!   `2·T·(children + has-parent)` messages, whatever the thread timing:
+//!   `2(N−1)·T` at the centralized root, at most `2(r+1)·T` at any tree
+//!   rank. The trainer does not run it per step: its fusion buckets are
 //!   canonical and fixed when the replica is built, so every rank already
 //!   reduces in the same order.
 //! * [`fusion`] — Horovod's tensor-fusion buffer: coalesces small

@@ -33,7 +33,6 @@ pub mod fs;
 pub mod gpu;
 pub mod machine;
 pub mod net;
-pub mod topology;
 
 pub use cluster::{ScalePoint, TrainingJobModel, WorkloadModel};
 pub use event::{Faulted, Simulator};
@@ -41,4 +40,3 @@ pub use fs::{BurstBuffer, SharedFilesystem};
 pub use gpu::{GpuModel, KernelWork, Precision, WorkCategory};
 pub use machine::MachineSpec;
 pub use net::{CollectiveAlgo, LinkModel};
-pub use topology::Topology;

@@ -5,7 +5,6 @@
 use exaclim_hpcsim::fs::SharedFilesystem;
 use exaclim_hpcsim::gpu::{GpuModel, KernelWork, Precision, WorkCategory};
 use exaclim_hpcsim::net::{allreduce_time, hierarchical_allreduce_time, CollectiveAlgo, LinkModel};
-use exaclim_hpcsim::topology::Topology;
 use proptest::prelude::*;
 
 proptest! {
@@ -91,16 +90,5 @@ proptest! {
             let t16 = gpu.category_time(&w, Precision::FP16);
             prop_assert!(t16 <= t32 * 1.0001);
         }
-    }
-
-    /// Topology hop counts stay within [1, diameter] for valid shapes.
-    #[test]
-    fn topology_invariants(groups in 2usize..40, routers in 1usize..128, per in 1usize..8) {
-        let t = Topology::Dragonfly { groups, routers_per_group: routers, nodes_per_router: per };
-        prop_assert_eq!(t.nodes(), groups * routers * per);
-        prop_assert_eq!(t.diameter(), 5);
-        let mean = t.mean_hops();
-        prop_assert!((1.0..=5.0).contains(&mean));
-        prop_assert!(t.mean_latency_s(100.0) > 0.0);
     }
 }

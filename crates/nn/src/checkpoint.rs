@@ -26,12 +26,6 @@ fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
 /// Collects a layer's complete persistent state: trainable parameters
 /// plus non-trainable buffers (batch-norm running statistics). Saving
 /// this — rather than `params()` alone — is what makes eval-mode
@@ -106,21 +100,75 @@ pub fn save_auto_with_optimizer(
     Ok(path)
 }
 
-/// Opens a checkpoint, validates magic + version, and returns the reader
-/// positioned at the tensor count. Versions 1 (no optimizer section) and
-/// 2 are accepted.
-fn open_checkpoint(path: impl AsRef<Path>) -> io::Result<(BufReader<File>, u32)> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an EXCK checkpoint"));
+/// An open checkpoint that knows how many of its bytes are left, so every
+/// length read from the file is checked before anything is allocated for
+/// it: a truncated or hostile file is `InvalidData`, never an abort.
+struct CheckpointReader {
+    r: BufReader<File>,
+    left: u64,
+    version: u32,
+}
+
+impl CheckpointReader {
+    /// Opens a checkpoint and validates magic + version, leaving the reader
+    /// at the tensor count. Versions 1 (no optimizer section) and 2 are
+    /// accepted.
+    fn open(path: impl AsRef<Path>) -> io::Result<CheckpointReader> {
+        let file = File::open(path)?;
+        let left = file.metadata()?.len();
+        let mut c = CheckpointReader { r: BufReader::new(file), left, version: 0 };
+        if c.bytes(4, "magic")? != MAGIC {
+            return Err(bad("not an EXCK checkpoint"));
+        }
+        c.version = c.u32("version")?;
+        if c.version == 0 || c.version > VERSION {
+            return Err(bad(format!("unsupported checkpoint version {}", c.version)));
+        }
+        Ok(c)
     }
-    let version = read_u32(&mut r)?;
-    if version == 0 || version > VERSION {
-        return Err(bad(format!("unsupported checkpoint version {version}")));
+
+    /// Reads `n` bytes of `what`, refusing a length past the end of the file.
+    fn bytes(&mut self, n: usize, what: &str) -> io::Result<Vec<u8>> {
+        if n as u64 > self.left {
+            return Err(bad(format!("{what}: {n} bytes claimed, {} left in the file", self.left)));
+        }
+        let mut b = vec![0u8; n];
+        self.r.read_exact(&mut b)?;
+        self.left -= n as u64;
+        Ok(b)
     }
-    Ok((r, version))
+
+    fn u32(&mut self, what: &str) -> io::Result<u32> {
+        let b = self.bytes(4, what)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    /// Walks the `count` tensors of the tensor section, handing each
+    /// stored tensor's name and value to `visit`.
+    fn tensors(&mut self, count: usize, mut visit: impl FnMut(String, Tensor) -> io::Result<()>) -> io::Result<()> {
+        for _ in 0..count {
+            let name_len = self.u32("name length")? as usize;
+            let name = String::from_utf8(self.bytes(name_len, "tensor name")?).map_err(|_| bad("invalid tensor name"))?;
+            let dtype = match self.bytes(1, "dtype")?[0] {
+                0 => DType::F32,
+                1 => DType::F16,
+                other => return Err(bad(format!("unknown dtype tag {other}"))),
+            };
+            let rank = self.u32("rank")? as u64;
+            if rank * 4 > self.left {
+                return Err(bad(format!("{name}: rank {rank} runs past the end of the file")));
+            }
+            let dims = (0..rank).map(|_| self.u32("dim").map(|d| d as usize)).collect::<io::Result<Vec<_>>>()?;
+            let payload = dims
+                .iter()
+                .try_fold(4usize, |n, &d| n.checked_mul(d))
+                .ok_or_else(|| bad(format!("{name}: dims {dims:?} overflow")))?;
+            let data = self.bytes(payload, "tensor payload")?;
+            let data = data.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])).collect();
+            visit(name, Tensor::from_vec(Shape::new(&dims), dtype, data))?;
+        }
+        Ok(())
+    }
 }
 
 /// Loads a checkpoint into an existing parameter set. Every stored tensor
@@ -128,50 +176,28 @@ fn open_checkpoint(path: impl AsRef<Path>) -> io::Result<(BufReader<File>, u32)>
 /// an error — a model-architecture mismatch). Any optimizer section is
 /// left untouched — see [`load_optimizer_state`].
 pub fn load_into(params: &ParamSet, path: impl AsRef<Path>) -> io::Result<()> {
-    let (mut r, _version) = open_checkpoint(path)?;
-    let count = read_u32(&mut r)? as usize;
+    let mut c = CheckpointReader::open(path)?;
+    let count = c.u32("tensor count")? as usize;
     if count != params.len() {
         return Err(bad(format!(
             "checkpoint holds {count} tensors but the model has {}",
             params.len()
         )));
     }
-    for _ in 0..count {
-        let name_len = read_u32(&mut r)? as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        r.read_exact(&mut name_bytes)?;
-        let name = String::from_utf8(name_bytes).map_err(|_| bad("invalid tensor name"))?;
-        let mut dt = [0u8; 1];
-        r.read_exact(&mut dt)?;
-        let dtype = match dt[0] {
-            0 => DType::F32,
-            1 => DType::F16,
-            other => return Err(bad(format!("unknown dtype tag {other}"))),
-        };
-        let rank = read_u32(&mut r)? as usize;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(read_u32(&mut r)? as usize);
-        }
-        let shape = Shape::new(&dims);
-        let mut data = vec![0.0f32; shape.numel()];
-        for v in data.iter_mut() {
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)?;
-            *v = f32::from_le_bytes(b);
-        }
+    c.tensors(count, |name, value| {
         let p = params
             .get(&name)
             .ok_or_else(|| bad(format!("model has no parameter named {name}")))?;
-        if p.value().shape() != &shape {
+        if p.value().shape() != value.shape() {
             return Err(bad(format!(
-                "shape mismatch for {name}: checkpoint {shape} vs model {}",
+                "shape mismatch for {name}: checkpoint {} vs model {}",
+                value.shape(),
                 p.value().shape()
             )));
         }
-        p.set_value(Tensor::from_vec(shape, dtype, data));
-    }
-    Ok(())
+        p.set_value(value);
+        Ok(())
+    })
 }
 
 /// Reads the optimizer-state section of a checkpoint. Version-1 files
@@ -179,28 +205,14 @@ pub fn load_into(params: &ParamSet, path: impl AsRef<Path>) -> io::Result<()> {
 /// empty [`OptState`] (a deliberate cold restart), so callers need no
 /// version probe.
 pub fn load_optimizer_state(path: impl AsRef<Path>) -> io::Result<OptState> {
-    let (mut r, version) = open_checkpoint(path)?;
-    if version < 2 {
+    let mut c = CheckpointReader::open(path)?;
+    if c.version < 2 {
         return Ok(OptState::default());
     }
-    // Skip the tensor section.
-    let count = read_u32(&mut r)? as usize;
-    for _ in 0..count {
-        let name_len = read_u32(&mut r)? as usize;
-        let mut skip = vec![0u8; name_len + 1]; // name + dtype byte
-        r.read_exact(&mut skip)?;
-        let rank = read_u32(&mut r)? as usize;
-        let mut numel = 1usize;
-        for _ in 0..rank {
-            numel *= read_u32(&mut r)? as usize;
-        }
-        let mut payload = vec![0u8; numel * 4];
-        r.read_exact(&mut payload)?;
-    }
-    let opt_len = read_u32(&mut r)? as usize;
-    let mut opt_bytes = vec![0u8; opt_len];
-    r.read_exact(&mut opt_bytes)?;
-    OptState::from_bytes(&opt_bytes).map_err(bad)
+    let count = c.u32("tensor count")? as usize;
+    c.tensors(count, |_, _| Ok(()))?;
+    let opt_len = c.u32("optimizer section length")? as usize;
+    OptState::from_bytes(&c.bytes(opt_len, "optimizer section")?).map_err(bad)
 }
 
 #[cfg(test)]
@@ -337,6 +349,69 @@ mod tests {
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite");
         assert!(load_into(&sample_params(51), &path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The header of a one-tensor v2 file up to its dtype byte.
+    fn header(name_len: u32, name: &[u8]) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
+        for v in [VERSION, 1, name_len] {
+            b.extend_from_slice(&v.to_le_bytes());
+        }
+        b.extend_from_slice(name);
+        b.push(0); // dtype F32
+        b
+    }
+
+    fn assert_invalid(bytes: &[u8], file: &str) {
+        let path = tmp(file);
+        std::fs::write(&path, bytes).expect("write");
+        let mut one = ParamSet::new();
+        one.push(Param::new("w", Tensor::zeros([2], DType::F32)));
+        for err in [load_into(&one, &path).err(), load_optimizer_state(&path).err()] {
+            let err = err.expect("a hostile file must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_lengths_are_invalid_data_not_an_abort() {
+        // Rank u32::MAX: 22 bytes that once asked for a 32 GiB dims vector.
+        let mut rank = header(1, b"w");
+        rank.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(rank.len(), 22);
+        assert_invalid(&rank, "hostile_rank.exck");
+        // A name length far past the end of the file.
+        assert_invalid(&header(u32::MAX, b""), "hostile_name.exck");
+        // Dims whose element count overflows usize.
+        let mut dims = header(1, b"w");
+        for v in [3, u32::MAX, u32::MAX, u32::MAX] {
+            dims.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_invalid(&dims, "hostile_dims.exck");
+    }
+
+    #[test]
+    fn every_truncation_is_rejected() {
+        let path = tmp("truncated.exck");
+        let params = sample_params(61);
+        let mut opt = OptState::default();
+        opt.push("adam.t", vec![3.0]);
+        save_with_optimizer(&params, &opt, &path).expect("save");
+        let bytes = std::fs::read(&path).expect("read");
+        // The parameters end where the optimizer section's length begins.
+        let tensors_end = bytes.len() - 4 - opt.to_bytes().len();
+        for len in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..len]).expect("truncate");
+            let restored = sample_params(62);
+            match load_into(&restored, &path) {
+                Err(e) => assert!(len < tensors_end && e.kind() == io::ErrorKind::InvalidData, "{len} bytes: {e}"),
+                Ok(()) => assert!(len >= tensors_end, "{len} bytes cut into the tensors but loaded"),
+            }
+            let err = load_optimizer_state(&path).expect_err("a truncated optimizer section must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len} bytes: {err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -1115,7 +1115,7 @@ mod tests {
         let mut b = Lagged::new(inner_b);
         b.import_state(&snapshot, &set_b).expect("import");
         assert!(b.primed(), "restored queue makes the optimizer primed");
-        // The next step must apply the stashed gradient (7.0), not the new one.
+        // The next step must apply the queued gradient (7.0), not the new one.
         pb.set_grad(Tensor::from_vec([1], DType::F32, vec![100.0]));
         b.step(&set_b);
         let x = pb.value().as_slice()[0];

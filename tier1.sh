@@ -38,9 +38,11 @@ cargo run --release -q -p exaclim-bench --bin ablations | diff - artifacts/ablat
 cargo run --release -q -p exaclim-bench --bin fig6_convergence | diff - artifacts/fig6.txt
 
 # Horovod's coordination protocol has no trainer caller; its measuring bin
-# panics if a round fails. Its message counts follow arrival timing, so
-# the output is not compared.
-cargo run --release -q -p exaclim-bench --bin control_plane > /dev/null
+# panics if a round fails. The protocol moves one message per tensor per
+# tree edge each way over blocking receives, so its counts do not depend on
+# thread timing: the output must reproduce the recorded artifact byte for
+# byte.
+cargo run --release -q -p exaclim-bench --bin control_plane | diff - artifacts/control_plane.txt
 
 # The fault-injection example asserts every recovery invariant it prints
 # (consistent replicas, bit-identical replays, complete staged shards),
