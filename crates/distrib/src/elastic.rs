@@ -25,20 +25,23 @@
 //! * **State follows the view.** On every transition the learning rate is
 //!   rescaled linearly with the world size (the paper's Figure-6 rule),
 //!   the replica is re-wired to the new world (topology, overlap engine,
-//!   ready hooks), and joiners receive the parameters *and optimizer
-//!   state* by broadcast from a live survivor — a checkpoint is touched
-//!   only in the survivor-less handoff case. Batch sources keep their
-//!   shard: a rank's shard is a function of `(seed, rank)`, not of the
-//!   world it is in.
+//!   ready hooks), and joiners adopt the parameters *and optimizer
+//!   state* — one in-memory snapshot — by broadcast from a live survivor.
+//!   When no survivor is left, a departing member leaves its snapshot at
+//!   the hub (the scheduler's stand-in for shared storage) and the
+//!   joiners adopt that: elastic state never touches the disk. Batch
+//!   sources keep their shard: a rank's shard is a function of
+//!   `(seed, rank)`, not of the world it is in.
 //! * **Crash recovery without restart.** A crash at a boundary is a member
 //!   that never checks in. A peer lost mid-step or while a world assembles
 //!   surfaces as a typed [`CommError`]; the member meets its generation's
 //!   recovery in the hub, which also releases the generation's boundary
 //!   meeting. The survivors continue in a fresh generation from the *live*
 //!   model — zero completed steps are lost or replayed.
-//! * **Typed state faults.** A state broadcast that does not decode ends
-//!   the member that received it as [`CommError::MalformedPayload`] in
-//!   [`ElasticReport::ranks_failed`]; its peers recover as from a crash.
+//! * **Typed state faults.** A broadcast or handed-off state that does not
+//!   adopt ends the member that received it as
+//!   [`CommError::MalformedPayload`] in [`ElasticReport::ranks_failed`];
+//!   its peers recover as from a crash.
 //!
 //! Members run the same `Replica::step` as the plain driver; this module
 //! owns only what is elastic — the hub and its meetings, `enter` and the
@@ -49,14 +52,13 @@
 //! ranks, join-during-leave cascades, full founder turnover — replays
 //! bit-identically.
 
-use crate::step::{Replica, Trained};
+use crate::step::{Replica, Snapshot, Trained};
 use crate::trainer::{BatchSource, OptimizerKind, StepRecord, TrainerConfig};
 use exaclim_comm::{CommError, CommWorld, Communicator, Rendezvous};
 use exaclim_faults::FaultPlan;
 use exaclim_nn::optim::scale_lr_for_batch;
 use exaclim_nn::Layer;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -87,32 +89,20 @@ pub struct GenerationRecord {
     pub transition_wall_s: f64,
 }
 
-/// The leader saves an auto-checkpoint after every this-many completed
-/// steps. It is kept as the fallback artifact: elastic transitions
-/// themselves do not read it unless a handoff leaves no survivor.
-const CHECKPOINT_EVERY: usize = 2;
-
 /// Elastic-training knobs wrapped around a [`TrainerConfig`].
 #[derive(Debug, Clone)]
 pub struct ElasticConfig {
     /// The underlying training configuration. `ranks` is the *founding*
     /// world size; membership changes from there.
     pub base: TrainerConfig,
-    /// Directory for `step-*.exck` auto-checkpoints and
-    /// `handoff-gen*.exck` survivor-less handoffs.
-    pub checkpoint_dir: PathBuf,
     /// Per-receive deadline; also bounds each rendezvous wait.
     pub recv_deadline: Duration,
 }
 
 impl ElasticConfig {
     /// Sensible defaults: a 5-second deadline.
-    pub fn new(base: TrainerConfig, checkpoint_dir: impl Into<PathBuf>) -> ElasticConfig {
-        ElasticConfig {
-            base,
-            checkpoint_dir: checkpoint_dir.into(),
-            recv_deadline: Duration::from_secs(5),
-        }
+    pub fn new(base: TrainerConfig) -> ElasticConfig {
+        ElasticConfig { base, recv_deadline: Duration::from_secs(5) }
     }
 }
 
@@ -139,15 +129,13 @@ pub struct ElasticReport {
     pub steps_retried: usize,
     /// Live param + optimizer broadcasts to joiners.
     pub param_broadcasts: usize,
-    /// Transitions that had to fall back to a handoff checkpoint because
-    /// no survivor remained to broadcast from.
-    pub checkpoint_fallbacks: usize,
-    /// Periodic auto-checkpoints written.
-    pub checkpoints_saved: usize,
+    /// Transitions with no survivor to broadcast from, whose joiners
+    /// adopted the snapshot a departing member left at the hub.
+    pub handoffs: usize,
     /// Scheduled joiners the run ended without ever admitting.
     pub never_admitted: Vec<usize>,
     /// Members that stopped on an error no smaller world can cure — a
-    /// state broadcast that did not decode
+    /// broadcast or handed-off state that did not adopt
     /// ([`CommError::MalformedPayload`]) — with the error, in member-id
     /// order. Membership travels through no message, so nothing else can
     /// fail a member. Their peers recover as from a crash, so each id is
@@ -161,22 +149,30 @@ pub struct ElasticReport {
 // The hub: shared membership state (stands in for a job scheduler).
 // ---------------------------------------------------------------------------
 
+/// The live state a departing member leaves at the hub for the joiners of
+/// a survivor-less world.
+#[derive(Clone)]
+struct Handoff {
+    /// The member that left it.
+    writer: usize,
+    state: Arc<Snapshot>,
+}
+
 /// What an admitted joiner needs to enter the world.
 #[derive(Clone)]
 struct Admission {
     view: WorldView,
     start_step: usize,
-    /// A live broadcast from a survivor, or the handoff checkpoint.
+    /// A live broadcast from a survivor, or the handoff.
     sync: SyncPlan,
-    handoff: Option<PathBuf>,
+    handoff: Option<Handoff>,
 }
 
 #[derive(Default)]
 struct Counters {
     retried: usize,
     param_broadcasts: usize,
-    checkpoint_fallbacks: usize,
-    checkpoints_saved: usize,
+    handoffs: usize,
 }
 
 /// A member's check-in at a meeting.
@@ -193,8 +189,8 @@ struct Checkin {
 enum Decision {
     /// Membership is unchanged: run the step.
     Proceed,
-    /// The world moves to `view`. `writer`, a departing old member, writes
-    /// the handoff its joiners boot from when no survivor can broadcast.
+    /// The world moves to `view`. `writer`, a departing old member, leaves
+    /// the handoff its joiners adopt when no survivor can broadcast.
     Commit { view: WorldView, sync: SyncPlan, writer: Option<usize> },
 }
 
@@ -244,7 +240,7 @@ struct HubState {
 }
 
 impl HubState {
-    fn admit(&mut self, view: &WorldView, joiners: &[usize], start_step: usize, sync: &SyncPlan, handoff: Option<PathBuf>) {
+    fn admit(&mut self, view: &WorldView, joiners: &[usize], start_step: usize, sync: &SyncPlan, handoff: Option<Handoff>) {
         for &j in joiners {
             let (view, sync, handoff) = (view.clone(), sync.clone(), handoff.clone());
             self.admissions.insert(j, Admission { view, start_step, sync, handoff });
@@ -424,7 +420,7 @@ impl ElasticHub {
         } else {
             SyncPlan::Handoff
         };
-        // Survivor-less: a departing old member persists the live state
+        // Survivor-less: a departing old member hands off the live state
         // before any joiner is admitted.
         let writer = if survivors.is_empty() { leavers.first().copied() } else { None };
         let churn = format!("{} leave / {} join", leavers.len(), joiners.len());
@@ -438,7 +434,7 @@ impl ElasticHub {
         s.next_generation += 1;
         match (&sync, writer) {
             (SyncPlan::Broadcast { .. }, _) => s.counters.param_broadcasts += 1,
-            (SyncPlan::Handoff, Some(_)) => s.counters.checkpoint_fallbacks += 1,
+            (SyncPlan::Handoff, Some(_)) => s.counters.handoffs += 1,
             _ => {}
         }
         for j in &joiners {
@@ -461,11 +457,10 @@ impl ElasticHub {
         Some(Decision::Commit { view, sync, writer })
     }
 
-    /// Admits every member of a survivor-less `view` from the handoff
-    /// written at `path`.
-    fn admit_handoff(&self, view: &WorldView, start_step: usize, path: PathBuf) {
+    /// Admits every member of a survivor-less `view` with `handoff`.
+    fn admit_handoff(&self, view: &WorldView, start_step: usize, handoff: Handoff) {
         let mut s = self.state.lock().unwrap();
-        s.admit(view, &view.members, start_step, &SyncPlan::Handoff, Some(path));
+        s.admit(view, &view.members, start_step, &SyncPlan::Handoff, Some(handoff));
         self.cv.notify_all();
     }
 
@@ -491,10 +486,6 @@ impl ElasticHub {
 
     fn note_retry(&self) {
         self.state.lock().unwrap().counters.retried += 1;
-    }
-
-    fn note_checkpoint(&self) {
-        self.state.lock().unwrap().counters.checkpoints_saved += 1;
     }
 
     fn close(&self) {
@@ -523,8 +514,8 @@ enum Round {
     Proceed,
     /// This member departs gracefully.
     Left,
-    /// This member departs after writing the handoff the survivor-less
-    /// `view` boots from.
+    /// This member departs after leaving the handoff the survivor-less
+    /// `view` adopts.
     Handoff(WorldView),
     /// A new view was committed; enter it and meet again at the boundary.
     Transition { view: WorldView, sync: SyncPlan },
@@ -537,10 +528,10 @@ enum Round {
 enum SyncPlan {
     /// Everybody already holds the live state.
     None,
-    /// Broadcast params + optimizer state from this member id; unsynced
-    /// members import, synced members just relay.
+    /// Broadcast a snapshot from this member id; unsynced members adopt
+    /// it, synced members just relay.
     Broadcast { root: usize },
-    /// No survivor: every unsynced member loads its handoff checkpoint.
+    /// No survivor: every unsynced member adopts its handoff.
     Handoff,
 }
 
@@ -556,7 +547,9 @@ struct Member<B: BatchSource> {
     source: B,
     view: WorldView,
     synced: bool,
-    handoff: Option<PathBuf>,
+    /// Kept across a recovery: a survivor-less world that fails to
+    /// assemble adopts it in the next one.
+    handoff: Option<Handoff>,
     /// Step this incarnation entered the world (−1 for founders). A
     /// scheduled leave fires only if it post-dates the entry — a member
     /// that leaves and rejoins at one boundary must not leave again.
@@ -591,31 +584,35 @@ impl<B: BatchSource> Member<B> {
             self.me,
             self.cfg.recv_deadline,
         )?;
+        // A state that does not adopt is its sender's to answer for, not a
+        // reason to unwind here.
+        let rank = comm.rank();
+        let malformed = |root: usize, what: String| CommError::MalformedPayload { rank, root, what };
         match sync {
             SyncPlan::None => {}
             SyncPlan::Broadcast { root } => {
-                let root_idx = self
+                let root = self
                     .view
                     .members
                     .iter()
                     .position(|&m| m == root)
                     .expect("broadcast root is a member of the new view");
-                self.replica.sync_from(&mut comm, root_idx, !self.synced)?;
-                self.synced = true;
+                let mut snap = if rank == root { self.replica.snapshot() } else { Snapshot::default() };
+                comm.try_broadcast(root, &mut snap.flat)?;
+                comm.try_broadcast_bytes(root, &mut snap.opt)?;
+                if !self.synced {
+                    self.replica.adopt(&snap).map_err(|e| malformed(root, format!("state broadcast: {e}")))?;
+                }
             }
             SyncPlan::Handoff => {
                 if !self.synced {
-                    let path = self
-                        .handoff
-                        .as_deref()
-                        .expect("survivor-less admission carries a handoff checkpoint");
-                    self.replica
-                        .restore(path)
-                        .unwrap_or_else(|e| panic!("member {}: load handoff: {e}", self.me));
-                    self.synced = true;
+                    let h = self.handoff.as_ref().expect("survivor-less admission carries a handoff");
+                    let what = |e| format!("handoff from member {}: {e}", h.writer);
+                    self.replica.adopt(&h.state).map_err(|e| malformed(h.writer, what(e)))?;
                 }
             }
         }
+        self.synced = true;
         self.configure(comm);
         Ok(())
     }
@@ -656,7 +653,8 @@ impl<B: BatchSource> Member<B> {
                 Round::Proceed => return Ok(None),
                 Round::Left => return Ok(Some(MemberOutcome::Left { me })),
                 Round::Handoff(view) => {
-                    self.hand_off(&view, step);
+                    let state = Arc::new(self.replica.snapshot());
+                    self.hub.admit_handoff(&view, step, Handoff { writer: me, state });
                     return Ok(Some(MemberOutcome::Left { me }));
                 }
                 Round::Transition { view, sync } => match self.enter(view, sync) {
@@ -667,17 +665,6 @@ impl<B: BatchSource> Member<B> {
                 Round::Recover => round = Some(self.meet(step, false)),
             }
         }
-    }
-
-    /// Persists the live state (params *and* optimizer) for the joiners of
-    /// the survivor-less `view`, then admits them.
-    fn hand_off(&self, view: &WorldView, step: usize) {
-        let g = view.generation;
-        let path = self.cfg.checkpoint_dir.join(format!("handoff-gen{g:08}.exck"));
-        std::fs::create_dir_all(&self.cfg.checkpoint_dir)
-            .and_then(|()| self.replica.save_to(&path))
-            .unwrap_or_else(|e| panic!("write handoff for generation {g}: {e}"));
-        self.hub.admit_handoff(view, step, path);
     }
 
     /// Runs the member from `start_step` (entering by `round` first, if
@@ -697,13 +684,6 @@ impl<B: BatchSource> Member<B> {
                 Ok(s) => {
                     if self.is_leader() {
                         self.hub.record_step(step, s.mean_loss, s.wall_s);
-                        let completed = step + 1;
-                        if completed.is_multiple_of(CHECKPOINT_EVERY) {
-                            self.replica
-                                .save_checkpoint(&self.cfg.checkpoint_dir, completed)
-                                .unwrap_or_else(|e| panic!("auto-checkpoint at step {completed}: {e}"));
-                            self.hub.note_checkpoint();
-                        }
                     }
                     step += 1;
                 }
@@ -877,8 +857,7 @@ where
         ranks_lost: s.ranks_lost.clone(),
         steps_retried: s.counters.retried,
         param_broadcasts: s.counters.param_broadcasts,
-        checkpoint_fallbacks: s.counters.checkpoint_fallbacks,
-        checkpoints_saved: s.counters.checkpoints_saved,
+        handoffs: s.counters.handoffs,
         never_admitted,
         ranks_failed,
         diverged,
@@ -894,16 +873,12 @@ mod tests {
     use crate::trainer::train_data_parallel;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn elastic_config(ranks: usize, steps: usize, dir: &str) -> ElasticConfig {
-        let d = std::env::temp_dir()
-            .join(format!("exaclim_elastic_{}", std::process::id()))
-            .join(dir);
-        std::fs::remove_dir_all(&d).ok();
+    fn elastic_config(ranks: usize, steps: usize) -> ElasticConfig {
         let mut base = toy_config(ranks, steps);
         if !ranks.is_multiple_of(base.node_size) {
             base.node_size = 1;
         }
-        let mut cfg = ElasticConfig::new(base, d);
+        let mut cfg = ElasticConfig::new(base);
         cfg.recv_deadline = Duration::from_secs(2);
         cfg
     }
@@ -935,7 +910,7 @@ mod tests {
         // `on_step_timing` per rank per step. Returns the hash both
         // trainers landed on.
         let both = |overlap: bool, fused: bool| {
-            let mut cfg = elastic_config(2, 6, &format!("healthy_{overlap}_{fused}"));
+            let mut cfg = elastic_config(2, 6);
             cfg.base.overlap_comm = overlap;
             cfg.base.fused_optim = fused;
             let (plain, _m) = train_data_parallel(&cfg.base, toy_model, toy_source);
@@ -950,11 +925,9 @@ mod tests {
             assert_eq!(r.generations.len(), 1, "no transitions");
             assert!(r.ranks_left.is_empty() && r.ranks_joined.is_empty() && r.ranks_lost.is_empty());
             assert_eq!(r.steps_retried, 0);
-            assert_eq!(r.checkpoints_saved, 3, "steps 2, 4, 6");
             if overlap && fused {
                 assert_eq!(timings.load(Ordering::SeqCst), 2 * 6, "one per rank per step");
             }
-            std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
             plain.final_hashes[0]
         };
         // One hash across drivers × planes.
@@ -968,7 +941,7 @@ mod tests {
     fn leave_and_join_complete_without_restart() {
         // Rank 1 leaves at step 2; a new rank 4 joins at step 5. Training
         // never restarts: the world shrinks to 3, grows to 4, finishes.
-        let cfg = elastic_config(4, 8, "leave_join");
+        let cfg = elastic_config(4, 8);
         let faults = FaultPlan::seeded(11).with_leave_at_step(1, 2).with_join_at_step(4, 5);
         let (r, _m) = run(&cfg, &faults);
         assert!(r.consistent, "finishers diverged: {:?}", r.final_hashes);
@@ -981,9 +954,8 @@ mod tests {
         assert_eq!(r.generations[1].members, vec![0, 2, 3]);
         assert_eq!(r.generations[2].members, vec![0, 2, 3, 4]);
         assert_eq!(r.param_broadcasts, 1, "the joiner got the live state");
-        assert_eq!(r.checkpoint_fallbacks, 0, "no checkpoint was needed to resize");
+        assert_eq!(r.handoffs, 0, "a survivor broadcast the state");
         assert_eq!(r.steps_retried, 0, "boundary churn loses no step");
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 
     #[test]
@@ -991,29 +963,27 @@ mod tests {
         // Elastic never lends the optimizer to the engine (see
         // train_step); fused mode is par_step only — which must still be
         // bit-identical through leaves, joins, and the LR rescales.
-        let run_mode = |fused: bool, dir: &str| {
-            let mut cfg = elastic_config(4, 8, dir);
+        let run_mode = |fused: bool| {
+            let mut cfg = elastic_config(4, 8);
             cfg.base.overlap_comm = true;
             cfg.base.fused_optim = fused;
             let faults = FaultPlan::seeded(11).with_leave_at_step(1, 2).with_join_at_step(4, 5);
             let (r, _m) = run(&cfg, &faults);
             assert!(r.consistent, "fused={fused}");
             assert_eq!(r.steps.len(), 8, "fused={fused}");
-            std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
             r.final_hashes
         };
-        assert_eq!(run_mode(false, "churn_legacy"), run_mode(true, "churn_fused"));
+        assert_eq!(run_mode(false), run_mode(true));
     }
 
     #[test]
     fn learning_rate_rescales_linearly_with_the_world() {
-        let cfg = elastic_config(4, 6, "lr_rescale");
+        let cfg = elastic_config(4, 6);
         let faults = FaultPlan::seeded(3).with_leave_at_step(3, 2);
         let (r, _m) = run(&cfg, &faults);
         // toy_config uses SGD lr 0.05; 4 → 3 ranks scales by 3/4.
         assert_eq!(r.generations[0].lr, 0.05);
         assert_eq!(r.generations[1].lr, scale_lr_for_batch(0.05, 4, 3));
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 
     #[test]
@@ -1022,38 +992,34 @@ mod tests {
             .with_leave_at_step(2, 3)
             .with_join_at_step(4, 4)
             .with_crash_at_step(1, 6);
-        let cfg_a = elastic_config(4, 8, "replay_a");
-        let (a, _ma) = run(&cfg_a, &faults);
-        let cfg_b = elastic_config(4, 8, "replay_b");
-        let (b, _mb) = run(&cfg_b, &faults);
+        let cfg = elastic_config(4, 8);
+        let (a, _ma) = run(&cfg, &faults);
+        let (b, _mb) = run(&cfg, &faults);
         assert_eq!(a.final_hashes, b.final_hashes, "same plan, same bits");
         assert_eq!(a.generations.len(), b.generations.len());
         assert_eq!(a.ranks_lost, b.ranks_lost);
         for (x, y) in a.steps.iter().zip(&b.steps) {
             assert_eq!(x.mean_loss.to_bits(), y.mean_loss.to_bits(), "step {} loss", x.step);
         }
-        std::fs::remove_dir_all(&cfg_a.checkpoint_dir).ok();
-        std::fs::remove_dir_all(&cfg_b.checkpoint_dir).ok();
     }
 
     #[test]
     fn crash_recovers_without_checkpoint_restart() {
         // Rank 2 crashes at step 5. Survivors recover in place from the
         // live model: no checkpoint restore, no step lost or replayed —
-        // a restart from the step-4 checkpoint would replay step 4.
-        let cfg = elastic_config(4, 8, "crash");
+        // a restart from a step-4 checkpoint would replay step 4.
+        let cfg = elastic_config(4, 8);
         let faults = FaultPlan::seeded(7).with_crash_at_step(2, 5);
         let (r, _m) = run(&cfg, &faults);
         assert!(r.consistent);
         assert_eq!(r.ranks_lost, vec![2]);
         assert_eq!(r.steps.len(), 8);
         assert_eq!(r.steps_retried, 0, "a boundary crash loses zero completed steps");
-        assert_eq!(r.checkpoint_fallbacks, 0);
+        assert_eq!(r.handoffs, 0);
         assert_eq!(r.final_hashes.len(), 3);
         let last = r.generations.last().unwrap();
         assert!(last.cause.contains("crash recovery"), "{}", last.cause);
         assert_eq!(last.members, vec![0, 1, 3]);
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 
     #[test]
@@ -1061,17 +1027,15 @@ mod tests {
         // The leader (member 0) crashes at step 3 of 6: the others find it
         // dead in the boundary round and elect member 1. Twice, same bits.
         let faults = FaultPlan::seeded(21).with_crash_at_step(0, 3);
-        let go = |dir: &str| {
-            let cfg = elastic_config(4, 6, dir);
-            let (r, _m) = run(&cfg, &faults);
-            std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+        let go = || {
+            let (r, _m) = run(&elastic_config(4, 6), &faults);
             assert!(r.consistent);
             assert_eq!(r.ranks_lost, vec![0]);
             assert_eq!((r.steps.len(), r.steps_retried), (6, 0));
             assert_eq!(r.generations.last().unwrap().members, vec![1, 2, 3]);
             r
         };
-        let (a, b) = (go("leader_crash_a"), go("leader_crash_b"));
+        let (a, b) = (go(), go());
         assert_eq!(a.final_hashes, b.final_hashes, "same plan, same bits");
         for (x, y) in a.steps.iter().zip(&b.steps) {
             assert_eq!(x.mean_loss.to_bits(), y.mean_loss.to_bits(), "step {} loss", x.step);
@@ -1082,7 +1046,7 @@ mod tests {
     fn two_crashes_across_generations_recover() {
         // Member 1 crashes at step 2, member 3 at step 4 — two recoveries,
         // each from the live model, and the last two finish consistently.
-        let cfg = elastic_config(4, 6, "two_crashes");
+        let cfg = elastic_config(4, 6);
         let faults = FaultPlan::seeded(5).with_crash_at_step(1, 2).with_crash_at_step(3, 4);
         let (r, _m) = run(&cfg, &faults);
         assert!(r.consistent, "finishers diverged: {:?}", r.final_hashes);
@@ -1091,7 +1055,6 @@ mod tests {
         assert_eq!(r.generations.len(), 3, "initial world + two recoveries");
         assert_eq!(r.generations[1].members, vec![0, 2, 3]);
         assert_eq!(r.generations[2].members, vec![0, 2]);
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 
     #[test]
@@ -1103,7 +1066,7 @@ mod tests {
         // order — where both move to generation 1 with nobody lost. The
         // members are joined only after both have reported, so a missing
         // release fails the test at the timeout instead of hanging it.
-        let cfg = elastic_config(2, 4, "release");
+        let cfg = elastic_config(2, 4);
         let hub = Arc::new(ElasticHub::new(&cfg, &FaultPlan::none()));
         let _leases = (hub.adopt(0), hub.adopt(1));
         let view = WorldView { generation: 0, members: vec![0, 1] };
@@ -1136,22 +1099,15 @@ mod tests {
         assert!(s.ranks_lost.is_empty());
     }
 
-    #[test]
-    fn joiner_that_cannot_decode_the_state_broadcast_is_reported_not_unwound() {
-        // Member 2 joins at step 3 with a model whose parameters are named
-        // differently (a node launched from another job config): rank 0's
-        // optimizer broadcast names velocities it does not have. It must
-        // stop with the typed error in the report — no panic on its
-        // thread — and the founders carry on as after a crash.
+    /// A model builder whose `n`-th build (from 0) is `toy_model` under
+    /// other parameter names — a node launched from another job config.
+    /// Optimizer state from any other build names velocities it lacks.
+    fn renamed_at_build(n: usize) -> impl Fn(&mut rand::rngs::StdRng) -> Box<dyn Layer> + Clone + Send + Sync {
         use exaclim_nn::layers::Conv2d;
         use exaclim_tensor::ops::Conv2dParams;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cfg = elastic_config(2, 6, "malformed_sync");
-        let faults = FaultPlan::seeded(3).with_join_at_step(2, 3);
-        let built = std::sync::Arc::new(AtomicUsize::new(0));
-        let model = move |rng: &mut rand::rngs::StdRng| -> Box<dyn exaclim_nn::Layer> {
-            // The joiner builds only once admitted, after both founders.
-            if built.fetch_add(1, Ordering::SeqCst) < 2 {
+        let built = Arc::new(AtomicUsize::new(0));
+        move |rng: &mut rand::rngs::StdRng| -> Box<dyn Layer> {
+            if built.fetch_add(1, Ordering::SeqCst) != n {
                 return toy_model(rng);
             }
             Box::new(
@@ -1160,11 +1116,23 @@ mod tests {
                     .push(exaclim_nn::layers::ReLU::new())
                     .push(Conv2d::new("x2", 8, 2, 1, Conv2dParams::default(), true, rng)),
             )
-        };
-        let (r, _m) = train_data_parallel_elastic(&cfg, &faults, model, toy_source);
+        }
+    }
+
+    #[test]
+    fn joiner_that_cannot_decode_the_state_broadcast_is_reported_not_unwound() {
+        // Member 2 joins at step 3 with renamed parameters (it builds only
+        // once admitted, after both founders): rank 0's optimizer state
+        // names velocities it does not have. It must stop with the typed
+        // error in the report — no panic on its thread — and the founders
+        // carry on as after a crash.
+        let cfg = elastic_config(2, 6);
+        let faults = FaultPlan::seeded(3).with_join_at_step(2, 3);
+        let (r, _m) = train_data_parallel_elastic(&cfg, &faults, renamed_at_build(2), toy_source);
         match r.ranks_failed.as_slice() {
             [(2, e @ CommError::MalformedPayload { rank: 2, root: 0, .. })] => {
                 assert!(e.to_string().contains("unknown parameter"), "{e}");
+                assert!(!e.is_peer_failure());
             }
             other => panic!("expected member 2 to fail on a malformed payload, got {other:?}"),
         }
@@ -1172,14 +1140,13 @@ mod tests {
         assert_eq!(r.steps.len(), 6);
         assert_eq!(r.final_hashes.len(), 2, "the founders finish");
         assert!(r.consistent);
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 
     #[test]
     fn flapping_rank_leaves_and_rejoins() {
         // Rank 1 leaves at step 2 and rejoins at step 5 — the lobby and
         // liveness bookkeeping must treat the rejoin as a fresh member.
-        let cfg = elastic_config(3, 8, "flap");
+        let cfg = elastic_config(3, 8);
         let faults = FaultPlan::seeded(5).with_leave_at_step(1, 2).with_join_at_step(1, 5);
         let (r, _m) = run(&cfg, &faults);
         assert!(r.consistent);
@@ -1187,7 +1154,6 @@ mod tests {
         assert_eq!(r.ranks_joined, vec![1]);
         assert_eq!(r.final_hashes.len(), 3, "all three ids finish (1 via its rejoin)");
         assert_eq!(r.generations.last().unwrap().members, vec![0, 1, 2]);
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 
     #[test]
@@ -1195,7 +1161,7 @@ mod tests {
         // Rank 1 leaves at step 2 while also queued to join at step 2:
         // the boundary commits *two* transitions back to back (out, then
         // readmitted), exercising the round-to-fixpoint loop.
-        let cfg = elastic_config(3, 6, "cascade");
+        let cfg = elastic_config(3, 6);
         let faults = FaultPlan::seeded(6).with_leave_at_step(1, 2).with_join_at_step(1, 2);
         let (r, _m) = run(&cfg, &faults);
         assert!(r.consistent);
@@ -1205,43 +1171,65 @@ mod tests {
         assert_eq!(r.generations[1].begin_step, r.generations[2].begin_step);
         assert_eq!(r.generations[1].members, vec![0, 2]);
         assert_eq!(r.generations[2].members, vec![0, 1, 2]);
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+    }
+
+    /// Both founders of a 2-rank world leave at step 3 exactly when members
+    /// 2 and 3 join: no survivor can root a broadcast.
+    fn founders_hand_off() -> FaultPlan {
+        FaultPlan::seeded(8)
+            .with_leave_at_step(0, 3)
+            .with_leave_at_step(1, 3)
+            .with_join_at_step(2, 3)
+            .with_join_at_step(3, 3)
     }
 
     #[test]
     fn all_founders_leave_and_joiners_continue_via_handoff() {
-        // Both founders leave at step 3 exactly when two joiners arrive:
-        // no survivor can root a broadcast, so the old leader writes a
-        // handoff checkpoint (with optimizer state) and the new world
-        // boots from it.
-        let cfg = elastic_config(2, 6, "handoff");
-        let faults = FaultPlan::seeded(8)
-            .with_leave_at_step(0, 3)
-            .with_leave_at_step(1, 3)
-            .with_join_at_step(2, 3)
-            .with_join_at_step(3, 3);
-        let (r, _m) = run(&cfg, &faults);
+        // The old leader leaves its snapshot (with optimizer state) at the
+        // hub and the new world adopts it.
+        let (r, _m) = run(&elastic_config(2, 6), &founders_hand_off());
         assert!(r.consistent, "joiner replicas diverged: {:?}", r.final_hashes);
         assert_eq!(r.steps.len(), 6);
         let mut left = r.ranks_left.clone();
         left.sort_unstable();
         assert_eq!(left, vec![0, 1]);
         assert_eq!(r.ranks_joined, vec![2, 3]);
-        assert_eq!(r.checkpoint_fallbacks, 1, "survivor-less transition used the handoff");
+        assert_eq!(r.handoffs, 1, "survivor-less transition used the handoff");
         assert_eq!(r.param_broadcasts, 0);
         assert_eq!(r.generations.last().unwrap().members, vec![2, 3]);
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
+    }
+
+    #[test]
+    fn handoff_joiner_that_cannot_adopt_the_state_is_reported_not_unwound() {
+        // As above, but the first joiner to build its model renames its
+        // parameters: the handed-off optimizer state names velocities it
+        // does not have. It must stop with the typed error — no panic on
+        // its thread — and the other joiner carries on alone as after a
+        // crash.
+        let cfg = elastic_config(2, 6);
+        let (r, _m) = train_data_parallel_elastic(&cfg, &founders_hand_off(), renamed_at_build(2), toy_source);
+        let failed = match r.ranks_failed.as_slice() {
+            [(me, e @ CommError::MalformedPayload { rank, root: 0, .. })] => {
+                assert!(e.to_string().contains("unknown parameter"), "{e}");
+                assert_eq!(*rank + 2, *me, "its rank in the world [2, 3]");
+                *me
+            }
+            other => panic!("expected a joiner to fail on a malformed handoff, got {other:?}"),
+        };
+        assert_eq!(r.ranks_lost, vec![failed], "its peer recovers as from a crash");
+        assert_eq!(r.handoffs, 1);
+        assert_eq!(r.steps.len(), 6);
+        assert_eq!(r.final_hashes.len(), 1, "the other joiner finishes");
     }
 
     #[test]
     fn late_joiner_is_never_admitted() {
-        let cfg = elastic_config(2, 4, "late");
+        let cfg = elastic_config(2, 4);
         let faults = FaultPlan::seeded(4).with_join_at_step(7, 99);
         let (r, _m) = run(&cfg, &faults);
         assert!(r.consistent);
         assert_eq!(r.never_admitted, vec![7]);
         assert!(r.ranks_joined.is_empty());
-        std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
     }
 
     #[test]
@@ -1280,13 +1268,8 @@ mod tests {
             }
             explored += 1;
             let case = format!("seed {seed}, {founders} founders, {faults:?}");
-            let go = |dir: &str| {
-                let cfg = elastic_config(founders, STEPS, &format!("chaos_{seed}_{dir}"));
-                let (r, _m) = run(&cfg, &faults);
-                std::fs::remove_dir_all(&cfg.checkpoint_dir).ok();
-                r
-            };
-            let (a, b) = (go("a"), go("b"));
+            let cfg = elastic_config(founders, STEPS);
+            let ((a, _ma), (b, _mb)) = (run(&cfg, &faults), run(&cfg, &faults));
             let gens = &a.generations;
             assert!(gens.windows(2).all(|w| w[0].generation < w[1].generation), "{case}: generations increase");
             for g in gens {

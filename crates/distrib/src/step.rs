@@ -13,9 +13,8 @@
 //! The two drivers ([`train_data_parallel`](crate::train_data_parallel),
 //! [`train_data_parallel_elastic`](crate::train_data_parallel_elastic))
 //! differ only in what happens *around* a step — report aggregation;
-//! membership rounds, crash recovery and the checkpoint cadence — so the
-//! step, the checkpoint save and restore and the per-world wiring live
-//! here once.
+//! membership rounds and crash recovery — so the step, the state
+//! [`Snapshot`] and the per-world wiring live here once.
 //!
 //! **Determinism.** Fusion buckets are fixed at build time from the
 //! canonical tensor order, so bucket membership — and therefore summation
@@ -36,8 +35,6 @@ use exaclim_nn::{Ctx, Layer, Param, ParamSet};
 use exaclim_tensor::init::seeded_rng;
 use exaclim_tensor::profile::{self, SpanKind};
 use exaclim_tensor::DType;
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -112,6 +109,17 @@ pub(crate) struct Trained {
     pub allreduce_launches: usize,
 }
 
+/// A replica's complete model state, in memory: what a state broadcast
+/// ships and what a survivor-less handoff leaves at the elastic hub.
+#[derive(Default)]
+pub(crate) struct Snapshot {
+    /// The full checkpointable state (not just the trainable set, so
+    /// joiners match survivors exactly), flattened in state order.
+    pub flat: Vec<f32>,
+    /// The optimizer's state as [`OptState::to_bytes`].
+    pub opt: Vec<u8>,
+}
+
 /// Per-world wiring. Fields drop in declaration order, which is the
 /// dependency order: ready hooks feed the engine, the engine's progress
 /// thread borrows the communicator, and dropping the communicator is what
@@ -129,8 +137,8 @@ pub(crate) struct Replica {
     world: Option<World>,
     cfg: TrainerConfig,
     model: Box<dyn Layer>,
-    /// Full checkpointable state (superset of the trainable set) — what
-    /// checkpoints persist and elastic broadcasts ship.
+    /// Full checkpointable state (superset of the trainable set) — what a
+    /// [`Snapshot`] carries.
     state: ParamSet,
     params: ParamSet,
     /// Tensor-id-indexed handles.
@@ -177,73 +185,35 @@ impl Replica {
         }
     }
 
-    /// Loads an EXCK checkpoint: the full state, then the optimizer
-    /// trailer so the exact momentum/moment trajectory resumes (a v1 file
-    /// yields an empty state — a cold start). The trailer layout does not
-    /// depend on which plane exported it.
-    pub(crate) fn restore(&mut self, path: &Path) -> io::Result<()> {
-        checkpoint::load_into(&self.state, path)?;
-        let opt_state = checkpoint::load_optimizer_state(path)?;
-        self.import_optimizer(&opt_state).map_err(io::Error::other)
+    /// This replica's state and optimizer state.
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        let mut flat = Vec::with_capacity(self.state.iter().map(|p| p.numel()).sum());
+        for p in self.state.iter() {
+            flat.extend_from_slice(p.value().as_slice());
+        }
+        Snapshot { flat, opt: self.optimizer().export_state().to_bytes() }
     }
 
-    /// Writes what [`restore`](Replica::restore) reads.
-    pub(crate) fn save_to(&self, path: &Path) -> io::Result<()> {
-        checkpoint::save_with_optimizer(&self.state, &self.optimizer().export_state(), path)
-    }
-
-    /// [`save_to`](Replica::save_to) under `dir`'s step-numbered name.
-    pub(crate) fn save_checkpoint(&self, dir: &Path, completed: usize) -> io::Result<()> {
-        let opt_state = self.optimizer().export_state();
-        checkpoint::save_auto_with_optimizer(&self.state, &opt_state, dir, completed).map(drop)
-    }
-
-    /// The in-memory twin of [`restore`](Replica::restore): `root_idx`'s
-    /// full checkpointable state (not just the trainable set, so joiners
-    /// match survivors exactly) and optimizer state are broadcast over
-    /// `comm`. Every rank relays; only ranks passing `adopt` overwrite
-    /// their own.
-    pub(crate) fn sync_from(
-        &mut self,
-        comm: &mut Communicator,
-        root_idx: usize,
-        adopt: bool,
-    ) -> Result<(), CommError> {
-        let is_root = comm.rank() == root_idx;
+    /// Overwrites this replica's state and optimizer state with `snap`'s,
+    /// so the exact momentum/moment trajectory continues. `snap` may come
+    /// from a peer: one of another size, optimizer bytes that do not
+    /// decode, or optimizer entries naming parameters this model lacks are
+    /// an `Err`, not a panic.
+    pub(crate) fn adopt(&mut self, snap: &Snapshot) -> Result<(), String> {
         let total: usize = self.state.iter().map(|p| p.numel()).sum();
-        let mut flat = vec![0.0f32; total];
-        if is_root {
-            let mut off = 0;
-            for p in self.state.iter() {
-                let v = p.value();
-                flat[off..off + v.numel()].copy_from_slice(v.as_slice());
-                off += v.numel();
-            }
+        if snap.flat.len() != total {
+            return Err(format!("state holds {} values but the model has {total}", snap.flat.len()));
         }
-        comm.try_broadcast(root_idx, &mut flat)?;
-        let mut opt_bytes =
-            if is_root { self.optimizer().export_state().to_bytes() } else { Vec::new() };
-        comm.try_broadcast_bytes(root_idx, &mut opt_bytes)?;
-        if adopt {
-            let mut off = 0;
-            for p in self.state.iter() {
-                let n = p.numel();
-                let src = &flat[off..off + n];
-                p.apply_update(|v, _| v.copy_from_slice(src));
-                off += n;
-            }
-            // These bytes came from a peer: a payload that does not decode
-            // is the root's to answer for, not a reason to unwind here.
-            let rank = comm.rank();
-            let malformed = |what: String| CommError::MalformedPayload {
-                rank,
-                root: root_idx,
-                what: format!("optimizer broadcast: {what}"),
-            };
-            let opt_state = OptState::from_bytes(&opt_bytes).map_err(malformed)?;
-            self.import_optimizer(&opt_state).map_err(malformed)?;
+        let opt_state = OptState::from_bytes(&snap.opt)?;
+        let mut off = 0;
+        for p in self.state.iter() {
+            let n = p.numel();
+            let src = &snap.flat[off..off + n];
+            p.apply_update(|v, _| v.copy_from_slice(src));
+            off += n;
         }
-        Ok(())
+        let o = self.optimizer.as_mut().expect("optimizer on rank thread");
+        o.import_state(&opt_state, &self.params)
     }
 
     /// Wires the replica to `comm`'s world, replacing any previous wiring.
@@ -441,11 +411,6 @@ impl Replica {
     fn optimizer(&self) -> &(dyn Optimizer + Send) {
         self.optimizer.as_deref().expect("optimizer on rank thread")
     }
-
-    fn import_optimizer(&mut self, state: &OptState) -> Result<(), String> {
-        let o = self.optimizer.as_mut().expect("optimizer on rank thread");
-        o.import_state(state, &self.params)
-    }
 }
 
 #[cfg(test)]
@@ -455,36 +420,43 @@ mod tests {
     use exaclim_comm::CommWorld;
     use std::time::Duration;
 
-    /// Rank 1 adopts rank 0's state through `sync_from` while rank 0
-    /// plays a root that ships `opt_bytes` as its optimizer payload.
-    fn adopt_from_root_shipping(opt_bytes: Vec<u8>) -> Result<(), CommError> {
-        let cfg = toy_config(2, 1);
-        let mut comms = CommWorld::with_deadline(2, Duration::from_secs(5));
-        let (mut c1, mut c0) = (comms.pop().unwrap(), comms.pop().unwrap());
-        let mut replica = Replica::build(&cfg, 1, &toy_model);
-        let total: usize = replica.state.iter().map(|p| p.numel()).sum();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let mut bytes = opt_bytes;
-                c0.try_broadcast(0, &mut vec![0.0f32; total]).unwrap();
-                c0.try_broadcast_bytes(0, &mut bytes).unwrap();
-            });
-            replica.sync_from(&mut c1, 0, true)
-        })
+    #[test]
+    fn snapshot_adopted_by_a_fresh_replica_reproduces_state_and_optimizer() {
+        // Two steps leave non-zero momentum; a replica built for another
+        // stream adopts the snapshot.
+        let cfg = toy_config(1, 2);
+        let mut trained = Replica::build(&cfg, 0, &toy_model);
+        trained.wire(CommWorld::new(1).pop().unwrap());
+        let mut source = toy_source(0);
+        for step in 0..2 {
+            trained.step(step, &mut source, false).expect("step");
+        }
+        let opt_bytes = |r: &Replica| r.optimizer().export_state().to_bytes();
+        let mut fresh = Replica::build(&cfg, 1, &toy_model);
+        assert_ne!(fresh.state.state_hash(), trained.state.state_hash());
+        assert_ne!(opt_bytes(&fresh), opt_bytes(&trained));
+        fresh.adopt(&trained.snapshot()).expect("adopt");
+        assert_eq!(fresh.state.state_hash(), trained.state.state_hash());
+        assert_eq!(opt_bytes(&fresh), opt_bytes(&trained));
     }
 
     #[test]
-    fn sync_from_reports_a_malformed_optimizer_payload_as_a_typed_error() {
-        let good = Replica::build(&toy_config(2, 1), 0, &toy_model).optimizer().export_state().to_bytes();
-        assert_eq!(adopt_from_root_shipping(good.clone()), Ok(()));
+    fn adopt_reports_a_malformed_snapshot_as_an_error() {
+        let cfg = toy_config(1, 1);
+        let good = Replica::build(&cfg, 0, &toy_model).snapshot();
+        let mut replica = Replica::build(&cfg, 1, &toy_model);
+        assert_eq!(replica.adopt(&good), Ok(()));
 
-        // Truncated in flight. (A well-formed state for some other model
-        // takes the same exit; `elastic::tests` drives that one end to end.)
-        let e = adopt_from_root_shipping(good[..good.len() - 1].to_vec()).expect_err("truncated payload");
-        assert!(matches!(e, CommError::MalformedPayload { rank: 1, root: 0, .. }), "{e:?}");
-        assert!(!e.is_peer_failure());
-        assert_eq!(e.peer(), Some(0));
-        assert!(e.to_string().contains("truncated"), "{e}");
+        // Optimizer bytes truncated in flight. (A well-formed state for
+        // some other model fails in the optimizer's import; `elastic::tests`
+        // drives that one end to end, by broadcast and by handoff.)
+        let truncated = Snapshot { flat: good.flat.clone(), opt: good.opt[..good.opt.len() - 1].to_vec() };
+        let e = replica.adopt(&truncated).expect_err("truncated optimizer state");
+        assert!(e.contains("truncated"), "{e}");
+        // A state of another size.
+        let short = Snapshot { flat: good.flat[1..].to_vec(), opt: good.opt.clone() };
+        let e = replica.adopt(&short).expect_err("short state");
+        assert!(e.contains("values but the model has"), "{e}");
     }
 
     #[test]

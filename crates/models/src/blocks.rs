@@ -439,17 +439,6 @@ impl Layer for Aspp {
     }
 }
 
-/// Shared helper: used by both models' parameter-gradient tests.
-#[doc(hidden)]
-#[cfg(test)]
-fn sum_loss_backward(layer: &mut dyn Layer, x: &Tensor, ctx: &mut Ctx) -> (f32, Tensor) {
-    let y = layer.forward(x, ctx);
-    let loss = y.sum();
-    let ones = Tensor::full(y.shape().clone(), exaclim_tensor::DType::F32, 1.0);
-    let gx = layer.backward(&ones);
-    (loss, gx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,34 +469,36 @@ mod tests {
         assert_eq!(y.shape().dims(), &[1, 16, 4, 4]);
     }
 
-    /// Central-difference oracle for `DenseBlock::backward` at dropout 0,
-    /// against the block input and against the first layer's conv weight,
-    /// whose gradient arrives both through the block output and through
-    /// the later layer that consumes its features. The loss projects the
-    /// output on a fixed random tensor `r`, so `backward(r)` is its exact
-    /// gradient; the loss is summed in f64 to keep cancellation out of the
-    /// difference.
-    #[test]
-    fn dense_block_gradient_check() {
-        let mut rng = seeded_rng(43);
-        let mut blk = DenseBlock::new("db", 4, 2, 4, 3, 0.0, true, &mut rng);
-        let x = randn([2, 4, 4, 4], DType::F32, 1.0, &mut rng);
+    /// Central-difference oracle for `layer.backward` in train mode,
+    /// against the input entries `xs` and the entries `ws` of the
+    /// parameter named `weight`. The loss projects the output on a random
+    /// tensor `r` drawn from `rng`, so `backward(r)` is its exact gradient
+    /// (a sum loss is nearly blind behind batch norm, whose train-mode
+    /// outputs sum to a constant); the loss is summed in f64 to keep
+    /// cancellation out of the difference.
+    fn projection_gradient_check(
+        layer: &mut dyn Layer,
+        x: &Tensor,
+        weight: &str,
+        xs: &[usize],
+        ws: &[usize],
+        rng: &mut StdRng,
+    ) {
         let mut ctx = Ctx::train(0);
-        let y = blk.forward(&x, &mut ctx);
-        let r = randn(y.shape().clone(), DType::F32, 1.0, &mut rng);
-        let gx = blk.backward(&r);
-        let weight = blk.params().get("db.l0.conv.weight").expect("first conv weight").clone();
-        let gw = weight.grad();
+        let y = layer.forward(x, &mut ctx);
+        let r = randn(y.shape().clone(), DType::F32, 1.0, rng);
+        let gx = layer.backward(&r);
+        let w = layer.params().get(weight).unwrap_or_else(|| panic!("no parameter {weight}")).clone();
+        let gw = w.grad();
 
         let mut loss = |x: &Tensor| -> f64 {
-            let y = blk.forward(x, &mut ctx);
+            let y = layer.forward(x, &mut ctx);
             y.as_slice().iter().zip(r.as_slice()).map(|(&a, &b)| a as f64 * b as f64).sum()
         };
-        // A step small enough to stay off ReLU kinks at these indices; the
-        // remaining error is about 2e-4 relative.
+        // A step small enough to stay off ReLU kinks at these indices.
         let eps = 3e-3f32;
         let close = |num: f64, ana: f32| (num - ana as f64).abs() < 5e-3 * (ana as f64).abs().max(1.0);
-        for idx in [0usize, 17, 70, x.numel() - 1] {
+        for &idx in xs {
             let mut xp = x.clone();
             xp.as_mut_slice()[idx] += eps;
             let mut xm = x.clone();
@@ -516,16 +507,28 @@ mod tests {
             let ana = gx.as_slice()[idx];
             assert!(close(num, ana), "input grad[{idx}]: numeric {num} vs analytic {ana}");
         }
-        for idx in [0usize, 5, 31, weight.numel() - 1] {
-            weight.apply_update(|v, _| v[idx] += eps);
-            let lp = loss(&x);
-            weight.apply_update(|v, _| v[idx] -= 2.0 * eps);
-            let lm = loss(&x);
-            weight.apply_update(|v, _| v[idx] += eps);
+        for &idx in ws {
+            w.apply_update(|v, _| v[idx] += eps);
+            let lp = loss(x);
+            w.apply_update(|v, _| v[idx] -= 2.0 * eps);
+            let lm = loss(x);
+            w.apply_update(|v, _| v[idx] += eps);
             let num = (lp - lm) / (2.0 * eps as f64);
             let ana = gw.as_slice()[idx];
-            assert!(close(num, ana), "weight grad[{idx}]: numeric {num} vs analytic {ana}");
+            assert!(close(num, ana), "{weight} grad[{idx}]: numeric {num} vs analytic {ana}");
         }
+    }
+
+    /// `DenseBlock::backward` at dropout 0, against the block input and
+    /// the first layer's conv weight, whose gradient arrives both through
+    /// the block output and through the later layer that consumes its
+    /// features (measured error about 2e-4 relative).
+    #[test]
+    fn dense_block_gradient_check() {
+        let mut rng = seeded_rng(43);
+        let mut blk = DenseBlock::new("db", 4, 2, 4, 3, 0.0, true, &mut rng);
+        let x = randn([2, 4, 4, 4], DType::F32, 1.0, &mut rng);
+        projection_gradient_check(&mut blk, &x, "db.l0.conv.weight", &[0, 17, 70, x.numel() - 1], &[0, 5, 31, 143], &mut rng);
     }
 
     #[test]
@@ -552,23 +555,34 @@ mod tests {
         assert_eq!(y4.shape().dims(), &[1, 32, 6, 6]);
     }
 
+    /// `Bottleneck::backward`: the input gradient is the sum of the
+    /// residual branch's and the shortcut's. With an identity shortcut the
+    /// first 1×1 conv's weight is checked; with a strided projection
+    /// shortcut, the projection's.
     #[test]
     fn bottleneck_gradient_flows_through_both_branches() {
         let mut rng = seeded_rng(45);
-        let mut b = Bottleneck::new("b", 8, 4, 1, 1, &mut rng);
-        let x = randn([1, 8, 4, 4], DType::F32, 1.0, &mut rng);
-        let mut ctx = Ctx::train(0);
-        let (_, gx) = sum_loss_backward(&mut b, &x, &mut ctx);
-        let eps = 1e-2f32;
-        for idx in [0usize, 31, x.numel() - 1] {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[idx] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[idx] -= eps;
-            let num = (b.forward(&xp, &mut ctx).sum() - b.forward(&xm, &mut ctx).sum()) / (2.0 * eps);
-            let ana = gx.as_slice()[idx];
-            assert!((num - ana).abs() < 0.05 * ana.abs().max(1.0), "grad[{idx}] {num} vs {ana}");
-        }
+        let mut identity = Bottleneck::new("b", 16, 4, 1, 1, &mut rng);
+        assert!(identity.shortcut.is_none());
+        let x = randn([2, 16, 4, 4], DType::F32, 1.0, &mut rng);
+        projection_gradient_check(&mut identity, &x, "b.c1.conv.weight", &[0, 77, 200, x.numel() - 1], &[0, 9, 40, 63], &mut rng);
+
+        let mut projected = Bottleneck::new("p", 8, 4, 2, 1, &mut rng);
+        assert!(projected.shortcut.is_some());
+        let x = randn([2, 8, 6, 6], DType::F32, 1.0, &mut rng);
+        projection_gradient_check(&mut projected, &x, "p.proj.weight", &[0, 43, 301, x.numel() - 1], &[0, 21, 77, 127], &mut rng);
+    }
+
+    /// `Aspp::backward`: the input gradient sums every branch's, and an
+    /// atrous branch's conv weight is checked. (Its last output channel
+    /// sits near a ReLU kink at this step; the checked entries feed the
+    /// first three.)
+    #[test]
+    fn aspp_gradient_check() {
+        let mut rng = seeded_rng(48);
+        let mut aspp = Aspp::new("a", 4, 4, &[2], 0.0, &mut rng);
+        let x = randn([2, 4, 6, 6], DType::F32, 1.0, &mut rng);
+        projection_gradient_check(&mut aspp, &x, "a.bd2.conv.weight", &[0, 50, 199, x.numel() - 1], &[0, 13, 70, 100], &mut rng);
     }
 
     #[test]

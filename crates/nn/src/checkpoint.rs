@@ -5,11 +5,12 @@
 //! parameter sets: a small self-describing binary format (magic `EXCK`)
 //! with per-tensor names, shapes, precisions and `f32` payloads.
 //!
-//! Version 2 appends an optional **optimizer-state section** (momentum
-//! velocities, Adam moments, gradient-lag queues as encoded by
-//! [`OptState::to_bytes`]) after the tensors, so a restart resumes the
-//! optimizer warm instead of cold. Version-1 files (no section) still
-//! load; [`load_optimizer_state`] returns an empty snapshot for them.
+//! A file carries parameters and buffers only. Version 2 ends in an
+//! optimizer-state section, which [`save`] always writes empty; the
+//! reader stops after the tensors, so version-1 files (no section) and
+//! version-2 files whose section holds state load alike. Optimizer state
+//! moves in memory, as [`OptState::to_bytes`] inside the elastic
+//! trainer's state snapshot.
 
 use crate::layer::Layer;
 use crate::optim::OptState;
@@ -17,7 +18,7 @@ use crate::param::ParamSet;
 use exaclim_tensor::{DType, Shape, Tensor};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"EXCK";
 const VERSION: u32 = 2;
@@ -39,16 +40,6 @@ pub fn full_state(layer: &dyn Layer) -> ParamSet {
 /// Saves every parameter (name, shape, dtype, values) to `path`, with an
 /// empty optimizer section.
 pub fn save(params: &ParamSet, path: impl AsRef<Path>) -> io::Result<()> {
-    save_with_optimizer(params, &OptState::default(), path)
-}
-
-/// Saves parameters plus an optimizer-state section, so a restart can
-/// resume momenta and moments instead of rebuilding them from zero.
-pub fn save_with_optimizer(
-    params: &ParamSet,
-    opt: &OptState,
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(MAGIC)?;
     write_u32(&mut w, VERSION)?;
@@ -71,9 +62,8 @@ pub fn save_with_optimizer(
             w.write_all(&v.to_le_bytes())?;
         }
     }
-    // Optimizer section: length-prefixed OptState bytes. An empty state
-    // still writes the section header, so save→load→save is byte-stable.
-    let opt_bytes = opt.to_bytes();
+    // Optimizer section: length-prefixed, empty OptState bytes.
+    let opt_bytes = OptState::default().to_bytes();
     write_u32(&mut w, opt_bytes.len() as u32)?;
     w.write_all(&opt_bytes)?;
     w.flush()
@@ -83,30 +73,12 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Writes an auto-checkpoint `step-NNNNNNNN.exck` with an optimizer-state
-/// section under `dir` (created if missing), where `step` counts
-/// *completed* training steps. Returns the file path: the periodic-snapshot
-/// side of checkpoint/restart fault tolerance.
-pub fn save_auto_with_optimizer(
-    params: &ParamSet,
-    opt: &OptState,
-    dir: impl AsRef<Path>,
-    step: usize,
-) -> io::Result<PathBuf> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("step-{step:08}.exck"));
-    save_with_optimizer(params, opt, &path)?;
-    Ok(path)
-}
-
 /// An open checkpoint that knows how many of its bytes are left, so every
 /// length read from the file is checked before anything is allocated for
 /// it: a truncated or hostile file is `InvalidData`, never an abort.
 struct CheckpointReader {
     r: BufReader<File>,
     left: u64,
-    version: u32,
 }
 
 impl CheckpointReader {
@@ -116,13 +88,13 @@ impl CheckpointReader {
     fn open(path: impl AsRef<Path>) -> io::Result<CheckpointReader> {
         let file = File::open(path)?;
         let left = file.metadata()?.len();
-        let mut c = CheckpointReader { r: BufReader::new(file), left, version: 0 };
+        let mut c = CheckpointReader { r: BufReader::new(file), left };
         if c.bytes(4, "magic")? != MAGIC {
             return Err(bad("not an EXCK checkpoint"));
         }
-        c.version = c.u32("version")?;
-        if c.version == 0 || c.version > VERSION {
-            return Err(bad(format!("unsupported checkpoint version {}", c.version)));
+        let version = c.u32("version")?;
+        if version == 0 || version > VERSION {
+            return Err(bad(format!("unsupported checkpoint version {version}")));
         }
         Ok(c)
     }
@@ -143,38 +115,34 @@ impl CheckpointReader {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Walks the `count` tensors of the tensor section, handing each
-    /// stored tensor's name and value to `visit`.
-    fn tensors(&mut self, count: usize, mut visit: impl FnMut(String, Tensor) -> io::Result<()>) -> io::Result<()> {
-        for _ in 0..count {
-            let name_len = self.u32("name length")? as usize;
-            let name = String::from_utf8(self.bytes(name_len, "tensor name")?).map_err(|_| bad("invalid tensor name"))?;
-            let dtype = match self.bytes(1, "dtype")?[0] {
-                0 => DType::F32,
-                1 => DType::F16,
-                other => return Err(bad(format!("unknown dtype tag {other}"))),
-            };
-            let rank = self.u32("rank")? as u64;
-            if rank * 4 > self.left {
-                return Err(bad(format!("{name}: rank {rank} runs past the end of the file")));
-            }
-            let dims = (0..rank).map(|_| self.u32("dim").map(|d| d as usize)).collect::<io::Result<Vec<_>>>()?;
-            let payload = dims
-                .iter()
-                .try_fold(4usize, |n, &d| n.checked_mul(d))
-                .ok_or_else(|| bad(format!("{name}: dims {dims:?} overflow")))?;
-            let data = self.bytes(payload, "tensor payload")?;
-            let data = data.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])).collect();
-            visit(name, Tensor::from_vec(Shape::new(&dims), dtype, data))?;
+    /// Reads the next stored tensor's name and value.
+    fn tensor(&mut self) -> io::Result<(String, Tensor)> {
+        let name_len = self.u32("name length")? as usize;
+        let name = String::from_utf8(self.bytes(name_len, "tensor name")?).map_err(|_| bad("invalid tensor name"))?;
+        let dtype = match self.bytes(1, "dtype")?[0] {
+            0 => DType::F32,
+            1 => DType::F16,
+            other => return Err(bad(format!("unknown dtype tag {other}"))),
+        };
+        let rank = self.u32("rank")? as u64;
+        if rank * 4 > self.left {
+            return Err(bad(format!("{name}: rank {rank} runs past the end of the file")));
         }
-        Ok(())
+        let dims = (0..rank).map(|_| self.u32("dim").map(|d| d as usize)).collect::<io::Result<Vec<_>>>()?;
+        let payload = dims
+            .iter()
+            .try_fold(4usize, |n, &d| n.checked_mul(d))
+            .ok_or_else(|| bad(format!("{name}: dims {dims:?} overflow")))?;
+        let data = self.bytes(payload, "tensor payload")?;
+        let data = data.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])).collect();
+        Ok((name, Tensor::from_vec(Shape::new(&dims), dtype, data)))
     }
 }
 
 /// Loads a checkpoint into an existing parameter set. Every stored tensor
 /// must match a parameter by name and shape (extra/missing parameters are
-/// an error — a model-architecture mismatch). Any optimizer section is
-/// left untouched — see [`load_optimizer_state`].
+/// an error — a model-architecture mismatch). Whatever follows the
+/// tensors (a version-2 optimizer section) is not read.
 pub fn load_into(params: &ParamSet, path: impl AsRef<Path>) -> io::Result<()> {
     let mut c = CheckpointReader::open(path)?;
     let count = c.u32("tensor count")? as usize;
@@ -184,7 +152,8 @@ pub fn load_into(params: &ParamSet, path: impl AsRef<Path>) -> io::Result<()> {
             params.len()
         )));
     }
-    c.tensors(count, |name, value| {
+    for _ in 0..count {
+        let (name, value) = c.tensor()?;
         let p = params
             .get(&name)
             .ok_or_else(|| bad(format!("model has no parameter named {name}")))?;
@@ -196,23 +165,8 @@ pub fn load_into(params: &ParamSet, path: impl AsRef<Path>) -> io::Result<()> {
             )));
         }
         p.set_value(value);
-        Ok(())
-    })
-}
-
-/// Reads the optimizer-state section of a checkpoint. Version-1 files
-/// and version-2 files saved without optimizer state both return an
-/// empty [`OptState`] (a deliberate cold restart), so callers need no
-/// version probe.
-pub fn load_optimizer_state(path: impl AsRef<Path>) -> io::Result<OptState> {
-    let mut c = CheckpointReader::open(path)?;
-    if c.version < 2 {
-        return Ok(OptState::default());
     }
-    let count = c.u32("tensor count")? as usize;
-    c.tensors(count, |_, _| Ok(()))?;
-    let opt_len = c.u32("optimizer section length")? as usize;
-    OptState::from_bytes(&c.bytes(opt_len, "optimizer section")?).map_err(bad)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -297,29 +251,36 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_section_roundtrips() {
+    fn load_into_skips_a_filled_optimizer_section() {
+        // A v2 file whose section holds state (as older writers left it):
+        // the section length, then the encoded state, after the tensors.
         let path = tmp("opt_state.exck");
         let params = sample_params(21);
+        save(&params, &path).expect("save");
         let mut opt = OptState::default();
         opt.push("sgd.v:bn.gamma", vec![0.5, -0.25, 0.0, 1.0]);
         opt.push("adam.t", vec![7.0]);
-        opt.sort();
-        save_with_optimizer(&params, &opt, &path).expect("save");
-        // Parameters load as before…
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes.truncate(bytes.len() - 8); // section length prefix + empty OptState
+        bytes.extend_from_slice(&(opt.to_bytes().len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&opt.to_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite");
         let restored = sample_params(22);
         load_into(&restored, &path).expect("load params");
         assert_eq!(restored.state_hash(), params.state_hash());
-        // …and the optimizer section decodes exactly.
-        let got = load_optimizer_state(&path).expect("load opt");
-        assert_eq!(got, opt);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn plain_save_yields_empty_optimizer_state() {
+        // The file ends in a 4-byte section holding an empty OptState.
         let path = tmp("no_opt.exck");
         save(&sample_params(31), &path).expect("save");
-        assert!(load_optimizer_state(&path).expect("load").is_empty());
+        let bytes = std::fs::read(&path).expect("read");
+        let empty = OptState::default().to_bytes();
+        assert_eq!(empty, 0u32.to_le_bytes());
+        assert_eq!(bytes[bytes.len() - 8..bytes.len() - 4], 4u32.to_le_bytes());
+        assert_eq!(bytes[bytes.len() - 4..], empty[..]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -337,7 +298,6 @@ mod tests {
         let restored = sample_params(42);
         load_into(&restored, &path).expect("v1 load");
         assert_eq!(restored.state_hash(), params.state_hash());
-        assert!(load_optimizer_state(&path).expect("v1 opt").is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -368,10 +328,8 @@ mod tests {
         std::fs::write(&path, bytes).expect("write");
         let mut one = ParamSet::new();
         one.push(Param::new("w", Tensor::zeros([2], DType::F32)));
-        for err in [load_into(&one, &path).err(), load_optimizer_state(&path).err()] {
-            let err = err.expect("a hostile file must not load");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        }
+        let err = load_into(&one, &path).expect_err("a hostile file must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -396,12 +354,10 @@ mod tests {
     fn every_truncation_is_rejected() {
         let path = tmp("truncated.exck");
         let params = sample_params(61);
-        let mut opt = OptState::default();
-        opt.push("adam.t", vec![3.0]);
-        save_with_optimizer(&params, &opt, &path).expect("save");
+        save(&params, &path).expect("save");
         let bytes = std::fs::read(&path).expect("read");
         // The parameters end where the optimizer section's length begins.
-        let tensors_end = bytes.len() - 4 - opt.to_bytes().len();
+        let tensors_end = bytes.len() - 8;
         for len in 0..bytes.len() {
             std::fs::write(&path, &bytes[..len]).expect("truncate");
             let restored = sample_params(62);
@@ -409,8 +365,6 @@ mod tests {
                 Err(e) => assert!(len < tensors_end && e.kind() == io::ErrorKind::InvalidData, "{len} bytes: {e}"),
                 Ok(()) => assert!(len >= tensors_end, "{len} bytes cut into the tensors but loaded"),
             }
-            let err = load_optimizer_state(&path).expect_err("a truncated optimizer section must not load");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len} bytes: {err}");
         }
         std::fs::remove_file(&path).ok();
     }

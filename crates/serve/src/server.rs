@@ -261,7 +261,7 @@ impl InferenceServer {
 /// freshly constructed by `build`, overwritten in place from the file
 /// (parameters *and* buffers, so batch-norm running statistics restore
 /// exactly), and pinned to eval mode. A version-1 checkpoint loads the
-/// same way — serving never needs the optimizer trailer.
+/// same way.
 pub fn replicas_from_checkpoint(
     path: impl AsRef<Path>,
     n: usize,
@@ -374,7 +374,7 @@ fn replica_loop(
 mod tests {
     use super::*;
     use exaclim_models::{DeepLabConfig, DeepLabV3Plus};
-    use exaclim_nn::checkpoint::{full_state, save, save_with_optimizer, load_optimizer_state};
+    use exaclim_nn::checkpoint::{full_state, save};
     use exaclim_nn::OptState;
     use exaclim_tensor::init::{randn, seeded_rng};
     use exaclim_tensor::DType;
@@ -450,21 +450,21 @@ mod tests {
         let mut ctx = Ctx::eval();
         let want = source.forward(&x, &mut ctx).bit_hash();
 
-        // v2 without optimizer trailer, v2 with one, and a synthesized v1.
+        // v2 as `save` writes it (an empty optimizer section), v2 with a
+        // filled section, and a synthesized v1 (no section).
         let plain = tmp("serve_plain.exck");
         save(&full_state(source.as_ref()), &plain).expect("save plain");
+        let mut tensors = std::fs::read(&plain).expect("read");
+        tensors.truncate(tensors.len() - 8); // drop length prefix + empty OptState
         let with_opt = tmp("serve_opt.exck");
         let mut opt = OptState::default();
         opt.push("sgd.v:probe", vec![1.0, -2.0]);
-        opt.sort();
-        save_with_optimizer(&full_state(source.as_ref()), &opt, &with_opt).expect("save opt");
+        let section = opt.to_bytes();
+        let len = (section.len() as u32).to_le_bytes();
+        std::fs::write(&with_opt, [&tensors[..], &len, &section].concat()).expect("write opt");
         let v1 = tmp("serve_v1.exck");
-        let mut bytes = std::fs::read(&plain).expect("read");
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        bytes.truncate(bytes.len() - 8); // drop length prefix + empty OptState
-        std::fs::write(&v1, &bytes).expect("write v1");
-        assert!(load_optimizer_state(&v1).expect("v1 opt").is_empty());
-        assert_eq!(load_optimizer_state(&with_opt).expect("v2 opt"), opt);
+        tensors[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&v1, &tensors).expect("write v1");
 
         for path in [&plain, &with_opt, &v1] {
             // Replicas are built from a *different* seed: only a real

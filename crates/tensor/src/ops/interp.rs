@@ -132,16 +132,34 @@ mod tests {
         assert!((v[3] - 4.0).abs() < 1e-6);
     }
 
-    /// Backward must be the exact adjoint of forward.
+    /// Backward must be the exact adjoint of forward: ⟨Ax, y⟩ = ⟨x, Aᵀy⟩,
+    /// the gradient oracle of a linear op. Up- and downsampling, integer
+    /// and non-integer ratios, one axis resized alone, N and C > 1; both
+    /// sides summed in f64.
     #[test]
     fn adjoint_identity() {
         let mut rng = seeded_rng(13);
-        let x = randn([1, 1, 3, 4], DType::F32, 1.0, &mut rng);
-        let y = bilinear_resize_forward(&x, 6, 8);
-        let gy = randn(y.shape().clone(), DType::F32, 1.0, &mut rng);
-        let gx = bilinear_resize_backward(x.shape(), &gy);
-        let lhs: f32 = y.as_slice().iter().zip(gy.as_slice()).map(|(a, b)| a * b).sum();
-        let rhs: f32 = x.as_slice().iter().zip(gx.as_slice()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+        let cases = [
+            ([1, 1, 3, 4], (6, 8)),
+            ([2, 3, 5, 7], (3, 4)),
+            ([1, 2, 6, 9], (4, 5)),
+            ([3, 1, 4, 4], (7, 10)),
+            ([2, 2, 9, 3], (2, 3)),
+            ([1, 4, 5, 6], (5, 13)),
+            ([2, 1, 1, 5], (3, 2)),
+        ];
+        let dot = |a: &Tensor, b: &Tensor| -> f64 {
+            a.as_slice().iter().zip(b.as_slice()).map(|(&u, &v)| u as f64 * v as f64).sum()
+        };
+        for (dims, (oh, ow)) in cases {
+            let x = randn(dims, DType::F32, 1.0, &mut rng);
+            let y = bilinear_resize_forward(&x, oh, ow);
+            assert_eq!(y.shape().dims(), &[dims[0], dims[1], oh, ow]);
+            let gy = randn(y.shape().clone(), DType::F32, 1.0, &mut rng);
+            let gx = bilinear_resize_backward(x.shape(), &gy);
+            let (lhs, rhs) = (dot(&y, &gy), dot(&x, &gx));
+            let scale = dot(&y, &y).sqrt() * dot(&gy, &gy).sqrt();
+            assert!((lhs - rhs).abs() <= 1e-6 * scale, "{dims:?} → {oh}×{ow}: {lhs} vs {rhs}");
+        }
     }
 }

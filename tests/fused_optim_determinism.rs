@@ -4,18 +4,18 @@
 //! must each be bit-neutral: *where* it runs (main-thread serial, kernel
 //! pool `par_step`, comm progress thread bucket-apply), *how* the
 //! arithmetic is issued (SIMD micro-kernels vs scalar fallback), and
-//! *when* the state crosses a process boundary (EXCK v2 optimizer
-//! trailer save/load between fused and legacy layouts). These tests pin
+//! *when* the state crosses to another replica (parameters plus
+//! `OptState` bytes, as an elastic snapshot carries them, between fused
+//! and legacy layouts). These tests pin
 //! all three against the serial-legacy baseline for every optimizer the
 //! trainer can build.
 
 use exaclim_distrib::trainer::{Batch, BatchSource, OptimizerKind, TrainerConfig};
 use exaclim_distrib::train_data_parallel;
-use exaclim_nn::checkpoint;
 use exaclim_nn::layers::{Conv2d, ReLU};
 use exaclim_nn::loss::Labels;
 use exaclim_nn::optim::LarcSgd;
-use exaclim_nn::{Layer, Optimizer, Param, ParamSet, Sequential};
+use exaclim_nn::{Layer, OptState, Optimizer, Param, ParamSet, Sequential};
 use exaclim_tensor::init::{randn, seeded_rng};
 use exaclim_tensor::ops::Conv2dParams;
 use exaclim_tensor::{
@@ -116,8 +116,8 @@ fn fused_simd_threads_matrix_is_bit_identical() {
 }
 
 // ---------------------------------------------------------------------
-// EXCK v2 optimizer-trailer crossing: a checkpoint written mid-run under
-// one step mode must continue bitwise under the other.
+// Optimizer-state crossing: state exported mid-run under one step mode
+// must continue bitwise under the other.
 // ---------------------------------------------------------------------
 
 fn toy_set(seed: u32) -> ParamSet {
@@ -154,12 +154,6 @@ fn larc() -> LarcSgd {
     o
 }
 
-fn ckpt_path(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("exaclim_fused_ckpt_{}", std::process::id()));
-    std::fs::create_dir_all(&d).ok();
-    d.join(name)
-}
-
 /// Drive `steps` optimizer steps; `par` picks the fused-style parallel
 /// application path, serial legacy otherwise. Same bits either way.
 fn drive(opt: &mut LarcSgd, set: &ParamSet, first: u32, steps: u32, par: bool) {
@@ -173,13 +167,12 @@ fn drive(opt: &mut LarcSgd, set: &ParamSet, first: u32, steps: u32, par: bool) {
     }
 }
 
-/// Save under fused `par_step`, reload into a fresh optimizer, finish
+/// Export under fused `par_step`, adopt into a fresh optimizer, finish
 /// under legacy serial `step` — and the reverse — both bitwise equal to
-/// an uninterrupted legacy run. The EXCK v2 trailer is byte-stable
-/// across the pool-backed state layout regardless of which plane wrote
-/// the moments.
+/// an uninterrupted legacy run. The `OptState` bytes are stable across the
+/// pool-backed state layout regardless of which plane wrote the moments.
 #[test]
-fn exck_checkpoint_crosses_fused_and_legacy_planes_bitwise() {
+fn optimizer_state_crosses_fused_and_legacy_planes_bitwise() {
     // Uninterrupted legacy reference: 6 serial steps.
     let reference = toy_set(9);
     let mut opt = larc();
@@ -190,22 +183,22 @@ fn exck_checkpoint_crosses_fused_and_legacy_planes_bitwise() {
         let set = toy_set(9);
         let mut opt = larc();
         drive(&mut opt, &set, 0, 3, first_par);
-        let path = ckpt_path(&format!("cross_{first_par}_{second_par}.exck"));
-        checkpoint::save_with_optimizer(&set, &opt.export_state(), &path).expect("save");
+        let opt_bytes = opt.export_state().to_bytes();
 
-        // Fresh process stand-in: new params, new optimizer, restore both.
-        let restored = toy_set(1); // different seed: bits must come from the file
+        // Fresh replica stand-in: new params, new optimizer, adopt both.
+        let restored = toy_set(1); // different seed: bits must come from the handover
+        for (dst, src) in restored.iter().zip(set.iter()) {
+            dst.apply_update(|v, _| v.copy_from_slice(src.value().as_slice()));
+        }
         let mut opt2 = larc();
-        checkpoint::load_into(&restored, &path).expect("load params");
-        let st = checkpoint::load_optimizer_state(&path).expect("load trailer");
+        let st = OptState::from_bytes(&opt_bytes).expect("decode");
         opt2.import_state(&st, &restored).expect("import");
 
         drive(&mut opt2, &restored, 3, 3, second_par);
         assert_eq!(
             restored.state_hash(),
             want,
-            "{label}: crossing step modes through EXCK changed parameter bits"
+            "{label}: crossing step modes through OptState bytes changed parameter bits"
         );
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -133,14 +133,9 @@ fn straggler_rank_overlaps_without_deadlock_or_drift() {
 #[test]
 fn overlapped_ft_run_matches_serial_plain_trainer_bitwise() {
     let (plain, _m) = train_data_parallel(&config(false), model, source);
-    let dir = std::env::temp_dir()
-        .join(format!("exaclim_overlap_ft_{}", std::process::id()))
-        .join("overlap_healthy");
-    std::fs::remove_dir_all(&dir).ok();
-    let mut cfg = ElasticConfig::new(config(true), &dir);
+    let mut cfg = ElasticConfig::new(config(true));
     cfg.recv_deadline = std::time::Duration::from_secs(2);
     let (r, _m2) = train_data_parallel_elastic(&cfg, &FaultPlan::none(), model, source);
-    std::fs::remove_dir_all(&dir).ok();
     assert!(r.consistent);
     assert_eq!(r.generations.len(), 1, "no transitions");
     assert_eq!(r.final_hashes[0], plain.final_hashes[0], "identical parameter bits");

@@ -42,6 +42,18 @@
 # identical`, or `arithmetic changed <old> → <new>` for a change that re-pins.
 # More than one hash on a side is an error: that side does not repeat itself.
 #
+# Under each table it prints the same verdicts for a program to read, one
+# tab-separated line per end-to-end metric,
+#
+#   AB  <workload>  <metric>  <seed>  <parent median>  <change median>  <change/parent>  <won>-<lost>/<pairs>  <token>
+#
+# where the token is the first that holds of `WORSE` (worse than the bound),
+# `SPREAD` (either side's spread exceeds the bound), `gain`, `ok`; then one
+# line for the arithmetic, `AB  <workload>  arithmetic  identical`,
+# `AB  <workload>  arithmetic  changed  <old>→<new>`, or
+# `AB  <workload>  arithmetic  unknown` when a side printed no hash or more
+# than one.
+#
 # With a fifth argument — per-layer metric names from BENCHMARK.json — each
 # workload's pairs are followed by two `--trace 1` runs per side (parent,
 # change, change, parent) and a `metric parent change ratio` table of those
@@ -147,14 +159,17 @@ for side, log in logs.items():
     print(f"  {side}: hash {found or 'not printed by this workload'}")
     if len(hashes[side]) > 1:
         print(f"  ERROR: {side} does not repeat its own arithmetic ({len(hashes[side])} distinct hashes)")
+arithmetic = ["unknown"]
 if all(len(c) == 1 for c in hashes.values()):
     (old,), (new,) = hashes["parent"], hashes["change"]
     print("  arithmetic identical" if old == new else f"  arithmetic changed {old} → {new}")
+    arithmetic = ["identical"] if old == new else ["changed", f"{old}→{new}"]
 
 def q(xs):
     q1, _, q3 = quantiles(xs, n=4) if len(xs) > 1 else (xs[0],) * 3
     return q1, median(xs), q3
 
+ab_lines = []
 print(f"{'metric':<18}{'unit':<6}{'parent q1 / median / q3':<34}{'change q1 / median / q3':<34}"
       f"{'change/parent':<15}{'pairs won':<11}{'beyond IQR':<12}{'separate':<10}verdict")
 for m in json.load(open(contract))["end_to_end"]:
@@ -171,16 +186,25 @@ for m in json.load(open(contract))["end_to_end"]:
                else f"WORSE by {worse_by:.0%} (bound {m['bound']:.0%})" if worse_by > m["bound"] else "")
     if verdict == "gain" and m["name"] == "setup_s":
         verdict += ", confirm at a second seed"
+    spread_any = False
     for side, (s1, sm, s3) in (("parent", (a1, am, a3)), ("change", (b1, bm, b3))):
         spread = (s3 - s1) / abs(sm) if sm else 0.0
         if spread > m["bound"]:
             verdict += f"  SPREAD {side} {spread:.1%} > {m['bound']:.0%}"
+            spread_any = True
+    token = ("WORSE" if worse_by > m["bound"] else "SPREAD" if spread_any
+             else "gain" if verdict.startswith("gain") else "ok")
+    ab_lines.append(["AB", workload, m["name"], seed, f"{am:.6g}", f"{bm:.6g}", f"{bm / am:.4f}",
+                     f"{won}-{lost}/{n}", token])
     print(f"{m['name']:<18}{m['unit']:<6}{f'{a1:.4g} / {am:.4g} / {a3:.4g}':<34}"
           f"{f'{b1:.4g} / {bm:.4g} / {b3:.4g}':<34}{bm / am:<15.3f}"
           f"{f'{won}-{lost} of {n}':<11}{'yes' if apart else 'no':<12}"
           f"{'yes' if separate else 'no':<10}{verdict}")
     print(f"  runs parent: {' '.join(f'{x:.4g}' for x in a)}")
     print(f"  runs change: {' '.join(f'{x:.4g}' for x in b)}")
+ab_lines.append(["AB", workload, "arithmetic", *arithmetic])
+for line in ab_lines:
+    print("\t".join(line))
 PY
 }
 
